@@ -1,10 +1,13 @@
 """Deterministic model checkpoints.
 
 A checkpoint is a single binary file: a magic line, one JSON metadata
-line (task, class names, sizes, vocabulary fingerprint, block shapes),
-then the parameter blocks as raw little-endian float64 bytes in the
-order the metadata declares. The format contains no timestamps, so
-saving the same bundle twice produces byte-identical files.
+line (format, task, class names, sizes, vocabulary fingerprint, block
+shapes), then the parameter blocks as raw little-endian float64 bytes in
+the order the metadata declares. Format 2 holds seven blocks: the
+embedding table and the six model arrays (per LSTM direction one fused
+W and b, then the head's W and b); a 1-D bias is listed as n rows by 1
+column. Other formats are rejected. The format contains no timestamps,
+so saving the same bundle twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -15,13 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .nn import BiLstmClassifier, BiLstmLayer, DenseParams, LstmParams
-from .tensor import Tensor, tensor
+from .nn import BiLstmClassifier, DenseParams, LstmParams
 from .textprep import EmbeddingMatrix
 
 __all__ = ["MAGIC", "ModelBundle", "load_checkpoint", "save_checkpoint"]
 
+# The container's magic line; the metadata's "format" versions its contents.
 MAGIC = b"reviewlab-checkpoint-v1\n"
+FORMAT = 2
 
 TASKS = ("recommendation", "sentiment")
 
@@ -47,15 +51,15 @@ class ModelBundle:
             )
         if self.seq_len < 1:
             raise ValueError(f"seq_len must be >= 1, got {self.seq_len}")
-        if self.embeddings.dim != self.model.layer.forward_params.input_size:
+        if self.embeddings.dim != self.model.input_size:
             raise ValueError(
                 f"embedding dim {self.embeddings.dim} does not match model "
-                f"input size {self.model.layer.forward_params.input_size}"
+                f"input size {self.model.input_size}"
             )
 
     @property
     def cell_size(self) -> int:
-        return self.model.layer.cell_size
+        return self.model.cell_size
 
     @property
     def embedding_dim(self) -> int:
@@ -66,15 +70,11 @@ class ModelBundle:
         return self.model.head.n_classes
 
 
-def _named_blocks(bundle: ModelBundle) -> list[tuple[str, Tensor]]:
-    return [("embeddings", bundle.embeddings.table), *bundle.model.param_blocks()]
-
-
 def save_checkpoint(bundle: ModelBundle, path) -> None:
     """Write the bundle to `path`; identical bundles give identical bytes."""
-    blocks = _named_blocks(bundle)
+    blocks = [("embeddings", bundle.embeddings.table), *bundle.model.param_blocks()]
     meta = {
-        "format": 1,
+        "format": FORMAT,
         "task": bundle.task,
         "class_names": list(bundle.class_names),
         "seq_len": bundle.seq_len,
@@ -82,17 +82,24 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "embedding_dim": bundle.embedding_dim,
         "vocab_size": bundle.embeddings.vocab_size,
         "vocab_fingerprint": bundle.vocab_fingerprint,
-        "blocks": [[name, t.rows, t.cols] for name, t in blocks],
+        "blocks": [[name, len(a), a.shape[1] if a.ndim == 2 else 1] for name, a in blocks],
     }
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(json.dumps(meta, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, t in blocks:
-            fh.write(np.ascontiguousarray(t.a).astype("<f8", copy=False).tobytes())
+        for _, a in blocks:
+            fh.write(np.ascontiguousarray(a).astype("<f8", copy=False).tobytes())
 
 
-_GATE_KEYS = ("W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o")
+_BLOCK_NAMES = ("embeddings", "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b")
+
+
+def _is_block_entry(entry) -> bool:
+    return (
+        isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+        and all(type(n) is int and n >= 0 for n in entry[1:])
+    )
 
 
 def load_checkpoint(path, vocab=None) -> ModelBundle:
@@ -108,37 +115,41 @@ def load_checkpoint(path, vocab=None) -> ModelBundle:
         meta = json.loads(raw[len(MAGIC):header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: unreadable checkpoint metadata: {exc}") from exc
-    if meta.get("format") != 1:
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: checkpoint metadata must be a JSON object")
+    if meta.get("format") != FORMAT:
         raise InputError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
+    blocks = meta.get("blocks")
+    if not isinstance(blocks, list) or not all(_is_block_entry(e) for e in blocks):
+        raise InputError(
+            f"{path}: checkpoint metadata 'blocks' must be a list of "
+            f"[name, rows, cols] entries with non-negative integer sizes"
+        )
 
-    tensors = {}
+    arrays = {}
     offset = header_end + 1
-    for name, rows, cols in meta["blocks"]:
-        if name in tensors:
+    for name, rows, cols in blocks:
+        if name in arrays:
             raise InputError(f"{path}: duplicate block {name!r}")
         nbytes = 8 * rows * cols
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise InputError(f"{path}: truncated checkpoint in block {name!r}")
-        tensors[name] = tensor(np.frombuffer(chunk, dtype="<f8").reshape(rows, cols))
+        arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols)
         offset += nbytes
     if offset != len(raw):
         raise InputError(f"{path}: {len(raw) - offset} trailing bytes after last block")
 
-    expected = {"embeddings", *(f"fwd.{k}" for k in _GATE_KEYS),
-                *(f"bwd.{k}" for k in _GATE_KEYS), "head.W", "head.b"}
-    if set(tensors) != expected:
-        missing = sorted(expected - set(tensors))
-        extra = sorted(set(tensors) - expected)
+    if set(arrays) != set(_BLOCK_NAMES):
+        missing = sorted(set(_BLOCK_NAMES) - set(arrays))
+        extra = sorted(set(arrays) - set(_BLOCK_NAMES))
         raise InputError(f"{path}: unexpected block layout (missing {missing}, extra {extra})")
 
     try:
         model = BiLstmClassifier(
-            layer=BiLstmLayer(
-                forward_params=LstmParams(*(tensors[f"fwd.{k}"] for k in _GATE_KEYS)),
-                backward_params=LstmParams(*(tensors[f"bwd.{k}"] for k in _GATE_KEYS)),
-            ),
-            head=DenseParams(W=tensors["head.W"], b=tensors["head.b"]),
+            fwd=LstmParams(arrays["fwd.W"], arrays["fwd.b"].reshape(-1)),
+            bwd=LstmParams(arrays["bwd.W"], arrays["bwd.b"].reshape(-1)),
+            head=DenseParams(W=arrays["head.W"], b=arrays["head.b"].reshape(-1)),
         )
         bundle = ModelBundle(
             task=meta["task"],
@@ -146,20 +157,20 @@ def load_checkpoint(path, vocab=None) -> ModelBundle:
             seq_len=meta["seq_len"],
             vocab_fingerprint=meta["vocab_fingerprint"],
             model=model,
-            embeddings=EmbeddingMatrix(tensors["embeddings"]),
+            embeddings=EmbeddingMatrix(arrays["embeddings"]),
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: inconsistent checkpoint contents: {exc}") from exc
 
     for field in ("cell_size", "embedding_dim"):
-        if meta[field] != getattr(bundle, field):
+        if meta.get(field) != getattr(bundle, field):
             raise InputError(
-                f"{path}: metadata says {field}={meta[field]} but blocks give "
+                f"{path}: metadata says {field}={meta.get(field)} but blocks give "
                 f"{getattr(bundle, field)}"
             )
-    if meta["vocab_size"] != bundle.embeddings.vocab_size:
+    if meta.get("vocab_size") != bundle.embeddings.vocab_size:
         raise InputError(
-            f"{path}: metadata says vocab_size={meta['vocab_size']} but the "
+            f"{path}: metadata says vocab_size={meta.get('vocab_size')} but the "
             f"embedding table has {bundle.embeddings.vocab_size} rows"
         )
     if vocab is not None and vocab.fingerprint() != bundle.vocab_fingerprint:

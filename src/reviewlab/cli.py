@@ -21,28 +21,17 @@ from pathlib import Path
 
 from .analytics import full_report
 from .checkpoint import ModelBundle, load_checkpoint, save_checkpoint
-from .dataset import filter_for_classification, parse_csv, split_60_20_20, write_csv, write_issues
+from .dataset import parse_csv, write_csv, write_issues
 from .errors import InputError
 from .metrics import majority_baseline, roc_auc, write_confusion_csv, write_report_json, write_roc_csv
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
-from .tensor import SeededRng
-from .textprep import (
-    clean_text,
-    encode_pad,
-    load_glove,
-    load_vocab,
-    random_embeddings,
-    save_vocab,
-    tokenize,
-)
+from .rng import SeededRng
+from .textprep import load_glove, load_vocab, random_embeddings, save_vocab
 from .training import (
-    LabeledSplit,
     TrainConfig,
     build_training_data,
     evaluate,
     predict,
-    predict_probabilities,
-    task_labels,
     train,
     write_history_csv,
 )
@@ -277,28 +266,16 @@ def _load_bundle(cfg: dict, provided: set, command: str):
 def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     bundle, vocab = _load_bundle(cfg, provided, "evaluate")
     records = _parse_records(cfg, "evaluate", run_dir)
-    kept, _ = filter_for_classification(records)
-    split = split_60_20_20(kept, cfg["seed"])
-    labels, _ = task_labels(kept, bundle.task, _load_lexicon(cfg))
-    test = LabeledSplit(
-        sequences=tuple(
-            encode_pad(
-                tokenize(clean_text(kept[i].review_text)), vocab, bundle.seq_len
-            ).indices
-            for i in split.test
-        ),
-        labels=tuple(labels[i] for i in split.test),
-    )
-    report = evaluate(
+    config = TrainConfig(seed=cfg["seed"], task=bundle.task, seq_len=bundle.seq_len)
+    prep = build_training_data(records, config, _load_lexicon(cfg), vocab=vocab)
+    test = prep.test
+    report, probs = evaluate(
         bundle.model, bundle.embeddings, test, cfg["batch_size"], bundle.class_names
     )
     extra = {}
     if bundle.task == "recommendation":
-        rows = predict_probabilities(
-            bundle.model, bundle.embeddings, test.sequences, cfg["batch_size"]
-        )
         try:
-            curve = roc_auc(list(test.labels), [row[1] for row in rows])
+            curve = roc_auc(list(test.labels), probs[:, 1].tolist())
         except InputError:
             extra["roc_auc"] = None
         else:
@@ -307,7 +284,7 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     write_report_json(report, run_dir / "metrics.json", extra=extra)
     write_confusion_csv(report, run_dir / "confusion.csv")
     baseline = majority_baseline(
-        [labels[i] for i in split.train], list(test.labels),
+        list(prep.data.train.labels), list(test.labels),
         bundle.n_classes, bundle.class_names,
     )
     write_report_json(baseline, run_dir / "baseline.json")

@@ -15,7 +15,7 @@ import csv
 from dataclasses import dataclass
 
 from .errors import InputError
-from .tensor import SeededRng
+from .rng import SeededRng
 
 REQUIRED_COLUMNS = (
     "Clothing ID",

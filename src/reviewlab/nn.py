@@ -1,584 +1,354 @@
-"""Bidirectional LSTM sequence classifier built from explicit matrix math.
+"""Bidirectional LSTM sequence classifier on plain numpy arrays.
 
-The cell follows the gate equations
+Arrays are batch-major: a batch of inputs x is (T, B, D), T steps of B
+examples with D features each, and hidden and cell states are (B, H).
 
-    f_t = sigmoid(W_f . [h_{t-1}, x_t] + b_f)
-    i_t = sigmoid(W_i . [h_{t-1}, x_t] + b_i)
-    C~_t = tanh(W_C . [h_{t-1}, x_t] + b_C)
-    C_t = f_t * C_{t-1} + i_t * C~_t
-    o_t = sigmoid(W_o . [h_{t-1}, x_t] + b_o)
-    h_t = o_t * tanh(C_t)
+Each direction holds one fused weight matrix W (4H, H + D) and one bias
+b (4H,).  Their rows are the four gates in the order f, i, C, o, H rows
+each, and the columns of W act on the stacked [h_{t-1}; x_t]:
 
-with one fused weight matrix per gate acting on the stacked column
-[h_{t-1}; x_t].  Two independent cells read the sequence left-to-right and
-right-to-left; their final hidden states are stacked, passed through
-dropout (training only), and fed to a dense softmax head.
+    a_t  = W . [h_{t-1}; x_t] + b
+    f_t  = sigmoid(a_f)    i_t = sigmoid(a_i)    C~_t = tanh(a_C)
+    o_t  = sigmoid(a_o)
+    C_t  = f_t * C_{t-1} + i_t * C~_t
+    h_t  = o_t * tanh(C_t)
 
-Every backward pass here is analytic backpropagation through time, and
-``grad_check`` compares each parameter gradient against central finite
-differences.  All tensors may carry a batch in their column dimension:
-the (rows, 1) shapes in the docstrings generalize to (rows, B) with the
-bias columns broadcast.
+The forward pass projects the inputs of all T steps with one GEMM and then
+adds one h . W_h^T GEMM per step (the restructuring of Appleyard, Kocisky
+& Blunsom, arXiv:1604.01946).  Each direction keeps three arrays for the
+backward pass (a SequenceCache): z (T, B, H + D) with the [h_{t-1}, x_t]
+each step read, the gate activations (T, B, 4H), and the cell states
+(T + 1, B, H).  The backward sweep writes each step's pre-activation
+gradients over that step's gate activations, which it no longer needs, so
+backward() consumes its cache.  After the sweep one GEMM over the T*B rows
+gives dW and one gives the input gradients.
+
+The two directions read the sequence left-to-right and right-to-left;
+their final hidden states are joined into (B, 2H) features, passed through
+dropout (training only), and fed to a dense softmax head with W (C, 2H)
+and b (C,).  Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which
+saturates to 0 and 1 without overflow.  ``grad_check`` compares every
+analytic gradient against central finite differences.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import (
-    SeededRng,
-    Tensor,
-    concat_rows,
-    init_uniform,
-    matmul,
-    sigmoid,
-    slice_rows,
-    softmax_cols,
-    sqrt_elem,
-    sum_cols,
-    tanh_act,
-    tensor,
-    zeros,
-)
+from .rng import SeededRng, init_uniform
 
 PROB_FLOOR = 1e-12
 
 
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise 0.5 * (1 + tanh(x / 2)); ``out`` may be ``x`` itself."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Per-row softmax in max-subtracted form; each row sums to 1."""
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 @dataclass(frozen=True)
 class LstmParams:
-    """Weights of one LSTM direction.
+    """One LSTM direction: W (4H, H + D), gate rows f, i, C, o; b (4H,)."""
 
-    Each W_* has shape (cell_size, cell_size + input_size) and each b_*
-    has shape (cell_size, 1).
-    """
-
-    W_f: Tensor
-    W_i: Tensor
-    W_C: Tensor
-    W_o: Tensor
-    b_f: Tensor
-    b_i: Tensor
-    b_C: Tensor
-    b_o: Tensor
+    W: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        ws = (self.W_f, self.W_i, self.W_C, self.W_o)
-        bs = (self.b_f, self.b_i, self.b_C, self.b_o)
-        if len({w.shape for w in ws}) != 1:
-            raise ValueError(f"gate weight shapes differ: {[w.shape for w in ws]}")
-        if len({b.shape for b in bs}) != 1:
-            raise ValueError(f"gate bias shapes differ: {[b.shape for b in bs]}")
-        cell, joint = self.W_f.shape
-        if self.b_f.shape != (cell, 1):
+        if self.W.ndim != 2 or self.W.shape[0] % 4:
             raise ValueError(
-                f"bias shape {self.b_f.shape} does not match weight rows {cell}"
+                f"W must be 2-D with 4 x cell_size rows, got shape {self.W.shape}"
             )
-        if cell < 1 or joint - cell < 1:
-            raise ValueError(f"need cell_size >= 1 and input_size >= 1, got W {self.W_f.shape}")
+        if self.b.shape != (self.W.shape[0],):
+            raise ValueError(
+                f"bias shape {self.b.shape} does not match weight shape {self.W.shape}"
+            )
+        if self.cell_size < 1 or self.input_size < 1:
+            raise ValueError(f"need cell_size >= 1 and input_size >= 1, got W {self.W.shape}")
 
     @property
     def cell_size(self) -> int:
-        return self.W_f.rows
+        return self.W.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.W_f.cols - self.W_f.rows
-
-    def blocks(self) -> list[Tensor]:
-        return [
-            self.W_f, self.W_i, self.W_C, self.W_o,
-            self.b_f, self.b_i, self.b_C, self.b_o,
-        ]
-
-    @staticmethod
-    def block_names() -> list[str]:
-        return ["W_f", "W_i", "W_C", "W_o", "b_f", "b_i", "b_C", "b_o"]
-
-    @staticmethod
-    def from_blocks(blocks) -> "LstmParams":
-        return LstmParams(*blocks)
-
-    @staticmethod
-    def zeros_like(cell_size: int, input_size: int) -> "LstmParams":
-        joint = cell_size + input_size
-        return LstmParams(
-            *(zeros(cell_size, joint) for _ in range(4)),
-            *(zeros(cell_size, 1) for _ in range(4)),
-        )
+        return self.W.shape[1] - self.cell_size
 
 
 def init_lstm_params(cell_size: int, input_size: int, rng: SeededRng) -> LstmParams:
-    """Uniform init on [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = cell + input."""
+    """Uniform init on [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = cell + input.
+
+    The weights are drawn before the biases, each row-major in gate order,
+    which is the stream order of drawing the four gate blocks one by one.
+    """
     joint = cell_size + input_size
     scale = 1.0 / math.sqrt(joint)
-    ws = [init_uniform(cell_size, joint, rng, scale) for _ in range(4)]
-    bs = [init_uniform(cell_size, 1, rng, scale) for _ in range(4)]
-    return LstmParams(*ws, *bs)
-
-
-@dataclass(frozen=True)
-class LstmState:
-    """Cell state C and hidden output h, each (cell_size, batch)."""
-
-    C: Tensor
-    h: Tensor
-
-    def __post_init__(self):
-        if self.C.shape != self.h.shape:
-            raise ValueError(f"state shapes differ: C {self.C.shape} vs h {self.h.shape}")
-
-    @staticmethod
-    def zero(cell_size: int, batch: int = 1) -> "LstmState":
-        return LstmState(C=zeros(cell_size, batch), h=zeros(cell_size, batch))
-
-
-@dataclass(frozen=True)
-class GateActivations:
-    """Per-step gate values cached for the backward pass."""
-
-    f: Tensor
-    i: Tensor
-    o: Tensor
-    C_tilde: Tensor
-
-
-@dataclass(frozen=True)
-class StepCache:
-    """Everything the backward pass needs about one forward step."""
-
-    z: Tensor
-    gates: GateActivations
-    C_prev: Tensor
-    C: Tensor
-
-
-@dataclass(frozen=True)
-class BiLstmLayer:
-    """Two independent LSTM directions over the same inputs."""
-
-    forward_params: LstmParams
-    backward_params: LstmParams
-
-    def __post_init__(self):
-        f, b = self.forward_params, self.backward_params
-        if (f.cell_size, f.input_size) != (b.cell_size, b.input_size):
-            raise ValueError(
-                f"direction size mismatch: forward ({f.cell_size}, {f.input_size})"
-                f" vs backward ({b.cell_size}, {b.input_size})"
-            )
-
-    @property
-    def cell_size(self) -> int:
-        return self.forward_params.cell_size
-
-    @property
-    def input_size(self) -> int:
-        return self.forward_params.input_size
+    W = init_uniform(4 * cell_size, joint, rng, scale)
+    b = init_uniform(4 * cell_size, 1, rng, scale).reshape(-1)
+    return LstmParams(W, b)
 
 
 @dataclass(frozen=True)
 class DenseParams:
-    """Affine head: W (n_classes, in_size), b (n_classes, 1)."""
+    """Affine head: W (n_classes, in_size), b (n_classes,)."""
 
-    W: Tensor
-    b: Tensor
+    W: np.ndarray
+    b: np.ndarray
 
     def __post_init__(self):
-        if self.b.shape != (self.W.rows, 1):
-            raise ValueError(f"bias shape {self.b.shape} does not match weight rows {self.W.rows}")
+        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
+            raise ValueError(
+                f"bias shape {self.b.shape} does not match weight shape {self.W.shape}"
+            )
 
     @property
     def n_classes(self) -> int:
-        return self.W.rows
+        return self.W.shape[0]
 
 
 def init_dense_params(n_classes: int, in_size: int, rng: SeededRng) -> DenseParams:
     scale = 1.0 / math.sqrt(in_size)
     return DenseParams(
         W=init_uniform(n_classes, in_size, rng, scale),
-        b=init_uniform(n_classes, 1, rng, scale),
+        b=init_uniform(n_classes, 1, rng, scale).reshape(-1),
     )
 
 
-def _cell_from_z(params: LstmParams, z: Tensor, C_prev: Tensor):
-    f = sigmoid(matmul(params.W_f, z) + params.b_f)
-    i = sigmoid(matmul(params.W_i, z) + params.b_i)
-    c_tilde = tanh_act(matmul(params.W_C, z) + params.b_C)
-    c = f * C_prev + i * c_tilde
-    o = sigmoid(matmul(params.W_o, z) + params.b_o)
-    h = o * tanh_act(c)
-    return LstmState(C=c, h=h), GateActivations(f=f, i=i, o=o, C_tilde=c_tilde)
+class SequenceCache(NamedTuple):
+    """What BPTT needs from one direction's forward pass (shapes in the module doc)."""
+
+    z: np.ndarray
+    acts: np.ndarray
+    c: np.ndarray
 
 
-def lstm_cell_forward(params: LstmParams, prev: LstmState, x_t: Tensor):
-    """One step of the gate equations; returns (new state, cached gates)."""
-    if x_t.rows != params.input_size:
-        raise ValueError(
-            f"input rows {x_t.rows} do not match expected input size {params.input_size}"
-        )
-    if prev.h.rows != params.cell_size:
-        raise ValueError(
-            f"state rows {prev.h.rows} do not match cell size {params.cell_size}"
-        )
-    z = concat_rows(prev.h, x_t)
-    return _cell_from_z(params, z, prev.C)
+def lstm_sequence_forward(params: LstmParams, x: np.ndarray):
+    """Run one direction over x (T, B, D) from a zero state.
 
-
-def lstm_sequence_forward(params: LstmParams, xs):
-    """Left fold of the cell over xs from a zero state.
-
-    Returns the final state and one StepCache per step for BPTT.
+    Returns the final hidden state (B, H) and the SequenceCache for BPTT.
     """
-    if len(xs) == 0:
+    T = len(x)
+    H, D = params.cell_size, params.input_size
+    if T == 0:
         raise ValueError("cannot run an LSTM over an empty sequence")
-    state = LstmState.zero(params.cell_size, xs[0].cols)
-    caches = []
-    for x_t in xs:
-        if x_t.rows != params.input_size:
-            raise ValueError(
-                f"input rows {x_t.rows} do not match expected input size {params.input_size}"
-            )
-        z = concat_rows(state.h, x_t)
-        new_state, gates = _cell_from_z(params, z, state.C)
-        caches.append(StepCache(z=z, gates=gates, C_prev=state.C, C=new_state.C))
-        state = new_state
-    return state, caches
+    if x.ndim != 3 or x.shape[2] != D:
+        raise ValueError(f"inputs must have shape (T, B, {D}), got {x.shape}")
+    B = x.shape[1]
+    W_h, W_x = params.W[:, :H], params.W[:, H:]
+    acts = (x.reshape(T * B, D) @ W_x.T + params.b).reshape(T, B, 4 * H)
+    z = np.empty((T, B, H + D))
+    z[:, :, H:] = x
+    z[0, :, :H] = 0.0
+    c = np.zeros((T + 1, B, H))
+    for t in range(T):
+        a = acts[t]
+        a += z[t, :, :H] @ W_h.T
+        sigmoid(a[:, :2 * H], out=a[:, :2 * H])
+        np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
+        sigmoid(a[:, 3 * H:], out=a[:, 3 * H:])
+        f, i, g, o = np.split(a, 4, axis=1)
+        np.multiply(f, c[t], out=c[t + 1])
+        c[t + 1] += i * g
+        h = o * np.tanh(c[t + 1])
+        if t + 1 < T:
+            z[t + 1, :, :H] = h
+    return h, SequenceCache(z, acts, c)
 
 
-def lstm_sequence_backward(params: LstmParams, caches, dh_last: Tensor):
+def lstm_sequence_backward(params: LstmParams, cache: SequenceCache, dh_last: np.ndarray):
     """Backpropagation through time for one direction.
 
-    Given the loss gradient w.r.t. the final hidden state, walks the cached
-    steps in reverse and accumulates gradients for every weight and bias.
-    Returns (grads packaged as LstmParams, per-step input gradients dxs).
+    Given d(loss)/d(h_T) (B, H), walks the steps in reverse, overwriting
+    cache.acts with the gate pre-activation gradients.  Returns
+    (dW (4H, H + D), db (4H,), dx (T, B, D)).
     """
-    if len(caches) == 0:
-        raise ValueError("backward pass requires the forward step caches")
-    cell = params.cell_size
-    grads = LstmParams.zeros_like(cell, params.input_size)
-    dW_f, dW_i, dW_C, dW_o = grads.W_f, grads.W_i, grads.W_C, grads.W_o
-    db_f, db_i, db_C, db_o = grads.b_f, grads.b_i, grads.b_C, grads.b_o
-    W_fT = params.W_f.transpose()
-    W_iT = params.W_i.transpose()
-    W_CT = params.W_C.transpose()
-    W_oT = params.W_o.transpose()
-
+    z, acts, c = cache
+    T, B, _ = z.shape
+    H = params.cell_size
+    W_h = params.W[:, :H]
     dh = dh_last
-    dC = zeros(dh_last.rows, dh_last.cols)
-    dxs = []
-    for cache in reversed(caches):
-        g = cache.gates
-        tC = tanh_act(cache.C)
-        do = dh * tC
-        da_o = do * g.o * (1 - g.o)
-        dC = dC + dh * g.o * (1 - tC * tC)
-        da_f = (dC * cache.C_prev) * g.f * (1 - g.f)
-        da_i = (dC * g.C_tilde) * g.i * (1 - g.i)
-        da_g = (dC * g.i) * (1 - g.C_tilde * g.C_tilde)
+    dC = np.zeros(dh_last.shape)
+    for t in reversed(range(T)):
+        a = acts[t]
+        f, i, g, o = np.split(a, 4, axis=1)
+        tC = np.tanh(c[t + 1])
+        dC += dh * o * (1.0 - tC * tC)
+        da_o = dh * tC * o * (1.0 - o)
+        da_f = dC * c[t] * f * (1.0 - f)
+        da_i = dC * g * i * (1.0 - i)
+        da_g = dC * i * (1.0 - g * g)
+        dC *= f
+        f[...], i[...], g[...], o[...] = da_f, da_i, da_g, da_o
+        dh = a @ W_h
+    dA = acts.reshape(T * B, 4 * H)
+    # (z^T dA)^T rather than dA^T z: the same product, about 25% faster in OpenBLAS.
+    dW = (z.reshape(T * B, -1).T @ dA).T
+    dx = (dA @ params.W[:, H:]).reshape(T, B, -1)
+    return dW, dA.sum(axis=0), dx
 
-        zT = cache.z.transpose()
-        dW_f = dW_f + matmul(da_f, zT)
-        dW_i = dW_i + matmul(da_i, zT)
-        dW_C = dW_C + matmul(da_g, zT)
-        dW_o = dW_o + matmul(da_o, zT)
-        db_f = db_f + sum_cols(da_f)
-        db_i = db_i + sum_cols(da_i)
-        db_C = db_C + sum_cols(da_g)
-        db_o = db_o + sum_cols(da_o)
 
-        dz = (
-            matmul(W_fT, da_f)
-            + matmul(W_iT, da_i)
-            + matmul(W_CT, da_g)
-            + matmul(W_oT, da_o)
+def dense_softmax_forward(params: DenseParams, h: np.ndarray) -> np.ndarray:
+    """Class probabilities softmax(h . W^T + b), one row per example."""
+    if h.shape[1] != params.W.shape[1]:
+        raise ValueError(
+            f"feature columns {h.shape[1]} do not match head input size {params.W.shape[1]}"
         )
-        dh = slice_rows(dz, 0, cell)
-        dxs.append(slice_rows(dz, cell, dz.rows))
-        dC = dC * g.f
-
-    dxs.reverse()
-    packed = LstmParams(dW_f, dW_i, dW_C, dW_o, db_f, db_i, db_C, db_o)
-    return packed, dxs
+    return softmax(h @ params.W.T + params.b)
 
 
-def bilstm_forward_cached(layer: BiLstmLayer, xs):
-    """Run both directions; keep caches.  Features are (2*cell, batch)."""
-    if len(xs) == 0:
-        raise ValueError("cannot run a bidirectional layer over an empty sequence")
-    fwd_state, fwd_caches = lstm_sequence_forward(layer.forward_params, xs)
-    bwd_state, bwd_caches = lstm_sequence_forward(layer.backward_params, list(reversed(xs)))
-    features = concat_rows(fwd_state.h, bwd_state.h)
-    return features, fwd_caches, bwd_caches
+def _target_index(probs: np.ndarray, targets) -> np.ndarray:
+    idx = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if idx.ndim != 1 or idx.shape[0] != probs.shape[0]:
+        raise ValueError(f"need one target per row: {idx.shape} vs {probs.shape[0]} rows")
+    if np.any(idx < 0) or np.any(idx >= probs.shape[1]):
+        raise ValueError(f"target class out of range for {probs.shape[1]} classes")
+    return idx
 
 
-def bilstm_forward(layer: BiLstmLayer, xs) -> Tensor:
-    """Concatenated final hidden states of both directions."""
-    features, _, _ = bilstm_forward_cached(layer, xs)
-    return features
-
-
-def dense_softmax_forward(params: DenseParams, h: Tensor) -> Tensor:
-    """Class probabilities softmax(W.h + b), one column per example."""
-    if h.rows != params.W.cols:
-        raise ValueError(f"feature rows {h.rows} do not match head input size {params.W.cols}")
-    return softmax_cols(matmul(params.W, h) + params.b)
-
-
-def batch_cross_entropy(probs: Tensor, targets) -> float:
-    """Mean negative log probability of the target class per column."""
-    idx = np.asarray(targets, dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] != probs.cols:
-        raise ValueError(f"need one target per column: {idx.shape} vs {probs.cols} columns")
-    if np.any(idx < 0) or np.any(idx >= probs.rows):
-        raise ValueError(f"target class out of range for {probs.rows} classes")
-    picked = probs.a[idx, np.arange(probs.cols)]
+def batch_cross_entropy(probs: np.ndarray, targets) -> float:
+    """Mean negative log probability of each row's target, floored at 1e-12."""
+    idx = _target_index(probs, targets)
+    picked = probs[np.arange(len(idx)), idx]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
-def batch_cross_entropy_grad(probs: Tensor, targets) -> Tensor:
+def batch_cross_entropy_grad(probs: np.ndarray, targets) -> np.ndarray:
     """Gradient of the mean loss w.r.t. logits: (probs - onehot) / batch."""
-    idx = np.asarray(targets, dtype=np.int64)
-    if np.any(idx < 0) or np.any(idx >= probs.rows):
-        raise ValueError(f"target class out of range for {probs.rows} classes")
-    d = probs.a.copy()
-    d[idx, np.arange(probs.cols)] -= 1.0
-    return tensor(d / probs.cols)
+    idx = _target_index(probs, targets)
+    d = probs.copy()
+    d[np.arange(len(idx)), idx] -= 1.0
+    return d / len(idx)
 
 
-def cross_entropy(probs: Tensor, target_class: int) -> float:
-    """Single-example loss -ln(probs[target]), probability floored at 1e-12."""
-    if probs.cols != 1:
-        raise ValueError(f"expected a single probability column, got {probs.shape}")
-    return batch_cross_entropy(probs, [int(target_class)])
-
-
-def cross_entropy_grad(probs: Tensor, target_class: int) -> Tensor:
-    """Gradient w.r.t. logits for one example: probs - onehot(target)."""
-    if probs.cols != 1:
-        raise ValueError(f"expected a single probability column, got {probs.shape}")
-    return batch_cross_entropy_grad(probs, [int(target_class)])
-
-
-def dropout_mask(rows: int, cols: int, rate: float, rng: SeededRng) -> Tensor:
+def dropout_mask(rows: int, cols: int, rate: float, rng: SeededRng) -> np.ndarray:
     """Inverted-dropout mask: entries 0 with probability rate, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     u = rng.fill(rows * cols).reshape(rows, cols)
-    return tensor((u >= rate).astype(np.float64) / (1.0 - rate))
-
-
-def dropout(x: Tensor, rate: float, rng: SeededRng, training: bool) -> Tensor:
-    """Inverted dropout at train time; identity at inference."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    return x * dropout_mask(x.rows, x.cols, rate, rng)
+    return (u >= rate).astype(np.float64) / (1.0 - rate)
 
 
 @dataclass(frozen=True)
 class BiLstmClassifier:
-    """Full model: bidirectional layer plus dense softmax readout."""
+    """Full model: two LSTM directions plus a dense softmax readout."""
 
-    layer: BiLstmLayer
+    fwd: LstmParams
+    bwd: LstmParams
     head: DenseParams
 
     def __post_init__(self):
-        if self.head.W.cols != 2 * self.layer.cell_size:
+        if self.fwd.W.shape != self.bwd.W.shape:
             raise ValueError(
-                f"head input size {self.head.W.cols} does not match"
-                f" 2 x cell size {2 * self.layer.cell_size}"
+                f"direction size mismatch: forward W {self.fwd.W.shape}"
+                f" vs backward W {self.bwd.W.shape}"
+            )
+        if self.head.W.shape[1] != 2 * self.cell_size:
+            raise ValueError(
+                f"head input size {self.head.W.shape[1]} does not match"
+                f" 2 x cell size {2 * self.cell_size}"
             )
 
     @property
     def cell_size(self) -> int:
-        return self.layer.cell_size
+        return self.fwd.cell_size
 
     @property
     def input_size(self) -> int:
-        return self.layer.input_size
+        return self.fwd.input_size
 
     @property
     def n_classes(self) -> int:
         return self.head.n_classes
 
-    def param_blocks(self) -> list[tuple[str, Tensor]]:
-        named = []
-        for prefix, p in (("fwd", self.layer.forward_params), ("bwd", self.layer.backward_params)):
-            for name, block in zip(LstmParams.block_names(), p.blocks()):
-                named.append((f"{prefix}.{name}", block))
-        named.append(("head.W", self.head.W))
-        named.append(("head.b", self.head.b))
-        return named
-
-    def with_blocks(self, tensors) -> "BiLstmClassifier":
-        tensors = list(tensors)
-        if len(tensors) != 18:
-            raise ValueError(f"expected 18 parameter blocks, got {len(tensors)}")
-        return BiLstmClassifier(
-            layer=BiLstmLayer(
-                forward_params=LstmParams.from_blocks(tensors[0:8]),
-                backward_params=LstmParams.from_blocks(tensors[8:16]),
-            ),
-            head=DenseParams(W=tensors[16], b=tensors[17]),
-        )
+    def param_blocks(self) -> list[tuple[str, np.ndarray]]:
+        """The six parameter arrays (not copies), named as in checkpoints."""
+        return [
+            ("fwd.W", self.fwd.W), ("fwd.b", self.fwd.b),
+            ("bwd.W", self.bwd.W), ("bwd.b", self.bwd.b),
+            ("head.W", self.head.W), ("head.b", self.head.b),
+        ]
 
     @staticmethod
     def build(cell_size: int, input_size: int, n_classes: int, rng: SeededRng) -> "BiLstmClassifier":
         return BiLstmClassifier(
-            layer=BiLstmLayer(
-                forward_params=init_lstm_params(cell_size, input_size, rng),
-                backward_params=init_lstm_params(cell_size, input_size, rng),
-            ),
+            fwd=init_lstm_params(cell_size, input_size, rng),
+            bwd=init_lstm_params(cell_size, input_size, rng),
             head=init_dense_params(n_classes, 2 * cell_size, rng),
         )
 
     def loss(self, instance) -> float:
-        xs, targets = instance
-        probs, _ = forward(self, xs)
-        return batch_cross_entropy(probs, _as_target_list(targets, probs.cols))
+        x, targets = instance
+        return batch_cross_entropy(forward(self, x)[0], targets)
 
     def loss_and_grads(self, instance):
-        xs, targets = instance
-        probs, cache = forward(self, xs)
-        targets = _as_target_list(targets, probs.cols)
-        loss = batch_cross_entropy(probs, targets)
-        grads = backward(self, cache, batch_cross_entropy_grad(probs, targets))
-        return loss, grads.blocks()
-
-
-def _as_target_list(targets, batch: int) -> list[int]:
-    if isinstance(targets, (int, np.integer)):
-        if batch != 1:
-            raise ValueError(f"single target given for a batch of {batch}")
-        return [int(targets)]
-    return [int(t) for t in targets]
+        x, targets = instance
+        probs, cache = forward(self, x)
+        grads, _ = backward(self, cache, batch_cross_entropy_grad(probs, targets))
+        return batch_cross_entropy(probs, targets), grads
 
 
 @dataclass(frozen=True)
 class ClassifierCache:
     """Forward-pass record consumed by backward()."""
 
-    xs: tuple
-    fwd_caches: tuple
-    bwd_caches: tuple
-    features: Tensor
-    mask: Tensor | None
-    dropped: Tensor
-    probs: Tensor
+    fwd: SequenceCache
+    bwd: SequenceCache
+    features: np.ndarray
+    mask: np.ndarray | None
 
 
-@dataclass(frozen=True)
-class ClassifierGrads:
-    """Gradients packaged in the same structure as the parameters.
-
-    dxs carries the per-step input gradients, the hook an embedding
-    table's scatter-update needs.
-    """
-
-    layer: BiLstmLayer
-    head: DenseParams
-    dxs: tuple
-
-    def blocks(self) -> list[Tensor]:
-        out = list(self.layer.forward_params.blocks())
-        out.extend(self.layer.backward_params.blocks())
-        out.extend([self.head.W, self.head.b])
-        return out
-
-
-def forward(model: BiLstmClassifier, xs, *, dropout_rate: float = 0.0,
+def forward(model: BiLstmClassifier, x: np.ndarray, *, dropout_rate: float = 0.0,
             rng: SeededRng | None = None, training: bool = False):
-    """Full forward pass; returns (probs, cache).
+    """Full forward pass over x (T, B, D); returns (probs (B, C), cache).
 
     Dropout is applied to the concatenated direction features only when
     training is set, using an explicit mask kept in the cache so the
     backward pass sees the identical pattern.
     """
-    features, fwd_caches, bwd_caches = bilstm_forward_cached(model.layer, xs)
+    h_fwd, fwd = lstm_sequence_forward(model.fwd, x)
+    h_bwd, bwd = lstm_sequence_forward(model.bwd, x[::-1])
+    features = np.hstack([h_fwd, h_bwd])
     mask = None
     dropped = features
     if training and dropout_rate > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        mask = dropout_mask(features.rows, features.cols, dropout_rate, rng)
+        # Drawn (2H, B) row-major and transposed: the order in which the
+        # mask consumes the stream is fixed, so seeded runs stay reproducible.
+        mask = dropout_mask(features.shape[1], features.shape[0], dropout_rate, rng).T
         dropped = features * mask
     probs = dense_softmax_forward(model.head, dropped)
-    cache = ClassifierCache(
-        xs=tuple(xs),
-        fwd_caches=tuple(fwd_caches),
-        bwd_caches=tuple(bwd_caches),
-        features=features,
-        mask=mask,
-        dropped=dropped,
-        probs=probs,
-    )
-    return probs, cache
+    return probs, ClassifierCache(fwd=fwd, bwd=bwd, features=features, mask=mask)
 
 
-def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: Tensor) -> ClassifierGrads:
-    """Analytic gradients for every parameter given d(loss)/d(logits)."""
-    if not cache.fwd_caches or not cache.bwd_caches:
-        raise ValueError("backward pass requires the forward step caches")
-    dW_head = matmul(dlogits, cache.dropped.transpose())
-    db_head = sum_cols(dlogits)
-    dfeat = matmul(model.head.W.transpose(), dlogits)
-    if cache.mask is not None:
-        dfeat = dfeat * cache.mask
+def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarray):
+    """Analytic gradients given d(loss)/d(logits) (B, C); consumes the cache.
 
-    cell = model.layer.cell_size
-    dh_fwd = slice_rows(dfeat, 0, cell)
-    dh_bwd = slice_rows(dfeat, cell, 2 * cell)
-    fwd_grads, dxs_f = lstm_sequence_backward(
-        model.layer.forward_params, cache.fwd_caches, dh_fwd
-    )
-    bwd_grads, dxs_b = lstm_sequence_backward(
-        model.layer.backward_params, cache.bwd_caches, dh_bwd
-    )
-    # dxs_b[k] belongs to reversed input k, i.e. original step T-1-k.
-    T = len(dxs_f)
-    dxs = tuple(dxs_f[t] + dxs_b[T - 1 - t] for t in range(T))
-    return ClassifierGrads(
-        layer=BiLstmLayer(forward_params=fwd_grads, backward_params=bwd_grads),
-        head=DenseParams(W=dW_head, b=db_head),
-        dxs=dxs,
-    )
-
-
-@dataclass(frozen=True)
-class DenseSoftmaxModel:
-    """Softmax regression on fixed feature columns.
-
-    The smallest model grad_check accepts; its analytic gradient is exact,
-    so it pins down the checker itself before the recurrent model is tried.
+    Returns (gradients in param_blocks() order, input gradients dx (T, B, D)).
     """
-
-    params: DenseParams
-
-    def param_blocks(self) -> list[tuple[str, Tensor]]:
-        return [("W", self.params.W), ("b", self.params.b)]
-
-    def with_blocks(self, tensors) -> "DenseSoftmaxModel":
-        W, b = tensors
-        return DenseSoftmaxModel(params=DenseParams(W=W, b=b))
-
-    def loss(self, instance) -> float:
-        h, targets = instance
-        probs = dense_softmax_forward(self.params, h)
-        return batch_cross_entropy(probs, _as_target_list(targets, probs.cols))
-
-    def loss_and_grads(self, instance):
-        h, targets = instance
-        probs = dense_softmax_forward(self.params, h)
-        targets = _as_target_list(targets, probs.cols)
-        loss = batch_cross_entropy(probs, targets)
-        dlogits = batch_cross_entropy_grad(probs, targets)
-        dW = matmul(dlogits, h.transpose())
-        db = sum_cols(dlogits)
-        return loss, [dW, db]
+    dropped = cache.features if cache.mask is None else cache.features * cache.mask
+    dfeat = dlogits @ model.head.W
+    if cache.mask is not None:
+        dfeat *= cache.mask
+    H = model.cell_size
+    dW_fwd, db_fwd, dx = lstm_sequence_backward(model.fwd, cache.fwd, dfeat[:, :H])
+    dW_bwd, db_bwd, dx_bwd = lstm_sequence_backward(model.bwd, cache.bwd, dfeat[:, H:])
+    # dx_bwd[k] belongs to reversed input k, i.e. original step T-1-k.
+    dx += dx_bwd[::-1]
+    grads = [dW_fwd, db_fwd, dW_bwd, db_bwd, dlogits.T @ dropped, dlogits.sum(axis=0)]
+    return grads, dx
 
 
 @dataclass(frozen=True)
@@ -598,33 +368,27 @@ class GradCheckReport:
 def grad_check(model, instance, epsilon: float, tolerance: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients to (L(p+eps) - L(p-eps)) / (2 eps).
 
-    Relative error uses a 1e-6 floor in the denominator so near-zero
-    gradient pairs are compared absolutely instead of blowing up.
+    The model supplies param_blocks() (live arrays, perturbed in place and
+    restored), loss(instance) and loss_and_grads(instance).  Relative
+    error uses a 1e-6 floor in the denominator so near-zero gradient pairs
+    are compared absolutely instead of blowing up.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     _, grads = model.loss_and_grads(instance)
-    blocks = model.param_blocks()
-    tensors = [t for _, t in blocks]
     per_block = {}
-    for bi, (name, param) in enumerate(blocks):
-        analytic = grads[bi].a
+    for (name, param), analytic in zip(model.param_blocks(), grads):
         worst = 0.0
-        for k in range(param.a.size):
-            r, c = divmod(k, param.cols)
-            for sign in (+1.0, -1.0):
-                bumped = param.a.copy()
-                bumped[r, c] += sign * epsilon
-                trial = list(tensors)
-                trial[bi] = tensor(bumped)
-                if sign > 0:
-                    loss_plus = model.with_blocks(trial).loss(instance)
-                else:
-                    loss_minus = model.with_blocks(trial).loss(instance)
+        for k in np.ndindex(param.shape):
+            orig = param[k]
+            param[k] = orig + epsilon
+            loss_plus = model.loss(instance)
+            param[k] = orig - epsilon
+            loss_minus = model.loss(instance)
+            param[k] = orig
             numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            a = float(analytic[r, c])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-            worst = max(worst, rel)
+            a = float(analytic[k])
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
         per_block[name] = worst
     overall = max(per_block.values()) if per_block else 0.0
     return GradCheckReport(
@@ -646,13 +410,13 @@ class AdamState:
     @staticmethod
     def for_params(params) -> "AdamState":
         return AdamState(
-            m=[zeros(p.rows, p.cols) for p in params],
-            v=[zeros(p.rows, p.cols) for p in params],
+            m=[np.zeros_like(p) for p in params],
+            v=[np.zeros_like(p) for p in params],
         )
 
 
-def adam_step(params, grads, state: AdamState, lr: float):
-    """One bias-corrected moment update; returns (new params, state)."""
+def adam_step(params, grads, state: AdamState, lr: float) -> None:
+    """One bias-corrected moment update, applied to the param arrays in place."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError(
             f"mismatched lengths: {len(params)} params, {len(grads)} grads, {len(state.m)} moments"
@@ -664,26 +428,19 @@ def adam_step(params, grads, state: AdamState, lr: float):
     b1, b2 = state.beta1, state.beta2
     mc = 1.0 / (1.0 - b1 ** state.t)
     vc = 1.0 / (1.0 - b2 ** state.t)
-    new_params = []
-    for idx, (p, g) in enumerate(zip(params, grads)):
-        m = state.m[idx] * b1 + g * (1.0 - b1)
-        v = state.v[idx] * b2 + (g * g) * (1.0 - b2)
-        state.m[idx] = m
-        state.v[idx] = v
-        m_hat = m * mc
-        v_hat = v * vc
-        new_params.append(p - (m_hat / (sqrt_elem(v_hat) + state.eps)) * lr)
-    return new_params, state
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += g * (1.0 - b1)
+        v *= b2
+        v += (g * g) * (1.0 - b2)
+        p -= (m * mc / (np.sqrt(v * vc) + state.eps)) * lr
 
 
 def clip_by_global_norm(grads, max_norm: float):
     """Scale all gradients down together if their joint norm exceeds max_norm."""
     if max_norm <= 0.0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = 0.0
-    for g in grads:
-        total += float((g.a * g.a).sum())
-    norm = math.sqrt(total)
+    norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if norm <= max_norm or norm == 0.0:
         return list(grads), norm
     scale = max_norm / norm

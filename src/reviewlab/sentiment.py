@@ -175,18 +175,6 @@ def score_text(tokens, lexicon: Lexicon) -> SentimentScore:
     return SentimentScore(compound=compound, label=label_from_compound(compound))
 
 
-def label_by_rating(rating: int, threshold: int = 3, inclusive: bool = False) -> str:
-    """Binary rating rule: positive above the threshold.
-
-    inclusive=False reads "higher than rating 3" (rating > 3 is positive);
-    inclusive=True reads "greater than or equal to 3" (rating >= 3).  Both
-    readings appear in circulation, so the choice is explicit.
-    """
-    if inclusive:
-        return POSITIVE if rating >= threshold else NEGATIVE
-    return POSITIVE if rating > threshold else NEGATIVE
-
-
 def auto_label_dataset(records, lexicon: Lexicon):
     """Label each record's review text; count (recommended, label) pairs.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .tensor import SeededRng, Tensor, col, init_uniform, tensor
+from .rng import SeededRng, init_uniform
 
 PAD_INDEX = 0
 OOV_INDEX = 1
@@ -132,32 +132,33 @@ def encode_pad(tokens, vocab: Vocab, L: int) -> EncodedReview:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """(vocab_size, dim) table; row 0 is the all-zero padding row."""
+    """(vocab_size, dim) float64 table; row 0 is the all-zero padding row."""
 
-    table: Tensor
-    trainable: bool = True
+    table: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.table.a)):
+        if self.table.ndim != 2:
+            raise ValueError(f"embedding table must be 2-D, got shape {self.table.shape}")
+        if not np.all(np.isfinite(self.table)):
             raise ValueError("embedding table contains non-finite entries")
-        if np.any(self.table.a[PAD_INDEX] != 0.0):
+        if np.any(self.table[PAD_INDEX] != 0.0):
             raise ValueError("padding row of the embedding table must stay zero")
 
     @property
     def vocab_size(self) -> int:
-        return self.table.rows
+        return self.table.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.table.cols
+        return self.table.shape[1]
 
 
 def random_embeddings(vocab_size: int, dim: int, rng: SeededRng,
                       scale: float = 0.25) -> EmbeddingMatrix:
     """Uniform random table with the padding row zeroed."""
-    base = init_uniform(vocab_size, dim, rng, scale).a.copy()
+    base = init_uniform(vocab_size, dim, rng, scale)
     base[PAD_INDEX] = 0.0
-    return EmbeddingMatrix(table=tensor(base))
+    return EmbeddingMatrix(table=base)
 
 
 def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
@@ -198,33 +199,23 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
         raise InputError(f"{path}: empty embeddings file")
     # One table-sized draw keeps the rows for absent tokens independent of
     # which tokens happen to be present in the file.
-    base = init_uniform(len(vocab), dim, rng, 0.25).a.copy()
+    base = init_uniform(len(vocab), dim, rng, 0.25)
     base[PAD_INDEX] = 0.0
     for idx, vec in found.items():
         base[idx] = vec
-    return EmbeddingMatrix(table=tensor(base))
+    return EmbeddingMatrix(table=base)
 
 
-def embed(encoded: EncodedReview, emb: EmbeddingMatrix) -> list[Tensor]:
-    """One (dim, 1) column per position; padding positions are zero."""
-    out = []
-    for i in encoded.indices:
-        if not 0 <= i < emb.vocab_size:
-            raise ValueError(f"token index {i} out of range for vocab size {emb.vocab_size}")
-        out.append(col(emb.table.a[i]))
-    return out
-
-
-def embed_batch(index_matrix, emb: EmbeddingMatrix) -> list[Tensor]:
-    """Batch lookup: (B, T) indices -> T tensors of shape (dim, B)."""
+def embed_batch(index_matrix, table: np.ndarray) -> np.ndarray:
+    """Batch lookup: (B, T) indices into a (vocab_size, dim) table -> (T, B, dim)."""
     idx = np.asarray(index_matrix, dtype=np.int64)
     if idx.ndim != 2:
         raise ValueError(f"index matrix must be 2-D, got {idx.ndim}-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= emb.vocab_size):
+    if idx.size and (idx.min() < 0 or idx.max() >= len(table)):
         raise ValueError(
-            f"token index out of range for vocab size {emb.vocab_size}"
+            f"token index out of range for vocab size {len(table)}"
         )
-    return [tensor(emb.table.a[idx[:, t]].T) for t in range(idx.shape[1])]
+    return table[idx.T]
 
 
 def save_vocab(vocab: Vocab, path) -> None:

@@ -9,7 +9,7 @@ is not a two-word degenerate case.
 from __future__ import annotations
 
 from .dataset import ReviewRecord
-from .tensor import SeededRng
+from .rng import SeededRng
 from .training import TrainConfig
 
 __all__ = ["TOY_SEED", "toy_config", "toy_reviews"]

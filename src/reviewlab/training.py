@@ -20,7 +20,6 @@ from .dataset import filter_for_classification, split_60_20_20
 from .errors import InputError
 from .metrics import MetricsReport, build_report, confusion_matrix
 from .nn import (
-    PROB_FLOOR,
     AdamState,
     BiLstmClassifier,
     adam_step,
@@ -30,8 +29,8 @@ from .nn import (
     clip_by_global_norm,
     forward,
 )
+from .rng import SeededRng
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset
-from .tensor import SeededRng, tensor
 from .textprep import (
     PAD_INDEX,
     EmbeddingMatrix,
@@ -53,9 +52,9 @@ __all__ = [
     "TrainData",
     "TrainResult",
     "build_training_data",
+    "class_probabilities",
     "evaluate",
     "predict",
-    "predict_probabilities",
     "task_labels",
     "train",
     "write_history_csv",
@@ -196,17 +195,20 @@ class PreparedData:
     dropped: int
 
 
-def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON) -> PreparedData:
-    """Filter, split 60/20/20, build the vocabulary, and encode.
+def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON,
+                        vocab: Vocab | None = None) -> PreparedData:
+    """Filter, split 60/20/20 with config.seed, build the vocabulary, and encode.
 
     The vocabulary is built from the training split only, so validation
     and test tokens unseen in training map to the out-of-vocabulary index.
+    A given vocab (a trained model's) is used as is instead.
     """
     kept, dropped = filter_for_classification(records)
     split = split_60_20_20(kept, config.seed)
     token_lists = [tokenize(clean_text(r.review_text)) for r in kept]
-    train_corpus = [token_lists[i] for i in split.train]
-    vocab = build_vocab(train_corpus, min_freq=config.min_freq, max_size=config.vocab_size)
+    if vocab is None:
+        vocab = build_vocab([token_lists[i] for i in split.train],
+                            min_freq=config.min_freq, max_size=config.vocab_size)
     labels, class_names = task_labels(kept, config.task, lexicon)
 
     def encode(index_group):
@@ -224,26 +226,15 @@ def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON) -
     return PreparedData(data=data, test=encode(split.test), vocab=vocab, dropped=dropped)
 
 
-def _probability_rows(model, emb_table, sequences, batch_size):
-    """Eval-mode softmax outputs, one tuple of class probabilities per sequence."""
-    emb = EmbeddingMatrix(emb_table)
-    idx_all = np.asarray([list(s) for s in sequences], dtype=np.int64)
-    rows = []
-    for start in range(0, len(sequences), batch_size):
+def class_probabilities(model: BiLstmClassifier, table: np.ndarray, sequences,
+                        batch_size: int) -> np.ndarray:
+    """Eval-mode softmax outputs (N, C) for N encoded sequences, in input order."""
+    idx_all = np.asarray(sequences, dtype=np.int64)
+    out = np.empty((len(idx_all), model.n_classes))
+    for start in range(0, len(idx_all), batch_size):
         idx = idx_all[start:start + batch_size]
-        probs, _ = forward(model, embed_batch(idx, emb))
-        rows.extend(tuple(float(v) for v in probs.a[:, b]) for b in range(probs.cols))
-    return rows
-
-
-def _loss_and_accuracy(rows, labels):
-    loss = 0.0
-    correct = 0
-    for row, label in zip(rows, labels):
-        loss -= math.log(max(row[label], PROB_FLOOR))
-        if int(np.argmax(row)) == label:
-            correct += 1
-    return loss / len(rows), correct / len(rows)
+        out[start:start + len(idx)] = forward(model, embed_batch(idx, table))[0]
+    return out
 
 
 def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> TrainResult:
@@ -251,7 +242,8 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
 
     Returns the final-epoch model (no early stopping) plus one
     EpochStats row per epoch. Raises on a non-finite loss rather than
-    letting a diverged run continue silently.
+    letting a diverged run continue silently. The caller's embedding
+    table is copied, not updated.
     """
     if len(data.train) == 0:
         raise InputError("training split is empty")
@@ -272,11 +264,35 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
     model = BiLstmClassifier.build(
         config.cell_size, config.embedding_dim, config.n_classes, rng
     )
-    params = [t for _, t in model.param_blocks()] + [embeddings.table]
+    table = embeddings.table.copy()
+    params = [p for _, p in model.param_blocks()] + [table]
     adam = AdamState.for_params(params)
-    idx_all = np.asarray([list(s) for s in data.train.sequences], dtype=np.int64)
-    n = len(data.train)
+    idx_all = np.asarray(data.train.sequences, dtype=np.int64)
+    labels_all = np.asarray(data.train.labels, dtype=np.int64)
 
+    def step(batch, epoch: int, start: int) -> float:
+        # One update. The BPTT cache and gradients are locals, so they are
+        # freed before the next batch's forward pass allocates its own.
+        idx, targets = idx_all[batch], labels_all[batch]
+        probs, cache = forward(
+            model, embed_batch(idx, table), dropout_rate=config.dropout_rate,
+            rng=rng, training=True,
+        )
+        loss = batch_cross_entropy(probs, targets)
+        if not math.isfinite(loss):
+            raise ArithmeticError(
+                f"non-finite training loss {loss!r} at epoch {epoch}, "
+                f"batch starting at {start}"
+            )
+        grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, targets))
+        dE = np.zeros_like(table)
+        np.add.at(dE, idx.T, dx)
+        dE[PAD_INDEX] = 0.0
+        clipped, _ = clip_by_global_norm(grads + [dE], config.grad_clip)
+        adam_step(params, clipped, adam, config.learning_rate)
+        return loss
+
+    n = len(data.train)
     history = []
     for epoch in range(1, config.epochs + 1):
         order = list(range(n))
@@ -284,68 +300,40 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            idx = idx_all[batch]
-            targets = [data.train.labels[i] for i in batch]
-            emb = EmbeddingMatrix(params[-1])
-            xs = embed_batch(idx, emb)
-            probs, cache = forward(
-                model, xs, dropout_rate=config.dropout_rate, rng=rng, training=True
-            )
-            loss = batch_cross_entropy(probs, targets)
-            if not math.isfinite(loss):
-                raise ArithmeticError(
-                    f"non-finite training loss {loss!r} at epoch {epoch}, "
-                    f"batch starting at {start}"
-                )
-            grads = backward(model, cache, batch_cross_entropy_grad(probs, targets))
-            dE = np.zeros((emb.vocab_size, emb.dim))
-            for t, dx in enumerate(grads.dxs):
-                np.add.at(dE, idx[:, t], dx.a.T)
-            dE[PAD_INDEX] = 0.0
-            clipped, _ = clip_by_global_norm(
-                grads.blocks() + [tensor(dE)], config.grad_clip
-            )
-            params, adam = adam_step(params, clipped, adam, config.learning_rate)
-            model = model.with_blocks(params[:-1])
-            epoch_loss += loss * len(batch)
-        val_rows = _probability_rows(
-            model, params[-1], data.validation.sequences, config.batch_size
+            epoch_loss += step(batch, epoch, start) * len(batch)
+        val_probs = class_probabilities(
+            model, table, data.validation.sequences, config.batch_size
         )
-        val_loss, val_acc = _loss_and_accuracy(val_rows, data.validation.labels)
         history.append(
             EpochStats(
                 epoch=epoch,
                 train_loss=epoch_loss / n,
-                val_loss=val_loss,
-                val_acc=val_acc,
+                val_loss=batch_cross_entropy(val_probs, data.validation.labels),
+                val_acc=_accuracy(val_probs, data.validation.labels),
             )
         )
 
     return TrainResult(
         model=model,
-        embeddings=EmbeddingMatrix(params[-1]),
+        embeddings=EmbeddingMatrix(table),
         history=tuple(history),
         config=config,
     )
 
 
-def predict_probabilities(model, embeddings: EmbeddingMatrix, sequences, batch_size):
-    """Class-probability tuples for each encoded sequence, in input order."""
-    if not sequences:
-        return []
-    return _probability_rows(model, embeddings.table, sequences, batch_size)
+def _accuracy(probs: np.ndarray, labels) -> float:
+    return float(np.mean(probs.argmax(axis=1) == np.asarray(labels)))
 
 
 def evaluate(model, embeddings: EmbeddingMatrix, split: LabeledSplit,
-             batch_size: int, class_names) -> MetricsReport:
-    """Argmax predictions over a split, summarized as a MetricsReport."""
+             batch_size: int, class_names) -> tuple[MetricsReport, np.ndarray]:
+    """Argmax predictions over a split: (MetricsReport, probabilities (N, C))."""
     if len(split) == 0:
         raise InputError("evaluation split is empty")
-    rows = _probability_rows(model, embeddings.table, split.sequences, batch_size)
-    mean_loss, _ = _loss_and_accuracy(rows, split.labels)
-    preds = [int(np.argmax(row)) for row in rows]
-    confusion = confusion_matrix(split.labels, preds, len(class_names))
-    return build_report(confusion, class_names, mean_loss)
+    probs = class_probabilities(model, embeddings.table, split.sequences, batch_size)
+    confusion = confusion_matrix(split.labels, probs.argmax(axis=1).tolist(), len(class_names))
+    report = build_report(confusion, class_names, batch_cross_entropy(probs, split.labels))
+    return report, probs
 
 
 def predict(bundle: ModelBundle, vocab: Vocab, text: str) -> Prediction:
@@ -362,16 +350,14 @@ def predict(bundle: ModelBundle, vocab: Vocab, text: str) -> Prediction:
         )
     tokens = tokenize(clean_text(text))
     encoded = encode_pad(tokens, vocab, bundle.seq_len)
-    rows = _probability_rows(
+    probs = class_probabilities(
         bundle.model, bundle.embeddings.table, [encoded.indices], batch_size=1
-    )
-    label_index = int(np.argmax(rows[0]))
+    )[0].tolist()
+    label_index = int(np.argmax(probs))
     return Prediction(
         label=bundle.class_names[label_index],
         label_index=label_index,
-        probabilities={
-            name: rows[0][i] for i, name in enumerate(bundle.class_names)
-        },
+        probabilities=dict(zip(bundle.class_names, probs)),
         empty_input=not tokens,
     )
 

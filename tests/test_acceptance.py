@@ -10,14 +10,15 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reviewlab.analytics import describe, grouped_rating_corr, pearson, unique_counts
 from reviewlab.cli import main
 from reviewlab.dataset import filter_for_classification, parse_csv, split_60_20_20, write_csv
 from reviewlab.metrics import majority_baseline, precision_recall_f1, roc_auc
-from reviewlab.nn import BiLstmClassifier, grad_check
-from reviewlab.tensor import SeededRng, init_uniform, matmul, softmax_rows
+from reviewlab.nn import BiLstmClassifier, grad_check, init_lstm_params, lstm_sequence_forward, softmax
+from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.textprep import random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import build_training_data, evaluate, train
@@ -72,6 +73,21 @@ def _triple_loop_matmul(a, b):
     return out
 
 
+def _lstm_oracle(W, b, xs):
+    """Final hidden state of one example by the gate equations (rows f, i,
+    C, o), with the fused pre-activation W.[h; x] + b from the triple loop."""
+    H = len(b) // 4
+    h, c = [0.0] * H, [0.0] * H
+    for x in xs:
+        a = [row[0] + bias for row, bias in zip(_triple_loop_matmul(W, [[v] for v in h + x]), b)]
+        sig = [1.0 / (1.0 + math.exp(-v)) for v in a]
+        f, i, o = sig[:H], sig[H:2 * H], sig[3 * H:]
+        g = [math.tanh(v) for v in a[2 * H:3 * H]]
+        c = [fv * cv + iv * gv for fv, cv, iv, gv in zip(f, c, i, g)]
+        h = [ov * math.tanh(cv) for ov, cv in zip(o, c)]
+    return h
+
+
 def _pair_auc(labels, scores):
     pos = [s for lab, s in zip(labels, scores) if lab == 1]
     neg = [s for lab, s in zip(labels, scores) if lab == 0]
@@ -113,7 +129,7 @@ class TestAcceptance:
         for seed in range(20):
             rng = SeededRng(seed)
             model = BiLstmClassifier.build(4, 3, 3, rng)
-            xs = [init_uniform(3, 1, rng, 1.0) for _ in range(5)]
+            xs = np.stack([init_uniform(1, 3, rng, 1.0) for _ in range(5)])
             target = rng.randrange(3)
             report = grad_check(model, (xs, target), epsilon=1e-5, tolerance=1e-4)
             worst = max(worst, report.max_rel_err)
@@ -161,8 +177,8 @@ class TestAcceptance:
         emb = random_embeddings(len(prep.vocab), config.embedding_dim,
                                 SeededRng(config.seed + 1))
         result = train(config, prep.data, emb)
-        report = evaluate(result.model, result.embeddings, prep.data.train,
-                          config.batch_size, config.class_names)
+        report, _ = evaluate(result.model, result.embeddings, prep.data.train,
+                             config.batch_size, config.class_names)
         first5 = [h.train_loss for h in result.history[:5]]
         decreasing = all(a > b for a, b in zip(first5, first5[1:]))
         elapsed = time.monotonic() - start
@@ -217,8 +233,8 @@ class TestAcceptance:
             emb = random_embeddings(len(prep.vocab), config.embedding_dim,
                                     SeededRng(config.seed + 1))
             result = train(config, prep.data, emb)
-            report = evaluate(result.model, result.embeddings, prep.test,
-                              config.batch_size, config.class_names)
+            report, _ = evaluate(result.model, result.embeddings, prep.test,
+                                 config.batch_size, config.class_names)
             accuracies[task] = (report.accuracy, floor)
         ok = all(acc >= floor for acc, floor in accuracies.values())
         _report(6, "PASS" if ok else "FAIL",
@@ -231,14 +247,11 @@ class TestAcceptance:
         start = time.monotonic()
         rng = SeededRng(2024)
 
-        a = init_uniform(5, 7, rng, 2.0)
-        b = init_uniform(7, 4, rng, 2.0)
-        want = _triple_loop_matmul(a.to_lists(), b.to_lists())
-        matmul_gap = max(
-            abs(got - exp)
-            for row_got, row_exp in zip(matmul(a, b).to_lists(), want)
-            for got, exp in zip(row_got, row_exp)
-        )
+        params = init_lstm_params(3, 4, rng)
+        xs = init_uniform(6, 4, rng, 2.0)
+        h, _ = lstm_sequence_forward(params, xs[:, None, :])
+        want = _lstm_oracle(params.W.tolist(), params.b.tolist(), xs.tolist())
+        gates_gap = max(abs(got - exp) for got, exp in zip(h[0], want))
 
         labels = [rng.next_u64() & 1 for _ in range(300)]
         labels[0], labels[1] = 0, 1
@@ -258,14 +271,14 @@ class TestAcceptance:
         ys = [x * 0.5 + rng.uniform() for x in xs]
         pearson_gap = abs(pearson(xs, ys) - _two_pass_pearson(xs, ys))
 
-        rows = softmax_rows(init_uniform(6, 9, rng, 3.0))
-        softmax_gap = max(abs(sum(row) - 1.0) for row in rows.to_lists())
+        rows = softmax(init_uniform(6, 9, rng, 3.0))
+        softmax_gap = max(abs(sum(row) - 1.0) for row in rows.tolist())
 
         elapsed = time.monotonic() - start
-        ok = (matmul_gap < 1e-12 and auc_gap < 1e-9 and prf_exact
+        ok = (gates_gap < 1e-12 and auc_gap < 1e-9 and prf_exact
               and pearson_gap < 1e-12 and softmax_gap < 1e-12 and elapsed < 10.0)
         _report(7, "PASS" if ok else "FAIL",
-                f"matmul {matmul_gap:.1e}, auc {auc_gap:.1e}, prf exact {prf_exact}, "
+                f"fused gates {gates_gap:.1e}, auc {auc_gap:.1e}, prf exact {prf_exact}, "
                 f"pearson {pearson_gap:.1e}, softmax {softmax_gap:.1e}, {elapsed:.1f}s",
                 capsys)
         assert ok

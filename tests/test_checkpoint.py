@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from reviewlab.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
+from reviewlab.cli import main
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
-from reviewlab.tensor import SeededRng
-from reviewlab.textprep import build_vocab, random_embeddings
+from reviewlab.rng import SeededRng
+from reviewlab.textprep import build_vocab, random_embeddings, save_vocab
 
 
 def small_bundle():
@@ -70,8 +71,10 @@ class TestRoundTrip:
         for (name_a, a), (name_b, b) in zip(bundle.model.param_blocks(),
                                             loaded.model.param_blocks()):
             assert name_a == name_b
-            assert np.array_equal(a.a, b.a)
-        assert np.array_equal(bundle.embeddings.table.a, loaded.embeddings.table.a)
+            assert np.array_equal(a, b)
+        assert np.array_equal(bundle.embeddings.table, loaded.embeddings.table)
+        assert [n for n, _ in loaded.model.param_blocks()] == [
+            "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]
 
     def test_save_twice_byte_identical(self, tmp_path):
         bundle, _ = small_bundle()
@@ -88,12 +91,27 @@ class TestRoundTrip:
         assert load_checkpoint(path).task == "recommendation"
 
 
+def edit_metadata(path, edit):
+    """Rewrite a checkpoint's JSON metadata line in place with edit(meta)."""
+    raw = path.read_bytes()
+    header_end = raw.find(b"\n", len(MAGIC))
+    meta = json.loads(raw[len(MAGIC):header_end])
+    edit(meta)
+    path.write_bytes(MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n"
+                     + raw[header_end + 1:])
+
+
 class TestRejections:
     def ckpt(self, tmp_path):
         bundle, vocab = small_bundle()
         path = tmp_path / "model.ckpt"
         save_checkpoint(bundle, path)
         return path, vocab
+
+    def predict_exit_code(self, tmp_path, path, vocab):
+        save_vocab(vocab, path.with_name("vocab.tsv"))
+        return main(["predict", "--out", str(tmp_path / "runs"),
+                     "--checkpoint", str(path), "--text", "tok1"])
 
     def test_wrong_vocab_fingerprint(self, tmp_path):
         path, _ = self.ckpt(tmp_path)
@@ -123,25 +141,46 @@ class TestRejections:
 
     def test_tampered_metadata(self, tmp_path):
         path, _ = self.ckpt(tmp_path)
-        raw = path.read_bytes()
-        header_end = raw.find(b"\n", len(MAGIC))
-        meta = json.loads(raw[len(MAGIC):header_end])
-        meta["cell_size"] = 99
-        tampered = MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n" + raw[header_end + 1:]
-        path.write_bytes(tampered)
+        edit_metadata(path, lambda meta: meta.update(cell_size=99))
         with pytest.raises(InputError, match="cell_size"):
             load_checkpoint(path)
 
     def test_unsupported_format_version(self, tmp_path):
+        """Format-1 files (eight gate blocks per direction) are rejected by version."""
         path, _ = self.ckpt(tmp_path)
+        edit_metadata(path, lambda meta: meta.update(format=1))
+        with pytest.raises(InputError, match="unsupported checkpoint format 1"):
+            load_checkpoint(path)
+
+    def test_missing_blocks_list_exits_two(self, tmp_path, capsys):
+        path, vocab = self.ckpt(tmp_path)
+        edit_metadata(path, lambda meta: meta.pop("blocks"))
+        assert self.predict_exit_code(tmp_path, path, vocab) == 2
+        assert "blocks" in capsys.readouterr().err
+
+    def test_float_block_size_exits_two(self, tmp_path, capsys):
+        path, vocab = self.ckpt(tmp_path)
+
+        def float_rows(meta):
+            meta["blocks"][1][1] = float(meta["blocks"][1][1])
+
+        edit_metadata(path, float_rows)
+        assert self.predict_exit_code(tmp_path, path, vocab) == 2
+        assert "blocks" in capsys.readouterr().err
+
+    def test_non_integer_seq_len_rejected(self, tmp_path):
+        path, _ = self.ckpt(tmp_path)
+        edit_metadata(path, lambda meta: meta.update(seq_len="twelve"))
+        with pytest.raises(InputError, match="inconsistent"):
+            load_checkpoint(path)
+
+    def test_non_object_metadata_exits_two(self, tmp_path, capsys):
+        path, vocab = self.ckpt(tmp_path)
         raw = path.read_bytes()
         header_end = raw.find(b"\n", len(MAGIC))
-        meta = json.loads(raw[len(MAGIC):header_end])
-        meta["format"] = 2
-        tampered = MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n" + raw[header_end + 1:]
-        path.write_bytes(tampered)
-        with pytest.raises(InputError, match="format"):
-            load_checkpoint(path)
+        path.write_bytes(MAGIC + b"[1, 2]\n" + raw[header_end + 1:])
+        assert self.predict_exit_code(tmp_path, path, vocab) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

@@ -15,7 +15,7 @@ from reviewlab.metrics import (
     report_to_dict,
     roc_auc,
 )
-from reviewlab.tensor import SeededRng
+from reviewlab.rng import SeededRng
 
 
 def prf_oracle(matrix):

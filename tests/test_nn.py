@@ -1,4 +1,4 @@
-"""Tests for the LSTM cell, bidirectional layer, losses, and optimizers."""
+"""Tests for the LSTM recurrence, bidirectional classifier, losses, and optimizers."""
 
 import math
 
@@ -10,335 +10,363 @@ from hypothesis import strategies as st
 from reviewlab.nn import (
     AdamState,
     BiLstmClassifier,
-    BiLstmLayer,
     DenseParams,
-    DenseSoftmaxModel,
     LstmParams,
-    LstmState,
     adam_step,
     backward,
     batch_cross_entropy,
     batch_cross_entropy_grad,
-    bilstm_forward,
     clip_by_global_norm,
-    cross_entropy,
-    cross_entropy_grad,
     dense_softmax_forward,
-    dropout,
+    dropout_mask,
     forward,
     grad_check,
     init_dense_params,
     init_lstm_params,
-    lstm_cell_forward,
     lstm_sequence_forward,
+    softmax,
 )
-from reviewlab.tensor import SeededRng, col, softmax_cols, softmax_rows, tensor, zeros
+from reviewlab.rng import SeededRng, init_uniform
 
 
 def zero_params(cell, inp):
-    return LstmParams.zeros_like(cell, inp)
+    return LstmParams(np.zeros((4 * cell, cell + inp)), np.zeros(4 * cell))
 
 
 def params_with(cell, inp, **overrides):
-    base = {name: zeros(cell, cell + inp) for name in ("W_f", "W_i", "W_C", "W_o")}
-    base.update({name: zeros(cell, 1) for name in ("b_f", "b_i", "b_C", "b_o")})
-    base.update(overrides)
-    return LstmParams(**base)
+    """Zero parameters with per-gate blocks overridden, e.g. b_C=[...] or W_i=[[...]]."""
+    p = zero_params(cell, inp)
+    for name, value in overrides.items():
+        kind, gate = name.split("_")
+        rows = slice("fiCo".index(gate) * cell, ("fiCo".index(gate) + 1) * cell)
+        (p.W if kind == "W" else p.b)[rows] = value
+    return p
 
 
 def random_xs(rng, input_size, length, batch=1, scale=1.0):
-    from reviewlab.tensor import init_uniform
+    """(length, batch, input_size) inputs, drawn step by step."""
+    return np.stack([init_uniform(input_size, batch, rng, scale).T for _ in range(length)])
 
-    return [init_uniform(input_size, batch, rng, scale) for _ in range(length)]
+
+def one_step(params, x):
+    """First-step (h, C, (f, i, C~, o)) for inputs x (B, D)."""
+    h, cache = lstm_sequence_forward(params, np.asarray(x, dtype=float)[None])
+    return h, cache.c[1], np.split(cache.acts[0], 4, axis=1)
+
+
+def sig(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def manual_steps(params, x):
+    """The gate equations applied step by step in plain numpy."""
+    H = params.cell_size
+    h = np.zeros((x.shape[1], H))
+    c = np.zeros_like(h)
+    for x_t in x:
+        a = np.hstack([h, x_t]) @ params.W.T + params.b
+        f, i, g, o = sig(a[:, :H]), sig(a[:, H:2 * H]), np.tanh(a[:, 2 * H:3 * H]), sig(a[:, 3 * H:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    return h, c
+
+
+def zero_head(cell, n_classes=3):
+    return DenseParams(W=np.zeros((n_classes, 2 * cell)), b=np.zeros(n_classes))
 
 
 class TestLstmCellForward:
     def test_all_zero_parameters(self):
         """Zero weights force f=i=o=0.5, candidate 0, state 0."""
-        p = zero_params(2, 3)
-        state, gates = lstm_cell_forward(p, LstmState.zero(2), col([1.0, -2.0, 3.0]))
-        assert np.allclose(gates.f.a, 0.5)
-        assert np.allclose(gates.i.a, 0.5)
-        assert np.allclose(gates.o.a, 0.5)
-        assert np.allclose(gates.C_tilde.a, 0.0)
-        assert np.allclose(state.C.a, 0.0)
-        assert np.allclose(state.h.a, 0.0)
+        h, c, (f, i, g, o) = one_step(zero_params(2, 3), [[1.0, -2.0, 3.0]])
+        assert np.allclose(f, 0.5)
+        assert np.allclose(i, 0.5)
+        assert np.allclose(o, 0.5)
+        assert np.allclose(g, 0.0)
+        assert np.allclose(c, 0.0)
+        assert np.allclose(h, 0.0)
 
     def test_hand_evaluated_candidate_bias(self):
         """b_C = atanh(0.5) with zero weights gives h = 0.5 tanh(0.25)."""
-        p = params_with(1, 1, b_C=col([math.atanh(0.5)]))
-        state, gates = lstm_cell_forward(p, LstmState.zero(1), col([123.0]))
-        assert abs(gates.C_tilde.a[0, 0] - 0.5) < 1e-12
-        assert abs(state.C.a[0, 0] - 0.25) < 1e-12
-        assert abs(state.h.a[0, 0] - 0.122460) < 1e-6
+        p = params_with(1, 1, b_C=[math.atanh(0.5)])
+        h, c, (_, _, g, _) = one_step(p, [[123.0]])
+        assert abs(g[0, 0] - 0.5) < 1e-12
+        assert abs(c[0, 0] - 0.25) < 1e-12
+        assert abs(h[0, 0] - 0.122460) < 1e-6
 
     def test_saturated_gates_carry_cell_state(self):
         """f pushed to 1 and i to 0 make the cell a pure memory line."""
-        p = params_with(2, 1, b_f=col([1e3, 1e3]), b_i=col([-1e3, -1e3]))
-        prev = LstmState(C=col([0.7, -0.3]), h=col([0.1, 0.2]))
-        state, _ = lstm_cell_forward(p, prev, col([5.0]))
-        assert np.allclose(state.C.a, prev.C.a, atol=1e-9)
+        # x = 1 opens the input gate once to write C~ = [0.7, -0.3]; x = 0 closes it.
+        p = params_with(2, 1, b_f=[1e3, 1e3], b_i=[-1e3, -1e3],
+                        W_i=[[0.0, 0.0, 2e3], [0.0, 0.0, 2e3]],
+                        b_C=[math.atanh(0.7), math.atanh(-0.3)])
+        x = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
+        _, cache = lstm_sequence_forward(p, x)
+        assert np.allclose(cache.c[1, 0], [0.7, -0.3], atol=1e-9)
+        assert np.allclose(cache.c[3, 0], cache.c[1, 0], atol=1e-9)
 
     def test_memory_carry_over_fifty_steps(self):
-        p = params_with(1, 1, b_f=col([1e3]), b_i=col([-1e3]))
-        state = LstmState(C=col([0.42]), h=col([0.0]))
-        for _ in range(60):
-            state, _ = lstm_cell_forward(p, state, col([1.0]))
-        assert abs(state.C.a[0, 0] - 0.42) < 1e-9
+        p = params_with(1, 1, b_f=[1e3], b_i=[-1e3], W_i=[[0.0, 2e3]],
+                        b_C=[math.atanh(0.42)])
+        x = np.zeros((61, 1, 1))
+        x[0] = 1.0
+        _, cache = lstm_sequence_forward(p, x)
+        assert abs(cache.c[-1, 0, 0] - 0.42) < 1e-9
 
     def test_gate_ranges_on_random_inputs(self):
         rng = SeededRng(0)
         p = init_lstm_params(3, 2, rng)
-        state, gates = lstm_cell_forward(
-            p, LstmState.zero(3), col([10.0, -10.0])
-        )
-        for g in (gates.f, gates.i, gates.o):
-            assert np.all(g.a > 0.0) and np.all(g.a < 1.0)
-        assert np.all(np.abs(gates.C_tilde.a) < 1.0)
-        assert np.all(np.abs(state.h.a) < 1.0)
+        h, _, (f, i, g, o) = one_step(p, [[10.0, -10.0]])
+        for gate in (f, i, o):
+            assert np.all(gate > 0.0) and np.all(gate < 1.0)
+        assert np.all(np.abs(g) < 1.0)
+        assert np.all(np.abs(h) < 1.0)
 
     def test_input_size_mismatch(self):
-        p = zero_params(2, 3)
         with pytest.raises(ValueError, match="input"):
-            lstm_cell_forward(p, LstmState.zero(2), col([1.0, 2.0]))
+            one_step(zero_params(2, 3), [[1.0, 2.0]])
 
     def test_state_size_mismatch(self):
-        p = zero_params(2, 3)
+        """Weight rows must be four blocks of cell_size gate rows."""
         with pytest.raises(ValueError, match="cell"):
-            lstm_cell_forward(p, LstmState.zero(3), col([1.0, 2.0, 3.0]))
+            LstmParams(np.zeros((6, 5)), np.zeros(6))
 
     def test_batched_columns_match_single_runs(self):
-        """A two-column batch equals the two single-column passes."""
+        """A two-example batch equals the two single-example passes."""
         rng = SeededRng(5)
         p = init_lstm_params(3, 2, rng)
-        xa, xb = col([0.3, -0.8]), col([1.5, 0.2])
-        batch = tensor(np.hstack([xa.a, xb.a]))
-        sa, _ = lstm_cell_forward(p, LstmState.zero(3), xa)
-        sb, _ = lstm_cell_forward(p, LstmState.zero(3), xb)
-        sbatch, _ = lstm_cell_forward(p, LstmState.zero(3, 2), batch)
-        assert np.allclose(sbatch.h.a[:, :1], sa.h.a, atol=1e-15)
-        assert np.allclose(sbatch.h.a[:, 1:], sb.h.a, atol=1e-15)
+        xa, xb = [0.3, -0.8], [1.5, 0.2]
+        ha, _, _ = one_step(p, [xa])
+        hb, _, _ = one_step(p, [xb])
+        hboth, _, _ = one_step(p, [xa, xb])
+        assert np.allclose(hboth[:1], ha, atol=1e-15)
+        assert np.allclose(hboth[1:], hb, atol=1e-15)
 
 
 class TestLstmParamsValidation:
     def test_mismatched_weight_shapes_rejected(self):
-        good = zeros(2, 5)
-        bad = zeros(2, 4)
-        with pytest.raises(ValueError, match="weight shapes"):
-            LstmParams(good, good, bad, good, *(zeros(2, 1) for _ in range(4)))
+        with pytest.raises(ValueError, match="weight shape"):
+            LstmParams(np.zeros((8, 5)), np.zeros(12))
 
     def test_degenerate_input_size_rejected(self):
         with pytest.raises(ValueError, match="input_size"):
-            LstmParams(*(zeros(2, 2) for _ in range(4)), *(zeros(2, 1) for _ in range(4)))
+            LstmParams(np.zeros((8, 2)), np.zeros(8))
 
 
 class TestLstmSequenceForward:
     def test_length_one_equals_single_cell(self):
         rng = SeededRng(1)
         p = init_lstm_params(2, 2, rng)
-        x = col([0.5, -1.0])
-        single, _ = lstm_cell_forward(p, LstmState.zero(2), x)
-        final, caches = lstm_sequence_forward(p, [x])
-        assert np.array_equal(final.h.a, single.h.a)
-        assert len(caches) == 1
+        x = np.array([[[0.5, -1.0]]])
+        h, cache = lstm_sequence_forward(p, x)
+        want_h, want_c = manual_steps(p, x)
+        assert np.allclose(h, want_h, atol=1e-15)
+        assert np.allclose(cache.c[1], want_c, atol=1e-15)
+        assert cache.acts.shape == (1, 1, 8)
 
     def test_zero_params_zero_final_state(self):
-        p = zero_params(2, 2)
         xs = random_xs(SeededRng(2), 2, 6)
-        final, _ = lstm_sequence_forward(p, xs)
-        assert np.allclose(final.h.a, 0.0)
+        h, _ = lstm_sequence_forward(zero_params(2, 2), xs)
+        assert np.allclose(h, 0.0)
 
     def test_length_three_equals_manual_composition(self):
-        """The fold agrees with three explicit cell applications."""
+        """The fold agrees with three explicit applications of the gate equations."""
         rng = SeededRng(3)
         p = init_lstm_params(3, 2, rng)
         xs = random_xs(SeededRng(4), 2, 3)
-        state = LstmState.zero(3)
-        for x in xs:
-            state, _ = lstm_cell_forward(p, state, x)
-        final, caches = lstm_sequence_forward(p, xs)
-        assert np.array_equal(final.h.a, state.h.a)
-        assert np.array_equal(final.C.a, state.C.a)
-        assert len(caches) == 3
+        h, cache = lstm_sequence_forward(p, xs)
+        want_h, want_c = manual_steps(p, xs)
+        assert np.allclose(h, want_h, atol=1e-15)
+        assert np.allclose(cache.c[-1], want_c, atol=1e-15)
+        assert cache.acts.shape[0] == 3
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            lstm_sequence_forward(zero_params(2, 2), [])
+            lstm_sequence_forward(zero_params(2, 2), np.zeros((0, 1, 2)))
 
     def test_caches_record_cell_states_in_order(self):
         rng = SeededRng(6)
         p = init_lstm_params(2, 2, rng)
         xs = random_xs(SeededRng(7), 2, 4)
-        final, caches = lstm_sequence_forward(p, xs)
-        assert np.array_equal(caches[-1].C.a, final.C.a)
-        assert np.allclose(caches[0].C_prev.a, 0.0)
-        for earlier, later in zip(caches, caches[1:]):
-            assert np.array_equal(later.C_prev.a, earlier.C.a)
+        h, cache = lstm_sequence_forward(p, xs)
+        assert np.allclose(cache.c[0], 0.0)
+        for t in range(4):
+            f, i, g, o = np.split(cache.acts[t], 4, axis=1)
+            assert np.array_equal(cache.c[t + 1], f * cache.c[t] + i * g)
+        assert np.array_equal(h, o * np.tanh(cache.c[-1]))
 
 
 class TestBiLstmForward:
     def test_palindrome_with_shared_params_gives_equal_halves(self):
         rng = SeededRng(8)
         p = init_lstm_params(3, 2, rng)
-        layer = BiLstmLayer(forward_params=p, backward_params=p)
-        a, b = col([0.4, -0.2]), col([1.0, 0.5])
-        out = bilstm_forward(layer, [a, b, a])
-        assert np.array_equal(out.a[:3], out.a[3:])
+        model = BiLstmClassifier(fwd=p, bwd=p, head=zero_head(3))
+        a, b = [0.4, -0.2], [1.0, 0.5]
+        _, cache = forward(model, np.array([[a], [b], [a]]))
+        assert np.array_equal(cache.features[:, :3], cache.features[:, 3:])
 
     def test_zero_params_zero_vector(self):
-        layer = BiLstmLayer(zero_params(2, 2), zero_params(2, 2))
-        out = bilstm_forward(layer, random_xs(SeededRng(9), 2, 5))
-        assert out.shape == (4, 1)
-        assert np.allclose(out.a, 0.0)
+        model = BiLstmClassifier(zero_params(2, 2), zero_params(2, 2), zero_head(2))
+        _, cache = forward(model, random_xs(SeededRng(9), 2, 5))
+        assert cache.features.shape == (1, 4)
+        assert np.allclose(cache.features, 0.0)
 
     def test_matches_explicit_reversal_oracle(self):
         """Four-step output equals running each direction by hand."""
         rng = SeededRng(10)
-        layer = BiLstmLayer(init_lstm_params(3, 2, rng), init_lstm_params(3, 2, rng))
+        model = BiLstmClassifier(init_lstm_params(3, 2, rng), init_lstm_params(3, 2, rng),
+                                 zero_head(3))
         xs = random_xs(SeededRng(11), 2, 4)
-        out = bilstm_forward(layer, xs)
-        fwd, _ = lstm_sequence_forward(layer.forward_params, xs)
-        bwd, _ = lstm_sequence_forward(layer.backward_params, xs[::-1])
-        assert np.array_equal(out.a[:3], fwd.h.a)
-        assert np.array_equal(out.a[3:], bwd.h.a)
+        _, cache = forward(model, xs)
+        fwd, _ = lstm_sequence_forward(model.fwd, xs)
+        bwd, _ = lstm_sequence_forward(model.bwd, xs[::-1].copy())
+        assert np.array_equal(cache.features[:, :3], fwd)
+        assert np.array_equal(cache.features[:, 3:], bwd)
 
     def test_empty_sequence_rejected(self):
-        layer = BiLstmLayer(zero_params(2, 2), zero_params(2, 2))
+        model = BiLstmClassifier(zero_params(2, 2), zero_params(2, 2), zero_head(2))
         with pytest.raises(ValueError, match="empty"):
-            bilstm_forward(layer, [])
+            forward(model, np.zeros((0, 1, 2)))
 
     def test_direction_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="direction"):
-            BiLstmLayer(zero_params(2, 2), zero_params(2, 3))
+            BiLstmClassifier(zero_params(2, 2), zero_params(2, 3), zero_head(2))
 
 
 class TestDenseSoftmax:
     def test_zero_parameters_uniform_probs(self):
-        p = DenseParams(W=zeros(3, 4), b=zeros(3, 1))
-        probs = dense_softmax_forward(p, col([1.0, 2.0, 3.0, 4.0]))
-        assert np.allclose(probs.a, 1 / 3, atol=1e-12)
+        p = DenseParams(W=np.zeros((3, 4)), b=np.zeros(3))
+        probs = dense_softmax_forward(p, np.array([[1.0, 2.0, 3.0, 4.0]]))
+        assert np.allclose(probs, 1 / 3, atol=1e-12)
 
     def test_large_bias_dominates(self):
-        p = DenseParams(W=zeros(2, 4), b=col([10.0, 0.0]))
-        probs = dense_softmax_forward(p, col([0.0, 0.0, 0.0, 0.0]))
-        assert probs.a[0, 0] >= 0.9999
+        p = DenseParams(W=np.zeros((2, 4)), b=np.array([10.0, 0.0]))
+        probs = dense_softmax_forward(p, np.zeros((1, 4)))
+        assert probs[0, 0] >= 0.9999
 
     def test_matches_matmul_softmax_composition(self):
         rng = SeededRng(12)
         p = init_dense_params(3, 4, rng)
-        h = col([0.3, -1.2, 0.8, 2.0])
-        probs = dense_softmax_forward(p, h)
-        logits = p.W.a @ h.a + p.b.a
-        want = softmax_rows(tensor(logits.T)).a.T
-        assert np.allclose(probs.a, want, atol=1e-12)
+        h = np.array([0.3, -1.2, 0.8, 2.0])
+        probs = dense_softmax_forward(p, h[None])
+        logits = p.W @ h + p.b
+        want = np.exp(logits) / np.exp(logits).sum()
+        assert np.allclose(probs[0], want, atol=1e-12)
 
     def test_shape_mismatch(self):
-        p = DenseParams(W=zeros(3, 4), b=zeros(3, 1))
-        with pytest.raises(ValueError, match="feature rows"):
-            dense_softmax_forward(p, col([1.0, 2.0]))
+        p = DenseParams(W=np.zeros((3, 4)), b=np.zeros(3))
+        with pytest.raises(ValueError, match="feature columns"):
+            dense_softmax_forward(p, np.array([[1.0, 2.0]]))
 
     def test_columns_sum_to_one(self):
+        """Each example's class probabilities sum to one."""
         rng = SeededRng(13)
         p = init_dense_params(3, 4, rng)
-        h = tensor(np.random.RandomState(0).randn(4, 5))
+        h = np.random.RandomState(0).randn(5, 4)
         probs = dense_softmax_forward(p, h)
-        assert np.allclose(probs.a.sum(axis=0), 1.0, atol=1e-12)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
 class TestCrossEntropy:
     def test_certain_correct_prediction(self):
-        probs = col([1.0, 0.0, 0.0])
-        assert abs(cross_entropy(probs, 0)) < 1e-9
+        assert abs(batch_cross_entropy(np.array([[1.0, 0.0, 0.0]]), [0])) < 1e-9
 
     def test_uniform_three_class(self):
-        probs = col([1 / 3, 1 / 3, 1 / 3])
+        probs = np.array([[1 / 3, 1 / 3, 1 / 3]])
         for target in range(3):
-            assert abs(cross_entropy(probs, target) - 1.098612) < 1e-6
+            assert abs(batch_cross_entropy(probs, [target]) - 1.098612) < 1e-6
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            cross_entropy(col([0.5, 0.5]), 2)
+            batch_cross_entropy(np.array([[0.5, 0.5]]), [2])
+        with pytest.raises(ValueError, match="out of range"):
+            batch_cross_entropy_grad(np.array([[0.5, 0.5]]), [2])
 
     def test_clamp_guards_zero_probability(self):
-        loss = cross_entropy(col([0.0, 1.0]), 0)
+        loss = batch_cross_entropy(np.array([[0.0, 1.0]]), [0])
         assert loss == pytest.approx(-math.log(1e-12))
 
     def test_gradient_matches_finite_differences(self):
         """d(loss)/d(logits) equals the central-difference estimate."""
-        logits = col([0.2, -1.3, 0.7])
-        target = 1
+        logits = np.array([[0.2, -1.3, 0.7]])
+        target = [1]
 
         def loss_of(vals):
-            return cross_entropy(softmax_cols(col(vals)), target)
+            return batch_cross_entropy(softmax(vals), target)
 
-        probs = softmax_cols(logits)
-        analytic = cross_entropy_grad(probs, target)
+        analytic = batch_cross_entropy_grad(softmax(logits), target)
         eps = 1e-6
         for k in range(3):
-            up = list(logits.data)
-            dn = list(logits.data)
-            up[k] += eps
-            dn[k] -= eps
+            up, dn = logits.copy(), logits.copy()
+            up[0, k] += eps
+            dn[0, k] -= eps
             numeric = (loss_of(up) - loss_of(dn)) / (2 * eps)
-            a = analytic.a[k, 0]
+            a = analytic[0, k]
             assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-6) < 1e-6
 
     def test_batch_mean_and_grad_scaling(self):
         """Batched loss is the mean; gradient carries the 1/B factor."""
-        probs = tensor(np.array([[0.7, 0.2], [0.3, 0.8]]))
+        probs = np.array([[0.7, 0.3], [0.2, 0.8]])
         targets = [0, 1]
         want = -(math.log(0.7) + math.log(0.8)) / 2
         assert batch_cross_entropy(probs, targets) == pytest.approx(want)
         g = batch_cross_entropy_grad(probs, targets)
-        assert np.allclose(g.a[:, 0], [(0.7 - 1) / 2, 0.3 / 2])
-        assert np.allclose(g.a[:, 1], [0.2 / 2, (0.8 - 1) / 2])
+        assert np.allclose(g[0], [(0.7 - 1) / 2, 0.3 / 2])
+        assert np.allclose(g[1], [0.2 / 2, (0.8 - 1) / 2])
 
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        x = col([1.0, 2.0, 3.0])
-        for training in (False, True):
-            out = dropout(x, 0.0, SeededRng(1), training)
-            assert np.array_equal(out.a, x.a)
+        assert np.array_equal(dropout_mask(3, 4, 0.0, SeededRng(1)), np.ones((3, 4)))
+        model = toy_classifier()
+        _, cache = forward(model, random_xs(SeededRng(1), 3, 2), dropout_rate=0.0,
+                           rng=SeededRng(1), training=True)
+        assert cache.mask is None
 
     def test_inference_identity(self):
-        x = col([1.0, 2.0, 3.0])
-        out = dropout(x, 0.5, SeededRng(1), training=False)
-        assert np.array_equal(out.a, x.a)
+        model = toy_classifier()
+        xs = random_xs(SeededRng(1), 3, 2)
+        plain, _ = forward(model, xs)
+        out, cache = forward(model, xs, dropout_rate=0.5, rng=SeededRng(1), training=False)
+        assert cache.mask is None
+        assert np.array_equal(out, plain)
 
     def test_monte_carlo_mean_preserved(self):
         """Inverted scaling keeps the expected activation at 1.0."""
-        x = tensor(np.ones((100, 100)))
-        out = dropout(x, 0.5, SeededRng(99), training=True)
-        assert 0.96 <= out.a.mean() <= 1.04
+        mask = dropout_mask(100, 100, 0.5, SeededRng(99))
+        assert 0.96 <= mask.mean() <= 1.04
 
     def test_surviving_entries_scaled(self):
-        x = tensor(np.ones((50, 50)))
-        out = dropout(x, 0.25, SeededRng(3), training=True)
-        vals = set(np.round(out.a, 12).reshape(-1))
+        mask = dropout_mask(50, 50, 0.25, SeededRng(3))
+        vals = set(np.round(mask, 12).reshape(-1))
         assert vals <= {0.0, round(1 / 0.75, 12)}
 
     def test_invalid_rate_rejected(self):
-        x = col([1.0])
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="rate"):
-                dropout(x, rate, SeededRng(1), training=True)
+                dropout_mask(1, 1, rate, SeededRng(1))
 
 
 def toy_classifier(seed=0, cell=4, inp=3, n_classes=3):
     return BiLstmClassifier.build(cell, inp, n_classes, SeededRng(seed))
 
 
+def bump(param, k, delta):
+    """A copy of param with entry k moved by delta."""
+    out = param.copy()
+    out[k] += delta
+    return out
+
+
 class TestBackward:
     def test_zero_loss_gradient_gives_zero_grads(self):
         model = toy_classifier()
         xs = random_xs(SeededRng(20), 3, 5)
-        probs, cache = forward(model, xs)
-        grads = backward(model, cache, zeros(3, 1))
-        for g in grads.blocks():
-            assert np.allclose(g.a, 0.0)
-        for dx in grads.dxs:
-            assert np.allclose(dx.a, 0.0)
+        _, cache = forward(model, xs)
+        grads, dx = backward(model, cache, np.zeros((1, 3)))
+        for g in grads:
+            assert np.allclose(g, 0.0)
+        assert np.allclose(dx, 0.0)
 
     def test_master_gradient_check(self):
         """Analytic BPTT matches central differences on the toy instance."""
@@ -351,62 +379,30 @@ class TestBackward:
         """Cloned directions on a palindrome receive identical gradients."""
         rng = SeededRng(21)
         p = init_lstm_params(3, 2, rng)
-        half = init_uniform_head(3, 3, seed=22)
-        head = DenseParams(
-            W=tensor(np.hstack([half, half])), b=col([0.1, -0.2, 0.3])
-        )
-        model = BiLstmClassifier(
-            layer=BiLstmLayer(forward_params=p, backward_params=p), head=head
-        )
-        a, b = col([0.9, -0.4]), col([0.2, 0.6])
-        xs = [a, b, a]
-        probs, cache = forward(model, xs)
-        grads = backward(model, cache, cross_entropy_grad(probs, 1))
-        fwd = grads.layer.forward_params
-        bwd = grads.layer.backward_params
-        for gf, gb in zip(fwd.blocks(), bwd.blocks()):
-            assert np.allclose(gf.a, gb.a, atol=1e-12)
+        half = init_uniform(3, 3, SeededRng(22), 0.5)
+        head = DenseParams(W=np.hstack([half, half]), b=np.array([0.1, -0.2, 0.3]))
+        model = BiLstmClassifier(fwd=p, bwd=p, head=head)
+        a, b = [0.9, -0.4], [0.2, 0.6]
+        probs, cache = forward(model, np.array([[a], [b], [a]]))
+        grads, _ = backward(model, cache, batch_cross_entropy_grad(probs, [1]))
+        for gf, gb in zip(grads[0:2], grads[2:4]):
+            assert np.allclose(gf, gb, atol=1e-12)
 
     def test_input_gradients_match_finite_differences(self):
-        """The per-step dxs hook agrees with perturbing the inputs."""
+        """The input-gradient hook dx agrees with perturbing the inputs."""
         model = toy_classifier(seed=5)
         xs = random_xs(SeededRng(23), 3, 4)
         target = 0
         probs, cache = forward(model, xs)
-        grads = backward(model, cache, cross_entropy_grad(probs, target))
+        _, dx = backward(model, cache, batch_cross_entropy_grad(probs, [target]))
         eps = 1e-6
         for t in (0, 3):
             for r in range(3):
-                up = [x.copy() for x in xs]
-                dn = [x.copy() for x in xs]
-                ua, da = up[t].a.copy(), dn[t].a.copy()
-                ua.setflags(write=True)
-                da.setflags(write=True)
-                ua[r, 0] += eps
-                da[r, 0] -= eps
-                up[t] = tensor(ua)
-                dn[t] = tensor(da)
-                lu = model.loss((up, target))
-                ld = model.loss((dn, target))
+                lu = model.loss((bump(xs, (t, 0, r), eps), target))
+                ld = model.loss((bump(xs, (t, 0, r), -eps), target))
                 numeric = (lu - ld) / (2 * eps)
-                a = grads.dxs[t].a[r, 0]
+                a = dx[t, 0, r]
                 assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-6) < 1e-5
-
-    def test_missing_caches_rejected(self):
-        model = toy_classifier()
-        xs = random_xs(SeededRng(24), 3, 2)
-        probs, cache = forward(model, xs)
-        broken = type(cache)(
-            xs=cache.xs,
-            fwd_caches=(),
-            bwd_caches=cache.bwd_caches,
-            features=cache.features,
-            mask=cache.mask,
-            dropped=cache.dropped,
-            probs=cache.probs,
-        )
-        with pytest.raises(ValueError, match="caches"):
-            backward(model, broken, zeros(3, 1))
 
     def test_gradient_through_dropout_mask(self):
         """With the mask replayed, gradients stay finite-difference exact."""
@@ -415,9 +411,9 @@ class TestBackward:
         target = 1
         mask_seed = 7
 
-        def loss_with_mask(m):
+        def loss_with_mask():
             probs, _ = forward(
-                m, xs, dropout_rate=0.5, rng=SeededRng(mask_seed), training=True
+                model, xs, dropout_rate=0.5, rng=SeededRng(mask_seed), training=True
             )
             return batch_cross_entropy(probs, [target])
 
@@ -425,50 +421,66 @@ class TestBackward:
             model, xs, dropout_rate=0.5, rng=SeededRng(mask_seed), training=True
         )
         assert cache.mask is not None
-        grads = backward(model, cache, batch_cross_entropy_grad(probs, [target]))
+        grads, _ = backward(model, cache, batch_cross_entropy_grad(probs, [target]))
         blocks = model.param_blocks()
-        gblocks = grads.blocks()
         eps = 1e-6
         head_w_index = [i for i, (n, _) in enumerate(blocks) if n == "head.W"][0]
         for bi in (0, head_w_index):
-            name, param = blocks[bi]
-            arr = param.a.copy()
-            arr[0, 0] += eps
-            up = [t for _, t in blocks]
-            up[bi] = tensor(arr)
-            arr2 = param.a.copy()
-            arr2[0, 0] -= eps
-            dn = [t for _, t in blocks]
-            dn[bi] = tensor(arr2)
-            numeric = (
-                loss_with_mask(model.with_blocks(up))
-                - loss_with_mask(model.with_blocks(dn))
-            ) / (2 * eps)
-            a = gblocks[bi].a[0, 0]
+            param = blocks[bi][1]
+            orig = param[0, 0]
+            param[0, 0] = orig + eps
+            up = loss_with_mask()
+            param[0, 0] = orig - eps
+            dn = loss_with_mask()
+            param[0, 0] = orig
+            numeric = (up - dn) / (2 * eps)
+            a = grads[bi][0, 0]
             assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-6) < 1e-4
 
 
-def init_uniform_head(rows, cols, seed):
-    from reviewlab.tensor import init_uniform
+class DenseSoftmaxModel:
+    """Softmax regression on fixed feature rows.
 
-    return init_uniform(rows, cols, SeededRng(seed), 0.5).a
+    The smallest model grad_check accepts; its analytic gradient is exact,
+    so it pins down the checker itself before the recurrent model is tried.
+    """
+
+    def __init__(self, params):
+        self.params = params
+
+    def param_blocks(self):
+        return [("W", self.params.W), ("b", self.params.b)]
+
+    def loss(self, instance):
+        h, targets = instance
+        return batch_cross_entropy(dense_softmax_forward(self.params, h), targets)
+
+    def loss_and_grads(self, instance):
+        h, targets = instance
+        probs = dense_softmax_forward(self.params, h)
+        dlogits = batch_cross_entropy_grad(probs, targets)
+        return batch_cross_entropy(probs, targets), [dlogits.T @ h, dlogits.sum(axis=0)]
 
 
 class TestGradCheck:
     def test_dense_only_model_near_exact(self):
         """Softmax regression gradient is analytic, so error is tiny."""
         rng = SeededRng(30)
-        model = DenseSoftmaxModel(params=init_dense_params(3, 4, rng))
-        h = col([0.5, -0.2, 1.1, 0.3])
+        model = DenseSoftmaxModel(init_dense_params(3, 4, rng))
+        h = np.array([[0.5, -0.2, 1.1, 0.3]])
         report = grad_check(model, (h, 2), epsilon=1e-5, tolerance=1e-8)
         assert report.max_rel_err < 1e-8
 
     def test_full_bilstm_toy_within_tolerance(self):
         model = toy_classifier(seed=40)
         xs = random_xs(SeededRng(41), 3, 5)
+        before = [p.copy() for _, p in model.param_blocks()]
         report = grad_check(model, (xs, 1), epsilon=1e-5, tolerance=1e-4)
         assert report.passed
         assert set(report.per_block) == {name for name, _ in model.param_blocks()}
+        assert len(report.per_block) == 6
+        for (_, p), q in zip(model.param_blocks(), before):
+            assert np.array_equal(p, q)
 
     def test_zero_epsilon_rejected(self):
         model = toy_classifier()
@@ -488,61 +500,59 @@ class TestGradCheck:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = [col([1.0, -2.0])]
-        grads = [zeros(2, 1)]
+        params = [np.array([1.0, -2.0])]
         state = AdamState.for_params(params)
-        new_params, state = adam_step(params, grads, state, lr=1e-3)
-        assert np.array_equal(new_params[0].a, params[0].a)
-        assert np.allclose(state.m[0].a, 0.0)
+        adam_step(params, [np.zeros(2)], state, lr=1e-3)
+        assert np.array_equal(params[0], [1.0, -2.0])
+        assert np.allclose(state.m[0], 0.0)
 
     def test_constant_gradient_descends(self):
-        params = [col([0.0])]
+        params = [np.array([0.0])]
         state = AdamState.for_params(params)
-        g = col([2.5])
         for _ in range(50):
-            params, state = adam_step(params, [g], state, lr=1e-2)
-        assert params[0].a[0, 0] < -0.1
+            adam_step(params, [np.array([2.5])], state, lr=1e-2)
+        assert params[0][0] < -0.1
 
     def test_first_step_magnitude(self):
         """Bias correction makes the first update almost exactly -lr."""
-        params = [col([0.0])]
+        params = [np.array([0.0])]
         state = AdamState.for_params(params)
-        new_params, _ = adam_step(params, [col([1.0])], state, lr=1e-3)
-        assert abs(new_params[0].a[0, 0] - (-9.999e-4)) < 1e-7
+        adam_step(params, [np.array([1.0])], state, lr=1e-3)
+        assert abs(params[0][0] - (-9.999e-4)) < 1e-7
 
     def test_shape_mismatch_rejected(self):
-        params = [col([0.0])]
+        params = [np.array([0.0])]
         state = AdamState.for_params(params)
         with pytest.raises(ValueError, match="shape"):
-            adam_step(params, [zeros(2, 1)], state, lr=1e-3)
+            adam_step(params, [np.zeros(2)], state, lr=1e-3)
 
     def test_step_counter_increments(self):
-        params = [col([0.0])]
+        params = [np.array([0.0])]
         state = AdamState.for_params(params)
-        _, state = adam_step(params, [col([1.0])], state, lr=1e-3)
-        _, state = adam_step(params, [col([1.0])], state, lr=1e-3)
+        adam_step(params, [np.array([1.0])], state, lr=1e-3)
+        adam_step(params, [np.array([1.0])], state, lr=1e-3)
         assert state.t == 2
 
 
 class TestClipByGlobalNorm:
     def test_below_threshold_unchanged(self):
-        grads = [col([3.0]), col([4.0])]
+        grads = [np.array([3.0]), np.array([4.0])]
         clipped, norm = clip_by_global_norm(grads, 10.0)
         assert norm == pytest.approx(5.0)
-        assert np.array_equal(clipped[0].a, grads[0].a)
+        assert np.array_equal(clipped[0], grads[0])
 
     def test_above_threshold_scaled_to_max(self):
-        grads = [col([30.0]), col([40.0])]
+        grads = [np.array([30.0]), np.array([40.0])]
         clipped, norm = clip_by_global_norm(grads, 5.0)
         assert norm == pytest.approx(50.0)
-        joint = math.sqrt(sum(float((g.a ** 2).sum()) for g in clipped))
+        joint = math.sqrt(sum(float((g ** 2).sum()) for g in clipped))
         assert joint == pytest.approx(5.0)
-        assert np.allclose(clipped[1].a / clipped[0].a, 4 / 3)
+        assert np.allclose(clipped[1] / clipped[0], 4 / 3)
 
     def test_zero_gradients_pass_through(self):
-        clipped, norm = clip_by_global_norm([zeros(2, 2)], 1.0)
+        clipped, norm = clip_by_global_norm([np.zeros((2, 2))], 1.0)
         assert norm == 0.0
-        assert np.allclose(clipped[0].a, 0.0)
+        assert np.allclose(clipped[0], 0.0)
 
 
 class TestClassifierForward:
@@ -550,7 +560,7 @@ class TestClassifierForward:
         model = toy_classifier(seed=50)
         xs = random_xs(SeededRng(51), 3, 6)
         probs, _ = forward(model, xs)
-        assert np.allclose(probs.a.sum(axis=0), 1.0, atol=1e-12)
+        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         """Identical seed and inputs give bit-identical losses."""
@@ -569,22 +579,19 @@ class TestClassifierForward:
             forward(model, xs, dropout_rate=0.5, training=True)
 
     def test_batched_forward_matches_single(self):
-        """Stacked columns give the same probabilities as separate runs."""
+        """Stacked examples give the same probabilities as separate runs."""
         model = toy_classifier(seed=70)
         xs_a = random_xs(SeededRng(71), 3, 4)
         xs_b = random_xs(SeededRng(72), 3, 4)
-        stacked = [
-            tensor(np.hstack([a.a, b.a])) for a, b in zip(xs_a, xs_b)
-        ]
         pa, _ = forward(model, xs_a)
         pb, _ = forward(model, xs_b)
-        pboth, _ = forward(model, stacked)
-        assert np.allclose(pboth.a[:, :1], pa.a, atol=1e-12)
-        assert np.allclose(pboth.a[:, 1:], pb.a, atol=1e-12)
+        pboth, _ = forward(model, np.concatenate([xs_a, xs_b], axis=1))
+        assert np.allclose(pboth[:1], pa, atol=1e-12)
+        assert np.allclose(pboth[1:], pb, atol=1e-12)
 
     def test_first_half_of_features_is_forward_direction(self):
         model = toy_classifier(seed=80)
         xs = random_xs(SeededRng(81), 3, 5)
         _, cache = forward(model, xs)
-        fwd, _ = lstm_sequence_forward(model.layer.forward_params, xs)
-        assert np.array_equal(cache.features.a[:4], fwd.h.a)
+        fwd, _ = lstm_sequence_forward(model.fwd, xs)
+        assert np.array_equal(cache.features[:, :4], fwd)

@@ -17,7 +17,6 @@ from reviewlab.sentiment import (
     Lexicon,
     auto_label_dataset,
     compound_from_sum,
-    label_by_rating,
     label_from_compound,
     load_lexicon,
     save_lexicon,
@@ -149,23 +148,6 @@ class TestLexiconValidation:
     def test_builtin_is_valid_and_sized(self):
         assert len(BUILTIN_LEXICON.valences) >= 40
         assert BUILTIN_LEXICON.valences["good"] == 1.9
-
-
-class TestLabelByRating:
-    def test_exclusive_reading(self):
-        """'higher than 3': 3 itself is negative."""
-        assert label_by_rating(4) == POSITIVE
-        assert label_by_rating(3) == NEGATIVE
-        assert label_by_rating(2) == NEGATIVE
-
-    def test_inclusive_reading(self):
-        """'greater than or equal to 3': 3 is positive."""
-        assert label_by_rating(3, inclusive=True) == POSITIVE
-        assert label_by_rating(2, inclusive=True) == NEGATIVE
-
-    def test_custom_threshold(self):
-        assert label_by_rating(5, threshold=4) == POSITIVE
-        assert label_by_rating(4, threshold=4) == NEGATIVE
 
 
 @dataclass

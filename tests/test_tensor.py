@@ -1,4 +1,10 @@
-"""Tests for the matrix primitives and the deterministic RNG."""
+"""Tests for the array primitives under the model.
+
+Covers the deterministic RNG and uniform initialization, the gate
+activations, and the fused gate layout every LSTM direction uses: one
+W (4H, H + D) whose rows are the gates f, i, C, o acting on [h; x], and
+one b (4H,).
+"""
 
 import math
 
@@ -7,23 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewlab.tensor import (
-    SeededRng,
-    col,
-    concat_cols,
-    concat_rows,
-    init_uniform,
-    matmul,
-    row,
+from reviewlab.nn import (
+    BiLstmClassifier,
+    DenseParams,
+    LstmParams,
+    backward,
+    batch_cross_entropy_grad,
+    forward,
+    init_lstm_params,
+    lstm_sequence_backward,
+    lstm_sequence_forward,
     sigmoid,
-    slice_rows,
-    softmax_cols,
-    softmax_rows,
-    sum_cols,
-    tanh_act,
-    tensor,
-    zeros,
+    softmax,
 )
+from reviewlab.rng import SeededRng, init_uniform
+from reviewlab.textprep import EmbeddingMatrix
 
 
 def matmul_oracle(a, b):
@@ -40,6 +44,29 @@ def matmul_oracle(a, b):
     return out
 
 
+def lstm_oracle(W, b, xs):
+    """Final (h, C) of one example by the gate equations over plain lists.
+
+    The pre-activation W.[h; x] + b comes from the triple-loop product.
+    """
+    H = len(b) // 4
+    h, c = [0.0] * H, [0.0] * H
+
+    def sig(v):
+        return 1.0 / (1.0 + math.exp(-v))
+
+    for x in xs:
+        z = [[v] for v in h + list(x)]
+        a = [row[0] + bias for row, bias in zip(matmul_oracle(W, z), b)]
+        f = [sig(v) for v in a[:H]]
+        i = [sig(v) for v in a[H:2 * H]]
+        g = [math.tanh(v) for v in a[2 * H:3 * H]]
+        o = [sig(v) for v in a[3 * H:]]
+        c = [fv * cv + iv * gv for fv, cv, iv, gv in zip(f, c, i, g)]
+        h = [ov * math.tanh(cv) for ov, cv in zip(o, c)]
+    return h, c
+
+
 def splitmix64_oracle(seed, i):
     """Scalar reference for the RNG, written independently of the library."""
     mask = (1 << 64) - 1
@@ -49,186 +76,247 @@ def splitmix64_oracle(seed, i):
     return z ^ (z >> 31)
 
 
+def fused(cell, inp, *, W=None, b=None):
+    """LstmParams from optional W/b (zeros where not given)."""
+    W = np.zeros((4 * cell, cell + inp)) if W is None else np.asarray(W, dtype=float)
+    b = np.zeros(4 * cell) if b is None else np.asarray(b, dtype=float)
+    return LstmParams(W, b)
+
+
+def first_gates(params, x):
+    """Gate activations (f, i, C~, o) of the first step for inputs x (B, D)."""
+    _, cache = lstm_sequence_forward(params, np.asarray(x, dtype=float)[None])
+    return np.split(cache.acts[0], 4, axis=1)
+
+
+def toy_model(seed=0, cell=3, inp=2, n_classes=2):
+    return BiLstmClassifier.build(cell, inp, n_classes, SeededRng(seed))
+
+
+def random_x(seed, length, batch, inp):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (length, batch, inp))
+
+
 small_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
-
-
-def matrices(max_side=6):
-    return st.integers(1, max_side).flatmap(
-        lambda r: st.integers(1, max_side).flatmap(
-            lambda c: st.lists(
-                st.lists(small_floats, min_size=c, max_size=c),
-                min_size=r,
-                max_size=r,
-            )
-        )
-    )
 
 
 class TestTensorBasics:
     def test_shape_properties(self):
-        t = tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert t.rows == 2
-        assert t.cols == 3
-        assert t.shape == (2, 3)
-        assert list(t.data) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        p = init_lstm_params(3, 2, SeededRng(0))
+        assert p.W.shape == (12, 5)
+        assert p.b.shape == (12,)
+        assert (p.cell_size, p.input_size) == (3, 2)
 
     def test_rejects_non_2d(self):
-        with pytest.raises(ValueError):
-            tensor([1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            tensor([[[1.0]]])
+        with pytest.raises(ValueError, match="2-D"):
+            LstmParams(np.zeros(12), np.zeros(12))
+        with pytest.raises(ValueError, match="2-D"):
+            EmbeddingMatrix(np.zeros(3))
 
     def test_backing_array_is_read_only(self):
-        t = zeros(2, 2)
-        with pytest.raises(ValueError):
-            t.a[0, 0] = 1.0
+        """Forward and backward never write to the parameters or the inputs."""
+        model = toy_model(seed=1)
+        x = random_x(1, 4, 2, 2)
+        for _, p in model.param_blocks():
+            p.setflags(write=False)
+        x.setflags(write=False)
+        probs, cache = forward(model, x)
+        grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1]))
+        assert dx.shape == x.shape
 
     def test_construction_copies_input(self):
-        src = np.ones((2, 2))
-        t = tensor(src)
-        src[0, 0] = 99.0
-        assert t.a[0, 0] == 1.0
+        """The forward cache holds its own copy of x, so later writes to x
+        do not change the gradients."""
+        model = toy_model(seed=2)
+        x = random_x(2, 3, 1, 2)
+        probs, cache = forward(model, x)
+        _, cache2 = forward(model, x)
+        dlogits = batch_cross_entropy_grad(probs, [1])
+        want, _ = backward(model, cache2, dlogits)
+        x[:] = 99.0
+        got, _ = backward(model, cache, dlogits)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
     def test_row_and_col_helpers(self):
-        assert row([1.0, 2.0]).shape == (1, 2)
-        assert col([1.0, 2.0]).shape == (2, 1)
+        """A row and a column draw read the same stream values."""
+        r = init_uniform(1, 4, SeededRng(5), 0.5)
+        c = init_uniform(4, 1, SeededRng(5), 0.5)
+        assert r.shape == (1, 4) and c.shape == (4, 1)
+        assert np.array_equal(r[0], c[:, 0])
 
     def test_add_sub_hadamard(self):
-        a = tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = tensor([[10.0, 20.0], [30.0, 40.0]])
-        assert (a + b).to_lists() == [[11.0, 22.0], [33.0, 44.0]]
-        assert (b - a).to_lists() == [[9.0, 18.0], [27.0, 36.0]]
-        assert (a * b).to_lists() == [[10.0, 40.0], [90.0, 160.0]]
-        assert (a * 2.0).to_lists() == [[2.0, 4.0], [6.0, 8.0]]
+        """The cell's elementwise update C = f*C_prev + i*C~, h = o*tanh(C),
+        evaluated by hand over two steps with constant gates."""
+        bias = [0.3, -0.4, math.atanh(0.6), 1.2]
+        p = fused(1, 1, b=bias)
+        h, cache = lstm_sequence_forward(p, np.zeros((2, 1, 1)))
+        f, i, o = (1.0 / (1.0 + math.exp(-v)) for v in (bias[0], bias[1], bias[3]))
+        g = 0.6
+        c1 = i * g
+        c2 = f * c1 + i * g
+        assert cache.c[1, 0, 0] == pytest.approx(c1, abs=1e-15)
+        assert cache.c[2, 0, 0] == pytest.approx(c2, abs=1e-15)
+        assert h[0, 0] == pytest.approx(o * math.tanh(c2), abs=1e-15)
 
     def test_column_broadcast_for_bias(self):
-        """(r, 1) operand broadcasts across the columns of an (r, B) batch."""
-        batch = tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        bias = col([10.0, 20.0])
-        out = batch + bias
-        assert out.to_lists() == [[11.0, 12.0, 13.0], [24.0, 25.0, 26.0]]
+        """One (4H,) bias serves every example of a batch."""
+        p = fused(2, 3, b=np.arange(8) * 0.1)
+        gates = np.hstack(first_gates(p, np.zeros((5, 3))))
+        assert np.array_equal(gates, np.repeat(gates[:1], 5, axis=0))
+        assert gates[0, 0] == pytest.approx(0.5)
 
     def test_shape_mismatch_names_both_shapes(self):
-        a = zeros(2, 3)
-        b = zeros(3, 3)
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 3\)"):
-            a + b
+        with pytest.raises(ValueError, match=r"\(6,\).*\(8, 5\)"):
+            LstmParams(np.zeros((8, 5)), np.zeros(6))
+        with pytest.raises(ValueError, match=r"\(2,\).*\(3, 4\)"):
+            DenseParams(np.zeros((3, 4)), np.zeros(2))
 
     def test_results_are_new_tensors(self):
-        a = tensor([[1.0]])
-        b = a + a
-        assert b is not a
-        assert a.to_lists() == [[1.0]]
+        """Repeated forward passes return fresh arrays and leave the model as it was."""
+        model = toy_model(seed=3)
+        before = [p.copy() for _, p in model.param_blocks()]
+        x = random_x(3, 4, 2, 2)
+        a, _ = forward(model, x)
+        b, _ = forward(model, x)
+        assert a is not b
+        assert np.array_equal(a, b)
+        for (_, p), q in zip(model.param_blocks(), before):
+            assert np.array_equal(p, q)
 
 
 class TestMatmul:
+    """The fused pre-activation W.[h; x] + b."""
+
     def test_known_product(self):
-        a = tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = tensor([[5.0, 6.0], [7.0, 8.0]])
-        assert matmul(a, b).to_lists() == [[19.0, 22.0], [43.0, 50.0]]
+        W = [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0], [0.0, 7.0, 8.0]]
+        p = fused(1, 2, W=W, b=[0.5, -0.5, -17.0, 0.0])
+        f, i, g, o = first_gates(p, [[1.0, 2.0]])
+        assert f[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-5.5)), abs=1e-15)
+        assert i[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-10.5)), abs=1e-15)
+        assert g[0, 0] == pytest.approx(math.tanh(0.0), abs=1e-15)
+        assert o[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-23.0)), abs=1e-15)
 
     def test_identity(self):
-        a = tensor([[2.0, -1.0], [0.5, 3.0]])
-        eye = tensor([[1.0, 0.0], [0.0, 1.0]])
-        assert matmul(a, eye).to_lists() == a.to_lists()
+        """Identity input weights per gate pass x straight to every gate."""
+        W = np.hstack([np.zeros((8, 2)), np.vstack([np.eye(2)] * 4)])
+        x = np.array([[0.3, -1.2]])
+        f, i, g, o = first_gates(fused(2, 2, W=W), x)
+        assert np.array_equal(f, sigmoid(x))
+        assert np.array_equal(i, sigmoid(x))
+        assert np.array_equal(g, np.tanh(x))
+        assert np.array_equal(o, sigmoid(x))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\) x \(2, 3\)"):
-            matmul(zeros(2, 3), zeros(2, 3))
+        with pytest.raises(ValueError, match=r"\(T, B, 3\)"):
+            lstm_sequence_forward(fused(2, 3), np.zeros((4, 1, 2)))
 
-    def test_operator_form(self):
-        a = tensor([[1.0, 0.0], [0.0, 1.0]])
-        b = tensor([[3.0], [4.0]])
-        assert (a @ b).to_lists() == [[3.0], [4.0]]
-
-    @given(matrices(), st.integers(1, 6), st.data())
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_matches_triple_loop_oracle(self, a_lists, m, data):
-        """Library product agrees with the dumb triple loop."""
-        k = len(a_lists[0])
-        b_lists = data.draw(
-            st.lists(
-                st.lists(small_floats, min_size=m, max_size=m),
-                min_size=k,
-                max_size=k,
-            )
-        )
-        got = matmul(tensor(a_lists), tensor(b_lists)).to_lists()
-        want = matmul_oracle(a_lists, b_lists)
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+    def test_matches_triple_loop_oracle(self, cell, inp, steps, batch, seed):
+        """Every example's final state agrees with the list-based oracle."""
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(-2.0, 2.0, (4 * cell, cell + inp))
+        b = rng.uniform(-2.0, 2.0, 4 * cell)
+        x = rng.uniform(-2.0, 2.0, (steps, batch, inp))
+        h, cache = lstm_sequence_forward(LstmParams(W, b), x)
+        for k in range(batch):
+            want_h, want_c = lstm_oracle(W.tolist(), b.tolist(), x[:, k].tolist())
+            assert np.allclose(h[k], want_h, rtol=1e-12, atol=1e-12)
+            assert np.allclose(cache.c[-1, k], want_c, rtol=1e-12, atol=1e-12)
 
 
 class TestActivations:
     def test_sigmoid_frozen_values(self):
-        x = row([0.0, 0.5, -1.75])
-        out = sigmoid(x)
-        assert out.a[0, 0] == 0.5
-        assert abs(out.a[0, 1] - 0.6224593312018546) < 1e-12
-        assert abs(out.a[0, 2] - 0.14804719803168948) < 1e-12
+        out = sigmoid(np.array([0.0, 0.5, -1.75]))
+        assert out[0] == 0.5
+        assert abs(out[1] - 0.6224593312018546) < 1e-12
+        assert abs(out[2] - 0.14804719803168948) < 1e-12
 
     def test_sigmoid_saturates_without_overflow(self):
-        out = sigmoid(row([-1e4, 1e4]))
-        assert out.a[0, 0] == 0.0
-        assert out.a[0, 1] == 1.0
+        out = sigmoid(np.array([-1e4, 1e4]))
+        assert out[0] == 0.0
+        assert out[1] == 1.0
 
     def test_tanh_frozen_value(self):
-        out = tanh_act(row([0.25]))
-        assert abs(out.a[0, 0] - 0.24491866240370913) < 1e-12
+        """The candidate gate (third row block) is tanh of its pre-activation."""
+        _, _, g, _ = first_gates(fused(1, 1, b=[0.0, 0.0, 0.25, 0.0]), [[0.0]])
+        assert abs(g[0, 0] - 0.24491866240370913) < 1e-12
 
     @given(st.lists(small_floats, min_size=1, max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_sigmoid_range_and_symmetry(self, xs):
-        out = sigmoid(row(xs))
-        neg = sigmoid(row([-v for v in xs]))
-        assert np.all(out.a >= 0.0) and np.all(out.a <= 1.0)
-        assert np.allclose(out.a + neg.a, 1.0, atol=1e-12)
+        out = sigmoid(np.array(xs))
+        neg = sigmoid(-np.array(xs))
+        assert np.all(out >= 0.0) and np.all(out <= 1.0)
+        assert np.allclose(out + neg, 1.0, atol=1e-12)
 
     def test_softmax_rows_sums_to_one(self):
-        out = softmax_rows(tensor([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
-        assert np.allclose(out.a.sum(axis=1), 1.0)
-        assert np.allclose(out.a[1], [1 / 3, 1 / 3, 1 / 3])
+        out = softmax(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
+        assert np.allclose(out.sum(axis=1), 1.0)
+        assert np.allclose(out[1], [1 / 3, 1 / 3, 1 / 3])
 
     def test_softmax_rows_shift_invariant(self):
-        a = softmax_rows(tensor([[1.0, 2.0, 3.0]]))
-        b = softmax_rows(tensor([[1001.0, 1002.0, 1003.0]]))
-        assert np.allclose(a.a, b.a, atol=1e-12)
+        a = softmax(np.array([[1.0, 2.0, 3.0]]))
+        b = softmax(np.array([[1001.0, 1002.0, 1003.0]]))
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_softmax_cols_sums_to_one(self):
-        out = softmax_cols(tensor([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
-        assert np.allclose(out.a.sum(axis=0), 1.0)
-        assert np.allclose(out.a[:, 1], [1 / 3, 1 / 3, 1 / 3])
+        """Classes are the columns: each row is normalized on its own."""
+        a = softmax(np.array([[1.0, 5.0, 2.0], [3.0, 3.0, 3.0]]))
+        b = softmax(np.array([[1.0, 5.0, 2.0], [-40.0, 9.0, 0.5]]))
+        assert np.array_equal(a[0], b[0])
+        assert np.allclose(a[1], [1 / 3, 1 / 3, 1 / 3])
 
     def test_softmax_cols_frozen_value(self):
-        out = softmax_cols(col([1.0, 2.0, 3.0]))
+        out = softmax(np.array([[1.0, 2.0, 3.0]]))
         e1, e2, e3 = math.exp(1), math.exp(2), math.exp(3)
         z = e1 + e2 + e3
-        assert np.allclose(out.a[:, 0], [e1 / z, e2 / z, e3 / z], atol=1e-12)
+        assert np.allclose(out[0], [e1 / z, e2 / z, e3 / z], atol=1e-12)
 
 
 class TestConcatAndReduce:
+    """How the fused layout joins and splits arrays."""
+
     def test_concat_cols(self):
-        a = tensor([[1.0], [2.0]])
-        b = tensor([[3.0, 4.0], [5.0, 6.0]])
-        assert concat_cols(a, b).to_lists() == [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]]
+        """Features put the two directions' final states side by side."""
+        model = toy_model(seed=4)
+        x = random_x(4, 5, 2, 2)
+        _, cache = forward(model, x)
+        h_fwd, _ = lstm_sequence_forward(model.fwd, x)
+        h_bwd, _ = lstm_sequence_forward(model.bwd, x[::-1])
+        assert cache.features.shape == (2, 6)
+        assert np.array_equal(cache.features, np.hstack([h_fwd, h_bwd]))
 
     def test_concat_rows_joins_state_and_input(self):
-        h = col([1.0, 2.0])
-        x = col([3.0])
-        assert concat_rows(h, x).to_lists() == [[1.0], [2.0], [3.0]]
+        """Step t of the cache holds [h_{t-1}, x_t], the columns W acts on."""
+        p = init_lstm_params(2, 3, SeededRng(6))
+        x = random_x(6, 3, 2, 3)
+        h, cache = lstm_sequence_forward(p, x)
+        assert np.array_equal(cache.z[0, :, :2], np.zeros((2, 2)))
+        assert np.array_equal(cache.z[:, :, 2:], x)
+        h1, _ = lstm_sequence_forward(p, x[:1])
+        assert np.array_equal(cache.z[1, :, :2], h1)
 
     def test_concat_shape_errors(self):
-        with pytest.raises(ValueError, match="concat_cols"):
-            concat_cols(zeros(2, 1), zeros(3, 1))
-        with pytest.raises(ValueError, match="concat_rows"):
-            concat_rows(zeros(2, 1), zeros(2, 2))
+        with pytest.raises(ValueError, match="shape"):
+            lstm_sequence_forward(fused(2, 3), np.zeros((4, 3)))
 
     def test_sum_cols(self):
-        out = sum_cols(tensor([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
-        assert out.to_lists() == [[6.0], [15.0]]
+        """db is the sum over all T*B rows of the gate-gradient buffer."""
+        p = init_lstm_params(3, 2, SeededRng(7))
+        _, cache = lstm_sequence_forward(p, random_x(7, 4, 2, 2))
+        _, db, _ = lstm_sequence_backward(p, cache, np.ones((2, 3)))
+        assert np.allclose(db, cache.acts.reshape(-1, 12).sum(axis=0), atol=1e-15)
 
     def test_slice_rows(self):
-        t = tensor([[1.0], [2.0], [3.0], [4.0]])
-        assert slice_rows(t, 1, 3).to_lists() == [[2.0], [3.0]]
+        """dx is the x-column block of dA.W; the h block feeds the recurrence."""
+        p = init_lstm_params(3, 2, SeededRng(8))
+        _, cache = lstm_sequence_forward(p, random_x(8, 4, 2, 2))
+        _, _, dx = lstm_sequence_backward(p, cache, np.ones((2, 3)))
+        want = (cache.acts.reshape(-1, 12) @ p.W)[:, 3:].reshape(4, 2, 2)
+        assert np.allclose(dx, want, atol=1e-15)
 
 
 class TestSeededRng:
@@ -316,15 +404,15 @@ class TestInitUniform:
     def test_deterministic_per_seed(self):
         a = init_uniform(3, 4, SeededRng(11), 0.5)
         b = init_uniform(3, 4, SeededRng(11), 0.5)
-        assert np.array_equal(a.a, b.a)
+        assert np.array_equal(a, b)
 
     def test_range(self):
         t = init_uniform(20, 20, SeededRng(1), 0.25)
-        assert np.all(np.abs(t.a) <= 0.25)
+        assert np.all(np.abs(t) <= 0.25)
 
     def test_scale_zero_gives_zeros(self):
         t = init_uniform(2, 3, SeededRng(8), 0.0)
-        assert np.array_equal(t.a, np.zeros((2, 3)))
+        assert np.array_equal(t, np.zeros((2, 3)))
 
     def test_negative_scale_rejected(self):
         with pytest.raises(ValueError, match="scale"):
@@ -332,11 +420,11 @@ class TestInitUniform:
 
     def test_mean_near_zero(self):
         t = init_uniform(100, 100, SeededRng(17), 1.0)
-        assert abs(t.a.mean()) < 0.02
+        assert abs(t.mean()) < 0.02
 
     def test_consumes_stream_in_order(self):
         """Entries are laid out row-major from consecutive draws."""
         rng = SeededRng(4)
         expect = [0.5 * (2.0 * rng.uniform() - 1.0) for _ in range(6)]
         t = init_uniform(2, 3, SeededRng(4), 0.5)
-        assert np.allclose(t.data, expect, atol=1e-15)
+        assert np.allclose(t.reshape(-1), expect, atol=1e-15)

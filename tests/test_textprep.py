@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewlab.errors import InputError
-from reviewlab.tensor import SeededRng, tensor
+from reviewlab.rng import SeededRng
 from reviewlab.textprep import (
     OOV_INDEX,
     PAD_INDEX,
@@ -14,7 +14,6 @@ from reviewlab.textprep import (
     Vocab,
     build_vocab,
     clean_text,
-    embed,
     embed_batch,
     encode_pad,
     load_glove,
@@ -166,20 +165,20 @@ class TestEncodePad:
 
 class TestEmbeddingMatrix:
     def test_pad_row_must_be_zero(self):
-        bad = tensor([[1.0, 0.0], [0.5, 0.5]])
+        bad = np.array([[1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(ValueError, match="padding"):
             EmbeddingMatrix(table=bad)
 
     def test_random_embeddings_zero_pad_row(self):
         emb = random_embeddings(5, 4, SeededRng(1))
-        assert np.all(emb.table.a[0] == 0.0)
-        assert np.all(np.abs(emb.table.a) <= 0.25)
+        assert np.all(emb.table[0] == 0.0)
+        assert np.all(np.abs(emb.table) <= 0.25)
 
     def test_non_finite_rejected(self):
         arr = np.zeros((3, 2))
         arr[2, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            EmbeddingMatrix(table=tensor(arr))
+            EmbeddingMatrix(table=arr)
 
 
 class TestLoadGlove:
@@ -196,12 +195,12 @@ class TestLoadGlove:
         vocab = self.vocab_with("the")
         emb = load_glove(path, vocab, SeededRng(0))
         assert emb.dim == 2
-        assert np.allclose(emb.table.a[vocab.index_of("the")], [0.1, 0.2])
+        assert np.allclose(emb.table[vocab.index_of("the")], [0.1, 0.2])
 
     def test_pad_row_zero_regardless(self, tmp_path):
         path = self.write(tmp_path, "the 0.1 0.2\n")
         emb = load_glove(path, self.vocab_with("the"), SeededRng(0))
-        assert np.all(emb.table.a[PAD_INDEX] == 0.0)
+        assert np.all(emb.table[PAD_INDEX] == 0.0)
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = self.write(tmp_path, "a 0.1 0.2\nb 0.1 0.2 0.3\n")
@@ -230,20 +229,20 @@ class TestLoadGlove:
         e1 = load_glove(path, vocab, SeededRng(7))
         e2 = load_glove(path, vocab, SeededRng(7))
         bi = vocab.index_of("b")
-        assert np.array_equal(e1.table.a[bi], e2.table.a[bi])
-        assert np.all(np.abs(e1.table.a[bi]) <= 0.25)
-        assert np.any(e1.table.a[bi] != 0.0)
+        assert np.array_equal(e1.table[bi], e2.table[bi])
+        assert np.all(np.abs(e1.table[bi]) <= 0.25)
+        assert np.any(e1.table[bi] != 0.0)
 
     def test_oov_row_initialized(self, tmp_path):
         path = self.write(tmp_path, "a 0.5 0.5\n")
         emb = load_glove(path, self.vocab_with("a"), SeededRng(3))
-        assert np.any(emb.table.a[OOV_INDEX] != 0.0)
+        assert np.any(emb.table[OOV_INDEX] != 0.0)
 
     def test_later_duplicates_overwrite(self, tmp_path):
         path = self.write(tmp_path, "a 0.1 0.1\na 0.9 0.9\n")
         vocab = self.vocab_with("a")
         emb = load_glove(path, vocab, SeededRng(0))
-        assert np.allclose(emb.table.a[vocab.index_of("a")], [0.9, 0.9])
+        assert np.allclose(emb.table[vocab.index_of("a")], [0.9, 0.9])
 
 
 class TestEmbed:
@@ -253,48 +252,46 @@ class TestEmbed:
         arr[1] = [0.1, 0.1, 0.1]
         arr[2] = [1.0, 2.0, 3.0]
         arr[3] = [4.0, 5.0, 6.0]
-        self.emb = EmbeddingMatrix(table=tensor(arr))
+        self.table = EmbeddingMatrix(table=arr).table
+
+    def embed(self, encoded):
+        """One review's vectors, (T, 1, dim)."""
+        return embed_batch(np.array([encoded.indices]), self.table)
 
     def test_all_pad_gives_zero_vectors(self):
-        enc = encode_pad([], self.vocab, 3)
-        vectors = embed(enc, self.emb)
-        assert len(vectors) == 3
-        for v in vectors:
-            assert v.shape == (3, 1)
-            assert np.all(v.a == 0.0)
+        vectors = self.embed(encode_pad([], self.vocab, 3))
+        assert vectors.shape == (3, 1, 3)
+        assert np.all(vectors == 0.0)
 
     def test_single_token_row_as_column(self):
-        enc = encode_pad(["a"], self.vocab, 1)
-        (v,) = embed(enc, self.emb)
-        assert np.array_equal(v.a[:, 0], [1.0, 2.0, 3.0])
+        vectors = self.embed(encode_pad(["a"], self.vocab, 1))
+        assert np.array_equal(vectors[0, 0], [1.0, 2.0, 3.0])
 
     def test_round_trip_matches_row_lookup(self):
         enc = encode_pad(["b", "a"], self.vocab, 2)
-        vectors = embed(enc, self.emb)
+        vectors = self.embed(enc)
         for pos, idx in enumerate(enc.indices):
-            assert np.array_equal(vectors[pos].a[:, 0], self.emb.table.a[idx])
+            assert np.array_equal(vectors[pos, 0], self.table[idx])
 
     def test_out_of_range_index(self):
         bad = encode_pad(["a"], self.vocab, 1)
         hacked = type(bad)(indices=(99,), original_length=1)
         with pytest.raises(ValueError, match="out of range"):
-            embed(hacked, self.emb)
+            self.embed(hacked)
 
     def test_embed_batch_matches_single(self):
         enc_a = encode_pad(["a", "b"], self.vocab, 2)
         enc_b = encode_pad(["b"], self.vocab, 2)
-        idx = np.array([enc_a.indices, enc_b.indices])
-        batched = embed_batch(idx, self.emb)
-        single_a = embed(enc_a, self.emb)
-        single_b = embed(enc_b, self.emb)
-        assert len(batched) == 2
-        for t in range(2):
-            assert np.array_equal(batched[t].a[:, 0], single_a[t].a[:, 0])
-            assert np.array_equal(batched[t].a[:, 1], single_b[t].a[:, 0])
+        batched = embed_batch(np.array([enc_a.indices, enc_b.indices]), self.table)
+        assert batched.shape == (2, 2, 3)
+        assert np.array_equal(batched[:, :1], self.embed(enc_a))
+        assert np.array_equal(batched[:, 1:], self.embed(enc_b))
 
     def test_embed_batch_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
-            embed_batch(np.array([[99]]), self.emb)
+            embed_batch(np.array([[99]]), self.table)
+        with pytest.raises(ValueError, match="out of range"):
+            embed_batch(np.array([[-1]]), self.table)
 
 
 class TestVocabRoundTrip:

@@ -6,7 +6,7 @@ import pytest
 from reviewlab.checkpoint import ModelBundle
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
-from reviewlab.tensor import SeededRng
+from reviewlab.rng import SeededRng
 from reviewlab.textprep import PAD_INDEX, build_vocab, random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import (
@@ -15,13 +15,36 @@ from reviewlab.training import (
     TrainConfig,
     TrainData,
     build_training_data,
+    class_probabilities,
     evaluate,
     predict,
-    predict_probabilities,
     task_labels,
     train,
     write_history_csv,
 )
+
+
+# (train_loss, val_loss, val_acc) per epoch of 3-epoch toy runs, keyed by
+# (task, dropout_rate), recorded from the implementation with eight separate
+# gate blocks per direction. The fused layout changes only the rounding, so
+# it must agree to 1e-12.
+RECORDED_TOY_HISTORY = {
+    ("recommendation", 0.0): (
+        (0.6948586775931247, 0.7136451524481247, 0.375),
+        (0.693364809343414, 0.7120337967205825, 0.375),
+        (0.6922896433819998, 0.7102311234082844, 0.375),
+    ),
+    ("sentiment", 0.0): (
+        (1.214992514694458, 1.209784242990567, 0.0),
+        (1.2076456381246514, 1.2029231042520308, 0.0),
+        (1.2006531774120595, 1.1956304765343855, 0.0),
+    ),
+    ("recommendation", 0.5): (
+        (0.6969887622643091, 0.7138663588662998, 0.375),
+        (0.6944087809566545, 0.7128595646734508, 0.375),
+        (0.6937302750257128, 0.7121194506300386, 0.375),
+    ),
+}
 
 
 def prepared_toy(task="recommendation", **overrides):
@@ -144,8 +167,8 @@ class TestTrain:
             SeededRng(config.seed),
         )
         for (_, got), (_, want) in zip(result.model.param_blocks(), init.param_blocks()):
-            assert np.array_equal(got.a, want.a)
-        assert np.array_equal(result.embeddings.table.a, emb.table.a)
+            assert np.array_equal(got, want)
+        assert np.array_equal(result.embeddings.table, emb.table)
 
     def test_deterministic_history(self):
         config, prep, emb = prepared_toy(epochs=3)
@@ -153,14 +176,30 @@ class TestTrain:
         second = train(config, prep.data, emb)
         assert first.history == second.history
         for (_, a), (_, b) in zip(first.model.param_blocks(), second.model.param_blocks()):
-            assert np.array_equal(a.a, b.a)
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("task,dropout_rate", sorted(RECORDED_TOY_HISTORY))
+    def test_history_matches_recorded_values(self, task, dropout_rate):
+        config, prep, emb = prepared_toy(task=task, epochs=3, dropout_rate=dropout_rate)
+        history = train(config, prep.data, emb).history
+        got = [(h.train_loss, h.val_loss, h.val_acc) for h in history]
+        want = RECORDED_TOY_HISTORY[task, dropout_rate]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_caller_embeddings_untouched(self):
+        """Training fine-tunes a copy of the embedding table."""
+        config, prep, emb = prepared_toy(epochs=1)
+        before = emb.table.copy()
+        result = train(config, prep.data, emb)
+        assert np.array_equal(emb.table, before)
+        assert not np.array_equal(result.embeddings.table, before)
 
     def test_toy_fixture_converges(self):
         """Separable keyword reviews reach 95% training accuracy in 30 epochs."""
         config, prep, emb = prepared_toy()
         result = train(config, prep.data, emb)
-        report = evaluate(result.model, result.embeddings, prep.data.train,
-                          config.batch_size, config.class_names)
+        report, _ = evaluate(result.model, result.embeddings, prep.data.train,
+                             config.batch_size, config.class_names)
         assert report.accuracy >= 0.95
         first5 = [h.train_loss for h in result.history[:5]]
         assert all(a > b for a, b in zip(first5, first5[1:]))
@@ -173,7 +212,7 @@ class TestTrain:
     def test_padding_row_stays_zero(self):
         config, prep, emb = prepared_toy(epochs=2)
         result = train(config, prep.data, emb)
-        assert np.all(result.embeddings.table.a[PAD_INDEX] == 0.0)
+        assert np.all(result.embeddings.table[PAD_INDEX] == 0.0)
 
     def test_empty_training_split_rejected(self):
         config, prep, emb = prepared_toy()
@@ -201,20 +240,20 @@ class TestEvaluate:
     def test_report_totals_match_split(self):
         config, prep, emb = prepared_toy(epochs=1)
         result = train(config, prep.data, emb)
-        report = evaluate(result.model, result.embeddings, prep.test,
-                          config.batch_size, config.class_names)
+        report, probs = evaluate(result.model, result.embeddings, prep.test,
+                                 config.batch_size, config.class_names)
         assert report.total == len(prep.test)
+        assert probs.shape == (len(prep.test), 2)
         assert report.class_names == RECOMMENDATION_CLASSES
 
     def test_batch_size_does_not_change_probabilities(self):
         config, prep, emb = prepared_toy(epochs=1)
         result = train(config, prep.data, emb)
-        one = predict_probabilities(result.model, result.embeddings,
-                                    prep.test.sequences, batch_size=1)
-        many = predict_probabilities(result.model, result.embeddings,
-                                     prep.test.sequences, batch_size=5)
-        for a, b in zip(one, many):
-            assert a == pytest.approx(b, abs=1e-12)
+        table = result.embeddings.table
+        one = class_probabilities(result.model, table, prep.test.sequences, batch_size=1)
+        many = class_probabilities(result.model, table, prep.test.sequences, batch_size=5)
+        assert one.shape == (len(prep.test), 2)
+        assert np.allclose(one, many, atol=1e-12, rtol=0.0)
 
     def test_empty_split_rejected(self):
         config, prep, emb = prepared_toy(epochs=0)

@@ -3,10 +3,11 @@
 A checkpoint is a single binary file: a magic line, one JSON metadata
 line (format, task, class names, sizes, vocabulary fingerprint, block
 shapes), then the parameter blocks as raw little-endian float64 bytes in
-the order the metadata declares. Format 2 holds seven blocks: the
+the order the metadata declares. Format 3 holds seven blocks: the
 embedding table and the six model arrays (per LSTM direction one fused
 W and b, then the head's W and b); a 1-D bias is listed as n rows by 1
-column. Other formats are rejected. The format contains no timestamps,
+column. Format 2 had the same layout, but for a model that also stepped
+over padding; it and other formats are rejected. The format contains no timestamps,
 so saving the same bundle twice produces byte-identical files.
 """
 
@@ -25,7 +26,7 @@ __all__ = ["MAGIC", "ModelBundle", "load_checkpoint", "save_checkpoint"]
 
 # The container's magic line; the metadata's "format" versions its contents.
 MAGIC = b"reviewlab-checkpoint-v1\n"
-FORMAT = 2
+FORMAT = 3
 
 TASKS = ("recommendation", "sentiment")
 

@@ -122,9 +122,13 @@ def _new_run_dir(out, command: str) -> Path:
         for p in base.iterdir()
         if (m := pattern.fullmatch(p.name))
     ]
-    run_dir = base / f"{command}-{max(taken, default=0) + 1:04d}"
-    run_dir.mkdir()
-    return run_dir
+    number = max(taken, default=0) + 1
+    while True:
+        try:
+            (run_dir := base / f"{command}-{number:04d}").mkdir()
+            return run_dir
+        except FileExistsError:  # a concurrent run took this number first
+            number += 1
 
 
 def _write_materialized_config(run_dir: Path, command: str, cfg: dict) -> None:

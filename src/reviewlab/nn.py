@@ -13,22 +13,31 @@ each, and the columns of W act on the stacked [h_{t-1}; x_t]:
     C_t  = f_t * C_{t-1} + i_t * C~_t
     h_t  = o_t * tanh(C_t)
 
-The forward pass projects the inputs of all T steps with one GEMM and then
-adds one h . W_h^T GEMM per step (the restructuring of Appleyard, Kocisky
-& Blunsom, arXiv:1604.01946).  Each direction keeps three arrays for the
-backward pass (a SequenceCache): z (T, B, H + D) with the [h_{t-1}, x_t]
-each step read, the gate activations (T, B, 4H), and the cell states
-(T + 1, B, H).  The backward sweep writes each step's pre-activation
-gradients over that step's gate activations, which it no longer needs, so
-backward() consumes its cache.  After the sweep one GEMM over the T*B rows
-gives dW and one gives the input gradients.
+The recurrence reads only real tokens.  Row r of a batch has a length
+L_r; the padding after its first L_r inputs is never read.  forward()
+stable-sorts the rows by descending length, so the rows still running at
+step t are a prefix [:n_t] (the batch_sizes layout of a packed sequence).
+A finished row keeps its final state, and an empty row the zero state.
+The reverse direction starts at each row's last real token (its step s
+reads x[L_r - 1 - s, r]) and is the same prefix recurrence.
 
-The two directions read the sequence left-to-right and right-to-left;
-their final hidden states are joined into (B, 2H) features, passed through
-dropout (training only), and fed to a dense softmax head with W (C, 2H)
-and b (C,).  Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which
-saturates to 0 and 1 without overflow.  ``grad_check`` compares every
-analytic gradient against central finite differences.
+The N = sum L_r real inputs are projected with one GEMM, then each step
+adds one h[:n_t] . W_h^T GEMM (Appleyard, Kocisky & Blunsom,
+arXiv:1604.01946).  Each direction keeps a packed SequenceCache for BPTT:
+z (N, H + D) with the [h_{t-1}, x_t] each token read, the gate
+activations (N, 4H), the cell states (N, H), and the T + 1 offsets that
+give step t the rows offsets[t]:offsets[t + 1].  The backward sweep
+injects each row's gradient at its own last step, updates only [:n_t] at
+step t, and writes the pre-activation gradients over the gate
+activations, so backward() consumes its cache.  One GEMM over the N rows
+then gives dW and one the packed input gradients, which backward()
+scatters to (T, B, D) with zeros at the pads.
+
+The two final hidden states are joined into (B, 2H) features, passed
+through dropout (training only), and fed to a dense softmax head with
+W (C, 2H) and b (C,).  Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)),
+which saturates to 0 and 1 without overflow.  ``grad_check`` compares
+every analytic gradient against central finite differences.
 """
 
 from __future__ import annotations
@@ -132,12 +141,19 @@ class SequenceCache(NamedTuple):
     z: np.ndarray
     acts: np.ndarray
     c: np.ndarray
+    offsets: list
 
 
-def lstm_sequence_forward(params: LstmParams, x: np.ndarray):
+def _prev_cells(c: np.ndarray, offsets, t: int, k: int):
+    """C_{t-1} of the first k rows: packed rows of step t - 1, or 0 at t = 0."""
+    return c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0
+
+
+def lstm_sequence_forward(params: LstmParams, x: np.ndarray, lengths=None):
     """Run one direction over x (T, B, D) from a zero state.
 
-    Returns the final hidden state (B, H) and the SequenceCache for BPTT.
+    Row r steps over its first lengths[r] inputs (non-increasing; default
+    all T).  Returns each row's final h (B, H) and the packed SequenceCache.
     """
     T = len(x)
     H, D = params.cell_size, params.input_size
@@ -146,57 +162,64 @@ def lstm_sequence_forward(params: LstmParams, x: np.ndarray):
     if x.ndim != 3 or x.shape[2] != D:
         raise ValueError(f"inputs must have shape (T, B, {D}), got {x.shape}")
     B = x.shape[1]
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (B,) or np.any(np.diff(np.r_[T, lengths, 0]) > 0):
+        raise ValueError(f"need {B} non-increasing lengths in [0, {T}], got {lengths}")
+    active = np.arange(T)[:, None] < lengths  # x[active] packs step-major
+    offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
+    packed = x[active]
     W_h, W_x = params.W[:, :H], params.W[:, H:]
-    acts = (x.reshape(T * B, D) @ W_x.T + params.b).reshape(T, B, 4 * H)
-    z = np.empty((T, B, H + D))
-    z[:, :, H:] = x
-    z[0, :, :H] = 0.0
-    c = np.zeros((T + 1, B, H))
+    acts = packed @ W_x.T + params.b
+    z = np.empty((len(packed), H + D))
+    z[:, H:] = packed
+    c = np.empty((len(packed), H))
+    h = np.zeros((B, H))
     for t in range(T):
-        a = acts[t]
-        a += z[t, :, :H] @ W_h.T
+        lo, hi = offsets[t], offsets[t + 1]
+        k = hi - lo
+        z[lo:hi, :H] = h[:k]
+        a = acts[lo:hi]
+        a += h[:k] @ W_h.T
         sigmoid(a[:, :2 * H], out=a[:, :2 * H])
         np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
         sigmoid(a[:, 3 * H:], out=a[:, 3 * H:])
         f, i, g, o = np.split(a, 4, axis=1)
-        np.multiply(f, c[t], out=c[t + 1])
-        c[t + 1] += i * g
-        h = o * np.tanh(c[t + 1])
-        if t + 1 < T:
-            z[t + 1, :, :H] = h
-    return h, SequenceCache(z, acts, c)
+        np.multiply(f, _prev_cells(c, offsets, t, k), out=c[lo:hi])
+        c[lo:hi] += i * g
+        h[:k] = o * np.tanh(c[lo:hi])
+    return h, SequenceCache(z, acts, c, offsets)
 
 
 def lstm_sequence_backward(params: LstmParams, cache: SequenceCache, dh_last: np.ndarray):
     """Backpropagation through time for one direction.
 
-    Given d(loss)/d(h_T) (B, H), walks the steps in reverse, overwriting
-    cache.acts with the gate pre-activation gradients.  Returns
-    (dW (4H, H + D), db (4H,), dx (T, B, D)).
+    Given d(loss)/d(h) (B, H) of each row's final h, walks the steps in
+    reverse, overwriting cache.acts with the gate pre-activation gradients.
+    Returns (dW (4H, H + D), db (4H,), dx (N, D)), dx packed like the cache.
     """
-    z, acts, c = cache
-    T, B, _ = z.shape
+    z, acts, c, offsets = cache
     H = params.cell_size
     W_h = params.W[:, :H]
-    dh = dh_last
-    dC = np.zeros(dh_last.shape)
-    for t in reversed(range(T)):
-        a = acts[t]
+    dh = np.array(dh_last, dtype=np.float64)
+    dC = np.zeros(dh.shape)
+    for t in reversed(range(len(offsets) - 1)):
+        lo, hi = offsets[t], offsets[t + 1]
+        k = hi - lo
+        a = acts[lo:hi]
         f, i, g, o = np.split(a, 4, axis=1)
-        tC = np.tanh(c[t + 1])
-        dC += dh * o * (1.0 - tC * tC)
-        da_o = dh * tC * o * (1.0 - o)
-        da_f = dC * c[t] * f * (1.0 - f)
-        da_i = dC * g * i * (1.0 - i)
-        da_g = dC * i * (1.0 - g * g)
-        dC *= f
+        dh_t, dC_t = dh[:k], dC[:k]
+        tC = np.tanh(c[lo:hi])
+        dC_t += dh_t * o * (1.0 - tC * tC)
+        da_o = dh_t * tC * o * (1.0 - o)
+        da_f = dC_t * _prev_cells(c, offsets, t, k) * f * (1.0 - f)
+        da_i = dC_t * g * i * (1.0 - i)
+        da_g = dC_t * i * (1.0 - g * g)
+        dC_t *= f
         f[...], i[...], g[...], o[...] = da_f, da_i, da_g, da_o
-        dh = a @ W_h
-    dA = acts.reshape(T * B, 4 * H)
+        dh[:k] = a @ W_h
     # (z^T dA)^T rather than dA^T z: the same product, about 25% faster in OpenBLAS.
-    dW = (z.reshape(T * B, -1).T @ dA).T
-    dx = (dA @ params.W[:, H:]).reshape(T, B, -1)
-    return dW, dA.sum(axis=0), dx
+    dW = (z.T @ acts).T
+    return dW, acts.sum(axis=0), acts @ params.W[:, H:]
 
 
 def dense_softmax_forward(params: DenseParams, h: np.ndarray) -> np.ndarray:
@@ -289,37 +312,49 @@ class BiLstmClassifier:
         )
 
     def loss(self, instance) -> float:
-        x, targets = instance
-        return batch_cross_entropy(forward(self, x)[0], targets)
+        """instance is (x, targets) or (x, targets, lengths)."""
+        x, targets, *lengths = instance
+        return batch_cross_entropy(forward(self, x, *lengths)[0], targets)
 
     def loss_and_grads(self, instance):
-        x, targets = instance
-        probs, cache = forward(self, x)
+        x, targets, *lengths = instance
+        probs, cache = forward(self, x, *lengths)
         grads, _ = backward(self, cache, batch_cross_entropy_grad(probs, targets))
         return batch_cross_entropy(probs, targets), grads
 
 
 @dataclass(frozen=True)
 class ClassifierCache:
-    """Forward-pass record consumed by backward()."""
+    """Forward-pass record for backward(); sorted row j is caller row order[j]."""
 
     fwd: SequenceCache
     bwd: SequenceCache
     features: np.ndarray
     mask: np.ndarray | None
+    order: np.ndarray
+    lengths: np.ndarray
 
 
-def forward(model: BiLstmClassifier, x: np.ndarray, *, dropout_rate: float = 0.0,
-            rng: SeededRng | None = None, training: bool = False):
+def forward(model: BiLstmClassifier, x: np.ndarray, lengths=None, *,
+            dropout_rate: float = 0.0, rng: SeededRng | None = None,
+            training: bool = False):
     """Full forward pass over x (T, B, D); returns (probs (B, C), cache).
 
-    Dropout is applied to the concatenated direction features only when
-    training is set, using an explicit mask kept in the cache so the
-    backward pass sees the identical pattern.
+    Row r reads its first lengths[r] inputs (default: all T).  Dropout is
+    applied to the concatenated direction features only when training is
+    set, using an explicit mask kept in the cache so the backward pass
+    sees the identical pattern.
     """
-    h_fwd, fwd = lstm_sequence_forward(model.fwd, x)
-    h_bwd, bwd = lstm_sequence_forward(model.bwd, x[::-1])
-    features = np.hstack([h_fwd, h_bwd])
+    T, B = x.shape[:2]
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    L = lengths[order]
+    x_sorted = x[:, order]
+    h_fwd, fwd = lstm_sequence_forward(model.fwd, x_sorted, L)
+    # Reverse step s of sorted row j reads x[L_j - 1 - s]; pad steps are never read.
+    x_rev = x_sorted[np.maximum(L - 1 - np.arange(T)[:, None], 0), np.arange(B)]
+    h_bwd, bwd = lstm_sequence_forward(model.bwd, x_rev, L)
+    features = np.hstack([h_fwd, h_bwd])[np.argsort(order)]  # caller row order
     mask = None
     dropped = features
     if training and dropout_rate > 0.0:
@@ -330,23 +365,30 @@ def forward(model: BiLstmClassifier, x: np.ndarray, *, dropout_rate: float = 0.0
         mask = dropout_mask(features.shape[1], features.shape[0], dropout_rate, rng).T
         dropped = features * mask
     probs = dense_softmax_forward(model.head, dropped)
-    return probs, ClassifierCache(fwd=fwd, bwd=bwd, features=features, mask=mask)
+    return probs, ClassifierCache(fwd=fwd, bwd=bwd, features=features, mask=mask,
+                                  order=order, lengths=L)
 
 
 def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarray):
     """Analytic gradients given d(loss)/d(logits) (B, C); consumes the cache.
 
-    Returns (gradients in param_blocks() order, input gradients dx (T, B, D)).
+    Returns (gradients in param_blocks() order, input gradients dx (T, B, D), 0 at pads).
     """
     dropped = cache.features if cache.mask is None else cache.features * cache.mask
     dfeat = dlogits @ model.head.W
     if cache.mask is not None:
         dfeat *= cache.mask
+    dfeat = dfeat[cache.order]
     H = model.cell_size
-    dW_fwd, db_fwd, dx = lstm_sequence_backward(model.fwd, cache.fwd, dfeat[:, :H])
+    dW_fwd, db_fwd, dx_fwd = lstm_sequence_backward(model.fwd, cache.fwd, dfeat[:, :H])
     dW_bwd, db_bwd, dx_bwd = lstm_sequence_backward(model.bwd, cache.bwd, dfeat[:, H:])
-    # dx_bwd[k] belongs to reversed input k, i.e. original step T-1-k.
-    dx += dx_bwd[::-1]
+    # Packed row k is step t of sorted row j; the reverse direction read x[L_j - 1 - t].
+    L, T = cache.lengths, len(cache.fwd.offsets) - 1
+    t, j = np.nonzero(np.arange(T)[:, None] < L)
+    rows = cache.order[j]
+    dx = np.zeros((T, len(L), dx_fwd.shape[1]))
+    dx[t, rows] = dx_fwd
+    dx[L[j] - 1 - t, rows] += dx_bwd
     grads = [dW_fwd, db_fwd, dW_bwd, db_bwd, dlogits.T @ dropped, dlogits.sum(axis=0)]
     return grads, dx
 

@@ -6,8 +6,10 @@ Apostrophes are kept so contractions like "don't" reach the sentiment
 lexicon as single tokens.
 
 Index 0 of every vocabulary is the padding token and index 1 is the
-out-of-vocabulary token.  The embedding row for padding is all-zero and is
-kept out of gradient updates, so padded positions contribute nothing.
+out-of-vocabulary token.  Padded positions contribute nothing: encoding
+post-pads and maps no real token to index 0, so the model counts a row's
+non-pad indices as its length and steps over those tokens only.  The
+padding embedding row is all-zero and kept out of gradient updates.
 """
 
 from __future__ import annotations

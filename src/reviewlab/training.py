@@ -226,14 +226,20 @@ def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON,
     return PreparedData(data=data, test=encode(split.test), vocab=vocab, dropped=dropped)
 
 
+def _trimmed(idx: np.ndarray):
+    """A batch cut to its longest row (at least one step), and each row's length."""
+    lengths = (idx != PAD_INDEX).sum(axis=1)
+    return idx[:, :max(1, lengths.max())], lengths
+
+
 def class_probabilities(model: BiLstmClassifier, table: np.ndarray, sequences,
                         batch_size: int) -> np.ndarray:
     """Eval-mode softmax outputs (N, C) for N encoded sequences, in input order."""
     idx_all = np.asarray(sequences, dtype=np.int64)
     out = np.empty((len(idx_all), model.n_classes))
     for start in range(0, len(idx_all), batch_size):
-        idx = idx_all[start:start + batch_size]
-        out[start:start + len(idx)] = forward(model, embed_batch(idx, table))[0]
+        idx, lengths = _trimmed(idx_all[start:start + batch_size])
+        out[start:start + len(idx)] = forward(model, embed_batch(idx, table), lengths)[0]
     return out
 
 
@@ -241,9 +247,9 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
     """Mini-batch training with Adam and global-norm gradient clipping.
 
     Returns the final-epoch model (no early stopping) plus one
-    EpochStats row per epoch. Raises on a non-finite loss rather than
-    letting a diverged run continue silently. The caller's embedding
-    table is copied, not updated.
+    EpochStats row per epoch. Raises on a non-finite loss or gradient
+    norm rather than letting a diverged run continue silently. The
+    caller's embedding table is copied, not updated.
     """
     if len(data.train) == 0:
         raise InputError("training split is empty")
@@ -273,9 +279,9 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
     def step(batch, epoch: int, start: int) -> float:
         # One update. The BPTT cache and gradients are locals, so they are
         # freed before the next batch's forward pass allocates its own.
-        idx, targets = idx_all[batch], labels_all[batch]
+        (idx, lengths), targets = _trimmed(idx_all[batch]), labels_all[batch]
         probs, cache = forward(
-            model, embed_batch(idx, table), dropout_rate=config.dropout_rate,
+            model, embed_batch(idx, table), lengths, dropout_rate=config.dropout_rate,
             rng=rng, training=True,
         )
         loss = batch_cross_entropy(probs, targets)
@@ -288,7 +294,12 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
         dE = np.zeros_like(table)
         np.add.at(dE, idx.T, dx)
         dE[PAD_INDEX] = 0.0
-        clipped, _ = clip_by_global_norm(grads + [dE], config.grad_clip)
+        clipped, norm = clip_by_global_norm(grads + [dE], config.grad_clip)
+        if not math.isfinite(norm):
+            raise ArithmeticError(
+                f"non-finite gradient norm {norm!r} at epoch {epoch}, "
+                f"batch starting at {start}"
+            )
         adam_step(params, clipped, adam, config.learning_rate)
         return loss
 

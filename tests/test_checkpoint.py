@@ -146,10 +146,10 @@ class TestRejections:
             load_checkpoint(path)
 
     def test_unsupported_format_version(self, tmp_path):
-        """Format-1 files (eight gate blocks per direction) are rejected by version."""
+        """Format-2 files (a model that also stepped over padding) are rejected by version."""
         path, _ = self.ckpt(tmp_path)
-        edit_metadata(path, lambda meta: meta.update(format=1))
-        with pytest.raises(InputError, match="unsupported checkpoint format 1"):
+        edit_metadata(path, lambda meta: meta.update(format=2))
+        with pytest.raises(InputError, match="unsupported checkpoint format 2"):
             load_checkpoint(path)
 
     def test_missing_blocks_list_exits_two(self, tmp_path, capsys):

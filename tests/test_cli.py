@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -293,6 +294,24 @@ class TestConfigResolution:
             assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
         names = sorted(p.name for p in out.iterdir())
         assert names == ["analyze-0001", "analyze-0002", "analyze-0003"]
+
+    def test_run_directory_taken_concurrently(self, tmp_path, data_csv, monkeypatch):
+        """A number another run takes between the scan and the mkdir is skipped."""
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
+        scan = Path.iterdir
+
+        def scan_then_race(path):
+            entries = list(scan(path))
+            if path == out:
+                (out / "analyze-0002").mkdir()
+            return iter(entries)
+
+        monkeypatch.setattr(Path, "iterdir", scan_then_race)
+        assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
+        monkeypatch.undo()
+        assert (out / "analyze-0003" / "analysis.json").exists()
+        assert not any((out / "analyze-0002").iterdir())
 
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2

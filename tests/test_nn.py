@@ -49,9 +49,12 @@ def random_xs(rng, input_size, length, batch=1, scale=1.0):
 
 
 def one_step(params, x):
-    """First-step (h, C, (f, i, C~, o)) for inputs x (B, D)."""
+    """First-step (h, C, (f, i, C~, o)) for inputs x (B, D).
+
+    With one step the packed cache rows are the B examples.
+    """
     h, cache = lstm_sequence_forward(params, np.asarray(x, dtype=float)[None])
-    return h, cache.c[1], np.split(cache.acts[0], 4, axis=1)
+    return h, cache.c, np.split(cache.acts, 4, axis=1)
 
 
 def sig(v):
@@ -102,8 +105,9 @@ class TestLstmCellForward:
                         b_C=[math.atanh(0.7), math.atanh(-0.3)])
         x = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
         _, cache = lstm_sequence_forward(p, x)
-        assert np.allclose(cache.c[1, 0], [0.7, -0.3], atol=1e-9)
-        assert np.allclose(cache.c[3, 0], cache.c[1, 0], atol=1e-9)
+        # One example: packed row t is step t.
+        assert np.allclose(cache.c[0], [0.7, -0.3], atol=1e-9)
+        assert np.allclose(cache.c[2], cache.c[0], atol=1e-9)
 
     def test_memory_carry_over_fifty_steps(self):
         p = params_with(1, 1, b_f=[1e3], b_i=[-1e3], W_i=[[0.0, 2e3]],
@@ -111,7 +115,7 @@ class TestLstmCellForward:
         x = np.zeros((61, 1, 1))
         x[0] = 1.0
         _, cache = lstm_sequence_forward(p, x)
-        assert abs(cache.c[-1, 0, 0] - 0.42) < 1e-9
+        assert abs(cache.c[-1, 0] - 0.42) < 1e-9
 
     def test_gate_ranges_on_random_inputs(self):
         rng = SeededRng(0)
@@ -161,8 +165,8 @@ class TestLstmSequenceForward:
         h, cache = lstm_sequence_forward(p, x)
         want_h, want_c = manual_steps(p, x)
         assert np.allclose(h, want_h, atol=1e-15)
-        assert np.allclose(cache.c[1], want_c, atol=1e-15)
-        assert cache.acts.shape == (1, 1, 8)
+        assert np.allclose(cache.c, want_c, atol=1e-15)
+        assert cache.acts.shape == (1, 8)
 
     def test_zero_params_zero_final_state(self):
         xs = random_xs(SeededRng(2), 2, 6)
@@ -185,15 +189,20 @@ class TestLstmSequenceForward:
             lstm_sequence_forward(zero_params(2, 2), np.zeros((0, 1, 2)))
 
     def test_caches_record_cell_states_in_order(self):
+        """Step t packs the rows still running, a prefix; each row carries its own state."""
         rng = SeededRng(6)
         p = init_lstm_params(2, 2, rng)
-        xs = random_xs(SeededRng(7), 2, 4)
-        h, cache = lstm_sequence_forward(p, xs)
-        assert np.allclose(cache.c[0], 0.0)
-        for t in range(4):
-            f, i, g, o = np.split(cache.acts[t], 4, axis=1)
-            assert np.array_equal(cache.c[t + 1], f * cache.c[t] + i * g)
-        assert np.array_equal(h, o * np.tanh(cache.c[-1]))
+        xs = random_xs(SeededRng(7), 2, 4, batch=3)
+        h, cache = lstm_sequence_forward(p, xs, [4, 3, 1])
+        assert cache.offsets == [0, 3, 5, 7, 8]
+        prev_c, last_h = np.zeros((3, 2)), np.zeros((3, 2))
+        for t, k in enumerate(np.diff(cache.offsets)):
+            rows = slice(cache.offsets[t], cache.offsets[t + 1])
+            f, i, g, o = np.split(cache.acts[rows], 4, axis=1)
+            assert np.array_equal(cache.c[rows], f * prev_c[:k] + i * g)
+            prev_c[:k] = cache.c[rows]
+            last_h[:k] = o * np.tanh(cache.c[rows])
+        assert np.array_equal(h, last_h)
 
 
 class TestBiLstmForward:
@@ -436,6 +445,60 @@ class TestBackward:
             numeric = (up - dn) / (2 * eps)
             a = grads[bi][0, 0]
             assert abs(a - numeric) / max(abs(a), abs(numeric), 1e-6) < 1e-4
+
+
+class TestRaggedBatch:
+    """Per-row lengths: each row of a padded batch equals that row run alone
+    over its own real inputs, and the padding is never read."""
+
+    LENGTHS = [3, 0, 5, 1]  # unsorted, with an empty row and a full-length one
+    TARGETS = [0, 2, 1, 1]
+
+    def instance(self):
+        model = toy_classifier(seed=90)
+        xs = random_xs(SeededRng(91), 3, 5, batch=4)
+        for r, length in enumerate(self.LENGTHS):
+            xs[length:, r] = 99.0
+        return model, xs
+
+    def test_features_match_rows_run_alone(self):
+        model, xs = self.instance()
+        _, cache = forward(model, xs, self.LENGTHS)
+        for r, length in enumerate(self.LENGTHS):
+            want = forward(model, xs[:length, r:r + 1])[1].features[0] if length else 0.0
+            assert np.abs(cache.features[r] - want).max() <= 1e-12
+
+    def test_gradients_match_rows_run_alone(self):
+        """The batch gradients are the sum of the per-row gradients."""
+        model, xs = self.instance()
+        probs, cache = forward(model, xs, self.LENGTHS)
+        dlogits = batch_cross_entropy_grad(probs, self.TARGETS)
+        grads, dx = backward(model, cache, dlogits)
+        want = [np.zeros_like(p) for _, p in model.param_blocks()]
+        want_dx = np.zeros_like(xs)
+        for r, length in enumerate(self.LENGTHS):
+            if length == 0:
+                want[-1] += dlogits[r]  # zero features: only the head bias moves
+                continue
+            _, alone = forward(model, xs[:length, r:r + 1])
+            row_grads, row_dx = backward(model, alone, dlogits[r:r + 1])
+            for w, g in zip(want, row_grads):
+                w += g
+            want_dx[:length, r] = row_dx[:, 0]
+        for g, w in zip(grads, want):
+            assert np.abs(g - w).max() <= 1e-12
+        assert np.abs(dx - want_dx).max() <= 1e-12
+
+    def test_grad_check_passes(self):
+        model, xs = self.instance()
+        report = grad_check(model, (xs, self.TARGETS, self.LENGTHS), epsilon=1e-5)
+        assert report.passed, report.per_block
+
+    def test_lengths_must_be_non_increasing_and_in_range(self):
+        p = init_lstm_params(2, 2, SeededRng(92))
+        for lengths in ([1, 2], [3, 0], [-1, -1], [1]):
+            with pytest.raises(ValueError, match="non-increasing lengths"):
+                lstm_sequence_forward(p, np.zeros((2, 2, 2)), lengths)
 
 
 class DenseSoftmaxModel:

@@ -84,9 +84,12 @@ def fused(cell, inp, *, W=None, b=None):
 
 
 def first_gates(params, x):
-    """Gate activations (f, i, C~, o) of the first step for inputs x (B, D)."""
+    """Gate activations (f, i, C~, o) of the first step for inputs x (B, D).
+
+    With one step the packed cache rows are the B examples.
+    """
     _, cache = lstm_sequence_forward(params, np.asarray(x, dtype=float)[None])
-    return np.split(cache.acts[0], 4, axis=1)
+    return np.split(cache.acts, 4, axis=1)
 
 
 def toy_model(seed=0, cell=3, inp=2, n_classes=2):
@@ -155,8 +158,8 @@ class TestTensorBasics:
         g = 0.6
         c1 = i * g
         c2 = f * c1 + i * g
-        assert cache.c[1, 0, 0] == pytest.approx(c1, abs=1e-15)
-        assert cache.c[2, 0, 0] == pytest.approx(c2, abs=1e-15)
+        assert cache.c[0, 0] == pytest.approx(c1, abs=1e-15)
+        assert cache.c[1, 0] == pytest.approx(c2, abs=1e-15)
         assert h[0, 0] == pytest.approx(o * math.tanh(c2), abs=1e-15)
 
     def test_column_broadcast_for_bias(self):
@@ -215,16 +218,20 @@ class TestMatmul:
            st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_matches_triple_loop_oracle(self, cell, inp, steps, batch, seed):
-        """Every example's final state agrees with the list-based oracle."""
+        """Every example's final state agrees with the list-based oracle run
+        over that example's own (ragged, non-increasing) length."""
         rng = np.random.default_rng(seed)
         W = rng.uniform(-2.0, 2.0, (4 * cell, cell + inp))
         b = rng.uniform(-2.0, 2.0, 4 * cell)
         x = rng.uniform(-2.0, 2.0, (steps, batch, inp))
-        h, cache = lstm_sequence_forward(LstmParams(W, b), x)
-        for k in range(batch):
-            want_h, want_c = lstm_oracle(W.tolist(), b.tolist(), x[:, k].tolist())
+        lengths = np.sort(rng.integers(0, steps + 1, batch))[::-1]
+        h, cache = lstm_sequence_forward(LstmParams(W, b), x, lengths)
+        for k, length in enumerate(lengths):
+            want_h, want_c = lstm_oracle(W.tolist(), b.tolist(), x[:length, k].tolist())
+            # A row's last cell state is packed at row k of its last step.
+            got_c = cache.c[cache.offsets[length - 1] + k] if length else np.zeros(cell)
             assert np.allclose(h[k], want_h, rtol=1e-12, atol=1e-12)
-            assert np.allclose(cache.c[-1, k], want_c, rtol=1e-12, atol=1e-12)
+            assert np.allclose(got_c, want_c, rtol=1e-12, atol=1e-12)
 
 
 class TestActivations:
@@ -294,10 +301,11 @@ class TestConcatAndReduce:
         p = init_lstm_params(2, 3, SeededRng(6))
         x = random_x(6, 3, 2, 3)
         h, cache = lstm_sequence_forward(p, x)
-        assert np.array_equal(cache.z[0, :, :2], np.zeros((2, 2)))
-        assert np.array_equal(cache.z[:, :, 2:], x)
+        z = cache.z.reshape(3, 2, 5)  # full-length rows: the packing is step-major
+        assert np.array_equal(z[0, :, :2], np.zeros((2, 2)))
+        assert np.array_equal(z[:, :, 2:], x)
         h1, _ = lstm_sequence_forward(p, x[:1])
-        assert np.array_equal(cache.z[1, :, :2], h1)
+        assert np.array_equal(z[1, :, :2], h1)
 
     def test_concat_shape_errors(self):
         with pytest.raises(ValueError, match="shape"):
@@ -315,7 +323,7 @@ class TestConcatAndReduce:
         p = init_lstm_params(3, 2, SeededRng(8))
         _, cache = lstm_sequence_forward(p, random_x(8, 4, 2, 2))
         _, _, dx = lstm_sequence_backward(p, cache, np.ones((2, 3)))
-        want = (cache.acts.reshape(-1, 12) @ p.W)[:, 3:].reshape(4, 2, 2)
+        want = (cache.acts @ p.W)[:, 3:]
         assert np.allclose(dx, want, atol=1e-15)
 
 

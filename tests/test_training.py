@@ -1,11 +1,16 @@
 """Tests for the training loop, evaluation pass, and prediction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reviewlab.training
 from reviewlab.checkpoint import ModelBundle
 from reviewlab.errors import InputError
-from reviewlab.nn import BiLstmClassifier
+from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
 from reviewlab.textprep import PAD_INDEX, build_vocab, random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
@@ -25,24 +30,25 @@ from reviewlab.training import (
 
 
 # (train_loss, val_loss, val_acc) per epoch of 3-epoch toy runs, keyed by
-# (task, dropout_rate), recorded from the implementation with eight separate
-# gate blocks per direction. The fused layout changes only the rounding, so
-# it must agree to 1e-12.
+# (task, dropout_rate), recorded from the length-aware model, whose
+# recurrence reads only each review's real tokens. The two dropout-free
+# histories were reproduced exactly with each batch's forward and backward
+# pass replaced by every row run alone over its own tokens.
 RECORDED_TOY_HISTORY = {
     ("recommendation", 0.0): (
-        (0.6948586775931247, 0.7136451524481247, 0.375),
-        (0.693364809343414, 0.7120337967205825, 0.375),
-        (0.6922896433819998, 0.7102311234082844, 0.375),
+        (0.694829177125186, 0.7130488790226117, 0.375),
+        (0.6928563195979421, 0.711090043236157, 0.375),
+        (0.6913275180161955, 0.7089479931060945, 0.375),
     ),
     ("sentiment", 0.0): (
-        (1.214992514694458, 1.209784242990567, 0.0),
-        (1.2076456381246514, 1.2029231042520308, 0.0),
-        (1.2006531774120595, 1.1956304765343855, 0.0),
+        (1.216374593482649, 1.210146127917469, 0.0),
+        (1.2087533231896324, 1.202951879069358, 0.0),
+        (1.2014732851080752, 1.1953411300234882, 0.0),
     ),
     ("recommendation", 0.5): (
-        (0.6969887622643091, 0.7138663588662998, 0.375),
-        (0.6944087809566545, 0.7128595646734508, 0.375),
-        (0.6937302750257128, 0.7121194506300386, 0.375),
+        (0.6964430423622933, 0.7133055042915633, 0.375),
+        (0.6946331110511214, 0.7119917849889853, 0.375),
+        (0.6936756869965902, 0.7109391013958817, 0.375),
     ),
 }
 
@@ -186,6 +192,21 @@ class TestTrain:
         want = RECORDED_TOY_HISTORY[task, dropout_rate]
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
+    def test_non_finite_gradient_norm_raises(self, monkeypatch):
+        """A NaN gradient stops training before the update can spread it."""
+        real_backward = reviewlab.training.backward
+
+        def poisoned(*args):
+            grads, dx = real_backward(*args)
+            grads[0][0, 0] = np.nan
+            return grads, dx
+
+        monkeypatch.setattr(reviewlab.training, "backward", poisoned)
+        config, prep, emb = prepared_toy(epochs=1)
+        with pytest.raises(ArithmeticError,
+                           match="gradient norm nan at epoch 1, batch starting at 0"):
+            train(config, prep.data, emb)
+
     def test_caller_embeddings_untouched(self):
         """Training fine-tunes a copy of the embedding table."""
         config, prep, emb = prepared_toy(epochs=1)
@@ -255,6 +276,20 @@ class TestEvaluate:
         assert one.shape == (len(prep.test), 2)
         assert np.allclose(one, many, atol=1e-12, rtol=0.0)
 
+    @given(rows=st.lists(st.lists(st.integers(1, 9), max_size=8), min_size=1, max_size=6),
+           seq_len=st.integers(1, 10), batch_size=st.integers(1, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_depend_only_on_their_own_tokens(self, rows, seq_len, batch_size):
+        """A review's probabilities depend neither on seq_len beyond truncation
+        nor on the reviews that share its batch."""
+        model = BiLstmClassifier.build(3, 4, 2, SeededRng(5))
+        table = random_embeddings(10, 4, SeededRng(6)).table
+        padded = [(r + [PAD_INDEX] * seq_len)[:seq_len] for r in rows]
+        probs = class_probabilities(model, table, padded, batch_size)
+        for row, got in zip(rows, probs):
+            alone = class_probabilities(model, table, [row[:seq_len] or [PAD_INDEX]], 1)
+            assert np.abs(got - alone[0]).max() <= 1e-12
+
     def test_empty_split_rejected(self):
         config, prep, emb = prepared_toy(epochs=0)
         result = train(config, prep.data, emb)
@@ -295,6 +330,16 @@ class TestPredict:
         p = predict(bundle, vocab, "!!!")
         assert p.empty_input
         assert sum(p.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+        # Zero features: the head bias alone decides.
+        want = softmax(bundle.model.head.b[None])[0]
+        assert np.abs(np.array(list(p.probabilities.values())) - want).max() <= 1e-15
+
+    def test_probabilities_do_not_depend_on_seq_len(self):
+        """A 3-token review is scored alike whether padded to 3, 10 or 120 steps."""
+        bundle, vocab = self.bundle()
+        got = {n: predict(replace(bundle, seq_len=n), vocab, "very good dress").probabilities
+               for n in (3, 10, 120)}
+        assert got[3] == got[10] == got[120]
 
     def test_vocab_fingerprint_mismatch_rejected(self):
         bundle, _ = self.bundle()

@@ -145,6 +145,9 @@ def load_checkpoint(path, vocab=None) -> ModelBundle:
         missing = sorted(set(_BLOCK_NAMES) - set(arrays))
         extra = sorted(set(arrays) - set(_BLOCK_NAMES))
         raise InputError(f"{path}: unexpected block layout (missing {missing}, extra {extra})")
+    for name in _BLOCK_NAMES[1:]:  # the embedding table checks itself
+        if not np.isfinite(arrays[name]).all():
+            raise InputError(f"{path}: block {name!r} contains non-finite values")
 
     try:
         model = BiLstmClassifier(

@@ -22,7 +22,7 @@ from pathlib import Path
 from .analytics import full_report
 from .checkpoint import ModelBundle, load_checkpoint, save_checkpoint
 from .dataset import parse_csv, write_csv, write_issues
-from .errors import InputError
+from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc, write_confusion_csv, write_report_json, write_roc_csv
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
@@ -66,30 +66,29 @@ def _defaults() -> dict:
 def _parse_config_file(path) -> dict:
     """Read `key = value` lines; blank lines and # comments are skipped."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise InputError(f"{path}: line {line_num}: expected key=value, got {stripped!r}")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in _ALL_KEYS:
-                raise InputError(f"{path}: line {line_num}: unknown key {key!r}")
-            if value == "":
-                entries[key] = None
-                continue
-            try:
-                if key in _INT_KEYS:
-                    entries[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    entries[key] = float(value)
-                else:
-                    entries[key] = value
-            except ValueError as exc:
-                raise InputError(f"{path}: line {line_num}: {exc}") from exc
+    for line_num, line in enumerate(input_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise InputError(f"{path}: line {line_num}: expected key=value, got {stripped!r}")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in _ALL_KEYS:
+            raise InputError(f"{path}: line {line_num}: unknown key {key!r}")
+        if value == "":
+            entries[key] = None
+            continue
+        try:
+            if key in _INT_KEYS:
+                entries[key] = int(value)
+            elif key in _FLOAT_KEYS:
+                entries[key] = float(value)
+            else:
+                entries[key] = value
+        except ValueError as exc:
+            raise InputError(f"{path}: line {line_num}: {exc}") from exc
     return entries
 
 
@@ -224,7 +223,7 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     records = _parse_records(cfg, "train", run_dir)
     prep = build_training_data(records, config, _load_lexicon(cfg))
     embeddings = _build_embeddings(cfg, prep.vocab, config)
-    result = train(config, prep.data, embeddings)
+    result = train(config, prep, embeddings)
     bundle = ModelBundle(
         task=config.task,
         class_names=config.class_names,
@@ -236,7 +235,7 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     save_checkpoint(bundle, run_dir / "model.ckpt")
     save_vocab(prep.vocab, run_dir / "vocab.tsv")
     write_history_csv(result.history, run_dir / "history.csv")
-    n_train, n_val, n_test = len(prep.data.train), len(prep.data.validation), len(prep.test)
+    n_train, n_val, n_test = len(prep.train), len(prep.validation), len(prep.test)
     summary = {
         "task": config.task,
         "dropped_records": prep.dropped,
@@ -279,7 +278,7 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     extra = {}
     if bundle.task == "recommendation":
         try:
-            curve = roc_auc(list(test.labels), probs[:, 1].tolist())
+            curve = roc_auc(test.labels.tolist(), probs[:, 1].tolist())
         except InputError:
             extra["roc_auc"] = None
         else:
@@ -288,7 +287,7 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     write_report_json(report, run_dir / "metrics.json", extra=extra)
     write_confusion_csv(report, run_dir / "confusion.csv")
     baseline = majority_baseline(
-        list(prep.data.train.labels), list(test.labels),
+        prep.train.labels.tolist(), test.labels.tolist(),
         bundle.n_classes, bundle.class_names,
     )
     write_report_json(baseline, run_dir / "baseline.json")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, input_lines
 from .rng import SeededRng
 
 REQUIRED_COLUMNS = (
@@ -69,79 +69,78 @@ def parse_csv(path):
     """
     records: list[ReviewRecord] = []
     issues: list[RowIssue] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"{path}: empty file, expected a header row") from None
-        names = [h.strip() for h in header]
-        positions = {name: i for i, name in enumerate(names)}
-        missing = [c for c in REQUIRED_COLUMNS if c not in positions]
-        if missing:
-            raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
-        has_index_column = names[0] == ""
-        width = len(header)
+    reader = csv.reader(input_lines(path, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file, expected a header row") from None
+    names = [h.strip() for h in header]
+    positions = {name: i for i, name in enumerate(names)}
+    missing = [c for c in REQUIRED_COLUMNS if c not in positions]
+    if missing:
+        raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
+    has_index_column = names[0] == ""
+    width = len(header)
 
-        for ordinal, row in enumerate(reader):
-            line = reader.line_num
-            if len(row) != width:
-                issues.append(
-                    RowIssue(line, f"expected {width} fields, got {len(row)}")
-                )
-                continue
-
-            problems: list[str] = []
-
-            def intcell(name, minimum=None, maximum=None):
-                raw = row[positions[name]]
-                try:
-                    value = int(raw)
-                except ValueError:
-                    problems.append(f"{name} not an integer: {raw!r}")
-                    return None
-                if minimum is not None and value < minimum:
-                    problems.append(f"{name} out of range: {value}")
-                    return None
-                if maximum is not None and value > maximum:
-                    problems.append(f"{name} out of range: {value}")
-                    return None
-                return value
-
-            if has_index_column:
-                try:
-                    row_id = int(row[0])
-                except ValueError:
-                    problems.append(f"index column not an integer: {row[0]!r}")
-                    row_id = None
-            else:
-                row_id = ordinal
-
-            clothing_id = intcell("Clothing ID", minimum=0)
-            age = intcell("Age", minimum=0)
-            rating = intcell("Rating", minimum=1, maximum=5)
-            recommended = intcell("Recommended IND", minimum=0, maximum=1)
-            feedback = intcell("Positive Feedback Count", minimum=0)
-
-            if problems:
-                issues.append(RowIssue(line, "; ".join(problems)))
-                continue
-
-            records.append(
-                ReviewRecord(
-                    row_id=row_id,
-                    clothing_id=clothing_id,
-                    age=age,
-                    title=_optional(row[positions["Title"]]),
-                    review_text=_optional(row[positions["Review Text"]]),
-                    rating=rating,
-                    recommended=bool(recommended),
-                    positive_feedback_count=feedback,
-                    division=_optional(row[positions["Division Name"]]),
-                    department=_optional(row[positions["Department Name"]]),
-                    class_name=_optional(row[positions["Class Name"]]),
-                )
+    for ordinal, row in enumerate(reader):
+        line = reader.line_num
+        if len(row) != width:
+            issues.append(
+                RowIssue(line, f"expected {width} fields, got {len(row)}")
             )
+            continue
+
+        problems: list[str] = []
+
+        def intcell(name, minimum=None, maximum=None):
+            raw = row[positions[name]]
+            try:
+                value = int(raw)
+            except ValueError:
+                problems.append(f"{name} not an integer: {raw!r}")
+                return None
+            if minimum is not None and value < minimum:
+                problems.append(f"{name} out of range: {value}")
+                return None
+            if maximum is not None and value > maximum:
+                problems.append(f"{name} out of range: {value}")
+                return None
+            return value
+
+        if has_index_column:
+            try:
+                row_id = int(row[0])
+            except ValueError:
+                problems.append(f"index column not an integer: {row[0]!r}")
+                row_id = None
+        else:
+            row_id = ordinal
+
+        clothing_id = intcell("Clothing ID", minimum=0)
+        age = intcell("Age", minimum=0)
+        rating = intcell("Rating", minimum=1, maximum=5)
+        recommended = intcell("Recommended IND", minimum=0, maximum=1)
+        feedback = intcell("Positive Feedback Count", minimum=0)
+
+        if problems:
+            issues.append(RowIssue(line, "; ".join(problems)))
+            continue
+
+        records.append(
+            ReviewRecord(
+                row_id=row_id,
+                clothing_id=clothing_id,
+                age=age,
+                title=_optional(row[positions["Title"]]),
+                review_text=_optional(row[positions["Review Text"]]),
+                rating=rating,
+                recommended=bool(recommended),
+                positive_feedback_count=feedback,
+                division=_optional(row[positions["Division Name"]]),
+                department=_optional(row[positions["Department Name"]]),
+                class_name=_optional(row[positions["Class Name"]]),
+            )
+        )
     return records, issues
 
 
@@ -193,24 +192,11 @@ def filter_for_classification(records):
     return kept, len(records) - len(kept)
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    """Disjoint index lists into the record list handed to the splitter."""
+def split_60_20_20(records, seed: int) -> tuple[tuple, tuple, tuple]:
+    """Seeded shuffle, then contiguous 60/20/20 slices of record indices.
 
-    train: tuple
-    validation: tuple
-    test: tuple
-    seed: int
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:
-        return len(self.train), len(self.validation), len(self.test)
-
-
-def split_60_20_20(records, seed: int) -> DatasetSplit:
-    """Seeded shuffle, then contiguous 60/20/20 slices.
-
-    train gets floor(0.6 n), validation floor(0.2 n), test the remainder.
+    Returns (train, validation, test) index tuples: train gets
+    floor(0.6 n), validation floor(0.2 n), test the remainder.
     """
     n = len(records)
     if n < MIN_SPLIT_RECORDS:
@@ -219,9 +205,8 @@ def split_60_20_20(records, seed: int) -> DatasetSplit:
     SeededRng(seed).shuffle(indices)
     n_train = (6 * n) // 10
     n_val = (2 * n) // 10
-    return DatasetSplit(
-        train=tuple(indices[:n_train]),
-        validation=tuple(indices[n_train:n_train + n_val]),
-        test=tuple(indices[n_train + n_val:]),
-        seed=seed,
+    return (
+        tuple(indices[:n_train]),
+        tuple(indices[n_train:n_train + n_val]),
+        tuple(indices[n_train + n_val:]),
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, input_lines
 
 NEGATION_FACTOR = -0.74
 NEGATION_WINDOW = 3
@@ -201,31 +201,23 @@ def load_lexicon(path, negators=DEFAULT_NEGATORS, boosters=None) -> Lexicon:
     the built-in ones unless supplied.
     """
     valences = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"{path}: line {line_num}: expected token<TAB>valence")
-            token, raw = parts
-            try:
-                valence = float(raw)
-            except ValueError:
-                raise InputError(f"{path}: line {line_num}: bad valence {raw!r}") from None
-            if not -MAX_VALENCE <= valence <= MAX_VALENCE:
-                raise InputError(
-                    f"{path}: line {line_num}: valence {valence} outside [-{MAX_VALENCE}, {MAX_VALENCE}]"
-                )
-            valences[token] = valence
+    for line_num, line in enumerate(input_lines(path), start=1):
+        stripped = line.rstrip("\n")
+        if not stripped:
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2:
+            raise InputError(f"{path}: line {line_num}: expected token<TAB>valence")
+        token, raw = parts
+        try:
+            valence = float(raw)
+        except ValueError:
+            raise InputError(f"{path}: line {line_num}: bad valence {raw!r}") from None
+        if not -MAX_VALENCE <= valence <= MAX_VALENCE:
+            raise InputError(
+                f"{path}: line {line_num}: valence {valence} outside [-{MAX_VALENCE}, {MAX_VALENCE}]"
+            )
+        valences[token] = valence
     if boosters is None:
         boosters = dict(DEFAULT_BOOSTERS)
     return Lexicon(valences=valences, negators=negators, boosters=boosters)
-
-
-def save_lexicon(lexicon: Lexicon, path) -> None:
-    """Write the valence table as `token<TAB>valence` lines, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for token in sorted(lexicon.valences):
-            fh.write(f"{token}\t{lexicon.valences[token]}\n")

@@ -1,4 +1,4 @@
-"""Text cleaning, tokenization, vocabulary, and embedding lookup.
+"""Text cleaning, tokenization, vocabulary, encoding, and embedding lookup.
 
 The cleaning rule is deliberately blunt: delimiters and punctuation become
 spaces, everything is lowercased, and only [a-z0-9' ] survives.
@@ -6,10 +6,12 @@ Apostrophes are kept so contractions like "don't" reach the sentiment
 lexicon as single tokens.
 
 Index 0 of every vocabulary is the padding token and index 1 is the
-out-of-vocabulary token.  Padded positions contribute nothing: encoding
-post-pads and maps no real token to index 0, so the model counts a row's
-non-pad indices as its length and steps over those tokens only.  The
-padding embedding row is all-zero and kept out of gradient updates.
+out-of-vocabulary token.  `encode` turns N token lists into one
+(N, seq_len) int64 index matrix: each row holds its review's first
+seq_len tokens, post-padded with index 0.  No real token maps to index 0,
+so the model counts a row's non-pad indices as its length and steps over
+those tokens only.  The padding embedding row is all-zero and kept out
+of gradient updates.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, input_lines
 from .rng import SeededRng, init_uniform
 
 PAD_INDEX = 0
 OOV_INDEX = 1
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
+_RESERVED_ROWS = ((PAD_TOKEN, PAD_INDEX), (OOV_TOKEN, OOV_INDEX))
 
 _NON_ALPHANUM = re.compile(r"[^a-z0-9' ]")
 _MULTI_SPACE = re.compile(r" {2,}")
@@ -47,14 +50,19 @@ def tokenize(clean: str) -> list[str]:
 
 
 class Vocab:
-    """Dense token -> index map with reserved padding and OOV slots."""
+    """Immutable token -> index map with reserved padding and OOV slots.
 
-    __slots__ = ("_index", "_tokens", "_frozen")
+    Built from its tokens in index order; the pad and oov tokens take
+    indices 0 and 1 and are not part of `words`.
+    """
 
-    def __init__(self):
-        self._index: dict[str, int] = {PAD_TOKEN: PAD_INDEX, OOV_TOKEN: OOV_INDEX}
-        self._tokens: list[str] = [PAD_TOKEN, OOV_TOKEN]
-        self._frozen = False
+    __slots__ = ("_index", "_tokens")
+
+    def __init__(self, words=()):
+        self._tokens = (PAD_TOKEN, OOV_TOKEN, *words)
+        self._index = {token: i for i, token in enumerate(self._tokens)}
+        if len(self._index) != len(self._tokens):
+            raise ValueError("vocabulary tokens must be distinct")
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -62,31 +70,9 @@ class Vocab:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def freeze(self) -> "Vocab":
-        self._frozen = True
-        return self
-
-    def add(self, token: str) -> int:
-        """Insert a token (idempotent); frozen vocabularies reject inserts."""
-        if token in self._index:
-            return self._index[token]
-        if self._frozen:
-            raise ValueError(f"cannot add {token!r} to a frozen vocabulary")
-        idx = len(self._tokens)
-        self._index[token] = idx
-        self._tokens.append(token)
-        return idx
-
     def index_of(self, token: str) -> int:
         """Index for a token; unknown tokens map to the OOV slot."""
         return self._index.get(token, OOV_INDEX)
-
-    def token_of(self, index: int) -> str:
-        return self._tokens[index]
 
     def tokens(self) -> list[str]:
         return list(self._tokens)
@@ -100,7 +86,7 @@ class Vocab:
 def build_vocab(corpus, min_freq: int, max_size: int) -> Vocab:
     """Rank tokens by (frequency desc, token asc); keep at most max_size - 2.
 
-    Tokens below min_freq are dropped.  The result is frozen.
+    Tokens below min_freq are dropped.
     """
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
@@ -109,27 +95,19 @@ def build_vocab(corpus, min_freq: int, max_size: int) -> Vocab:
     counts = Counter(token for tokens in corpus for token in tokens)
     eligible = [t for t, c in counts.items() if c >= min_freq]
     ranked = sorted(eligible, key=lambda t: (-counts[t], t))
-    vocab = Vocab()
-    for token in ranked[: max_size - 2]:
-        vocab.add(token)
-    return vocab.freeze()
+    return Vocab(ranked[: max_size - 2])
 
 
-@dataclass(frozen=True)
-class EncodedReview:
-    """Fixed-length index sequence plus the pre-truncation token count."""
-
-    indices: tuple
-    original_length: int
-
-
-def encode_pad(tokens, vocab: Vocab, L: int) -> EncodedReview:
-    """Map tokens to indices, keep the first L, post-pad with the PAD index."""
-    if L < 1:
-        raise ValueError(f"sequence length must be >= 1, got {L}")
-    idx = [vocab.index_of(t) for t in tokens[:L]]
-    idx.extend([PAD_INDEX] * (L - len(idx)))
-    return EncodedReview(indices=tuple(idx), original_length=len(tokens))
+def encode(token_lists, vocab: Vocab, seq_len: int) -> np.ndarray:
+    """(N, seq_len) int64 index matrix: each list's first seq_len tokens, post-padded."""
+    if seq_len < 1:
+        raise ValueError(f"sequence length must be >= 1, got {seq_len}")
+    out = np.full((len(token_lists), seq_len), PAD_INDEX, dtype=np.int64)
+    lookup = vocab._index.get
+    for row, tokens in zip(out, token_lists):
+        ids = [lookup(t, OOV_INDEX) for t in tokens[:seq_len]]
+        row[:len(ids)] = ids
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,29 +152,28 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
     """
     dim = None
     found: dict[int, list[float]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip():
-                raise InputError(f"{path}: line {line_num}: empty line")
-            parts = stripped.split(" ")
-            token, raw_vals = parts[0], parts[1:]
-            if dim is None:
-                if not raw_vals:
-                    raise InputError(f"{path}: line 1: no vector components")
-                dim = len(raw_vals)
-            if len(raw_vals) != dim:
-                raise InputError(
-                    f"{path}: line {line_num}: expected {dim} components, got {len(raw_vals)}"
-                )
-            try:
-                vec = [float(v) for v in raw_vals]
-            except ValueError:
-                raise InputError(f"{path}: line {line_num}: non-numeric component") from None
-            if token in vocab:
-                idx = vocab.index_of(token)
-                if idx > OOV_INDEX:
-                    found[idx] = vec
+    for line_num, line in enumerate(input_lines(path), start=1):
+        stripped = line.rstrip("\n")
+        if not stripped.strip():
+            raise InputError(f"{path}: line {line_num}: empty line")
+        parts = stripped.split(" ")
+        token, raw_vals = parts[0], parts[1:]
+        if dim is None:
+            if not raw_vals:
+                raise InputError(f"{path}: line 1: no vector components")
+            dim = len(raw_vals)
+        if len(raw_vals) != dim:
+            raise InputError(
+                f"{path}: line {line_num}: expected {dim} components, got {len(raw_vals)}"
+            )
+        try:
+            vec = [float(v) for v in raw_vals]
+        except ValueError:
+            raise InputError(f"{path}: line {line_num}: non-numeric component") from None
+        if token in vocab:
+            idx = vocab.index_of(token)
+            if idx > OOV_INDEX:
+                found[idx] = vec
     if dim is None:
         raise InputError(f"{path}: empty embeddings file")
     # One table-sized draw keeps the rows for absent tokens independent of
@@ -228,29 +205,39 @@ def save_vocab(vocab: Vocab, path) -> None:
 
 
 def load_vocab(path) -> Vocab:
-    """Read a vocabulary exported by save_vocab; validates the layout."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_num, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped:
-                continue
-            parts = stripped.split("\t")
-            if len(parts) != 2:
-                raise InputError(f"{path}: line {line_num}: expected token<TAB>index")
-            token, raw_idx = parts
-            try:
-                idx = int(raw_idx)
-            except ValueError:
-                raise InputError(f"{path}: line {line_num}: bad index {raw_idx!r}") from None
-            rows.append((line_num, token, idx))
-    if len(rows) < 2 or rows[0][1:] != (PAD_TOKEN, PAD_INDEX) or rows[1][1:] != (OOV_TOKEN, OOV_INDEX):
-        raise InputError(f"{path}: vocabulary must start with the pad and oov rows")
-    vocab = Vocab()
-    for line_num, token, idx in rows[2:]:
-        got = vocab.add(token)
-        if got != idx:
+    """Read a vocabulary exported by save_vocab; validates the layout.
+
+    Each row is `token<TAB>index`. The first two rows are the pad and oov
+    rows, the indices count up from 0, and no token repeats.
+    """
+    first_line: dict[str, int] = {}
+    for line_num, line in enumerate(input_lines(path), start=1):
+        stripped = line.rstrip("\n")
+        if not stripped:
+            continue
+        parts = stripped.split("\t")
+        if len(parts) != 2:
+            raise InputError(f"{path}: line {line_num}: expected token<TAB>index")
+        token, raw_idx = parts
+        try:
+            idx = int(raw_idx)
+        except ValueError:
+            raise InputError(f"{path}: line {line_num}: bad index {raw_idx!r}") from None
+        expected = len(first_line)
+        if expected < 2 and (token, idx) != _RESERVED_ROWS[expected]:
             raise InputError(
-                f"{path}: line {line_num}: index {idx} out of order, expected {got}"
+                f"{path}: line {line_num}: vocabulary must start with the pad and oov rows"
             )
-    return vocab.freeze()
+        if token in first_line:
+            raise InputError(
+                f"{path}: line {line_num}: duplicate token {token!r}, "
+                f"first on line {first_line[token]}"
+            )
+        if idx != expected:
+            raise InputError(
+                f"{path}: line {line_num}: index {idx} out of order, expected {expected}"
+            )
+        first_line[token] = line_num
+    if len(first_line) < 2:
+        raise InputError(f"{path}: vocabulary must start with the pad and oov rows")
+    return Vocab(list(first_line)[2:])

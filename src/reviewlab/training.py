@@ -1,5 +1,11 @@
 """Training loop, evaluation pass, and inference entry points.
 
+Each split holds its encoded reviews as one (N, seq_len) int64 index
+matrix, post-padded with PAD_INDEX, next to an (N,) int64 label array;
+`textprep.encode` builds the matrix for training, evaluation and
+`predict` alike. Every batch is cut to its longest review before it is
+embedded. The class count and class names come from TrainConfig.
+
 One seeded RNG drives everything in a fixed order: parameter
 initialization first, then per-epoch shuffles interleaved with
 per-batch dropout masks. Single-threaded runs with the same config,
@@ -38,7 +44,7 @@ from .textprep import (
     build_vocab,
     clean_text,
     embed_batch,
-    encode_pad,
+    encode,
     tokenize,
 )
 
@@ -49,7 +55,6 @@ __all__ = [
     "PreparedData",
     "Prediction",
     "TrainConfig",
-    "TrainData",
     "TrainResult",
     "build_training_data",
     "class_probabilities",
@@ -113,42 +118,21 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LabeledSplit:
-    """Encoded sequences (equal-length index tuples) with class labels."""
+    """Encoded reviews: an (N, seq_len) int64 index matrix and (N,) int64 labels."""
 
-    sequences: tuple
-    labels: tuple
+    indices: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        if len(self.sequences) != len(self.labels):
-            raise ValueError(
-                f"{len(self.sequences)} sequences but {len(self.labels)} labels"
-            )
-        lengths = {len(s) for s in self.sequences}
-        if len(lengths) > 1:
-            raise ValueError(f"sequences must share one length, got lengths {sorted(lengths)}")
+        if self.indices.ndim != 2:
+            raise ValueError(f"indices must be 2-D, got shape {self.indices.shape}")
+        if self.labels.ndim != 1:
+            raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
+        if len(self.indices) != len(self.labels):
+            raise ValueError(f"{len(self.indices)} index rows but {len(self.labels)} labels")
 
     def __len__(self) -> int:
-        return len(self.sequences)
-
-
-@dataclass(frozen=True)
-class TrainData:
-    """Train and validation splits plus the label space they use."""
-
-    train: LabeledSplit
-    validation: LabeledSplit
-    n_classes: int
-    class_names: tuple
-
-    def __post_init__(self):
-        if len(self.class_names) != self.n_classes:
-            raise ValueError(
-                f"{len(self.class_names)} class names for {self.n_classes} classes"
-            )
-        for split in (self.train, self.validation):
-            for label in split.labels:
-                if not 0 <= label < self.n_classes:
-                    raise ValueError(f"label {label} outside [0, {self.n_classes})")
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -175,21 +159,27 @@ class Prediction:
     empty_input: bool
 
 
-def task_labels(records, task: str, lexicon=BUILTIN_LEXICON):
-    """Class index per record: recommendation flag, or lexicon sentiment."""
+def task_labels(records, task: str, lexicon=BUILTIN_LEXICON) -> np.ndarray:
+    """(N,) int64 class index per record: recommendation flag, or lexicon sentiment.
+
+    Index i names TrainConfig(task=task).class_names[i].
+    """
     if task == "recommendation":
-        return [int(r.recommended) for r in records], RECOMMENDATION_CLASSES
-    if task == "sentiment":
-        labels, _ = auto_label_dataset(records, lexicon)
-        return [SENTIMENT_CLASSES.index(lab) for lab in labels], SENTIMENT_CLASSES
-    raise ValueError(f"unknown task {task!r}, expected one of {_TASKS}")
+        labels = [int(r.recommended) for r in records]
+    elif task == "sentiment":
+        names, _ = auto_label_dataset(records, lexicon)
+        labels = [SENTIMENT_CLASSES.index(name) for name in names]
+    else:
+        raise ValueError(f"unknown task {task!r}, expected one of {_TASKS}")
+    return np.asarray(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class PreparedData:
     """Everything train/evaluate need, derived from raw records."""
 
-    data: TrainData
+    train: LabeledSplit
+    validation: LabeledSplit
     test: LabeledSplit
     vocab: Vocab
     dropped: int
@@ -204,26 +194,19 @@ def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON,
     A given vocab (a trained model's) is used as is instead.
     """
     kept, dropped = filter_for_classification(records)
-    split = split_60_20_20(kept, config.seed)
+    train_rows, val_rows, test_rows = split_60_20_20(kept, config.seed)
     token_lists = [tokenize(clean_text(r.review_text)) for r in kept]
     if vocab is None:
-        vocab = build_vocab([token_lists[i] for i in split.train],
+        vocab = build_vocab([token_lists[i] for i in train_rows],
                             min_freq=config.min_freq, max_size=config.vocab_size)
-    labels, class_names = task_labels(kept, config.task, lexicon)
+    labels = task_labels(kept, config.task, lexicon)
 
-    def encode(index_group):
-        sequences = tuple(
-            encode_pad(token_lists[i], vocab, config.seq_len).indices for i in index_group
-        )
-        return LabeledSplit(sequences=sequences, labels=tuple(labels[i] for i in index_group))
+    def labeled(rows):
+        return LabeledSplit(encode([token_lists[i] for i in rows], vocab, config.seq_len),
+                            labels[list(rows)])
 
-    data = TrainData(
-        train=encode(split.train),
-        validation=encode(split.validation),
-        n_classes=config.n_classes,
-        class_names=class_names,
-    )
-    return PreparedData(data=data, test=encode(split.test), vocab=vocab, dropped=dropped)
+    return PreparedData(train=labeled(train_rows), validation=labeled(val_rows),
+                        test=labeled(test_rows), vocab=vocab, dropped=dropped)
 
 
 def _trimmed(idx: np.ndarray):
@@ -232,18 +215,17 @@ def _trimmed(idx: np.ndarray):
     return idx[:, :max(1, lengths.max())], lengths
 
 
-def class_probabilities(model: BiLstmClassifier, table: np.ndarray, sequences,
+def class_probabilities(model: BiLstmClassifier, table: np.ndarray, indices: np.ndarray,
                         batch_size: int) -> np.ndarray:
-    """Eval-mode softmax outputs (N, C) for N encoded sequences, in input order."""
-    idx_all = np.asarray(sequences, dtype=np.int64)
-    out = np.empty((len(idx_all), model.n_classes))
-    for start in range(0, len(idx_all), batch_size):
-        idx, lengths = _trimmed(idx_all[start:start + batch_size])
+    """Eval-mode softmax outputs (N, C) for an (N, T) index matrix, in row order."""
+    out = np.empty((len(indices), model.n_classes))
+    for start in range(0, len(indices), batch_size):
+        idx, lengths = _trimmed(indices[start:start + batch_size])
         out[start:start + len(idx)] = forward(model, embed_batch(idx, table), lengths)[0]
     return out
 
 
-def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> TrainResult:
+def train(config: TrainConfig, prep: PreparedData, embeddings: EmbeddingMatrix) -> TrainResult:
     """Mini-batch training with Adam and global-norm gradient clipping.
 
     Returns the final-epoch model (no early stopping) plus one
@@ -251,15 +233,10 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
     norm rather than letting a diverged run continue silently. The
     caller's embedding table is copied, not updated.
     """
-    if len(data.train) == 0:
+    if len(prep.train) == 0:
         raise InputError("training split is empty")
-    if len(data.validation) == 0:
+    if len(prep.validation) == 0:
         raise InputError("validation split is empty")
-    if data.n_classes != config.n_classes:
-        raise ValueError(
-            f"data has {data.n_classes} classes but task {config.task!r} "
-            f"expects {config.n_classes}"
-        )
     if embeddings.dim != config.embedding_dim:
         raise ValueError(
             f"embedding dim {embeddings.dim} does not match config "
@@ -273,8 +250,8 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
     table = embeddings.table.copy()
     params = [p for _, p in model.param_blocks()] + [table]
     adam = AdamState.for_params(params)
-    idx_all = np.asarray(data.train.sequences, dtype=np.int64)
-    labels_all = np.asarray(data.train.labels, dtype=np.int64)
+    idx_all, labels_all = prep.train.indices, prep.train.labels
+    val = prep.validation
 
     def step(batch, epoch: int, start: int) -> float:
         # One update. The BPTT cache and gradients are locals, so they are
@@ -303,7 +280,7 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
         adam_step(params, clipped, adam, config.learning_rate)
         return loss
 
-    n = len(data.train)
+    n = len(prep.train)
     history = []
     for epoch in range(1, config.epochs + 1):
         order = list(range(n))
@@ -312,15 +289,13 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             epoch_loss += step(batch, epoch, start) * len(batch)
-        val_probs = class_probabilities(
-            model, table, data.validation.sequences, config.batch_size
-        )
+        val_probs = class_probabilities(model, table, val.indices, config.batch_size)
         history.append(
             EpochStats(
                 epoch=epoch,
                 train_loss=epoch_loss / n,
-                val_loss=batch_cross_entropy(val_probs, data.validation.labels),
-                val_acc=_accuracy(val_probs, data.validation.labels),
+                val_loss=batch_cross_entropy(val_probs, val.labels),
+                val_acc=float(np.mean(val_probs.argmax(axis=1) == val.labels)),
             )
         )
 
@@ -332,17 +307,15 @@ def train(config: TrainConfig, data: TrainData, embeddings: EmbeddingMatrix) -> 
     )
 
 
-def _accuracy(probs: np.ndarray, labels) -> float:
-    return float(np.mean(probs.argmax(axis=1) == np.asarray(labels)))
-
-
 def evaluate(model, embeddings: EmbeddingMatrix, split: LabeledSplit,
              batch_size: int, class_names) -> tuple[MetricsReport, np.ndarray]:
     """Argmax predictions over a split: (MetricsReport, probabilities (N, C))."""
     if len(split) == 0:
         raise InputError("evaluation split is empty")
-    probs = class_probabilities(model, embeddings.table, split.sequences, batch_size)
-    confusion = confusion_matrix(split.labels, probs.argmax(axis=1).tolist(), len(class_names))
+    probs = class_probabilities(model, embeddings.table, split.indices, batch_size)
+    confusion = confusion_matrix(
+        split.labels.tolist(), probs.argmax(axis=1).tolist(), len(class_names)
+    )
     report = build_report(confusion, class_names, batch_cross_entropy(probs, split.labels))
     return report, probs
 
@@ -360,9 +333,9 @@ def predict(bundle: ModelBundle, vocab: Vocab, text: str) -> Prediction:
             "the model was trained with"
         )
     tokens = tokenize(clean_text(text))
-    encoded = encode_pad(tokens, vocab, bundle.seq_len)
     probs = class_probabilities(
-        bundle.model, bundle.embeddings.table, [encoded.indices], batch_size=1
+        bundle.model, bundle.embeddings.table, encode([tokens], vocab, bundle.seq_len),
+        batch_size=1,
     )[0].tolist()
     label_index = int(np.argmax(probs))
     return Prediction(

@@ -176,8 +176,8 @@ class TestAcceptance:
         prep = build_training_data(toy_reviews(), config)
         emb = random_embeddings(len(prep.vocab), config.embedding_dim,
                                 SeededRng(config.seed + 1))
-        result = train(config, prep.data, emb)
-        report, _ = evaluate(result.model, result.embeddings, prep.data.train,
+        result = train(config, prep, emb)
+        report, _ = evaluate(result.model, result.embeddings, prep.train,
                              config.batch_size, config.class_names)
         first5 = [h.train_loss for h in result.history[:5]]
         decreasing = all(a > b for a, b in zip(first5, first5[1:]))
@@ -204,8 +204,8 @@ class TestAcceptance:
         corr_value = corr.entry("mean_rating", "mean_recommended")
         corr_ok = corr_value is not None and abs(corr_value - 0.8) <= 0.05
         kept, _ = filter_for_classification(records)
-        split = split_60_20_20(kept, seed=0)
-        test_support = len(split.test)
+        _, _, test_rows = split_60_20_20(kept, seed=0)
+        test_support = len(test_rows)
         if test_support != EXPECTED_TEST_SUPPORT:
             _report(5, "NOTE",
                     f"filter+split rule yields test support {test_support}, "
@@ -232,7 +232,7 @@ class TestAcceptance:
             prep = build_training_data(records, config)
             emb = random_embeddings(len(prep.vocab), config.embedding_dim,
                                     SeededRng(config.seed + 1))
-            result = train(config, prep.data, emb)
+            result = train(config, prep, emb)
             report, _ = evaluate(result.model, result.embeddings, prep.test,
                                  config.batch_size, config.class_names)
             accuracies[task] = (report.accuracy, floor)

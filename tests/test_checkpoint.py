@@ -182,6 +182,21 @@ class TestRejections:
         assert self.predict_exit_code(tmp_path, path, vocab) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block", ["fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"])
+    def test_non_finite_weights_exit_two(self, tmp_path, capsys, block):
+        path, vocab = self.ckpt(tmp_path)
+        raw = bytearray(path.read_bytes())
+        header_end = raw.find(b"\n", len(MAGIC))
+        offset = header_end + 1
+        for name, rows, cols in json.loads(raw[len(MAGIC):header_end])["blocks"]:
+            if name == block:
+                break
+            offset += 8 * rows * cols
+        raw[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        assert self.predict_exit_code(tmp_path, path, vocab) == 2
+        assert f"block {block!r} contains non-finite values" in capsys.readouterr().err
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "absent.ckpt")

@@ -8,7 +8,7 @@ import pytest
 from reviewlab.analytics import full_report
 from reviewlab.cli import main
 from reviewlab.dataset import parse_csv, write_csv
-from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset, save_lexicon
+from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
 from reviewlab.toydata import toy_config, toy_reviews
 
 
@@ -102,7 +102,10 @@ class TestLabel:
 
     def test_custom_lexicon_file(self, tmp_path, data_csv):
         lex_path = tmp_path / "lex.tsv"
-        save_lexicon(BUILTIN_LEXICON, lex_path)
+        lex_path.write_text(
+            "".join(f"{t}\t{v}\n" for t, v in sorted(BUILTIN_LEXICON.valences.items())),
+            encoding="utf-8",
+        )
         out = tmp_path / "runs"
         assert main(["label", "--data", str(data_csv), "--out", str(out),
                      "--lexicon", str(lex_path)]) == 0
@@ -241,6 +244,81 @@ class TestPredict:
                      "--vocab", str(other), "--text", "good dress"])
         assert code == 2
         assert "fingerprint" in capsys.readouterr().err
+
+
+    def test_repeated_vocab_token_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
+        lines = (run_dir / "vocab.tsv").read_text().splitlines()
+        token = lines[2].split("\t")[0]
+        lines.append(f"{token}\t{len(lines)}")  # the next index, so only the token is wrong
+        repeated = tmp_path / "repeated_vocab.tsv"
+        repeated.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--out", str(tmp_path / "runs"),
+                     "--checkpoint", str(run_dir / "model.ckpt"),
+                     "--vocab", str(repeated), "--text", "good dress"])
+        assert code == 2
+        assert (f"line {len(lines)}: duplicate token {token!r}, first on line 3"
+                in capsys.readouterr().err)
+
+
+def with_bad_byte(path, line):
+    """Copy of a text file whose given line ends in byte 0xE9, which is not UTF-8."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rstrip(b"\n") + b"\xe9\n"
+    bad = path.with_name("bad-" + path.name)
+    bad.write_bytes(b"".join(lines))
+    return bad
+
+
+class TestNonUtf8Input:
+    """A text input holding bytes that are not UTF-8 exits 2 and names their line."""
+
+    def assert_exits_two(self, argv, bad, capsys):
+        assert main(argv) == 2
+        assert f"{bad}: line 3: not valid UTF-8" in capsys.readouterr().err
+
+    def test_csv(self, tmp_path, data_csv, capsys):
+        bad = with_bad_byte(data_csv, 3)
+        self.assert_exits_two(
+            ["analyze", "--data", str(bad), "--out", str(tmp_path / "runs")], bad, capsys
+        )
+
+    def test_config(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        bad = with_bad_byte(toy_cfg_file, 3)
+        self.assert_exits_two(
+            ["analyze", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+             "--config", str(bad)], bad, capsys,
+        )
+
+    def test_lexicon(self, tmp_path, data_csv, capsys):
+        lexicon = tmp_path / "lex.tsv"
+        lexicon.write_text("good\t1.9\nbad\t-2.5\nfine\t0.8\n", encoding="utf-8")
+        bad = with_bad_byte(lexicon, 3)
+        self.assert_exits_two(
+            ["label", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+             "--lexicon", str(bad)], bad, capsys,
+        )
+
+    def test_vocab(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
+        bad = with_bad_byte(run_dir / "vocab.tsv", 3)
+        self.assert_exits_two(
+            ["predict", "--out", str(tmp_path / "runs"), "--checkpoint",
+             str(run_dir / "model.ckpt"), "--vocab", str(bad), "--text", "good"], bad, capsys,
+        )
+
+    def test_embeddings(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        vectors = tmp_path / "vectors.txt"
+        dim = toy_config().embedding_dim
+        vectors.write_text(
+            "".join(f"{word}{' 0.1' * dim}\n" for word in ("good", "bad", "dress")),
+            encoding="utf-8",
+        )
+        bad = with_bad_byte(vectors, 3)
+        self.assert_exits_two(
+            ["train", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+             "--config", str(toy_cfg_file), "--embeddings", str(bad)], bad, capsys,
+        )
 
 
 class TestConfigResolution:

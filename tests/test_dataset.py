@@ -152,6 +152,16 @@ class TestParseCsv:
         assert issues[0].line == 4
 
 
+    def test_byte_order_mark_keeps_index_column(self, tmp_path):
+        rows = [f"{100 + i}{row[row.index(','):]}" for i, row in enumerate(sample_rows())]
+        plain = make_csv(tmp_path, rows)
+        with_bom = tmp_path / "bom.csv"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        records, issues = parse_csv(plain)
+        assert [r.row_id for r in records] == list(range(100, 106))
+        assert parse_csv(with_bom) == (records, issues)
+
+
 class TestRoundTrip:
     def test_parse_write_parse_identical(self, tmp_path):
         path = make_csv(tmp_path, sample_rows())
@@ -215,36 +225,35 @@ class TestFilter:
 class TestSplit:
     def test_sizes_ten(self):
         split = split_60_20_20(list(range(10)), seed=1)
-        assert split.sizes == (6, 2, 2)
+        assert tuple(map(len, split)) == (6, 2, 2)
 
     def test_sizes_eleven_remainder_to_test(self):
         split = split_60_20_20(list(range(11)), seed=1)
-        assert split.sizes == (6, 2, 3)
+        assert tuple(map(len, split)) == (6, 2, 3)
 
     def test_same_seed_identical(self):
         a = split_60_20_20(list(range(50)), seed=9)
         b = split_60_20_20(list(range(50)), seed=9)
-        assert (a.train, a.validation, a.test) == (b.train, b.validation, b.test)
+        assert a == b
 
     def test_different_seeds_differ(self):
         a = split_60_20_20(list(range(50)), seed=1)
         b = split_60_20_20(list(range(50)), seed=2)
-        assert a.train != b.train
+        assert a[0] != b[0]
 
     def test_too_few_records(self):
         with pytest.raises(InputError, match="at least 5"):
             split_60_20_20(list(range(4)), seed=0)
 
     def test_split_is_shuffled_not_contiguous(self):
-        split = split_60_20_20(list(range(100)), seed=3)
-        assert tuple(split.train) != tuple(range(60))
+        train, _, _ = split_60_20_20(list(range(100)), seed=3)
+        assert train != tuple(range(60))
 
     @given(st.integers(5, 400), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_partition_properties(self, n, seed):
         """Splits are disjoint, exhaustive, and sized by the floor rule."""
-        split = split_60_20_20(list(range(n)), seed=seed)
-        train, val, test = split.train, split.validation, split.test
+        train, val, test = split_60_20_20(list(range(n)), seed=seed)
         assert len(train) == math.floor(6 * n / 10)
         assert len(val) == math.floor(2 * n / 10)
         assert len(test) == n - len(train) - len(val)

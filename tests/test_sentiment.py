@@ -19,9 +19,15 @@ from reviewlab.sentiment import (
     compound_from_sum,
     label_from_compound,
     load_lexicon,
-    save_lexicon,
     score_text,
 )
+
+
+def save_lexicon(lexicon, path):
+    """Write the valence table as `token<TAB>valence` lines, sorted."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for token in sorted(lexicon.valences):
+            fh.write(f"{token}\t{lexicon.valences[token]}\n")
 
 
 def compound_oracle(s):

@@ -15,7 +15,7 @@ from reviewlab.textprep import (
     build_vocab,
     clean_text,
     embed_batch,
-    encode_pad,
+    encode,
     load_glove,
     load_vocab,
     random_embeddings,
@@ -105,14 +105,15 @@ class TestVocab:
         v = build_vocab(corpus, min_freq=1, max_size=5)
         assert len(v) == 5
 
-    def test_frozen_rejects_insert(self):
-        v = build_vocab([["a"]], min_freq=1, max_size=10)
-        with pytest.raises(ValueError, match="frozen"):
-            v.add("new")
-
-    def test_add_idempotent_when_present(self):
-        v = build_vocab([["a"]], min_freq=1, max_size=10)
-        assert v.add("a") == 2
+    def test_built_from_ordered_words(self):
+        v = Vocab(["b", "a"])
+        assert v.tokens() == ["<pad>", "<oov>", "b", "a"]
+        assert v.index_of("a") == 3
+        assert "b" in v and "c" not in v
+        with pytest.raises(ValueError, match="distinct"):
+            Vocab(["a", "a"])
+        with pytest.raises(ValueError, match="distinct"):
+            Vocab(["<pad>"])
 
     def test_deterministic_construction(self):
         corpus = [["x", "y", "x"], ["z", "y", "w"]]
@@ -134,33 +135,38 @@ class TestVocab:
 
 
 class TestEncodePad:
+    """encode: token lists -> one post-padded (N, L) int64 index matrix."""
+
     def make_vocab(self):
         return build_vocab([["a", "b", "c"]], min_freq=1, max_size=10)
 
     def test_short_sequence_padded(self):
-        enc = encode_pad(["a"], self.make_vocab(), 3)
-        assert enc.indices == (2, 0, 0)
-        assert enc.original_length == 1
+        enc = encode([["a"]], self.make_vocab(), 3)
+        assert enc.dtype == np.int64
+        assert enc.tolist() == [[2, 0, 0]]
 
     def test_unknown_token_maps_to_oov(self):
-        enc = encode_pad(["zzz"], self.make_vocab(), 2)
-        assert enc.indices == (OOV_INDEX, PAD_INDEX)
+        enc = encode([["zzz"]], self.make_vocab(), 2)
+        assert enc.tolist() == [[OOV_INDEX, PAD_INDEX]]
 
     def test_long_sequence_keeps_first(self):
-        enc = encode_pad(["a", "b", "c", "a", "b"], self.make_vocab(), 3)
-        assert enc.indices == (2, 3, 4)
-        assert enc.original_length == 5
+        enc = encode([["a", "b", "c", "a", "b"], []], self.make_vocab(), 3)
+        assert enc.tolist() == [[2, 3, 4], [0, 0, 0]]
 
     def test_invalid_length(self):
         with pytest.raises(ValueError, match="length"):
-            encode_pad(["a"], self.make_vocab(), 0)
+            encode([["a"]], self.make_vocab(), 0)
 
-    @given(st.lists(st.sampled_from(["a", "b", "c", "q"]), max_size=20), st.integers(1, 8))
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "q"]), max_size=20), max_size=5),
+           st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
-    def test_output_length_exact(self, tokens, L):
-        enc = encode_pad(tokens, self.make_vocab(), L)
-        assert len(enc.indices) == L
-        assert all(0 <= i < 10 for i in enc.indices)
+    def test_output_length_exact(self, token_lists, L):
+        vocab = self.make_vocab()
+        enc = encode(token_lists, vocab, L)
+        assert enc.shape == (len(token_lists), L)
+        for row, tokens in zip(enc.tolist(), token_lists):
+            ids = [vocab.index_of(t) for t in tokens[:L]]
+            assert row == ids + [PAD_INDEX] * (L - len(ids))
 
 
 class TestEmbeddingMatrix:
@@ -254,38 +260,35 @@ class TestEmbed:
         arr[3] = [4.0, 5.0, 6.0]
         self.table = EmbeddingMatrix(table=arr).table
 
-    def embed(self, encoded):
+    def embed(self, tokens, L):
         """One review's vectors, (T, 1, dim)."""
-        return embed_batch(np.array([encoded.indices]), self.table)
+        return embed_batch(encode([tokens], self.vocab, L), self.table)
 
     def test_all_pad_gives_zero_vectors(self):
-        vectors = self.embed(encode_pad([], self.vocab, 3))
+        vectors = self.embed([], 3)
         assert vectors.shape == (3, 1, 3)
         assert np.all(vectors == 0.0)
 
     def test_single_token_row_as_column(self):
-        vectors = self.embed(encode_pad(["a"], self.vocab, 1))
+        vectors = self.embed(["a"], 1)
         assert np.array_equal(vectors[0, 0], [1.0, 2.0, 3.0])
 
     def test_round_trip_matches_row_lookup(self):
-        enc = encode_pad(["b", "a"], self.vocab, 2)
-        vectors = self.embed(enc)
-        for pos, idx in enumerate(enc.indices):
+        vectors = self.embed(["b", "a"], 2)
+        for pos, idx in enumerate(encode([["b", "a"]], self.vocab, 2)[0]):
             assert np.array_equal(vectors[pos, 0], self.table[idx])
 
     def test_out_of_range_index(self):
-        bad = encode_pad(["a"], self.vocab, 1)
-        hacked = type(bad)(indices=(99,), original_length=1)
+        enc = encode([["a"]], self.vocab, 1)
+        enc[0, 0] = len(self.table)
         with pytest.raises(ValueError, match="out of range"):
-            self.embed(hacked)
+            embed_batch(enc, self.table)
 
     def test_embed_batch_matches_single(self):
-        enc_a = encode_pad(["a", "b"], self.vocab, 2)
-        enc_b = encode_pad(["b"], self.vocab, 2)
-        batched = embed_batch(np.array([enc_a.indices, enc_b.indices]), self.table)
+        batched = embed_batch(encode([["a", "b"], ["b"]], self.vocab, 2), self.table)
         assert batched.shape == (2, 2, 3)
-        assert np.array_equal(batched[:, :1], self.embed(enc_a))
-        assert np.array_equal(batched[:, 1:], self.embed(enc_b))
+        assert np.array_equal(batched[:, :1], self.embed(["a", "b"], 2))
+        assert np.array_equal(batched[:, 1:], self.embed(["b"], 2))
 
     def test_embed_batch_range_check(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -302,7 +305,6 @@ class TestVocabRoundTrip:
         loaded = load_vocab(path)
         assert loaded.tokens() == v.tokens()
         assert loaded.fingerprint() == v.fingerprint()
-        assert loaded.frozen
 
     def test_export_format(self, tmp_path):
         v = build_vocab([["a"]], min_freq=1, max_size=10)
@@ -330,3 +332,4 @@ class TestVocabRoundTrip:
         path.write_text("<pad>\t0\n<oov>\t1\nmissing-index\n", encoding="utf-8")
         with pytest.raises(InputError, match="line 3"):
             load_vocab(path)
+

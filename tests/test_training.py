@@ -18,7 +18,6 @@ from reviewlab.training import (
     RECOMMENDATION_CLASSES,
     LabeledSplit,
     TrainConfig,
-    TrainData,
     build_training_data,
     class_probabilities,
     evaluate,
@@ -93,34 +92,45 @@ class TestTrainConfig:
         assert TrainConfig(**config.as_dict()) == config
 
 
+def empty_split(seq_len):
+    return LabeledSplit(np.empty((0, seq_len), dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
 class TestSplitTypes:
-    def test_ragged_sequences_rejected(self):
-        with pytest.raises(ValueError, match="share one length"):
-            LabeledSplit(sequences=((1, 2), (1, 2, 3)), labels=(0, 1))
+    def test_indices_and_labels_shapes(self):
+        with pytest.raises(ValueError, match="indices must be 2-D"):
+            LabeledSplit(np.array([1, 2]), np.array([0, 1]))
+        with pytest.raises(ValueError, match="labels must be 1-D"):
+            LabeledSplit(np.array([[1, 2]]), np.array([[0]]))
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError, match="labels"):
-            LabeledSplit(sequences=((1, 2),), labels=(0, 1))
+            LabeledSplit(np.array([[1, 2]]), np.array([0, 1]))
 
     def test_out_of_range_label(self):
-        split = LabeledSplit(sequences=((1, 2),), labels=(2,))
-        with pytest.raises(ValueError, match="outside"):
-            TrainData(train=split, validation=split, n_classes=2,
-                      class_names=RECOMMENDATION_CLASSES)
+        """Labels are range-checked against the config's classes at every batch."""
+        config, prep, emb = prepared_toy(epochs=1)
+        labels = prep.train.labels.copy()
+        labels[0] = 2
+        bad = replace(prep, train=LabeledSplit(prep.train.indices, labels))
+        with pytest.raises(ValueError, match="out of range"):
+            train(config, bad, emb)
 
 
 class TestTaskLabels:
     def test_recommendation_uses_flag(self):
         records = toy_reviews(n=6)
-        labels, names = task_labels(records, "recommendation")
-        assert labels == [1, 0, 1, 0, 1, 0]
-        assert names == RECOMMENDATION_CLASSES
+        labels = task_labels(records, "recommendation")
+        assert labels.tolist() == [1, 0, 1, 0, 1, 0]
+        names = TrainConfig(task="recommendation").class_names
+        assert [names[i] for i in labels[:2]] == ["recommended", "not_recommended"]
 
     def test_sentiment_uses_lexicon(self):
         records = toy_reviews(n=6)
-        labels, names = task_labels(records, "sentiment")
-        assert names == ("negative", "neutral", "positive")
-        assert labels == [2, 0, 2, 0, 2, 0]
+        labels = task_labels(records, "sentiment")
+        assert labels.tolist() == [2, 0, 2, 0, 2, 0]
+        names = TrainConfig(task="sentiment").class_names
+        assert [names[i] for i in labels[:2]] == ["positive", "negative"]
 
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="task"):
@@ -130,8 +140,8 @@ class TestTaskLabels:
 class TestBuildTrainingData:
     def test_split_sizes(self):
         _, prep, _ = prepared_toy()
-        assert len(prep.data.train) == 24
-        assert len(prep.data.validation) == 8
+        assert len(prep.train) == 24
+        assert len(prep.validation) == 8
         assert len(prep.test) == 8
 
     def test_vocab_from_training_split_only(self):
@@ -142,31 +152,32 @@ class TestBuildTrainingData:
         from reviewlab.dataset import split_60_20_20
         from reviewlab.textprep import clean_text, tokenize
 
-        split = split_60_20_20(records, config.seed)
+        train_rows, _, _ = split_60_20_20(records, config.seed)
         train_tokens = set()
-        for i in split.train:
+        for i in train_rows:
             train_tokens.update(tokenize(clean_text(records[i].review_text)))
         assert set(prep.vocab.tokens()) == train_tokens | {"<pad>", "<oov>"}
 
     def test_dropped_records_counted(self):
-        from dataclasses import replace
-
         records = toy_reviews()
         records[0] = replace(records[0], review_text=None)
         config = toy_config()
         prep = build_training_data(records, config)
         assert prep.dropped == 1
-        assert len(prep.data.train) + len(prep.data.validation) + len(prep.test) == 39
+        assert len(prep.train) + len(prep.validation) + len(prep.test) == 39
 
     def test_sequences_padded_to_config_length(self):
         config, prep, _ = prepared_toy()
-        assert all(len(s) == config.seq_len for s in prep.data.train.sequences)
+        for split in (prep.train, prep.validation, prep.test):
+            assert split.indices.shape == (len(split), config.seq_len)
+            assert split.indices.dtype == np.int64
+            assert split.labels.dtype == np.int64
 
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         config, prep, emb = prepared_toy(epochs=0)
-        result = train(config, prep.data, emb)
+        result = train(config, prep, emb)
         assert result.history == ()
         init = BiLstmClassifier.build(
             config.cell_size, config.embedding_dim, config.n_classes,
@@ -178,8 +189,8 @@ class TestTrain:
 
     def test_deterministic_history(self):
         config, prep, emb = prepared_toy(epochs=3)
-        first = train(config, prep.data, emb)
-        second = train(config, prep.data, emb)
+        first = train(config, prep, emb)
+        second = train(config, prep, emb)
         assert first.history == second.history
         for (_, a), (_, b) in zip(first.model.param_blocks(), second.model.param_blocks()):
             assert np.array_equal(a, b)
@@ -187,7 +198,7 @@ class TestTrain:
     @pytest.mark.parametrize("task,dropout_rate", sorted(RECORDED_TOY_HISTORY))
     def test_history_matches_recorded_values(self, task, dropout_rate):
         config, prep, emb = prepared_toy(task=task, epochs=3, dropout_rate=dropout_rate)
-        history = train(config, prep.data, emb).history
+        history = train(config, prep, emb).history
         got = [(h.train_loss, h.val_loss, h.val_acc) for h in history]
         want = RECORDED_TOY_HISTORY[task, dropout_rate]
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
@@ -205,21 +216,21 @@ class TestTrain:
         config, prep, emb = prepared_toy(epochs=1)
         with pytest.raises(ArithmeticError,
                            match="gradient norm nan at epoch 1, batch starting at 0"):
-            train(config, prep.data, emb)
+            train(config, prep, emb)
 
     def test_caller_embeddings_untouched(self):
         """Training fine-tunes a copy of the embedding table."""
         config, prep, emb = prepared_toy(epochs=1)
         before = emb.table.copy()
-        result = train(config, prep.data, emb)
+        result = train(config, prep, emb)
         assert np.array_equal(emb.table, before)
         assert not np.array_equal(result.embeddings.table, before)
 
     def test_toy_fixture_converges(self):
         """Separable keyword reviews reach 95% training accuracy in 30 epochs."""
         config, prep, emb = prepared_toy()
-        result = train(config, prep.data, emb)
-        report, _ = evaluate(result.model, result.embeddings, prep.data.train,
+        result = train(config, prep, emb)
+        report, _ = evaluate(result.model, result.embeddings, prep.train,
                              config.batch_size, config.class_names)
         assert report.accuracy >= 0.95
         first5 = [h.train_loss for h in result.history[:5]]
@@ -227,40 +238,37 @@ class TestTrain:
 
     def test_history_rows_numbered_from_one(self):
         config, prep, emb = prepared_toy(epochs=2)
-        result = train(config, prep.data, emb)
+        result = train(config, prep, emb)
         assert [h.epoch for h in result.history] == [1, 2]
 
     def test_padding_row_stays_zero(self):
         config, prep, emb = prepared_toy(epochs=2)
-        result = train(config, prep.data, emb)
+        result = train(config, prep, emb)
         assert np.all(result.embeddings.table[PAD_INDEX] == 0.0)
 
     def test_empty_training_split_rejected(self):
         config, prep, emb = prepared_toy()
-        empty = LabeledSplit(sequences=(), labels=())
-        data = TrainData(train=empty, validation=prep.data.validation,
-                         n_classes=2, class_names=RECOMMENDATION_CLASSES)
         with pytest.raises(InputError, match="training split"):
-            train(config, data, emb)
+            train(config, replace(prep, train=empty_split(config.seq_len)), emb)
 
     def test_embedding_dim_mismatch_rejected(self):
         config, prep, _ = prepared_toy()
         wrong = random_embeddings(60, config.embedding_dim + 1, SeededRng(0))
         with pytest.raises(ValueError, match="embedding dim"):
-            train(config, prep.data, wrong)
+            train(config, prep, wrong)
 
     def test_class_count_mismatch_rejected(self):
-        config, prep, emb = prepared_toy()
-        data = TrainData(train=prep.data.train, validation=prep.data.validation,
-                         n_classes=3, class_names=("a", "b", "c"))
-        with pytest.raises(ValueError, match="classes"):
-            train(config, data, emb)
+        """Three-class sentiment labels do not fit a two-class recommendation model."""
+        config, _, emb = prepared_toy()
+        _, sentiment, _ = prepared_toy(task="sentiment")
+        with pytest.raises(ValueError, match="out of range for 2 classes"):
+            train(config, sentiment, emb)
 
 
 class TestEvaluate:
     def test_report_totals_match_split(self):
         config, prep, emb = prepared_toy(epochs=1)
-        result = train(config, prep.data, emb)
+        result = train(config, prep, emb)
         report, probs = evaluate(result.model, result.embeddings, prep.test,
                                  config.batch_size, config.class_names)
         assert report.total == len(prep.test)
@@ -269,10 +277,10 @@ class TestEvaluate:
 
     def test_batch_size_does_not_change_probabilities(self):
         config, prep, emb = prepared_toy(epochs=1)
-        result = train(config, prep.data, emb)
+        result = train(config, prep, emb)
         table = result.embeddings.table
-        one = class_probabilities(result.model, table, prep.test.sequences, batch_size=1)
-        many = class_probabilities(result.model, table, prep.test.sequences, batch_size=5)
+        one = class_probabilities(result.model, table, prep.test.indices, batch_size=1)
+        many = class_probabilities(result.model, table, prep.test.indices, batch_size=5)
         assert one.shape == (len(prep.test), 2)
         assert np.allclose(one, many, atol=1e-12, rtol=0.0)
 
@@ -284,25 +292,24 @@ class TestEvaluate:
         nor on the reviews that share its batch."""
         model = BiLstmClassifier.build(3, 4, 2, SeededRng(5))
         table = random_embeddings(10, 4, SeededRng(6)).table
-        padded = [(r + [PAD_INDEX] * seq_len)[:seq_len] for r in rows]
+        padded = np.array([(r + [PAD_INDEX] * seq_len)[:seq_len] for r in rows])
         probs = class_probabilities(model, table, padded, batch_size)
         for row, got in zip(rows, probs):
-            alone = class_probabilities(model, table, [row[:seq_len] or [PAD_INDEX]], 1)
+            alone = class_probabilities(model, table, np.array([row[:seq_len] or [PAD_INDEX]]), 1)
             assert np.abs(got - alone[0]).max() <= 1e-12
 
     def test_empty_split_rejected(self):
         config, prep, emb = prepared_toy(epochs=0)
-        result = train(config, prep.data, emb)
-        empty = LabeledSplit(sequences=(), labels=())
+        result = train(config, prep, emb)
         with pytest.raises(InputError, match="empty"):
-            evaluate(result.model, result.embeddings, empty,
+            evaluate(result.model, result.embeddings, empty_split(config.seq_len),
                      config.batch_size, config.class_names)
 
 
 class TestPredict:
     def bundle(self):
         config, prep, emb = prepared_toy(epochs=2)
-        result = train(config, prep.data, emb)
+        result = train(config, prep, emb)
         bundle = ModelBundle(
             task=config.task,
             class_names=config.class_names,
@@ -351,7 +358,7 @@ class TestPredict:
 class TestHistoryCsv:
     def test_header_and_rows(self, tmp_path):
         config, prep, emb = prepared_toy(epochs=2)
-        result = train(config, prep.data, emb)
+        result = train(config, prep, emb)
         path = tmp_path / "history.csv"
         write_history_csv(result.history, path)
         lines = path.read_text().splitlines()

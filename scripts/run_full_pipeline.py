@@ -39,7 +39,7 @@ def main() -> None:
     run(["label", *base])
     run(["train", *base, *cfg, *emb, "--task", args.task])
     checkpoint = sorted(Path(args.out).glob("train-*"))[-1] / "model.ckpt"
-    run(["evaluate", *base, *cfg, "--checkpoint", str(checkpoint)])
+    run(["evaluate", *base, *cfg, "--task", args.task, "--checkpoint", str(checkpoint)])
     run(["predict", "--out", args.out, "--checkpoint", str(checkpoint),
          "--text", args.text])
 

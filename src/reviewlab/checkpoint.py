@@ -1,14 +1,17 @@
-"""Deterministic model checkpoints.
+"""Deterministic model checkpoints: one file holds the whole model.
 
 A checkpoint is a single binary file: a magic line, one JSON metadata
-line (format, task, class names, sizes, vocabulary fingerprint, block
+line (format, task, class names, sizes, split seed, vocabulary, block
 shapes), then the parameter blocks as raw little-endian float64 bytes in
-the order the metadata declares. Format 3 holds seven blocks: the
-embedding table and the six model arrays (per LSTM direction one fused
-W and b, then the head's W and b); a 1-D bias is listed as n rows by 1
-column. Format 2 had the same layout, but for a model that also stepped
-over padding; it and other formats are rejected. The format contains no timestamps,
-so saving the same bundle twice produces byte-identical files.
+the order the metadata declares. Format 4 stores the vocabulary's words
+(every token after `<pad>` and `<oov>`, in index order) and the seed of
+the 60/20/20 split the model was trained on, so evaluation can rebuild
+that split. It holds seven blocks: the embedding table and the six model
+arrays (per LSTM direction one fused W and b, then the head's W and b);
+a 1-D bias is listed as n rows by 1 column. Format 3 kept the vocabulary
+in a separate file; it and other formats are rejected. The format
+contains no timestamps, so saving the same bundle twice produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,25 +23,26 @@ import numpy as np
 
 from .errors import InputError
 from .nn import BiLstmClassifier, DenseParams, LstmParams
-from .textprep import EmbeddingMatrix
+from .textprep import EmbeddingMatrix, Vocab
 
 __all__ = ["MAGIC", "ModelBundle", "load_checkpoint", "save_checkpoint"]
 
 # The container's magic line; the metadata's "format" versions its contents.
 MAGIC = b"reviewlab-checkpoint-v1\n"
-FORMAT = 3
+FORMAT = 4
 
 TASKS = ("recommendation", "sentiment")
 
 
 @dataclass(frozen=True)
 class ModelBundle:
-    """Everything inference needs: model, embeddings, and their pedigree."""
+    """Everything inference and evaluation need: model, embeddings, vocabulary, split seed."""
 
     task: str
     class_names: tuple
     seq_len: int
-    vocab_fingerprint: str
+    seed: int
+    vocab: Vocab
     model: BiLstmClassifier
     embeddings: EmbeddingMatrix
 
@@ -56,6 +60,11 @@ class ModelBundle:
             raise ValueError(
                 f"embedding dim {self.embeddings.dim} does not match model "
                 f"input size {self.model.input_size}"
+            )
+        if len(self.vocab) != self.embeddings.vocab_size:
+            raise ValueError(
+                f"{len(self.vocab)} vocabulary tokens for "
+                f"{self.embeddings.vocab_size} embedding rows"
             )
 
     @property
@@ -81,8 +90,8 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "seq_len": bundle.seq_len,
         "cell_size": bundle.cell_size,
         "embedding_dim": bundle.embedding_dim,
-        "vocab_size": bundle.embeddings.vocab_size,
-        "vocab_fingerprint": bundle.vocab_fingerprint,
+        "seed": bundle.seed,
+        "vocab": bundle.vocab.tokens()[2:],
         "blocks": [[name, len(a), a.shape[1] if a.ndim == 2 else 1] for name, a in blocks],
     }
     with open(path, "wb") as fh:
@@ -103,8 +112,22 @@ def _is_block_entry(entry) -> bool:
     )
 
 
-def load_checkpoint(path, vocab=None) -> ModelBundle:
-    """Read a checkpoint; with a vocab given, verify its fingerprint matches."""
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+# Metadata field -> (check, what the field must be).
+_FIELDS = {
+    "seq_len": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "seed": (lambda v: type(v) is int, "an integer"),
+    "class_names": (lambda v: _is_str_list(v) and 0 < len(v) == len(set(v)),
+                    "a non-empty list of distinct strings"),
+    "vocab": (_is_str_list, "a list of strings"),
+}
+
+
+def load_checkpoint(path) -> ModelBundle:
+    """Read a checkpoint, validating its metadata and its blocks."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(MAGIC):
@@ -114,7 +137,7 @@ def load_checkpoint(path, vocab=None) -> ModelBundle:
         raise InputError(f"{path}: truncated checkpoint header")
     try:
         meta = json.loads(raw[len(MAGIC):header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"{path}: unreadable checkpoint metadata: {exc}") from exc
     if not isinstance(meta, dict):
         raise InputError(f"{path}: checkpoint metadata must be a JSON object")
@@ -136,7 +159,10 @@ def load_checkpoint(path, vocab=None) -> ModelBundle:
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise InputError(f"{path}: truncated checkpoint in block {name!r}")
-        arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols)
+        try:
+            arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols)
+        except ValueError:  # an empty block may still declare a dimension numpy cannot hold
+            raise InputError(f"{path}: block {name!r} cannot be {rows} x {cols}") from None
         offset += nbytes
     if offset != len(raw):
         raise InputError(f"{path}: {len(raw) - offset} trailing bytes after last block")
@@ -149,6 +175,12 @@ def load_checkpoint(path, vocab=None) -> ModelBundle:
         if not np.isfinite(arrays[name]).all():
             raise InputError(f"{path}: block {name!r} contains non-finite values")
 
+    for field, (ok, what) in _FIELDS.items():
+        if not ok(meta.get(field)):
+            raise InputError(
+                f"{path}: inconsistent checkpoint contents: {field!r} must be "
+                f"{what}, got {meta.get(field)!r:.60}"
+            )
     try:
         model = BiLstmClassifier(
             fwd=LstmParams(arrays["fwd.W"], arrays["fwd.b"].reshape(-1)),
@@ -159,7 +191,8 @@ def load_checkpoint(path, vocab=None) -> ModelBundle:
             task=meta["task"],
             class_names=tuple(meta["class_names"]),
             seq_len=meta["seq_len"],
-            vocab_fingerprint=meta["vocab_fingerprint"],
+            seed=meta["seed"],
+            vocab=Vocab(meta["vocab"]),
             model=model,
             embeddings=EmbeddingMatrix(arrays["embeddings"]),
         )
@@ -172,14 +205,4 @@ def load_checkpoint(path, vocab=None) -> ModelBundle:
                 f"{path}: metadata says {field}={meta.get(field)} but blocks give "
                 f"{getattr(bundle, field)}"
             )
-    if meta.get("vocab_size") != bundle.embeddings.vocab_size:
-        raise InputError(
-            f"{path}: metadata says vocab_size={meta.get('vocab_size')} but the "
-            f"embedding table has {bundle.embeddings.vocab_size} rows"
-        )
-    if vocab is not None and vocab.fingerprint() != bundle.vocab_fingerprint:
-        raise InputError(
-            "vocabulary fingerprint mismatch: checkpoint was trained with a "
-            "different vocabulary than the one supplied"
-        )
     return bundle

@@ -6,6 +6,12 @@ configuration into it. Settings resolve as flags over config file over
 defaults; rerunning a command from a materialized config reproduces
 every artifact byte for byte in single-threaded mode.
 
+A trained model is one file, `model.ckpt`, which carries its vocabulary
+and the seed of its 60/20/20 split. `evaluate` and `predict` take the
+task and seed from it; a task or seed given explicitly that differs from
+the checkpoint's is an input error, so evaluation always scores the test
+rows the model never trained on.
+
 Exit codes: 0 success, 1 internal error, 2 usage or input error.
 """
 
@@ -26,7 +32,7 @@ from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc, write_confusion_csv, write_report_json, write_roc_csv
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
-from .textprep import load_glove, load_vocab, random_embeddings, save_vocab
+from .textprep import load_glove, random_embeddings
 from .training import (
     TrainConfig,
     build_training_data,
@@ -44,7 +50,7 @@ _INT_KEYS = frozenset(
 )
 _FLOAT_KEYS = frozenset({"dropout_rate", "learning_rate", "grad_clip"})
 _PATH_KEYS = frozenset(
-    {"data", "out", "lexicon", "embeddings", "checkpoint", "vocab"}
+    {"data", "out", "lexicon", "embeddings", "checkpoint"}
 )
 _STR_KEYS = _PATH_KEYS | {"task", "text"}
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
@@ -228,12 +234,12 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
         task=config.task,
         class_names=config.class_names,
         seq_len=config.seq_len,
-        vocab_fingerprint=prep.vocab.fingerprint(),
+        seed=config.seed,
+        vocab=prep.vocab,
         model=result.model,
         embeddings=result.embeddings,
     )
     save_checkpoint(bundle, run_dir / "model.ckpt")
-    save_vocab(prep.vocab, run_dir / "vocab.tsv")
     write_history_csv(result.history, run_dir / "history.csv")
     n_train, n_val, n_test = len(prep.train), len(prep.validation), len(prep.test)
     summary = {
@@ -254,23 +260,23 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     print(f"trained {config.task} model into {run_dir}")
 
 
-def _load_bundle(cfg: dict, provided: set, command: str):
-    ckpt_path = Path(_require(cfg, "checkpoint", command))
-    vocab_path = Path(cfg["vocab"]) if cfg["vocab"] else ckpt_path.with_name("vocab.tsv")
-    vocab = load_vocab(vocab_path)
-    bundle = load_checkpoint(ckpt_path, vocab=vocab)
-    if "task" in provided and cfg["task"] != bundle.task:
-        raise InputError(
-            f"checkpoint was trained for task {bundle.task!r}, not {cfg['task']!r}"
-        )
-    return bundle, vocab
+def _load_bundle(cfg: dict, provided: set, run_dir: Path, command: str) -> ModelBundle:
+    """Load the checkpoint; cfg and config.txt take its task and split seed."""
+    bundle = load_checkpoint(_require(cfg, "checkpoint", command))
+    for key in ("task", "seed"):
+        value = getattr(bundle, key)
+        if key in provided and cfg[key] != value:
+            raise InputError(f"checkpoint was trained with {key} {value!r}, not {cfg[key]!r}")
+        cfg[key] = value
+    _write_materialized_config(run_dir, command, cfg)
+    return bundle
 
 
 def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
-    bundle, vocab = _load_bundle(cfg, provided, "evaluate")
+    bundle = _load_bundle(cfg, provided, run_dir, "evaluate")
     records = _parse_records(cfg, "evaluate", run_dir)
-    config = TrainConfig(seed=cfg["seed"], task=bundle.task, seq_len=bundle.seq_len)
-    prep = build_training_data(records, config, _load_lexicon(cfg), vocab=vocab)
+    config = TrainConfig(seed=bundle.seed, task=bundle.task, seq_len=bundle.seq_len)
+    prep = build_training_data(records, config, _load_lexicon(cfg), vocab=bundle.vocab)
     test = prep.test
     report, probs = evaluate(
         bundle.model, bundle.embeddings, test, cfg["batch_size"], bundle.class_names
@@ -295,9 +301,9 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
 
 
 def _cmd_predict(cfg: dict, provided: set, run_dir: Path) -> None:
-    bundle, vocab = _load_bundle(cfg, provided, "predict")
+    bundle = _load_bundle(cfg, provided, run_dir, "predict")
     text = _require(cfg, "text", "predict")
-    result = predict(bundle, vocab, text)
+    result = predict(bundle, text)
     line = json.dumps(
         {
             "label": result.label,
@@ -336,8 +342,6 @@ def _add_common(sub, *flags):
         sub.add_argument("--embeddings", help="word-vector text file (space separated)")
     if "checkpoint" in flags:
         sub.add_argument("--checkpoint", help="trained model checkpoint")
-    if "vocab" in flags:
-        sub.add_argument("--vocab", help="vocabulary TSV (default: next to checkpoint)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -354,9 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("train", help="train a classifier on the 60/20/20 split"),
                 "data", "seed", "task", "lexicon", "embeddings")
     _add_common(sub.add_parser("evaluate", help="score a checkpoint on the test split"),
-                "data", "seed", "task", "lexicon", "checkpoint", "vocab")
+                "data", "seed", "task", "lexicon", "checkpoint")
     predict_parser = sub.add_parser("predict", help="label one text with a checkpoint")
-    _add_common(predict_parser, "checkpoint", "vocab")
+    _add_common(predict_parser, "checkpoint")
     predict_parser.add_argument("--text", help="raw review text to classify")
     return parser
 

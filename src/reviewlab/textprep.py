@@ -6,17 +6,17 @@ Apostrophes are kept so contractions like "don't" reach the sentiment
 lexicon as single tokens.
 
 Index 0 of every vocabulary is the padding token and index 1 is the
-out-of-vocabulary token.  `encode` turns N token lists into one
-(N, seq_len) int64 index matrix: each row holds its review's first
-seq_len tokens, post-padded with index 0.  No real token maps to index 0,
-so the model counts a row's non-pad indices as its length and steps over
-those tokens only.  The padding embedding row is all-zero and kept out
-of gradient updates.
+out-of-vocabulary token; a trained model's vocabulary is saved inside
+its checkpoint.  `encode` turns N token lists into one (N, seq_len)
+int64 index matrix: each row holds its review's first seq_len tokens,
+post-padded with index 0.  No real token maps to index 0, so the model
+counts a row's non-pad indices as its length and steps over those
+tokens only.  The padding embedding row is all-zero and kept out of
+gradient updates.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -30,7 +30,6 @@ PAD_INDEX = 0
 OOV_INDEX = 1
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
-_RESERVED_ROWS = ((PAD_TOKEN, PAD_INDEX), (OOV_TOKEN, OOV_INDEX))
 
 _NON_ALPHANUM = re.compile(r"[^a-z0-9' ]")
 _MULTI_SPACE = re.compile(r" {2,}")
@@ -62,7 +61,8 @@ class Vocab:
         self._tokens = (PAD_TOKEN, OOV_TOKEN, *words)
         self._index = {token: i for i, token in enumerate(self._tokens)}
         if len(self._index) != len(self._tokens):
-            raise ValueError("vocabulary tokens must be distinct")
+            repeat = next(t for i, t in enumerate(self._tokens) if self._index[t] != i)
+            raise ValueError(f"vocabulary tokens must be distinct, {repeat!r} repeats")
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -76,11 +76,6 @@ class Vocab:
 
     def tokens(self) -> list[str]:
         return list(self._tokens)
-
-    def fingerprint(self) -> str:
-        """sha256 over the ordered token list; identifies the vocabulary."""
-        joined = "\n".join(self._tokens).encode("utf-8")
-        return hashlib.sha256(joined).hexdigest()
 
 
 def build_vocab(corpus, min_freq: int, max_size: int) -> Vocab:
@@ -117,8 +112,11 @@ class EmbeddingMatrix:
     table: np.ndarray
 
     def __post_init__(self):
-        if self.table.ndim != 2:
-            raise ValueError(f"embedding table must be 2-D, got shape {self.table.shape}")
+        if self.table.ndim != 2 or len(self.table) < 2:
+            raise ValueError(
+                f"embedding table must be 2-D with at least the pad and oov rows, "
+                f"got shape {self.table.shape}"
+            )
         if not np.all(np.isfinite(self.table)):
             raise ValueError("embedding table contains non-finite entries")
         if np.any(self.table[PAD_INDEX] != 0.0):
@@ -195,49 +193,3 @@ def embed_batch(index_matrix, table: np.ndarray) -> np.ndarray:
             f"token index out of range for vocab size {len(table)}"
         )
     return table[idx.T]
-
-
-def save_vocab(vocab: Vocab, path) -> None:
-    """Write `token<TAB>index` lines in index order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for idx, token in enumerate(vocab.tokens()):
-            fh.write(f"{token}\t{idx}\n")
-
-
-def load_vocab(path) -> Vocab:
-    """Read a vocabulary exported by save_vocab; validates the layout.
-
-    Each row is `token<TAB>index`. The first two rows are the pad and oov
-    rows, the indices count up from 0, and no token repeats.
-    """
-    first_line: dict[str, int] = {}
-    for line_num, line in enumerate(input_lines(path), start=1):
-        stripped = line.rstrip("\n")
-        if not stripped:
-            continue
-        parts = stripped.split("\t")
-        if len(parts) != 2:
-            raise InputError(f"{path}: line {line_num}: expected token<TAB>index")
-        token, raw_idx = parts
-        try:
-            idx = int(raw_idx)
-        except ValueError:
-            raise InputError(f"{path}: line {line_num}: bad index {raw_idx!r}") from None
-        expected = len(first_line)
-        if expected < 2 and (token, idx) != _RESERVED_ROWS[expected]:
-            raise InputError(
-                f"{path}: line {line_num}: vocabulary must start with the pad and oov rows"
-            )
-        if token in first_line:
-            raise InputError(
-                f"{path}: line {line_num}: duplicate token {token!r}, "
-                f"first on line {first_line[token]}"
-            )
-        if idx != expected:
-            raise InputError(
-                f"{path}: line {line_num}: index {idx} out of order, expected {expected}"
-            )
-        first_line[token] = line_num
-    if len(first_line) < 2:
-        raise InputError(f"{path}: vocabulary must start with the pad and oov rows")
-    return Vocab(list(first_line)[2:])

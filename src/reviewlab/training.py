@@ -320,22 +320,16 @@ def evaluate(model, embeddings: EmbeddingMatrix, split: LabeledSplit,
     return report, probs
 
 
-def predict(bundle: ModelBundle, vocab: Vocab, text: str) -> Prediction:
-    """Label one raw text with the bundle's model.
+def predict(bundle: ModelBundle, text: str) -> Prediction:
+    """Label one raw text with the bundle's model and vocabulary.
 
-    The vocabulary must carry the fingerprint the checkpoint was trained
-    with. Text that cleans down to nothing is still scored (an all-padding
+    Text that cleans down to nothing is still scored (an all-padding
     sequence) but flagged as empty input.
     """
-    if vocab.fingerprint() != bundle.vocab_fingerprint:
-        raise InputError(
-            "vocabulary fingerprint mismatch: this vocabulary is not the one "
-            "the model was trained with"
-        )
-    tokens = tokenize(clean_text(text))
+    tokens = tokenize(clean_text(text))[:bundle.seq_len]
     probs = class_probabilities(
-        bundle.model, bundle.embeddings.table, encode([tokens], vocab, bundle.seq_len),
-        batch_size=1,
+        bundle.model, bundle.embeddings.table,
+        encode([tokens], bundle.vocab, max(1, len(tokens))), batch_size=1,
     )[0].tolist()
     label_index = int(np.argmax(probs))
     return Prediction(

@@ -55,7 +55,8 @@ def test_traced_train_and_evaluate_report_every_layer(tmp_path, monkeypatch):
     summary = json.loads((out / "train-0001" / "train_summary.json").read_text())
     shape = {"cell_size": config.cell_size, "embedding_dim": config.embedding_dim}
     layers = layer_metrics(tracer, shape, summary["split_sizes"]["test"])
-    assert tracer.absent == []
+    # The vocabulary is read from model.ckpt; only the old TSV loader's hook is gone.
+    assert tracer.absent == ["reviewlab.cli.load_vocab"]
     assert layers["nn.lstm_forward_ms_per_dir"] > 0
     assert layers["nn.backward_ms_per_batch"] > 0
     assert layers["training.eval_rows_per_test_row"] == 1.0

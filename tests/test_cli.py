@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from reviewlab.analytics import full_report
+from reviewlab.checkpoint import MAGIC
 from reviewlab.cli import main
 from reviewlab.dataset import parse_csv, write_csv
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
@@ -39,6 +40,17 @@ def train_run(tmp_path, data_csv, toy_cfg_file):
                  "--config", str(toy_cfg_file)])
     assert code == 0
     return out / "train-0001"
+
+
+def replace_stored_vocab(ckpt, new_words):
+    """Swap the word list in a checkpoint's metadata for new_words(old); returns the old list."""
+    raw = ckpt.read_bytes()
+    header_end = raw.find(b"\n", len(MAGIC))
+    meta = json.loads(raw[len(MAGIC):header_end])
+    old = meta["vocab"]
+    meta["vocab"] = new_words(old)
+    ckpt.write_bytes(MAGIC + json.dumps(meta).encode() + raw[header_end:])
+    return old
 
 
 class TestAnalyze:
@@ -121,9 +133,9 @@ class TestLabel:
 class TestTrain:
     def test_artifacts_written(self, tmp_path, data_csv, toy_cfg_file):
         run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
-        for name in ("model.ckpt", "vocab.tsv", "history.csv",
-                     "train_summary.json", "config.txt"):
+        for name in ("model.ckpt", "history.csv", "train_summary.json", "config.txt"):
             assert (run_dir / name).exists(), name
+        assert not (run_dir / "vocab.tsv").exists()  # the vocabulary is in model.ckpt
         lines = (run_dir / "history.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,val_acc"
         assert len(lines) == 31
@@ -187,6 +199,29 @@ class TestEvaluate:
         assert code == 2
         assert "task" in capsys.readouterr().err
 
+    def test_split_seed_taken_from_checkpoint(self, tmp_path, data_csv, capsys):
+        """A model trained with --seed 3 is scored on the seed-3 test split by default."""
+        out = tmp_path / "runs"
+        cfg = tmp_path / "no-seed.cfg"
+        settings = toy_config(epochs=3).as_dict()
+        del settings["seed"]
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        common = ["--data", str(data_csv), "--out", str(out), "--config", str(cfg)]
+        assert main(["train", *common, "--seed", "3"]) == 0
+        base = ["evaluate", *common, "--checkpoint", str(out / "train-0001" / "model.ckpt")]
+        assert main(base) == 0
+        assert main([*base, "--seed", "3"]) == 0
+        first, second = out / "evaluate-0001", out / "evaluate-0002"
+        for name in ("metrics.json", "baseline.json", "confusion.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        assert "seed=3\n" in (first / "config.txt").read_text()
+        # The materialized config records the checkpoint's seed, so it reruns.
+        assert main(["evaluate", "--config", str(first / "config.txt")]) == 0
+        assert snapshot(out / "evaluate-0003") == snapshot(first)
+
+        assert main([*base, "--seed", "0"]) == 2
+        assert "checkpoint was trained with seed 3, not 0" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_two(self, tmp_path, data_csv):
         code = main(["evaluate", "--data", str(data_csv),
                      "--out", str(tmp_path / "runs"),
@@ -235,30 +270,41 @@ class TestPredict:
         assert code == 2
         assert "--text" in capsys.readouterr().err
 
-    def test_foreign_vocab_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
-        run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
-        other = tmp_path / "other_vocab.tsv"
-        other.write_text("<pad>\t0\n<oov>\t1\nunrelated\t2\n")
-        code = main(["predict", "--out", str(tmp_path / "runs"),
-                     "--checkpoint", str(run_dir / "model.ckpt"),
-                     "--vocab", str(other), "--text", "good dress"])
-        assert code == 2
-        assert "fingerprint" in capsys.readouterr().err
+    def test_rerun_from_materialized_config(self, tmp_path, data_csv, toy_cfg_file):
+        """config.txt records the checkpoint's task and seed, so a rerun from it works."""
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(data_csv), "--out", str(out),
+                     "--config", str(toy_cfg_file), "--task", "sentiment"]) == 0
+        assert main(["predict", "--out", str(out), "--text", "good dress",
+                     "--checkpoint", str(out / "train-0001" / "model.ckpt")]) == 0
+        first = out / "predict-0001"
+        assert {"task=sentiment", "seed=4"} <= set((first / "config.txt").read_text().split())
+        assert main(["predict", "--config", str(first / "config.txt")]) == 0
+        assert snapshot(out / "predict-0002") == snapshot(first)
 
+    def test_vocab_flag_removed(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        """The vocabulary travels inside the checkpoint; --vocab is no longer an option."""
+        argv = self.predict_argv(tmp_path, data_csv, toy_cfg_file, "good dress")
+        assert main([*argv, "--vocab", str(tmp_path / "vocab.tsv")]) == 2
+        assert "unrecognized arguments: --vocab" in capsys.readouterr().err
+
+    def test_foreign_vocab_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        """A vocabulary that does not fit the embedding table is refused at load."""
+        ckpt = train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt"
+        rows = len(replace_stored_vocab(ckpt, lambda old: ["unrelated"])) + 2
+        code = main(["predict", "--out", str(tmp_path / "runs"),
+                     "--checkpoint", str(ckpt), "--text", "good dress"])
+        assert code == 2
+        assert f"3 vocabulary tokens for {rows} embedding rows" in capsys.readouterr().err
 
     def test_repeated_vocab_token_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
-        run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
-        lines = (run_dir / "vocab.tsv").read_text().splitlines()
-        token = lines[2].split("\t")[0]
-        lines.append(f"{token}\t{len(lines)}")  # the next index, so only the token is wrong
-        repeated = tmp_path / "repeated_vocab.tsv"
-        repeated.write_text("\n".join(lines) + "\n")
+        ckpt = train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt"
+        # Same length, so only the repeat of the first word is wrong.
+        token = replace_stored_vocab(ckpt, lambda old: old[:-1] + old[:1])[0]
         code = main(["predict", "--out", str(tmp_path / "runs"),
-                     "--checkpoint", str(run_dir / "model.ckpt"),
-                     "--vocab", str(repeated), "--text", "good dress"])
+                     "--checkpoint", str(ckpt), "--text", "good dress"])
         assert code == 2
-        assert (f"line {len(lines)}: duplicate token {token!r}, first on line 3"
-                in capsys.readouterr().err)
+        assert f"vocabulary tokens must be distinct, {token!r} repeats" in capsys.readouterr().err
 
 
 def with_bad_byte(path, line):
@@ -297,14 +343,6 @@ class TestNonUtf8Input:
         self.assert_exits_two(
             ["label", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
              "--lexicon", str(bad)], bad, capsys,
-        )
-
-    def test_vocab(self, tmp_path, data_csv, toy_cfg_file, capsys):
-        run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
-        bad = with_bad_byte(run_dir / "vocab.tsv", 3)
-        self.assert_exits_two(
-            ["predict", "--out", str(tmp_path / "runs"), "--checkpoint",
-             str(run_dir / "model.ckpt"), "--vocab", str(bad), "--text", "good"], bad, capsys,
         )
 
     def test_embeddings(self, tmp_path, data_csv, toy_cfg_file, capsys):

@@ -1,11 +1,15 @@
 """Tests for cleaning, tokenization, vocabulary, and embeddings."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reviewlab.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
 from reviewlab.errors import InputError
+from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
 from reviewlab.textprep import (
     OOV_INDEX,
@@ -17,9 +21,7 @@ from reviewlab.textprep import (
     embed_batch,
     encode,
     load_glove,
-    load_vocab,
     random_embeddings,
-    save_vocab,
     tokenize,
 )
 
@@ -120,12 +122,6 @@ class TestVocab:
         a = build_vocab(corpus, min_freq=1, max_size=50)
         b = build_vocab(corpus, min_freq=1, max_size=50)
         assert a.tokens() == b.tokens()
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_fingerprint_changes_with_content(self):
-        a = build_vocab([["a"]], min_freq=1, max_size=10)
-        b = build_vocab([["b"]], min_freq=1, max_size=10)
-        assert a.fingerprint() != b.fingerprint()
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="min_freq"):
@@ -179,6 +175,10 @@ class TestEmbeddingMatrix:
         emb = random_embeddings(5, 4, SeededRng(1))
         assert np.all(emb.table[0] == 0.0)
         assert np.all(np.abs(emb.table) <= 0.25)
+
+    def test_needs_pad_and_oov_rows(self):
+        with pytest.raises(ValueError, match="at least the pad and oov rows"):
+            EmbeddingMatrix(table=np.zeros((1, 2)))
 
     def test_non_finite_rejected(self):
         arr = np.zeros((3, 2))
@@ -298,38 +298,39 @@ class TestEmbed:
 
 
 class TestVocabRoundTrip:
+    """A trained model's vocabulary is saved and loaded inside its checkpoint."""
+
+    def save(self, tmp_path, vocab):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ModelBundle(
+            task="recommendation", class_names=("no", "yes"), seq_len=4, seed=0, vocab=vocab,
+            model=BiLstmClassifier.build(2, 3, 2, SeededRng(1)),
+            embeddings=random_embeddings(len(vocab), 3, SeededRng(2)),
+        ), path)
+        return path
+
+    def metadata_line(self, path):
+        raw = path.read_bytes()
+        return raw, raw.find(b"\n", len(MAGIC))
+
     def test_save_load_round_trip(self, tmp_path):
         v = build_vocab([["b", "a", "b", "c"]], min_freq=1, max_size=10)
-        path = tmp_path / "vocab.tsv"
-        save_vocab(v, path)
-        loaded = load_vocab(path)
+        loaded = load_checkpoint(self.save(tmp_path, v)).vocab
         assert loaded.tokens() == v.tokens()
-        assert loaded.fingerprint() == v.fingerprint()
+        assert [loaded.index_of(t) for t in v.tokens()] == list(range(len(v)))
 
     def test_export_format(self, tmp_path):
-        v = build_vocab([["a"]], min_freq=1, max_size=10)
-        path = tmp_path / "vocab.tsv"
-        save_vocab(v, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "<pad>\t0"
-        assert lines[1] == "<oov>\t1"
-        assert lines[2] == "a\t2"
-
-    def test_load_rejects_missing_reserved_rows(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("a\t0\nb\t1\n", encoding="utf-8")
-        with pytest.raises(InputError, match="pad"):
-            load_vocab(path)
-
-    def test_load_rejects_out_of_order_index(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("<pad>\t0\n<oov>\t1\na\t5\n", encoding="utf-8")
-        with pytest.raises(InputError, match="out of order"):
-            load_vocab(path)
+        """The metadata lists the words after <pad> and <oov>, in index order."""
+        v = build_vocab([["b", "a", "b"]], min_freq=1, max_size=10)
+        raw, end = self.metadata_line(self.save(tmp_path, v))
+        assert json.loads(raw[len(MAGIC):end])["vocab"] == ["b", "a"]
 
     def test_load_rejects_malformed_line(self, tmp_path):
-        path = tmp_path / "vocab.tsv"
-        path.write_text("<pad>\t0\n<oov>\t1\nmissing-index\n", encoding="utf-8")
-        with pytest.raises(InputError, match="line 3"):
-            load_vocab(path)
-
+        """A metadata line whose vocabulary holds a non-string token is refused."""
+        path = self.save(tmp_path, build_vocab([["a", "b"]], min_freq=1, max_size=10))
+        raw, end = self.metadata_line(path)
+        meta = json.loads(raw[len(MAGIC):end])
+        meta["vocab"][1] = 7
+        path.write_bytes(MAGIC + json.dumps(meta).encode() + raw[end:])
+        with pytest.raises(InputError, match="'vocab' must be a list of strings"):
+            load_checkpoint(path)

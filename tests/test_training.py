@@ -12,7 +12,7 @@ from reviewlab.checkpoint import ModelBundle
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import PAD_INDEX, build_vocab, random_embeddings
+from reviewlab.textprep import PAD_INDEX, random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import (
     RECOMMENDATION_CLASSES,
@@ -314,27 +314,28 @@ class TestPredict:
             task=config.task,
             class_names=config.class_names,
             seq_len=config.seq_len,
-            vocab_fingerprint=prep.vocab.fingerprint(),
+            seed=config.seed,
+            vocab=prep.vocab,
             model=result.model,
             embeddings=result.embeddings,
         )
-        return bundle, prep.vocab
+        return bundle
 
     def test_identical_text_identical_probabilities(self):
-        bundle, vocab = self.bundle()
-        a = predict(bundle, vocab, "really good dress love it")
-        b = predict(bundle, vocab, "really good dress love it")
+        bundle = self.bundle()
+        a = predict(bundle, "really good dress love it")
+        b = predict(bundle, "really good dress love it")
         assert a == b
 
     def test_probabilities_sum_to_one(self):
-        bundle, vocab = self.bundle()
-        p = predict(bundle, vocab, "bad skirt returned it")
+        bundle = self.bundle()
+        p = predict(bundle, "bad skirt returned it")
         assert sum(p.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
         assert p.label == bundle.class_names[p.label_index]
 
     def test_empty_text_flagged(self):
-        bundle, vocab = self.bundle()
-        p = predict(bundle, vocab, "!!!")
+        bundle = self.bundle()
+        p = predict(bundle, "!!!")
         assert p.empty_input
         assert sum(p.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
         # Zero features: the head bias alone decides.
@@ -343,16 +344,10 @@ class TestPredict:
 
     def test_probabilities_do_not_depend_on_seq_len(self):
         """A 3-token review is scored alike whether padded to 3, 10 or 120 steps."""
-        bundle, vocab = self.bundle()
-        got = {n: predict(replace(bundle, seq_len=n), vocab, "very good dress").probabilities
+        bundle = self.bundle()
+        got = {n: predict(replace(bundle, seq_len=n), "very good dress").probabilities
                for n in (3, 10, 120)}
         assert got[3] == got[10] == got[120]
-
-    def test_vocab_fingerprint_mismatch_rejected(self):
-        bundle, _ = self.bundle()
-        other = build_vocab([["unrelated", "tokens"]], min_freq=1, max_size=10)
-        with pytest.raises(InputError, match="fingerprint"):
-            predict(bundle, other, "good dress")
 
 
 class TestHistoryCsv:

@@ -17,6 +17,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,45 +128,55 @@ _FIELDS = {
 
 
 def load_checkpoint(path) -> ModelBundle:
-    """Read a checkpoint, validating its metadata and its blocks."""
+    """Read a checkpoint, validating its metadata and its blocks.
+
+    The blocks are read straight into one float64 buffer and returned as
+    views of it, with no copy of the whole file: a load makes one
+    allocation of the model's size, so repeated loads in one process reuse
+    the same memory instead of faulting in fresh pages for each copy.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if not raw.startswith(MAGIC):
-        raise InputError(f"{path}: not a checkpoint file (bad magic)")
-    header_end = raw.find(b"\n", len(MAGIC))
-    if header_end < 0:
-        raise InputError(f"{path}: truncated checkpoint header")
-    try:
-        meta = json.loads(raw[len(MAGIC):header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{path}: unreadable checkpoint metadata: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise InputError(f"{path}: checkpoint metadata must be a JSON object")
-    if meta.get("format") != FORMAT:
-        raise InputError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
-    blocks = meta.get("blocks")
-    if not isinstance(blocks, list) or not all(_is_block_entry(e) for e in blocks):
-        raise InputError(
-            f"{path}: checkpoint metadata 'blocks' must be a list of "
-            f"[name, rows, cols] entries with non-negative integer sizes"
-        )
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise InputError(f"{path}: not a checkpoint file (bad magic)")
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            raise InputError(f"{path}: truncated checkpoint header")
+        try:
+            meta = json.loads(header.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise InputError(f"{path}: unreadable checkpoint metadata: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise InputError(f"{path}: checkpoint metadata must be a JSON object")
+        if meta.get("format") != FORMAT:
+            raise InputError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
+        blocks = meta.get("blocks")
+        if not isinstance(blocks, list) or not all(_is_block_entry(e) for e in blocks):
+            raise InputError(
+                f"{path}: checkpoint metadata 'blocks' must be a list of "
+                f"[name, rows, cols] entries with non-negative integer sizes"
+            )
+
+        count = sum(rows * cols for _, rows, cols in blocks)
+        left = size - fh.tell()
+        if 8 * count > left:
+            raise InputError(f"{path}: truncated checkpoint blocks")
+        if 8 * count < left:
+            raise InputError(f"{path}: {left - 8 * count} trailing bytes after last block")
+        flat = np.empty(count, dtype="<f8")
+        if fh.readinto(flat) != 8 * count:
+            raise InputError(f"{path}: truncated checkpoint blocks")
 
     arrays = {}
-    offset = header_end + 1
+    start = 0
     for name, rows, cols in blocks:
         if name in arrays:
             raise InputError(f"{path}: duplicate block {name!r}")
-        nbytes = 8 * rows * cols
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise InputError(f"{path}: truncated checkpoint in block {name!r}")
         try:
-            arrays[name] = np.frombuffer(chunk, dtype="<f8").reshape(rows, cols)
+            arrays[name] = flat[start:start + rows * cols].reshape(rows, cols)
         except ValueError:  # an empty block may still declare a dimension numpy cannot hold
             raise InputError(f"{path}: block {name!r} cannot be {rows} x {cols}") from None
-        offset += nbytes
-    if offset != len(raw):
-        raise InputError(f"{path}: {len(raw) - offset} trailing bytes after last block")
+        start += rows * cols
 
     if set(arrays) != set(_BLOCK_NAMES):
         missing = sorted(set(_BLOCK_NAMES) - set(arrays))

@@ -2,8 +2,8 @@
 
 Every operation is a pure function of the record list: descriptive
 statistics (sample standard deviation, divisor n-1), distinct-value
-counts, ranked frequency distributions, cross-tabulations with optional
-row normalization, a Pearson correlation matrix over per-clothing-id
+counts, ranked frequency distributions, cross-tabulations with their
+row-normalized form, a Pearson correlation matrix over per-clothing-id
 aggregates, segmented word-frequency rankings with a fixed stop-word
 list, and decade age bins with positive-feedback sums.
 
@@ -72,15 +72,14 @@ STOP_WORDS = frozenset(
 )
 
 
-def _values(records, feature, skip_missing=True):
+def _values(records, feature):
+    """The feature's non-missing values, in record order."""
     try:
         accessor = FEATURE_ACCESSORS[feature]
     except KeyError:
         raise ValueError(f"unknown feature {feature!r}") from None
     values = (accessor(r) for r in records)
-    if skip_missing:
-        return [v for v in values if v is not None]
-    return list(values)
+    return [v for v in values if v is not None]
 
 
 @dataclass(frozen=True)
@@ -123,38 +122,29 @@ def unique_counts(records) -> dict:
     }
 
 
-def freq_dist(records, feature: str, top_n: int | None = None):
-    """(value, count) pairs, count descending, ties by string order."""
+def freq_dist(records, feature: str, top_n: int):
+    """The top_n (value, count) pairs, count descending, ties by string order."""
     counts = Counter(_values(records, feature))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
-    if top_n is not None:
-        if top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {top_n}")
-        ranked = ranked[:top_n]
-    return ranked
+    return sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[:top_n]
 
 
 @dataclass(frozen=True)
 class CrossTab:
-    """Contingency counts; rows/cols with missing values are excluded."""
+    """Contingency counts and their row-normalized form."""
 
     row_feature: str
     col_feature: str
     row_labels: tuple
     col_labels: tuple
     counts: tuple
-    normalized: tuple | None
-    excluded: int
-
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
+    normalized: tuple
 
 
-def crosstab(records, row_feature: str, col_feature: str, normalize: bool = False) -> CrossTab:
+def crosstab(records, row_feature: str, col_feature: str) -> CrossTab:
     """Count co-occurrences of two categorical features.
 
-    Records missing either feature are excluded from the table and
-    reported via the excluded field.
+    Records missing either feature are left out of the table.  Each row
+    of ``normalized`` divides a row of counts by its sum.
     """
     row_acc = FEATURE_ACCESSORS.get(row_feature)
     col_acc = FEATURE_ACCESSORS.get(col_feature)
@@ -162,25 +152,20 @@ def crosstab(records, row_feature: str, col_feature: str, normalize: bool = Fals
         bad = row_feature if row_acc is None else col_feature
         raise ValueError(f"unknown feature {bad!r}")
     pairs = []
-    excluded = 0
     for r in records:
         rv, cv = row_acc(r), col_acc(r)
-        if rv is None or cv is None:
-            excluded += 1
-            continue
-        pairs.append((rv, cv))
+        if rv is not None and cv is not None:
+            pairs.append((rv, cv))
     row_labels = tuple(sorted({rv for rv, _ in pairs}, key=str))
     col_labels = tuple(sorted({cv for _, cv in pairs}, key=str))
     counter = Counter(pairs)
     counts = tuple(
         tuple(counter.get((rv, cv), 0) for cv in col_labels) for rv in row_labels
     )
-    normalized = None
-    if normalize:
-        normalized = tuple(
-            tuple(c / row_sum for c in row) if (row_sum := sum(row)) else row
-            for row in counts
-        )
+    normalized = tuple(
+        tuple(c / row_sum for c in row) if (row_sum := sum(row)) else row
+        for row in counts
+    )
     return CrossTab(
         row_feature=row_feature,
         col_feature=col_feature,
@@ -188,7 +173,6 @@ def crosstab(records, row_feature: str, col_feature: str, normalize: bool = Fals
         col_labels=col_labels,
         counts=counts,
         normalized=normalized,
-        excluded=excluded,
     )
 
 
@@ -257,50 +241,34 @@ def grouped_rating_corr(records) -> CorrelationMatrix:
     )
 
 
-def _segment_texts(records, segment: str):
-    if segment == "titles":
-        return [r.title for r in records if r.title is not None]
-    if segment == "reviews":
-        return [r.review_text for r in records if r.review_text is not None]
-    if segment == "high_rating":
-        return [
-            r.review_text
-            for r in records
-            if r.review_text is not None and r.rating > HIGH_RATING_THRESHOLD
-        ]
-    if segment == "low_rating":
-        return [
-            r.review_text
-            for r in records
-            if r.review_text is not None and r.rating <= HIGH_RATING_THRESHOLD
-        ]
-    if segment.startswith("division:"):
-        name = segment[len("division:"):]
-        return [
-            r.review_text
-            for r in records
-            if r.review_text is not None and r.division == name
-        ]
-    raise ValueError(f"unknown segment {segment!r}")
+def word_freq_by_segment(records, top_n: int) -> dict:
+    """The top_n stop-word-filtered token counts of every text segment.
 
-
-def word_freq_by_segment(records, segment: str, top_n: int | None = None):
-    """Ranked stop-word-filtered token counts for one text segment.
-
-    Segments: titles, reviews, high_rating (rating > 3), low_rating
-    (rating <= 3), and division:<name>.
+    Segments, in order: titles, reviews, high_rating (rating > 3),
+    low_rating (rating <= 3), and division:<name> for each division
+    present.  One pass cleans and tokenizes each title and review once.
     """
-    counts: Counter = Counter()
-    for text in _segment_texts(records, segment):
-        counts.update(
-            t for t in tokenize(clean_text(text)) if t not in STOP_WORDS
-        )
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if top_n is not None:
-        if top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {top_n}")
-        ranked = ranked[:top_n]
-    return ranked
+    counts = {s: Counter() for s in ("titles", "reviews", "high_rating", "low_rating")}
+    for name in sorted({r.division for r in records if r.division is not None}):
+        counts[f"division:{name}"] = Counter()
+
+    def words(text):
+        return [t for t in tokenize(clean_text(text)) if t not in STOP_WORDS]
+
+    for r in records:
+        if r.title is not None:
+            counts["titles"].update(words(r.title))
+        if r.review_text is None:
+            continue
+        tokens = words(r.review_text)
+        counts["reviews"].update(tokens)
+        counts["high_rating" if r.rating > HIGH_RATING_THRESHOLD else "low_rating"].update(tokens)
+        if r.division is not None:
+            counts[f"division:{r.division}"].update(tokens)
+    return {
+        segment: sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+        for segment, c in counts.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -378,7 +346,7 @@ def full_report(records, top_n: int = 60) -> dict:
         ("Department Name", "Class Name"),
         ("Division Name", "Class Name"),
     ):
-        ct = crosstab(records, row_f, col_f, normalize=True)
+        ct = crosstab(records, row_f, col_f)
         header = (ct.row_feature, *ct.col_labels)
         tables[f"crosstab__{slug(row_f)}__{slug(col_f)}"] = Table(
             header=header,
@@ -399,11 +367,7 @@ def full_report(records, top_n: int = 60) -> dict:
         ),
     )
 
-    segments = ["titles", "reviews", "high_rating", "low_rating"]
-    divisions = sorted({r.division for r in records if r.division is not None})
-    segments.extend(f"division:{d}" for d in divisions)
-    for segment in segments:
-        ranked = word_freq_by_segment(records, segment, top_n=top_n)
+    for segment, ranked in word_freq_by_segment(records, top_n).items():
         tables[f"word_freq__{slug(segment)}"] = Table(
             header=("token", "count"), rows=tuple(ranked)
         )

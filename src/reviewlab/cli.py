@@ -32,12 +32,14 @@ from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc, write_confusion_csv, write_report_json, write_roc_csv
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
-from .textprep import load_glove, random_embeddings
+from .textprep import encode, load_glove, random_embeddings
 from .training import (
+    LabeledSplit,
     TrainConfig,
     build_training_data,
     evaluate,
     predict,
+    tokenized_splits,
     train,
     write_history_csv,
 )
@@ -274,17 +276,17 @@ def _load_bundle(cfg: dict, provided: set, run_dir: Path, command: str) -> Model
 
 def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     bundle = _load_bundle(cfg, provided, run_dir, "evaluate")
+    config = _train_config({**cfg, "seq_len": bundle.seq_len})
     records = _parse_records(cfg, "evaluate", run_dir)
-    config = TrainConfig(seed=bundle.seed, task=bundle.task, seq_len=bundle.seq_len)
-    prep = build_training_data(records, config, _load_lexicon(cfg), vocab=bundle.vocab)
-    test = prep.test
+    (train_split, _, (tokens, labels)), _ = tokenized_splits(records, config, _load_lexicon(cfg))
+    test = LabeledSplit(encode(tokens, bundle.vocab, bundle.seq_len), labels)
     report, probs = evaluate(
-        bundle.model, bundle.embeddings, test, cfg["batch_size"], bundle.class_names
+        bundle.model, bundle.embeddings, test, config.batch_size, bundle.class_names
     )
     extra = {}
     if bundle.task == "recommendation":
         try:
-            curve = roc_auc(test.labels.tolist(), probs[:, 1].tolist())
+            curve = roc_auc(test.labels, probs[:, 1])
         except InputError:
             extra["roc_auc"] = None
         else:
@@ -293,8 +295,7 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     write_report_json(report, run_dir / "metrics.json", extra=extra)
     write_confusion_csv(report, run_dir / "confusion.csv")
     baseline = majority_baseline(
-        prep.train.labels.tolist(), test.labels.tolist(),
-        bundle.n_classes, bundle.class_names,
+        train_split[1], test.labels, bundle.n_classes, bundle.class_names
     )
     write_report_json(baseline, run_dir / "baseline.json")
     print(f"test accuracy {report.accuracy:.6f} (metrics in {run_dir})")

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
 from .nn import PROB_FLOOR
 
@@ -47,39 +49,30 @@ class ClassMetrics:
     degenerate: bool
 
 
+def _check_labels(labels, n_classes: int, what: str) -> None:
+    bad = labels[(labels < 0) | (labels >= n_classes)]
+    if bad.size:
+        raise ValueError(f"{what} label {bad[0]} outside [0, {n_classes})")
+
+
 def confusion_matrix(y_true, y_pred, n_classes):
-    """Count (true, predicted) pairs into an n_classes x n_classes grid."""
+    """Count (true, predicted) pairs into an n_classes x n_classes grid of ints.
+
+    The labels are (N,) int arrays or any array-like.
+    """
     if n_classes < 1:
         raise ValueError(f"n_classes must be >= 1, got {n_classes}")
-    if len(y_true) != len(y_pred):
+    t, p = np.asarray(y_true), np.asarray(y_pred)
+    if len(t) != len(p):
         raise ValueError(
-            f"label length mismatch: {len(y_true)} true vs {len(y_pred)} predicted"
+            f"label length mismatch: {len(t)} true vs {len(p)} predicted"
         )
-    if not y_true:
+    if not len(t):
         raise InputError("cannot build a confusion matrix from an empty split")
-    counts = [[0] * n_classes for _ in range(n_classes)]
-    for t, p in zip(y_true, y_pred):
-        if not 0 <= t < n_classes:
-            raise ValueError(f"true label {t} outside [0, {n_classes})")
-        if not 0 <= p < n_classes:
-            raise ValueError(f"predicted label {p} outside [0, {n_classes})")
-        counts[t][p] += 1
-    return tuple(tuple(row) for row in counts)
-
-
-def _check_square(matrix):
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("confusion matrix must be non-empty")
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError(
-                f"confusion matrix must be square, got row of length {len(row)} in {n}x{n}"
-            )
-        for cell in row:
-            if cell < 0 or cell != int(cell):
-                raise ValueError(f"confusion matrix entries must be nonnegative integers, got {cell!r}")
-    return n
+    _check_labels(t, n_classes, "true")
+    _check_labels(p, n_classes, "predicted")
+    counts = np.bincount(t * n_classes + p, minlength=n_classes * n_classes)
+    return tuple(map(tuple, counts.reshape(n_classes, n_classes).tolist()))
 
 
 def precision_recall_f1(matrix):
@@ -89,37 +82,27 @@ def precision_recall_f1(matrix):
     F1 = 2PR / (P + R). Returns (per_class, weighted) where weighted is a
     (precision, recall, f1) triple weighted by row supports.
     """
-    n = _check_square(matrix)
-    total = sum(sum(row) for row in matrix)
+    counts = np.asarray(matrix)
+    total = int(counts.sum())
     if total == 0:
         raise ValueError("confusion matrix has no observations")
-    per_class = []
-    for c in range(n):
-        tp = matrix[c][c]
-        col_sum = sum(matrix[r][c] for r in range(n))
-        row_sum = sum(matrix[c])
-        degenerate = col_sum == 0 or row_sum == 0
-        precision = tp / col_sum if col_sum else 0.0
-        recall = tp / row_sum if row_sum else 0.0
-        if precision + recall > 0:
-            f1 = 2.0 * precision * recall / (precision + recall)
-        else:
-            f1 = 0.0
-            degenerate = True
-        per_class.append(
-            ClassMetrics(
-                precision=precision,
-                recall=recall,
-                f1=f1,
-                support=row_sum,
-                degenerate=degenerate,
-            )
-        )
+    tp, predicted, support = np.diag(counts), counts.sum(axis=0), counts.sum(axis=1)
+    zeros = np.zeros(len(counts))
+    precision = np.divide(tp, predicted, out=zeros.copy(), where=predicted > 0)
+    recall = np.divide(tp, support, out=zeros.copy(), where=support > 0)
+    both = precision + recall
+    f1 = np.divide(2.0 * precision * recall, both, out=zeros, where=both > 0)
+    degenerate = (predicted == 0) | (support == 0) | (both == 0)
+    per_class = tuple(
+        ClassMetrics(*fields)
+        for fields in zip(precision.tolist(), recall.tolist(), f1.tolist(),
+                          support.tolist(), degenerate.tolist())
+    )
     weighted = tuple(
         sum(getattr(m, field) * m.support for m in per_class) / total
         for field in ("precision", "recall", "f1")
     )
-    return tuple(per_class), weighted
+    return per_class, weighted
 
 
 @dataclass(frozen=True)
@@ -135,20 +118,6 @@ class MetricsReport:
     mean_loss: float
     confusion: tuple
 
-    def __post_init__(self):
-        n = _check_square(self.confusion)
-        if len(self.class_names) != n or len(self.per_class) != n:
-            raise ValueError(
-                f"expected {n} class names and metric rows, got "
-                f"{len(self.class_names)} and {len(self.per_class)}"
-            )
-        total = self.total
-        if sum(m.support for m in self.per_class) != total:
-            raise ValueError("per-class supports must sum to the confusion-matrix total")
-        trace = sum(self.confusion[i][i] for i in range(n))
-        if abs(self.accuracy - trace / total) > 1e-12:
-            raise ValueError("accuracy must equal trace/total of the confusion matrix")
-
     @property
     def total(self):
         return sum(sum(row) for row in self.confusion)
@@ -156,7 +125,7 @@ class MetricsReport:
 
 def build_report(confusion, class_names, mean_loss):
     """Assemble a MetricsReport from a confusion matrix and a mean loss."""
-    n = _check_square(confusion)
+    n = len(confusion)
     if len(class_names) != n:
         raise ValueError(f"expected {n} class names, got {len(class_names)}")
     per_class, weighted = precision_recall_f1(confusion)
@@ -181,64 +150,43 @@ class RocCurve:
     points: tuple
     auc: float
 
-    def __post_init__(self):
-        if self.points[0] != (0.0, 0.0) or self.points[-1] != (1.0, 1.0):
-            raise ValueError("ROC curve must run from (0, 0) to (1, 1)")
-        for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
-            if x1 < x0 or y1 < y0:
-                raise ValueError("ROC points must be nondecreasing in both coordinates")
-        if not 0.0 <= self.auc <= 1.0:
-            raise ValueError(f"AUC must lie in [0, 1], got {self.auc}")
-
 
 def roc_auc(labels, scores):
     """Threshold-sweep ROC curve with trapezoidal AUC.
 
-    ``labels`` are 0/1 ints, ``scores`` the positive-class probabilities.
-    Equal scores are grouped into a single threshold step, which makes the
-    trapezoidal area equal the pairwise-ordering statistic with ties
-    counted one half.
+    ``labels`` are 0/1 ints, ``scores`` the positive-class probabilities,
+    each an (N,) array or any array-like.  Equal scores are grouped into a
+    single threshold step, which makes the trapezoidal area equal the
+    pairwise-ordering statistic with ties counted one half.
     """
+    labels, scores = np.asarray(labels), np.asarray(scores, dtype=np.float64)
     if len(labels) != len(scores):
         raise ValueError(
             f"label length mismatch: {len(labels)} labels vs {len(scores)} scores"
         )
-    n_pos = 0
-    n_neg = 0
-    for label in labels:
-        if label == 1:
-            n_pos += 1
-        elif label == 0:
-            n_neg += 1
-        else:
-            raise ValueError(f"binary labels must be 0 or 1, got {label!r}")
+    bad = labels[(labels != 0) & (labels != 1)]
+    if bad.size:
+        raise ValueError(f"binary labels must be 0 or 1, got {bad[0]}")
+    n_pos = int(np.count_nonzero(labels))
+    n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise InputError(
             "ROC needs at least one positive and one negative example, "
             f"got {n_pos} positive and {n_neg} negative"
         )
-    for s in scores:
-        if not math.isfinite(s):
-            raise ValueError(f"scores must be finite, got {s!r}")
-    ranked = sorted(zip(scores, labels), key=lambda pair: -pair[0])
-    points = [(0.0, 0.0)]
-    tp = 0
-    fp = 0
-    i = 0
-    while i < len(ranked):
-        j = i
-        while j < len(ranked) and ranked[j][0] == ranked[i][0]:
-            if ranked[j][1] == 1:
-                tp += 1
-            else:
-                fp += 1
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    auc = 0.0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        auc += (x1 - x0) * (y0 + y1) / 2.0
-    return RocCurve(points=tuple(points), auc=auc)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(f"scores must be finite, got {scores[~np.isfinite(scores)][0]}")
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    tp = np.cumsum(labels[order] == 1)
+    fp = np.arange(1, len(ranked) + 1) - tp
+    last = np.append(ranked[1:] != ranked[:-1], True)  # each score's last row
+    x = np.concatenate([[0.0], fp[last] / n_neg])
+    y = np.concatenate([[0.0], tp[last] / n_pos])
+    # cumsum adds left to right, as a scalar loop does; np.sum adds pairwise,
+    # which can change the last bit of the AUC.
+    auc = np.cumsum(np.diff(x) * (y[:-1] + y[1:]) / 2.0)[-1]
+    return RocCurve(points=tuple(zip(x.tolist(), y.tolist())), auc=float(auc))
 
 
 def majority_baseline(train_labels, eval_labels, n_classes, class_names=None):
@@ -246,29 +194,24 @@ def majority_baseline(train_labels, eval_labels, n_classes, class_names=None):
 
     Ties on the mode break toward the smallest class index. The baseline's
     mean loss is the cross-entropy of the training-split class frequencies
-    (floored to avoid log of zero) against the evaluation labels.
+    (floored to avoid log of zero) against the evaluation labels.  The
+    labels are (N,) int arrays or any array-like.
     """
-    if not train_labels:
+    train, evl = np.asarray(train_labels), np.asarray(eval_labels)
+    if not train.size:
         raise InputError("majority baseline needs a nonempty training split")
-    if not eval_labels:
+    if not evl.size:
         raise InputError("majority baseline needs a nonempty evaluation split")
-    train_counts = [0] * n_classes
-    for label in train_labels:
-        if not 0 <= label < n_classes:
-            raise ValueError(f"training label {label} outside [0, {n_classes})")
-        train_counts[label] += 1
-    mode = max(range(n_classes), key=lambda c: (train_counts[c], -c))
-    n_train = len(train_labels)
-    loss = 0.0
-    for label in eval_labels:
-        if not 0 <= label < n_classes:
-            raise ValueError(f"evaluation label {label} outside [0, {n_classes})")
-        prob = max(train_counts[label] / n_train, PROB_FLOOR)
-        loss -= math.log(prob)
-    confusion = confusion_matrix(eval_labels, [mode] * len(eval_labels), n_classes)
+    _check_labels(train, n_classes, "training")
+    train_counts = np.bincount(train, minlength=n_classes)
+    mode = int(np.argmax(train_counts))  # the first of tied counts
+    confusion = confusion_matrix(evl, np.full(len(evl), mode), n_classes)
+    n_train = len(train)
+    neg_log = np.array([-math.log(max(c / n_train, PROB_FLOOR)) for c in train_counts.tolist()])
+    loss = np.cumsum(np.r_[0.0, neg_log[evl]])[-1]  # in label order, like the AUC sum
     if class_names is None:
         class_names = tuple(f"class_{c}" for c in range(n_classes))
-    return build_report(confusion, class_names, loss / len(eval_labels))
+    return build_report(confusion, class_names, loss / len(evl))
 
 
 def report_to_dict(report):

@@ -36,8 +36,7 @@ scatters to (T, B, D) with zeros at the pads.
 The two final hidden states are joined into (B, 2H) features, passed
 through dropout (training only), and fed to a dense softmax head with
 W (C, 2H) and b (C,).  Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)),
-which saturates to 0 and 1 without overflow.  ``grad_check`` compares
-every analytic gradient against central finite differences.
+which saturates to 0 and 1 without overflow.
 """
 
 from __future__ import annotations
@@ -169,7 +168,8 @@ def lstm_sequence_forward(params: LstmParams, x: np.ndarray, lengths=None):
     offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
     packed = x[active]
     W_h, W_x = params.W[:, :H], params.W[:, H:]
-    acts = packed @ W_x.T + params.b
+    acts = packed @ W_x.T
+    acts += params.b
     z = np.empty((len(packed), H + D))
     z[:, H:] = packed
     c = np.empty((len(packed), H))
@@ -311,17 +311,6 @@ class BiLstmClassifier:
             head=init_dense_params(n_classes, 2 * cell_size, rng),
         )
 
-    def loss(self, instance) -> float:
-        """instance is (x, targets) or (x, targets, lengths)."""
-        x, targets, *lengths = instance
-        return batch_cross_entropy(forward(self, x, *lengths)[0], targets)
-
-    def loss_and_grads(self, instance):
-        x, targets, *lengths = instance
-        probs, cache = forward(self, x, *lengths)
-        grads, _ = backward(self, cache, batch_cross_entropy_grad(probs, targets))
-        return batch_cross_entropy(probs, targets), grads
-
 
 @dataclass(frozen=True)
 class ClassifierCache:
@@ -391,51 +380,6 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
     dx[L[j] - 1 - t, rows] += dx_bwd
     grads = [dW_fwd, db_fwd, dW_bwd, db_bwd, dlogits.T @ dropped, dlogits.sum(axis=0)]
     return grads, dx
-
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    """Worst relative error per parameter block from central differences."""
-
-    per_block: dict
-    max_rel_err: float
-    epsilon: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
-
-
-def grad_check(model, instance, epsilon: float, tolerance: float = 1e-4) -> GradCheckReport:
-    """Compare analytic gradients to (L(p+eps) - L(p-eps)) / (2 eps).
-
-    The model supplies param_blocks() (live arrays, perturbed in place and
-    restored), loss(instance) and loss_and_grads(instance).  Relative
-    error uses a 1e-6 floor in the denominator so near-zero gradient pairs
-    are compared absolutely instead of blowing up.
-    """
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    _, grads = model.loss_and_grads(instance)
-    per_block = {}
-    for (name, param), analytic in zip(model.param_blocks(), grads):
-        worst = 0.0
-        for k in np.ndindex(param.shape):
-            orig = param[k]
-            param[k] = orig + epsilon
-            loss_plus = model.loss(instance)
-            param[k] = orig - epsilon
-            loss_minus = model.loss(instance)
-            param[k] = orig
-            numeric = (loss_plus - loss_minus) / (2.0 * epsilon)
-            a = float(analytic[k])
-            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
-        per_block[name] = worst
-    overall = max(per_block.values()) if per_block else 0.0
-    return GradCheckReport(
-        per_block=per_block, max_rel_err=overall, epsilon=epsilon, tolerance=tolerance
-    )
 
 
 @dataclass

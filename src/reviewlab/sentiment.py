@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, input_lines
+from .textprep import clean_text, tokenize
 
 NEGATION_FACTOR = -0.74
 NEGATION_WINDOW = 3
@@ -181,8 +182,6 @@ def auto_label_dataset(records, lexicon: Lexicon):
     Records need `review_text` and `recommended` attributes.  Returns
     (labels in record order, counts keyed by (recommended, label)).
     """
-    from .textprep import clean_text, tokenize
-
     labels = []
     counts: dict = {}
     for record in records:
@@ -194,11 +193,11 @@ def auto_label_dataset(records, lexicon: Lexicon):
     return labels, counts
 
 
-def load_lexicon(path, negators=DEFAULT_NEGATORS, boosters=None) -> Lexicon:
+def load_lexicon(path) -> Lexicon:
     """Read a `token<TAB>valence` file into a Lexicon.
 
-    The file carries only valences; negator and booster lists default to
-    the built-in ones unless supplied.
+    The file carries only valences; the negators and boosters are the
+    built-in ones.
     """
     valences = {}
     for line_num, line in enumerate(input_lines(path), start=1):
@@ -218,6 +217,4 @@ def load_lexicon(path, negators=DEFAULT_NEGATORS, boosters=None) -> Lexicon:
                 f"{path}: line {line_num}: valence {valence} outside [-{MAX_VALENCE}, {MAX_VALENCE}]"
             )
         valences[token] = valence
-    if boosters is None:
-        boosters = dict(DEFAULT_BOOSTERS)
-    return Lexicon(valences=valences, negators=negators, boosters=boosters)
+    return Lexicon(valences=valences, negators=DEFAULT_NEGATORS, boosters=dict(DEFAULT_BOOSTERS))

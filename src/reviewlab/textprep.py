@@ -67,9 +67,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._tokens)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def index_of(self, token: str) -> int:
         """Index for a token; unknown tokens map to the OOV slot."""
         return self._index.get(token, OOV_INDEX)
@@ -168,10 +165,9 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
             vec = [float(v) for v in raw_vals]
         except ValueError:
             raise InputError(f"{path}: line {line_num}: non-numeric component") from None
-        if token in vocab:
-            idx = vocab.index_of(token)
-            if idx > OOV_INDEX:
-                found[idx] = vec
+        idx = vocab.index_of(token)
+        if idx > OOV_INDEX:
+            found[idx] = vec
     if dim is None:
         raise InputError(f"{path}: empty embeddings file")
     # One table-sized draw keeps the rows for absent tokens independent of

@@ -36,7 +36,7 @@ from .nn import (
     forward,
 )
 from .rng import SeededRng
-from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset
+from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, score_text
 from .textprep import (
     PAD_INDEX,
     EmbeddingMatrix,
@@ -61,6 +61,7 @@ __all__ = [
     "evaluate",
     "predict",
     "task_labels",
+    "tokenized_splits",
     "train",
     "write_history_csv",
 ]
@@ -159,16 +160,17 @@ class Prediction:
     empty_input: bool
 
 
-def task_labels(records, task: str, lexicon=BUILTIN_LEXICON) -> np.ndarray:
+def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.ndarray:
     """(N,) int64 class index per record: recommendation flag, or lexicon sentiment.
 
-    Index i names TrainConfig(task=task).class_names[i].
+    The sentiment of record i is scored from token_lists[i], its cleaned
+    and tokenized review text.  Index i names
+    TrainConfig(task=task).class_names[i].
     """
     if task == "recommendation":
         labels = [int(r.recommended) for r in records]
     elif task == "sentiment":
-        names, _ = auto_label_dataset(records, lexicon)
-        labels = [SENTIMENT_CLASSES.index(name) for name in names]
+        labels = [SENTIMENT_CLASSES.index(score_text(t, lexicon).label) for t in token_lists]
     else:
         raise ValueError(f"unknown task {task!r}, expected one of {_TASKS}")
     return np.asarray(labels, dtype=np.int64)
@@ -185,28 +187,30 @@ class PreparedData:
     dropped: int
 
 
-def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON,
-                        vocab: Vocab | None = None) -> PreparedData:
-    """Filter, split 60/20/20 with config.seed, build the vocabulary, and encode.
+def tokenized_splits(records, config: TrainConfig, lexicon=BUILTIN_LEXICON):
+    """Filter, split 60/20/20 with config.seed, and tokenize and label each review once.
+
+    Returns ((token_lists, labels) of train, validation and test, dropped).
+    """
+    kept, dropped = filter_for_classification(records)
+    token_lists = [tokenize(clean_text(r.review_text)) for r in kept]
+    labels = task_labels(kept, token_lists, config.task, lexicon)
+    splits = tuple(([token_lists[i] for i in rows], labels[list(rows)])
+                   for rows in split_60_20_20(kept, config.seed))
+    return splits, dropped
+
+
+def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON) -> PreparedData:
+    """Tokenize and split the records, build the vocabulary, and encode each split.
 
     The vocabulary is built from the training split only, so validation
     and test tokens unseen in training map to the out-of-vocabulary index.
-    A given vocab (a trained model's) is used as is instead.
     """
-    kept, dropped = filter_for_classification(records)
-    train_rows, val_rows, test_rows = split_60_20_20(kept, config.seed)
-    token_lists = [tokenize(clean_text(r.review_text)) for r in kept]
-    if vocab is None:
-        vocab = build_vocab([token_lists[i] for i in train_rows],
-                            min_freq=config.min_freq, max_size=config.vocab_size)
-    labels = task_labels(kept, config.task, lexicon)
-
-    def labeled(rows):
-        return LabeledSplit(encode([token_lists[i] for i in rows], vocab, config.seq_len),
-                            labels[list(rows)])
-
-    return PreparedData(train=labeled(train_rows), validation=labeled(val_rows),
-                        test=labeled(test_rows), vocab=vocab, dropped=dropped)
+    splits, dropped = tokenized_splits(records, config, lexicon)
+    vocab = build_vocab(splits[0][0], min_freq=config.min_freq, max_size=config.vocab_size)
+    encoded = [LabeledSplit(encode(tokens, vocab, config.seq_len), labels)
+               for tokens, labels in splits]
+    return PreparedData(*encoded, vocab=vocab, dropped=dropped)
 
 
 def _trimmed(idx: np.ndarray):
@@ -313,9 +317,7 @@ def evaluate(model, embeddings: EmbeddingMatrix, split: LabeledSplit,
     if len(split) == 0:
         raise InputError("evaluation split is empty")
     probs = class_probabilities(model, embeddings.table, split.indices, batch_size)
-    confusion = confusion_matrix(
-        split.labels.tolist(), probs.argmax(axis=1).tolist(), len(class_names)
-    )
+    confusion = confusion_matrix(split.labels, probs.argmax(axis=1), len(class_names))
     report = build_report(confusion, class_names, batch_cross_entropy(probs, split.labels))
     return report, probs
 

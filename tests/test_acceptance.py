@@ -17,11 +17,13 @@ from reviewlab.analytics import describe, grouped_rating_corr, pearson, unique_c
 from reviewlab.cli import main
 from reviewlab.dataset import filter_for_classification, parse_csv, split_60_20_20, write_csv
 from reviewlab.metrics import majority_baseline, precision_recall_f1, roc_auc
-from reviewlab.nn import BiLstmClassifier, grad_check, init_lstm_params, lstm_sequence_forward, softmax
+from reviewlab.nn import BiLstmClassifier, init_lstm_params, lstm_sequence_forward, softmax
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.textprep import random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import build_training_data, evaluate, train
+
+from gradcheck import grad_check
 
 # Expected statistics for the full public dataset (criterion 5).
 EXPECTED_UNIQUE_COUNTS = {

@@ -106,7 +106,7 @@ class TestUniqueCounts:
 class TestFreqDist:
     def test_simple_ranking(self):
         records = [rec(division=d) for d in ("a", "a", "b")]
-        assert freq_dist(records, "Division Name") == [("a", 2), ("b", 1)]
+        assert freq_dist(records, "Division Name", top_n=10) == [("a", 2), ("b", 1)]
 
     def test_top_n_keeps_mode(self):
         records = [rec(division=d) for d in ("a", "a", "b")]
@@ -114,17 +114,13 @@ class TestFreqDist:
 
     def test_ties_lexicographic(self):
         records = [rec(division=d) for d in ("zeta", "alpha", "mid")]
-        values = [v for v, _ in freq_dist(records, "Division Name")]
+        values = [v for v, _ in freq_dist(records, "Division Name", top_n=10)]
         assert values == ["alpha", "mid", "zeta"]
 
     def test_numeric_feature_ties_by_string(self):
         records = [rec(rating=r) for r in (3, 1, 5)]
-        values = [v for v, _ in freq_dist(records, "Rating")]
+        values = [v for v, _ in freq_dist(records, "Rating", top_n=10)]
         assert values == [1, 3, 5]
-
-    def test_invalid_top_n(self):
-        with pytest.raises(ValueError, match="top_n"):
-            freq_dist([rec()], "Rating", top_n=0)
 
 
 class TestCrossTab:
@@ -144,12 +140,13 @@ class TestCrossTab:
         assert ct.counts == ((2, 1), (0, 1))
 
     def test_missing_rows_excluded_and_reported(self):
+        """The one record without a division is in no cell and no row label."""
         ct = crosstab(self.records(), "Division Name", "Department Name")
-        assert ct.excluded == 1
-        assert ct.total() == 4
+        assert sum(map(sum, ct.counts)) == 4
+        assert None not in ct.row_labels
 
     def test_normalized_rows_sum_to_one(self):
-        ct = crosstab(self.records(), "Division Name", "Department Name", normalize=True)
+        ct = crosstab(self.records(), "Division Name", "Department Name")
         for row in ct.normalized:
             assert abs(sum(row) - 1.0) < 1e-9
 
@@ -158,7 +155,7 @@ class TestCrossTab:
         records = self.records()
         both = [r for r in records if r.division is not None and r.department is not None]
         ct = crosstab(records, "Division Name", "Department Name")
-        fd = dict(freq_dist(both, "Division Name"))
+        fd = dict(freq_dist(both, "Division Name", top_n=10))
         for label, row in zip(ct.row_labels, ct.counts):
             assert sum(row) == fd[label]
 
@@ -252,18 +249,18 @@ class TestGroupedCorr:
 class TestWordFreq:
     def test_single_review_counts(self):
         records = [rec(review_text="love love dress")]
-        assert word_freq_by_segment(records, "reviews") == [("love", 2), ("dress", 1)]
+        assert word_freq_by_segment(records, top_n=10)["reviews"] == [("love", 2), ("dress", 1)]
 
     def test_stop_words_removed(self):
         records = [rec(review_text="the dress is the best")]
-        tokens = dict(word_freq_by_segment(records, "reviews"))
+        tokens = dict(word_freq_by_segment(records, top_n=10)["reviews"])
         assert "the" not in tokens
         assert "is" not in tokens
         assert tokens["dress"] == 1
 
     def test_titles_segment_uses_titles(self):
         records = [rec(title="lovely top", review_text="ignored words here")]
-        tokens = dict(word_freq_by_segment(records, "titles"))
+        tokens = dict(word_freq_by_segment(records, top_n=10)["titles"])
         assert tokens == {"lovely": 1, "top": 1}
 
     def test_rating_segments_partition_reviews(self):
@@ -273,34 +270,44 @@ class TestWordFreq:
             rec(review_text="poor dress", rating=2),
             rec(review_text="fine dress", rating=3),
         ]
-        high = dict(word_freq_by_segment(records, "high_rating"))
-        low = dict(word_freq_by_segment(records, "low_rating"))
-        whole = dict(word_freq_by_segment(records, "reviews"))
+        freq = word_freq_by_segment(records, top_n=10)
+        high, low, whole = (dict(freq[s]) for s in ("high_rating", "low_rating", "reviews"))
         merged = dict(high)
         for token, count in low.items():
             merged[token] = merged.get(token, 0) + count
         assert merged == whole
 
     def test_rating_three_is_low(self):
-        records = [rec(review_text="borderline dress", rating=3)]
-        assert dict(word_freq_by_segment(records, "low_rating"))
-        assert not dict(word_freq_by_segment(records, "high_rating"))
+        freq = word_freq_by_segment([rec(review_text="borderline dress", rating=3)], top_n=10)
+        assert freq["low_rating"]
+        assert not freq["high_rating"]
 
     def test_division_segment(self):
         records = [
             rec(review_text="petite fit", division="Petite"),
             rec(review_text="general fit", division="General"),
         ]
-        tokens = dict(word_freq_by_segment(records, "division:Petite"))
+        tokens = dict(word_freq_by_segment(records, top_n=10)["division:Petite"])
         assert tokens == {"petite": 1, "fit": 1}
 
-    def test_unknown_segment_rejected(self):
-        with pytest.raises(ValueError, match="unknown segment"):
-            word_freq_by_segment([rec()], "nope")
+    def test_every_segment_in_order(self):
+        """Fixed segments first, then one per division present, text or not."""
+        records = [rec(review_text="fit", division="Petite"), rec(division="General")]
+        assert list(word_freq_by_segment(records, top_n=10)) == [
+            "titles", "reviews", "high_rating", "low_rating",
+            "division:General", "division:Petite",
+        ]
+
+    def test_top_n_cuts_every_segment(self):
+        records = [rec(title="top dress", review_text="skirt dress top dress", division="P")]
+        freq = word_freq_by_segment(records, top_n=1)
+        assert freq["titles"] == [("dress", 1)]
+        for segment in ("reviews", "high_rating", "division:P"):
+            assert freq[segment] == [("dress", 2)]
 
     def test_cleaning_applied(self):
         records = [rec(review_text="LOVE!!! this... DRESS")]
-        tokens = dict(word_freq_by_segment(records, "reviews"))
+        tokens = dict(word_freq_by_segment(records, top_n=10)["reviews"])
         assert tokens == {"love": 1, "dress": 1}
 
     def test_stop_word_list_is_substantial(self):

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line pipeline."""
 
+import importlib
 import json
+import pkgutil
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import reviewlab
 from reviewlab.analytics import full_report
 from reviewlab.checkpoint import MAGIC
 from reviewlab.cli import main
@@ -199,6 +204,18 @@ class TestEvaluate:
         assert code == 2
         assert "task" in capsys.readouterr().err
 
+    def test_invalid_batch_size_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        """evaluate checks its settings as train does, not only task and seed."""
+        run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
+        for value in (0, -3):
+            cfg = tmp_path / f"batch{value}.cfg"
+            cfg.write_text(toy_cfg_file.read_text() + f"batch_size={value}\n")
+            code = main(["evaluate", "--data", str(data_csv),
+                         "--out", str(tmp_path / "runs"), "--config", str(cfg),
+                         "--checkpoint", str(run_dir / "model.ckpt")])
+            assert code == 2
+            assert "invalid configuration: batch_size must be >= 1" in capsys.readouterr().err
+
     def test_split_seed_taken_from_checkpoint(self, tmp_path, data_csv, capsys):
         """A model trained with --seed 3 is scored on the seed-3 test split by default."""
         out = tmp_path / "runs"
@@ -227,6 +244,61 @@ class TestEvaluate:
                      "--out", str(tmp_path / "runs"),
                      "--checkpoint", str(tmp_path / "absent.ckpt")])
         assert code == 2
+
+
+class TestOneTokenizationPerCommand:
+    """Each command cleans a review text once, and evaluate encodes only test rows."""
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        records = toy_reviews()
+        records[0] = replace(records[0], title=None)
+        records[1] = replace(records[1], review_text=None)
+        write_csv(records, tmp_path / "reviews.csv")
+        return parse_csv(tmp_path / "reviews.csv")[0]
+
+    @staticmethod
+    def wrap_everywhere(monkeypatch, name):
+        """Record the first argument of `name` in every reviewlab module that holds it."""
+        calls = []
+        for info in pkgutil.iter_modules(reviewlab.__path__):
+            module = importlib.import_module(f"reviewlab.{info.name}")
+            if hasattr(module, name):
+                original = getattr(module, name)
+
+                def recording(first, *args, _original=original, **kwargs):
+                    calls.append(first)
+                    return _original(first, *args, **kwargs)
+
+                monkeypatch.setattr(module, name, recording)
+        return calls
+
+    def test_analyze_cleans_each_title_and_review_once(self, tmp_path, records, monkeypatch):
+        cleaned = self.wrap_everywhere(monkeypatch, "clean_text")
+        assert main(["analyze", "--data", str(tmp_path / "reviews.csv"),
+                     "--out", str(tmp_path / "runs")]) == 0
+        texts = [t for r in records for t in (r.title, r.review_text) if t is not None]
+        assert Counter(cleaned) == Counter(texts)
+
+    def test_sentiment_train_and_evaluate(self, tmp_path, records, monkeypatch):
+        cfg = tmp_path / "sentiment.cfg"
+        cfg.write_text("".join(
+            f"{k}={v}\n" for k, v in toy_config(epochs=1, task="sentiment").as_dict().items()
+        ))
+        out = tmp_path / "runs"
+        common = ["--data", str(tmp_path / "reviews.csv"), "--out", str(out), "--config", str(cfg)]
+        kept = Counter(r.review_text for r in records if r.review_text is not None)
+        cleaned = self.wrap_everywhere(monkeypatch, "clean_text")
+        assert main(["train", *common]) == 0
+        assert Counter(cleaned) == kept
+
+        cleaned.clear()
+        encoded = self.wrap_everywhere(monkeypatch, "encode")
+        assert main(["evaluate", *common,
+                     "--checkpoint", str(out / "train-0001" / "model.ckpt")]) == 0
+        assert Counter(cleaned) == kept
+        summary = json.loads((out / "train-0001" / "train_summary.json").read_text())
+        assert [len(rows) for rows in encoded] == [summary["split_sizes"]["test"]]
 
 
 class TestPredict:

@@ -1,13 +1,14 @@
 """Tests for confusion-matrix metrics, ROC curves, and baselines."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reviewlab.errors import InputError
 from reviewlab.metrics import (
-    MetricsReport,
-    RocCurve,
     build_report,
     confusion_matrix,
     majority_baseline,
@@ -51,10 +52,32 @@ def auc_oracle(labels, scores):
     return total / (len(pos) * len(neg))
 
 
+def roc_loop_oracle(labels, scores):
+    """Scalar threshold sweep: (points, trapezoid AUC summed left to right)."""
+    n_pos = sum(1 for label in labels if label == 1)
+    n_neg = len(labels) - n_pos
+    ranked = sorted(zip(scores, labels), key=lambda pair: -pair[0])
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    for i, (score, label) in enumerate(ranked):
+        tp += label == 1
+        fp += label != 1
+        if i + 1 == len(ranked) or ranked[i + 1][0] != score:
+            points.append((fp / n_neg, tp / n_pos))
+    auc = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        auc += (x1 - x0) * (y0 + y1) / 2.0
+    return tuple(points), auc
+
+
 class TestConfusionMatrix:
     def test_hand_counted(self):
-        m = confusion_matrix([0, 1, 1, 0, 1], [0, 1, 0, 0, 1], 2)
-        assert m == ((2, 0), (1, 2))
+        y_true, y_pred = [0, 1, 1, 0, 1], [0, 1, 0, 0, 1]
+        for t, p in ((y_true, y_pred), (np.array(y_true), np.array(y_pred))):
+            m = confusion_matrix(t, p, 2)
+            assert m == ((2, 0), (1, 2))
+            # Python ints, so metrics.json and confusion.csv print plain numbers.
+            assert all(type(c) is int for row in m for c in row)
 
     def test_absent_class_keeps_zero_row(self):
         m = confusion_matrix([0, 0], [0, 0], 3)
@@ -111,14 +134,6 @@ class TestPrecisionRecallF1:
         assert per_class[1].support == 0
         assert per_class[1].degenerate
 
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            precision_recall_f1(((1, 2, 3), (4, 5, 6)))
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            precision_recall_f1(((1, -1), (0, 2)))
-
     @given(
         st.integers(2, 5).flatmap(
             lambda n: st.lists(
@@ -134,12 +149,16 @@ class TestPrecisionRecallF1:
         matrix = tuple(tuple(row) for row in rows)
         if sum(sum(row) for row in matrix) == 0:
             return
-        per_class, _ = precision_recall_f1(matrix)
+        per_class, weighted = precision_recall_f1(matrix)
         for m, (p, r, f1, support) in zip(per_class, prf_oracle(matrix)):
             assert m.precision == p
             assert m.recall == r
             assert m.f1 == f1
             assert m.support == support
+        from_array = precision_recall_f1(np.array(rows))
+        assert from_array == (per_class, weighted)
+        for m in from_array[0]:
+            assert (type(m.precision), type(m.f1), type(m.support)) == (float, float, int)
 
 
 class TestMetricsReport:
@@ -151,20 +170,6 @@ class TestMetricsReport:
     def test_supports_sum_to_total(self):
         report = build_report(((2, 1), (1, 6)), ("no", "yes"), 0.5)
         assert sum(m.support for m in report.per_class) == report.total
-
-    def test_inconsistent_accuracy_rejected(self):
-        per_class, weighted = precision_recall_f1(((5, 0), (0, 5)))
-        with pytest.raises(ValueError, match="accuracy"):
-            MetricsReport(
-                class_names=("a", "b"),
-                per_class=per_class,
-                weighted_precision=weighted[0],
-                weighted_recall=weighted[1],
-                weighted_f1=weighted[2],
-                accuracy=0.5,
-                mean_loss=0.0,
-                confusion=((5, 0), (0, 5)),
-            )
 
     def test_class_name_count_enforced(self):
         with pytest.raises(ValueError, match="class names"):
@@ -215,12 +220,6 @@ class TestRocAuc:
         with pytest.raises(ValueError, match="binary"):
             roc_auc([0, 2], [0.1, 0.9])
 
-    def test_curve_shape_validated(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            RocCurve(points=((0.0, 0.0), (0.5, 0.4), (0.2, 1.0), (1.0, 1.0)), auc=0.5)
-        with pytest.raises(ValueError, match=r"\(0, 0\)"):
-            RocCurve(points=((0.1, 0.0), (1.0, 1.0)), auc=0.5)
-
     @given(
         st.lists(
             st.tuples(
@@ -240,6 +239,14 @@ class TestRocAuc:
         scores = [s for _, s in pairs]
         curve = roc_auc(labels, scores)
         assert curve.auc == pytest.approx(auc_oracle(labels, scores), abs=1e-9)
+        assert (curve.points, curve.auc) == roc_loop_oracle(labels, scores)
+        from_arrays = roc_auc(np.array(labels), np.array(scores))
+        assert from_arrays == curve
+        # Python floats: repr(np.float64(0.5)) is "np.float64(0.5)", which
+        # would corrupt roc.csv.
+        for c in (curve, from_arrays):
+            assert all(type(v) is float for point in c.points for v in point)
+            assert type(c.auc) is float
 
 
 class TestMajorityBaseline:
@@ -258,6 +265,11 @@ class TestMajorityBaseline:
         eval_labels = [0] * 289 + [1] * 22 + [2] * 4215
         report = majority_baseline([2, 2, 2, 0], eval_labels, 3)
         assert round(report.accuracy, 4) == 0.9313
+        # The loss is summed in label order, one rounding per label.
+        loss = 0.0
+        for label in eval_labels:
+            loss -= math.log(max((1, 0, 3)[label] / 4, 1e-12))
+        assert report.mean_loss == loss / len(eval_labels)
 
     def test_mode_tie_breaks_low(self):
         report = majority_baseline([0, 1], [0, 0], 2)

@@ -111,7 +111,7 @@ class TestVocab:
         v = Vocab(["b", "a"])
         assert v.tokens() == ["<pad>", "<oov>", "b", "a"]
         assert v.index_of("a") == 3
-        assert "b" in v and "c" not in v
+        assert v.index_of("b") == 2 and v.index_of("c") == OOV_INDEX
         with pytest.raises(ValueError, match="distinct"):
             Vocab(["a", "a"])
         with pytest.raises(ValueError, match="distinct"):

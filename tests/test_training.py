@@ -12,7 +12,7 @@ from reviewlab.checkpoint import ModelBundle
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import PAD_INDEX, random_embeddings
+from reviewlab.textprep import PAD_INDEX, clean_text, random_embeddings, tokenize
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import (
     RECOMMENDATION_CLASSES,
@@ -120,21 +120,22 @@ class TestSplitTypes:
 class TestTaskLabels:
     def test_recommendation_uses_flag(self):
         records = toy_reviews(n=6)
-        labels = task_labels(records, "recommendation")
+        labels = task_labels(records, [], "recommendation")
         assert labels.tolist() == [1, 0, 1, 0, 1, 0]
         names = TrainConfig(task="recommendation").class_names
         assert [names[i] for i in labels[:2]] == ["recommended", "not_recommended"]
 
     def test_sentiment_uses_lexicon(self):
         records = toy_reviews(n=6)
-        labels = task_labels(records, "sentiment")
+        tokens = [tokenize(clean_text(r.review_text)) for r in records]
+        labels = task_labels(records, tokens, "sentiment")
         assert labels.tolist() == [2, 0, 2, 0, 2, 0]
         names = TrainConfig(task="sentiment").class_names
         assert [names[i] for i in labels[:2]] == ["positive", "negative"]
 
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="task"):
-            task_labels([], "ranking")
+            task_labels([], [], "ranking")
 
 
 class TestBuildTrainingData:
@@ -150,7 +151,6 @@ class TestBuildTrainingData:
         config = toy_config()
         records = toy_reviews()
         from reviewlab.dataset import split_60_20_20
-        from reviewlab.textprep import clean_text, tokenize
 
         train_rows, _, _ = split_60_20_20(records, config.seed)
         train_tokens = set()

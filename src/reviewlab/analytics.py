@@ -7,8 +7,9 @@ row-normalized form, a Pearson correlation matrix over per-clothing-id
 aggregates, segmented word-frequency rankings with a fixed stop-word
 list, and decade age bins with positive-feedback sums.
 
-``full_report`` bundles the standard battery of tables under stable
-names so the command-line layer only has to serialize them.
+Each analysis returns the rows it emits; ``full_report`` bundles the
+standard battery of tables under stable names so the command-line layer
+only has to write them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +55,8 @@ CATEGORICAL_FEATURES = (
 )
 
 HIGH_RATING_THRESHOLD = 3
+TOP_N = 60
+AGE_BIN_WIDTH = 10
 
 STOP_WORDS = frozenset(
     """
@@ -72,6 +75,13 @@ STOP_WORDS = frozenset(
 )
 
 
+class Table(NamedTuple):
+    """One emitted table: a header tuple and value-row tuples."""
+
+    header: tuple
+    rows: tuple
+
+
 def _values(records, feature):
     """The feature's non-missing values, in record order."""
     try:
@@ -82,8 +92,7 @@ def _values(records, feature):
     return [v for v in values if v is not None]
 
 
-@dataclass(frozen=True)
-class DescriptiveStats:
+class DescriptiveStats(NamedTuple):
     feature: str
     mean: float
     std: float
@@ -128,23 +137,13 @@ def freq_dist(records, feature: str, top_n: int):
     return sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[:top_n]
 
 
-@dataclass(frozen=True)
-class CrossTab:
-    """Contingency counts and their row-normalized form."""
+def crosstab(records, row_feature: str, col_feature: str) -> tuple[Table, Table]:
+    """Co-occurrence counts of two categorical features, and their row-normalized form.
 
-    row_feature: str
-    col_feature: str
-    row_labels: tuple
-    col_labels: tuple
-    counts: tuple
-    normalized: tuple
-
-
-def crosstab(records, row_feature: str, col_feature: str) -> CrossTab:
-    """Count co-occurrences of two categorical features.
-
-    Records missing either feature are left out of the table.  Each row
-    of ``normalized`` divides a row of counts by its sum.
+    Both tables have the header (row_feature, *column labels) and one
+    row (row label, *cells) per row label.  Records missing either
+    feature are left out.  Each normalized row divides a row of counts
+    by its sum.
     """
     row_acc = FEATURE_ACCESSORS.get(row_feature)
     col_acc = FEATURE_ACCESSORS.get(col_feature)
@@ -156,24 +155,16 @@ def crosstab(records, row_feature: str, col_feature: str) -> CrossTab:
         rv, cv = row_acc(r), col_acc(r)
         if rv is not None and cv is not None:
             pairs.append((rv, cv))
-    row_labels = tuple(sorted({rv for rv, _ in pairs}, key=str))
-    col_labels = tuple(sorted({cv for _, cv in pairs}, key=str))
+    col_labels = sorted({cv for _, cv in pairs}, key=str)
     counter = Counter(pairs)
-    counts = tuple(
-        tuple(counter.get((rv, cv), 0) for cv in col_labels) for rv in row_labels
-    )
-    normalized = tuple(
-        tuple(c / row_sum for c in row) if (row_sum := sum(row)) else row
-        for row in counts
-    )
-    return CrossTab(
-        row_feature=row_feature,
-        col_feature=col_feature,
-        row_labels=row_labels,
-        col_labels=col_labels,
-        counts=counts,
-        normalized=normalized,
-    )
+    counts, normalized = [], []
+    for rv in sorted({rv for rv, _ in pairs}, key=str):
+        cells = [counter[rv, cv] for cv in col_labels]
+        total = sum(cells)
+        counts.append((rv, *cells))
+        normalized.append((rv, *(c / total for c in cells)))
+    header = (row_feature, *col_labels)
+    return Table(header, tuple(counts)), Table(header, tuple(normalized))
 
 
 def pearson(xs, ys) -> float | None:
@@ -194,26 +185,14 @@ def pearson(xs, ys) -> float | None:
     return max(-1.0, min(1.0, r))
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric Pearson matrix; degenerate entries are None ("missing").
-
-    The diagonal is 1 by definition, including for zero-variance
-    variables whose off-diagonal entries are all missing.
-    """
-
-    variables: tuple
-    matrix: tuple
-
-    def entry(self, a: str, b: str):
-        return self.matrix[self.variables.index(a)][self.variables.index(b)]
-
-
-def grouped_rating_corr(records) -> CorrelationMatrix:
+def grouped_rating_corr(records) -> Table:
     """Correlations among per-clothing-id aggregates.
 
     Groups records by clothing id, takes each group's mean rating, review
     count, and mean recommendation rate, and correlates the three series.
+    The table is symmetric, one row (variable, *correlations) per series.
+    A degenerate (zero-variance) entry is missing and written as "".  The
+    diagonal is 1 by definition, even for a zero-variance series.
     """
     groups: dict = {}
     for r in records:
@@ -228,17 +207,11 @@ def grouped_rating_corr(records) -> CorrelationMatrix:
     ]
     series = [mean_rating, review_count, mean_recommended]
     names = ("mean_rating", "review_count", "mean_recommended")
-    size = len(series)
-    matrix = [[None] * size for _ in range(size)]
-    for i in range(size):
-        matrix[i][i] = 1.0
-        for j in range(i + 1, size):
-            r = pearson(series[i], series[j])
-            matrix[i][j] = r
-            matrix[j][i] = r
-    return CorrelationMatrix(
-        variables=names, matrix=tuple(tuple(row) for row in matrix)
-    )
+    rows = []
+    for i, name in enumerate(names):
+        row = [1.0 if i == j else pearson(series[i], series[j]) for j in range(len(names))]
+        rows.append((name, *("" if r is None else r for r in row)))
+    return Table(("variable", *names), tuple(rows))
 
 
 def word_freq_by_segment(records, top_n: int) -> dict:
@@ -271,26 +244,22 @@ def word_freq_by_segment(records, top_n: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class AgeBin:
+class AgeBin(NamedTuple):
     lo: int
     hi: int
     count: int
     positive_feedback_sum: int
 
 
-def age_bin_positive_feedback(records, bin_width: int = 10):
-    """Occupied age bins [k*w, (k+1)*w) with counts and feedback sums."""
-    if bin_width < 1:
-        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
+def age_bin_positive_feedback(records) -> list[AgeBin]:
+    """Occupied age bins [k*w, (k+1)*w), w = AGE_BIN_WIDTH, with counts and feedback sums."""
     table: dict = {}
     for r in records:
-        lo = (r.age // bin_width) * bin_width
+        lo = (r.age // AGE_BIN_WIDTH) * AGE_BIN_WIDTH
         count, feedback = table.get(lo, (0, 0))
         table[lo] = (count + 1, feedback + r.positive_feedback_count)
     return [
-        AgeBin(lo=lo, hi=lo + bin_width, count=c, positive_feedback_sum=s)
-        for lo, (c, s) in sorted(table.items())
+        AgeBin(lo, lo + AGE_BIN_WIDTH, c, s) for lo, (c, s) in sorted(table.items())
     ]
 
 
@@ -299,82 +268,37 @@ def slug(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "_", text.lower()).strip("_")
 
 
-@dataclass(frozen=True)
-class Table:
-    """One emitted table: a header tuple and value-row tuples."""
-
-    header: tuple
-    rows: tuple
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    return value
-
-
-def full_report(records, top_n: int = 60) -> dict:
+def full_report(records) -> dict:
     """The full battery of analytics tables keyed by stable names.
 
     Names follow `<operation>__<params>` with slugged parameters; the
     command-line layer writes each as a CSV plus one combined JSON.
     """
-    tables: dict[str, Table] = {}
-
-    rows = []
-    for feature in NUMERIC_FEATURES:
-        d = describe(records, feature)
-        rows.append((d.feature, d.mean, d.std, d.minimum, d.maximum, d.count))
-    tables["describe__numeric"] = Table(
-        header=("feature", "mean", "std", "min", "max", "count"), rows=tuple(rows)
-    )
-
-    uc = unique_counts(records)
-    tables["unique_counts__all"] = Table(
-        header=("feature", "unique_count"),
-        rows=tuple((f, uc[f]) for f in FEATURE_ACCESSORS),
-    )
-
+    tables = {
+        "describe__numeric": Table(
+            ("feature", "mean", "std", "min", "max", "count"),
+            tuple(describe(records, feature) for feature in NUMERIC_FEATURES),
+        ),
+        "unique_counts__all": Table(
+            ("feature", "unique_count"), tuple(unique_counts(records).items())
+        ),
+    }
     for feature in CATEGORICAL_FEATURES:
-        ranked = freq_dist(records, feature, top_n=top_n)
         tables[f"freq_dist__{slug(feature)}"] = Table(
-            header=("value", "count"), rows=tuple(ranked)
+            ("value", "count"), tuple(freq_dist(records, feature, TOP_N))
         )
-
     for row_f, col_f in (
         ("Division Name", "Department Name"),
         ("Department Name", "Class Name"),
         ("Division Name", "Class Name"),
     ):
-        ct = crosstab(records, row_f, col_f)
-        header = (ct.row_feature, *ct.col_labels)
-        tables[f"crosstab__{slug(row_f)}__{slug(col_f)}"] = Table(
-            header=header,
-            rows=tuple((rl, *counts) for rl, counts in zip(ct.row_labels, ct.counts)),
-        )
-        tables[f"crosstab__{slug(row_f)}__{slug(col_f)}__normalized"] = Table(
-            header=header,
-            rows=tuple(
-                (rl, *norm) for rl, norm in zip(ct.row_labels, ct.normalized)
-            ),
-        )
-
-    corr = grouped_rating_corr(records)
-    tables["grouped_corr__by_clothing_id"] = Table(
-        header=("variable", *corr.variables),
-        rows=tuple(
-            (name, *map(_fmt, row)) for name, row in zip(corr.variables, corr.matrix)
-        ),
-    )
-
-    for segment, ranked in word_freq_by_segment(records, top_n).items():
-        tables[f"word_freq__{slug(segment)}"] = Table(
-            header=("token", "count"), rows=tuple(ranked)
-        )
-
-    bins = age_bin_positive_feedback(records)
-    tables["age_bins__width_10"] = Table(
-        header=("age_lo", "age_hi", "count", "positive_feedback_sum"),
-        rows=tuple((b.lo, b.hi, b.count, b.positive_feedback_sum) for b in bins),
+        name = f"crosstab__{slug(row_f)}__{slug(col_f)}"
+        tables[name], tables[f"{name}__normalized"] = crosstab(records, row_f, col_f)
+    tables["grouped_corr__by_clothing_id"] = grouped_rating_corr(records)
+    for segment, ranked in word_freq_by_segment(records, TOP_N).items():
+        tables[f"word_freq__{slug(segment)}"] = Table(("token", "count"), tuple(ranked))
+    tables[f"age_bins__width_{AGE_BIN_WIDTH}"] = Table(
+        ("age_lo", "age_hi", "count", "positive_feedback_sum"),
+        tuple(age_bin_positive_feedback(records)),
     )
     return tables

@@ -3,14 +3,18 @@
 Every invocation creates a fresh numbered run directory under --out
 (never overwriting a prior run) and writes the fully materialized
 configuration into it. Settings resolve as flags over config file over
-defaults; rerunning a command from a materialized config reproduces
+defaults, and an empty config value means the default; rerunning a command from a materialized config reproduces
 every artifact byte for byte in single-threaded mode.
 
 A trained model is one file, `model.ckpt`, which carries its vocabulary
 and the seed of its 60/20/20 split. `evaluate` and `predict` take the
-task and seed from it; a task or seed given explicitly that differs from
-the checkpoint's is an input error, so evaluation always scores the test
-rows the model never trained on.
+task, seed, seq_len, cell_size and embedding_dim from it; any of them
+given explicitly with a different value is an input error, so evaluation
+always scores the test rows the model never trained on.
+
+Every table is written as CSV by `_write_table_csv` and every report or
+summary as JSON by `_write_json`; only the dataset files (`labeled.csv`,
+`issues.txt`) and the checkpoint have writers of their own.
 
 Exit codes: 0 success, 1 internal error, 2 usage or input error.
 """
@@ -25,15 +29,16 @@ import sys
 import traceback
 from pathlib import Path
 
-from .analytics import full_report
+from .analytics import Table, full_report
 from .checkpoint import ModelBundle, load_checkpoint, save_checkpoint
 from .dataset import parse_csv, write_csv, write_issues
 from .errors import InputError, input_lines
-from .metrics import majority_baseline, roc_auc, write_confusion_csv, write_report_json, write_roc_csv
+from .metrics import majority_baseline, report_to_dict, roc_auc
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
 from .textprep import encode, load_glove, random_embeddings
 from .training import (
+    EpochStats,
     LabeledSplit,
     TrainConfig,
     build_training_data,
@@ -41,38 +46,21 @@ from .training import (
     predict,
     tokenized_splits,
     train,
-    write_history_csv,
 )
 
 __all__ = ["main"]
 
-_INT_KEYS = frozenset(
-    {"seed", "batch_size", "cell_size", "epochs", "seq_len", "vocab_size",
-     "min_freq", "embedding_dim"}
-)
-_FLOAT_KEYS = frozenset({"dropout_rate", "learning_rate", "grad_clip"})
-_PATH_KEYS = frozenset(
-    {"data", "out", "lexicon", "embeddings", "checkpoint"}
-)
-_STR_KEYS = _PATH_KEYS | {"task", "text"}
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-_TRAIN_FIELDS = (
-    "batch_size", "cell_size", "dropout_rate", "epochs", "learning_rate",
-    "seq_len", "vocab_size", "min_freq", "embedding_dim", "seed", "task",
-    "grad_clip",
-)
-
-
-def _defaults() -> dict:
-    cfg = dict.fromkeys(_ALL_KEYS)
-    cfg.update(TrainConfig().as_dict())
-    cfg["out"] = "runs"
-    return cfg
+_TRAIN_DEFAULTS = TrainConfig().as_dict()
+# Every setting and its default; a hyper-parameter's value has its default's type.
+_DEFAULTS = {
+    **dict.fromkeys(("data", "lexicon", "embeddings", "checkpoint", "text")),
+    "out": "runs",
+    **_TRAIN_DEFAULTS,
+}
 
 
 def _parse_config_file(path) -> dict:
-    """Read `key = value` lines; blank lines and # comments are skipped."""
+    """Read `key = value` lines; blank lines, # comments and empty values are skipped."""
     entries = {}
     for line_num, line in enumerate(input_lines(path), start=1):
         stripped = line.strip()
@@ -83,18 +71,13 @@ def _parse_config_file(path) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _DEFAULTS:
             raise InputError(f"{path}: line {line_num}: unknown key {key!r}")
         if value == "":
-            entries[key] = None
             continue
+        default = _DEFAULTS[key]
         try:
-            if key in _INT_KEYS:
-                entries[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                entries[key] = float(value)
-            else:
-                entries[key] = value
+            entries[key] = value if default is None else type(default)(value)
         except ValueError as exc:
             raise InputError(f"{path}: line {line_num}: {exc}") from exc
     return entries
@@ -102,13 +85,13 @@ def _parse_config_file(path) -> dict:
 
 def _resolve(args) -> tuple[dict, set]:
     """Merge defaults, config file, and flags; track explicitly set keys."""
-    cfg = _defaults()
+    cfg = dict(_DEFAULTS)
     provided = set()
     if getattr(args, "config", None):
         file_entries = _parse_config_file(args.config)
         cfg.update(file_entries)
         provided.update(file_entries)
-    for key in _ALL_KEYS:
+    for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -152,7 +135,7 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_table_csv(path, table) -> None:
+def _write_table_csv(path, table: Table) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(table.header)
@@ -171,7 +154,7 @@ def _load_lexicon(cfg: dict):
 
 def _train_config(cfg: dict) -> TrainConfig:
     try:
-        return TrainConfig(**{field: cfg[field] for field in _TRAIN_FIELDS})
+        return TrainConfig(**{key: cfg[key] for key in _TRAIN_DEFAULTS})
     except ValueError as exc:
         raise InputError(f"invalid configuration: {exc}") from exc
 
@@ -186,15 +169,9 @@ def _parse_records(cfg: dict, command: str, run_dir: Path):
 def _cmd_analyze(cfg: dict, provided: set, run_dir: Path) -> None:
     records = _parse_records(cfg, "analyze", run_dir)
     report = full_report(records)
-    combined = {}
-    for name in sorted(report):
-        table = report[name]
+    for name, table in report.items():
         _write_table_csv(run_dir / f"{name}.csv", table)
-        combined[name] = {
-            "header": list(table.header),
-            "rows": [list(row) for row in table.rows],
-        }
-    _write_json(run_dir / "analysis.json", combined)
+    _write_json(run_dir / "analysis.json", {name: t._asdict() for name, t in report.items()})
     print(f"wrote {len(report)} tables to {run_dir}")
 
 
@@ -202,14 +179,11 @@ def _cmd_label(cfg: dict, provided: set, run_dir: Path) -> None:
     records = _parse_records(cfg, "label", run_dir)
     labels, counts = auto_label_dataset(records, _load_lexicon(cfg))
     write_csv(records, run_dir / "labeled.csv", sentiment=labels)
-    with open(run_dir / "sentiment_by_recommendation.csv", "w",
-              encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["recommended", *SENTIMENT_CLASSES])
-        for state in (False, True):
-            writer.writerow(
-                [int(state), *(counts.get((state, label), 0) for label in SENTIMENT_CLASSES)]
-            )
+    _write_table_csv(run_dir / "sentiment_by_recommendation.csv", Table(
+        ("recommended", *SENTIMENT_CLASSES),
+        tuple((int(state), *(counts.get((state, label), 0) for label in SENTIMENT_CLASSES))
+              for state in (False, True)),
+    ))
     print(f"labeled {len(records)} rows into {run_dir}")
 
 
@@ -242,7 +216,7 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
         embeddings=result.embeddings,
     )
     save_checkpoint(bundle, run_dir / "model.ckpt")
-    write_history_csv(result.history, run_dir / "history.csv")
+    _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, result.history))
     n_train, n_val, n_test = len(prep.train), len(prep.validation), len(prep.test)
     summary = {
         "task": config.task,
@@ -263,10 +237,11 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
 
 
 def _load_bundle(cfg: dict, provided: set, run_dir: Path, command: str) -> ModelBundle:
-    """Load the checkpoint; cfg and config.txt take its task and split seed."""
+    """Load the checkpoint; cfg and config.txt take every setting it fixes."""
     bundle = load_checkpoint(_require(cfg, "checkpoint", command))
-    for key in ("task", "seed"):
-        value = getattr(bundle, key)
+    fixed = {"task": bundle.task, "seed": bundle.seed, "seq_len": bundle.seq_len,
+             "cell_size": bundle.model.cell_size, "embedding_dim": bundle.embeddings.dim}
+    for key, value in fixed.items():
         if key in provided and cfg[key] != value:
             raise InputError(f"checkpoint was trained with {key} {value!r}, not {cfg[key]!r}")
         cfg[key] = value
@@ -276,7 +251,7 @@ def _load_bundle(cfg: dict, provided: set, run_dir: Path, command: str) -> Model
 
 def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     bundle = _load_bundle(cfg, provided, run_dir, "evaluate")
-    config = _train_config({**cfg, "seq_len": bundle.seq_len})
+    config = _train_config(cfg)
     records = _parse_records(cfg, "evaluate", run_dir)
     (train_split, _, (tokens, labels)), _ = tokenized_splits(records, config, _load_lexicon(cfg))
     test = LabeledSplit(encode(tokens, bundle.vocab, bundle.seq_len), labels)
@@ -291,13 +266,17 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
             extra["roc_auc"] = None
         else:
             extra["roc_auc"] = curve.auc
-            write_roc_csv(curve, run_dir / "roc.csv")
-    write_report_json(report, run_dir / "metrics.json", extra=extra)
-    write_confusion_csv(report, run_dir / "confusion.csv")
+            _write_table_csv(run_dir / "roc.csv", Table(
+                ("false_positive_rate", "true_positive_rate"), curve.points))
+    _write_json(run_dir / "metrics.json", {**report_to_dict(report), **extra})
+    _write_table_csv(run_dir / "confusion.csv", Table(
+        ("true\\predicted", *report.class_names),
+        tuple((name, *row) for name, row in zip(report.class_names, report.confusion)),
+    ))
     baseline = majority_baseline(
         train_split[1], test.labels, bundle.n_classes, bundle.class_names
     )
-    write_report_json(baseline, run_dir / "baseline.json")
+    _write_json(run_dir / "baseline.json", report_to_dict(baseline))
     print(f"test accuracy {report.accuracy:.6f} (metrics in {run_dir})")
 
 

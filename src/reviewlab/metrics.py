@@ -9,7 +9,6 @@ with a per-class ``degenerate`` flag so reports stay machine-readable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,9 +27,6 @@ __all__ = [
     "precision_recall_f1",
     "report_to_dict",
     "roc_auc",
-    "write_confusion_csv",
-    "write_report_json",
-    "write_roc_csv",
 ]
 
 
@@ -238,29 +234,3 @@ def report_to_dict(report):
         },
         "confusion": [list(row) for row in report.confusion],
     }
-
-
-def write_report_json(report, path, extra=None):
-    """Write a MetricsReport as deterministic JSON, with optional extra keys."""
-    payload = report_to_dict(report)
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_confusion_csv(report, path):
-    """Write the confusion matrix as CSV with labeled true/predicted axes."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["true\\predicted", *report.class_names]) + "\n")
-        for name, row in zip(report.class_names, report.confusion):
-            fh.write(",".join([name, *(str(c) for c in row)]) + "\n")
-
-
-def write_roc_csv(curve, path):
-    """Write ROC points as CSV (one row per threshold step)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("false_positive_rate,true_positive_rate\n")
-        for x, y in curve.points:
-            fh.write(f"{x!r},{y!r}\n")

@@ -30,6 +30,7 @@ PAD_INDEX = 0
 OOV_INDEX = 1
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
+EMBEDDING_SCALE = 0.25  # half-width of the uniform draw for rows not read from a file
 
 _NON_ALPHANUM = re.compile(r"[^a-z0-9' ]")
 _MULTI_SPACE = re.compile(r" {2,}")
@@ -128,10 +129,9 @@ class EmbeddingMatrix:
         return self.table.shape[1]
 
 
-def random_embeddings(vocab_size: int, dim: int, rng: SeededRng,
-                      scale: float = 0.25) -> EmbeddingMatrix:
-    """Uniform random table with the padding row zeroed."""
-    base = init_uniform(vocab_size, dim, rng, scale)
+def random_embeddings(vocab_size: int, dim: int, rng: SeededRng) -> EmbeddingMatrix:
+    """Uniform random table with scale EMBEDDING_SCALE and the padding row zeroed."""
+    base = init_uniform(vocab_size, dim, rng, EMBEDDING_SCALE)
     base[PAD_INDEX] = 0.0
     return EmbeddingMatrix(table=base)
 
@@ -140,10 +140,10 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
     """Read a GloVe text file: one `token v1 ... vd` entry per line.
 
     Rows for in-vocabulary tokens come from the file.  Tokens the file
-    lacks, and the OOV row, are drawn uniform with scale 0.25 from rng;
-    the padding row is zero.  The dimensionality is inferred from the
-    first line and enforced on every later line.  Later duplicate tokens
-    overwrite earlier ones.
+    lacks, and the OOV row, are drawn uniform with scale EMBEDDING_SCALE
+    from rng; the padding row is zero.  The dimensionality is inferred
+    from the first line and enforced on every later line.  Later
+    duplicate tokens overwrite earlier ones.
     """
     dim = None
     found: dict[int, list[float]] = {}
@@ -172,7 +172,7 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
         raise InputError(f"{path}: empty embeddings file")
     # One table-sized draw keeps the rows for absent tokens independent of
     # which tokens happen to be present in the file.
-    base = init_uniform(len(vocab), dim, rng, 0.25)
+    base = init_uniform(len(vocab), dim, rng, EMBEDDING_SCALE)
     base[PAD_INDEX] = 0.0
     for idx, vec in found.items():
         base[idx] = vec

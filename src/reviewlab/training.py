@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +64,6 @@ __all__ = [
     "task_labels",
     "tokenized_splits",
     "train",
-    "write_history_csv",
 ]
 
 RECOMMENDATION_CLASSES = ("not_recommended", "recommended")
@@ -136,8 +136,7 @@ class LabeledSplit:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class EpochStats:
+class EpochStats(NamedTuple):
     epoch: int
     train_loss: float
     val_loss: float
@@ -340,11 +339,3 @@ def predict(bundle: ModelBundle, text: str) -> Prediction:
         probabilities=dict(zip(bundle.class_names, probs)),
         empty_input=not tokens,
     )
-
-
-def write_history_csv(history, path) -> None:
-    """Write per-epoch stats as `epoch,train_loss,val_loss,val_acc` rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,train_loss,val_loss,val_acc\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.train_loss!r},{row.val_loss!r},{row.val_acc!r}\n")

@@ -203,8 +203,8 @@ class TestAcceptance:
         rating_ok = (abs(stats.mean - EXPECTED_RATING_MEAN) <= 1e-4
                      and abs(stats.std - EXPECTED_RATING_STD) <= 1e-4)
         corr = grouped_rating_corr(records)
-        corr_value = corr.entry("mean_rating", "mean_recommended")
-        corr_ok = corr_value is not None and abs(corr_value - 0.8) <= 0.05
+        corr_value = corr.rows[0][corr.header.index("mean_recommended")]  # mean_rating row
+        corr_ok = corr_value != "" and abs(corr_value - 0.8) <= 0.05
         kept, _ = filter_for_classification(records)
         _, _, test_rows = split_60_20_20(kept, seed=0)
         test_support = len(test_rows)

@@ -16,6 +16,7 @@ from reviewlab.cli import main
 from reviewlab.dataset import parse_csv, write_csv
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
 from reviewlab.toydata import toy_config, toy_reviews
+from reviewlab.training import TrainConfig
 
 
 @pytest.fixture
@@ -204,6 +205,20 @@ class TestEvaluate:
         assert code == 2
         assert "task" in capsys.readouterr().err
 
+    def test_model_shape_mismatch_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        """A config whose seq_len, cell_size or embedding_dim differs from the checkpoint's."""
+        run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
+        trained = toy_config()
+        for key in ("seq_len", "cell_size", "embedding_dim"):
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(toy_cfg_file.read_text() + f"{key}=5\n")
+            code = main(["evaluate", "--data", str(data_csv),
+                         "--out", str(tmp_path / "runs"), "--config", str(cfg),
+                         "--checkpoint", str(run_dir / "model.ckpt")])
+            assert code == 2
+            want = f"checkpoint was trained with {key} {getattr(trained, key)}, not 5"
+            assert want in capsys.readouterr().err
+
     def test_invalid_batch_size_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
         """evaluate checks its settings as train does, not only task and seed."""
         run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
@@ -343,14 +358,15 @@ class TestPredict:
         assert "--text" in capsys.readouterr().err
 
     def test_rerun_from_materialized_config(self, tmp_path, data_csv, toy_cfg_file):
-        """config.txt records the checkpoint's task and seed, so a rerun from it works."""
+        """config.txt records every setting the checkpoint fixes, so a rerun from it works."""
         out = tmp_path / "runs"
         assert main(["train", "--data", str(data_csv), "--out", str(out),
                      "--config", str(toy_cfg_file), "--task", "sentiment"]) == 0
         assert main(["predict", "--out", str(out), "--text", "good dress",
                      "--checkpoint", str(out / "train-0001" / "model.ckpt")]) == 0
         first = out / "predict-0001"
-        assert {"task=sentiment", "seed=4"} <= set((first / "config.txt").read_text().split())
+        fixed = {"task=sentiment", "seed=4", "seq_len=8", "cell_size=8", "embedding_dim=16"}
+        assert fixed <= set((first / "config.txt").read_text().split())
         assert main(["predict", "--config", str(first / "config.txt")]) == 0
         assert snapshot(out / "predict-0002") == snapshot(first)
 
@@ -469,6 +485,19 @@ class TestConfigResolution:
                      "--out", str(tmp_path / "runs"), "--config", str(cfg_file)])
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
+
+    def test_empty_value_means_default(self, tmp_path, data_csv, monkeypatch):
+        """`key=` with no value leaves that setting at its default."""
+        monkeypatch.chdir(tmp_path)  # the default out is ./runs
+        toy = toy_config(epochs=1).as_dict()
+        defaults = {**TrainConfig().as_dict(), "out": "runs"}
+        for number, key in enumerate(defaults, start=1):
+            cfg_file = tmp_path / f"{key}.cfg"
+            settings = {**toy, "out": "runs", key: ""}
+            cfg_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+            assert main(["train", "--data", str(data_csv), "--config", str(cfg_file)]) == 0, key
+            written = (tmp_path / "runs" / f"train-{number:04d}" / "config.txt").read_text()
+            assert f"\n{key}={defaults[key]}\n" in written, key
 
     def test_invalid_task_in_file_exits_two(self, tmp_path, data_csv):
         cfg_file = tmp_path / "s.cfg"

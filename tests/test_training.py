@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import reviewlab.training
 from reviewlab.checkpoint import ModelBundle
+from reviewlab.cli import main
+from reviewlab.dataset import write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
@@ -24,7 +26,6 @@ from reviewlab.training import (
     predict,
     task_labels,
     train,
-    write_history_csv,
 )
 
 
@@ -352,13 +353,18 @@ class TestPredict:
 
 class TestHistoryCsv:
     def test_header_and_rows(self, tmp_path):
+        """`cli train` writes one row per epoch holding the exact EpochStats values."""
         config, prep, emb = prepared_toy(epochs=2)
         result = train(config, prep, emb)
-        path = tmp_path / "history.csv"
-        write_history_csv(result.history, path)
-        lines = path.read_text().splitlines()
+        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        write_csv(toy_reviews(), data)
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg)]) == 0
+        lines = (tmp_path / "runs" / "train-0001" / "history.csv").read_text().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss,val_acc"
         assert len(lines) == 3
         cells = lines[1].split(",")
         assert int(cells[0]) == 1
         assert float(cells[1]) == result.history[0].train_loss
+        assert lines[1:] == [",".join(map(str, row)) for row in result.history]

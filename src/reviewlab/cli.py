@@ -33,7 +33,7 @@ from .analytics import Table, full_report
 from .checkpoint import ModelBundle, load_checkpoint, save_checkpoint
 from .dataset import parse_csv, write_csv, write_issues
 from .errors import InputError, input_lines
-from .metrics import majority_baseline, report_to_dict, roc_auc
+from .metrics import majority_baseline, roc_auc
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
 from .textprep import encode, load_glove, random_embeddings
@@ -60,7 +60,11 @@ _DEFAULTS = {
 
 
 def _parse_config_file(path) -> dict:
-    """Read `key = value` lines; blank lines, # comments and empty values are skipped."""
+    """Read `key = value` lines; blank lines, # comments and empty values are skipped.
+
+    A value that starts with `"` is a JSON string literal, so it can be
+    empty, blank or hold a line break.
+    """
     entries = {}
     for line_num, line in enumerate(input_lines(path), start=1):
         stripped = line.strip()
@@ -77,6 +81,8 @@ def _parse_config_file(path) -> dict:
             continue
         default = _DEFAULTS[key]
         try:
+            if value.startswith('"'):
+                value = json.loads(value)
             entries[key] = value if default is None else type(default)(value)
         except ValueError as exc:
             raise InputError(f"{path}: line {line_num}: {exc}") from exc
@@ -123,9 +129,11 @@ def _new_run_dir(out, command: str) -> Path:
 
 def _write_materialized_config(run_dir: Path, command: str, cfg: dict) -> None:
     lines = [f"# command: {command}"]
-    lines.extend(
-        f"{key}={'' if cfg[key] is None else cfg[key]}" for key in sorted(cfg)
-    )
+    for key in sorted(cfg):
+        value = cfg[key]
+        if key == "text" and value is not None:  # any text, line breaks included
+            value = json.dumps(value)
+        lines.append(f"{key}={'' if value is None else value}")
     (run_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -258,41 +266,30 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     report, probs = evaluate(
         bundle.model, bundle.embeddings, test, config.batch_size, bundle.class_names
     )
-    extra = {}
     if bundle.task == "recommendation":
         try:
-            curve = roc_auc(test.labels, probs[:, 1])
+            points, report["roc_auc"] = roc_auc(test.labels, probs[:, 1])
         except InputError:
-            extra["roc_auc"] = None
+            report["roc_auc"] = None
         else:
-            extra["roc_auc"] = curve.auc
             _write_table_csv(run_dir / "roc.csv", Table(
-                ("false_positive_rate", "true_positive_rate"), curve.points))
-    _write_json(run_dir / "metrics.json", {**report_to_dict(report), **extra})
+                ("false_positive_rate", "true_positive_rate"), points))
+    _write_json(run_dir / "metrics.json", report)
     _write_table_csv(run_dir / "confusion.csv", Table(
-        ("true\\predicted", *report.class_names),
-        tuple((name, *row) for name, row in zip(report.class_names, report.confusion)),
+        ("true\\predicted", *bundle.class_names),
+        tuple((name, *row) for name, row in zip(bundle.class_names, report["confusion"])),
     ))
     baseline = majority_baseline(
         train_split[1], test.labels, bundle.n_classes, bundle.class_names
     )
-    _write_json(run_dir / "baseline.json", report_to_dict(baseline))
-    print(f"test accuracy {report.accuracy:.6f} (metrics in {run_dir})")
+    _write_json(run_dir / "baseline.json", baseline)
+    print(f"test accuracy {report['accuracy']:.6f} (metrics in {run_dir})")
 
 
 def _cmd_predict(cfg: dict, provided: set, run_dir: Path) -> None:
     bundle = _load_bundle(cfg, provided, run_dir, "predict")
     text = _require(cfg, "text", "predict")
-    result = predict(bundle, text)
-    line = json.dumps(
-        {
-            "label": result.label,
-            "label_index": result.label_index,
-            "probabilities": result.probabilities,
-            "empty_input": result.empty_input,
-        },
-        sort_keys=True,
-    )
+    line = json.dumps(predict(bundle, text), sort_keys=True)
     (run_dir / "prediction.json").write_text(line + "\n", encoding="utf-8")
     print(line)
 

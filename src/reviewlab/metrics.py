@@ -1,8 +1,9 @@
 """Evaluation mathematics for classifiers.
 
 Confusion matrices (rows = true class, columns = predicted class),
-per-class precision/recall/F1 with support-weighted averages, ROC
-curves with trapezoidal AUC, and a majority-class baseline. Zero
+reports of per-class precision/recall/F1 with support-weighted
+averages, ROC curves with trapezoidal AUC, and a majority-class
+baseline. A report is the plain dict that `metrics.json` holds. Zero
 denominators never produce NaN: the affected value is reported as 0.0
 with a per-class ``degenerate`` flag so reports stay machine-readable.
 """
@@ -10,39 +11,13 @@ with a per-class ``degenerate`` flag so reports stay machine-readable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .nn import PROB_FLOOR
 
-__all__ = [
-    "ClassMetrics",
-    "MetricsReport",
-    "RocCurve",
-    "build_report",
-    "confusion_matrix",
-    "majority_baseline",
-    "precision_recall_f1",
-    "report_to_dict",
-    "roc_auc",
-]
-
-
-@dataclass(frozen=True)
-class ClassMetrics:
-    """Precision/recall/F1 and support for one class.
-
-    ``degenerate`` is True when any denominator (predicted count,
-    true count, or P+R) was zero and the value was forced to 0.0.
-    """
-
-    precision: float
-    recall: float
-    f1: float
-    support: int
-    degenerate: bool
+__all__ = ["build_report", "confusion_matrix", "majority_baseline", "roc_auc"]
 
 
 def _check_labels(labels, n_classes: int, what: str) -> None:
@@ -71,14 +46,17 @@ def confusion_matrix(y_true, y_pred, n_classes):
     return tuple(map(tuple, counts.reshape(n_classes, n_classes).tolist()))
 
 
-def precision_recall_f1(matrix):
-    """Per-class metrics plus support-weighted averages from a confusion matrix.
+def build_report(confusion, class_names, mean_loss):
+    """The report dict of a confusion matrix and a mean loss.
 
     precision_c = M[c,c] / column-sum_c, recall_c = M[c,c] / row-sum_c,
-    F1 = 2PR / (P + R). Returns (per_class, weighted) where weighted is a
-    (precision, recall, f1) triple weighted by row supports.
+    F1 = 2PR / (P + R); ``degenerate`` is True when any of these
+    denominators was zero and the value was forced to 0.0. The weighted
+    triple weights each class by its support (row sum).
     """
-    counts = np.asarray(matrix)
+    counts = np.asarray(confusion)
+    if len(class_names) != len(counts):
+        raise ValueError(f"expected {len(counts)} class names, got {len(class_names)}")
     total = int(counts.sum())
     if total == 0:
         raise ValueError("confusion matrix has no observations")
@@ -89,71 +67,32 @@ def precision_recall_f1(matrix):
     both = precision + recall
     f1 = np.divide(2.0 * precision * recall, both, out=zeros, where=both > 0)
     degenerate = (predicted == 0) | (support == 0) | (both == 0)
-    per_class = tuple(
-        ClassMetrics(*fields)
-        for fields in zip(precision.tolist(), recall.tolist(), f1.tolist(),
-                          support.tolist(), degenerate.tolist())
-    )
-    weighted = tuple(
-        sum(getattr(m, field) * m.support for m in per_class) / total
-        for field in ("precision", "recall", "f1")
-    )
-    return per_class, weighted
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Full evaluation summary for one classifier on one split."""
-
-    class_names: tuple
-    per_class: tuple
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    accuracy: float
-    mean_loss: float
-    confusion: tuple
-
-    @property
-    def total(self):
-        return sum(sum(row) for row in self.confusion)
-
-
-def build_report(confusion, class_names, mean_loss):
-    """Assemble a MetricsReport from a confusion matrix and a mean loss."""
-    n = len(confusion)
-    if len(class_names) != n:
-        raise ValueError(f"expected {n} class names, got {len(class_names)}")
-    per_class, weighted = precision_recall_f1(confusion)
-    total = sum(sum(row) for row in confusion)
-    trace = sum(confusion[i][i] for i in range(n))
-    return MetricsReport(
-        class_names=tuple(class_names),
-        per_class=per_class,
-        weighted_precision=weighted[0],
-        weighted_recall=weighted[1],
-        weighted_f1=weighted[2],
-        accuracy=trace / total,
-        mean_loss=float(mean_loss),
-        confusion=confusion,
-    )
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """Ordered (false-positive-rate, true-positive-rate) points and their AUC."""
-
-    points: tuple
-    auc: float
+    classes = [
+        {"name": name, "precision": p, "recall": r, "f1": f, "support": n, "degenerate": d}
+        for name, p, r, f, n, d in zip(class_names, precision.tolist(), recall.tolist(),
+                                       f1.tolist(), support.tolist(), degenerate.tolist())
+    ]
+    return {
+        "accuracy": int(tp.sum()) / total,
+        "mean_loss": float(mean_loss),
+        "total": total,
+        "classes": classes,
+        "weighted": {
+            field: sum(c[field] * c["support"] for c in classes) / total
+            for field in ("precision", "recall", "f1")
+        },
+        "confusion": counts.tolist(),
+    }
 
 
 def roc_auc(labels, scores):
-    """Threshold-sweep ROC curve with trapezoidal AUC.
+    """Threshold-sweep ROC curve with trapezoidal AUC: (points, auc).
 
     ``labels`` are 0/1 ints, ``scores`` the positive-class probabilities,
     each an (N,) array or any array-like.  Equal scores are grouped into a
     single threshold step, which makes the trapezoidal area equal the
-    pairwise-ordering statistic with ties counted one half.
+    pairwise-ordering statistic with ties counted one half.  The points
+    are ordered (false-positive-rate, true-positive-rate) pairs.
     """
     labels, scores = np.asarray(labels), np.asarray(scores, dtype=np.float64)
     if len(labels) != len(scores):
@@ -182,7 +121,7 @@ def roc_auc(labels, scores):
     # cumsum adds left to right, as a scalar loop does; np.sum adds pairwise,
     # which can change the last bit of the AUC.
     auc = np.cumsum(np.diff(x) * (y[:-1] + y[1:]) / 2.0)[-1]
-    return RocCurve(points=tuple(zip(x.tolist(), y.tolist())), auc=float(auc))
+    return tuple(zip(x.tolist(), y.tolist())), float(auc)
 
 
 def majority_baseline(train_labels, eval_labels, n_classes, class_names=None):
@@ -208,29 +147,3 @@ def majority_baseline(train_labels, eval_labels, n_classes, class_names=None):
     if class_names is None:
         class_names = tuple(f"class_{c}" for c in range(n_classes))
     return build_report(confusion, class_names, loss / len(evl))
-
-
-def report_to_dict(report):
-    """Plain-dict form of a MetricsReport, ready for JSON dumping."""
-    return {
-        "accuracy": report.accuracy,
-        "mean_loss": report.mean_loss,
-        "total": report.total,
-        "classes": [
-            {
-                "name": name,
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "support": m.support,
-                "degenerate": m.degenerate,
-            }
-            for name, m in zip(report.class_names, report.per_class)
-        ],
-        "weighted": {
-            "precision": report.weighted_precision,
-            "recall": report.weighted_recall,
-            "f1": report.weighted_f1,
-        },
-        "confusion": [list(row) for row in report.confusion],
-    }

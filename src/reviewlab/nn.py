@@ -50,6 +50,7 @@ import numpy as np
 from .rng import SeededRng, init_uniform
 
 PROB_FLOOR = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -389,9 +390,6 @@ class AdamState:
     m: list
     v: list
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def for_params(params) -> "AdamState":
@@ -411,20 +409,19 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
         if p.shape != g.shape:
             raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    mc = 1.0 / (1.0 - b1 ** state.t)
-    vc = 1.0 / (1.0 - b2 ** state.t)
+    mc = 1.0 / (1.0 - ADAM_BETA1 ** state.t)
+    vc = 1.0 / (1.0 - ADAM_BETA2 ** state.t)
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += g * (1.0 - b1)
-        v *= b2
-        v += (g * g) * (1.0 - b2)
-        p -= (m * mc / (np.sqrt(v * vc) + state.eps)) * lr
+        m *= ADAM_BETA1
+        m += g * (1.0 - ADAM_BETA1)
+        v *= ADAM_BETA2
+        v += (g * g) * (1.0 - ADAM_BETA2)
+        p -= (m * mc / (np.sqrt(v * vc) + ADAM_EPS)) * lr
 
 
 def clip_by_global_norm(grads, max_norm: float):
     """Scale all gradients down together if their joint norm exceeds max_norm."""
-    if max_norm <= 0.0:
+    if not max_norm > 0.0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if norm <= max_norm or norm == 0.0:

@@ -10,9 +10,10 @@ compound into negative / neutral / positive labels.
 
 The constants (factor -0.74, window 3, alpha 15, thresholds 0.05) are
 reproduction constants for the analyzer family this mirrors; all are
-module-level and adjustable.  The built-in lexicon below is a small
-test-grade vocabulary; production use should load a full lexicon file
-(`token<TAB>valence` per line).
+module-level and adjustable.  A lexicon is a `token -> valence` dict;
+the negators and boosters are always the module's.  The built-in
+lexicon below is a small test-grade vocabulary; production use should
+load a full lexicon file (`token<TAB>valence` per line).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ DEFAULT_BOOSTERS = {
     "kinda": -BOOST_INCREMENT,
 }
 
-_BUILTIN_VALENCES = {
+BUILTIN_LEXICON = {
     "good": 1.9,
     "great": 3.1,
     "love": 3.2,
@@ -112,32 +113,6 @@ _BUILTIN_VALENCES = {
 
 
 @dataclass(frozen=True)
-class Lexicon:
-    """Valence table plus negator and booster word lists."""
-
-    valences: dict
-    negators: frozenset
-    boosters: dict
-
-    def __post_init__(self):
-        for token, valence in self.valences.items():
-            if not -MAX_VALENCE <= valence <= MAX_VALENCE:
-                raise ValueError(
-                    f"valence for {token!r} is {valence}, outside [-{MAX_VALENCE}, {MAX_VALENCE}]"
-                )
-        overlap = set(self.negators) & set(self.boosters)
-        if overlap:
-            raise ValueError(f"tokens cannot be both negator and booster: {sorted(overlap)}")
-
-
-BUILTIN_LEXICON = Lexicon(
-    valences=dict(_BUILTIN_VALENCES),
-    negators=DEFAULT_NEGATORS,
-    boosters=dict(DEFAULT_BOOSTERS),
-)
-
-
-@dataclass(frozen=True)
 class SentimentScore:
     compound: float
     label: str
@@ -157,18 +132,18 @@ def compound_from_sum(s: float) -> float:
     return s / math.sqrt(s * s + NORMALIZATION_ALPHA)
 
 
-def score_text(tokens, lexicon: Lexicon) -> SentimentScore:
+def score_text(tokens, lexicon: dict) -> SentimentScore:
     """Compound score and label for a cleaned, tokenized text."""
     s = 0.0
     for pos, token in enumerate(tokens):
-        valence = lexicon.valences.get(token)
+        valence = lexicon.get(token)
         if valence is None:
             continue
         window = tokens[max(0, pos - NEGATION_WINDOW):pos]
-        if any(w in lexicon.negators for w in window):
+        if any(w in DEFAULT_NEGATORS for w in window):
             valence *= NEGATION_FACTOR
         if pos >= 1 and valence != 0.0:
-            increment = lexicon.boosters.get(tokens[pos - 1])
+            increment = DEFAULT_BOOSTERS.get(tokens[pos - 1])
             if increment is not None:
                 valence += increment if valence > 0 else -increment
         s += valence
@@ -176,7 +151,7 @@ def score_text(tokens, lexicon: Lexicon) -> SentimentScore:
     return SentimentScore(compound=compound, label=label_from_compound(compound))
 
 
-def auto_label_dataset(records, lexicon: Lexicon):
+def auto_label_dataset(records, lexicon: dict):
     """Label each record's review text; count (recommended, label) pairs.
 
     Records need `review_text` and `recommended` attributes.  Returns
@@ -193,12 +168,8 @@ def auto_label_dataset(records, lexicon: Lexicon):
     return labels, counts
 
 
-def load_lexicon(path) -> Lexicon:
-    """Read a `token<TAB>valence` file into a Lexicon.
-
-    The file carries only valences; the negators and boosters are the
-    built-in ones.
-    """
+def load_lexicon(path) -> dict:
+    """Read a `token<TAB>valence` file into a lexicon dict."""
     valences = {}
     for line_num, line in enumerate(input_lines(path), start=1):
         stripped = line.rstrip("\n")
@@ -217,4 +188,4 @@ def load_lexicon(path) -> Lexicon:
                 f"{path}: line {line_num}: valence {valence} outside [-{MAX_VALENCE}, {MAX_VALENCE}]"
             )
         valences[token] = valence
-    return Lexicon(valences=valences, negators=DEFAULT_NEGATORS, boosters=dict(DEFAULT_BOOSTERS))
+    return valences

@@ -17,6 +17,7 @@ gradient updates.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -165,6 +166,8 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
             vec = [float(v) for v in raw_vals]
         except ValueError:
             raise InputError(f"{path}: line {line_num}: non-numeric component") from None
+        if not all(map(math.isfinite, vec)):
+            raise InputError(f"{path}: line {line_num}: non-finite component")
         idx = vocab.index_of(token)
         if idx > OOV_INDEX:
             found[idx] = vec

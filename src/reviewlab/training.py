@@ -5,6 +5,8 @@ matrix, post-padded with PAD_INDEX, next to an (N,) int64 label array;
 `textprep.encode` builds the matrix for training, evaluation and
 `predict` alike. Every batch is cut to its longest review before it is
 embedded. The class count and class names come from TrainConfig.
+`evaluate` returns the `metrics.json` report dict and `predict` the
+`prediction.json` dict, which the CLI writes as they are.
 
 One seeded RNG drives everything in a fixed order: parameter
 initialization first, then per-epoch shuffles interleaved with
@@ -25,7 +27,7 @@ import numpy as np
 from .checkpoint import ModelBundle
 from .dataset import filter_for_classification, split_60_20_20
 from .errors import InputError
-from .metrics import MetricsReport, build_report, confusion_matrix
+from .metrics import build_report, confusion_matrix
 from .nn import (
     AdamState,
     BiLstmClassifier,
@@ -54,7 +56,6 @@ __all__ = [
     "EpochStats",
     "LabeledSplit",
     "PreparedData",
-    "Prediction",
     "TrainConfig",
     "TrainResult",
     "build_training_data",
@@ -96,11 +97,12 @@ class TrainConfig:
             raise ValueError(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-        if self.grad_clip <= 0:
+        if not self.grad_clip > 0:  # inf turns clipping off; NaN fails
             raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
         if self.task not in _TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {_TASKS}")
@@ -148,15 +150,6 @@ class TrainResult:
     model: BiLstmClassifier
     embeddings: EmbeddingMatrix
     history: tuple
-    config: TrainConfig
-
-
-@dataclass(frozen=True)
-class Prediction:
-    label: str
-    label_index: int
-    probabilities: dict
-    empty_input: bool
 
 
 def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.ndarray:
@@ -306,13 +299,12 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: EmbeddingMatrix) 
         model=model,
         embeddings=EmbeddingMatrix(table),
         history=tuple(history),
-        config=config,
     )
 
 
 def evaluate(model, embeddings: EmbeddingMatrix, split: LabeledSplit,
-             batch_size: int, class_names) -> tuple[MetricsReport, np.ndarray]:
-    """Argmax predictions over a split: (MetricsReport, probabilities (N, C))."""
+             batch_size: int, class_names) -> tuple[dict, np.ndarray]:
+    """Argmax predictions over a split: (metrics report dict, probabilities (N, C))."""
     if len(split) == 0:
         raise InputError("evaluation split is empty")
     probs = class_probabilities(model, embeddings.table, split.indices, batch_size)
@@ -321,11 +313,12 @@ def evaluate(model, embeddings: EmbeddingMatrix, split: LabeledSplit,
     return report, probs
 
 
-def predict(bundle: ModelBundle, text: str) -> Prediction:
+def predict(bundle: ModelBundle, text: str) -> dict:
     """Label one raw text with the bundle's model and vocabulary.
 
-    Text that cleans down to nothing is still scored (an all-padding
-    sequence) but flagged as empty input.
+    Returns the `prediction.json` dict: label, label_index, probabilities
+    per class name, and empty_input. Text that cleans down to nothing is
+    still scored (an all-padding sequence) but flagged as empty input.
     """
     tokens = tokenize(clean_text(text))[:bundle.seq_len]
     probs = class_probabilities(
@@ -333,9 +326,9 @@ def predict(bundle: ModelBundle, text: str) -> Prediction:
         encode([tokens], bundle.vocab, max(1, len(tokens))), batch_size=1,
     )[0].tolist()
     label_index = int(np.argmax(probs))
-    return Prediction(
-        label=bundle.class_names[label_index],
-        label_index=label_index,
-        probabilities=dict(zip(bundle.class_names, probs)),
-        empty_input=not tokens,
-    )
+    return {
+        "label": bundle.class_names[label_index],
+        "label_index": label_index,
+        "probabilities": dict(zip(bundle.class_names, probs)),
+        "empty_input": not tokens,
+    }

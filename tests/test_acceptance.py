@@ -16,7 +16,7 @@ import pytest
 from reviewlab.analytics import describe, grouped_rating_corr, pearson, unique_counts
 from reviewlab.cli import main
 from reviewlab.dataset import filter_for_classification, parse_csv, split_60_20_20, write_csv
-from reviewlab.metrics import majority_baseline, precision_recall_f1, roc_auc
+from reviewlab.metrics import build_report, majority_baseline, roc_auc
 from reviewlab.nn import BiLstmClassifier, init_lstm_params, lstm_sequence_forward, softmax
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.textprep import random_embeddings
@@ -163,9 +163,9 @@ class TestAcceptance:
     def test_3_imbalance_baseline(self, capsys):
         """Majority baselines from the reference supports hit 0.8129 and 0.9313."""
         binary_eval = [0] * 847 + [1] * 3679
-        binary = majority_baseline([1, 1, 0], binary_eval, 2).accuracy
+        binary = majority_baseline([1, 1, 0], binary_eval, 2)["accuracy"]
         three_eval = [0] * 289 + [1] * 22 + [2] * 4215
-        three = majority_baseline([2, 2, 0], three_eval, 3).accuracy
+        three = majority_baseline([2, 2, 0], three_eval, 3)["accuracy"]
         ok = round(binary, 4) == 0.8129 and round(three, 4) == 0.9313
         _report(3, "PASS" if ok else "FAIL",
                 f"binary {binary:.4f}, three-class {three:.4f}", capsys)
@@ -184,9 +184,9 @@ class TestAcceptance:
         first5 = [h.train_loss for h in result.history[:5]]
         decreasing = all(a > b for a, b in zip(first5, first5[1:]))
         elapsed = time.monotonic() - start
-        ok = report.accuracy >= 0.95 and decreasing and elapsed < 60.0
+        ok = report["accuracy"] >= 0.95 and decreasing and elapsed < 60.0
         _report(4, "PASS" if ok else "FAIL",
-                f"train acc {report.accuracy:.3f}, first-5 losses decreasing "
+                f"train acc {report['accuracy']:.3f}, first-5 losses decreasing "
                 f"{decreasing}, {elapsed:.1f}s", capsys)
         assert ok
 
@@ -237,7 +237,7 @@ class TestAcceptance:
             result = train(config, prep, emb)
             report, _ = evaluate(result.model, result.embeddings, prep.test,
                                  config.batch_size, config.class_names)
-            accuracies[task] = (report.accuracy, floor)
+            accuracies[task] = (report["accuracy"], floor)
         ok = all(acc >= floor for acc, floor in accuracies.values())
         _report(6, "PASS" if ok else "FAIL",
                 ", ".join(f"{task} {acc:.4f} (floor {floor})"
@@ -258,14 +258,14 @@ class TestAcceptance:
         labels = [rng.next_u64() & 1 for _ in range(300)]
         labels[0], labels[1] = 0, 1
         scores = [round(rng.uniform(), 2) for _ in range(300)]
-        auc_gap = abs(roc_auc(labels, scores).auc - _pair_auc(labels, scores))
+        auc_gap = abs(roc_auc(labels, scores)[1] - _pair_auc(labels, scores))
 
         matrix = tuple(
             tuple(rng.randrange(30) for _ in range(4)) for _ in range(4)
         )
-        per_class, _ = precision_recall_f1(matrix)
+        per_class = build_report(matrix, "abcd", 0.0)["classes"]
         prf_exact = all(
-            (m.precision, m.recall, m.f1) == oracle
+            (m["precision"], m["recall"], m["f1"]) == oracle
             for m, oracle in zip(per_class, _counting_prf(matrix))
         )
 

@@ -121,7 +121,7 @@ class TestLabel:
     def test_custom_lexicon_file(self, tmp_path, data_csv):
         lex_path = tmp_path / "lex.tsv"
         lex_path.write_text(
-            "".join(f"{t}\t{v}\n" for t, v in sorted(BUILTIN_LEXICON.valences.items())),
+            "".join(f"{t}\t{v}\n" for t, v in sorted(BUILTIN_LEXICON.items())),
             encoding="utf-8",
         )
         out = tmp_path / "runs"
@@ -159,6 +159,17 @@ class TestTrain:
                      "--config", str(toy_cfg_file), "--embeddings", str(glove)])
         assert code == 2
         assert "dimension" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_embedding_component_exits_two(self, tmp_path, data_csv, toy_cfg_file,
+                                                      capsys, component):
+        dims = " ".join(["0.1"] * toy_config().embedding_dim)
+        glove = tmp_path / "vectors.txt"
+        glove.write_text(f"good {dims}\nbad {component}{dims[3:]}\n")
+        code = main(["train", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+                     "--config", str(toy_cfg_file), "--embeddings", str(glove)])
+        assert code == 2
+        assert f"{glove}: line 2: non-finite component" in capsys.readouterr().err
 
     def test_pretrained_embeddings_accepted(self, tmp_path, data_csv, toy_cfg_file):
         dims = " ".join(str(0.01 * i) for i in range(16))
@@ -357,18 +368,24 @@ class TestPredict:
         assert code == 2
         assert "--text" in capsys.readouterr().err
 
-    def test_rerun_from_materialized_config(self, tmp_path, data_csv, toy_cfg_file):
-        """config.txt records every setting the checkpoint fixes, so a rerun from it works."""
+    @pytest.mark.parametrize("text", ["good dress", "", "   ", "love it\nreturned it"],
+                             ids=["plain", "empty", "blank", "multi-line"])
+    def test_rerun_from_materialized_config(self, tmp_path, data_csv, toy_cfg_file, text):
+        """config.txt records the text and every setting the checkpoint fixes,
+        so a rerun from it works for any text."""
         out = tmp_path / "runs"
         assert main(["train", "--data", str(data_csv), "--out", str(out),
                      "--config", str(toy_cfg_file), "--task", "sentiment"]) == 0
-        assert main(["predict", "--out", str(out), "--text", "good dress",
+        assert main(["predict", "--out", str(out), "--text", text,
                      "--checkpoint", str(out / "train-0001" / "model.ckpt")]) == 0
         first = out / "predict-0001"
         fixed = {"task=sentiment", "seed=4", "seq_len=8", "cell_size=8", "embedding_dim=16"}
         assert fixed <= set((first / "config.txt").read_text().split())
+        assert f"\ntext={json.dumps(text)}\n" in (first / "config.txt").read_text()
         assert main(["predict", "--config", str(first / "config.txt")]) == 0
-        assert snapshot(out / "predict-0002") == snapshot(first)
+        second = out / "predict-0002"
+        assert (second / "prediction.json").read_bytes() == (first / "prediction.json").read_bytes()
+        assert snapshot(second) == snapshot(first)
 
     def test_vocab_flag_removed(self, tmp_path, data_csv, toy_cfg_file, capsys):
         """The vocabulary travels inside the checkpoint; --vocab is no longer an option."""
@@ -533,6 +550,48 @@ class TestConfigResolution:
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ['text="unterminated', 'text="two" "strings"', 'seed="x"'])
+    def test_malformed_quoted_value_exits_two(self, tmp_path, data_csv, capsys, line):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(f"# comment\n{line}\n")
+        code = main(["analyze", "--data", str(data_csv),
+                     "--out", str(tmp_path / "runs"), "--config", str(cfg_file)])
+        assert code == 2
+        assert f"{cfg_file}: line 2:" in capsys.readouterr().err
+
+    def test_unquoted_value_keeps_its_quotes_inside(self, tmp_path, data_csv):
+        """Only a leading quote starts a JSON literal; other values are read as written."""
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text('text=say "hi"\n')
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data_csv), "--out", str(out),
+                     "--config", str(cfg_file)]) == 0
+        assert '\ntext="say \\"hi\\""\n' in (out / "analyze-0001" / "config.txt").read_text()
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"), ("learning_rate", "-inf"),
+        ("grad_clip", "nan"), ("grad_clip", "-inf"),
+    ])
+    def test_non_finite_hyperparameter_exits_two(self, tmp_path, data_csv, capsys, key, value):
+        cfg = {**toy_config(epochs=3).as_dict(), key: value}
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
+        code = main(["train", "--data", str(data_csv),
+                     "--out", str(tmp_path / "runs"), "--config", str(cfg_file)])
+        assert code == 2
+        assert f"invalid configuration: {key} must be" in capsys.readouterr().err
+
+    def test_infinite_grad_clip_turns_clipping_off(self, tmp_path, data_csv):
+        out = tmp_path / "runs"
+        for number, grad_clip in enumerate(("inf", "1e300"), start=1):
+            cfg = {**toy_config(epochs=3).as_dict(), "grad_clip": grad_clip}
+            cfg_file = tmp_path / "s.cfg"
+            cfg_file.write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
+            assert main(["train", "--data", str(data_csv), "--out", str(out),
+                         "--config", str(cfg_file)]) == 0
+        first, second = out / "train-0001", out / "train-0002"
+        assert (first / "model.ckpt").read_bytes() == (second / "model.ckpt").read_bytes()
 
     def test_invalid_hyperparameter_exits_two(self, tmp_path, data_csv, capsys):
         cfg_file = tmp_path / "s.cfg"

@@ -1,5 +1,6 @@
 """Tests for confusion-matrix metrics, ROC curves, and baselines."""
 
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,16 @@ from reviewlab.metrics import (
     build_report,
     confusion_matrix,
     majority_baseline,
-    precision_recall_f1,
-    report_to_dict,
     roc_auc,
 )
 from reviewlab.rng import SeededRng
+
+
+def precision_recall_f1(matrix):
+    """(per-class dicts, weighted (P, R, F1)) of the report on a confusion matrix."""
+    report = build_report(matrix, [f"class_{c}" for c in range(len(matrix))], 0.0)
+    weighted = report["weighted"]
+    return report["classes"], (weighted["precision"], weighted["recall"], weighted["f1"])
 
 
 def prf_oracle(matrix):
@@ -100,8 +106,8 @@ class TestPrecisionRecallF1:
     def test_perfect_diagonal(self):
         per_class, weighted = precision_recall_f1(((5, 0), (0, 5)))
         for m in per_class:
-            assert m.precision == m.recall == m.f1 == 1.0
-            assert not m.degenerate
+            assert m["precision"] == m["recall"] == m["f1"] == 1.0
+            assert not m["degenerate"]
         assert weighted == (1.0, 1.0, 1.0)
 
     def test_f1_from_published_rates(self):
@@ -109,30 +115,30 @@ class TestPrecisionRecallF1:
         matrix = ((1000, 376), (276, 4324))
         per_class, _ = precision_recall_f1(matrix)
         m = per_class[1]
-        assert m.precision == pytest.approx(0.92)
-        assert m.recall == pytest.approx(0.94)
-        assert round(m.f1, 4) == 0.9299
-        assert round(m.f1, 2) == 0.93
+        assert m["precision"] == pytest.approx(0.92)
+        assert m["recall"] == pytest.approx(0.94)
+        assert round(m["f1"], 4) == 0.9299
+        assert round(m["f1"], 2) == 0.93
 
     def test_weighted_average_identity(self):
         matrix = ((8, 2, 0), (1, 5, 1), (0, 3, 10))
         per_class, weighted = precision_recall_f1(matrix)
-        total = sum(m.support for m in per_class)
-        want = sum(m.f1 * m.support for m in per_class) / total
+        total = sum(m["support"] for m in per_class)
+        want = sum(m["f1"] * m["support"] for m in per_class) / total
         assert weighted[2] == pytest.approx(want)
 
     def test_never_predicted_class_flagged(self):
         per_class, _ = precision_recall_f1(((2, 0), (3, 0)))
-        assert per_class[1].precision == 0.0
-        assert per_class[1].recall == 0.0
-        assert per_class[1].f1 == 0.0
-        assert per_class[1].degenerate
-        assert not per_class[0].degenerate
+        assert per_class[1]["precision"] == 0.0
+        assert per_class[1]["recall"] == 0.0
+        assert per_class[1]["f1"] == 0.0
+        assert per_class[1]["degenerate"]
+        assert not per_class[0]["degenerate"]
 
     def test_absent_class_flagged(self):
         per_class, _ = precision_recall_f1(((3, 0), (0, 0)))
-        assert per_class[1].support == 0
-        assert per_class[1].degenerate
+        assert per_class[1]["support"] == 0
+        assert per_class[1]["degenerate"]
 
     @given(
         st.integers(2, 5).flatmap(
@@ -151,57 +157,62 @@ class TestPrecisionRecallF1:
             return
         per_class, weighted = precision_recall_f1(matrix)
         for m, (p, r, f1, support) in zip(per_class, prf_oracle(matrix)):
-            assert m.precision == p
-            assert m.recall == r
-            assert m.f1 == f1
-            assert m.support == support
+            assert m["precision"] == p
+            assert m["recall"] == r
+            assert m["f1"] == f1
+            assert m["support"] == support
         from_array = precision_recall_f1(np.array(rows))
         assert from_array == (per_class, weighted)
         for m in from_array[0]:
-            assert (type(m.precision), type(m.f1), type(m.support)) == (float, float, int)
+            assert (type(m["precision"]), type(m["f1"]), type(m["support"])) == (float, float, int)
 
 
 class TestMetricsReport:
     def test_accuracy_is_trace_over_total(self):
         report = build_report(((2, 1), (1, 6)), ("no", "yes"), 0.5)
-        assert report.accuracy == pytest.approx(8 / 10)
-        assert report.total == 10
+        assert report["accuracy"] == pytest.approx(8 / 10)
+        assert report["total"] == 10
 
     def test_supports_sum_to_total(self):
         report = build_report(((2, 1), (1, 6)), ("no", "yes"), 0.5)
-        assert sum(m.support for m in report.per_class) == report.total
+        assert sum(m["support"] for m in report["classes"]) == report["total"]
 
     def test_class_name_count_enforced(self):
         with pytest.raises(ValueError, match="class names"):
             build_report(((1, 0), (0, 1)), ("only",), 0.0)
 
     def test_dict_round_trips_fields(self):
-        report = build_report(((2, 1), (1, 6)), ("no", "yes"), 0.25)
-        d = report_to_dict(report)
-        assert d["accuracy"] == report.accuracy
+        """The report is the metrics.json dict, with plain JSON values."""
+        d = build_report(((2, 1), (1, 6)), ("no", "yes"), 0.25)
+        assert sorted(d) == ["accuracy", "classes", "confusion", "mean_loss", "total", "weighted"]
+        assert d["accuracy"] == 0.8
+        assert d["mean_loss"] == 0.25
         assert d["total"] == 10
         assert d["classes"][1]["name"] == "yes"
+        assert sorted(d["classes"][1]) == ["degenerate", "f1", "name", "precision", "recall", "support"]
+        assert sorted(d["weighted"]) == ["f1", "precision", "recall"]
         assert d["confusion"] == [[2, 1], [1, 6]]
+        assert json.loads(json.dumps(d)) == d
 
 
 class TestRocAuc:
     def test_perfect_separation(self):
-        curve = roc_auc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9])
-        assert curve.auc == pytest.approx(1.0)
+        _, auc = roc_auc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9])
+        assert auc == pytest.approx(1.0)
 
     def test_tied_scores_grouped(self):
         """One threshold step per unique score; hand-computed area 0.875."""
-        curve = roc_auc([1, 1, 0, 0], [0.9, 0.5, 0.5, 0.1])
-        assert curve.points == ((0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0))
-        assert curve.auc == pytest.approx(0.875)
+        points, auc = roc_auc([1, 1, 0, 0], [0.9, 0.5, 0.5, 0.1])
+        assert points == ((0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0))
+        assert auc == pytest.approx(0.875)
 
     def test_reversal_symmetry(self):
         rng = SeededRng(9)
         labels = [rng.next_u64() & 1 for _ in range(200)]
         labels[0], labels[1] = 0, 1
         scores = [rng.uniform() for _ in range(200)]
-        forward = roc_auc(labels, scores).auc
-        reverse = roc_auc(labels, [-s for s in scores]).auc
+        _, forward = roc_auc(labels, scores)
+        _, reverse = roc_auc(labels, [-s for s in scores])
         assert abs(forward + reverse - 1.0) < 1e-12
 
     def test_null_scores_near_half(self):
@@ -209,8 +220,8 @@ class TestRocAuc:
         rng = SeededRng(123)
         labels = [rng.next_u64() & 1 for _ in range(10_000)]
         scores = [rng.uniform() for _ in range(10_000)]
-        curve = roc_auc(labels, scores)
-        assert 0.47 <= curve.auc <= 0.53
+        _, auc = roc_auc(labels, scores)
+        assert 0.47 <= auc <= 0.53
 
     def test_single_class_rejected(self):
         with pytest.raises(InputError, match="positive"):
@@ -238,46 +249,46 @@ class TestRocAuc:
             return
         scores = [s for _, s in pairs]
         curve = roc_auc(labels, scores)
-        assert curve.auc == pytest.approx(auc_oracle(labels, scores), abs=1e-9)
-        assert (curve.points, curve.auc) == roc_loop_oracle(labels, scores)
+        assert curve[1] == pytest.approx(auc_oracle(labels, scores), abs=1e-9)
+        assert curve == roc_loop_oracle(labels, scores)
         from_arrays = roc_auc(np.array(labels), np.array(scores))
         assert from_arrays == curve
         # Python floats: repr(np.float64(0.5)) is "np.float64(0.5)", which
         # would corrupt roc.csv.
-        for c in (curve, from_arrays):
-            assert all(type(v) is float for point in c.points for v in point)
-            assert type(c.auc) is float
+        for points, auc in (curve, from_arrays):
+            assert all(type(v) is float for point in points for v in point)
+            assert type(auc) is float
 
 
 class TestMajorityBaseline:
     def test_balanced_toy_split(self):
         report = majority_baseline([0, 1, 0, 1], [0, 1, 0, 1], 2)
-        assert report.accuracy == pytest.approx(0.5)
+        assert report["accuracy"] == pytest.approx(0.5)
 
     def test_binary_support_arithmetic(self):
         """Supports 847 vs 3679 give a modal-class accuracy of 0.8129."""
         eval_labels = [0] * 847 + [1] * 3679
         report = majority_baseline([1, 1, 0], eval_labels, 2)
-        assert round(report.accuracy, 4) == 0.8129
+        assert round(report["accuracy"], 4) == 0.8129
 
     def test_three_class_support_arithmetic(self):
         """Supports 289/22/4215 give a modal-class accuracy of 0.9313."""
         eval_labels = [0] * 289 + [1] * 22 + [2] * 4215
         report = majority_baseline([2, 2, 2, 0], eval_labels, 3)
-        assert round(report.accuracy, 4) == 0.9313
+        assert round(report["accuracy"], 4) == 0.9313
         # The loss is summed in label order, one rounding per label.
         loss = 0.0
         for label in eval_labels:
             loss -= math.log(max((1, 0, 3)[label] / 4, 1e-12))
-        assert report.mean_loss == loss / len(eval_labels)
+        assert report["mean_loss"] == loss / len(eval_labels)
 
     def test_mode_tie_breaks_low(self):
         report = majority_baseline([0, 1], [0, 0], 2)
-        assert report.accuracy == pytest.approx(1.0)
+        assert report["accuracy"] == pytest.approx(1.0)
 
     def test_custom_class_names(self):
         report = majority_baseline([1], [1], 2, class_names=("neg", "pos"))
-        assert report.class_names == ("neg", "pos")
+        assert [c["name"] for c in report["classes"]] == ["neg", "pos"]
 
     def test_empty_splits_rejected(self):
         with pytest.raises(InputError, match="training"):

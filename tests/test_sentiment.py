@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from reviewlab.errors import InputError
 from reviewlab.sentiment import (
     BUILTIN_LEXICON,
+    DEFAULT_BOOSTERS,
+    DEFAULT_NEGATORS,
+    MAX_VALENCE,
     NEGATION_FACTOR,
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
-    Lexicon,
     auto_label_dataset,
     compound_from_sum,
     label_from_compound,
@@ -26,8 +28,8 @@ from reviewlab.sentiment import (
 def save_lexicon(lexicon, path):
     """Write the valence table as `token<TAB>valence` lines, sorted."""
     with open(path, "w", encoding="utf-8") as fh:
-        for token in sorted(lexicon.valences):
-            fh.write(f"{token}\t{lexicon.valences[token]}\n")
+        for token in sorted(lexicon):
+            fh.write(f"{token}\t{lexicon[token]}\n")
 
 
 def compound_oracle(s):
@@ -125,7 +127,7 @@ class TestScoringRules:
 
     def test_negating_any_builtin_positive_flips_label(self):
         """All built-in positive valences clear the threshold both ways."""
-        for token, valence in BUILTIN_LEXICON.valences.items():
+        for token, valence in BUILTIN_LEXICON.items():
             if valence <= 0:
                 continue
             plain = score_text([token], BUILTIN_LEXICON)
@@ -140,20 +142,16 @@ class TestScoringRules:
 
 class TestLexiconValidation:
     def test_valence_range_enforced(self):
-        with pytest.raises(ValueError, match="outside"):
-            Lexicon(valences={"x": 4.5}, negators=frozenset(), boosters={})
+        """Every built-in valence lies in the range load_lexicon enforces."""
+        assert all(-MAX_VALENCE <= v <= MAX_VALENCE for v in BUILTIN_LEXICON.values())
 
     def test_negator_booster_overlap_rejected(self):
-        with pytest.raises(ValueError, match="both"):
-            Lexicon(
-                valences={},
-                negators=frozenset({"very"}),
-                boosters={"very": 0.293},
-            )
+        """No word is both a negator and a booster."""
+        assert not DEFAULT_NEGATORS & DEFAULT_BOOSTERS.keys()
 
     def test_builtin_is_valid_and_sized(self):
-        assert len(BUILTIN_LEXICON.valences) >= 40
-        assert BUILTIN_LEXICON.valences["good"] == 1.9
+        assert len(BUILTIN_LEXICON) >= 40
+        assert BUILTIN_LEXICON["good"] == 1.9
 
 
 @dataclass
@@ -205,8 +203,7 @@ class TestLexiconFile:
         path = tmp_path / "lexicon.tsv"
         save_lexicon(BUILTIN_LEXICON, path)
         loaded = load_lexicon(path)
-        assert loaded.valences == BUILTIN_LEXICON.valences
-        assert loaded.negators == BUILTIN_LEXICON.negators
+        assert loaded == BUILTIN_LEXICON
 
     def test_malformed_line_names_number(self, tmp_path):
         path = tmp_path / "lexicon.tsv"
@@ -230,4 +227,4 @@ class TestLexiconFile:
         path = tmp_path / "lexicon.tsv"
         path.write_text("good\t1.9\n\nbad\t-2.5\n", encoding="utf-8")
         lex = load_lexicon(path)
-        assert lex.valences == {"good": 1.9, "bad": -2.5}
+        assert lex == {"good": 1.9, "bad": -2.5}

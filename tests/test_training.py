@@ -233,7 +233,7 @@ class TestTrain:
         result = train(config, prep, emb)
         report, _ = evaluate(result.model, result.embeddings, prep.train,
                              config.batch_size, config.class_names)
-        assert report.accuracy >= 0.95
+        assert report["accuracy"] >= 0.95
         first5 = [h.train_loss for h in result.history[:5]]
         assert all(a > b for a, b in zip(first5, first5[1:]))
 
@@ -272,9 +272,9 @@ class TestEvaluate:
         result = train(config, prep, emb)
         report, probs = evaluate(result.model, result.embeddings, prep.test,
                                  config.batch_size, config.class_names)
-        assert report.total == len(prep.test)
+        assert report["total"] == len(prep.test)
         assert probs.shape == (len(prep.test), 2)
-        assert report.class_names == RECOMMENDATION_CLASSES
+        assert tuple(c["name"] for c in report["classes"]) == RECOMMENDATION_CLASSES
 
     def test_batch_size_does_not_change_probabilities(self):
         config, prep, emb = prepared_toy(epochs=1)
@@ -331,22 +331,23 @@ class TestPredict:
     def test_probabilities_sum_to_one(self):
         bundle = self.bundle()
         p = predict(bundle, "bad skirt returned it")
-        assert sum(p.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
-        assert p.label == bundle.class_names[p.label_index]
+        assert sorted(p) == ["empty_input", "label", "label_index", "probabilities"]
+        assert sum(p["probabilities"].values()) == pytest.approx(1.0, abs=1e-12)
+        assert p["label"] == bundle.class_names[p["label_index"]]
 
     def test_empty_text_flagged(self):
         bundle = self.bundle()
         p = predict(bundle, "!!!")
-        assert p.empty_input
-        assert sum(p.probabilities.values()) == pytest.approx(1.0, abs=1e-12)
+        assert p["empty_input"]
+        assert sum(p["probabilities"].values()) == pytest.approx(1.0, abs=1e-12)
         # Zero features: the head bias alone decides.
         want = softmax(bundle.model.head.b[None])[0]
-        assert np.abs(np.array(list(p.probabilities.values())) - want).max() <= 1e-15
+        assert np.abs(np.array(list(p["probabilities"].values())) - want).max() <= 1e-15
 
     def test_probabilities_do_not_depend_on_seq_len(self):
         """A 3-token review is scored alike whether padded to 3, 10 or 120 steps."""
         bundle = self.bundle()
-        got = {n: predict(replace(bundle, seq_len=n), "very good dress").probabilities
+        got = {n: predict(replace(bundle, seq_len=n), "very good dress")["probabilities"]
                for n in (3, 10, 120)}
         assert got[3] == got[10] == got[120]
 

@@ -9,6 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from reviewlab.checkpoint import TASK_CLASSES
 from reviewlab.cli import main as cli
 
 
@@ -24,7 +25,7 @@ def main() -> None:
     parser.add_argument("--data", required=True, help="review dataset CSV")
     parser.add_argument("--out", default="runs", help="run-directory root")
     parser.add_argument("--task", default="recommendation",
-                        choices=("recommendation", "sentiment"))
+                        choices=tuple(TASK_CLASSES))
     parser.add_argument("--config", help="key=value hyper-parameter file")
     parser.add_argument("--embeddings", help="pretrained word-vector text file")
     parser.add_argument("--text", default="love this dress it fits perfectly",

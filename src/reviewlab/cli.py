@@ -9,8 +9,10 @@ every artifact byte for byte in single-threaded mode.
 A trained model is one file, `model.ckpt`, which carries its vocabulary
 and the seed of its 60/20/20 split. `evaluate` and `predict` take the
 task, seed, seq_len, cell_size and embedding_dim from it; any of them
-given explicitly with a different value is an input error, so evaluation
-always scores the test rows the model never trained on.
+given explicitly with a different value is an input error, and
+`evaluate` refuses data whose fingerprint differs from the one the
+checkpoint stores, so evaluation always scores the test rows the model
+never trained on.
 
 Every table is written as CSV by `_write_table_csv` and every report or
 summary as JSON by `_write_json`; only the dataset files (`labeled.csv`,
@@ -30,7 +32,7 @@ import traceback
 from pathlib import Path
 
 from .analytics import Table, full_report
-from .checkpoint import ModelBundle, load_checkpoint, save_checkpoint
+from .checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpoint
 from .dataset import parse_csv, write_csv, write_issues
 from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc
@@ -102,9 +104,9 @@ def _resolve(args) -> tuple[dict, set]:
         if value is not None:
             cfg[key] = value
             provided.add(key)
-    if cfg["task"] not in ("recommendation", "sentiment"):
+    if cfg["task"] not in TASK_CLASSES:
         raise InputError(
-            f"unknown task {cfg['task']!r}, expected recommendation or sentiment"
+            f"unknown task {cfg['task']!r}, expected {' or '.join(TASK_CLASSES)}"
         )
     return cfg, provided
 
@@ -199,9 +201,9 @@ def _build_embeddings(cfg: dict, vocab, config: TrainConfig):
     rng = SeededRng(config.seed + 1)
     if cfg["embeddings"]:
         emb = load_glove(cfg["embeddings"], vocab, rng)
-        if emb.dim != config.embedding_dim:
+        if emb.shape[1] != config.embedding_dim:
             raise InputError(
-                f"embedding file dimension {emb.dim} does not match "
+                f"embedding file dimension {emb.shape[1]} does not match "
                 f"embedding_dim {config.embedding_dim}"
             )
         return emb
@@ -216,12 +218,12 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     result = train(config, prep, embeddings)
     bundle = ModelBundle(
         task=config.task,
-        class_names=config.class_names,
         seq_len=config.seq_len,
         seed=config.seed,
         vocab=prep.vocab,
         model=result.model,
         embeddings=result.embeddings,
+        data_sha256=prep.data_sha256,
     )
     save_checkpoint(bundle, run_dir / "model.ckpt")
     _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, result.history))
@@ -248,7 +250,7 @@ def _load_bundle(cfg: dict, provided: set, run_dir: Path, command: str) -> Model
     """Load the checkpoint; cfg and config.txt take every setting it fixes."""
     bundle = load_checkpoint(_require(cfg, "checkpoint", command))
     fixed = {"task": bundle.task, "seed": bundle.seed, "seq_len": bundle.seq_len,
-             "cell_size": bundle.model.cell_size, "embedding_dim": bundle.embeddings.dim}
+             "cell_size": bundle.model.cell_size, "embedding_dim": bundle.embeddings.shape[1]}
     for key, value in fixed.items():
         if key in provided and cfg[key] != value:
             raise InputError(f"checkpoint was trained with {key} {value!r}, not {cfg[key]!r}")
@@ -261,7 +263,13 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     bundle = _load_bundle(cfg, provided, run_dir, "evaluate")
     config = _train_config(cfg)
     records = _parse_records(cfg, "evaluate", run_dir)
-    (train_split, _, (tokens, labels)), _ = tokenized_splits(records, config, _load_lexicon(cfg))
+    splits, _, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg))
+    if data_sha256 != bundle.data_sha256:
+        raise InputError(
+            f"data_sha256 {data_sha256} is not the checkpoint's {bundle.data_sha256}: "
+            f"evaluate with the --data and --lexicon the model was trained with"
+        )
+    train_split, _, (tokens, labels) = splits
     test = LabeledSplit(encode(tokens, bundle.vocab, bundle.seq_len), labels)
     report, probs = evaluate(
         bundle.model, bundle.embeddings, test, config.batch_size, bundle.class_names
@@ -280,7 +288,7 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
         tuple((name, *row) for name, row in zip(bundle.class_names, report["confusion"])),
     ))
     baseline = majority_baseline(
-        train_split[1], test.labels, bundle.n_classes, bundle.class_names
+        train_split[1], test.labels, len(bundle.class_names), bundle.class_names
     )
     _write_json(run_dir / "baseline.json", baseline)
     print(f"test accuracy {report['accuracy']:.6f} (metrics in {run_dir})")
@@ -311,7 +319,7 @@ def _add_common(sub, *flags):
     if "seed" in flags:
         sub.add_argument("--seed", type=int, help="RNG seed for split/init/shuffle")
     if "task" in flags:
-        sub.add_argument("--task", choices=("recommendation", "sentiment"),
+        sub.add_argument("--task", choices=tuple(TASK_CLASSES),
                          help="classification target")
     if "lexicon" in flags:
         sub.add_argument("--lexicon", help="token<TAB>valence sentiment lexicon file")

@@ -313,6 +313,12 @@ class BiLstmClassifier:
         )
 
 
+def block_shapes(cell_size: int, input_size: int, n_classes: int) -> list[tuple[int, ...]]:
+    """The shapes of a model's six param_blocks() arrays, in that order."""
+    lstm = [(4 * cell_size, cell_size + input_size), (4 * cell_size,)]
+    return [*lstm, *lstm, (n_classes, 2 * cell_size), (n_classes,)]
+
+
 @dataclass(frozen=True)
 class ClassifierCache:
     """Forward-pass record for backward(); sorted row j is caller row order[j]."""

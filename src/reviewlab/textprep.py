@@ -11,8 +11,8 @@ its checkpoint.  `encode` turns N token lists into one (N, seq_len)
 int64 index matrix: each row holds its review's first seq_len tokens,
 post-padded with index 0.  No real token maps to index 0, so the model
 counts a row's non-pad indices as its length and steps over those
-tokens only.  The padding embedding row is all-zero and kept out of
-gradient updates.
+tokens only.  An embedding table is a plain (vocab_size, dim) float64
+array; its padding row is all-zero and kept out of gradient updates.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,41 +103,15 @@ def encode(token_lists, vocab: Vocab, seq_len: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    """(vocab_size, dim) float64 table; row 0 is the all-zero padding row."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        if self.table.ndim != 2 or len(self.table) < 2:
-            raise ValueError(
-                f"embedding table must be 2-D with at least the pad and oov rows, "
-                f"got shape {self.table.shape}"
-            )
-        if not np.all(np.isfinite(self.table)):
-            raise ValueError("embedding table contains non-finite entries")
-        if np.any(self.table[PAD_INDEX] != 0.0):
-            raise ValueError("padding row of the embedding table must stay zero")
-
-    @property
-    def vocab_size(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
-
-def random_embeddings(vocab_size: int, dim: int, rng: SeededRng) -> EmbeddingMatrix:
-    """Uniform random table with scale EMBEDDING_SCALE and the padding row zeroed."""
+def random_embeddings(vocab_size: int, dim: int, rng: SeededRng) -> np.ndarray:
+    """(vocab_size, dim) uniform random table, scale EMBEDDING_SCALE, padding row zeroed."""
     base = init_uniform(vocab_size, dim, rng, EMBEDDING_SCALE)
     base[PAD_INDEX] = 0.0
-    return EmbeddingMatrix(table=base)
+    return base
 
 
-def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
-    """Read a GloVe text file: one `token v1 ... vd` entry per line.
+def load_glove(path, vocab: Vocab, rng: SeededRng) -> np.ndarray:
+    """Read a GloVe text file (one `token v1 ... vd` entry per line) as a (len(vocab), d) table.
 
     Rows for in-vocabulary tokens come from the file.  Tokens the file
     lacks, and the OOV row, are drawn uniform with scale EMBEDDING_SCALE
@@ -179,7 +152,7 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> EmbeddingMatrix:
     base[PAD_INDEX] = 0.0
     for idx, vec in found.items():
         base[idx] = vec
-    return EmbeddingMatrix(table=base)
+    return base
 
 
 def embed_batch(index_matrix, table: np.ndarray) -> np.ndarray:

@@ -8,6 +8,10 @@ embedded. The class count and class names come from TrainConfig.
 `evaluate` returns the `metrics.json` report dict and `predict` the
 `prediction.json` dict, which the CLI writes as they are.
 
+`tokenized_splits` also returns `data_sha256`, the sha256 of the kept
+records' (row_id, review_text, label) in file order; a checkpoint stores
+it, so `evaluate` can refuse another CSV or sentiment lexicon.
+
 One seeded RNG drives everything in a fixed order: parameter
 initialization first, then per-epoch shuffles interleaved with
 per-batch dropout masks. Single-threaded runs with the same config,
@@ -18,13 +22,15 @@ receives no gradient and stays zero.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .checkpoint import ModelBundle
+from .checkpoint import TASK_CLASSES, ModelBundle
 from .dataset import filter_for_classification, split_60_20_20
 from .errors import InputError
 from .metrics import build_report, confusion_matrix
@@ -39,10 +45,9 @@ from .nn import (
     forward,
 )
 from .rng import SeededRng
-from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, score_text
+from .sentiment import BUILTIN_LEXICON, score_text
 from .textprep import (
     PAD_INDEX,
-    EmbeddingMatrix,
     Vocab,
     build_vocab,
     clean_text,
@@ -52,7 +57,6 @@ from .textprep import (
 )
 
 __all__ = [
-    "RECOMMENDATION_CLASSES",
     "EpochStats",
     "LabeledSplit",
     "PreparedData",
@@ -66,11 +70,6 @@ __all__ = [
     "tokenized_splits",
     "train",
 ]
-
-RECOMMENDATION_CLASSES = ("not_recommended", "recommended")
-
-_TASKS = ("recommendation", "sentiment")
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -104,16 +103,16 @@ class TrainConfig:
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
         if not self.grad_clip > 0:  # inf turns clipping off; NaN fails
             raise ValueError(f"grad_clip must be positive, got {self.grad_clip}")
-        if self.task not in _TASKS:
-            raise ValueError(f"unknown task {self.task!r}, expected one of {_TASKS}")
+        if self.task not in TASK_CLASSES:
+            raise ValueError(f"unknown task {self.task!r}, expected one of {tuple(TASK_CLASSES)}")
 
     @property
     def n_classes(self) -> int:
-        return 2 if self.task == "recommendation" else 3
+        return len(self.class_names)
 
     @property
     def class_names(self) -> tuple:
-        return RECOMMENDATION_CLASSES if self.task == "recommendation" else SENTIMENT_CLASSES
+        return TASK_CLASSES[self.task]
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -148,7 +147,7 @@ class EpochStats(NamedTuple):
 @dataclass(frozen=True)
 class TrainResult:
     model: BiLstmClassifier
-    embeddings: EmbeddingMatrix
+    embeddings: np.ndarray
     history: tuple
 
 
@@ -156,15 +155,14 @@ def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.
     """(N,) int64 class index per record: recommendation flag, or lexicon sentiment.
 
     The sentiment of record i is scored from token_lists[i], its cleaned
-    and tokenized review text.  Index i names
-    TrainConfig(task=task).class_names[i].
+    and tokenized review text.  Index i names TASK_CLASSES[task][i].
     """
     if task == "recommendation":
         labels = [int(r.recommended) for r in records]
     elif task == "sentiment":
-        labels = [SENTIMENT_CLASSES.index(score_text(t, lexicon).label) for t in token_lists]
+        labels = [TASK_CLASSES[task].index(score_text(t, lexicon).label) for t in token_lists]
     else:
-        raise ValueError(f"unknown task {task!r}, expected one of {_TASKS}")
+        raise ValueError(f"unknown task {task!r}, expected one of {tuple(TASK_CLASSES)}")
     return np.asarray(labels, dtype=np.int64)
 
 
@@ -177,19 +175,23 @@ class PreparedData:
     test: LabeledSplit
     vocab: Vocab
     dropped: int
+    data_sha256: str
 
 
 def tokenized_splits(records, config: TrainConfig, lexicon=BUILTIN_LEXICON):
     """Filter, split 60/20/20 with config.seed, and tokenize and label each review once.
 
-    Returns ((token_lists, labels) of train, validation and test, dropped).
+    Returns ((token_lists, labels) of train, validation and test, dropped,
+    data_sha256).
     """
     kept, dropped = filter_for_classification(records)
     token_lists = [tokenize(clean_text(r.review_text)) for r in kept]
     labels = task_labels(kept, token_lists, config.task, lexicon)
+    identity = [[r.row_id, r.review_text, y] for r, y in zip(kept, labels.tolist())]
+    data_sha256 = hashlib.sha256(json.dumps(identity).encode("utf-8")).hexdigest()
     splits = tuple(([token_lists[i] for i in rows], labels[list(rows)])
                    for rows in split_60_20_20(kept, config.seed))
-    return splits, dropped
+    return splits, dropped, data_sha256
 
 
 def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON) -> PreparedData:
@@ -198,11 +200,11 @@ def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON) -
     The vocabulary is built from the training split only, so validation
     and test tokens unseen in training map to the out-of-vocabulary index.
     """
-    splits, dropped = tokenized_splits(records, config, lexicon)
+    splits, dropped, data_sha256 = tokenized_splits(records, config, lexicon)
     vocab = build_vocab(splits[0][0], min_freq=config.min_freq, max_size=config.vocab_size)
     encoded = [LabeledSplit(encode(tokens, vocab, config.seq_len), labels)
                for tokens, labels in splits]
-    return PreparedData(*encoded, vocab=vocab, dropped=dropped)
+    return PreparedData(*encoded, vocab=vocab, dropped=dropped, data_sha256=data_sha256)
 
 
 def _trimmed(idx: np.ndarray):
@@ -221,7 +223,7 @@ def class_probabilities(model: BiLstmClassifier, table: np.ndarray, indices: np.
     return out
 
 
-def train(config: TrainConfig, prep: PreparedData, embeddings: EmbeddingMatrix) -> TrainResult:
+def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> TrainResult:
     """Mini-batch training with Adam and global-norm gradient clipping.
 
     Returns the final-epoch model (no early stopping) plus one
@@ -233,9 +235,9 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: EmbeddingMatrix) 
         raise InputError("training split is empty")
     if len(prep.validation) == 0:
         raise InputError("validation split is empty")
-    if embeddings.dim != config.embedding_dim:
+    if embeddings.shape[1] != config.embedding_dim:
         raise ValueError(
-            f"embedding dim {embeddings.dim} does not match config "
+            f"embedding dim {embeddings.shape[1]} does not match config "
             f"embedding_dim {config.embedding_dim}"
         )
 
@@ -243,7 +245,7 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: EmbeddingMatrix) 
     model = BiLstmClassifier.build(
         config.cell_size, config.embedding_dim, config.n_classes, rng
     )
-    table = embeddings.table.copy()
+    table = embeddings.copy()
     params = [p for _, p in model.param_blocks()] + [table]
     adam = AdamState.for_params(params)
     idx_all, labels_all = prep.train.indices, prep.train.labels
@@ -297,17 +299,17 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: EmbeddingMatrix) 
 
     return TrainResult(
         model=model,
-        embeddings=EmbeddingMatrix(table),
+        embeddings=table,
         history=tuple(history),
     )
 
 
-def evaluate(model, embeddings: EmbeddingMatrix, split: LabeledSplit,
+def evaluate(model, embeddings: np.ndarray, split: LabeledSplit,
              batch_size: int, class_names) -> tuple[dict, np.ndarray]:
     """Argmax predictions over a split: (metrics report dict, probabilities (N, C))."""
     if len(split) == 0:
         raise InputError("evaluation split is empty")
-    probs = class_probabilities(model, embeddings.table, split.indices, batch_size)
+    probs = class_probabilities(model, embeddings, split.indices, batch_size)
     confusion = confusion_matrix(split.labels, probs.argmax(axis=1), len(class_names))
     report = build_report(confusion, class_names, batch_cross_entropy(probs, split.labels))
     return report, probs
@@ -322,7 +324,7 @@ def predict(bundle: ModelBundle, text: str) -> dict:
     """
     tokens = tokenize(clean_text(text))[:bundle.seq_len]
     probs = class_probabilities(
-        bundle.model, bundle.embeddings.table,
+        bundle.model, bundle.embeddings,
         encode([tokens], bundle.vocab, max(1, len(tokens))), batch_size=1,
     )[0].tolist()
     label_index = int(np.argmax(probs))

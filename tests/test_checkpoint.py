@@ -3,6 +3,7 @@
 import functools
 import json
 import tempfile
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,9 @@ from reviewlab.cli import main
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import Vocab, build_vocab, random_embeddings
+from reviewlab.textprep import build_vocab, random_embeddings
+
+DATA_SHA256 = "5" * 64
 
 
 def small_bundle():
@@ -24,51 +27,50 @@ def small_bundle():
     emb = random_embeddings(len(vocab), 6, SeededRng(2))
     bundle = ModelBundle(
         task="recommendation",
-        class_names=("not_recommended", "recommended"),
         seq_len=12,
         seed=3,
         vocab=vocab,
         model=model,
         embeddings=emb,
+        data_sha256=DATA_SHA256,
     )
     return bundle, vocab
 
 
 class TestBundleValidation:
-    def test_properties(self):
-        bundle, _ = small_bundle()
-        assert bundle.cell_size == 4
-        assert bundle.embedding_dim == 6
-        assert bundle.n_classes == 2
+    """A loaded bundle is consistent: the metadata fixes every array's shape."""
 
-    def test_unknown_task_rejected(self):
-        bundle, _ = small_bundle()
-        with pytest.raises(ValueError, match="task"):
-            ModelBundle(task="ranking", class_names=bundle.class_names,
-                        seq_len=12, seed=3, vocab=bundle.vocab,
-                        model=bundle.model, embeddings=bundle.embeddings)
+    def test_properties(self, tmp_path):
+        bundle = load_checkpoint(saved_checkpoint(tmp_path))
+        assert bundle.model.cell_size == 4
+        assert bundle.embeddings.shape == (12, 6)
+        assert bundle.class_names == ("not_recommended", "recommended")
+        assert bundle.data_sha256 == DATA_SHA256
 
-    def test_class_name_count_enforced(self):
-        bundle, _ = small_bundle()
-        with pytest.raises(ValueError, match="class names"):
-            ModelBundle(task="recommendation", class_names=("only",),
-                        seq_len=12, seed=3, vocab=bundle.vocab,
-                        model=bundle.model, embeddings=bundle.embeddings)
+    def test_unknown_task_rejected(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        edit_metadata(path, lambda meta: meta.update(task="ranking"))
+        with pytest.raises(InputError, match="'task' must be one of recommendation, sentiment"):
+            load_checkpoint(path)
 
-    def test_embedding_dim_mismatch_rejected(self):
-        bundle, _ = small_bundle()
-        wrong = random_embeddings(12, 7, SeededRng(3))
-        with pytest.raises(ValueError, match="dim"):
-            ModelBundle(task="recommendation", class_names=bundle.class_names,
-                        seq_len=12, seed=3, vocab=bundle.vocab,
-                        model=bundle.model, embeddings=wrong)
+    def test_class_name_count_enforced(self, tmp_path):
+        """The task's class count sizes the head: a 2-class head is no sentiment model."""
+        path = saved_checkpoint(tmp_path)
+        edit_metadata(path, lambda meta: meta.update(task="sentiment"))
+        with pytest.raises(InputError, match="truncated checkpoint payload: .* and task give"):
+            load_checkpoint(path)
 
-    def test_vocab_size_must_match_embedding_rows(self):
-        bundle, _ = small_bundle()
-        with pytest.raises(ValueError, match="11 vocabulary tokens for 12 embedding rows"):
-            ModelBundle(task="recommendation", class_names=bundle.class_names,
-                        seq_len=12, seed=3, vocab=Vocab([f"w{i}" for i in range(9)]),
-                        model=bundle.model, embeddings=bundle.embeddings)
+    def test_embedding_dim_mismatch_rejected(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        edit_metadata(path, lambda meta: meta.update(embedding_dim=7))
+        with pytest.raises(InputError, match="truncated checkpoint payload: .*embedding_dim"):
+            load_checkpoint(path)
+
+    def test_vocab_size_must_match_embedding_rows(self, tmp_path):
+        path = saved_checkpoint(tmp_path)
+        edit_metadata(path, lambda meta: meta["vocab"].pop())
+        with pytest.raises(InputError, match="trailing bytes in checkpoint payload: .*vocab"):
+            load_checkpoint(path)
 
 
 class TestRoundTrip:
@@ -86,11 +88,11 @@ class TestRoundTrip:
                                             loaded.model.param_blocks()):
             assert name_a == name_b
             assert np.array_equal(a, b)
-        assert np.array_equal(bundle.embeddings.table, loaded.embeddings.table)
+        assert np.array_equal(bundle.embeddings, loaded.embeddings)
         assert [n for n, _ in loaded.model.param_blocks()] == [
             "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]
         assert sorted(read_metadata(path)) == METADATA_FIELDS
-        assert read_metadata(path)["format"] == 4
+        assert read_metadata(path)["format"] == 5
 
     def test_save_twice_byte_identical(self, tmp_path):
         bundle, _ = small_bundle()
@@ -100,13 +102,18 @@ class TestRoundTrip:
         save_checkpoint(bundle, second)
         assert first.read_bytes() == second.read_bytes()
 
-METADATA_FIELDS = ["blocks", "cell_size", "class_names", "embedding_dim", "format",
+METADATA_FIELDS = ["cell_size", "data_sha256", "embedding_dim", "format",
                    "seed", "seq_len", "task", "vocab"]
 
 
 def read_metadata(path):
     raw = path.read_bytes()
     return json.loads(raw[len(MAGIC):raw.find(b"\n", len(MAGIC))])
+
+
+def payload_start(path):
+    """Offset of the first float64 after the metadata line."""
+    return path.read_bytes().find(b"\n", len(MAGIC)) + 1
 
 
 def edit_metadata(path, edit):
@@ -164,27 +171,43 @@ class TestRejections:
         assert predict_exit_code(tmp_path, path) == 2
         assert "unsupported checkpoint format 3" in capsys.readouterr().err
 
-    def test_missing_blocks_list_exits_two(self, tmp_path, capsys):
-        path = saved_checkpoint(tmp_path)
-        edit_metadata(path, lambda meta: meta.pop("blocks"))
-        assert predict_exit_code(tmp_path, path) == 2
-        assert "blocks" in capsys.readouterr().err
-
-    def test_float_block_size_exits_two(self, tmp_path, capsys):
+    def test_format_four_exits_two(self, tmp_path, capsys):
+        """Format 4 stored its own block layout and class names; retrain to upgrade."""
         path = saved_checkpoint(tmp_path)
 
-        def float_rows(meta):
-            meta["blocks"][1][1] = float(meta["blocks"][1][1])
+        def as_format_four(meta):
+            del meta["data_sha256"]
+            meta.update(format=4, class_names=["not_recommended", "recommended"],
+                        blocks=[["embeddings", 12, 6], ["fwd.W", 16, 10], ["fwd.b", 16, 1],
+                                ["bwd.W", 16, 10], ["bwd.b", 16, 1], ["head.W", 2, 8],
+                                ["head.b", 2, 1]])
 
-        edit_metadata(path, float_rows)
+        edit_metadata(path, as_format_four)
         assert predict_exit_code(tmp_path, path) == 2
-        assert "blocks" in capsys.readouterr().err
+        assert "unsupported checkpoint format 4" in capsys.readouterr().err
 
-    def test_empty_block_of_impossible_width_exits_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("field, value", [("cell_size", 10**30), ("embedding_dim", 10**18)],
+                             ids=["cell_size", "embedding_dim"])
+    def test_huge_size_exits_two_without_allocating(self, tmp_path, capsys, monkeypatch,
+                                                    field, value):
+        """The size check is made in Python ints, before the buffer is allocated."""
         path = saved_checkpoint(tmp_path)
-        edit_metadata(path, lambda meta: meta["blocks"].append(["extra", 0, 10**30]))
+        edit_metadata(path, lambda meta: meta.update({field: value}))
+        monkeypatch.setattr(np, "empty", None)  # any allocation attempt would exit 1
         assert predict_exit_code(tmp_path, path) == 2
-        assert "block 'extra' cannot be 0 x " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        payload = path.stat().st_size - payload_start(path)
+        assert f"truncated checkpoint payload: {payload} bytes" in err
+        assert "vocab, embedding_dim, cell_size and task give" in err
+
+    def test_non_zero_pad_row_exits_two(self, tmp_path, capsys):
+        path = saved_checkpoint(tmp_path)
+        raw = bytearray(path.read_bytes())
+        start = payload_start(path)
+        raw[start:start + 8] = np.array([1.0], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        assert predict_exit_code(tmp_path, path) == 2
+        assert "padding row of block 'embeddings' must be zero" in capsys.readouterr().err
 
     def test_non_integer_seq_len_rejected(self, tmp_path):
         path = saved_checkpoint(tmp_path)
@@ -206,16 +229,15 @@ class TestRejections:
         assert predict_exit_code(tmp_path, path) == 2
         assert "unreadable checkpoint metadata" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block", ["fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"])
+    @pytest.mark.parametrize("block", ["embeddings", "fwd.W", "fwd.b", "bwd.W", "bwd.b",
+                                       "head.W", "head.b"])
     def test_non_finite_weights_exit_two(self, tmp_path, capsys, block):
         path = saved_checkpoint(tmp_path)
+        bundle = small_bundle()[0]
+        blocks = [("embeddings", bundle.embeddings), *bundle.model.param_blocks()]
+        ends = dict(zip([name for name, _ in blocks], accumulate(a.size for _, a in blocks)))
+        offset = payload_start(path) + 8 * (ends[block] - 1)  # the block's last value
         raw = bytearray(path.read_bytes())
-        header_end = raw.find(b"\n", len(MAGIC))
-        offset = header_end + 1
-        for name, rows, cols in json.loads(raw[len(MAGIC):header_end])["blocks"]:
-            if name == block:
-                break
-            offset += 8 * rows * cols
         raw[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
         path.write_bytes(bytes(raw))
         assert predict_exit_code(tmp_path, path) == 2
@@ -224,26 +246,6 @@ class TestRejections:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "absent.ckpt")
-
-
-def drop_rows(path, block, keep):
-    """Cut a block of a checkpoint down to its first `keep` rows."""
-    raw = path.read_bytes()
-    header_end = raw.find(b"\n", len(MAGIC))
-    meta = json.loads(raw[len(MAGIC):header_end])
-    payload, offset = [], header_end + 1
-    for entry in meta["blocks"]:
-        name, rows, cols = entry
-        nbytes = 8 * rows * cols
-        if name == block:
-            entry[1] = keep
-            nbytes_kept = 8 * keep * cols
-        else:
-            nbytes_kept = nbytes
-        payload.append(raw[offset:offset + nbytes_kept])
-        offset += nbytes
-    path.write_bytes(MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n"
-                     + b"".join(payload))
 
 
 class TestMetadataFields:
@@ -256,11 +258,14 @@ class TestMetadataFields:
         ("seed", True),
         ("seed", "3"),
         ("seed", None),
-        ("class_names", "ny"),
-        ("class_names", [1, 2]),
-        ("class_names", ["same", "same"]),
         ("vocab", "tok0 tok1"),
         ("vocab", None),
+        ("task", ["sentiment"]),
+        ("task", None),
+        ("cell_size", 4.0),
+        ("cell_size", 0),
+        ("embedding_dim", True),
+        ("data_sha256", None),
     ])
     def test_wrong_type_exits_two(self, tmp_path, capsys, field, value):
         path = saved_checkpoint(tmp_path)
@@ -283,23 +288,6 @@ class TestMetadataFields:
         edit_metadata(path, lambda meta: meta["vocab"].__setitem__(0, "<oov>"))
         assert predict_exit_code(tmp_path, path) == 2
         assert "'<oov>' repeats" in capsys.readouterr().err
-
-    def test_empty_embedding_table_exits_two(self, tmp_path, capsys):
-        path = saved_checkpoint(tmp_path)
-        drop_rows(path, "embeddings", 0)
-        edit_metadata(path, lambda meta: meta.update(vocab=[]))
-        assert predict_exit_code(tmp_path, path) == 2
-        assert "embedding table must be 2-D with at least the pad and oov rows" in (
-            capsys.readouterr().err)
-
-    @pytest.mark.parametrize("class_names", [[], ["only"]])
-    def test_zero_class_head_exits_two(self, tmp_path, capsys, class_names):
-        path = saved_checkpoint(tmp_path)
-        drop_rows(path, "head.W", 0)
-        drop_rows(path, "head.b", 0)
-        edit_metadata(path, lambda meta: meta.update(class_names=class_names))
-        assert predict_exit_code(tmp_path, path) == 2
-        assert "class" in capsys.readouterr().err
 
 
 JSON_VALUES = st.recursive(

@@ -265,6 +265,33 @@ class TestEvaluate:
         assert main([*base, "--seed", "0"]) == 2
         assert "checkpoint was trained with seed 3, not 0" in capsys.readouterr().err
 
+    def test_different_csv_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        """Another CSV's seeded split could put training rows in the test split."""
+        run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
+        other = tmp_path / "other.csv"
+        write_csv(toy_reviews(seed=8), other)
+        code = main(["evaluate", "--data", str(other), "--out", str(tmp_path / "runs"),
+                     "--config", str(toy_cfg_file),
+                     "--checkpoint", str(run_dir / "model.ckpt")])
+        assert code == 2
+        assert "is not the checkpoint's" in capsys.readouterr().err
+
+    def test_sentiment_lexicon_must_match_training(self, tmp_path, data_csv, capsys):
+        """Sentiment labels come from the lexicon, so evaluation needs the training one."""
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("dress\t2.0\n", encoding="utf-8")
+        cfg = tmp_path / "sentiment.cfg"
+        cfg.write_text("".join(
+            f"{k}={v}\n" for k, v in toy_config(epochs=1, task="sentiment").as_dict().items()
+        ))
+        common = ["--data", str(data_csv), "--out", str(tmp_path / "runs"), "--config", str(cfg)]
+        assert main(["train", *common, "--lexicon", str(lexicon)]) == 0
+        evaluate = ["evaluate", *common,
+                    "--checkpoint", str(tmp_path / "runs" / "train-0001" / "model.ckpt")]
+        assert main([*evaluate, "--lexicon", str(lexicon)]) == 0
+        assert main(evaluate) == 2
+        assert "is not the checkpoint's" in capsys.readouterr().err
+
     def test_missing_checkpoint_exits_two(self, tmp_path, data_csv):
         code = main(["evaluate", "--data", str(data_csv),
                      "--out", str(tmp_path / "runs"),
@@ -400,7 +427,11 @@ class TestPredict:
         code = main(["predict", "--out", str(tmp_path / "runs"),
                      "--checkpoint", str(ckpt), "--text", "good dress"])
         assert code == 2
-        assert f"3 vocabulary tokens for {rows} embedding rows" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        payload = ckpt.stat().st_size - ckpt.read_bytes().find(b"\n", len(MAGIC)) - 1
+        short = payload - 8 * (rows - 3) * toy_config().embedding_dim  # 3 rows, not `rows`
+        assert (f"trailing bytes in checkpoint payload: {payload} bytes, where vocab, "
+                f"embedding_dim, cell_size and task give {short}") in err
 
     def test_repeated_vocab_token_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
         ckpt = train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt"

@@ -27,7 +27,6 @@ from reviewlab.nn import (
     softmax,
 )
 from reviewlab.rng import SeededRng, init_uniform
-from reviewlab.textprep import EmbeddingMatrix
 
 
 def matmul_oracle(a, b):
@@ -113,8 +112,6 @@ class TestTensorBasics:
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError, match="2-D"):
             LstmParams(np.zeros(12), np.zeros(12))
-        with pytest.raises(ValueError, match="2-D"):
-            EmbeddingMatrix(np.zeros(3))
 
     def test_backing_array_is_read_only(self):
         """Forward and backward never write to the parameters or the inputs."""

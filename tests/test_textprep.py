@@ -14,7 +14,6 @@ from reviewlab.rng import SeededRng
 from reviewlab.textprep import (
     OOV_INDEX,
     PAD_INDEX,
-    EmbeddingMatrix,
     Vocab,
     build_vocab,
     clean_text,
@@ -165,26 +164,12 @@ class TestEncodePad:
             assert row == ids + [PAD_INDEX] * (L - len(ids))
 
 
-class TestEmbeddingMatrix:
-    def test_pad_row_must_be_zero(self):
-        bad = np.array([[1.0, 0.0], [0.5, 0.5]])
-        with pytest.raises(ValueError, match="padding"):
-            EmbeddingMatrix(table=bad)
-
-    def test_random_embeddings_zero_pad_row(self):
+class TestRandomEmbeddings:
+    def test_zero_pad_row(self):
         emb = random_embeddings(5, 4, SeededRng(1))
-        assert np.all(emb.table[0] == 0.0)
-        assert np.all(np.abs(emb.table) <= 0.25)
-
-    def test_needs_pad_and_oov_rows(self):
-        with pytest.raises(ValueError, match="at least the pad and oov rows"):
-            EmbeddingMatrix(table=np.zeros((1, 2)))
-
-    def test_non_finite_rejected(self):
-        arr = np.zeros((3, 2))
-        arr[2, 0] = np.nan
-        with pytest.raises(ValueError, match="finite"):
-            EmbeddingMatrix(table=arr)
+        assert emb.shape == (5, 4)
+        assert np.all(emb[0] == 0.0)
+        assert np.all(np.abs(emb) <= 0.25)
 
 
 class TestLoadGlove:
@@ -200,13 +185,13 @@ class TestLoadGlove:
         path = self.write(tmp_path, "the 0.1 0.2\n")
         vocab = self.vocab_with("the")
         emb = load_glove(path, vocab, SeededRng(0))
-        assert emb.dim == 2
-        assert np.allclose(emb.table[vocab.index_of("the")], [0.1, 0.2])
+        assert emb.shape == (len(vocab), 2)
+        assert np.allclose(emb[vocab.index_of("the")], [0.1, 0.2])
 
     def test_pad_row_zero_regardless(self, tmp_path):
         path = self.write(tmp_path, "the 0.1 0.2\n")
         emb = load_glove(path, self.vocab_with("the"), SeededRng(0))
-        assert np.all(emb.table[PAD_INDEX] == 0.0)
+        assert np.all(emb[PAD_INDEX] == 0.0)
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = self.write(tmp_path, "a 0.1 0.2\nb 0.1 0.2 0.3\n")
@@ -235,20 +220,20 @@ class TestLoadGlove:
         e1 = load_glove(path, vocab, SeededRng(7))
         e2 = load_glove(path, vocab, SeededRng(7))
         bi = vocab.index_of("b")
-        assert np.array_equal(e1.table[bi], e2.table[bi])
-        assert np.all(np.abs(e1.table[bi]) <= 0.25)
-        assert np.any(e1.table[bi] != 0.0)
+        assert np.array_equal(e1[bi], e2[bi])
+        assert np.all(np.abs(e1[bi]) <= 0.25)
+        assert np.any(e1[bi] != 0.0)
 
     def test_oov_row_initialized(self, tmp_path):
         path = self.write(tmp_path, "a 0.5 0.5\n")
         emb = load_glove(path, self.vocab_with("a"), SeededRng(3))
-        assert np.any(emb.table[OOV_INDEX] != 0.0)
+        assert np.any(emb[OOV_INDEX] != 0.0)
 
     def test_later_duplicates_overwrite(self, tmp_path):
         path = self.write(tmp_path, "a 0.1 0.1\na 0.9 0.9\n")
         vocab = self.vocab_with("a")
         emb = load_glove(path, vocab, SeededRng(0))
-        assert np.allclose(emb.table[vocab.index_of("a")], [0.9, 0.9])
+        assert np.allclose(emb[vocab.index_of("a")], [0.9, 0.9])
 
 
 class TestEmbed:
@@ -258,7 +243,7 @@ class TestEmbed:
         arr[1] = [0.1, 0.1, 0.1]
         arr[2] = [1.0, 2.0, 3.0]
         arr[3] = [4.0, 5.0, 6.0]
-        self.table = EmbeddingMatrix(table=arr).table
+        self.table = arr
 
     def embed(self, tokens, L):
         """One review's vectors, (T, 1, dim)."""
@@ -303,9 +288,9 @@ class TestVocabRoundTrip:
     def save(self, tmp_path, vocab):
         path = tmp_path / "model.ckpt"
         save_checkpoint(ModelBundle(
-            task="recommendation", class_names=("no", "yes"), seq_len=4, seed=0, vocab=vocab,
+            task="recommendation", seq_len=4, seed=0, vocab=vocab,
             model=BiLstmClassifier.build(2, 3, 2, SeededRng(1)),
-            embeddings=random_embeddings(len(vocab), 3, SeededRng(2)),
+            embeddings=random_embeddings(len(vocab), 3, SeededRng(2)), data_sha256="",
         ), path)
         return path
 

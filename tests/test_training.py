@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reviewlab.training
-from reviewlab.checkpoint import ModelBundle
+from reviewlab.checkpoint import TASK_CLASSES, ModelBundle
 from reviewlab.cli import main
 from reviewlab.dataset import write_csv
 from reviewlab.errors import InputError
@@ -17,7 +17,6 @@ from reviewlab.rng import SeededRng
 from reviewlab.textprep import PAD_INDEX, clean_text, random_embeddings, tokenize
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import (
-    RECOMMENDATION_CLASSES,
     LabeledSplit,
     TrainConfig,
     build_training_data,
@@ -186,7 +185,7 @@ class TestTrain:
         )
         for (_, got), (_, want) in zip(result.model.param_blocks(), init.param_blocks()):
             assert np.array_equal(got, want)
-        assert np.array_equal(result.embeddings.table, emb.table)
+        assert np.array_equal(result.embeddings, emb)
 
     def test_deterministic_history(self):
         config, prep, emb = prepared_toy(epochs=3)
@@ -222,10 +221,10 @@ class TestTrain:
     def test_caller_embeddings_untouched(self):
         """Training fine-tunes a copy of the embedding table."""
         config, prep, emb = prepared_toy(epochs=1)
-        before = emb.table.copy()
+        before = emb.copy()
         result = train(config, prep, emb)
-        assert np.array_equal(emb.table, before)
-        assert not np.array_equal(result.embeddings.table, before)
+        assert np.array_equal(emb, before)
+        assert not np.array_equal(result.embeddings, before)
 
     def test_toy_fixture_converges(self):
         """Separable keyword reviews reach 95% training accuracy in 30 epochs."""
@@ -245,7 +244,7 @@ class TestTrain:
     def test_padding_row_stays_zero(self):
         config, prep, emb = prepared_toy(epochs=2)
         result = train(config, prep, emb)
-        assert np.all(result.embeddings.table[PAD_INDEX] == 0.0)
+        assert np.all(result.embeddings[PAD_INDEX] == 0.0)
 
     def test_empty_training_split_rejected(self):
         config, prep, emb = prepared_toy()
@@ -274,12 +273,12 @@ class TestEvaluate:
                                  config.batch_size, config.class_names)
         assert report["total"] == len(prep.test)
         assert probs.shape == (len(prep.test), 2)
-        assert tuple(c["name"] for c in report["classes"]) == RECOMMENDATION_CLASSES
+        assert tuple(c["name"] for c in report["classes"]) == TASK_CLASSES["recommendation"]
 
     def test_batch_size_does_not_change_probabilities(self):
         config, prep, emb = prepared_toy(epochs=1)
         result = train(config, prep, emb)
-        table = result.embeddings.table
+        table = result.embeddings
         one = class_probabilities(result.model, table, prep.test.indices, batch_size=1)
         many = class_probabilities(result.model, table, prep.test.indices, batch_size=5)
         assert one.shape == (len(prep.test), 2)
@@ -292,7 +291,7 @@ class TestEvaluate:
         """A review's probabilities depend neither on seq_len beyond truncation
         nor on the reviews that share its batch."""
         model = BiLstmClassifier.build(3, 4, 2, SeededRng(5))
-        table = random_embeddings(10, 4, SeededRng(6)).table
+        table = random_embeddings(10, 4, SeededRng(6))
         padded = np.array([(r + [PAD_INDEX] * seq_len)[:seq_len] for r in rows])
         probs = class_probabilities(model, table, padded, batch_size)
         for row, got in zip(rows, probs):
@@ -313,12 +312,12 @@ class TestPredict:
         result = train(config, prep, emb)
         bundle = ModelBundle(
             task=config.task,
-            class_names=config.class_names,
             seq_len=config.seq_len,
             seed=config.seed,
             vocab=prep.vocab,
             model=result.model,
             embeddings=result.embeddings,
+            data_sha256=prep.data_sha256,
         )
         return bundle
 

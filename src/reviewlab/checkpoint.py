@@ -8,8 +8,9 @@ embedding_dim, the vocabulary's words (every token after `<pad>` and
 `<oov>`, in index order), and `data_sha256`, the fingerprint of the data
 the model was trained on (`training.tokenized_splits`). The file stores
 no layout: the arrays are the (len(vocab), embedding_dim) embedding
-table and then the model's blocks, whose shapes `nn.block_shapes`
-derives from cell_size, embedding_dim and the task's class count.
+table and then the model's six arrays in `BiLstmClassifier` field order,
+whose shapes `nn.block_shapes` derives from cell_size, embedding_dim and
+the task's class count; the loaded model is those six arrays.
 Other formats are rejected; retrain to upgrade. The format contains no
 timestamps, so saving the same bundle twice produces byte-identical
 files.
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .nn import BiLstmClassifier, DenseParams, LstmParams, block_shapes
+from .nn import BiLstmClassifier, block_shapes
 from .sentiment import SENTIMENT_CLASSES
 from .textprep import PAD_INDEX, Vocab
 
@@ -152,8 +153,7 @@ def load_checkpoint(path) -> ModelBundle:
         arrays.append(flat[start:start + n].reshape(shape))
         start += n
     table = arrays[0]
-    model = BiLstmClassifier(fwd=LstmParams(*arrays[1:3]), bwd=LstmParams(*arrays[3:5]),
-                             head=DenseParams(*arrays[5:7]))
+    model = BiLstmClassifier(*arrays[1:])
     for name, a in [("embeddings", table), *model.param_blocks()]:
         if not np.isfinite(a).all():
             raise InputError(f"{path}: block {name!r} contains non-finite values")

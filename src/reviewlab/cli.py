@@ -2,9 +2,10 @@
 
 Every invocation creates a fresh numbered run directory under --out
 (never overwriting a prior run) and writes the fully materialized
-configuration into it. Settings resolve as flags over config file over
-defaults, and an empty config value means the default; rerunning a command from a materialized config reproduces
-every artifact byte for byte in single-threaded mode.
+configuration into it; a command that fails removes it again.
+Settings resolve as flags over config file over defaults, and an empty
+config value means the default; rerunning a command from a materialized
+config reproduces every artifact byte for byte in single-threaded mode.
 
 A trained model is one file, `model.ckpt`, which carries its vocabulary
 and the seed of its 60/20/20 split. `evaluate` and `predict` take the
@@ -27,6 +28,7 @@ import argparse
 import csv
 import json
 import re
+import shutil
 import sys
 import traceback
 from pathlib import Path
@@ -287,9 +289,7 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
         ("true\\predicted", *bundle.class_names),
         tuple((name, *row) for name, row in zip(bundle.class_names, report["confusion"])),
     ))
-    baseline = majority_baseline(
-        train_split[1], test.labels, len(bundle.class_names), bundle.class_names
-    )
+    baseline = majority_baseline(train_split[1], test.labels, bundle.class_names)
     _write_json(run_dir / "baseline.json", baseline)
     print(f"test accuracy {report['accuracy']:.6f} (metrics in {run_dir})")
 
@@ -355,6 +355,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    run_dir = None
     try:
         cfg, provided = _resolve(args)
         run_dir = _new_run_dir(cfg["out"], args.command)
@@ -363,10 +364,13 @@ def main(argv=None) -> int:
         return 0
     except (InputError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except Exception:
         traceback.print_exc()
-        return 1
+        code = 1
+    if run_dir is not None:
+        shutil.rmtree(run_dir, ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -124,14 +124,16 @@ def roc_auc(labels, scores):
     return tuple(zip(x.tolist(), y.tolist())), float(auc)
 
 
-def majority_baseline(train_labels, eval_labels, n_classes, class_names=None):
+def majority_baseline(train_labels, eval_labels, class_names):
     """Score the constant classifier that predicts the training modal class.
 
     Ties on the mode break toward the smallest class index. The baseline's
     mean loss is the cross-entropy of the training-split class frequencies
     (floored to avoid log of zero) against the evaluation labels.  The
-    labels are (N,) int arrays or any array-like.
+    labels are (N,) int arrays or any array-like; class_names names the
+    classes in label-index order.
     """
+    n_classes = len(class_names)
     train, evl = np.asarray(train_labels), np.asarray(eval_labels)
     if not train.size:
         raise InputError("majority baseline needs a nonempty training split")
@@ -144,6 +146,4 @@ def majority_baseline(train_labels, eval_labels, n_classes, class_names=None):
     n_train = len(train)
     neg_log = np.array([-math.log(max(c / n_train, PROB_FLOOR)) for c in train_counts.tolist()])
     loss = np.cumsum(np.r_[0.0, neg_log[evl]])[-1]  # in label order, like the AUC sum
-    if class_names is None:
-        class_names = tuple(f"class_{c}" for c in range(n_classes))
     return build_report(confusion, class_names, loss / len(evl))

@@ -3,7 +3,10 @@
 Arrays are batch-major: a batch of inputs x is (T, B, D), T steps of B
 examples with D features each, and hidden and cell states are (B, H).
 
-Each direction holds one fused weight matrix W (4H, H + D) and one bias
+A model is a BiLstmClassifier: its six arrays in checkpoint order,
+fwd_W, fwd_b, bwd_W, bwd_b, head_W, head_b, whose shapes block_shapes()
+gives.  Each direction is a (W, b) pair, model[0:2] forward and
+model[2:4] backward: one fused weight matrix W (4H, H + D) and one bias
 b (4H,).  Their rows are the four gates in the order f, i, C, o, H rows
 each, and the columns of W act on the stacked [h_{t-1}; x_t]:
 
@@ -34,8 +37,8 @@ then gives dW and one the packed input gradients, which backward()
 scatters to (T, B, D) with zeros at the pads.
 
 The two final hidden states are joined into (B, 2H) features, passed
-through dropout (training only), and fed to a dense softmax head with
-W (C, 2H) and b (C,).  Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)),
+through dropout (training only), and fed to the softmax head
+softmax(features . head_W^T + head_b), head_W (C, 2H) and head_b (C,).  Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)),
 which saturates to 0 and 1 without overflow.
 """
 
@@ -68,73 +71,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class LstmParams:
-    """One LSTM direction: W (4H, H + D), gate rows f, i, C, o; b (4H,)."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.W.ndim != 2 or self.W.shape[0] % 4:
-            raise ValueError(
-                f"W must be 2-D with 4 x cell_size rows, got shape {self.W.shape}"
-            )
-        if self.b.shape != (self.W.shape[0],):
-            raise ValueError(
-                f"bias shape {self.b.shape} does not match weight shape {self.W.shape}"
-            )
-        if self.cell_size < 1 or self.input_size < 1:
-            raise ValueError(f"need cell_size >= 1 and input_size >= 1, got W {self.W.shape}")
-
-    @property
-    def cell_size(self) -> int:
-        return self.W.shape[0] // 4
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[1] - self.cell_size
-
-
-def init_lstm_params(cell_size: int, input_size: int, rng: SeededRng) -> LstmParams:
-    """Uniform init on [-1/sqrt(fan_in), +1/sqrt(fan_in)], fan_in = cell + input.
-
-    The weights are drawn before the biases, each row-major in gate order,
-    which is the stream order of drawing the four gate blocks one by one.
-    """
-    joint = cell_size + input_size
-    scale = 1.0 / math.sqrt(joint)
-    W = init_uniform(4 * cell_size, joint, rng, scale)
-    b = init_uniform(4 * cell_size, 1, rng, scale).reshape(-1)
-    return LstmParams(W, b)
-
-
-@dataclass(frozen=True)
-class DenseParams:
-    """Affine head: W (n_classes, in_size), b (n_classes,)."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
-            raise ValueError(
-                f"bias shape {self.b.shape} does not match weight shape {self.W.shape}"
-            )
-
-    @property
-    def n_classes(self) -> int:
-        return self.W.shape[0]
-
-
-def init_dense_params(n_classes: int, in_size: int, rng: SeededRng) -> DenseParams:
-    scale = 1.0 / math.sqrt(in_size)
-    return DenseParams(
-        W=init_uniform(n_classes, in_size, rng, scale),
-        b=init_uniform(n_classes, 1, rng, scale).reshape(-1),
-    )
-
-
 class SequenceCache(NamedTuple):
     """What BPTT needs from one direction's forward pass (shapes in the module doc)."""
 
@@ -149,14 +85,15 @@ def _prev_cells(c: np.ndarray, offsets, t: int, k: int):
     return c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0
 
 
-def lstm_sequence_forward(params: LstmParams, x: np.ndarray, lengths=None):
-    """Run one direction over x (T, B, D) from a zero state.
+def lstm_sequence_forward(params, x: np.ndarray, lengths=None):
+    """Run one direction, params = (W, b), over x (T, B, D) from a zero state.
 
     Row r steps over its first lengths[r] inputs (non-increasing; default
     all T).  Returns each row's final h (B, H) and the packed SequenceCache.
     """
-    T = len(x)
-    H, D = params.cell_size, params.input_size
+    W, b = params
+    T, H = len(x), len(W) // 4
+    D = W.shape[1] - H
     if T == 0:
         raise ValueError("cannot run an LSTM over an empty sequence")
     if x.ndim != 3 or x.shape[2] != D:
@@ -168,9 +105,9 @@ def lstm_sequence_forward(params: LstmParams, x: np.ndarray, lengths=None):
     active = np.arange(T)[:, None] < lengths  # x[active] packs step-major
     offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
     packed = x[active]
-    W_h, W_x = params.W[:, :H], params.W[:, H:]
+    W_h, W_x = W[:, :H], W[:, H:]
     acts = packed @ W_x.T
-    acts += params.b
+    acts += b
     z = np.empty((len(packed), H + D))
     z[:, H:] = packed
     c = np.empty((len(packed), H))
@@ -191,16 +128,17 @@ def lstm_sequence_forward(params: LstmParams, x: np.ndarray, lengths=None):
     return h, SequenceCache(z, acts, c, offsets)
 
 
-def lstm_sequence_backward(params: LstmParams, cache: SequenceCache, dh_last: np.ndarray):
-    """Backpropagation through time for one direction.
+def lstm_sequence_backward(params, cache: SequenceCache, dh_last: np.ndarray):
+    """Backpropagation through time for one direction, params = (W, b).
 
     Given d(loss)/d(h) (B, H) of each row's final h, walks the steps in
     reverse, overwriting cache.acts with the gate pre-activation gradients.
     Returns (dW (4H, H + D), db (4H,), dx (N, D)), dx packed like the cache.
     """
     z, acts, c, offsets = cache
-    H = params.cell_size
-    W_h = params.W[:, :H]
+    W = params[0]
+    H = len(W) // 4
+    W_h = W[:, :H]
     dh = np.array(dh_last, dtype=np.float64)
     dC = np.zeros(dh.shape)
     for t in reversed(range(len(offsets) - 1)):
@@ -220,16 +158,7 @@ def lstm_sequence_backward(params: LstmParams, cache: SequenceCache, dh_last: np
         dh[:k] = a @ W_h
     # (z^T dA)^T rather than dA^T z: the same product, about 25% faster in OpenBLAS.
     dW = (z.T @ acts).T
-    return dW, acts.sum(axis=0), acts @ params.W[:, H:]
-
-
-def dense_softmax_forward(params: DenseParams, h: np.ndarray) -> np.ndarray:
-    """Class probabilities softmax(h . W^T + b), one row per example."""
-    if h.shape[1] != params.W.shape[1]:
-        raise ValueError(
-            f"feature columns {h.shape[1]} do not match head input size {params.W.shape[1]}"
-        )
-    return softmax(h @ params.W.T + params.b)
+    return dW, acts.sum(axis=0), acts @ W[:, H:]
 
 
 def _target_index(probs: np.ndarray, targets) -> np.ndarray:
@@ -264,59 +193,46 @@ def dropout_mask(rows: int, cols: int, rate: float, rng: SeededRng) -> np.ndarra
     return (u >= rate).astype(np.float64) / (1.0 - rate)
 
 
-@dataclass(frozen=True)
-class BiLstmClassifier:
-    """Full model: two LSTM directions plus a dense softmax readout."""
-
-    fwd: LstmParams
-    bwd: LstmParams
-    head: DenseParams
-
-    def __post_init__(self):
-        if self.fwd.W.shape != self.bwd.W.shape:
-            raise ValueError(
-                f"direction size mismatch: forward W {self.fwd.W.shape}"
-                f" vs backward W {self.bwd.W.shape}"
-            )
-        if self.head.W.shape[1] != 2 * self.cell_size:
-            raise ValueError(
-                f"head input size {self.head.W.shape[1]} does not match"
-                f" 2 x cell size {2 * self.cell_size}"
-            )
-
-    @property
-    def cell_size(self) -> int:
-        return self.fwd.cell_size
-
-    @property
-    def input_size(self) -> int:
-        return self.fwd.input_size
-
-    @property
-    def n_classes(self) -> int:
-        return self.head.n_classes
-
-    def param_blocks(self) -> list[tuple[str, np.ndarray]]:
-        """The six parameter arrays (not copies), named as in checkpoints."""
-        return [
-            ("fwd.W", self.fwd.W), ("fwd.b", self.fwd.b),
-            ("bwd.W", self.bwd.W), ("bwd.b", self.bwd.b),
-            ("head.W", self.head.W), ("head.b", self.head.b),
-        ]
-
-    @staticmethod
-    def build(cell_size: int, input_size: int, n_classes: int, rng: SeededRng) -> "BiLstmClassifier":
-        return BiLstmClassifier(
-            fwd=init_lstm_params(cell_size, input_size, rng),
-            bwd=init_lstm_params(cell_size, input_size, rng),
-            head=init_dense_params(n_classes, 2 * cell_size, rng),
-        )
-
-
 def block_shapes(cell_size: int, input_size: int, n_classes: int) -> list[tuple[int, ...]]:
     """The shapes of a model's six param_blocks() arrays, in that order."""
     lstm = [(4 * cell_size, cell_size + input_size), (4 * cell_size,)]
     return [*lstm, *lstm, (n_classes, 2 * cell_size), (n_classes,)]
+
+
+class BiLstmClassifier(NamedTuple):
+    """The model's six arrays, in param_blocks() (checkpoint) order."""
+
+    fwd_W: np.ndarray
+    fwd_b: np.ndarray
+    bwd_W: np.ndarray
+    bwd_b: np.ndarray
+    head_W: np.ndarray
+    head_b: np.ndarray
+
+    @property
+    def cell_size(self) -> int:
+        return len(self.fwd_W) // 4
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.head_b)
+
+    def param_blocks(self) -> list[tuple[str, np.ndarray]]:
+        """The six parameter arrays (not copies), named as in checkpoints."""
+        return [(name.replace("_", "."), a) for name, a in zip(self._fields, self)]
+
+    @staticmethod
+    def build(cell_size: int, input_size: int, n_classes: int, rng: SeededRng) -> "BiLstmClassifier":
+        """Draw each block_shapes() block in turn, row-major from the stream.
+
+        Entries are uniform on [-1/sqrt(fan_in), +1/sqrt(fan_in)], with fan_in
+        H + D for the LSTM blocks and 2H for the head.
+        """
+        fan_ins = [cell_size + input_size] * 4 + [2 * cell_size] * 2
+        return BiLstmClassifier(*(
+            init_uniform(math.prod(shape), 1, rng, 1.0 / math.sqrt(fan_in)).reshape(shape)
+            for shape, fan_in in zip(block_shapes(cell_size, input_size, n_classes), fan_ins)
+        ))
 
 
 @dataclass(frozen=True)
@@ -346,10 +262,10 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths=None, *,
     order = np.argsort(-lengths, kind="stable")
     L = lengths[order]
     x_sorted = x[:, order]
-    h_fwd, fwd = lstm_sequence_forward(model.fwd, x_sorted, L)
+    h_fwd, fwd = lstm_sequence_forward(model[0:2], x_sorted, L)
     # Reverse step s of sorted row j reads x[L_j - 1 - s]; pad steps are never read.
     x_rev = x_sorted[np.maximum(L - 1 - np.arange(T)[:, None], 0), np.arange(B)]
-    h_bwd, bwd = lstm_sequence_forward(model.bwd, x_rev, L)
+    h_bwd, bwd = lstm_sequence_forward(model[2:4], x_rev, L)
     features = np.hstack([h_fwd, h_bwd])[np.argsort(order)]  # caller row order
     mask = None
     dropped = features
@@ -360,7 +276,7 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths=None, *,
         # mask consumes the stream is fixed, so seeded runs stay reproducible.
         mask = dropout_mask(features.shape[1], features.shape[0], dropout_rate, rng).T
         dropped = features * mask
-    probs = dense_softmax_forward(model.head, dropped)
+    probs = softmax(dropped @ model.head_W.T + model.head_b)
     return probs, ClassifierCache(fwd=fwd, bwd=bwd, features=features, mask=mask,
                                   order=order, lengths=L)
 
@@ -371,13 +287,13 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
     Returns (gradients in param_blocks() order, input gradients dx (T, B, D), 0 at pads).
     """
     dropped = cache.features if cache.mask is None else cache.features * cache.mask
-    dfeat = dlogits @ model.head.W
+    dfeat = dlogits @ model.head_W
     if cache.mask is not None:
         dfeat *= cache.mask
     dfeat = dfeat[cache.order]
     H = model.cell_size
-    dW_fwd, db_fwd, dx_fwd = lstm_sequence_backward(model.fwd, cache.fwd, dfeat[:, :H])
-    dW_bwd, db_bwd, dx_bwd = lstm_sequence_backward(model.bwd, cache.bwd, dfeat[:, H:])
+    dW_fwd, db_fwd, dx_fwd = lstm_sequence_backward(model[0:2], cache.fwd, dfeat[:, :H])
+    dW_bwd, db_bwd, dx_bwd = lstm_sequence_backward(model[2:4], cache.bwd, dfeat[:, H:])
     # Packed row k is step t of sorted row j; the reverse direction read x[L_j - 1 - t].
     L, T = cache.lengths, len(cache.fwd.offsets) - 1
     t, j = np.nonzero(np.arange(T)[:, None] < L)

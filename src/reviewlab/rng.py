@@ -19,8 +19,8 @@ _MIX_B = 0x94D049BB133111EB
 class SeededRng:
     """splitmix64 stream: output i is a pure function of (seed, i).
 
-    ``fill`` produces exactly the values ``next_u64``/``uniform`` would,
-    in the same order, so vectorized and scalar consumers interleave freely.
+    ``fill`` produces the uniforms of the values ``next_u64`` would, in the
+    same order, so vectorized and scalar consumers interleave freely.
     """
 
     __slots__ = ("seed", "_i")
@@ -36,12 +36,8 @@ class SeededRng:
         z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
         return z ^ (z >> 31)
 
-    def uniform(self) -> float:
-        """Next double in [0, 1), using the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def fill(self, n: int) -> np.ndarray:
-        """n uniforms in [0, 1) as a float64 array, advancing the stream."""
+        """The next n outputs' top 53 bits as uniforms in [0, 1), a float64 array."""
         if n < 0:
             raise ValueError("fill size must be >= 0")
         idx = np.arange(self._i + 1, self._i + n + 1, dtype=np.uint64)

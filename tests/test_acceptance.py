@@ -17,7 +17,7 @@ from reviewlab.analytics import describe, grouped_rating_corr, pearson, unique_c
 from reviewlab.cli import main
 from reviewlab.dataset import filter_for_classification, parse_csv, split_60_20_20, write_csv
 from reviewlab.metrics import build_report, majority_baseline, roc_auc
-from reviewlab.nn import BiLstmClassifier, init_lstm_params, lstm_sequence_forward, softmax
+from reviewlab.nn import BiLstmClassifier, lstm_sequence_forward, softmax
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.textprep import random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
@@ -163,9 +163,9 @@ class TestAcceptance:
     def test_3_imbalance_baseline(self, capsys):
         """Majority baselines from the reference supports hit 0.8129 and 0.9313."""
         binary_eval = [0] * 847 + [1] * 3679
-        binary = majority_baseline([1, 1, 0], binary_eval, 2)["accuracy"]
+        binary = majority_baseline([1, 1, 0], binary_eval, ("no", "yes"))["accuracy"]
         three_eval = [0] * 289 + [1] * 22 + [2] * 4215
-        three = majority_baseline([2, 2, 0], three_eval, 3)["accuracy"]
+        three = majority_baseline([2, 2, 0], three_eval, ("neg", "neu", "pos"))["accuracy"]
         ok = round(binary, 4) == 0.8129 and round(three, 4) == 0.9313
         _report(3, "PASS" if ok else "FAIL",
                 f"binary {binary:.4f}, three-class {three:.4f}", capsys)
@@ -249,15 +249,15 @@ class TestAcceptance:
         start = time.monotonic()
         rng = SeededRng(2024)
 
-        params = init_lstm_params(3, 4, rng)
+        W, b = BiLstmClassifier.build(3, 4, 2, rng)[:2]
         xs = init_uniform(6, 4, rng, 2.0)
-        h, _ = lstm_sequence_forward(params, xs[:, None, :])
-        want = _lstm_oracle(params.W.tolist(), params.b.tolist(), xs.tolist())
+        h, _ = lstm_sequence_forward((W, b), xs[:, None, :])
+        want = _lstm_oracle(W.tolist(), b.tolist(), xs.tolist())
         gates_gap = max(abs(got - exp) for got, exp in zip(h[0], want))
 
         labels = [rng.next_u64() & 1 for _ in range(300)]
         labels[0], labels[1] = 0, 1
-        scores = [round(rng.uniform(), 2) for _ in range(300)]
+        scores = [round(u, 2) for u in rng.fill(300).tolist()]
         auc_gap = abs(roc_auc(labels, scores)[1] - _pair_auc(labels, scores))
 
         matrix = tuple(
@@ -269,8 +269,8 @@ class TestAcceptance:
             for m, oracle in zip(per_class, _counting_prf(matrix))
         )
 
-        xs = [rng.uniform() * 10 for _ in range(500)]
-        ys = [x * 0.5 + rng.uniform() for x in xs]
+        xs = [u * 10 for u in rng.fill(500).tolist()]
+        ys = [x * 0.5 + u for x, u in zip(xs, rng.fill(500).tolist())]
         pearson_gap = abs(pearson(xs, ys) - _two_pass_pearson(xs, ys))
 
         rows = softmax(init_uniform(6, 9, rng, 3.0))

@@ -578,6 +578,28 @@ class TestConfigResolution:
         assert (out / "analyze-0003" / "analysis.json").exists()
         assert not any((out / "analyze-0002").iterdir())
 
+    @pytest.mark.parametrize("command, refused, accepted", [
+        ("evaluate", ["--data", "{other}"], ["--data", "{data}"]),
+        ("predict", [], ["--text", "good dress"]),
+        ("analyze", ["--data", "{missing}"], ["--data", "{data}"]),
+    ], ids=["evaluate-other-csv", "predict-without-text", "analyze-missing-csv"])
+    def test_failed_command_leaves_no_run_directory(self, tmp_path, data_csv, toy_cfg_file,
+                                                    capsys, command, refused, accepted):
+        """A refused command removes its run directory, so the next run is -0001."""
+        out = tmp_path / "out"
+        common = [command, "--out", str(out)]
+        if command != "analyze":
+            ckpt = train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt"
+            common += ["--config", str(toy_cfg_file), "--checkpoint", str(ckpt)]
+        other = tmp_path / "other.csv"
+        write_csv(toy_reviews(seed=8), other)
+        paths = {"data": data_csv, "other": other, "missing": tmp_path / "absent.csv"}
+        assert main([*common, *(a.format(**paths) for a in refused)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert main([*common, *(a.format(**paths) for a in accepted)]) == 0
+        assert [p.name for p in out.iterdir()] == [f"{command}-0001"]
+
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

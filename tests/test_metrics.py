@@ -210,7 +210,7 @@ class TestRocAuc:
         rng = SeededRng(9)
         labels = [rng.next_u64() & 1 for _ in range(200)]
         labels[0], labels[1] = 0, 1
-        scores = [rng.uniform() for _ in range(200)]
+        scores = rng.fill(200).tolist()
         _, forward = roc_auc(labels, scores)
         _, reverse = roc_auc(labels, [-s for s in scores])
         assert abs(forward + reverse - 1.0) < 1e-12
@@ -219,7 +219,7 @@ class TestRocAuc:
         """Labels independent of scores keep AUC near 0.5."""
         rng = SeededRng(123)
         labels = [rng.next_u64() & 1 for _ in range(10_000)]
-        scores = [rng.uniform() for _ in range(10_000)]
+        scores = rng.fill(10_000).tolist()
         _, auc = roc_auc(labels, scores)
         assert 0.47 <= auc <= 0.53
 
@@ -260,21 +260,24 @@ class TestRocAuc:
             assert type(auc) is float
 
 
+BINARY, THREE = ("no", "yes"), ("neg", "neu", "pos")
+
+
 class TestMajorityBaseline:
     def test_balanced_toy_split(self):
-        report = majority_baseline([0, 1, 0, 1], [0, 1, 0, 1], 2)
+        report = majority_baseline([0, 1, 0, 1], [0, 1, 0, 1], BINARY)
         assert report["accuracy"] == pytest.approx(0.5)
 
     def test_binary_support_arithmetic(self):
         """Supports 847 vs 3679 give a modal-class accuracy of 0.8129."""
         eval_labels = [0] * 847 + [1] * 3679
-        report = majority_baseline([1, 1, 0], eval_labels, 2)
+        report = majority_baseline([1, 1, 0], eval_labels, BINARY)
         assert round(report["accuracy"], 4) == 0.8129
 
     def test_three_class_support_arithmetic(self):
         """Supports 289/22/4215 give a modal-class accuracy of 0.9313."""
         eval_labels = [0] * 289 + [1] * 22 + [2] * 4215
-        report = majority_baseline([2, 2, 2, 0], eval_labels, 3)
+        report = majority_baseline([2, 2, 2, 0], eval_labels, THREE)
         assert round(report["accuracy"], 4) == 0.9313
         # The loss is summed in label order, one rounding per label.
         loss = 0.0
@@ -283,15 +286,15 @@ class TestMajorityBaseline:
         assert report["mean_loss"] == loss / len(eval_labels)
 
     def test_mode_tie_breaks_low(self):
-        report = majority_baseline([0, 1], [0, 0], 2)
+        report = majority_baseline([0, 1], [0, 0], BINARY)
         assert report["accuracy"] == pytest.approx(1.0)
 
     def test_custom_class_names(self):
-        report = majority_baseline([1], [1], 2, class_names=("neg", "pos"))
+        report = majority_baseline([1], [1], ("neg", "pos"))
         assert [c["name"] for c in report["classes"]] == ["neg", "pos"]
 
     def test_empty_splits_rejected(self):
         with pytest.raises(InputError, match="training"):
-            majority_baseline([], [0], 2)
+            majority_baseline([], [0], BINARY)
         with pytest.raises(InputError, match="evaluation"):
-            majority_baseline([0], [], 2)
+            majority_baseline([0], [], BINARY)

@@ -10,18 +10,13 @@ from hypothesis import strategies as st
 from reviewlab.nn import (
     AdamState,
     BiLstmClassifier,
-    DenseParams,
-    LstmParams,
     adam_step,
     backward,
     batch_cross_entropy,
     batch_cross_entropy_grad,
     clip_by_global_norm,
-    dense_softmax_forward,
     dropout_mask,
     forward,
-    init_dense_params,
-    init_lstm_params,
     lstm_sequence_forward,
     softmax,
 )
@@ -31,17 +26,22 @@ from gradcheck import grad_check, loss
 
 
 def zero_params(cell, inp):
-    return LstmParams(np.zeros((4 * cell, cell + inp)), np.zeros(4 * cell))
+    return np.zeros((4 * cell, cell + inp)), np.zeros(4 * cell)
+
+
+def lstm_params(cell, inp, rng):
+    """One direction's (W, b), drawn as build() draws the forward direction."""
+    return BiLstmClassifier.build(cell, inp, 1, rng)[:2]
 
 
 def params_with(cell, inp, **overrides):
     """Zero parameters with per-gate blocks overridden, e.g. b_C=[...] or W_i=[[...]]."""
-    p = zero_params(cell, inp)
+    W, b = zero_params(cell, inp)
     for name, value in overrides.items():
         kind, gate = name.split("_")
         rows = slice("fiCo".index(gate) * cell, ("fiCo".index(gate) + 1) * cell)
-        (p.W if kind == "W" else p.b)[rows] = value
-    return p
+        (W if kind == "W" else b)[rows] = value
+    return W, b
 
 
 def random_xs(rng, input_size, length, batch=1, scale=1.0):
@@ -64,11 +64,12 @@ def sig(v):
 
 def manual_steps(params, x):
     """The gate equations applied step by step in plain numpy."""
-    H = params.cell_size
+    W, b = params
+    H = len(b) // 4
     h = np.zeros((x.shape[1], H))
     c = np.zeros_like(h)
     for x_t in x:
-        a = np.hstack([h, x_t]) @ params.W.T + params.b
+        a = np.hstack([h, x_t]) @ W.T + b
         f, i, g, o = sig(a[:, :H]), sig(a[:, H:2 * H]), np.tanh(a[:, 2 * H:3 * H]), sig(a[:, 3 * H:])
         c = f * c + i * g
         h = o * np.tanh(c)
@@ -76,7 +77,7 @@ def manual_steps(params, x):
 
 
 def zero_head(cell, n_classes=3):
-    return DenseParams(W=np.zeros((n_classes, 2 * cell)), b=np.zeros(n_classes))
+    return np.zeros((n_classes, 2 * cell)), np.zeros(n_classes)
 
 
 class TestLstmCellForward:
@@ -120,7 +121,7 @@ class TestLstmCellForward:
 
     def test_gate_ranges_on_random_inputs(self):
         rng = SeededRng(0)
-        p = init_lstm_params(3, 2, rng)
+        p = lstm_params(3, 2, rng)
         h, _, (f, i, g, o) = one_step(p, [[10.0, -10.0]])
         for gate in (f, i, o):
             assert np.all(gate > 0.0) and np.all(gate < 1.0)
@@ -131,15 +132,10 @@ class TestLstmCellForward:
         with pytest.raises(ValueError, match="input"):
             one_step(zero_params(2, 3), [[1.0, 2.0]])
 
-    def test_state_size_mismatch(self):
-        """Weight rows must be four blocks of cell_size gate rows."""
-        with pytest.raises(ValueError, match="cell"):
-            LstmParams(np.zeros((6, 5)), np.zeros(6))
-
     def test_batched_columns_match_single_runs(self):
         """A two-example batch equals the two single-example passes."""
         rng = SeededRng(5)
-        p = init_lstm_params(3, 2, rng)
+        p = lstm_params(3, 2, rng)
         xa, xb = [0.3, -0.8], [1.5, 0.2]
         ha, _, _ = one_step(p, [xa])
         hb, _, _ = one_step(p, [xb])
@@ -148,20 +144,10 @@ class TestLstmCellForward:
         assert np.allclose(hboth[1:], hb, atol=1e-15)
 
 
-class TestLstmParamsValidation:
-    def test_mismatched_weight_shapes_rejected(self):
-        with pytest.raises(ValueError, match="weight shape"):
-            LstmParams(np.zeros((8, 5)), np.zeros(12))
-
-    def test_degenerate_input_size_rejected(self):
-        with pytest.raises(ValueError, match="input_size"):
-            LstmParams(np.zeros((8, 2)), np.zeros(8))
-
-
 class TestLstmSequenceForward:
     def test_length_one_equals_single_cell(self):
         rng = SeededRng(1)
-        p = init_lstm_params(2, 2, rng)
+        p = lstm_params(2, 2, rng)
         x = np.array([[[0.5, -1.0]]])
         h, cache = lstm_sequence_forward(p, x)
         want_h, want_c = manual_steps(p, x)
@@ -177,7 +163,7 @@ class TestLstmSequenceForward:
     def test_length_three_equals_manual_composition(self):
         """The fold agrees with three explicit applications of the gate equations."""
         rng = SeededRng(3)
-        p = init_lstm_params(3, 2, rng)
+        p = lstm_params(3, 2, rng)
         xs = random_xs(SeededRng(4), 2, 3)
         h, cache = lstm_sequence_forward(p, xs)
         want_h, want_c = manual_steps(p, xs)
@@ -192,7 +178,7 @@ class TestLstmSequenceForward:
     def test_caches_record_cell_states_in_order(self):
         """Step t packs the rows still running, a prefix; each row carries its own state."""
         rng = SeededRng(6)
-        p = init_lstm_params(2, 2, rng)
+        p = lstm_params(2, 2, rng)
         xs = random_xs(SeededRng(7), 2, 4, batch=3)
         h, cache = lstm_sequence_forward(p, xs, [4, 3, 1])
         assert cache.offsets == [0, 3, 5, 7, 8]
@@ -209,14 +195,14 @@ class TestLstmSequenceForward:
 class TestBiLstmForward:
     def test_palindrome_with_shared_params_gives_equal_halves(self):
         rng = SeededRng(8)
-        p = init_lstm_params(3, 2, rng)
-        model = BiLstmClassifier(fwd=p, bwd=p, head=zero_head(3))
+        p = lstm_params(3, 2, rng)
+        model = BiLstmClassifier(*p, *p, *zero_head(3))
         a, b = [0.4, -0.2], [1.0, 0.5]
         _, cache = forward(model, np.array([[a], [b], [a]]))
         assert np.array_equal(cache.features[:, :3], cache.features[:, 3:])
 
     def test_zero_params_zero_vector(self):
-        model = BiLstmClassifier(zero_params(2, 2), zero_params(2, 2), zero_head(2))
+        model = BiLstmClassifier(*zero_params(2, 2), *zero_params(2, 2), *zero_head(2))
         _, cache = forward(model, random_xs(SeededRng(9), 2, 5))
         assert cache.features.shape == (1, 4)
         assert np.allclose(cache.features, 0.0)
@@ -224,56 +210,48 @@ class TestBiLstmForward:
     def test_matches_explicit_reversal_oracle(self):
         """Four-step output equals running each direction by hand."""
         rng = SeededRng(10)
-        model = BiLstmClassifier(init_lstm_params(3, 2, rng), init_lstm_params(3, 2, rng),
-                                 zero_head(3))
+        model = BiLstmClassifier.build(3, 2, 3, rng)._replace(head_W=np.zeros((3, 6)),
+                                                             head_b=np.zeros(3))
         xs = random_xs(SeededRng(11), 2, 4)
         _, cache = forward(model, xs)
-        fwd, _ = lstm_sequence_forward(model.fwd, xs)
-        bwd, _ = lstm_sequence_forward(model.bwd, xs[::-1].copy())
+        fwd, _ = lstm_sequence_forward(model[0:2], xs)
+        bwd, _ = lstm_sequence_forward(model[2:4], xs[::-1].copy())
         assert np.array_equal(cache.features[:, :3], fwd)
         assert np.array_equal(cache.features[:, 3:], bwd)
 
     def test_empty_sequence_rejected(self):
-        model = BiLstmClassifier(zero_params(2, 2), zero_params(2, 2), zero_head(2))
+        model = BiLstmClassifier(*zero_params(2, 2), *zero_params(2, 2), *zero_head(2))
         with pytest.raises(ValueError, match="empty"):
             forward(model, np.zeros((0, 1, 2)))
 
-    def test_direction_size_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="direction"):
-            BiLstmClassifier(zero_params(2, 2), zero_params(2, 3), zero_head(2))
-
 
 class TestDenseSoftmax:
+    """forward()'s probabilities are softmax(features . head_W^T + head_b)."""
+
     def test_zero_parameters_uniform_probs(self):
-        p = DenseParams(W=np.zeros((3, 4)), b=np.zeros(3))
-        probs = dense_softmax_forward(p, np.array([[1.0, 2.0, 3.0, 4.0]]))
+        model = toy_classifier(seed=12)._replace(head_W=np.zeros((3, 8)), head_b=np.zeros(3))
+        probs, cache = forward(model, random_xs(SeededRng(12), 3, 4))
+        assert np.any(cache.features != 0.0)
         assert np.allclose(probs, 1 / 3, atol=1e-12)
 
     def test_large_bias_dominates(self):
-        p = DenseParams(W=np.zeros((2, 4)), b=np.array([10.0, 0.0]))
-        probs = dense_softmax_forward(p, np.zeros((1, 4)))
+        model = toy_classifier(seed=12, n_classes=2)._replace(
+            head_W=np.zeros((2, 8)), head_b=np.array([10.0, 0.0]))
+        probs, _ = forward(model, random_xs(SeededRng(12), 3, 4))
         assert probs[0, 0] >= 0.9999
 
     def test_matches_matmul_softmax_composition(self):
-        rng = SeededRng(12)
-        p = init_dense_params(3, 4, rng)
-        h = np.array([0.3, -1.2, 0.8, 2.0])
-        probs = dense_softmax_forward(p, h[None])
-        logits = p.W @ h + p.b
+        model = toy_classifier(seed=12)
+        probs, cache = forward(model, random_xs(SeededRng(13), 3, 4))
+        logits = model.head_W @ cache.features[0] + model.head_b
         want = np.exp(logits) / np.exp(logits).sum()
         assert np.allclose(probs[0], want, atol=1e-12)
 
-    def test_shape_mismatch(self):
-        p = DenseParams(W=np.zeros((3, 4)), b=np.zeros(3))
-        with pytest.raises(ValueError, match="feature columns"):
-            dense_softmax_forward(p, np.array([[1.0, 2.0]]))
-
     def test_columns_sum_to_one(self):
         """Each example's class probabilities sum to one."""
-        rng = SeededRng(13)
-        p = init_dense_params(3, 4, rng)
-        h = np.random.RandomState(0).randn(5, 4)
-        probs = dense_softmax_forward(p, h)
+        model = toy_classifier(seed=13)
+        probs, cache = forward(model, random_xs(SeededRng(14), 3, 4, batch=5))
+        assert cache.features.shape == (5, 8)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -388,10 +366,9 @@ class TestBackward:
     def test_duplicated_direction_grads_identical(self):
         """Cloned directions on a palindrome receive identical gradients."""
         rng = SeededRng(21)
-        p = init_lstm_params(3, 2, rng)
+        p = lstm_params(3, 2, rng)
         half = init_uniform(3, 3, SeededRng(22), 0.5)
-        head = DenseParams(W=np.hstack([half, half]), b=np.array([0.1, -0.2, 0.3]))
-        model = BiLstmClassifier(fwd=p, bwd=p, head=head)
+        model = BiLstmClassifier(*p, *p, np.hstack([half, half]), np.array([0.1, -0.2, 0.3]))
         a, b = [0.9, -0.4], [0.2, 0.6]
         probs, cache = forward(model, np.array([[a], [b], [a]]))
         grads, _ = backward(model, cache, batch_cross_entropy_grad(probs, [1]))
@@ -496,7 +473,7 @@ class TestRaggedBatch:
         assert report.passed, report.per_block
 
     def test_lengths_must_be_non_increasing_and_in_range(self):
-        p = init_lstm_params(2, 2, SeededRng(92))
+        p = lstm_params(2, 2, SeededRng(92))
         for lengths in ([1, 2], [3, 0], [-1, -1], [1]):
             with pytest.raises(ValueError, match="non-increasing lengths"):
                 lstm_sequence_forward(p, np.zeros((2, 2, 2)), lengths)
@@ -509,19 +486,22 @@ class DenseSoftmaxModel:
     so it pins down the checker itself before the recurrent model is tried.
     """
 
-    def __init__(self, params):
-        self.params = params
+    def __init__(self, W, b):
+        self.W, self.b = W, b
 
     def param_blocks(self):
-        return [("W", self.params.W), ("b", self.params.b)]
+        return [("W", self.W), ("b", self.b)]
+
+    def probs(self, h):
+        return softmax(h @ self.W.T + self.b)
 
     def loss(self, instance):
         h, targets = instance
-        return batch_cross_entropy(dense_softmax_forward(self.params, h), targets)
+        return batch_cross_entropy(self.probs(h), targets)
 
     def loss_and_grads(self, instance):
         h, targets = instance
-        probs = dense_softmax_forward(self.params, h)
+        probs = self.probs(h)
         dlogits = batch_cross_entropy_grad(probs, targets)
         return batch_cross_entropy(probs, targets), [dlogits.T @ h, dlogits.sum(axis=0)]
 
@@ -530,7 +510,7 @@ class TestGradCheck:
     def test_dense_only_model_near_exact(self):
         """Softmax regression gradient is analytic, so error is tiny."""
         rng = SeededRng(30)
-        model = DenseSoftmaxModel(init_dense_params(3, 4, rng))
+        model = DenseSoftmaxModel(init_uniform(3, 4, rng, 0.5), init_uniform(3, 1, rng, 0.5)[:, 0])
         h = np.array([[0.5, -0.2, 1.1, 0.3]])
         report = grad_check(model, (h, 2), epsilon=1e-5, tolerance=1e-8,
                             loss=DenseSoftmaxModel.loss,
@@ -659,5 +639,5 @@ class TestClassifierForward:
         model = toy_classifier(seed=80)
         xs = random_xs(SeededRng(81), 3, 5)
         _, cache = forward(model, xs)
-        fwd, _ = lstm_sequence_forward(model.fwd, xs)
+        fwd, _ = lstm_sequence_forward(model[0:2], xs)
         assert np.array_equal(cache.features[:, :4], fwd)

@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 
 from reviewlab.nn import (
     BiLstmClassifier,
-    DenseParams,
-    LstmParams,
     backward,
     batch_cross_entropy_grad,
     forward,
-    init_lstm_params,
     lstm_sequence_backward,
     lstm_sequence_forward,
     sigmoid,
@@ -76,10 +73,15 @@ def splitmix64_oracle(seed, i):
 
 
 def fused(cell, inp, *, W=None, b=None):
-    """LstmParams from optional W/b (zeros where not given)."""
+    """One direction's (W, b) from optional W/b (zeros where not given)."""
     W = np.zeros((4 * cell, cell + inp)) if W is None else np.asarray(W, dtype=float)
     b = np.zeros(4 * cell) if b is None else np.asarray(b, dtype=float)
-    return LstmParams(W, b)
+    return W, b
+
+
+def lstm_params(cell, inp, rng):
+    """One direction's (W, b), drawn as build() draws the forward direction."""
+    return BiLstmClassifier.build(cell, inp, 1, rng)[:2]
 
 
 def first_gates(params, x):
@@ -104,14 +106,10 @@ small_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 class TestTensorBasics:
     def test_shape_properties(self):
-        p = init_lstm_params(3, 2, SeededRng(0))
-        assert p.W.shape == (12, 5)
-        assert p.b.shape == (12,)
-        assert (p.cell_size, p.input_size) == (3, 2)
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ValueError, match="2-D"):
-            LstmParams(np.zeros(12), np.zeros(12))
+        model = BiLstmClassifier.build(3, 2, 4, SeededRng(0))
+        assert [p.shape for _, p in model.param_blocks()] == [
+            (12, 5), (12,), (12, 5), (12,), (4, 6), (4,)]
+        assert (model.cell_size, model.n_classes) == (3, 4)
 
     def test_backing_array_is_read_only(self):
         """Forward and backward never write to the parameters or the inputs."""
@@ -166,12 +164,6 @@ class TestTensorBasics:
         assert np.array_equal(gates, np.repeat(gates[:1], 5, axis=0))
         assert gates[0, 0] == pytest.approx(0.5)
 
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(6,\).*\(8, 5\)"):
-            LstmParams(np.zeros((8, 5)), np.zeros(6))
-        with pytest.raises(ValueError, match=r"\(2,\).*\(3, 4\)"):
-            DenseParams(np.zeros((3, 4)), np.zeros(2))
-
     def test_results_are_new_tensors(self):
         """Repeated forward passes return fresh arrays and leave the model as it was."""
         model = toy_model(seed=3)
@@ -222,7 +214,7 @@ class TestMatmul:
         b = rng.uniform(-2.0, 2.0, 4 * cell)
         x = rng.uniform(-2.0, 2.0, (steps, batch, inp))
         lengths = np.sort(rng.integers(0, steps + 1, batch))[::-1]
-        h, cache = lstm_sequence_forward(LstmParams(W, b), x, lengths)
+        h, cache = lstm_sequence_forward((W, b), x, lengths)
         for k, length in enumerate(lengths):
             want_h, want_c = lstm_oracle(W.tolist(), b.tolist(), x[:length, k].tolist())
             # A row's last cell state is packed at row k of its last step.
@@ -288,14 +280,14 @@ class TestConcatAndReduce:
         model = toy_model(seed=4)
         x = random_x(4, 5, 2, 2)
         _, cache = forward(model, x)
-        h_fwd, _ = lstm_sequence_forward(model.fwd, x)
-        h_bwd, _ = lstm_sequence_forward(model.bwd, x[::-1])
+        h_fwd, _ = lstm_sequence_forward(model[0:2], x)
+        h_bwd, _ = lstm_sequence_forward(model[2:4], x[::-1])
         assert cache.features.shape == (2, 6)
         assert np.array_equal(cache.features, np.hstack([h_fwd, h_bwd]))
 
     def test_concat_rows_joins_state_and_input(self):
         """Step t of the cache holds [h_{t-1}, x_t], the columns W acts on."""
-        p = init_lstm_params(2, 3, SeededRng(6))
+        p = lstm_params(2, 3, SeededRng(6))
         x = random_x(6, 3, 2, 3)
         h, cache = lstm_sequence_forward(p, x)
         z = cache.z.reshape(3, 2, 5)  # full-length rows: the packing is step-major
@@ -310,17 +302,17 @@ class TestConcatAndReduce:
 
     def test_sum_cols(self):
         """db is the sum over all T*B rows of the gate-gradient buffer."""
-        p = init_lstm_params(3, 2, SeededRng(7))
+        p = lstm_params(3, 2, SeededRng(7))
         _, cache = lstm_sequence_forward(p, random_x(7, 4, 2, 2))
         _, db, _ = lstm_sequence_backward(p, cache, np.ones((2, 3)))
         assert np.allclose(db, cache.acts.reshape(-1, 12).sum(axis=0), atol=1e-15)
 
     def test_slice_rows(self):
         """dx is the x-column block of dA.W; the h block feeds the recurrence."""
-        p = init_lstm_params(3, 2, SeededRng(8))
+        p = lstm_params(3, 2, SeededRng(8))
         _, cache = lstm_sequence_forward(p, random_x(8, 4, 2, 2))
         _, _, dx = lstm_sequence_backward(p, cache, np.ones((2, 3)))
-        want = (cache.acts @ p.W)[:, 3:]
+        want = (cache.acts @ p[0])[:, 3:]
         assert np.allclose(dx, want, atol=1e-15)
 
 
@@ -340,32 +332,24 @@ class TestSeededRng:
         assert rng.next_u64() == 487617019471545679
 
     def test_frozen_uniform(self):
-        assert abs(SeededRng(42).uniform() - 0.7415648787718233) < 1e-15
+        assert abs(SeededRng(42).fill(1)[0] - 0.7415648787718233) < 1e-15
 
     def test_same_seed_same_stream(self):
-        a = SeededRng(7)
-        b = SeededRng(7)
-        assert [a.uniform() for _ in range(10)] == [b.uniform() for _ in range(10)]
+        assert np.array_equal(SeededRng(7).fill(10), SeededRng(7).fill(10))
 
     def test_different_seeds_differ(self):
-        a = [SeededRng(1).uniform() for _ in range(4)]
-        b = [SeededRng(2).uniform() for _ in range(4)]
-        assert a != b
+        assert not np.array_equal(SeededRng(1).fill(4), SeededRng(2).fill(4))
 
     def test_fill_matches_scalar_walk(self):
-        """Vectorized fill and one-at-a-time uniform produce one stream."""
-        scalar = SeededRng(123)
-        want = [scalar.uniform() for _ in range(100)]
-        vec = SeededRng(123)
-        assert np.array_equal(vec.fill(100), np.array(want))
+        """Vectorized fill gives the top 53 bits of each scalar oracle output."""
+        want = [(splitmix64_oracle(123, i) >> 11) * 2.0**-53 for i in range(1, 101)]
+        assert np.array_equal(SeededRng(123).fill(100), np.array(want))
 
     def test_fill_then_scalar_continues_stream(self):
         a = SeededRng(9)
         a.fill(5)
-        b = SeededRng(9)
-        for _ in range(5):
-            b.uniform()
-        assert a.uniform() == b.uniform()
+        assert a.next_u64() == splitmix64_oracle(9, 6)
+        assert a.fill(1)[0] == (splitmix64_oracle(9, 7) >> 11) * 2.0**-53
 
     def test_uniform_range_and_mean(self):
         """Monte-Carlo sanity: mean of many uniforms is near one half."""
@@ -429,7 +413,6 @@ class TestInitUniform:
 
     def test_consumes_stream_in_order(self):
         """Entries are laid out row-major from consecutive draws."""
-        rng = SeededRng(4)
-        expect = [0.5 * (2.0 * rng.uniform() - 1.0) for _ in range(6)]
+        expect = [0.5 * (2.0 * u - 1.0) for u in SeededRng(4).fill(6).tolist()]
         t = init_uniform(2, 3, SeededRng(4), 0.5)
         assert np.allclose(t.reshape(-1), expect, atol=1e-15)

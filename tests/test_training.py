@@ -340,7 +340,7 @@ class TestPredict:
         assert p["empty_input"]
         assert sum(p["probabilities"].values()) == pytest.approx(1.0, abs=1e-12)
         # Zero features: the head bias alone decides.
-        want = softmax(bundle.model.head.b[None])[0]
+        want = softmax(bundle.model.head_b[None])[0]
         assert np.abs(np.array(list(p["probabilities"].values())) - want).max() <= 1e-15
 
     def test_probabilities_do_not_depend_on_seq_len(self):

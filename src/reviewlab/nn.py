@@ -22,7 +22,9 @@ stable-sorts the rows by descending length, so the rows still running at
 step t are a prefix [:n_t] (the batch_sizes layout of a packed sequence).
 A finished row keeps its final state, and an empty row the zero state.
 The reverse direction starts at each row's last real token (its step s
-reads x[L_r - 1 - s, r]) and is the same prefix recurrence.
+reads x[L_r - 1 - s, r]) and is the same prefix recurrence.  Each
+direction gathers its real inputs straight from the caller's x, so no
+sorted or reversed copy of x is built.
 
 The N = sum L_r real inputs are projected with one GEMM, then each step
 adds one h[:n_t] . W_h^T GEMM (Appleyard, Kocisky & Blunsom,
@@ -36,15 +38,28 @@ activations, so backward() consumes its cache.  One GEMM over the N rows
 then gives dW and one the packed input gradients, which backward()
 scatters to (T, B, D) with zeros at the pads.
 
+The two directions share no state until their final hidden states are
+joined, so forward() and backward() run them at the same time: the
+reverse direction on one module-level worker thread, started on first
+use, and the forward direction on the calling thread.  numpy releases
+the GIL in its GEMMs and ufuncs, so the two overlap on two cores while
+BLAS itself stays on one thread.  Each direction does exactly the
+arithmetic it would do alone, so results are bit-identical to running
+them one after the other.
+
 The two final hidden states are joined into (B, 2H) features, passed
 through dropout (training only), and fed to the softmax head
-softmax(features . head_W^T + head_b), head_W (C, 2H) and head_b (C,).  Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)),
-which saturates to 0 and 1 without overflow.
+softmax(features . head_W^T + head_b), head_W (C, 2H) and head_b (C,).
+
+Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which saturates to 0
+and 1 without overflow.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,11 +100,14 @@ def _prev_cells(c: np.ndarray, offsets, t: int, k: int):
     return c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0
 
 
-def lstm_sequence_forward(params, x: np.ndarray, lengths=None):
-    """Run one direction, params = (W, b), over x (T, B, D) from a zero state.
+def lstm_sequence_forward(params, x: np.ndarray, lengths=None, index=None):
+    """Run one direction, params = (W, b), from a zero state on inputs from x (T, B, D).
 
-    Row r steps over its first lengths[r] inputs (non-increasing; default
-    all T).  Returns each row's final h (B, H) and the packed SequenceCache.
+    Row j steps over lengths[j] inputs (non-increasing; default all T), by
+    default x[0, j], x[1, j], ...  index = (steps, cols), two arrays that
+    list the N = sum(lengths) real inputs in packed (step-major) order,
+    makes the k-th of them x[steps[k], cols[k]] instead.  Returns each
+    row's final h (B, H) and the packed SequenceCache.
     """
     W, b = params
     T, H = len(x), len(W) // 4
@@ -104,13 +122,12 @@ def lstm_sequence_forward(params, x: np.ndarray, lengths=None):
         raise ValueError(f"need {B} non-increasing lengths in [0, {T}], got {lengths}")
     active = np.arange(T)[:, None] < lengths  # x[active] packs step-major
     offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
-    packed = x[active]
+    z = np.empty((offsets[-1], H + D))
+    z[:, H:] = x[np.nonzero(active) if index is None else index]
     W_h, W_x = W[:, :H], W[:, H:]
-    acts = packed @ W_x.T
+    acts = z[:, H:] @ W_x.T
     acts += b
-    z = np.empty((len(packed), H + D))
-    z[:, H:] = packed
-    c = np.empty((len(packed), H))
+    c = np.empty((offsets[-1], H))
     h = np.zeros((B, H))
     for t in range(T):
         lo, hi = offsets[t], offsets[t + 1]
@@ -235,6 +252,45 @@ class BiLstmClassifier(NamedTuple):
         ))
 
 
+# (pid, one-thread executor); a forked child, which has no copy of the
+# thread, starts its own.
+_reverse_worker = (None, None)
+_reverse_worker_lock = threading.Lock()
+
+
+def _both_directions(fn, fwd_args, bwd_args):
+    """fn(*fwd_args) on this thread while fn(*bwd_args) runs on the reverse worker.
+
+    Returns both results.  If this thread's call raises, the worker's call
+    is waited for before the exception propagates.
+    """
+    global _reverse_worker
+    with _reverse_worker_lock:
+        if _reverse_worker[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            worker = ThreadPoolExecutor(1, thread_name_prefix="reviewlab-reverse")
+            _reverse_worker = (os.getpid(), worker)
+        reverse = _reverse_worker[1].submit(fn, *bwd_args)
+    try:
+        result = fn(*fwd_args)
+    except BaseException:
+        reverse.exception()
+        raise
+    return result, reverse.result()
+
+
+def _packed_index(T: int, L: np.ndarray, order: np.ndarray):
+    """Where each direction's packed inputs sit in the caller's x (T, B, D).
+
+    Packed row k is step t of sorted row j.  The forward direction reads
+    x[t, order[j]] and the reverse one x[L_j - 1 - t, order[j]]; returns
+    the three arrays (t, L_j - 1 - t, order[j]), each of length N.
+    """
+    t, j = np.nonzero(np.arange(T)[:, None] < L)
+    return t, L[j] - 1 - t, order[j]
+
+
 @dataclass(frozen=True)
 class ClassifierCache:
     """Forward-pass record for backward(); sorted row j is caller row order[j]."""
@@ -261,11 +317,10 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths=None, *,
     lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
     order = np.argsort(-lengths, kind="stable")
     L = lengths[order]
-    x_sorted = x[:, order]
-    h_fwd, fwd = lstm_sequence_forward(model[0:2], x_sorted, L)
-    # Reverse step s of sorted row j reads x[L_j - 1 - s]; pad steps are never read.
-    x_rev = x_sorted[np.maximum(L - 1 - np.arange(T)[:, None], 0), np.arange(B)]
-    h_bwd, bwd = lstm_sequence_forward(model[2:4], x_rev, L)
+    t, t_rev, rows = _packed_index(T, L, order)
+    (h_fwd, fwd), (h_bwd, bwd) = _both_directions(
+        lstm_sequence_forward, (model[0:2], x, L, (t, rows)), (model[2:4], x, L, (t_rev, rows))
+    )
     features = np.hstack([h_fwd, h_bwd])[np.argsort(order)]  # caller row order
     mask = None
     dropped = features
@@ -292,15 +347,15 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
         dfeat *= cache.mask
     dfeat = dfeat[cache.order]
     H = model.cell_size
-    dW_fwd, db_fwd, dx_fwd = lstm_sequence_backward(model[0:2], cache.fwd, dfeat[:, :H])
-    dW_bwd, db_bwd, dx_bwd = lstm_sequence_backward(model[2:4], cache.bwd, dfeat[:, H:])
-    # Packed row k is step t of sorted row j; the reverse direction read x[L_j - 1 - t].
+    (dW_fwd, db_fwd, dx_fwd), (dW_bwd, db_bwd, dx_bwd) = _both_directions(
+        lstm_sequence_backward,
+        (model[0:2], cache.fwd, dfeat[:, :H]), (model[2:4], cache.bwd, dfeat[:, H:])
+    )
     L, T = cache.lengths, len(cache.fwd.offsets) - 1
-    t, j = np.nonzero(np.arange(T)[:, None] < L)
-    rows = cache.order[j]
+    t, t_rev, rows = _packed_index(T, L, cache.order)
     dx = np.zeros((T, len(L), dx_fwd.shape[1]))
     dx[t, rows] = dx_fwd
-    dx[L[j] - 1 - t, rows] += dx_bwd
+    dx[t_rev, rows] += dx_bwd
     grads = [dW_fwd, db_fwd, dW_bwd, db_bwd, dlogits.T @ dropped, dlogits.sum(axis=0)]
     return grads, dx
 

@@ -1,12 +1,18 @@
 """Tests for the LSTM recurrence, bidirectional classifier, losses, and optimizers."""
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reviewlab import nn
 from reviewlab.nn import (
     AdamState,
     BiLstmClassifier,
@@ -17,6 +23,7 @@ from reviewlab.nn import (
     clip_by_global_norm,
     dropout_mask,
     forward,
+    lstm_sequence_backward,
     lstm_sequence_forward,
     softmax,
 )
@@ -477,6 +484,140 @@ class TestRaggedBatch:
         for lengths in ([1, 2], [3, 0], [-1, -1], [1]):
             with pytest.raises(ValueError, match="non-increasing lengths"):
                 lstm_sequence_forward(p, np.zeros((2, 2, 2)), lengths)
+
+
+def sequential_pass(model, xs, lengths, targets, dropout_rate):
+    """forward() then backward(), with each direction run on this thread in turn.
+
+    The reverse direction reads an explicitly sorted and reversed copy of
+    the inputs.  Returns (probs, features, grads, dx).
+    """
+    T, B = xs.shape[:2]
+    H = model.cell_size
+    lengths = np.asarray(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    L = lengths[order]
+    x_sorted = xs[:, order]
+    x_rev = x_sorted[np.maximum(L - 1 - np.arange(T)[:, None], 0), np.arange(B)]
+    h_fwd, fwd = lstm_sequence_forward(model[0:2], x_sorted, L)
+    h_bwd, bwd = lstm_sequence_forward(model[2:4], x_rev, L)
+    features = np.hstack([h_fwd, h_bwd])[np.argsort(order)]
+    mask = dropout_mask(2 * H, B, dropout_rate, SeededRng(7)).T
+    probs = softmax(features * mask @ model.head_W.T + model.head_b)
+    dlogits = batch_cross_entropy_grad(probs, targets)
+    dfeat = (dlogits @ model.head_W * mask)[order]
+    dW_fwd, db_fwd, dx_fwd = lstm_sequence_backward(model[0:2], fwd, dfeat[:, :H])
+    dW_bwd, db_bwd, dx_bwd = lstm_sequence_backward(model[2:4], bwd, dfeat[:, H:])
+    t, j = np.nonzero(np.arange(T)[:, None] < L)
+    dx = np.zeros_like(xs)
+    dx[t, order[j]] = dx_fwd
+    dx[L[j] - 1 - t, order[j]] += dx_bwd
+    grads = [dW_fwd, db_fwd, dW_bwd, db_bwd, dlogits.T @ (features * mask), dlogits.sum(axis=0)]
+    return probs, features, grads, dx
+
+
+class TestDirectionsOnTwoThreads:
+    """forward() and backward() run the reverse direction on a worker thread."""
+
+    @pytest.mark.parametrize("lengths, dropout_rate", [
+        ([3, 0, 5, 1], 0.5),  # ragged, unsorted, with an empty row
+        ([5, 5, 2], 0.0),
+        ([4], 0.0),
+        ([2], 0.5),
+    ])
+    def test_bit_identical_to_sequential_directions(self, lengths, dropout_rate):
+        model = toy_classifier(seed=95)
+        xs = random_xs(SeededRng(96), 3, max(lengths), batch=len(lengths))
+        targets = [r % 3 for r in range(len(lengths))]
+        probs, cache = forward(model, xs, lengths, dropout_rate=dropout_rate,
+                               rng=SeededRng(7), training=True)
+        grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, targets))
+        want_probs, want_features, want_grads, want_dx = sequential_pass(
+            model, xs, lengths, targets, dropout_rate)
+        assert np.array_equal(probs, want_probs)
+        assert np.array_equal(cache.features, want_features)
+        for g, w in zip(grads, want_grads):
+            assert np.array_equal(g, w)
+        assert np.array_equal(dx, want_dx)
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        model = toy_classifier(seed=97)
+        xs = random_xs(SeededRng(98), 3, 4, batch=2)
+        want, _ = forward(model, xs, [4, 2])
+
+        def failing(params, *args):
+            if params[0] is model.bwd_W:
+                raise RuntimeError("reverse direction failed")
+            return lstm_sequence_forward(params, *args)
+
+        monkeypatch.setattr(nn, "lstm_sequence_forward", failing)
+        with pytest.raises(RuntimeError, match="reverse direction failed"):
+            forward(model, xs, [4, 2])
+        monkeypatch.undo()
+        probs, _ = forward(model, xs, [4, 2])
+        assert np.array_equal(probs, want)
+
+    def test_caller_error_waits_for_worker(self, monkeypatch):
+        """When the calling thread's direction raises, the reverse one has finished."""
+        model = toy_classifier(seed=99)
+        xs = random_xs(SeededRng(100), 3, 4)
+        finished = threading.Event()
+
+        def slow_reverse(params, *args):
+            if params[0] is model.fwd_W:
+                raise RuntimeError("forward direction failed")
+            time.sleep(0.05)
+            finished.set()
+            return lstm_sequence_forward(params, *args)
+
+        monkeypatch.setattr(nn, "lstm_sequence_forward", slow_reverse)
+        with pytest.raises(RuntimeError, match="forward direction failed"):
+            forward(model, xs)
+        assert finished.is_set()
+
+    def test_concurrent_callers_share_the_worker(self):
+        """Callers on several threads at once each get their own sequential result."""
+        model = toy_classifier(seed=103)
+        inputs = [random_xs(SeededRng(104 + n), 3, 6, batch=3) for n in range(6)]
+        lengths = [6, 2, 4]
+        want = [forward(model, xs, lengths)[0] for xs in inputs]
+        got = [[] for _ in inputs]
+
+        def call(n):
+            for _ in range(20):
+                got[n].append(forward(model, inputs[n], lengths)[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(n,)) for n in range(len(inputs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results, expected in zip(got, want):
+            assert len(results) == 20
+            assert all(np.array_equal(probs, expected) for probs in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self):
+        """A child forked after the worker started does not wait on the parent's thread."""
+        model = toy_classifier(seed=101)
+        xs = random_xs(SeededRng(102), 3, 4, batch=2)
+        want, _ = forward(model, xs)
+        pid = os.fork()
+        if pid == 0:
+            code = 2
+            try:
+                signal.alarm(10)
+                code = 0 if np.array_equal(forward(model, xs)[0], want) else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class DenseSoftmaxModel:

@@ -7,11 +7,14 @@
 Runs `perfbench/run.py --seconds 10 --trace 0` for seeds 2-11 on every
 workload in BENCHMARK.json, then one `--trace 1` run per workload at the
 first seed, one run at a time.  The file holds the commit sha, each
-run's environment line and final JSON line, and the median, quartiles
-and interquartile range of every gated (end-to-end) metric per workload.
-With --against REV, each run is made first on a temporary `git worktree`
-of REV and then on the working tree, alternating, so both sides meet the
-same phases of a shared machine; the file then also holds REV's sha,
+run's environment line, its printed metrics (gated or not, such as
+val_loss) and final JSON line, and the median, quartiles and
+interquartile range of every gated (end-to-end) metric per workload.
+With --against REV, each seed runs both on a temporary export of REV's
+files (`git archive`, so the repository's own .git is left as it is)
+and on the working tree, one right after the other, so both sides meet
+the same phases of a shared machine; which side runs first alternates
+from seed to seed.  The file then also holds REV's sha,
 runs and summary under "against".  It reads BENCHMARK.json and runs
 perfbench as they are and changes neither.
 """
@@ -42,12 +45,14 @@ def bench(workload: str, seed: int, trace: int, tree: Path = ROOT) -> dict:
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     env = [json.loads(line[len("env "):]) for line in lines if line.startswith("env ")]
+    printed = [line.split()[1:3] for line in lines if line.startswith("metric ")]
     return {
         "workload": workload,
         "seed": seed,
         "trace": trace,
         "exit_code": proc.returncode,
         "env": env[-1] if env else None,  # moved to the file's distinct "env" list
+        "printed": {name: float(value) for name, value in printed},
         "result": json.loads(lines[-1]) if proc.returncode == 0 and lines else None,
         "stderr": proc.stderr[-2000:] if proc.returncode else "",
     }
@@ -66,15 +71,13 @@ def summary(runs, names) -> dict:
 
 
 @contextlib.contextmanager
-def worktree(commit: str):
-    """A temporary detached git worktree of commit, removed on exit."""
+def exported(commit: str):
+    """A temporary directory holding commit's files, removed on exit."""
     with tempfile.TemporaryDirectory(prefix="bench-against-") as tmp:
-        tree = Path(tmp) / "tree"
-        git("worktree", "add", "--detach", str(tree), commit)
-        try:
-            yield tree
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        archive = subprocess.run(["git", "archive", commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        yield Path(tmp)
 
 
 def record_runs(trees: list, workloads: list, gated: list) -> list:
@@ -83,7 +86,10 @@ def record_runs(trees: list, workloads: list, gated: list) -> list:
     for workload in workloads:
         runs = [[] for _ in trees]
         for seed in SEEDS:
-            for tree, tree_runs in zip(trees, runs):
+            pairs = list(zip(trees, runs))
+            if seed % 2:  # alternate the side that runs first
+                pairs.reverse()
+            for tree, tree_runs in pairs:
                 tree_runs.append(bench(workload, seed, 0, tree))
         for tree, tree_runs, side in zip(trees, runs, sides):
             side["runs"] += tree_runs + [bench(workload, SEEDS.start, 1, tree)]
@@ -101,8 +107,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="output file, e.g. BENCH_2.json")
     parser.add_argument("--against", metavar="REV",
-                        help="also run REV, on a temporary git worktree, alternating with "
-                             "this tree")
+                        help="also run REV, from a temporary export of its files, "
+                             "alternating with this tree")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -118,8 +124,9 @@ def main() -> int:
         (side,) = record_runs([ROOT], workloads, gated)
     else:
         commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
-        record["command"] += f"; each seed run on {args.against} and then on this tree"
-        with worktree(commit) as tree:
+        record["command"] += (f"; each seed run on {args.against} and on this tree, "
+                              f"{args.against} first on even seeds")
+        with exported(commit) as tree:
             against, side = record_runs([tree, ROOT], workloads, gated)
         record["against"] = {"commit": commit, **against}
     record.update(side)

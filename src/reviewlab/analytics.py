@@ -181,7 +181,8 @@ def pearson(xs, ys) -> float | None:
     sy = float(yc @ yc)
     if sx == 0.0 or sy == 0.0:
         return None
-    r = float((xc @ yc) / math.sqrt(sx * sy))
+    # Two roots, not sqrt(sx * sy): that product underflows to 0 for tiny spreads.
+    r = float((xc @ yc) / (math.sqrt(sx) * math.sqrt(sy)))
     return max(-1.0, min(1.0, r))
 
 

@@ -1,8 +1,9 @@
 """Deterministic model checkpoints: one file holds the whole model.
 
 A checkpoint is a single binary file: a magic line, one JSON metadata
-line, then the seven model arrays as raw little-endian float64 bytes.
-Format 5's metadata holds only what the arrays cannot: the task, seq_len,
+line, then the seven model arrays as raw little-endian float32 bytes,
+the dtype `training.train` computes in.
+Format 6's metadata holds only what the arrays cannot: the task, seq_len,
 the seed of the 60/20/20 split the model was trained on, cell_size,
 embedding_dim, the vocabulary's words (every token after `<pad>` and
 `<oov>`, in index order), and `data_sha256`, the fingerprint of the data
@@ -10,8 +11,9 @@ the model was trained on (`training.tokenized_splits`). The file stores
 no layout: the arrays are the (len(vocab), embedding_dim) embedding
 table and then the model's six arrays in `BiLstmClassifier` field order,
 whose shapes `nn.block_shapes` derives from cell_size, embedding_dim and
-the task's class count; the loaded model is those six arrays.
-Other formats are rejected; retrain to upgrade. The format contains no
+the task's class count; the loaded model is those six arrays, in
+float32.  Other formats, such as format 5 with its float64 blocks, are
+rejected; retrain to upgrade. The format contains no
 timestamps, so saving the same bundle twice produces byte-identical
 files.
 """
@@ -34,7 +36,7 @@ __all__ = ["MAGIC", "TASK_CLASSES", "ModelBundle", "load_checkpoint", "save_chec
 
 # The container's magic line; the metadata's "format" versions its contents.
 MAGIC = b"reviewlab-checkpoint-v1\n"
-FORMAT = 5
+FORMAT = 6
 
 # Each task and the names of its classes, in label-index order.
 TASK_CLASSES = {
@@ -77,7 +79,7 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         fh.write(json.dumps(meta, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for a in (bundle.embeddings, *(a for _, a in bundle.model.param_blocks())):
-            fh.write(np.ascontiguousarray(a).astype("<f8", copy=False).tobytes())
+            fh.write(np.ascontiguousarray(a).astype("<f4", copy=False).tobytes())
 
 
 def _is_size(value) -> bool:
@@ -103,7 +105,7 @@ def load_checkpoint(path) -> ModelBundle:
 
     Every field is checked before anything is allocated, and the file
     size against the shapes the fields give. The arrays are then read
-    straight into one float64 buffer and returned as views of it, with
+    straight into one float32 buffer and returned as views of it, with
     no copy of the whole file: a load makes one allocation of the
     model's size, so repeated loads in one process reuse the same memory
     instead of faulting in fresh pages for each copy.
@@ -122,7 +124,8 @@ def load_checkpoint(path) -> ModelBundle:
         if not isinstance(meta, dict):
             raise InputError(f"{path}: checkpoint metadata must be a JSON object")
         if meta.get("format") != FORMAT:
-            raise InputError(f"{path}: unsupported checkpoint format {meta.get('format')!r}")
+            raise InputError(f"{path}: unsupported checkpoint format {meta.get('format')!r}; "
+                             f"retrain to upgrade to format {FORMAT}")
         for field, (ok, what) in _FIELDS.items():
             if not ok(meta.get(field)):
                 raise InputError(
@@ -137,14 +140,14 @@ def load_checkpoint(path) -> ModelBundle:
         task, H, D = meta["task"], meta["cell_size"], meta["embedding_dim"]
         shapes = [(len(vocab), D), *block_shapes(H, D, len(TASK_CLASSES[task]))]
         sizes = [math.prod(shape) for shape in shapes]
-        need, left = 8 * sum(sizes), size - fh.tell()
+        need, left = 4 * sum(sizes), size - fh.tell()
         if need != left:
             raise InputError(
                 f"{path}: {'truncated' if left < need else 'trailing bytes in'} checkpoint "
                 f"payload: {left} bytes, where vocab, embedding_dim, cell_size and "
                 f"task give {need}"
             )
-        flat = np.empty(sum(sizes), dtype="<f8")
+        flat = np.empty(sum(sizes), dtype="<f4")
         if fh.readinto(flat) != need:
             raise InputError(f"{path}: truncated checkpoint payload")
 

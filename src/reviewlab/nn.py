@@ -53,6 +53,13 @@ softmax(features . head_W^T + head_b), head_W (C, 2H) and head_b (C,).
 
 Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which saturates to 0
 and 1 without overflow.
+
+The compute dtype follows the arrays: every buffer, cache, gradient,
+dropout mask and Adam moment takes the dtype of the model's weights.
+training.train runs float32, whose GEMMs are about twice as fast; the
+gradient checks run float64 models through the same functions.
+softmax() returns float64 whatever its input, so probabilities sum to 1
+to float64 precision and the losses are float64.
 """
 
 from __future__ import annotations
@@ -81,7 +88,8 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Per-row softmax in max-subtracted form; each row sums to 1."""
+    """Per-row float64 softmax in max-subtracted form; each row sums to 1."""
+    logits = np.asarray(logits, dtype=np.float64)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 
@@ -122,13 +130,13 @@ def lstm_sequence_forward(params, x: np.ndarray, lengths=None, index=None):
         raise ValueError(f"need {B} non-increasing lengths in [0, {T}], got {lengths}")
     active = np.arange(T)[:, None] < lengths  # x[active] packs step-major
     offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
-    z = np.empty((offsets[-1], H + D))
+    z = np.empty((offsets[-1], H + D), dtype=W.dtype)
     z[:, H:] = x[np.nonzero(active) if index is None else index]
     W_h, W_x = W[:, :H], W[:, H:]
     acts = z[:, H:] @ W_x.T
     acts += b
-    c = np.empty((offsets[-1], H))
-    h = np.zeros((B, H))
+    c = np.empty((offsets[-1], H), dtype=W.dtype)
+    h = np.zeros((B, H), dtype=W.dtype)
     for t in range(T):
         lo, hi = offsets[t], offsets[t + 1]
         k = hi - lo
@@ -156,8 +164,8 @@ def lstm_sequence_backward(params, cache: SequenceCache, dh_last: np.ndarray):
     W = params[0]
     H = len(W) // 4
     W_h = W[:, :H]
-    dh = np.array(dh_last, dtype=np.float64)
-    dC = np.zeros(dh.shape)
+    dh = np.array(dh_last, dtype=W.dtype)
+    dC = np.zeros_like(dh)
     for t in reversed(range(len(offsets) - 1)):
         lo, hi = offsets[t], offsets[t + 1]
         k = hi - lo
@@ -202,12 +210,13 @@ def batch_cross_entropy_grad(probs: np.ndarray, targets) -> np.ndarray:
     return d / len(idx)
 
 
-def dropout_mask(rows: int, cols: int, rate: float, rng: SeededRng) -> np.ndarray:
+def dropout_mask(rows: int, cols: int, rate: float, rng: SeededRng,
+                 dtype=np.float64) -> np.ndarray:
     """Inverted-dropout mask: entries 0 with probability rate, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     u = rng.fill(rows * cols).reshape(rows, cols)
-    return (u >= rate).astype(np.float64) / (1.0 - rate)
+    return (u >= rate).astype(dtype) / (1.0 - rate)
 
 
 def block_shapes(cell_size: int, input_size: int, n_classes: int) -> list[tuple[int, ...]]:
@@ -329,7 +338,8 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths=None, *,
             raise ValueError("training-mode dropout needs an rng")
         # Drawn (2H, B) row-major and transposed: the order in which the
         # mask consumes the stream is fixed, so seeded runs stay reproducible.
-        mask = dropout_mask(features.shape[1], features.shape[0], dropout_rate, rng).T
+        mask = dropout_mask(features.shape[1], features.shape[0], dropout_rate, rng,
+                            features.dtype).T
         dropped = features * mask
     probs = softmax(dropped @ model.head_W.T + model.head_b)
     return probs, ClassifierCache(fwd=fwd, bwd=bwd, features=features, mask=mask,
@@ -342,6 +352,7 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
     Returns (gradients in param_blocks() order, input gradients dx (T, B, D), 0 at pads).
     """
     dropped = cache.features if cache.mask is None else cache.features * cache.mask
+    dlogits = dlogits.astype(model.head_W.dtype, copy=False)  # softmax's float64 gradient
     dfeat = dlogits @ model.head_W
     if cache.mask is not None:
         dfeat *= cache.mask
@@ -353,7 +364,7 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
     )
     L, T = cache.lengths, len(cache.fwd.offsets) - 1
     t, t_rev, rows = _packed_index(T, L, cache.order)
-    dx = np.zeros((T, len(L), dx_fwd.shape[1]))
+    dx = np.zeros((T, len(L), dx_fwd.shape[1]), dtype=dx_fwd.dtype)
     dx[t, rows] = dx_fwd
     dx[t_rev, rows] += dx_bwd
     grads = [dW_fwd, db_fwd, dW_bwd, db_bwd, dlogits.T @ dropped, dlogits.sum(axis=0)]

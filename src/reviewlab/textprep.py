@@ -11,8 +11,9 @@ its checkpoint.  `encode` turns N token lists into one (N, seq_len)
 int64 index matrix: each row holds its review's first seq_len tokens,
 post-padded with index 0.  No real token maps to index 0, so the model
 counts a row's non-pad indices as its length and steps over those
-tokens only.  An embedding table is a plain (vocab_size, dim) float64
-array; its padding row is all-zero and kept out of gradient updates.
+tokens only.  An embedding table is a plain (vocab_size, dim) array,
+built in float64 and trained and stored in float32; its padding row is
+all-zero and kept out of gradient updates.
 """
 
 from __future__ import annotations

@@ -226,10 +226,12 @@ def class_probabilities(model: BiLstmClassifier, table: np.ndarray, indices: np.
 def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> TrainResult:
     """Mini-batch training with Adam and global-norm gradient clipping.
 
-    Returns the final-epoch model (no early stopping) plus one
-    EpochStats row per epoch. Raises on a non-finite loss or gradient
-    norm rather than letting a diverged run continue silently. The
-    caller's embedding table is copied, not updated.
+    The model and a copy of the caller's embedding table are trained in
+    float32; losses and probabilities are float64.  Returns the
+    final-epoch model (no early stopping) plus one EpochStats row per
+    epoch.  A non-finite loss or gradient norm raises InputError naming
+    the epoch, the batch and learning_rate, rather than letting a
+    diverged run continue silently.
     """
     if len(prep.train) == 0:
         raise InputError("training split is empty")
@@ -242,16 +244,21 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> Tr
         )
 
     rng = SeededRng(config.seed)
-    model = BiLstmClassifier.build(
+    # The float64 draws are cast once; every buffer then follows the arrays' float32.
+    model = BiLstmClassifier(*(a.astype(np.float32) for a in BiLstmClassifier.build(
         config.cell_size, config.embedding_dim, config.n_classes, rng
-    )
-    table = embeddings.copy()
+    )))
+    table = embeddings.astype(np.float32)
     params = [p for _, p in model.param_blocks()] + [table]
     adam = AdamState.for_params(params)
     idx_all, labels_all = prep.train.indices, prep.train.labels
     val = prep.validation
 
-    def step(batch, epoch: int, start: int) -> float:
+    def diverged(what: str, value: float, where: str) -> InputError:
+        return InputError(f"training diverged: non-finite {what} {value!r} at {where}; "
+                          f"lower learning_rate (now {config.learning_rate!r})")
+
+    def step(batch, where: str) -> float:
         # One update. The BPTT cache and gradients are locals, so they are
         # freed before the next batch's forward pass allocates its own.
         (idx, lengths), targets = _trimmed(idx_all[batch]), labels_all[batch]
@@ -261,20 +268,14 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> Tr
         )
         loss = batch_cross_entropy(probs, targets)
         if not math.isfinite(loss):
-            raise ArithmeticError(
-                f"non-finite training loss {loss!r} at epoch {epoch}, "
-                f"batch starting at {start}"
-            )
+            raise diverged("training loss", loss, where)
         grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, targets))
         dE = np.zeros_like(table)
         np.add.at(dE, idx.T, dx)
         dE[PAD_INDEX] = 0.0
         clipped, norm = clip_by_global_norm(grads + [dE], config.grad_clip)
         if not math.isfinite(norm):
-            raise ArithmeticError(
-                f"non-finite gradient norm {norm!r} at epoch {epoch}, "
-                f"batch starting at {start}"
-            )
+            raise diverged("gradient norm", norm, where)
         adam_step(params, clipped, adam, config.learning_rate)
         return loss
 
@@ -284,15 +285,18 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> Tr
         order = list(range(n))
         rng.shuffle(order)
         epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
+        for number, start in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[start:start + config.batch_size]
-            epoch_loss += step(batch, epoch, start) * len(batch)
+            epoch_loss += step(batch, f"epoch {epoch}, batch {number}") * len(batch)
         val_probs = class_probabilities(model, table, val.indices, config.batch_size)
+        val_loss = batch_cross_entropy(val_probs, val.labels)
+        if not math.isfinite(val_loss):  # the epoch's last update overflowed
+            raise diverged("validation loss", val_loss, f"epoch {epoch}, after its last batch")
         history.append(
             EpochStats(
                 epoch=epoch,
                 train_loss=epoch_loss / n,
-                val_loss=batch_cross_entropy(val_probs, val.labels),
+                val_loss=val_loss,
                 val_acc=float(np.mean(val_probs.argmax(axis=1) == val.labels)),
             )
         )

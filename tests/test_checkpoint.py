@@ -3,6 +3,7 @@
 import functools
 import json
 import tempfile
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -22,9 +23,11 @@ DATA_SHA256 = "5" * 64
 
 
 def small_bundle():
+    """A float32 bundle, as `training.train` returns its model and table."""
     vocab = build_vocab([[f"tok{i}"] for i in range(10)], min_freq=1, max_size=20)
-    model = BiLstmClassifier.build(4, 6, 2, SeededRng(1))
-    emb = random_embeddings(len(vocab), 6, SeededRng(2))
+    model = BiLstmClassifier(*(a.astype(np.float32)
+                               for a in BiLstmClassifier.build(4, 6, 2, SeededRng(1))))
+    emb = random_embeddings(len(vocab), 6, SeededRng(2)).astype(np.float32)
     bundle = ModelBundle(
         task="recommendation",
         seq_len=12,
@@ -87,12 +90,30 @@ class TestRoundTrip:
         for (name_a, a), (name_b, b) in zip(bundle.model.param_blocks(),
                                             loaded.model.param_blocks()):
             assert name_a == name_b
+            assert b.dtype == np.float32
             assert np.array_equal(a, b)
+        assert loaded.embeddings.dtype == np.float32
         assert np.array_equal(bundle.embeddings, loaded.embeddings)
         assert [n for n, _ in loaded.model.param_blocks()] == [
             "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]
         assert sorted(read_metadata(path)) == METADATA_FIELDS
-        assert read_metadata(path)["format"] == 5
+        assert read_metadata(path)["format"] == 6
+
+    def test_four_bytes_per_value(self, tmp_path):
+        """The payload is every value as one little-endian float32, in block order."""
+        bundle, _ = small_bundle()
+        path = saved_checkpoint(tmp_path)
+        blocks = [bundle.embeddings, *(a for _, a in bundle.model.param_blocks())]
+        payload = path.read_bytes()[payload_start(path):]
+        assert len(payload) == 4 * sum(a.size for a in blocks)
+        assert payload == b"".join(a.astype("<f4").tobytes() for a in blocks)
+
+    def test_float64_bundle_is_stored_rounded_to_float32(self, tmp_path):
+        bundle, _ = small_bundle()
+        wide = replace(bundle, embeddings=bundle.embeddings * np.float64(1 + 1e-12))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(wide, path)
+        assert np.array_equal(load_checkpoint(path).embeddings, bundle.embeddings)
 
     def test_save_twice_byte_identical(self, tmp_path):
         bundle, _ = small_bundle()
@@ -112,7 +133,7 @@ def read_metadata(path):
 
 
 def payload_start(path):
-    """Offset of the first float64 after the metadata line."""
+    """Offset of the first float32 after the metadata line."""
     return path.read_bytes().find(b"\n", len(MAGIC)) + 1
 
 
@@ -186,6 +207,18 @@ class TestRejections:
         assert predict_exit_code(tmp_path, path) == 2
         assert "unsupported checkpoint format 4" in capsys.readouterr().err
 
+    def test_format_five_exits_two(self, tmp_path, capsys):
+        """Format 5 had format 6's metadata but stored float64 blocks; retrain to upgrade."""
+        bundle, _ = small_bundle()
+        path = saved_checkpoint(tmp_path)
+        edit_metadata(path, lambda meta: meta.update(format=5))
+        blocks = [bundle.embeddings, *(a for _, a in bundle.model.param_blocks())]
+        raw = path.read_bytes()[:payload_start(path)]
+        path.write_bytes(raw + b"".join(a.astype("<f8").tobytes() for a in blocks))
+        assert predict_exit_code(tmp_path, path) == 2
+        assert ("unsupported checkpoint format 5; retrain to upgrade to format 6"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("field, value", [("cell_size", 10**30), ("embedding_dim", 10**18)],
                              ids=["cell_size", "embedding_dim"])
     def test_huge_size_exits_two_without_allocating(self, tmp_path, capsys, monkeypatch,
@@ -204,7 +237,7 @@ class TestRejections:
         path = saved_checkpoint(tmp_path)
         raw = bytearray(path.read_bytes())
         start = payload_start(path)
-        raw[start:start + 8] = np.array([1.0], dtype="<f8").tobytes()
+        raw[start:start + 4] = np.array([1.0], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
         assert predict_exit_code(tmp_path, path) == 2
         assert "padding row of block 'embeddings' must be zero" in capsys.readouterr().err
@@ -236,9 +269,9 @@ class TestRejections:
         bundle = small_bundle()[0]
         blocks = [("embeddings", bundle.embeddings), *bundle.model.param_blocks()]
         ends = dict(zip([name for name, _ in blocks], accumulate(a.size for _, a in blocks)))
-        offset = payload_start(path) + 8 * (ends[block] - 1)  # the block's last value
+        offset = payload_start(path) + 4 * (ends[block] - 1)  # the block's last value
         raw = bytearray(path.read_bytes())
-        raw[offset:offset + 8] = np.array([np.nan], dtype="<f8").tobytes()
+        raw[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
         assert predict_exit_code(tmp_path, path) == 2
         assert f"block {block!r} contains non-finite values" in capsys.readouterr().err

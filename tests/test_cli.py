@@ -7,11 +7,12 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reviewlab
 from reviewlab.analytics import full_report
-from reviewlab.checkpoint import MAGIC
+from reviewlab.checkpoint import MAGIC, load_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import parse_csv, write_csv
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
@@ -146,6 +147,10 @@ class TestTrain:
         assert lines[0] == "epoch,train_loss,val_loss,val_acc"
         assert len(lines) == 31
 
+    def test_checkpoint_holds_float32_blocks(self, tmp_path, data_csv, toy_cfg_file):
+        bundle = load_checkpoint(train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt")
+        assert [a.dtype for a in (bundle.embeddings, *bundle.model)] == [np.float32] * 7
+
     def test_summary_reports_split_sizes(self, tmp_path, data_csv, toy_cfg_file):
         run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
         summary = json.loads((run_dir / "train_summary.json").read_text())
@@ -170,6 +175,21 @@ class TestTrain:
                      "--config", str(toy_cfg_file), "--embeddings", str(glove)])
         assert code == 2
         assert f"{glove}: line 2: non-finite component" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_diverged_run_exits_two(self, tmp_path, data_csv, capsys):
+        """A learning rate that overflows the weights is an input error, not a crash."""
+        cfg = tmp_path / "diverge.cfg"
+        settings = {**toy_config().as_dict(), "epochs": 2, "learning_rate": 1e308}
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        code = main(["train", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: non-finite ")
+        assert "at epoch " in err and "batch" in err
+        assert "lower learning_rate (now 1e+308)" in err
+        assert not (tmp_path / "runs" / "train-0001").exists()
 
     def test_pretrained_embeddings_accepted(self, tmp_path, data_csv, toy_cfg_file):
         dims = " ".join(str(0.01 * i) for i in range(16))
@@ -429,7 +449,7 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         payload = ckpt.stat().st_size - ckpt.read_bytes().find(b"\n", len(MAGIC)) - 1
-        short = payload - 8 * (rows - 3) * toy_config().embedding_dim  # 3 rows, not `rows`
+        short = payload - 4 * (rows - 3) * toy_config().embedding_dim  # 3 rows, not `rows`
         assert (f"trailing bytes in checkpoint payload: {payload} bytes, where vocab, "
                 f"embedding_dim, cell_size and task give {short}") in err
 

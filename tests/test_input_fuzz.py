@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reviewlab.cli import main
@@ -129,6 +129,7 @@ class TestEmbeddings:
 class TestFloatHyperParameters:
     @given(key=st.sampled_from(["learning_rate", "dropout_rate", "grad_clip"]),
            value=st.text(max_size=12) | FLOAT_LITERALS)
+    @example(key="learning_rate", value="1e300")  # overflows the float32 weights
     @FUZZ
     def test_train(self, tmp_path, toy_csv, key, value):
         content = config_text(epochs=1, **{key: value})

@@ -342,8 +342,9 @@ class TestDropout:
                 dropout_mask(1, 1, rate, SeededRng(1))
 
 
-def toy_classifier(seed=0, cell=4, inp=3, n_classes=3):
-    return BiLstmClassifier.build(cell, inp, n_classes, SeededRng(seed))
+def toy_classifier(seed=0, cell=4, inp=3, n_classes=3, dtype=np.float64):
+    model = BiLstmClassifier.build(cell, inp, n_classes, SeededRng(seed))
+    return BiLstmClassifier(*(a.astype(dtype, copy=False) for a in model))
 
 
 def bump(param, k, delta):
@@ -502,9 +503,9 @@ def sequential_pass(model, xs, lengths, targets, dropout_rate):
     h_fwd, fwd = lstm_sequence_forward(model[0:2], x_sorted, L)
     h_bwd, bwd = lstm_sequence_forward(model[2:4], x_rev, L)
     features = np.hstack([h_fwd, h_bwd])[np.argsort(order)]
-    mask = dropout_mask(2 * H, B, dropout_rate, SeededRng(7)).T
+    mask = dropout_mask(2 * H, B, dropout_rate, SeededRng(7), model.head_W.dtype).T
     probs = softmax(features * mask @ model.head_W.T + model.head_b)
-    dlogits = batch_cross_entropy_grad(probs, targets)
+    dlogits = batch_cross_entropy_grad(probs, targets).astype(model.head_W.dtype)
     dfeat = (dlogits @ model.head_W * mask)[order]
     dW_fwd, db_fwd, dx_fwd = lstm_sequence_backward(model[0:2], fwd, dfeat[:, :H])
     dW_bwd, db_bwd, dx_bwd = lstm_sequence_backward(model[2:4], bwd, dfeat[:, H:])
@@ -519,15 +520,25 @@ def sequential_pass(model, xs, lengths, targets, dropout_rate):
 class TestDirectionsOnTwoThreads:
     """forward() and backward() run the reverse direction on a worker thread."""
 
-    @pytest.mark.parametrize("lengths, dropout_rate", [
+    CASES = pytest.mark.parametrize("lengths, dropout_rate", [
         ([3, 0, 5, 1], 0.5),  # ragged, unsorted, with an empty row
         ([5, 5, 2], 0.0),
         ([4], 0.0),
         ([2], 0.5),
     ])
+
+    @CASES
     def test_bit_identical_to_sequential_directions(self, lengths, dropout_rate):
-        model = toy_classifier(seed=95)
-        xs = random_xs(SeededRng(96), 3, max(lengths), batch=len(lengths))
+        self.check_bit_identical(lengths, dropout_rate, np.float64)
+
+    @CASES
+    def test_bit_identical_in_float32(self, lengths, dropout_rate):
+        self.check_bit_identical(lengths, dropout_rate, np.float32)
+
+    @staticmethod
+    def check_bit_identical(lengths, dropout_rate, dtype):
+        model = toy_classifier(seed=95, dtype=dtype)
+        xs = random_xs(SeededRng(96), 3, max(lengths), batch=len(lengths)).astype(dtype)
         targets = [r % 3 for r in range(len(lengths))]
         probs, cache = forward(model, xs, lengths, dropout_rate=dropout_rate,
                                rng=SeededRng(7), training=True)
@@ -536,7 +547,9 @@ class TestDirectionsOnTwoThreads:
             model, xs, lengths, targets, dropout_rate)
         assert np.array_equal(probs, want_probs)
         assert np.array_equal(cache.features, want_features)
+        assert cache.features.dtype == dx.dtype == dtype
         for g, w in zip(grads, want_grads):
+            assert g.dtype == dtype
             assert np.array_equal(g, w)
         assert np.array_equal(dx, want_dx)
 
@@ -618,6 +631,46 @@ class TestDirectionsOnTwoThreads:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestComputeDtype:
+    """Every array a training step makes has the model's dtype; probabilities are float64.
+
+    float32 is what train() runs; float64 is what the gradient checks run.
+    A single silent upcast to float64 would cost the float32 speed-up.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_training_step_keeps_the_model_dtype(self, dtype):
+        model = toy_classifier(seed=110, dtype=dtype)
+        xs = random_xs(SeededRng(111), 3, 5, batch=3).astype(dtype)
+        probs, cache = forward(model, xs, [5, 2, 0], dropout_rate=0.5,
+                               rng=SeededRng(112), training=True)
+        assert probs.dtype == np.float64
+        made = [*cache.fwd[:3], *cache.bwd[:3], cache.features, cache.mask]
+        grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1, 2]))
+        clipped, _ = clip_by_global_norm([*grads, dx], 1e-3)
+        params = [p for _, p in model.param_blocks()] + [xs]
+        state = AdamState.for_params(params)
+        adam_step(params, clipped, state, lr=1e-3)
+        made += [*grads, dx, *clipped, *state.m, *state.v, *params]
+        assert [a.dtype for a in made] == [np.dtype(dtype)] * len(made)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_is_float64(self, dtype):
+        probs = softmax(np.array([[0.1, 30.0, -2.0], [0.0, 0.0, 0.0]], dtype=dtype))
+        assert probs.dtype == np.float64
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
+
+    def test_float32_matches_float64_copy(self):
+        """Rounding the same model to float32 moves its probabilities by under 1e-5."""
+        wide = toy_classifier(seed=113, cell=16, inp=8, n_classes=2)
+        narrow = BiLstmClassifier(*(a.astype(np.float32) for a in wide))
+        xs = random_xs(SeededRng(114), 8, 12, batch=6)
+        lengths = [12, 3, 7, 0, 1, 12]
+        want, _ = forward(wide, xs, lengths)
+        got, _ = forward(narrow, xs.astype(np.float32), lengths)
+        assert np.abs(got - want).max() < 1e-5
 
 
 class DenseSoftmaxModel:

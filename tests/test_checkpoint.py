@@ -3,7 +3,6 @@
 import functools
 import json
 import tempfile
-from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -107,13 +106,6 @@ class TestRoundTrip:
         payload = path.read_bytes()[payload_start(path):]
         assert len(payload) == 4 * sum(a.size for a in blocks)
         assert payload == b"".join(a.astype("<f4").tobytes() for a in blocks)
-
-    def test_float64_bundle_is_stored_rounded_to_float32(self, tmp_path):
-        bundle, _ = small_bundle()
-        wide = replace(bundle, embeddings=bundle.embeddings * np.float64(1 + 1e-12))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(wide, path)
-        assert np.array_equal(load_checkpoint(path).embeddings, bundle.embeddings)
 
     def test_save_twice_byte_identical(self, tmp_path):
         bundle, _ = small_bundle()

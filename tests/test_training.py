@@ -55,10 +55,6 @@ RECORDED_TOY_HISTORY = {
 RECORDED_HISTORY_RTOL = 1e-7
 
 
-def as_float64(model):
-    return BiLstmClassifier(*(a.astype(np.float64) for a in model))
-
-
 def prepared_toy(task="recommendation", **overrides):
     config = toy_config(task=task)
     if overrides:
@@ -324,26 +320,19 @@ class TestEvaluate:
         assert tuple(c["name"] for c in report["classes"]) == TASK_CLASSES["recommendation"]
 
     def test_batch_size_does_not_change_probabilities(self):
-        """Exact to 1e-12 in float64; float32 GEMMs of other shapes round differently."""
+        """Within 1e-12 in float64.  In float32, GEMMs of other shapes round
+        differently, so within 1e-6, about 8 machine epsilons (1.2e-7)."""
         config, prep, emb = prepared_toy(epochs=1)
         result = train(config, prep, emb)
         for model, table, atol in [
-            (as_float64(result.model), result.embeddings.astype(np.float64), 1e-12),
+            (BiLstmClassifier(*(a.astype(np.float64) for a in result.model)),
+             result.embeddings.astype(np.float64), 1e-12),
             (result.model, result.embeddings, 1e-6),
         ]:
             one = class_probabilities(model, table, prep.test.indices, batch_size=1)
             many = class_probabilities(model, table, prep.test.indices, batch_size=5)
             assert one.shape == (len(prep.test), 2)
             assert np.allclose(one, many, atol=atol, rtol=0.0)
-
-    def test_float32_model_matches_its_float64_copy(self):
-        config, prep, emb = prepared_toy(epochs=3)
-        result = train(config, prep, emb)
-        narrow = class_probabilities(result.model, result.embeddings, prep.test.indices, 8)
-        wide = class_probabilities(as_float64(result.model), result.embeddings.astype(np.float64),
-                                   prep.test.indices, 8)
-        assert narrow.dtype == wide.dtype == np.float64
-        assert np.abs(narrow - wide).max() < 1e-5
 
     @given(rows=st.lists(st.lists(st.integers(1, 9), max_size=8), min_size=1, max_size=6),
            seq_len=st.integers(1, 10), batch_size=st.integers(1, 6))

@@ -211,7 +211,7 @@ def batch_cross_entropy_grad(probs: np.ndarray, targets) -> np.ndarray:
 
 
 def dropout_mask(rows: int, cols: int, rate: float, rng: SeededRng,
-                 dtype=np.float64) -> np.ndarray:
+                 dtype) -> np.ndarray:
     """Inverted-dropout mask: entries 0 with probability rate, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")

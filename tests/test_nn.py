@@ -312,7 +312,7 @@ class TestCrossEntropy:
 
 class TestDropout:
     def test_rate_zero_identity(self):
-        assert np.array_equal(dropout_mask(3, 4, 0.0, SeededRng(1)), np.ones((3, 4)))
+        assert np.array_equal(dropout_mask(3, 4, 0.0, SeededRng(1), np.float64), np.ones((3, 4)))
         model = toy_classifier()
         _, cache = forward(model, random_xs(SeededRng(1), 3, 2), dropout_rate=0.0,
                            rng=SeededRng(1), training=True)
@@ -328,18 +328,18 @@ class TestDropout:
 
     def test_monte_carlo_mean_preserved(self):
         """Inverted scaling keeps the expected activation at 1.0."""
-        mask = dropout_mask(100, 100, 0.5, SeededRng(99))
+        mask = dropout_mask(100, 100, 0.5, SeededRng(99), np.float64)
         assert 0.96 <= mask.mean() <= 1.04
 
     def test_surviving_entries_scaled(self):
-        mask = dropout_mask(50, 50, 0.25, SeededRng(3))
+        mask = dropout_mask(50, 50, 0.25, SeededRng(3), np.float64)
         vals = set(np.round(mask, 12).reshape(-1))
         assert vals <= {0.0, round(1 / 0.75, 12)}
 
     def test_invalid_rate_rejected(self):
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="rate"):
-                dropout_mask(1, 1, rate, SeededRng(1))
+                dropout_mask(1, 1, rate, SeededRng(1), np.float64)
 
 
 def toy_classifier(seed=0, cell=4, inp=3, n_classes=3, dtype=np.float64):

@@ -94,8 +94,7 @@ _FIELDS = {
     "seed": (lambda v: type(v) is int, "an integer"),
     "cell_size": (_is_size, "an integer >= 1"),
     "embedding_dim": (_is_size, "an integer >= 1"),
-    "vocab": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-              "a list of strings"),
+    "vocab": (lambda v: isinstance(v, list) and set(map(type, v)) <= {str}, "a list of strings"),
     "data_sha256": (lambda v: isinstance(v, str), "a string"),
 }
 

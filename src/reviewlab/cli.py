@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import re
 import shutil
@@ -329,11 +330,10 @@ def _add_common(sub, *flags):
         sub.add_argument("--checkpoint", help="trained model checkpoint")
 
 
+@functools.cache  # parse_args leaves the parser as it was, so every main() call shares one
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reviewlab",
-        description="Review analytics, sentiment labeling, and BiLSTM classification.",
-    )
+    parser = argparse.ArgumentParser(prog="reviewlab", description="Review analytics, "
+                                     "sentiment labeling, and BiLSTM classification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_common(sub.add_parser("analyze", help="write the analytics table battery"),

@@ -146,7 +146,7 @@ def lstm_sequence_forward(params, x: np.ndarray, lengths=None, index=None):
         sigmoid(a[:, :2 * H], out=a[:, :2 * H])
         np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
         sigmoid(a[:, 3 * H:], out=a[:, 3 * H:])
-        f, i, g, o = np.split(a, 4, axis=1)
+        f, i, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         np.multiply(f, _prev_cells(c, offsets, t, k), out=c[lo:hi])
         c[lo:hi] += i * g
         h[:k] = o * np.tanh(c[lo:hi])
@@ -170,7 +170,7 @@ def lstm_sequence_backward(params, cache: SequenceCache, dh_last: np.ndarray):
         lo, hi = offsets[t], offsets[t + 1]
         k = hi - lo
         a = acts[lo:hi]
-        f, i, g, o = np.split(a, 4, axis=1)
+        f, i, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         dh_t, dC_t = dh[:k], dC[:k]
         tC = np.tanh(c[lo:hi])
         dC_t += dh_t * o * (1.0 - tC * tC)

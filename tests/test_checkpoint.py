@@ -291,6 +291,10 @@ class TestMetadataFields:
         ("cell_size", 0),
         ("embedding_dim", True),
         ("data_sha256", None),
+        ("vocab", ["tok0", 5]),
+        ("vocab", ["tok0", None]),
+        ("vocab", ["tok0", True]),
+        ("vocab", [["tok0"]]),
     ])
     def test_wrong_type_exits_two(self, tmp_path, capsys, field, value):
         path = saved_checkpoint(tmp_path)

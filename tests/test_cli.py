@@ -434,6 +434,19 @@ class TestPredict:
         assert (second / "prediction.json").read_bytes() == (first / "prediction.json").read_bytes()
         assert snapshot(second) == snapshot(first)
 
+    def test_cached_parser_serves_every_call(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        """One parser per process: a refused parse leaves nothing behind for later calls."""
+        assert reviewlab.cli._build_parser() is reviewlab.cli._build_parser()
+        assert main(["predict", "--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        argv = self.predict_argv(tmp_path, data_csv, toy_cfg_file, "good dress")
+        assert main(["analyze", "--data", str(data_csv), "--out", str(tmp_path / "runs")]) == 0
+        assert main(argv) == 0
+        assert main(argv) == 0
+        first, second = (tmp_path / "runs" / f"predict-000{n}" / "prediction.json"
+                         for n in (1, 2))
+        assert first.read_bytes() == second.read_bytes()
+
     def test_vocab_flag_removed(self, tmp_path, data_csv, toy_cfg_file, capsys):
         """The vocabulary travels inside the checkpoint; --vocab is no longer an option."""
         argv = self.predict_argv(tmp_path, data_csv, toy_cfg_file, "good dress")

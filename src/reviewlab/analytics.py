@@ -14,6 +14,7 @@ only has to write them.
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from collections import Counter
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .textprep import clean_text, tokenize
+from .textprep import tokenize
 
 FEATURE_ACCESSORS = {
     "Clothing ID": lambda r: r.clothing_id,
@@ -220,14 +221,14 @@ def word_freq_by_segment(records, top_n: int) -> dict:
 
     Segments, in order: titles, reviews, high_rating (rating > 3),
     low_rating (rating <= 3), and division:<name> for each division
-    present.  One pass cleans and tokenizes each title and review once.
+    present.  One pass tokenizes each title and review once.
     """
     counts = {s: Counter() for s in ("titles", "reviews", "high_rating", "low_rating")}
     for name in sorted({r.division for r in records if r.division is not None}):
         counts[f"division:{name}"] = Counter()
 
     def words(text):
-        return [t for t in tokenize(clean_text(text)) if t not in STOP_WORDS]
+        return [t for t in tokenize(text) if t not in STOP_WORDS]
 
     for r in records:
         if r.title is not None:
@@ -239,10 +240,14 @@ def word_freq_by_segment(records, top_n: int) -> dict:
         counts["high_rating" if r.rating > HIGH_RATING_THRESHOLD else "low_rating"].update(tokens)
         if r.division is not None:
             counts[f"division:{r.division}"].update(tokens)
-    return {
-        segment: sorted(c.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
-        for segment, c in counts.items()
-    }
+
+    def ranked(c):
+        top = heapq.nlargest(top_n, c.values())
+        # Only the entries whose count reaches the top_n-th largest can place.
+        contenders = [kv for kv in c.items() if kv[1] >= top[-1]] if top else []
+        return sorted(contenders, key=lambda kv: (-kv[1], kv[0]))[:top_n]
+
+    return {segment: ranked(c) for segment, c in counts.items()}
 
 
 class AgeBin(NamedTuple):

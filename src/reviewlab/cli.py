@@ -28,7 +28,7 @@ import argparse
 import csv
 import functools
 import json
-import re
+import os
 import shutil
 import sys
 import traceback
@@ -117,12 +117,11 @@ def _resolve(args) -> tuple[dict, set]:
 def _new_run_dir(out, command: str) -> Path:
     base = Path(out)
     base.mkdir(parents=True, exist_ok=True)
-    pattern = re.compile(rf"{re.escape(command)}-(\d{{4}})")
-    taken = [
-        int(m.group(1))
-        for p in base.iterdir()
-        if (m := pattern.fullmatch(p.name))
-    ]
+    prefix = f"{command}-"
+    start = len(prefix)
+    # Taken numbers: entries named prefix + four decimal digits (the set `\d` matches).
+    taken = [int(name[start:]) for name in os.listdir(base)
+             if len(name) == start + 4 and name.startswith(prefix) and name[start:].isdecimal()]
     number = max(taken, default=0) + 1
     while True:
         try:
@@ -230,7 +229,8 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     )
     save_checkpoint(bundle, run_dir / "model.ckpt")
     _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, result.history))
-    n_train, n_val, n_test = len(prep.train), len(prep.validation), len(prep.test)
+    n_train, n_val = len(prep.train), len(prep.validation)
+    n_test = len(records) - prep.dropped - n_train - n_val
     summary = {
         "task": config.task,
         "dropped_records": prep.dropped,

@@ -12,7 +12,9 @@ back as absent values.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, input_lines
 from .rng import SeededRng
@@ -33,8 +35,19 @@ REQUIRED_COLUMNS = (
 MIN_SPLIT_RECORDS = 5
 
 
-@dataclass(frozen=True)
-class ReviewRecord:
+# The integer columns in record order, with their inclusive bounds.
+_INT_COLUMNS = (
+    ("Clothing ID", 0, math.inf),
+    ("Age", 0, math.inf),
+    ("Rating", 1, 5),
+    ("Recommended IND", 0, 1),
+    ("Positive Feedback Count", 0, math.inf),
+)
+# The optional text columns in record order.
+_TEXT_COLUMNS = ("Title", "Review Text", "Division Name", "Department Name", "Class Name")
+
+
+class ReviewRecord(NamedTuple):
     row_id: int
     clothing_id: int
     age: int
@@ -57,10 +70,6 @@ class RowIssue:
         return f"line {self.line}: {self.message}"
 
 
-def _optional(value: str) -> str | None:
-    return value if value != "" else None
-
-
 def parse_csv(path):
     """Read records and per-row issues from a review CSV.
 
@@ -81,6 +90,8 @@ def parse_csv(path):
         raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
     has_index_column = names[0] == ""
     width = len(header)
+    int_cells = [(name, positions[name], lo, hi) for name, lo, hi in _INT_COLUMNS]
+    text_cells = [positions[name] for name in _TEXT_COLUMNS]
 
     for ordinal, row in enumerate(reader):
         line = reader.line_num
@@ -91,56 +102,33 @@ def parse_csv(path):
             continue
 
         problems: list[str] = []
-
-        def intcell(name, minimum=None, maximum=None):
-            raw = row[positions[name]]
-            try:
-                value = int(raw)
-            except ValueError:
-                problems.append(f"{name} not an integer: {raw!r}")
-                return None
-            if minimum is not None and value < minimum:
-                problems.append(f"{name} out of range: {value}")
-                return None
-            if maximum is not None and value > maximum:
-                problems.append(f"{name} out of range: {value}")
-                return None
-            return value
-
+        row_id = ordinal
         if has_index_column:
             try:
                 row_id = int(row[0])
             except ValueError:
                 problems.append(f"index column not an integer: {row[0]!r}")
-                row_id = None
-        else:
-            row_id = ordinal
-
-        clothing_id = intcell("Clothing ID", minimum=0)
-        age = intcell("Age", minimum=0)
-        rating = intcell("Rating", minimum=1, maximum=5)
-        recommended = intcell("Recommended IND", minimum=0, maximum=1)
-        feedback = intcell("Positive Feedback Count", minimum=0)
+        values = []
+        for name, pos, lo, hi in int_cells:
+            raw = row[pos]
+            try:
+                value = int(raw)
+            except ValueError:
+                problems.append(f"{name} not an integer: {raw!r}")
+                continue
+            if not lo <= value <= hi:
+                problems.append(f"{name} out of range: {value}")
+            values.append(value)
 
         if problems:
             issues.append(RowIssue(line, "; ".join(problems)))
             continue
 
-        records.append(
-            ReviewRecord(
-                row_id=row_id,
-                clothing_id=clothing_id,
-                age=age,
-                title=_optional(row[positions["Title"]]),
-                review_text=_optional(row[positions["Review Text"]]),
-                rating=rating,
-                recommended=bool(recommended),
-                positive_feedback_count=feedback,
-                division=_optional(row[positions["Division Name"]]),
-                department=_optional(row[positions["Department Name"]]),
-                class_name=_optional(row[positions["Class Name"]]),
-            )
-        )
+        clothing_id, age, rating, recommended, feedback = values
+        # An empty text cell is an absent value.
+        title, review_text, division, department, class_name = [row[i] or None for i in text_cells]
+        records.append(ReviewRecord(row_id, clothing_id, age, title, review_text, rating,
+                                    bool(recommended), feedback, division, department, class_name))
     return records, issues
 
 

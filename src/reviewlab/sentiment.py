@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, input_lines
-from .textprep import clean_text, tokenize
+from .textprep import tokenize
 
 NEGATION_FACTOR = -0.74
 NEGATION_WINDOW = 3
@@ -133,7 +133,7 @@ def compound_from_sum(s: float) -> float:
 
 
 def score_text(tokens, lexicon: dict) -> SentimentScore:
-    """Compound score and label for a cleaned, tokenized text."""
+    """Compound score and label for a tokenized text."""
     s = 0.0
     for pos, token in enumerate(tokens):
         valence = lexicon.get(token)
@@ -161,7 +161,7 @@ def auto_label_dataset(records, lexicon: dict):
     counts: dict = {}
     for record in records:
         text = record.review_text or ""
-        score = score_text(tokenize(clean_text(text)), lexicon)
+        score = score_text(tokenize(text), lexicon)
         labels.append(score.label)
         key = (record.recommended, score.label)
         counts[key] = counts.get(key, 0) + 1

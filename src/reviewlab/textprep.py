@@ -1,9 +1,10 @@
-"""Text cleaning, tokenization, vocabulary, encoding, and embedding lookup.
+"""Tokenization, vocabulary, encoding, and embedding lookup.
 
-The cleaning rule is deliberately blunt: delimiters and punctuation become
-spaces, everything is lowercased, and only [a-z0-9' ] survives.
-Apostrophes are kept so contractions like "don't" reach the sentiment
-lexicon as single tokens.
+`tokenize` is the one tokenizer: it lowercases the text and returns its
+maximal runs of [a-z0-9'] in order; every other character, line breaks
+and non-ASCII letters included, separates tokens.  Apostrophes are kept
+so contractions like "don't" reach the sentiment lexicon as single
+tokens.
 
 Index 0 of every vocabulary is the padding token and index 1 is the
 out-of-vocabulary token; a trained model's vocabulary is saved inside
@@ -19,8 +20,8 @@ all-zero and kept out of gradient updates.
 from __future__ import annotations
 
 import math
-import re
 from collections import Counter
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -33,21 +34,20 @@ PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 EMBEDDING_SCALE = 0.25  # half-width of the uniform draw for rows not read from a file
 
-_NON_ALPHANUM = re.compile(r"[^a-z0-9' ]")
-_MULTI_SPACE = re.compile(r" {2,}")
+# Byte table for `tokenize`: [a-z0-9'] map to themselves, every other byte to a space.
+_KEEP = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789'" else 0x20
+              for b in range(256))
 
 
-def clean_text(raw: str) -> str:
-    """Lowercase; CR/LF and punctuation to spaces; collapse; trim."""
-    s = raw.replace("\r", " ").replace("\n", " ").lower()
-    s = _NON_ALPHANUM.sub(" ", s)
-    s = _MULTI_SPACE.sub(" ", s)
-    return s.strip()
+def tokenize(raw: str) -> list[str]:
+    """Lowercase, then split into the maximal runs of [a-z0-9']; "" gives [].
 
-
-def tokenize(clean: str) -> list[str]:
-    """Whitespace split; empty input gives an empty list."""
-    return clean.split()
+    Lowercasing comes first because a few non-ASCII letters lowercase to
+    ASCII (KELVIN SIGN to "k", "İ" to "i" plus a combining dot); every
+    code point still outside ASCII, a lone surrogate included, encodes
+    as "?" and so separates tokens.
+    """
+    return raw.lower().encode("ascii", "replace").translate(_KEEP).decode("ascii").split()
 
 
 class Vocab:
@@ -86,9 +86,9 @@ def build_vocab(corpus, min_freq: int, max_size: int) -> Vocab:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
     if max_size < 2:
         raise ValueError(f"max_size must leave room for pad/oov, got {max_size}")
-    counts = Counter(token for tokens in corpus for token in tokens)
-    eligible = [t for t, c in counts.items() if c >= min_freq]
-    ranked = sorted(eligible, key=lambda t: (-counts[t], t))
+    counts = Counter(chain.from_iterable(corpus))
+    ranked = sorted(t for t, c in counts.items() if c >= min_freq)
+    ranked.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay token-ascending
     return Vocab(ranked[: max_size - 2])
 
 
@@ -96,11 +96,13 @@ def encode(token_lists, vocab: Vocab, seq_len: int) -> np.ndarray:
     """(N, seq_len) int64 index matrix: each list's first seq_len tokens, post-padded."""
     if seq_len < 1:
         raise ValueError(f"sequence length must be >= 1, got {seq_len}")
+    lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
+    np.minimum(lengths, seq_len, out=lengths)
+    kept = chain.from_iterable(islice(tokens, seq_len) for tokens in token_lists)
+    ids = np.fromiter(map(vocab._index.get, kept, repeat(OOV_INDEX)), np.int64, lengths.sum())
     out = np.full((len(token_lists), seq_len), PAD_INDEX, dtype=np.int64)
-    lookup = vocab._index.get
-    for row, tokens in zip(out, token_lists):
-        ids = [lookup(t, OOV_INDEX) for t in tokens[:seq_len]]
-        row[:len(ids)] = ids
+    # A boolean mask fills row-major, so each row takes its own ids, left-aligned.
+    out[np.arange(seq_len) < lengths[:, None]] = ids
     return out
 
 

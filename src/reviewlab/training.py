@@ -50,7 +50,6 @@ from .textprep import (
     PAD_INDEX,
     Vocab,
     build_vocab,
-    clean_text,
     embed_batch,
     encode,
     tokenize,
@@ -154,8 +153,8 @@ class TrainResult:
 def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.ndarray:
     """(N,) int64 class index per record: recommendation flag, or lexicon sentiment.
 
-    The sentiment of record i is scored from token_lists[i], its cleaned
-    and tokenized review text.  Index i names TASK_CLASSES[task][i].
+    The sentiment of record i is scored from token_lists[i], its tokenized
+    review text.  Index i names TASK_CLASSES[task][i].
     """
     if task == "recommendation":
         labels = [int(r.recommended) for r in records]
@@ -168,11 +167,10 @@ def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.
 
 @dataclass(frozen=True)
 class PreparedData:
-    """Everything train/evaluate need, derived from raw records."""
+    """Everything `train` needs, derived from raw records; the test split is left out."""
 
     train: LabeledSplit
     validation: LabeledSplit
-    test: LabeledSplit
     vocab: Vocab
     dropped: int
     data_sha256: str
@@ -185,9 +183,9 @@ def tokenized_splits(records, config: TrainConfig, lexicon=BUILTIN_LEXICON):
     data_sha256).
     """
     kept, dropped = filter_for_classification(records)
-    token_lists = [tokenize(clean_text(r.review_text)) for r in kept]
+    token_lists = [tokenize(r.review_text) for r in kept]
     labels = task_labels(kept, token_lists, config.task, lexicon)
-    identity = [[r.row_id, r.review_text, y] for r, y in zip(kept, labels.tolist())]
+    identity = [(r.row_id, r.review_text, y) for r, y in zip(kept, labels.tolist())]
     data_sha256 = hashlib.sha256(json.dumps(identity).encode("utf-8")).hexdigest()
     splits = tuple(([token_lists[i] for i in rows], labels[list(rows)])
                    for rows in split_60_20_20(kept, config.seed))
@@ -195,7 +193,8 @@ def tokenized_splits(records, config: TrainConfig, lexicon=BUILTIN_LEXICON):
 
 
 def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON) -> PreparedData:
-    """Tokenize and split the records, build the vocabulary, and encode each split.
+    """Tokenize and split the records, build the vocabulary, and encode the
+    training and validation splits.
 
     The vocabulary is built from the training split only, so validation
     and test tokens unseen in training map to the out-of-vocabulary index.
@@ -203,7 +202,7 @@ def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON) -
     splits, dropped, data_sha256 = tokenized_splits(records, config, lexicon)
     vocab = build_vocab(splits[0][0], min_freq=config.min_freq, max_size=config.vocab_size)
     encoded = [LabeledSplit(encode(tokens, vocab, config.seq_len), labels)
-               for tokens, labels in splits]
+               for tokens, labels in splits[:2]]
     return PreparedData(*encoded, vocab=vocab, dropped=dropped, data_sha256=data_sha256)
 
 
@@ -323,10 +322,10 @@ def predict(bundle: ModelBundle, text: str) -> dict:
     """Label one raw text with the bundle's model and vocabulary.
 
     Returns the `prediction.json` dict: label, label_index, probabilities
-    per class name, and empty_input. Text that cleans down to nothing is
-    still scored (an all-padding sequence) but flagged as empty input.
+    per class name, and empty_input. Text with no tokens is still scored
+    (an all-padding sequence) but flagged as empty input.
     """
-    tokens = tokenize(clean_text(text))[:bundle.seq_len]
+    tokens = tokenize(text)[:bundle.seq_len]
     probs = class_probabilities(
         bundle.model, bundle.embeddings,
         encode([tokens], bundle.vocab, max(1, len(tokens))), batch_size=1,

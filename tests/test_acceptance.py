@@ -19,9 +19,15 @@ from reviewlab.dataset import filter_for_classification, parse_csv, split_60_20_
 from reviewlab.metrics import build_report, majority_baseline, roc_auc
 from reviewlab.nn import BiLstmClassifier, lstm_sequence_forward, softmax
 from reviewlab.rng import SeededRng, init_uniform
-from reviewlab.textprep import random_embeddings
+from reviewlab.textprep import encode, random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
-from reviewlab.training import build_training_data, evaluate, train
+from reviewlab.training import (
+    LabeledSplit,
+    build_training_data,
+    evaluate,
+    tokenized_splits,
+    train,
+)
 
 from gradcheck import grad_check
 
@@ -235,7 +241,9 @@ class TestAcceptance:
             emb = random_embeddings(len(prep.vocab), config.embedding_dim,
                                     SeededRng(config.seed + 1))
             result = train(config, prep, emb)
-            report, _ = evaluate(result.model, result.embeddings, prep.test,
+            (_, _, (tokens, labels)), _, _ = tokenized_splits(records, config)
+            test = LabeledSplit(encode(tokens, prep.vocab, config.seq_len), labels)
+            report, _ = evaluate(result.model, result.embeddings, test,
                                  config.batch_size, config.class_names)
             accuracies[task] = (report["accuracy"], floor)
         ok = all(acc >= floor for acc, floor in accuracies.values())

@@ -2,9 +2,10 @@
 
 import importlib
 import json
+import os
 import pkgutil
+import re
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -320,13 +321,14 @@ class TestEvaluate:
 
 
 class TestOneTokenizationPerCommand:
-    """Each command cleans a review text once, and evaluate encodes only test rows."""
+    """Each command tokenizes a review text once; train encodes only its training and
+    validation rows, evaluate only its test rows."""
 
     @pytest.fixture
     def records(self, tmp_path):
         records = toy_reviews()
-        records[0] = replace(records[0], title=None)
-        records[1] = replace(records[1], review_text=None)
+        records[0] = records[0]._replace(title=None)
+        records[1] = records[1]._replace(review_text=None)
         write_csv(records, tmp_path / "reviews.csv")
         return parse_csv(tmp_path / "reviews.csv")[0]
 
@@ -347,11 +349,11 @@ class TestOneTokenizationPerCommand:
         return calls
 
     def test_analyze_cleans_each_title_and_review_once(self, tmp_path, records, monkeypatch):
-        cleaned = self.wrap_everywhere(monkeypatch, "clean_text")
+        tokenized = self.wrap_everywhere(monkeypatch, "tokenize")
         assert main(["analyze", "--data", str(tmp_path / "reviews.csv"),
                      "--out", str(tmp_path / "runs")]) == 0
         texts = [t for r in records for t in (r.title, r.review_text) if t is not None]
-        assert Counter(cleaned) == Counter(texts)
+        assert Counter(tokenized) == Counter(texts)
 
     def test_sentiment_train_and_evaluate(self, tmp_path, records, monkeypatch):
         cfg = tmp_path / "sentiment.cfg"
@@ -361,17 +363,20 @@ class TestOneTokenizationPerCommand:
         out = tmp_path / "runs"
         common = ["--data", str(tmp_path / "reviews.csv"), "--out", str(out), "--config", str(cfg)]
         kept = Counter(r.review_text for r in records if r.review_text is not None)
-        cleaned = self.wrap_everywhere(monkeypatch, "clean_text")
-        assert main(["train", *common]) == 0
-        assert Counter(cleaned) == kept
-
-        cleaned.clear()
+        tokenized = self.wrap_everywhere(monkeypatch, "tokenize")
         encoded = self.wrap_everywhere(monkeypatch, "encode")
+        assert main(["train", *common]) == 0
+        assert Counter(tokenized) == kept
+        sizes = json.loads((out / "train-0001" / "train_summary.json").read_text())["split_sizes"]
+        assert [len(rows) for rows in encoded] == [sizes["train"], sizes["validation"]]
+        assert sum(sizes.values()) == sum(kept.values())
+
+        tokenized.clear()
+        encoded.clear()
         assert main(["evaluate", *common,
                      "--checkpoint", str(out / "train-0001" / "model.ckpt")]) == 0
-        assert Counter(cleaned) == kept
-        summary = json.loads((out / "train-0001" / "train_summary.json").read_text())
-        assert [len(rows) for rows in encoded] == [summary["split_sizes"]["test"]]
+        assert Counter(tokenized) == kept
+        assert [len(rows) for rows in encoded] == [sizes["test"]]
 
 
 class TestPredict:
@@ -593,19 +598,35 @@ class TestConfigResolution:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["analyze-0001", "analyze-0002", "analyze-0003"]
 
+    @pytest.mark.parametrize("names", [
+        ["analyze-0007", "analyze-0007x", "analyze-007", "analyze-00012", "analyzer-0050"],
+        ["label-0040", "analyze-12a4", "analyze- 123", "analyze-0003"],
+        ["analyze-\u0661\u0662\u0663\u0664", "analyze-\uff10\uff10\uff12\uff10"],
+        ["analyze-\u00b2\u00b2\u00b2\u00b2", "analyze-\u2155\u2155\u2155\u2155"],
+    ], ids=["near-misses", "other-commands", "non-ascii-decimals", "digit-like"])
+    def test_run_number_follows_four_digit_names(self, tmp_path, data_csv, names):
+        """The next run number is one past the largest `analyze-` + four `\\d` digits."""
+        out = tmp_path / "runs"
+        out.mkdir()
+        for name in names:
+            (out / name).mkdir()
+        taken = [int(m[1]) for n in names if (m := re.fullmatch(r"analyze-(\d{4})", n))]
+        assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
+        assert (out / f"analyze-{max(taken, default=0) + 1:04d}" / "analysis.json").exists()
+
     def test_run_directory_taken_concurrently(self, tmp_path, data_csv, monkeypatch):
         """A number another run takes between the scan and the mkdir is skipped."""
         out = tmp_path / "runs"
         assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
-        scan = Path.iterdir
+        scan = os.listdir
 
         def scan_then_race(path):
-            entries = list(scan(path))
-            if path == out:
+            entries = scan(path)
+            if Path(path) == out:
                 (out / "analyze-0002").mkdir()
-            return iter(entries)
+            return entries
 
-        monkeypatch.setattr(Path, "iterdir", scan_then_race)
+        monkeypatch.setattr(os, "listdir", scan_then_race)
         assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
         monkeypatch.undo()
         assert (out / "analyze-0003" / "analysis.json").exists()

@@ -1,6 +1,8 @@
-"""Tests for cleaning, tokenization, vocabulary, and embeddings."""
+"""Tests for tokenization, vocabulary, encoding, and embeddings."""
 
 import json
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from reviewlab.textprep import (
     PAD_INDEX,
     Vocab,
     build_vocab,
-    clean_text,
     embed_batch,
     encode,
     load_glove,
@@ -25,38 +26,47 @@ from reviewlab.textprep import (
 )
 
 
+def regex_tokenize(raw: str) -> list[str]:
+    """The two-regex cleaning pipeline `tokenize` replaced, kept as its oracle."""
+    s = raw.replace("\r", " ").replace("\n", " ").lower()
+    s = re.sub(r"[^a-z0-9' ]", " ", s)
+    s = re.sub(r" {2,}", " ", s)
+    return s.strip().split()
+
+
 class TestCleanText:
+    """The cleaning rule inside `tokenize`."""
+
     def test_punctuation_and_delimiters(self):
-        assert clean_text("Love it!\r\n") == "love it"
+        assert tokenize("Love it!\r\n") == ["love", "it"]
 
     def test_empty_string(self):
-        assert clean_text("") == ""
+        assert tokenize("") == []
 
     def test_cr_lf_become_spaces(self):
-        assert clean_text("A\nB\rC") == "a b c"
+        assert tokenize("A\nB\rC") == ["a", "b", "c"]
 
     def test_apostrophes_survive(self):
-        assert clean_text("Don't stop") == "don't stop"
+        assert tokenize("Don't stop") == ["don't", "stop"]
 
     def test_digits_survive(self):
-        assert clean_text("Size 8 fits") == "size 8 fits"
+        assert tokenize("Size 8 fits") == ["size", "8", "fits"]
 
     def test_unicode_replaced(self):
-        assert clean_text("café £10") == "caf 10"
+        assert tokenize("café £10") == ["caf", "10"]
 
     @given(st.text(max_size=200))
     @settings(max_examples=80, deadline=None)
     def test_output_alphabet_and_spacing(self, raw):
-        out = clean_text(raw)
-        assert set(out) <= set("abcdefghijklmnopqrstuvwxyz0123456789' ")
-        assert "  " not in out
-        assert out == out.strip()
+        for token in tokenize(raw):
+            assert token and set(token) <= set("abcdefghijklmnopqrstuvwxyz0123456789'")
 
     @given(st.text(max_size=200))
     @settings(max_examples=50, deadline=None)
     def test_idempotent(self, raw):
-        once = clean_text(raw)
-        assert clean_text(once) == once
+        """Every token tokenizes to itself."""
+        tokens = tokenize(raw)
+        assert [tokenize(t) for t in tokens] == [[t] for t in tokens]
 
 
 class TestTokenize:
@@ -69,10 +79,30 @@ class TestTokenize:
     @given(st.text(max_size=120))
     @settings(max_examples=50, deadline=None)
     def test_clean_tokenize_fixpoint(self, raw):
-        """Re-cleaning the joined tokens changes nothing."""
-        tokens = tokenize(clean_text(raw))
-        again = tokenize(clean_text(" ".join(tokens)))
-        assert again == tokens
+        """Re-tokenizing the joined tokens changes nothing."""
+        tokens = tokenize(raw)
+        assert tokenize(" ".join(tokens)) == tokens
+
+    @pytest.mark.parametrize("raw, tokens", [
+        ("\u212a", ["k"]),  # KELVIN SIGN lowercases to ASCII "k"
+        ("\u0130x", ["i", "x"]),  # "İ" lowercases to "i" plus a combining dot
+        ("a\ud800b", ["a", "b"]),  # a lone surrogate separates tokens
+        ("ÀB\u00a0c\td\x1fe\u2028f", ["b", "c", "d", "e", "f"]),
+        ("it's\x00ok", ["it's", "ok"]),
+    ])
+    def test_lowercase_and_non_ascii_cases(self, raw, tokens):
+        assert tokenize(raw) == tokens == regex_tokenize(raw)
+
+    def test_every_code_point_matches_regex_oracle(self):
+        """Each code point, with letters on both sides, tokenizes as the regex pipeline does."""
+        raw = " ".join(f"a{chr(c)}b" for c in range(0x110000))
+        assert tokenize(raw) == regex_tokenize(raw)
+
+    @given(st.text(st.characters(exclude_categories=())))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_regex_oracle(self, raw):
+        """Any text, lone surrogates included, tokenizes as the regex pipeline does."""
+        assert tokenize(raw) == regex_tokenize(raw)
 
 
 class TestVocab:
@@ -122,6 +152,17 @@ class TestVocab:
         b = build_vocab(corpus, min_freq=1, max_size=50)
         assert a.tokens() == b.tokens()
 
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "aa", "B"]),
+                             max_size=8), max_size=6),
+           st.integers(1, 4), st.integers(2, 7))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_sorted_counter(self, corpus, min_freq, max_size):
+        counts = Counter(t for tokens in corpus for t in tokens)
+        ranked = sorted((t for t, c in counts.items() if c >= min_freq),
+                        key=lambda t: (-counts[t], t))
+        vocab = build_vocab(corpus, min_freq=min_freq, max_size=max_size)
+        assert vocab.tokens()[2:] == ranked[:max_size - 2]
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match="min_freq"):
             build_vocab([["a"]], min_freq=0, max_size=10)
@@ -152,6 +193,15 @@ class TestEncodePad:
         with pytest.raises(ValueError, match="length"):
             encode([["a"]], self.make_vocab(), 0)
 
+    @staticmethod
+    def row_by_row(token_lists, vocab, L):
+        """Reference: each row's first L ids, then padding."""
+        rows = []
+        for tokens in token_lists:
+            ids = [vocab.index_of(t) for t in tokens[:L]]
+            rows.append(ids + [PAD_INDEX] * (L - len(ids)))
+        return rows
+
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "q"]), max_size=20), max_size=5),
            st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
@@ -159,9 +209,20 @@ class TestEncodePad:
         vocab = self.make_vocab()
         enc = encode(token_lists, vocab, L)
         assert enc.shape == (len(token_lists), L)
-        for row, tokens in zip(enc.tolist(), token_lists):
-            ids = [vocab.index_of(t) for t in tokens[:L]]
-            assert row == ids + [PAD_INDEX] * (L - len(ids))
+        assert enc.tolist() == self.row_by_row(token_lists, vocab, L)
+
+    @pytest.mark.parametrize("token_lists, L", [
+        ([], 3),
+        ([[], [], []], 4),
+        ([["a", "b", "c", "a", "b", "c"], ["c", "b", "a", "q"]], 2),
+        ([["b", "c"], [], ["q", "a"]], 1),
+        ([["q", "zz"], ["x"], []], 3),
+    ], ids=["no-rows", "all-rows-empty", "rows-longer-than-L", "L-1", "only-oov"])
+    def test_edge_cases_match_row_by_row(self, token_lists, L):
+        vocab = self.make_vocab()
+        enc = encode(token_lists, vocab, L)
+        assert enc.dtype == np.int64 and enc.shape == (len(token_lists), L)
+        assert enc.tolist() == self.row_by_row(token_lists, vocab, L)
 
 
 class TestRandomEmbeddings:

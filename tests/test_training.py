@@ -16,7 +16,7 @@ from reviewlab.dataset import write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import PAD_INDEX, clean_text, random_embeddings, tokenize
+from reviewlab.textprep import PAD_INDEX, encode, random_embeddings, tokenize
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import (
     LabeledSplit,
@@ -26,6 +26,7 @@ from reviewlab.training import (
     evaluate,
     predict,
     task_labels,
+    tokenized_splits,
     train,
 )
 
@@ -82,6 +83,12 @@ def prepared_toy(task="recommendation", **overrides):
     prep = build_training_data(toy_reviews(), config)
     emb = random_embeddings(len(prep.vocab), config.embedding_dim, SeededRng(config.seed + 1))
     return config, prep, emb
+
+
+def toy_test_split(config, vocab):
+    """The toy fixture's test split, encoded as `evaluate` encodes it."""
+    (_, _, (tokens, labels)), _, _ = tokenized_splits(toy_reviews(), config)
+    return LabeledSplit(encode(tokens, vocab, config.seq_len), labels)
 
 
 class TestTrainConfig:
@@ -150,7 +157,7 @@ class TestTaskLabels:
 
     def test_sentiment_uses_lexicon(self):
         records = toy_reviews(n=6)
-        tokens = [tokenize(clean_text(r.review_text)) for r in records]
+        tokens = [tokenize(r.review_text) for r in records]
         labels = task_labels(records, tokens, "sentiment")
         assert labels.tolist() == [2, 0, 2, 0, 2, 0]
         names = TrainConfig(task="sentiment").class_names
@@ -163,10 +170,10 @@ class TestTaskLabels:
 
 class TestBuildTrainingData:
     def test_split_sizes(self):
-        _, prep, _ = prepared_toy()
+        config, prep, _ = prepared_toy()
         assert len(prep.train) == 24
         assert len(prep.validation) == 8
-        assert len(prep.test) == 8
+        assert len(toy_test_split(config, prep.vocab)) == 8
 
     def test_vocab_from_training_split_only(self):
         """Tokens confined to validation/test rows never enter the vocabulary."""
@@ -178,20 +185,21 @@ class TestBuildTrainingData:
         train_rows, _, _ = split_60_20_20(records, config.seed)
         train_tokens = set()
         for i in train_rows:
-            train_tokens.update(tokenize(clean_text(records[i].review_text)))
+            train_tokens.update(tokenize(records[i].review_text))
         assert set(prep.vocab.tokens()) == train_tokens | {"<pad>", "<oov>"}
 
     def test_dropped_records_counted(self):
         records = toy_reviews()
-        records[0] = replace(records[0], review_text=None)
+        records[0] = records[0]._replace(review_text=None)
         config = toy_config()
         prep = build_training_data(records, config)
         assert prep.dropped == 1
-        assert len(prep.train) + len(prep.validation) + len(prep.test) == 39
+        (_, _, (test_tokens, _)), _, _ = tokenized_splits(records, config)
+        assert len(prep.train) + len(prep.validation) + len(test_tokens) == 39
 
     def test_sequences_padded_to_config_length(self):
         config, prep, _ = prepared_toy()
-        for split in (prep.train, prep.validation, prep.test):
+        for split in (prep.train, prep.validation, toy_test_split(config, prep.vocab)):
             assert split.indices.shape == (len(split), config.seq_len)
             assert split.indices.dtype == np.int64
             assert split.labels.dtype == np.int64
@@ -335,10 +343,11 @@ class TestEvaluate:
     def test_report_totals_match_split(self):
         config, prep, emb = prepared_toy(epochs=1)
         result = train(config, prep, emb)
-        report, probs = evaluate(result.model, result.embeddings, prep.test,
+        test = toy_test_split(config, prep.vocab)
+        report, probs = evaluate(result.model, result.embeddings, test,
                                  config.batch_size, config.class_names)
-        assert report["total"] == len(prep.test)
-        assert probs.shape == (len(prep.test), 2)
+        assert report["total"] == len(test)
+        assert probs.shape == (len(test), 2)
         assert tuple(c["name"] for c in report["classes"]) == TASK_CLASSES["recommendation"]
 
     def test_batch_size_does_not_change_probabilities(self):
@@ -346,14 +355,15 @@ class TestEvaluate:
         differently, so within 1e-6, about 8 machine epsilons (1.2e-7)."""
         config, prep, emb = prepared_toy(epochs=1)
         result = train(config, prep, emb)
+        test = toy_test_split(config, prep.vocab)
         for model, table, atol in [
             (BiLstmClassifier(*(a.astype(np.float64) for a in result.model)),
              result.embeddings.astype(np.float64), 1e-12),
             (result.model, result.embeddings, 1e-6),
         ]:
-            one = class_probabilities(model, table, prep.test.indices, batch_size=1)
-            many = class_probabilities(model, table, prep.test.indices, batch_size=5)
-            assert one.shape == (len(prep.test), 2)
+            one = class_probabilities(model, table, test.indices, batch_size=1)
+            many = class_probabilities(model, table, test.indices, batch_size=5)
+            assert one.shape == (len(test), 2)
             assert np.allclose(one, many, atol=atol, rtol=0.0)
 
     @given(rows=st.lists(st.lists(st.integers(1, 9), max_size=8), min_size=1, max_size=6),
@@ -408,10 +418,11 @@ class TestPredict:
 
     def test_float32_model_gives_float64_probabilities(self):
         """Probabilities are float64 and sum to 1 within 1e-12, although the model is float32."""
-        _, prep, _ = prepared_toy()
+        config, prep, _ = prepared_toy()
         bundle = self.bundle()
         assert bundle.model.head_W.dtype == np.float32
-        probs = class_probabilities(bundle.model, bundle.embeddings, prep.test.indices, 3)
+        test = toy_test_split(config, prep.vocab)
+        probs = class_probabilities(bundle.model, bundle.embeddings, test.indices, 3)
         assert probs.dtype == np.float64
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
         for text in ("bad skirt returned it", "good", "!!!"):

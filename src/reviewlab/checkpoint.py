@@ -1,21 +1,22 @@
 """Deterministic model checkpoints: one file holds the whole model.
 
 A checkpoint is a single binary file: a magic line, one JSON metadata
-line, then the seven model arrays as raw little-endian float32 bytes,
-the dtype `training.train` computes in.
-Format 6's metadata holds only what the arrays cannot: the task, seq_len,
+line, one vocabulary line, then the seven model arrays as raw
+little-endian float32 bytes, the dtype `training.train` computes in.
+Format 7's metadata holds only what the arrays cannot: the task, seq_len,
 the seed of the 60/20/20 split the model was trained on, cell_size,
-embedding_dim, the vocabulary's words (every token after `<pad>` and
-`<oov>`, in index order), and `data_sha256`, the fingerprint of the data
-the model was trained on (`training.tokenized_splits`). The file stores
-no layout: the arrays are the (len(vocab), embedding_dim) embedding
-table and then the model's six arrays in `BiLstmClassifier` field order,
-whose shapes `nn.block_shapes` derives from cell_size, embedding_dim and
-the task's class count; the loaded model is those six arrays, in
-float32.  Other formats, such as format 5 with its float64 blocks, are
-rejected; retrain to upgrade. The format contains no
-timestamps, so saving the same bundle twice produces byte-identical
-files.
+embedding_dim and `data_sha256`, the fingerprint of the data the model
+was trained on (`training.tokenized_splits`). The vocabulary line joins
+its words (every token after `<pad>` and `<oov>`, in index order) with
+single spaces, in UTF-8, so no word may be empty or hold whitespace;
+`textprep.tokenize` makes none that is. The file stores no layout: the
+arrays are the (len(vocab), embedding_dim) embedding table and then the
+model's six arrays in `BiLstmClassifier` field order, whose shapes
+`nn.block_shapes` derives from cell_size, embedding_dim and the task's
+class count; the loaded model is those six arrays, in float32.  Other
+formats, such as format 6 with its vocabulary in the metadata, are
+rejected; retrain to upgrade. Saving the same bundle twice produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = ["MAGIC", "TASK_CLASSES", "ModelBundle", "load_checkpoint", "save_chec
 
 # The container's magic line; the metadata's "format" versions its contents.
 MAGIC = b"reviewlab-checkpoint-v1\n"
-FORMAT = 6
+FORMAT = 7
 
 # Each task and the names of its classes, in label-index order.
 TASK_CLASSES = {
@@ -63,7 +64,10 @@ class ModelBundle:
 
 
 def save_checkpoint(bundle: ModelBundle, path) -> None:
-    """Write the bundle to `path`; identical bundles give identical bytes."""
+    """Write the bundle to `path`; a word the vocabulary line cannot hold raises ValueError."""
+    words = bundle.vocab.tokens()[2:]
+    if bad := [w for w in words if w.split() != [w]]:
+        raise ValueError(f"vocabulary word {bad[0]!r} is empty or holds whitespace")
     meta = {
         "format": FORMAT,
         "task": bundle.task,
@@ -71,13 +75,11 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "seed": bundle.seed,
         "cell_size": bundle.model.cell_size,
         "embedding_dim": bundle.embeddings.shape[1],
-        "vocab": bundle.vocab.tokens()[2:],
         "data_sha256": bundle.data_sha256,
     }
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(json.dumps(meta, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
+        fh.write(f"{json.dumps(meta, sort_keys=True)}\n{' '.join(words)}\n".encode("utf-8"))
         for a in (bundle.embeddings, *(a for _, a in bundle.model.param_blocks())):
             fh.write(np.ascontiguousarray(a).astype("<f4", copy=False).tobytes())
 
@@ -94,7 +96,6 @@ _FIELDS = {
     "seed": (lambda v: type(v) is int, "an integer"),
     "cell_size": (_is_size, "an integer >= 1"),
     "embedding_dim": (_is_size, "an integer >= 1"),
-    "vocab": (lambda v: isinstance(v, list) and set(map(type, v)) <= {str}, "a list of strings"),
     "data_sha256": (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -131,10 +132,10 @@ def load_checkpoint(path) -> ModelBundle:
                     f"{path}: inconsistent checkpoint contents: {field!r} must be "
                     f"{what}, got {meta.get(field)!r:.60}"
                 )
-        try:
-            vocab = Vocab(meta["vocab"])
-        except ValueError as exc:
-            raise InputError(f"{path}: inconsistent checkpoint contents: {exc}") from exc
+        try:  # a line cut short leaves no payload, which the size check refuses
+            vocab = Vocab(fh.readline().decode("utf-8").split())
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise InputError(f"{path}: bad checkpoint vocabulary line: {exc}") from exc
 
         task, H, D = meta["task"], meta["cell_size"], meta["embedding_dim"]
         shapes = [(len(vocab), D), *block_shapes(H, D, len(TASK_CLASSES[task]))]

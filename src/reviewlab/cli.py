@@ -250,7 +250,7 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
 
 
 def _load_bundle(cfg: dict, provided: set, run_dir: Path, command: str) -> ModelBundle:
-    """Load the checkpoint; cfg and config.txt take every setting it fixes."""
+    """Load the checkpoint; cfg and config.txt, written here, take every setting it fixes."""
     bundle = load_checkpoint(_require(cfg, "checkpoint", command))
     fixed = {"task": bundle.task, "seed": bundle.seed, "seq_len": bundle.seq_len,
              "cell_size": bundle.model.cell_size, "embedding_dim": bundle.embeddings.shape[1]}
@@ -359,7 +359,8 @@ def main(argv=None) -> int:
     try:
         cfg, provided = _resolve(args)
         run_dir = _new_run_dir(cfg["out"], args.command)
-        _write_materialized_config(run_dir, args.command, cfg)
+        if args.command not in ("evaluate", "predict"):  # _load_bundle writes theirs
+            _write_materialized_config(run_dir, args.command, cfg)
         _HANDLERS[args.command](cfg, provided, run_dir)
         return 0
     except (InputError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:

@@ -51,8 +51,10 @@ The two final hidden states are joined into (B, 2H) features, passed
 through dropout (training only), and fed to the softmax head
 softmax(features . head_W^T + head_b), head_W (C, 2H) and head_b (C,).
 
-Sigmoid is evaluated as 0.5 * (1 + tanh(x / 2)), which saturates to 0
-and 1 without overflow.
+Each step takes one tanh over its whole (n_t, 4H) gate block, with the
+f, i and o columns halved before it and halved and shifted by 0.5 after
+it: exactly sigmoid(x) = 0.5 * (1 + tanh(x / 2)), since halving is exact,
+which saturates to 0 and 1 without overflow.
 
 The compute dtype follows the arrays: every buffer, cache, gradient,
 dropout mask and Adam moment takes the dtype of the model's weights.
@@ -76,15 +78,6 @@ from .rng import SeededRng, init_uniform
 
 PROB_FLOOR = 1e-12
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise 0.5 * (1 + tanh(x / 2)); ``out`` may be ``x`` itself."""
-    out = np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -137,19 +130,23 @@ def lstm_sequence_forward(params, x: np.ndarray, lengths=None, index=None):
     acts += b
     c = np.empty((offsets[-1], H), dtype=W.dtype)
     h = np.zeros((B, H), dtype=W.dtype)
+    cell = np.empty((B, H), dtype=W.dtype)
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=W.dtype), H)  # f, i, C, o
+    shift = 1.0 - scale
     for t in range(T):
         lo, hi = offsets[t], offsets[t + 1]
         k = hi - lo
         z[lo:hi, :H] = h[:k]
         a = acts[lo:hi]
         a += h[:k] @ W_h.T
-        sigmoid(a[:, :2 * H], out=a[:, :2 * H])
-        np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
-        sigmoid(a[:, 3 * H:], out=a[:, 3 * H:])
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
         f, i, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         np.multiply(f, _prev_cells(c, offsets, t, k), out=c[lo:hi])
-        c[lo:hi] += i * g
-        h[:k] = o * np.tanh(c[lo:hi])
+        c[lo:hi] += np.multiply(i, g, out=cell[:k])
+        np.multiply(o, np.tanh(c[lo:hi], out=cell[:k]), out=h[:k])
     return h, SequenceCache(z, acts, c, offsets)
 
 

@@ -30,14 +30,10 @@ class SeededRng:
         self._i = 0
 
     def next_u64(self) -> int:
-        self._i += 1
-        z = (self.seed + self._i * _GOLDEN) & _MASK64
-        z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-        return z ^ (z >> 31)
+        return int(self._outputs(1)[0])
 
-    def fill(self, n: int) -> np.ndarray:
-        """The next n outputs' top 53 bits as uniforms in [0, 1), a float64 array."""
+    def _outputs(self, n: int) -> np.ndarray:
+        """The next n outputs in one numpy pass, a uint64 array."""
         if n < 0:
             raise ValueError("fill size must be >= 0")
         idx = np.arange(self._i + 1, self._i + n + 1, dtype=np.uint64)
@@ -46,8 +42,11 @@ class SeededRng:
             z = (np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
             z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
             z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-            z = z ^ (z >> np.uint64(31))
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            return z ^ (z >> np.uint64(31))
+
+    def fill(self, n: int) -> np.ndarray:
+        """The next n outputs' top 53 bits as uniforms in [0, 1), a float64 array."""
+        return (self._outputs(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n).  Plain modulo; bias is negligible for n << 2^64."""
@@ -56,9 +55,10 @@ class SeededRng:
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
+        """In-place Fisher-Yates shuffle: for i = n-1 down to 1, swap i and randrange(i + 1)."""
+        n = len(items)
+        draws = self._outputs(max(n - 1, 0)) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), draws.tolist()):
             items[i], items[j] = items[j], items[i]
 
 

@@ -8,7 +8,7 @@ tokens.
 
 Index 0 of every vocabulary is the padding token and index 1 is the
 out-of-vocabulary token; a trained model's vocabulary is saved inside
-its checkpoint.  `encode` turns N token lists into one (N, seq_len)
+its checkpoint, as one line of its words.  `encode` turns N token lists into one (N, seq_len)
 int64 index matrix: each row holds its review's first seq_len tokens,
 post-padded with index 0.  No real token maps to index 0, so the model
 counts a row's non-pad indices as its length and steps over those
@@ -61,7 +61,7 @@ class Vocab:
 
     def __init__(self, words=()):
         self._tokens = (PAD_TOKEN, OOV_TOKEN, *words)
-        self._index = {token: i for i, token in enumerate(self._tokens)}
+        self._index = dict(zip(self._tokens, range(len(self._tokens))))
         if len(self._index) != len(self._tokens):
             repeat = next(t for i, t in enumerate(self._tokens) if self._index[t] != i)
             raise ValueError(f"vocabulary tokens must be distinct, {repeat!r} repeats")

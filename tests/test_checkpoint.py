@@ -1,5 +1,6 @@
 """Tests for the deterministic checkpoint container."""
 
+import dataclasses
 import functools
 import json
 import tempfile
@@ -16,7 +17,7 @@ from reviewlab.cli import main
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import build_vocab, random_embeddings
+from reviewlab.textprep import Vocab, build_vocab, random_embeddings
 
 DATA_SHA256 = "5" * 64
 
@@ -70,7 +71,7 @@ class TestBundleValidation:
 
     def test_vocab_size_must_match_embedding_rows(self, tmp_path):
         path = saved_checkpoint(tmp_path)
-        edit_metadata(path, lambda meta: meta["vocab"].pop())
+        edit_vocab_line(path, lambda line: line.rsplit(b" ", 1)[0])
         with pytest.raises(InputError, match="trailing bytes in checkpoint payload: .*vocab"):
             load_checkpoint(path)
 
@@ -96,7 +97,8 @@ class TestRoundTrip:
         assert [n for n, _ in loaded.model.param_blocks()] == [
             "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]
         assert sorted(read_metadata(path)) == METADATA_FIELDS
-        assert read_metadata(path)["format"] == 6
+        assert read_metadata(path)["format"] == 7
+        assert vocab_line(path) == b" ".join(t.encode() for t in vocab.tokens()[2:])
 
     def test_four_bytes_per_value(self, tmp_path):
         """The payload is every value as one little-endian float32, in block order."""
@@ -116,7 +118,7 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 METADATA_FIELDS = ["cell_size", "data_sha256", "embedding_dim", "format",
-                   "seed", "seq_len", "task", "vocab"]
+                   "seed", "seq_len", "task"]
 
 
 def read_metadata(path):
@@ -124,9 +126,27 @@ def read_metadata(path):
     return json.loads(raw[len(MAGIC):raw.find(b"\n", len(MAGIC))])
 
 
+def vocab_line_span(raw):
+    """(start, end) of the vocabulary line's words, between the metadata line and the payload."""
+    start = raw.find(b"\n", len(MAGIC)) + 1
+    return start, raw.find(b"\n", start)
+
+
+def vocab_line(path):
+    start, end = vocab_line_span(path.read_bytes())
+    return path.read_bytes()[start:end]
+
+
 def payload_start(path):
-    """Offset of the first float32 after the metadata line."""
-    return path.read_bytes().find(b"\n", len(MAGIC)) + 1
+    """Offset of the first float32 after the vocabulary line."""
+    return vocab_line_span(path.read_bytes())[1] + 1
+
+
+def edit_vocab_line(path, edit):
+    """Rewrite a checkpoint's vocabulary line (without its newline) in place with edit(line)."""
+    raw = path.read_bytes()
+    start, end = vocab_line_span(raw)
+    path.write_bytes(raw[:start] + edit(raw[start:end]) + raw[end:])
 
 
 def edit_metadata(path, edit):
@@ -200,15 +220,18 @@ class TestRejections:
         assert "unsupported checkpoint format 4" in capsys.readouterr().err
 
     def test_format_five_exits_two(self, tmp_path, capsys):
-        """Format 5 had format 6's metadata but stored float64 blocks; retrain to upgrade."""
+        """Format 5 had format 6's layout but stored float64 blocks; retrain to upgrade."""
         bundle, _ = small_bundle()
         path = saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(as_format_six(raw, *vocab_line_span(raw)))
         edit_metadata(path, lambda meta: meta.update(format=5))
         blocks = [bundle.embeddings, *(a for _, a in bundle.model.param_blocks())]
-        raw = path.read_bytes()[:payload_start(path)]
+        raw = path.read_bytes()
+        raw = raw[:raw.find(b"\n", len(MAGIC)) + 1]
         path.write_bytes(raw + b"".join(a.astype("<f8").tobytes() for a in blocks))
         assert predict_exit_code(tmp_path, path) == 2
-        assert ("unsupported checkpoint format 5; retrain to upgrade to format 6"
+        assert ("unsupported checkpoint format 5; retrain to upgrade to format 7"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("field, value", [("cell_size", 10**30), ("embedding_dim", 10**18)],
@@ -283,18 +306,14 @@ class TestMetadataFields:
         ("seed", True),
         ("seed", "3"),
         ("seed", None),
-        ("vocab", "tok0 tok1"),
-        ("vocab", None),
+        ("embedding_dim", 0),
+        ("data_sha256", 5),
         ("task", ["sentiment"]),
         ("task", None),
         ("cell_size", 4.0),
         ("cell_size", 0),
         ("embedding_dim", True),
         ("data_sha256", None),
-        ("vocab", ["tok0", 5]),
-        ("vocab", ["tok0", None]),
-        ("vocab", ["tok0", True]),
-        ("vocab", [["tok0"]]),
     ])
     def test_wrong_type_exits_two(self, tmp_path, capsys, field, value):
         path = saved_checkpoint(tmp_path)
@@ -314,9 +333,61 @@ class TestMetadataFields:
     def test_reserved_token_in_vocab_exits_two(self, tmp_path, capsys):
         """<pad> and <oov> are implied at indices 0 and 1; listing one again is a repeat."""
         path = saved_checkpoint(tmp_path)
-        edit_metadata(path, lambda meta: meta["vocab"].__setitem__(0, "<oov>"))
+        edit_vocab_line(path, lambda line: b"<oov>" + line[line.find(b" "):])
         assert predict_exit_code(tmp_path, path) == 2
         assert "'<oov>' repeats" in capsys.readouterr().err
+
+
+def as_format_six(raw, start, end):
+    """A checkpoint's bytes as format 6 wrote them: its words as a JSON list in the metadata."""
+    meta = json.loads(raw[len(MAGIC):start - 1])
+    meta.update(format=6, vocab=raw[start:end].decode().split())
+    return MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n" + raw[end + 1:]
+
+
+class TestVocabularyLine:
+    """The words after <pad> and <oov> are one line of UTF-8, joined by single spaces."""
+
+    def test_empty_vocabulary_round_trip(self, tmp_path):
+        """A vocabulary of only <pad> and <oov> is an empty line."""
+        bundle, _ = small_bundle()
+        bundle = dataclasses.replace(bundle, vocab=Vocab(), embeddings=bundle.embeddings[:2])
+        path = tmp_path / "empty.ckpt"
+        save_checkpoint(bundle, path)
+        assert vocab_line(path) == b""
+        loaded = load_checkpoint(path)
+        assert loaded.vocab.tokens() == ["<pad>", "<oov>"]
+        assert np.array_equal(loaded.embeddings, bundle.embeddings)
+        assert predict_exit_code(tmp_path, path) == 0
+
+    @pytest.mark.parametrize("words", [["tok0", "two words"], ["tok0", ""], ["tab\tword"],
+                                       ["line\nbreak"], ["no\u2028break"]],
+                             ids=["space", "empty", "tab", "newline", "unicode-separator"])
+    def test_save_refuses_word_the_line_cannot_hold(self, tmp_path, words):
+        bundle, _ = small_bundle()
+        bundle = dataclasses.replace(bundle, vocab=Vocab(words),
+                                     embeddings=bundle.embeddings[:2 + len(words)])
+        with pytest.raises(ValueError, match="is empty or holds whitespace"):
+            save_checkpoint(bundle, tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw, start, end: raw[:end], "truncated checkpoint payload: 0 bytes"),
+        (lambda raw, start, end: raw[:end] + b"\xe9" + raw[end:],
+         "bad checkpoint vocabulary line: 'utf-8' codec can't decode byte 0xe9"),
+        (lambda raw, start, end: raw[:end - 4] + raw[start:start + 4] + raw[end:],
+         "vocabulary tokens must be distinct, 'tok0' repeats"),
+        (lambda raw, start, end: raw[:end - 4] + b"<pad>" + raw[end:],
+         "vocabulary tokens must be distinct, '<pad>' repeats"),
+        (as_format_six, "unsupported checkpoint format 6; retrain to upgrade to format 7"),
+    ], ids=["truncated", "not-utf8", "repeated-word", "pad", "format-6"])
+    def test_malformed_line_exits_two(self, tmp_path, capsys, corrupt, message):
+        path = saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        path.write_bytes(corrupt(raw, *vocab_line_span(raw)))
+        assert predict_exit_code(tmp_path, path) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "predict-0001").exists()
 
 
 JSON_VALUES = st.recursive(
@@ -352,6 +423,13 @@ class TestFuzz:
         meta[field] = value
         content = MAGIC + json.dumps(meta).encode() + b"\n" + raw[header_end + 1:]
         assert predict_exit_code_for_bytes(content) in (0, 2)
+
+    @given(line=st.binary(max_size=120))
+    @settings(max_examples=200, deadline=None)
+    def test_any_bytes_in_the_vocabulary_line(self, line):
+        raw = valid_checkpoint()
+        start, end = vocab_line_span(raw)
+        assert predict_exit_code_for_bytes(raw[:start] + line + raw[end:]) in (0, 2)
 
     @given(tail=st.binary(max_size=300))
     @settings(max_examples=200, deadline=None)

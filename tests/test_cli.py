@@ -51,13 +51,12 @@ def train_run(tmp_path, data_csv, toy_cfg_file):
 
 
 def replace_stored_vocab(ckpt, new_words):
-    """Swap the word list in a checkpoint's metadata for new_words(old); returns the old list."""
+    """Swap the words on a checkpoint's vocabulary line for new_words(old); returns the old list."""
     raw = ckpt.read_bytes()
-    header_end = raw.find(b"\n", len(MAGIC))
-    meta = json.loads(raw[len(MAGIC):header_end])
-    old = meta["vocab"]
-    meta["vocab"] = new_words(old)
-    ckpt.write_bytes(MAGIC + json.dumps(meta).encode() + raw[header_end:])
+    start = raw.find(b"\n", len(MAGIC)) + 1
+    end = raw.find(b"\n", start)
+    old = raw[start:end].decode().split(" ")
+    ckpt.write_bytes(raw[:start] + " ".join(new_words(old)).encode() + raw[end:])
     return old
 
 
@@ -413,6 +412,29 @@ class TestPredict:
         second = capsys.readouterr().out.splitlines()[-1]
         assert first == second
 
+    def test_config_written_once_per_command(self, tmp_path, data_csv, toy_cfg_file,
+                                             monkeypatch):
+        """Each command writes config.txt once; evaluate and predict write it after
+        the checkpoint's settings are merged in."""
+        argv = self.predict_argv(tmp_path, data_csv, toy_cfg_file, "good dress")
+        writes = []
+        writer = reviewlab.cli._write_materialized_config
+
+        def spy(run_dir, command, cfg):
+            writes.append((command, cfg["seq_len"]))
+            writer(run_dir, command, cfg)
+
+        monkeypatch.setattr(reviewlab.cli, "_write_materialized_config", spy)
+        out = str(tmp_path / "runs")
+        ckpt = str(tmp_path / "runs" / "train-0001" / "model.ckpt")
+        assert main(argv) == 0
+        assert writes == [("predict", 8)]
+        for command in (["analyze", "--data", str(data_csv)], ["label", "--data", str(data_csv)],
+                        ["evaluate", "--data", str(data_csv), "--checkpoint", ckpt]):
+            assert main([*command, "--out", out]) == 0
+        assert writes == [("predict", 8), ("analyze", 120), ("label", 120), ("evaluate", 8)]
+        assert "seq_len=8\n" in (tmp_path / "runs" / "evaluate-0001" / "config.txt").read_text()
+
     def test_text_flag_required(self, tmp_path, data_csv, toy_cfg_file, capsys):
         run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
         code = main(["predict", "--out", str(tmp_path / "runs"),
@@ -466,7 +488,8 @@ class TestPredict:
                      "--checkpoint", str(ckpt), "--text", "good dress"])
         assert code == 2
         err = capsys.readouterr().err
-        payload = ckpt.stat().st_size - ckpt.read_bytes().find(b"\n", len(MAGIC)) - 1
+        raw = ckpt.read_bytes()
+        payload = len(raw) - raw.find(b"\n", raw.find(b"\n", len(MAGIC)) + 1) - 1
         short = payload - 4 * (rows - 3) * toy_config().embedding_dim  # 3 rows, not `rows`
         assert (f"trailing bytes in checkpoint payload: {payload} bytes, where vocab, "
                 f"embedding_dim, cell_size and task give {short}") in err

@@ -7,6 +7,7 @@ one b (4H,).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from reviewlab.nn import (
     forward,
     lstm_sequence_backward,
     lstm_sequence_forward,
-    sigmoid,
     softmax,
 )
 from reviewlab.rng import SeededRng, init_uniform
@@ -91,6 +91,50 @@ def first_gates(params, x):
     """
     _, cache = lstm_sequence_forward(params, np.asarray(x, dtype=float)[None])
     return np.split(cache.acts, 4, axis=1)
+
+
+def sigmoid_reference(x):
+    """0.5 * (1 + tanh(x / 2)) in the order the step loop used before it fused its gates."""
+    return (np.tanh(x * 0.5) + 1.0) * 0.5
+
+
+def gate_activations(xs):
+    """(f, i, C~, o), each (len(xs), 1): one step of cell 1 whose four gates all read x."""
+    W = np.tile([[0.0, 1.0]], (4, 1))  # columns [h; x]; the zero state adds nothing
+    return first_gates(fused(1, 1, W=W), np.asarray(xs, dtype=float)[:, None])
+
+
+def separate_gates_oracle(params, x, lengths):
+    """The step loop with one sigmoid or tanh call per gate slice, as it was before
+    the gates shared one tanh; returns (h, acts, c) like lstm_sequence_forward."""
+    W, b = params
+    T, B, H = len(x), x.shape[1], len(W) // 4
+
+    def sigmoid(a):
+        a *= 0.5
+        np.tanh(a, out=a)
+        a += 1.0
+        a *= 0.5
+
+    active = np.arange(T)[:, None] < lengths
+    offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
+    acts = x[np.nonzero(active)] @ W[:, H:].T
+    acts += b
+    c = np.empty((offsets[-1], H), dtype=W.dtype)
+    h = np.zeros((B, H), dtype=W.dtype)
+    for t in range(T):
+        lo, hi = offsets[t], offsets[t + 1]
+        k = hi - lo
+        a = acts[lo:hi]
+        a += h[:k] @ W[:, :H].T
+        sigmoid(a[:, :2 * H])
+        np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
+        sigmoid(a[:, 3 * H:])
+        f, i, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        np.multiply(f, c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0, out=c[lo:hi])
+        c[lo:hi] += i * g
+        h[:k] = o * np.tanh(c[lo:hi])
+    return h, acts, c
 
 
 def toy_model(seed=0, cell=3, inp=2, n_classes=2):
@@ -194,10 +238,10 @@ class TestMatmul:
         W = np.hstack([np.zeros((8, 2)), np.vstack([np.eye(2)] * 4)])
         x = np.array([[0.3, -1.2]])
         f, i, g, o = first_gates(fused(2, 2, W=W), x)
-        assert np.array_equal(f, sigmoid(x))
-        assert np.array_equal(i, sigmoid(x))
+        assert np.array_equal(f, sigmoid_reference(x))
+        assert np.array_equal(i, sigmoid_reference(x))
         assert np.array_equal(g, np.tanh(x))
-        assert np.array_equal(o, sigmoid(x))
+        assert np.array_equal(o, sigmoid_reference(x))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"\(T, B, 3\)"):
@@ -224,16 +268,25 @@ class TestMatmul:
 
 
 class TestActivations:
+    """The f, i and o gates are sigmoids, bit for bit 0.5 * (1 + tanh(x / 2))."""
+
     def test_sigmoid_frozen_values(self):
-        out = sigmoid(np.array([0.0, 0.5, -1.75]))
-        assert out[0] == 0.5
-        assert abs(out[1] - 0.6224593312018546) < 1e-12
-        assert abs(out[2] - 0.14804719803168948) < 1e-12
+        xs = np.array([0.0, 0.5, -1.75])
+        f, i, _, o = gate_activations(xs)
+        for out in (f[:, 0], i[:, 0], o[:, 0]):
+            assert out[0] == 0.5
+            assert abs(out[1] - 0.6224593312018546) < 1e-12
+            assert abs(out[2] - 0.14804719803168948) < 1e-12
+            assert np.array_equal(out, sigmoid_reference(xs))
 
     def test_sigmoid_saturates_without_overflow(self):
-        out = sigmoid(np.array([-1e4, 1e4]))
-        assert out[0] == 0.0
-        assert out[1] == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would fail the test
+            f, i, g, o = gate_activations([-1e4, 1e4])
+        for out in (f, i, o):
+            assert out[0, 0] == 0.0
+            assert out[1, 0] == 1.0
+        assert g[:, 0].tolist() == [-1.0, 1.0]
 
     def test_tanh_frozen_value(self):
         """The candidate gate (third row block) is tanh of its pre-activation."""
@@ -243,10 +296,27 @@ class TestActivations:
     @given(st.lists(small_floats, min_size=1, max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_sigmoid_range_and_symmetry(self, xs):
-        out = sigmoid(np.array(xs))
-        neg = sigmoid(-np.array(xs))
+        out, neg = gate_activations(xs)[0][:, 0], gate_activations(-np.array(xs))[3][:, 0]
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         assert np.allclose(out + neg, 1.0, atol=1e-12)
+        assert np.array_equal(out, sigmoid_reference(np.array(xs)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_tanh_matches_separate_gate_calls(self, dtype):
+        """h, the gate activations and the cells are bit-identical to the loop with
+        separate sigmoid and tanh calls, on a ragged batch with an empty row and
+        a tail of steps where only one row is still running."""
+        rng = np.random.default_rng(11)
+        H, D, T = 5, 3, 7
+        W = rng.uniform(-1.5, 1.5, (4 * H, H + D)).astype(dtype)
+        b = rng.uniform(-1.5, 1.5, 4 * H).astype(dtype)
+        x = rng.uniform(-2.0, 2.0, (T, 5, D)).astype(dtype)
+        lengths = np.array([7, 4, 4, 2, 0])
+        h, cache = lstm_sequence_forward((W, b), x, lengths)
+        want_h, want_acts, want_c = separate_gates_oracle((W, b), x, lengths)
+        for got, want in [(h, want_h), (cache.acts, want_acts), (cache.c, want_c)]:
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
     def test_softmax_rows_sums_to_one(self):
         out = softmax(np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]))
@@ -365,6 +435,25 @@ class TestSeededRng:
         assert a == b
         assert sorted(a) == items
         assert a != items
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 1000])
+    @pytest.mark.parametrize("seed, drawn_before", [(0, 0), (5, 0), (2**64 - 1, 3), (77, 1001)])
+    def test_shuffle_matches_scalar_fisher_yates(self, n, seed, drawn_before):
+        """Same order and same stream position as one randrange per swap."""
+
+        def scalar_shuffle(rng, items):
+            for i in range(len(items) - 1, 0, -1):
+                j = rng.randrange(i + 1)
+                items[i], items[j] = items[j], items[i]
+
+        got_rng, want_rng = SeededRng(seed), SeededRng(seed)
+        got_rng.fill(drawn_before)
+        want_rng.fill(drawn_before)
+        got, want = list(range(n)), list(range(n))
+        got_rng.shuffle(got)
+        scalar_shuffle(want_rng, want)
+        assert got == want
+        assert got_rng.next_u64() == want_rng.next_u64()
 
     def test_randrange_bounds(self):
         rng = SeededRng(3)

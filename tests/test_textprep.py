@@ -355,9 +355,11 @@ class TestVocabRoundTrip:
         ), path)
         return path
 
-    def metadata_line(self, path):
+    def vocab_line(self, path):
+        """The checkpoint's bytes and the start and end of its vocabulary line."""
         raw = path.read_bytes()
-        return raw, raw.find(b"\n", len(MAGIC))
+        start = raw.find(b"\n", len(MAGIC)) + 1
+        return raw, start, raw.find(b"\n", start)
 
     def test_save_load_round_trip(self, tmp_path):
         v = build_vocab([["b", "a", "b", "c"]], min_freq=1, max_size=10)
@@ -366,17 +368,16 @@ class TestVocabRoundTrip:
         assert [loaded.index_of(t) for t in v.tokens()] == list(range(len(v)))
 
     def test_export_format(self, tmp_path):
-        """The metadata lists the words after <pad> and <oov>, in index order."""
+        """The vocabulary line lists the words after <pad> and <oov>, in index order."""
         v = build_vocab([["b", "a", "b"]], min_freq=1, max_size=10)
-        raw, end = self.metadata_line(self.save(tmp_path, v))
-        assert json.loads(raw[len(MAGIC):end])["vocab"] == ["b", "a"]
+        raw, start, end = self.vocab_line(self.save(tmp_path, v))
+        assert raw[start:end] == b"b a"
+        assert "vocab" not in json.loads(raw[len(MAGIC):start])
 
     def test_load_rejects_malformed_line(self, tmp_path):
-        """A metadata line whose vocabulary holds a non-string token is refused."""
+        """A vocabulary line that is not UTF-8 is refused."""
         path = self.save(tmp_path, build_vocab([["a", "b"]], min_freq=1, max_size=10))
-        raw, end = self.metadata_line(path)
-        meta = json.loads(raw[len(MAGIC):end])
-        meta["vocab"][1] = 7
-        path.write_bytes(MAGIC + json.dumps(meta).encode() + raw[end:])
-        with pytest.raises(InputError, match="'vocab' must be a list of strings"):
+        raw, start, end = self.vocab_line(path)
+        path.write_bytes(raw[:start] + b"a \xff" + raw[end:])
+        with pytest.raises(InputError, match="bad checkpoint vocabulary line: 'utf-8' codec can't decode"):
             load_checkpoint(path)

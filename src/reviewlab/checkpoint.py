@@ -77,9 +77,10 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "embedding_dim": bundle.embeddings.shape[1],
         "data_sha256": bundle.data_sha256,
     }
+    # Encoded before the file is opened: a word UTF-8 cannot hold raises with no file left.
+    head = MAGIC + f"{json.dumps(meta, sort_keys=True)}\n{' '.join(words)}\n".encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(f"{json.dumps(meta, sort_keys=True)}\n{' '.join(words)}\n".encode("utf-8"))
+        fh.write(head)
         for a in (bundle.embeddings, *(a for _, a in bundle.model.param_blocks())):
             fh.write(np.ascontiguousarray(a).astype("<f4", copy=False).tobytes())
 

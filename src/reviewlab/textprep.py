@@ -8,7 +8,7 @@ tokens.
 
 Index 0 of every vocabulary is the padding token and index 1 is the
 out-of-vocabulary token; a trained model's vocabulary is saved inside
-its checkpoint, as one line of its words.  `encode` turns N token lists into one (N, seq_len)
+its checkpoint.  `encode` turns N token lists into one (N, seq_len)
 int64 index matrix: each row holds its review's first seq_len tokens,
 post-padded with index 0.  No real token maps to index 0, so the model
 counts a row's non-pad indices as its length and steps over those

@@ -360,14 +360,19 @@ class TestVocabularyLine:
         assert np.array_equal(loaded.embeddings, bundle.embeddings)
         assert predict_exit_code(tmp_path, path) == 0
 
-    @pytest.mark.parametrize("words", [["tok0", "two words"], ["tok0", ""], ["tab\tword"],
-                                       ["line\nbreak"], ["no\u2028break"]],
-                             ids=["space", "empty", "tab", "newline", "unicode-separator"])
-    def test_save_refuses_word_the_line_cannot_hold(self, tmp_path, words):
+    @pytest.mark.parametrize("words, message", [
+        (["tok0", "two words"], "is empty or holds whitespace"),
+        (["tok0", ""], "is empty or holds whitespace"),
+        (["tab\tword"], "is empty or holds whitespace"),
+        (["line\nbreak"], "is empty or holds whitespace"),
+        (["no\u2028break"], "is empty or holds whitespace"),
+        (["lone\ud800surrogate"], "surrogates not allowed"),
+    ], ids=["space", "empty", "tab", "newline", "unicode-separator", "not-utf8"])
+    def test_save_refuses_word_the_line_cannot_hold(self, tmp_path, words, message):
         bundle, _ = small_bundle()
         bundle = dataclasses.replace(bundle, vocab=Vocab(words),
                                      embeddings=bundle.embeddings[:2 + len(words)])
-        with pytest.raises(ValueError, match="is empty or holds whitespace"):
+        with pytest.raises(ValueError, match=message):
             save_checkpoint(bundle, tmp_path / "model.ckpt")
         assert not (tmp_path / "model.ckpt").exists()
 

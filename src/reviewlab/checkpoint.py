@@ -6,7 +6,8 @@ little-endian float32 bytes, the dtype `training.train` computes in.
 Format 7's metadata holds only what the arrays cannot: the task, seq_len,
 the seed of the 60/20/20 split the model was trained on, cell_size,
 embedding_dim and `data_sha256`, the fingerprint of the data the model
-was trained on (`training.tokenized_splits`). The vocabulary line joins
+was trained on (`training.tokenized_splits`); a `vocab` field, where
+format 6 kept the words, is refused. The vocabulary line joins
 its words (every token after `<pad>` and `<oov>`, in index order) with
 single spaces, in UTF-8, so no word may be empty or hold whitespace;
 `textprep.tokenize` makes none that is. The file stores no layout: the
@@ -127,6 +128,9 @@ def load_checkpoint(path) -> ModelBundle:
         if meta.get("format") != FORMAT:
             raise InputError(f"{path}: unsupported checkpoint format {meta.get('format')!r}; "
                              f"retrain to upgrade to format {FORMAT}")
+        if "vocab" in meta:  # format 6's field: relabelling such a file does not upgrade it
+            raise InputError(f"{path}: inconsistent checkpoint contents: 'vocab' must be "
+                             f"absent; format {FORMAT} keeps the vocabulary on its own line")
         for field, (ok, what) in _FIELDS.items():
             if not ok(meta.get(field)):
                 raise InputError(

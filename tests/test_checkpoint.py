@@ -314,6 +314,13 @@ class TestMetadataFields:
         ("cell_size", 0),
         ("embedding_dim", True),
         ("data_sha256", None),
+        # Format 6's vocabulary field: format 7 keeps the words on their own line.
+        ("vocab", ["tok0", 5]),
+        ("vocab", ["tok0", None]),
+        ("vocab", ["tok0", True]),
+        ("vocab", [["tok0"]]),
+        ("vocab", "tok0 tok1"),
+        ("vocab", None),
     ])
     def test_wrong_type_exits_two(self, tmp_path, capsys, field, value):
         path = saved_checkpoint(tmp_path)

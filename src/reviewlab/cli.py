@@ -2,10 +2,11 @@
 
 Every invocation creates a fresh numbered run directory under --out
 (never overwriting a prior run) and writes the fully materialized
-configuration into it; a command that fails removes it again.
-Settings resolve as flags over config file over defaults, and an empty
-config value means the default; rerunning a command from a materialized
-config reproduces every artifact byte for byte in single-threaded mode.
+configuration into it; a command that fails or is interrupted removes
+it again.  Settings resolve as flags over config file over defaults, and
+an empty config value means the default; rerunning a command from a
+materialized config reproduces every artifact byte for byte in
+single-threaded mode.
 
 A trained model is one file, `model.ckpt`, which carries its vocabulary
 and the seed of its 60/20/20 split. `evaluate` and `predict` take the
@@ -41,17 +42,8 @@ from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
-from .textprep import encode, load_glove, random_embeddings
-from .training import (
-    EpochStats,
-    LabeledSplit,
-    TrainConfig,
-    build_training_data,
-    evaluate,
-    predict,
-    tokenized_splits,
-    train,
-)
+from .textprep import build_vocab, encode, load_glove, random_embeddings
+from .training import EpochStats, TrainConfig, evaluate, predict, tokenized_splits, train
 
 __all__ = ["main"]
 
@@ -215,27 +207,31 @@ def _build_embeddings(cfg: dict, vocab, config: TrainConfig):
 def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     config = _train_config(cfg)
     records = _parse_records(cfg, "train", run_dir)
-    prep = build_training_data(records, config, _load_lexicon(cfg))
-    embeddings = _build_embeddings(cfg, prep.vocab, config)
-    result = train(config, prep, embeddings)
+    splits, dropped, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg))
+    # The vocabulary comes from the training split only, so validation and
+    # test tokens unseen in training map to the out-of-vocabulary index.
+    vocab = build_vocab(splits[0][0], config.min_freq, config.vocab_size)
+    embeddings = _build_embeddings(cfg, vocab, config)
+    train_split, validation = ((encode(tokens, vocab, config.seq_len), labels)
+                               for tokens, labels in splits[:2])
+    result = train(config, train_split, validation, embeddings)
     bundle = ModelBundle(
         task=config.task,
         seq_len=config.seq_len,
         seed=config.seed,
-        vocab=prep.vocab,
+        vocab=vocab,
         model=result.model,
         embeddings=result.embeddings,
-        data_sha256=prep.data_sha256,
+        data_sha256=data_sha256,
     )
     save_checkpoint(bundle, run_dir / "model.ckpt")
     _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, result.history))
-    n_train, n_val = len(prep.train), len(prep.validation)
-    n_test = len(records) - prep.dropped - n_train - n_val
+    n_train, n_val, n_test = (len(labels) for _, labels in splits)
     summary = {
         "task": config.task,
-        "dropped_records": prep.dropped,
+        "dropped_records": dropped,
         "split_sizes": {"train": n_train, "validation": n_val, "test": n_test},
-        "vocab_size": len(prep.vocab),
+        "vocab_size": len(vocab),
         "epochs_run": len(result.history),
     }
     if result.history:
@@ -273,13 +269,12 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
             f"evaluate with the --data and --lexicon the model was trained with"
         )
     train_split, _, (tokens, labels) = splits
-    test = LabeledSplit(encode(tokens, bundle.vocab, bundle.seq_len), labels)
-    report, probs = evaluate(
-        bundle.model, bundle.embeddings, test, config.batch_size, bundle.class_names
-    )
+    report, probs = evaluate(bundle.model, bundle.embeddings,
+                             (encode(tokens, bundle.vocab, bundle.seq_len), labels),
+                             config.batch_size, bundle.class_names)
     if bundle.task == "recommendation":
         try:
-            points, report["roc_auc"] = roc_auc(test.labels, probs[:, 1])
+            points, report["roc_auc"] = roc_auc(labels, probs[:, 1])
         except InputError:
             report["roc_auc"] = None
         else:
@@ -290,7 +285,7 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
         ("true\\predicted", *bundle.class_names),
         tuple((name, *row) for name, row in zip(bundle.class_names, report["confusion"])),
     ))
-    baseline = majority_baseline(train_split[1], test.labels, bundle.class_names)
+    baseline = majority_baseline(train_split[1], labels, bundle.class_names)
     _write_json(run_dir / "baseline.json", baseline)
     print(f"test accuracy {report['accuracy']:.6f} (metrics in {run_dir})")
 
@@ -355,22 +350,22 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    run_dir = None
+    run_dir, code = None, 1
     try:
         cfg, provided = _resolve(args)
         run_dir = _new_run_dir(cfg["out"], args.command)
         if args.command not in ("evaluate", "predict"):  # _load_bundle writes theirs
             _write_materialized_config(run_dir, args.command, cfg)
         _HANDLERS[args.command](cfg, provided, run_dir)
-        return 0
+        code = 0
     except (InputError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except Exception:
         traceback.print_exc()
-        code = 1
-    if run_dir is not None:
-        shutil.rmtree(run_dir, ignore_errors=True)
+    finally:  # also on KeyboardInterrupt, which then propagates
+        if code and run_dir is not None:
+            shutil.rmtree(run_dir, ignore_errors=True)
     return code
 
 

@@ -101,30 +101,20 @@ def _prev_cells(c: np.ndarray, offsets, t: int, k: int):
     return c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0
 
 
-def lstm_sequence_forward(params, x: np.ndarray, lengths=None, index=None):
+def lstm_sequence_forward(params, x: np.ndarray, lengths, index):
     """Run one direction, params = (W, b), from a zero state on inputs from x (T, B, D).
 
-    Row j steps over lengths[j] inputs (non-increasing; default all T), by
-    default x[0, j], x[1, j], ...  index = (steps, cols), two arrays that
-    list the N = sum(lengths) real inputs in packed (step-major) order,
-    makes the k-th of them x[steps[k], cols[k]] instead.  Returns each
-    row's final h (B, H) and the packed SequenceCache.
+    Row j steps over lengths[j] inputs, non-increasing in j.  index =
+    (steps, cols), two arrays, lists the N = sum(lengths) real inputs in
+    packed (step-major) order: the k-th of them is x[steps[k], cols[k]].
+    Returns each row's final h (B, H) and the packed SequenceCache.
     """
     W, b = params
-    T, H = len(x), len(W) // 4
-    D = W.shape[1] - H
-    if T == 0:
-        raise ValueError("cannot run an LSTM over an empty sequence")
-    if x.ndim != 3 or x.shape[2] != D:
-        raise ValueError(f"inputs must have shape (T, B, {D}), got {x.shape}")
-    B = x.shape[1]
-    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
-    if lengths.shape != (B,) or np.any(np.diff(np.r_[T, lengths, 0]) > 0):
-        raise ValueError(f"need {B} non-increasing lengths in [0, {T}], got {lengths}")
-    active = np.arange(T)[:, None] < lengths  # x[active] packs step-major
+    (T, B, D), H = x.shape, len(W) // 4
+    active = np.arange(T)[:, None] < lengths
     offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
     z = np.empty((offsets[-1], H + D), dtype=W.dtype)
-    z[:, H:] = x[np.nonzero(active) if index is None else index]
+    z[:, H:] = x[index]
     W_h, W_x = W[:, :H], W[:, H:]
     acts = z[:, H:] @ W_x.T
     acts += b
@@ -183,35 +173,22 @@ def lstm_sequence_backward(params, cache: SequenceCache, dh_last: np.ndarray):
     return dW, acts.sum(axis=0), acts @ W[:, H:]
 
 
-def _target_index(probs: np.ndarray, targets) -> np.ndarray:
-    idx = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    if idx.ndim != 1 or idx.shape[0] != probs.shape[0]:
-        raise ValueError(f"need one target per row: {idx.shape} vs {probs.shape[0]} rows")
-    if np.any(idx < 0) or np.any(idx >= probs.shape[1]):
-        raise ValueError(f"target class out of range for {probs.shape[1]} classes")
-    return idx
-
-
 def batch_cross_entropy(probs: np.ndarray, targets) -> float:
     """Mean negative log probability of each row's target, floored at 1e-12."""
-    idx = _target_index(probs, targets)
-    picked = probs[np.arange(len(idx)), idx]
+    picked = probs[np.arange(len(probs)), targets]
     return float(-np.log(np.maximum(picked, PROB_FLOOR)).mean())
 
 
 def batch_cross_entropy_grad(probs: np.ndarray, targets) -> np.ndarray:
     """Gradient of the mean loss w.r.t. logits: (probs - onehot) / batch."""
-    idx = _target_index(probs, targets)
     d = probs.copy()
-    d[np.arange(len(idx)), idx] -= 1.0
-    return d / len(idx)
+    d[np.arange(len(d)), targets] -= 1.0
+    return d / len(d)
 
 
 def dropout_mask(rows: int, cols: int, rate: float, rng: SeededRng,
                  dtype) -> np.ndarray:
     """Inverted-dropout mask: entries 0 with probability rate, else 1/(1-rate)."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     u = rng.fill(rows * cols).reshape(rows, cols)
     return (u >= rate).astype(dtype) / (1.0 - rate)
 
@@ -309,18 +286,17 @@ class ClassifierCache:
     lengths: np.ndarray
 
 
-def forward(model: BiLstmClassifier, x: np.ndarray, lengths=None, *,
+def forward(model: BiLstmClassifier, x: np.ndarray, lengths: np.ndarray, *,
             dropout_rate: float = 0.0, rng: SeededRng | None = None,
             training: bool = False):
     """Full forward pass over x (T, B, D); returns (probs (B, C), cache).
 
-    Row r reads its first lengths[r] inputs (default: all T).  Dropout is
-    applied to the concatenated direction features only when training is
-    set, using an explicit mask kept in the cache so the backward pass
-    sees the identical pattern.
+    Row r reads its first lengths[r] inputs.  Dropout is applied to the
+    concatenated direction features only when training is set, using an
+    explicit mask drawn from rng and kept in the cache so the backward
+    pass sees the identical pattern.
     """
-    T, B = x.shape[:2]
-    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    T = len(x)
     order = np.argsort(-lengths, kind="stable")
     L = lengths[order]
     t, t_rev, rows = _packed_index(T, L, order)
@@ -331,8 +307,6 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths=None, *,
     mask = None
     dropped = features
     if training and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
         # Drawn (2H, B) row-major and transposed: the order in which the
         # mask consumes the stream is fixed, so seeded runs stay reproducible.
         mask = dropout_mask(features.shape[1], features.shape[0], dropout_rate, rng,
@@ -368,35 +342,15 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
     return grads, dx
 
 
-@dataclass
-class AdamState:
-    """First/second moment estimates and step counter."""
+def adam_step(params, grads, moments, t: int, lr: float) -> None:
+    """Update number t (counted from 1), applied to the param arrays in place.
 
-    m: list
-    v: list
-    t: int = 0
-
-    @staticmethod
-    def for_params(params) -> "AdamState":
-        return AdamState(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
-
-
-def adam_step(params, grads, state: AdamState, lr: float) -> None:
-    """One bias-corrected moment update, applied to the param arrays in place."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError(
-            f"mismatched lengths: {len(params)} params, {len(grads)} grads, {len(state.m)} moments"
-        )
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"param/grad shape mismatch: {p.shape} vs {g.shape}")
-    state.t += 1
-    mc = 1.0 / (1.0 - ADAM_BETA1 ** state.t)
-    vc = 1.0 / (1.0 - ADAM_BETA2 ** state.t)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    moments holds each param's (m, v) moment estimates, zero before the
+    first update; both are updated in place and bias-corrected for t.
+    """
+    mc = 1.0 / (1.0 - ADAM_BETA1 ** t)
+    vc = 1.0 / (1.0 - ADAM_BETA2 ** t)
+    for p, g, (m, v) in zip(params, grads, moments):
         m *= ADAM_BETA1
         m += g * (1.0 - ADAM_BETA1)
         v *= ADAM_BETA2
@@ -406,8 +360,6 @@ def adam_step(params, grads, state: AdamState, lr: float) -> None:
 
 def clip_by_global_norm(grads, max_norm: float):
     """Scale all gradients down together if their joint norm exceeds max_norm."""
-    if not max_norm > 0.0:
-        raise ValueError(f"max_norm must be positive, got {max_norm}")
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if norm <= max_norm or norm == 0.0:
         return list(grads), norm

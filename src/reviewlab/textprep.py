@@ -82,10 +82,6 @@ def build_vocab(corpus, min_freq: int, max_size: int) -> Vocab:
 
     Tokens below min_freq are dropped.
     """
-    if min_freq < 1:
-        raise ValueError(f"min_freq must be >= 1, got {min_freq}")
-    if max_size < 2:
-        raise ValueError(f"max_size must leave room for pad/oov, got {max_size}")
     counts = Counter(chain.from_iterable(corpus))
     ranked = sorted(t for t, c in counts.items() if c >= min_freq)
     ranked.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay token-ascending
@@ -94,8 +90,6 @@ def build_vocab(corpus, min_freq: int, max_size: int) -> Vocab:
 
 def encode(token_lists, vocab: Vocab, seq_len: int) -> np.ndarray:
     """(N, seq_len) int64 index matrix: each list's first seq_len tokens, post-padded."""
-    if seq_len < 1:
-        raise ValueError(f"sequence length must be >= 1, got {seq_len}")
     lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
     np.minimum(lengths, seq_len, out=lengths)
     kept = chain.from_iterable(islice(tokens, seq_len) for tokens in token_lists)

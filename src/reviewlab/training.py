@@ -1,10 +1,11 @@
 """Training loop, evaluation pass, and inference entry points.
 
-Each split holds its encoded reviews as one (N, seq_len) int64 index
-matrix, post-padded with PAD_INDEX, next to an (N,) int64 label array;
-`textprep.encode` builds the matrix for training, evaluation and
-`predict` alike. Every batch is cut to its longest review before it is
-embedded. The class count and class names come from TrainConfig.
+`tokenized_splits` gives each split of the 60/20/20 split as its token
+lists and labels. A split that `train` or `evaluate` reads is a plain
+(indices, labels) pair: an (N, seq_len) int64 index matrix, post-padded
+with PAD_INDEX and built by `textprep.encode`, and an (N,) int64 label
+array. Every batch is cut to its longest review before it is embedded.
+The class count and class names come from TrainConfig.
 `evaluate` returns the `metrics.json` report dict and `predict` the
 `prediction.json` dict, which the CLI writes as they are.
 
@@ -26,6 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +37,6 @@ from .dataset import filter_for_classification, split_60_20_20
 from .errors import InputError
 from .metrics import build_report, confusion_matrix
 from .nn import (
-    AdamState,
     BiLstmClassifier,
     adam_step,
     backward,
@@ -46,22 +47,12 @@ from .nn import (
 )
 from .rng import SeededRng
 from .sentiment import BUILTIN_LEXICON, score_text
-from .textprep import (
-    PAD_INDEX,
-    Vocab,
-    build_vocab,
-    embed_batch,
-    encode,
-    tokenize,
-)
+from .textprep import PAD_INDEX, embed_batch, encode, tokenize
 
 __all__ = [
     "EpochStats",
-    "LabeledSplit",
-    "PreparedData",
     "TrainConfig",
     "TrainResult",
-    "build_training_data",
     "class_probabilities",
     "evaluate",
     "predict",
@@ -117,25 +108,6 @@ class TrainConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class LabeledSplit:
-    """Encoded reviews: an (N, seq_len) int64 index matrix and (N,) int64 labels."""
-
-    indices: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        if self.indices.ndim != 2:
-            raise ValueError(f"indices must be 2-D, got shape {self.indices.shape}")
-        if self.labels.ndim != 1:
-            raise ValueError(f"labels must be 1-D, got shape {self.labels.shape}")
-        if len(self.indices) != len(self.labels):
-            raise ValueError(f"{len(self.indices)} index rows but {len(self.labels)} labels")
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
 class EpochStats(NamedTuple):
     epoch: int
     train_loss: float
@@ -165,17 +137,6 @@ def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.
     return np.asarray(labels, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class PreparedData:
-    """Everything `train` needs, derived from raw records; the test split is left out."""
-
-    train: LabeledSplit
-    validation: LabeledSplit
-    vocab: Vocab
-    dropped: int
-    data_sha256: str
-
-
 def tokenized_splits(records, config: TrainConfig, lexicon=BUILTIN_LEXICON):
     """Filter, split 60/20/20 with config.seed, and tokenize and label each review once.
 
@@ -190,20 +151,6 @@ def tokenized_splits(records, config: TrainConfig, lexicon=BUILTIN_LEXICON):
     splits = tuple(([token_lists[i] for i in rows], labels[list(rows)])
                    for rows in split_60_20_20(kept, config.seed))
     return splits, dropped, data_sha256
-
-
-def build_training_data(records, config: TrainConfig, lexicon=BUILTIN_LEXICON) -> PreparedData:
-    """Tokenize and split the records, build the vocabulary, and encode the
-    training and validation splits.
-
-    The vocabulary is built from the training split only, so validation
-    and test tokens unseen in training map to the out-of-vocabulary index.
-    """
-    splits, dropped, data_sha256 = tokenized_splits(records, config, lexicon)
-    vocab = build_vocab(splits[0][0], min_freq=config.min_freq, max_size=config.vocab_size)
-    encoded = [LabeledSplit(encode(tokens, vocab, config.seq_len), labels)
-               for tokens, labels in splits[:2]]
-    return PreparedData(*encoded, vocab=vocab, dropped=dropped, data_sha256=data_sha256)
 
 
 def _trimmed(idx: np.ndarray):
@@ -222,25 +169,22 @@ def class_probabilities(model: BiLstmClassifier, table: np.ndarray, indices: np.
     return out
 
 
-def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> TrainResult:
+def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray) -> TrainResult:
     """Mini-batch training with Adam and global-norm gradient clipping.
 
-    The model and a copy of the caller's embedding table are trained in
-    float32; losses and probabilities are float64.  Returns the
-    final-epoch model (no early stopping) plus one EpochStats row per
-    epoch.  A non-finite loss or gradient norm raises InputError naming
-    the epoch, the batch and learning_rate, rather than letting a
-    diverged run continue silently.
+    train_split and validation are (indices, labels) pairs, and
+    embeddings is a (vocab_size, config.embedding_dim) table.  The model
+    and a copy of the table are trained in float32; losses and
+    probabilities are float64.  Returns the final-epoch model (no early
+    stopping) plus one EpochStats row per epoch.  A non-finite loss or
+    gradient norm raises InputError naming the epoch, the batch and
+    learning_rate, rather than letting a diverged run continue silently.
     """
-    if len(prep.train) == 0:
+    (idx_all, labels_all), (val_idx, val_labels) = train_split, validation
+    if len(labels_all) == 0:
         raise InputError("training split is empty")
-    if len(prep.validation) == 0:
+    if len(val_labels) == 0:
         raise InputError("validation split is empty")
-    if embeddings.shape[1] != config.embedding_dim:
-        raise ValueError(
-            f"embedding dim {embeddings.shape[1]} does not match config "
-            f"embedding_dim {config.embedding_dim}"
-        )
 
     rng = SeededRng(config.seed)
     # The float64 draws are cast once; every buffer then follows the arrays' float32.
@@ -249,9 +193,8 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> Tr
     )))
     table = embeddings.astype(np.float32)
     params = [p for _, p in model.param_blocks()] + [table]
-    adam = AdamState.for_params(params)
-    idx_all, labels_all = prep.train.indices, prep.train.labels
-    val = prep.validation
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    updates = count(1)
 
     def diverged(what: str, value: float, where: str) -> InputError:
         return InputError(f"training diverged: non-finite {what} {value!r} at {where}; "
@@ -275,10 +218,10 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> Tr
         clipped, norm = clip_by_global_norm(grads + [dE], config.grad_clip)
         if not math.isfinite(norm):
             raise diverged("gradient norm", norm, where)
-        adam_step(params, clipped, adam, config.learning_rate)
+        adam_step(params, clipped, moments, next(updates), config.learning_rate)
         return loss
 
-    n = len(prep.train)
+    n = len(labels_all)
     history = []
     for epoch in range(1, config.epochs + 1):
         order = list(range(n))
@@ -287,8 +230,8 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> Tr
         for number, start in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[start:start + config.batch_size]
             epoch_loss += step(batch, f"epoch {epoch}, batch {number}") * len(batch)
-        val_probs = class_probabilities(model, table, val.indices, config.batch_size)
-        val_loss = batch_cross_entropy(val_probs, val.labels)
+        val_probs = class_probabilities(model, table, val_idx, config.batch_size)
+        val_loss = batch_cross_entropy(val_probs, val_labels)
         if not math.isfinite(val_loss):  # the epoch's last update overflowed
             raise diverged("validation loss", val_loss, f"epoch {epoch}, after its last batch")
         history.append(
@@ -296,7 +239,7 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> Tr
                 epoch=epoch,
                 train_loss=epoch_loss / n,
                 val_loss=val_loss,
-                val_acc=float(np.mean(val_probs.argmax(axis=1) == val.labels)),
+                val_acc=float(np.mean(val_probs.argmax(axis=1) == val_labels)),
             )
         )
 
@@ -307,14 +250,16 @@ def train(config: TrainConfig, prep: PreparedData, embeddings: np.ndarray) -> Tr
     )
 
 
-def evaluate(model, embeddings: np.ndarray, split: LabeledSplit,
+def evaluate(model, embeddings: np.ndarray, split,
              batch_size: int, class_names) -> tuple[dict, np.ndarray]:
-    """Argmax predictions over a split: (metrics report dict, probabilities (N, C))."""
-    if len(split) == 0:
+    """Argmax predictions over an (indices, labels) split: (metrics report dict,
+    probabilities (N, C))."""
+    indices, labels = split
+    if len(labels) == 0:
         raise InputError("evaluation split is empty")
-    probs = class_probabilities(model, embeddings, split.indices, batch_size)
-    confusion = confusion_matrix(split.labels, probs.argmax(axis=1), len(class_names))
-    report = build_report(confusion, class_names, batch_cross_entropy(probs, split.labels))
+    probs = class_probabilities(model, embeddings, indices, batch_size)
+    confusion = confusion_matrix(labels, probs.argmax(axis=1), len(class_names))
+    report = build_report(confusion, class_names, batch_cross_entropy(probs, labels))
     return report, probs
 
 

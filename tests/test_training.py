@@ -10,18 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reviewlab.training
-from reviewlab.checkpoint import TASK_CLASSES, ModelBundle
+from reviewlab.checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint
 from reviewlab.cli import main
-from reviewlab.dataset import write_csv
+from reviewlab.dataset import split_60_20_20, write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import PAD_INDEX, encode, random_embeddings, tokenize
+from reviewlab.textprep import PAD_INDEX, build_vocab, encode, random_embeddings, tokenize
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import (
-    LabeledSplit,
     TrainConfig,
-    build_training_data,
     class_probabilities,
     evaluate,
     predict,
@@ -77,18 +75,16 @@ def openblas_core():
 
 
 def prepared_toy(task="recommendation", **overrides):
+    """(config, the encoded (indices, labels) train, validation and test splits, the
+    vocabulary, the embedding table) of the toy fixture, built as `cli train` builds them."""
     config = toy_config(task=task)
     if overrides:
         config = TrainConfig(**{**config.as_dict(), **overrides})
-    prep = build_training_data(toy_reviews(), config)
-    emb = random_embeddings(len(prep.vocab), config.embedding_dim, SeededRng(config.seed + 1))
-    return config, prep, emb
-
-
-def toy_test_split(config, vocab):
-    """The toy fixture's test split, encoded as `evaluate` encodes it."""
-    (_, _, (tokens, labels)), _, _ = tokenized_splits(toy_reviews(), config)
-    return LabeledSplit(encode(tokens, vocab, config.seq_len), labels)
+    splits, _, _ = tokenized_splits(toy_reviews(), config)
+    vocab = build_vocab(splits[0][0], config.min_freq, config.vocab_size)
+    encoded = tuple((encode(tokens, vocab, config.seq_len), labels) for tokens, labels in splits)
+    emb = random_embeddings(len(vocab), config.embedding_dim, SeededRng(config.seed + 1))
+    return config, encoded, vocab, emb
 
 
 class TestTrainConfig:
@@ -123,28 +119,17 @@ class TestTrainConfig:
 
 
 def empty_split(seq_len):
-    return LabeledSplit(np.empty((0, seq_len), dtype=np.int64), np.empty(0, dtype=np.int64))
+    return np.empty((0, seq_len), dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
 class TestSplitTypes:
-    def test_indices_and_labels_shapes(self):
-        with pytest.raises(ValueError, match="indices must be 2-D"):
-            LabeledSplit(np.array([1, 2]), np.array([0, 1]))
-        with pytest.raises(ValueError, match="labels must be 1-D"):
-            LabeledSplit(np.array([[1, 2]]), np.array([[0]]))
-
-    def test_label_count_mismatch(self):
-        with pytest.raises(ValueError, match="labels"):
-            LabeledSplit(np.array([[1, 2]]), np.array([0, 1]))
-
     def test_out_of_range_label(self):
-        """Labels are range-checked against the config's classes at every batch."""
-        config, prep, emb = prepared_toy(epochs=1)
-        labels = prep.train.labels.copy()
+        """A label past the model's last class fails the first batch's loss."""
+        config, ((indices, labels), validation, _), _, emb = prepared_toy(epochs=1)
+        labels = labels.copy()
         labels[0] = 2
-        bad = replace(prep, train=LabeledSplit(prep.train.indices, labels))
-        with pytest.raises(ValueError, match="out of range"):
-            train(config, bad, emb)
+        with pytest.raises(IndexError, match="out of bounds"):
+            train(config, (indices, labels), validation, emb)
 
 
 class TestTaskLabels:
@@ -169,46 +154,46 @@ class TestTaskLabels:
 
 
 class TestBuildTrainingData:
+    """What `cli train` builds from the records before it trains."""
+
     def test_split_sizes(self):
-        config, prep, _ = prepared_toy()
-        assert len(prep.train) == 24
-        assert len(prep.validation) == 8
-        assert len(toy_test_split(config, prep.vocab)) == 8
+        _, splits, _, _ = prepared_toy()
+        assert [len(labels) for _, labels in splits] == [24, 8, 8]
 
-    def test_vocab_from_training_split_only(self):
-        """Tokens confined to validation/test rows never enter the vocabulary."""
-        _, prep, _ = prepared_toy()
-        config = toy_config()
-        records = toy_reviews()
-        from reviewlab.dataset import split_60_20_20
-
+    def test_vocab_from_training_split_only(self, tmp_path):
+        """Tokens confined to validation/test rows never enter the checkpoint's vocabulary."""
+        config, records = toy_config(epochs=0), toy_reviews()
+        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        write_csv(records, data)
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg)]) == 0
+        vocab = load_checkpoint(tmp_path / "runs" / "train-0001" / "model.ckpt").vocab
         train_rows, _, _ = split_60_20_20(records, config.seed)
         train_tokens = set()
         for i in train_rows:
             train_tokens.update(tokenize(records[i].review_text))
-        assert set(prep.vocab.tokens()) == train_tokens | {"<pad>", "<oov>"}
+        assert set(vocab.tokens()) == train_tokens | {"<pad>", "<oov>"}
 
     def test_dropped_records_counted(self):
         records = toy_reviews()
         records[0] = records[0]._replace(review_text=None)
-        config = toy_config()
-        prep = build_training_data(records, config)
-        assert prep.dropped == 1
-        (_, _, (test_tokens, _)), _, _ = tokenized_splits(records, config)
-        assert len(prep.train) + len(prep.validation) + len(test_tokens) == 39
+        splits, dropped, _ = tokenized_splits(records, toy_config())
+        assert dropped == 1
+        assert sum(len(labels) for _, labels in splits) == 39
 
     def test_sequences_padded_to_config_length(self):
-        config, prep, _ = prepared_toy()
-        for split in (prep.train, prep.validation, toy_test_split(config, prep.vocab)):
-            assert split.indices.shape == (len(split), config.seq_len)
-            assert split.indices.dtype == np.int64
-            assert split.labels.dtype == np.int64
+        config, splits, _, _ = prepared_toy()
+        for indices, labels in splits:
+            assert indices.shape == (len(labels), config.seq_len)
+            assert indices.dtype == np.int64
+            assert labels.dtype == np.int64
 
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
-        config, prep, emb = prepared_toy(epochs=0)
-        result = train(config, prep, emb)
+        config, splits, _, emb = prepared_toy(epochs=0)
+        result = train(config, *splits[:2], emb)
         assert result.history == ()
         init = BiLstmClassifier.build(
             config.cell_size, config.embedding_dim, config.n_classes,
@@ -221,17 +206,17 @@ class TestTrain:
         assert np.array_equal(result.embeddings, emb.astype(np.float32))
 
     def test_deterministic_history(self):
-        config, prep, emb = prepared_toy(epochs=3)
-        first = train(config, prep, emb)
-        second = train(config, prep, emb)
+        config, splits, _, emb = prepared_toy(epochs=3)
+        first = train(config, *splits[:2], emb)
+        second = train(config, *splits[:2], emb)
         assert first.history == second.history
         for (_, a), (_, b) in zip(first.model.param_blocks(), second.model.param_blocks()):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("task,dropout_rate", sorted(RECORDED_TOY_HISTORY))
     def test_history_matches_recorded_values(self, task, dropout_rate):
-        config, prep, emb = prepared_toy(task=task, epochs=3, dropout_rate=dropout_rate)
-        history = train(config, prep, emb).history
+        config, splits, _, emb = prepared_toy(task=task, epochs=3, dropout_rate=dropout_rate)
+        history = train(config, *splits[:2], emb).history
         got = [(h.train_loss, h.val_loss, h.val_acc) for h in history]
         want = RECORDED_TOY_HISTORY[task, dropout_rate]
         pinned = openblas_core() == RECORDED_HISTORY_CORE
@@ -248,18 +233,18 @@ class TestTrain:
             return grads, dx
 
         monkeypatch.setattr(reviewlab.training, "backward", poisoned)
-        config, prep, emb = prepared_toy(epochs=1)
+        config, splits, _, emb = prepared_toy(epochs=1)
         with pytest.raises(InputError, match=r"gradient norm nan at epoch 1, batch 1; "
                                              r"lower learning_rate \(now 0.001\)"):
-            train(config, prep, emb)
+            train(config, *splits[:2], emb)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_overflow_in_the_last_update_raises(self):
         """One batch per epoch: only the validation loss can see the overflowed weights."""
-        config, prep, emb = prepared_toy(epochs=1, batch_size=64, learning_rate=1e308)
+        config, splits, _, emb = prepared_toy(epochs=1, batch_size=64, learning_rate=1e308)
         with pytest.raises(InputError, match=r"non-finite validation loss nan at epoch 1, "
                                              r"after its last batch; lower learning_rate"):
-            train(config, prep, emb)
+            train(config, *splits[:2], emb)
 
     def test_every_training_array_is_float32(self, monkeypatch):
         """Caches, gradients, dx, Adam moments and the result are float32."""
@@ -279,14 +264,14 @@ class TestTrain:
             seen["grads"] = [*grads, dx]
             return grads, dx
 
-        def adam_step(params, grads, state, lr):
-            real["adam_step"](params, grads, state, lr)
-            seen["adam"] = [*params, *grads, *state.m, *state.v]
+        def adam_step(params, grads, moments, t, lr):
+            real["adam_step"](params, grads, moments, t, lr)
+            seen["adam"] = [*params, *grads, *(a for pair in moments for a in pair)]
 
         for name, fn in [("forward", forward), ("backward", backward), ("adam_step", adam_step)]:
             monkeypatch.setattr(reviewlab.training, name, fn)
-        config, prep, emb = prepared_toy(epochs=1, dropout_rate=0.5)
-        result = train(config, prep, emb)
+        config, splits, _, emb = prepared_toy(epochs=1, dropout_rate=0.5)
+        result = train(config, *splits[:2], emb)
         for key in ("cache", "grads", "adam"):
             assert {a.dtype for a in seen[key]} == {np.dtype(np.float32)}, key
         assert {p.dtype for p in seen["probs"]} == {np.dtype(np.float64)}
@@ -294,76 +279,83 @@ class TestTrain:
 
     def test_caller_embeddings_untouched(self):
         """Training fine-tunes a copy of the embedding table."""
-        config, prep, emb = prepared_toy(epochs=1)
+        config, splits, _, emb = prepared_toy(epochs=1)
         before = emb.copy()
-        result = train(config, prep, emb)
+        result = train(config, *splits[:2], emb)
         assert np.array_equal(emb, before)
         assert not np.array_equal(result.embeddings, before)
 
     def test_toy_fixture_converges(self):
         """Separable keyword reviews reach 95% training accuracy in 30 epochs."""
-        config, prep, emb = prepared_toy()
-        result = train(config, prep, emb)
-        report, _ = evaluate(result.model, result.embeddings, prep.train,
+        config, splits, _, emb = prepared_toy()
+        result = train(config, *splits[:2], emb)
+        report, _ = evaluate(result.model, result.embeddings, splits[0],
                              config.batch_size, config.class_names)
         assert report["accuracy"] >= 0.95
         first5 = [h.train_loss for h in result.history[:5]]
         assert all(a > b for a, b in zip(first5, first5[1:]))
 
     def test_history_rows_numbered_from_one(self):
-        config, prep, emb = prepared_toy(epochs=2)
-        result = train(config, prep, emb)
+        config, splits, _, emb = prepared_toy(epochs=2)
+        result = train(config, *splits[:2], emb)
         assert [h.epoch for h in result.history] == [1, 2]
 
     def test_padding_row_stays_zero(self):
-        config, prep, emb = prepared_toy(epochs=2)
-        result = train(config, prep, emb)
+        config, splits, _, emb = prepared_toy(epochs=2)
+        result = train(config, *splits[:2], emb)
         assert np.all(result.embeddings[PAD_INDEX] == 0.0)
 
     def test_empty_training_split_rejected(self):
-        config, prep, emb = prepared_toy()
+        config, splits, _, emb = prepared_toy()
         with pytest.raises(InputError, match="training split"):
-            train(config, replace(prep, train=empty_split(config.seq_len)), emb)
-
-    def test_embedding_dim_mismatch_rejected(self):
-        config, prep, _ = prepared_toy()
-        wrong = random_embeddings(60, config.embedding_dim + 1, SeededRng(0))
-        with pytest.raises(ValueError, match="embedding dim"):
-            train(config, prep, wrong)
+            train(config, empty_split(config.seq_len), splits[1], emb)
 
     def test_class_count_mismatch_rejected(self):
         """Three-class sentiment labels do not fit a two-class recommendation model."""
-        config, _, emb = prepared_toy()
-        _, sentiment, _ = prepared_toy(task="sentiment")
-        with pytest.raises(ValueError, match="out of range for 2 classes"):
-            train(config, sentiment, emb)
+        config, _, _, emb = prepared_toy()
+        _, sentiment, _, _ = prepared_toy(task="sentiment")
+        with pytest.raises(IndexError, match="out of bounds for axis 1 with size 2"):
+            train(config, *sentiment[:2], emb)
+
+    def test_adam_update_numbers_run_across_epochs(self, monkeypatch):
+        """Adam's bias correction counts updates from 1 over the whole run, not per epoch."""
+        numbers = []
+        real = reviewlab.training.adam_step
+
+        def adam_step(params, grads, moments, t, lr):
+            numbers.append(t)
+            real(params, grads, moments, t, lr)
+
+        monkeypatch.setattr(reviewlab.training, "adam_step", adam_step)
+        config, splits, _, emb = prepared_toy(epochs=3)
+        train(config, *splits[:2], emb)
+        assert numbers == list(range(1, 3 * 3 + 1))  # 24 rows in batches of 8
 
 
 class TestEvaluate:
     def test_report_totals_match_split(self):
-        config, prep, emb = prepared_toy(epochs=1)
-        result = train(config, prep, emb)
-        test = toy_test_split(config, prep.vocab)
-        report, probs = evaluate(result.model, result.embeddings, test,
+        config, splits, _, emb = prepared_toy(epochs=1)
+        result = train(config, *splits[:2], emb)
+        report, probs = evaluate(result.model, result.embeddings, splits[2],
                                  config.batch_size, config.class_names)
-        assert report["total"] == len(test)
-        assert probs.shape == (len(test), 2)
+        assert report["total"] == len(splits[2][1]) == 8
+        assert probs.shape == (8, 2)
         assert tuple(c["name"] for c in report["classes"]) == TASK_CLASSES["recommendation"]
 
     def test_batch_size_does_not_change_probabilities(self):
         """Within 1e-12 in float64.  In float32, GEMMs of other shapes round
         differently, so within 1e-6, about 8 machine epsilons (1.2e-7)."""
-        config, prep, emb = prepared_toy(epochs=1)
-        result = train(config, prep, emb)
-        test = toy_test_split(config, prep.vocab)
+        config, splits, _, emb = prepared_toy(epochs=1)
+        result = train(config, *splits[:2], emb)
+        test_indices = splits[2][0]
         for model, table, atol in [
             (BiLstmClassifier(*(a.astype(np.float64) for a in result.model)),
              result.embeddings.astype(np.float64), 1e-12),
             (result.model, result.embeddings, 1e-6),
         ]:
-            one = class_probabilities(model, table, test.indices, batch_size=1)
-            many = class_probabilities(model, table, test.indices, batch_size=5)
-            assert one.shape == (len(test), 2)
+            one = class_probabilities(model, table, test_indices, batch_size=1)
+            many = class_probabilities(model, table, test_indices, batch_size=5)
+            assert one.shape == (len(test_indices), 2)
             assert np.allclose(one, many, atol=atol, rtol=0.0)
 
     @given(rows=st.lists(st.lists(st.integers(1, 9), max_size=8), min_size=1, max_size=6),
@@ -381,8 +373,8 @@ class TestEvaluate:
             assert np.abs(got - alone[0]).max() <= 1e-12
 
     def test_empty_split_rejected(self):
-        config, prep, emb = prepared_toy(epochs=0)
-        result = train(config, prep, emb)
+        config, splits, _, emb = prepared_toy(epochs=0)
+        result = train(config, *splits[:2], emb)
         with pytest.raises(InputError, match="empty"):
             evaluate(result.model, result.embeddings, empty_split(config.seq_len),
                      config.batch_size, config.class_names)
@@ -390,16 +382,16 @@ class TestEvaluate:
 
 class TestPredict:
     def bundle(self):
-        config, prep, emb = prepared_toy(epochs=2)
-        result = train(config, prep, emb)
+        config, splits, vocab, emb = prepared_toy(epochs=2)
+        result = train(config, *splits[:2], emb)
         bundle = ModelBundle(
             task=config.task,
             seq_len=config.seq_len,
             seed=config.seed,
-            vocab=prep.vocab,
+            vocab=vocab,
             model=result.model,
             embeddings=result.embeddings,
-            data_sha256=prep.data_sha256,
+            data_sha256="",  # predict never reads the data fingerprint
         )
         return bundle
 
@@ -418,11 +410,10 @@ class TestPredict:
 
     def test_float32_model_gives_float64_probabilities(self):
         """Probabilities are float64 and sum to 1 within 1e-12, although the model is float32."""
-        config, prep, _ = prepared_toy()
+        _, splits, _, _ = prepared_toy()
         bundle = self.bundle()
         assert bundle.model.head_W.dtype == np.float32
-        test = toy_test_split(config, prep.vocab)
-        probs = class_probabilities(bundle.model, bundle.embeddings, test.indices, 3)
+        probs = class_probabilities(bundle.model, bundle.embeddings, splits[2][0], 3)
         assert probs.dtype == np.float64
         assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-12
         for text in ("bad skirt returned it", "good", "!!!"):
@@ -448,8 +439,8 @@ class TestPredict:
 class TestHistoryCsv:
     def test_header_and_rows(self, tmp_path):
         """`cli train` writes one row per epoch holding the exact EpochStats values."""
-        config, prep, emb = prepared_toy(epochs=2)
-        result = train(config, prep, emb)
+        config, splits, _, emb = prepared_toy(epochs=2)
+        result = train(config, *splits[:2], emb)
         data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
         write_csv(toy_reviews(), data)
         cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))

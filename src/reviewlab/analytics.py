@@ -85,12 +85,7 @@ class Table(NamedTuple):
 
 def _values(records, feature):
     """The feature's non-missing values, in record order."""
-    try:
-        accessor = FEATURE_ACCESSORS[feature]
-    except KeyError:
-        raise ValueError(f"unknown feature {feature!r}") from None
-    values = (accessor(r) for r in records)
-    return [v for v in values if v is not None]
+    return [v for v in map(FEATURE_ACCESSORS[feature], records) if v is not None]
 
 
 class DescriptiveStats(NamedTuple):
@@ -107,8 +102,6 @@ def describe(records, feature: str) -> DescriptiveStats:
 
     A single value has no sample variance; its std is reported as 0.
     """
-    if feature not in NUMERIC_FEATURES:
-        raise ValueError(f"feature {feature!r} is not numeric")
     values = _values(records, feature)
     if not values:
         raise InputError(f"no values present for feature {feature!r}")
@@ -146,11 +139,7 @@ def crosstab(records, row_feature: str, col_feature: str) -> tuple[Table, Table]
     feature are left out.  Each normalized row divides a row of counts
     by its sum.
     """
-    row_acc = FEATURE_ACCESSORS.get(row_feature)
-    col_acc = FEATURE_ACCESSORS.get(col_feature)
-    if row_acc is None or col_acc is None:
-        bad = row_feature if row_acc is None else col_feature
-        raise ValueError(f"unknown feature {bad!r}")
+    row_acc, col_acc = FEATURE_ACCESSORS[row_feature], FEATURE_ACCESSORS[col_feature]
     pairs = []
     for r in records:
         rv, cv = row_acc(r), col_acc(r)
@@ -170,8 +159,6 @@ def crosstab(records, row_feature: str, col_feature: str) -> tuple[Table, Table]
 
 def pearson(xs, ys) -> float | None:
     """Pearson correlation; None when either side has no variance."""
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         return None
     x = np.asarray(xs, dtype=np.float64)

@@ -214,28 +214,28 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     embeddings = _build_embeddings(cfg, vocab, config)
     train_split, validation = ((encode(tokens, vocab, config.seq_len), labels)
                                for tokens, labels in splits[:2])
-    result = train(config, train_split, validation, embeddings)
+    model, table, history = train(config, train_split, validation, embeddings)
     bundle = ModelBundle(
         task=config.task,
         seq_len=config.seq_len,
         seed=config.seed,
         vocab=vocab,
-        model=result.model,
-        embeddings=result.embeddings,
+        model=model,
+        embeddings=table,
         data_sha256=data_sha256,
     )
     save_checkpoint(bundle, run_dir / "model.ckpt")
-    _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, result.history))
+    _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, history))
     n_train, n_val, n_test = (len(labels) for _, labels in splits)
     summary = {
         "task": config.task,
         "dropped_records": dropped,
         "split_sizes": {"train": n_train, "validation": n_val, "test": n_test},
         "vocab_size": len(vocab),
-        "epochs_run": len(result.history),
+        "epochs_run": len(history),
     }
-    if result.history:
-        last = result.history[-1]
+    if history:
+        last = history[-1]
         summary["final_epoch"] = {
             "train_loss": last.train_loss,
             "val_loss": last.val_loss,

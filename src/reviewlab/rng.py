@@ -34,8 +34,6 @@ class SeededRng:
 
     def _outputs(self, n: int) -> np.ndarray:
         """The next n outputs in one numpy pass, a uint64 array."""
-        if n < 0:
-            raise ValueError("fill size must be >= 0")
         idx = np.arange(self._i + 1, self._i + n + 1, dtype=np.uint64)
         self._i += n
         with np.errstate(over="ignore"):
@@ -50,8 +48,6 @@ class SeededRng:
 
     def randrange(self, n: int) -> int:
         """Integer in [0, n).  Plain modulo; bias is negligible for n << 2^64."""
-        if n <= 0:
-            raise ValueError("randrange bound must be positive")
         return self.next_u64() % n
 
     def shuffle(self, items: list) -> None:
@@ -64,7 +60,5 @@ class SeededRng:
 
 def init_uniform(rows: int, cols: int, rng: SeededRng, scale: float) -> np.ndarray:
     """(rows, cols) i.i.d. uniform on [-scale, +scale], row-major from the stream."""
-    if scale < 0:
-        raise ValueError(f"scale must be >= 0, got {scale}")
     u = rng.fill(rows * cols)
     return (scale * (2.0 * u - 1.0)).reshape(rows, cols)

@@ -145,8 +145,7 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> np.ndarray:
         raise InputError(f"{path}: empty embeddings file")
     # One table-sized draw keeps the rows for absent tokens independent of
     # which tokens happen to be present in the file.
-    base = init_uniform(len(vocab), dim, rng, EMBEDDING_SCALE)
-    base[PAD_INDEX] = 0.0
+    base = random_embeddings(len(vocab), dim, rng)
     for idx, vec in found.items():
         base[idx] = vec
     return base
@@ -154,11 +153,4 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> np.ndarray:
 
 def embed_batch(index_matrix, table: np.ndarray) -> np.ndarray:
     """Batch lookup: (B, T) indices into a (vocab_size, dim) table -> (T, B, dim)."""
-    idx = np.asarray(index_matrix, dtype=np.int64)
-    if idx.ndim != 2:
-        raise ValueError(f"index matrix must be 2-D, got {idx.ndim}-D")
-    if idx.size and (idx.min() < 0 or idx.max() >= len(table)):
-        raise ValueError(
-            f"token index out of range for vocab size {len(table)}"
-        )
-    return table[idx.T]
+    return table[index_matrix.T]

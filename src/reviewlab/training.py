@@ -19,6 +19,10 @@ per-batch dropout masks. Single-threaded runs with the same config,
 data, and seed therefore reproduce losses bit-for-bit. The embedding
 table is fine-tuned alongside the recurrent weights; its padding row
 receives no gradient and stays zero.
+
+`batch_gradients` is one batch's step: the mean loss and the seven
+gradients, the table's last.  `train` loops it over shuffled batches,
+stops on a non-finite loss or gradient norm, then clips and steps Adam.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .textprep import PAD_INDEX, embed_batch, encode, tokenize
 __all__ = [
     "EpochStats",
     "TrainConfig",
-    "TrainResult",
+    "batch_gradients",
     "class_probabilities",
     "evaluate",
     "predict",
@@ -115,13 +119,6 @@ class EpochStats(NamedTuple):
     val_acc: float
 
 
-@dataclass(frozen=True)
-class TrainResult:
-    model: BiLstmClassifier
-    embeddings: np.ndarray
-    history: tuple
-
-
 def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.ndarray:
     """(N,) int64 class index per record: recommendation flag, or lexicon sentiment.
 
@@ -169,16 +166,35 @@ def class_probabilities(model: BiLstmClassifier, table: np.ndarray, indices: np.
     return out
 
 
-def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray) -> TrainResult:
+def batch_gradients(model: BiLstmClassifier, table: np.ndarray, idx: np.ndarray, targets,
+                    dropout_rate: float, rng: SeededRng):
+    """One training batch's mean loss and gradients: (loss, grads).
+
+    idx is the batch's (B, T) index matrix, cut here to its longest row,
+    and rng draws the dropout mask.  grads is the six param_blocks()
+    gradients followed by the table's, whose padding row is zero.
+    """
+    idx, lengths = _trimmed(idx)
+    probs, cache = forward(model, embed_batch(idx, table), lengths,
+                           dropout_rate=dropout_rate, rng=rng, training=True)
+    grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, targets))
+    dE = np.zeros_like(table)
+    np.add.at(dE, idx.T, dx)
+    dE[PAD_INDEX] = 0.0
+    return batch_cross_entropy(probs, targets), grads + [dE]
+
+
+def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray):
     """Mini-batch training with Adam and global-norm gradient clipping.
 
     train_split and validation are (indices, labels) pairs, and
     embeddings is a (vocab_size, config.embedding_dim) table.  The model
     and a copy of the table are trained in float32; losses and
-    probabilities are float64.  Returns the final-epoch model (no early
-    stopping) plus one EpochStats row per epoch.  A non-finite loss or
-    gradient norm raises InputError naming the epoch, the batch and
-    learning_rate, rather than letting a diverged run continue silently.
+    probabilities are float64.  Returns (the final-epoch model (no early
+    stopping), the trained table, one EpochStats row per epoch).  A
+    non-finite loss or gradient norm raises InputError naming the epoch,
+    the batch and learning_rate, rather than letting a diverged run
+    continue silently.
     """
     (idx_all, labels_all), (val_idx, val_labels) = train_split, validation
     if len(labels_all) == 0:
@@ -200,27 +216,6 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray) 
         return InputError(f"training diverged: non-finite {what} {value!r} at {where}; "
                           f"lower learning_rate (now {config.learning_rate!r})")
 
-    def step(batch, where: str) -> float:
-        # One update. The BPTT cache and gradients are locals, so they are
-        # freed before the next batch's forward pass allocates its own.
-        (idx, lengths), targets = _trimmed(idx_all[batch]), labels_all[batch]
-        probs, cache = forward(
-            model, embed_batch(idx, table), lengths, dropout_rate=config.dropout_rate,
-            rng=rng, training=True,
-        )
-        loss = batch_cross_entropy(probs, targets)
-        if not math.isfinite(loss):
-            raise diverged("training loss", loss, where)
-        grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, targets))
-        dE = np.zeros_like(table)
-        np.add.at(dE, idx.T, dx)
-        dE[PAD_INDEX] = 0.0
-        clipped, norm = clip_by_global_norm(grads + [dE], config.grad_clip)
-        if not math.isfinite(norm):
-            raise diverged("gradient norm", norm, where)
-        adam_step(params, clipped, moments, next(updates), config.learning_rate)
-        return loss
-
     n = len(labels_all)
     history = []
     for epoch in range(1, config.epochs + 1):
@@ -229,7 +224,16 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray) 
         epoch_loss = 0.0
         for number, start in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[start:start + config.batch_size]
-            epoch_loss += step(batch, f"epoch {epoch}, batch {number}") * len(batch)
+            loss, grads = batch_gradients(model, table, idx_all[batch], labels_all[batch],
+                                          config.dropout_rate, rng)
+            if not math.isfinite(loss):
+                raise diverged("training loss", loss, f"epoch {epoch}, batch {number}")
+            clipped, norm = clip_by_global_norm(grads, config.grad_clip)
+            if not math.isfinite(norm):
+                raise diverged("gradient norm", norm, f"epoch {epoch}, batch {number}")
+            adam_step(params, clipped, moments, next(updates), config.learning_rate)
+            del grads, clipped  # freed before the next batch's forward pass allocates
+            epoch_loss += loss * len(batch)
         val_probs = class_probabilities(model, table, val_idx, config.batch_size)
         val_loss = batch_cross_entropy(val_probs, val_labels)
         if not math.isfinite(val_loss):  # the epoch's last update overflowed
@@ -242,12 +246,14 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray) 
                 val_acc=float(np.mean(val_probs.argmax(axis=1) == val_labels)),
             )
         )
+    return model, table, tuple(history)
 
-    return TrainResult(
-        model=model,
-        embeddings=table,
-        history=tuple(history),
-    )
+
+def _finite(probs: np.ndarray) -> np.ndarray:
+    """probs, if every one is finite: a checkpoint's finite weights can still overflow."""
+    if not np.isfinite(probs).all():
+        raise InputError("the model's probabilities are not finite: its weights overflow")
+    return probs
 
 
 def evaluate(model, embeddings: np.ndarray, split,
@@ -257,7 +263,7 @@ def evaluate(model, embeddings: np.ndarray, split,
     indices, labels = split
     if len(labels) == 0:
         raise InputError("evaluation split is empty")
-    probs = class_probabilities(model, embeddings, indices, batch_size)
+    probs = _finite(class_probabilities(model, embeddings, indices, batch_size))
     confusion = confusion_matrix(labels, probs.argmax(axis=1), len(class_names))
     report = build_report(confusion, class_names, batch_cross_entropy(probs, labels))
     return report, probs
@@ -271,10 +277,10 @@ def predict(bundle: ModelBundle, text: str) -> dict:
     (an all-padding sequence) but flagged as empty input.
     """
     tokens = tokenize(text)[:bundle.seq_len]
-    probs = class_probabilities(
+    probs = _finite(class_probabilities(
         bundle.model, bundle.embeddings,
         encode([tokens], bundle.vocab, max(1, len(tokens))), batch_size=1,
-    )[0].tolist()
+    ))[0].tolist()
     label_index = int(np.argmax(probs))
     return {
         "label": bundle.class_names[label_index],

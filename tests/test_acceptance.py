@@ -54,15 +54,15 @@ REFERENCE_THREE_CLASS_SUPPORTS = (289, 22, 4215)
 
 def _train_and_score(records, config, scored: int):
     """Train as `cli train` does, then evaluate on split `scored` (0 train, 1 validation,
-    2 test); the records are tokenized once.  Returns (TrainResult, metrics report)."""
+    2 test); the records are tokenized once.  Returns (train's (model, table, history), metrics report)."""
     splits, _, _ = tokenized_splits(records, config)
     vocab = build_vocab(splits[0][0], config.min_freq, config.vocab_size)
     encoded = [(encode(tokens, vocab, config.seq_len), labels) for tokens, labels in splits]
     emb = random_embeddings(len(vocab), config.embedding_dim, SeededRng(config.seed + 1))
-    result = train(config, *encoded[:2], emb)
-    report, _ = evaluate(result.model, result.embeddings, encoded[scored],
+    model, table, history = train(config, *encoded[:2], emb)
+    report, _ = evaluate(model, table, encoded[scored],
                          config.batch_size, config.class_names)
-    return result, report
+    return (model, table, history), report
 
 
 def _report(criterion: int, status: str, detail: str, capsys) -> None:
@@ -189,8 +189,8 @@ class TestAcceptance:
     def test_4_desk_scale_training(self, capsys):
         """The 40-review keyword fixture trains to 95% accuracy in 30 epochs."""
         start = time.monotonic()
-        result, report = _train_and_score(toy_reviews(), toy_config(), scored=0)
-        first5 = [h.train_loss for h in result.history[:5]]
+        (_, _, history), report = _train_and_score(toy_reviews(), toy_config(), scored=0)
+        first5 = [h.train_loss for h in history[:5]]
         decreasing = all(a > b for a, b in zip(first5, first5[1:]))
         elapsed = time.monotonic() - start
         ok = report["accuracy"] >= 0.95 and decreasing and elapsed < 60.0

@@ -60,6 +60,12 @@ def test_traced_train_and_evaluate_report_every_layer(tmp_path, monkeypatch):
     assert layers["nn.lstm_forward_ms_per_dir"] > 0
     assert layers["nn.backward_ms_per_batch"] > 0
     assert layers["training.eval_rows_per_test_row"] == 1.0
+    # The training.train span holds every update, each of which clips and steps once.
+    assert layers["training.train_self_s"] > 0
+    updates = len(tracer.under("nn.backward"))
+    assert updates > 0
+    for name in ("nn.clip", "nn.adam"):
+        assert len(tracer.under(name, ancestor="training.train")) == updates, name
 
     # Each batch runs both directions once, in order, after embedding it.
     steps = [s.attrs["steps"] for s in tracer.under("nn.lstm_forward")]

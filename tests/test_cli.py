@@ -6,6 +6,7 @@ import os
 import pkgutil
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ import pytest
 
 import reviewlab
 from reviewlab.analytics import full_report
-from reviewlab.checkpoint import MAGIC, load_checkpoint
+from reviewlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import parse_csv, write_csv
+from reviewlab.nn import BiLstmClassifier
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import TrainConfig
@@ -317,6 +319,29 @@ class TestEvaluate:
                      "--out", str(tmp_path / "runs"),
                      "--checkpoint", str(tmp_path / "absent.ckpt")])
         assert code == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_overflowing_checkpoint_exits_two(tmp_path, data_csv, toy_cfg_file, capsys, command):
+    """Finite weights whose logits overflow float32 are an input error, not NaN output."""
+    ckpt = train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt"
+    bundle = load_checkpoint(ckpt)
+    fwd_W, fwd_b, bwd_W, bwd_b, head_W, head_b = bundle.model
+    H = bundle.model.cell_size
+    # Saturated i, C~ and o gates (rows H:4H) make every feature of a row with
+    # a token about tanh(1) > 0, so each logit sums 2H terms near 2.3e38.
+    fwd_b, bwd_b = fwd_b.copy(), bwd_b.copy()
+    fwd_b[H:] = bwd_b[H:] = 30.0
+    model = BiLstmClassifier(fwd_W, fwd_b, bwd_W, bwd_b,
+                             np.full_like(head_W, 3e38), np.full_like(head_b, 3e38))
+    save_checkpoint(replace(bundle, model=model), ckpt)
+    out = tmp_path / "overflow"
+    inputs = {"evaluate": ["--data", str(data_csv), "--config", str(toy_cfg_file)],
+              "predict": ["--text", "love this dress"]}[command]
+    assert main([command, "--out", str(out), "--checkpoint", str(ckpt), *inputs]) == 2
+    assert "probabilities are not finite" in capsys.readouterr().err
+    assert not (out / f"{command}-0001").exists()
 
 
 class TestOneTokenizationPerCommand:

@@ -464,8 +464,6 @@ class TestSeededRng:
         draws = [rng.randrange(7) for _ in range(200)]
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
-        with pytest.raises(ValueError):
-            rng.randrange(0)
 
     @given(st.integers(0, 2**64 - 1), st.integers(0, 50), st.integers(1, 50))
     @settings(max_examples=30, deadline=None)
@@ -495,10 +493,6 @@ class TestInitUniform:
     def test_scale_zero_gives_zeros(self):
         t = init_uniform(2, 3, SeededRng(8), 0.0)
         assert np.array_equal(t, np.zeros((2, 3)))
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError, match="scale"):
-            init_uniform(2, 2, SeededRng(1), -0.1)
 
     def test_mean_near_zero(self):
         t = init_uniform(100, 100, SeededRng(17), 1.0)

@@ -18,8 +18,11 @@ from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
 from reviewlab.textprep import PAD_INDEX, build_vocab, encode, random_embeddings, tokenize
 from reviewlab.toydata import toy_config, toy_reviews
+
+from gradcheck import grad_check
 from reviewlab.training import (
     TrainConfig,
+    batch_gradients,
     class_probabilities,
     evaluate,
     predict,
@@ -190,33 +193,90 @@ class TestBuildTrainingData:
             assert labels.dtype == np.int64
 
 
+class TrainingStep:
+    """A model and its embedding table as the seven blocks batch_gradients differentiates."""
+
+    def __init__(self, model, table):
+        self.model, self.table = model, table
+
+    def param_blocks(self):
+        return [*self.model.param_blocks(), ("embeddings", self.table)]
+
+    @staticmethod
+    def loss_and_grads(step, instance):
+        # A fresh rng per call draws the same dropout mask every time.
+        idx, targets, dropout_rate = instance
+        return batch_gradients(step.model, step.table, idx, targets, dropout_rate, SeededRng(7))
+
+    @staticmethod
+    def loss(step, instance):
+        return TrainingStep.loss_and_grads(step, instance)[0]
+
+
+class TestBatchGradients:
+    # V=7: 0 pad, 1 OOV, 2..6 tokens.  Token 2 repeats within and across rows,
+    # row 2 is all padding, and the last column is padding in every row.
+    IDX = np.array([[2, 3, 2, 1, 0, 0],
+                    [4, 5, 6, 2, 3, 0],
+                    [0, 0, 0, 0, 0, 0],
+                    [1, 6, 2, 0, 0, 0]])
+    TARGETS = np.array([0, 2, 1, 2])
+
+    @pytest.mark.parametrize("dropout_rate", [0.0, 0.5])
+    def test_every_block_matches_central_differences(self, dropout_rate):
+        """float64, table included, through the step train takes."""
+        step = TrainingStep(BiLstmClassifier.build(3, 4, 3, SeededRng(11)),
+                            random_embeddings(7, 4, SeededRng(12)))
+        instance = (self.IDX, self.TARGETS, dropout_rate)
+        report = grad_check(step, instance, epsilon=1e-4, tolerance=1e-5,
+                            loss=TrainingStep.loss, loss_and_grads=TrainingStep.loss_and_grads)
+        assert report.passed, report.per_block
+        assert list(report.per_block) == [name for name, _ in step.param_blocks()]
+        _, grads = TrainingStep.loss_and_grads(step, instance)
+        assert [g.shape for g in grads] == [p.shape for _, p in step.param_blocks()]
+        assert np.all(grads[-1][PAD_INDEX] == 0.0)
+
+    def test_clip_sees_all_seven_blocks(self, monkeypatch):
+        sizes = []
+        real = reviewlab.training.clip_by_global_norm
+
+        def clip_by_global_norm(grads, max_norm):
+            sizes.append(len(grads))
+            return real(grads, max_norm)
+
+        monkeypatch.setattr(reviewlab.training, "clip_by_global_norm", clip_by_global_norm)
+        config, splits, _, emb = prepared_toy(epochs=1)
+        train(config, *splits[:2], emb)
+        assert sizes == [7, 7, 7]  # 24 rows in batches of 8
+
+
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         config, splits, _, emb = prepared_toy(epochs=0)
-        result = train(config, *splits[:2], emb)
-        assert result.history == ()
+        model, table, history = train(config, *splits[:2], emb)
+        assert history == ()
         init = BiLstmClassifier.build(
             config.cell_size, config.embedding_dim, config.n_classes,
             SeededRng(config.seed),
         )
-        for (_, got), (_, want) in zip(result.model.param_blocks(), init.param_blocks()):
+        for (_, got), (_, want) in zip(model.param_blocks(), init.param_blocks()):
             assert got.dtype == np.float32
             assert np.array_equal(got, want.astype(np.float32))
-        assert result.embeddings.dtype == np.float32
-        assert np.array_equal(result.embeddings, emb.astype(np.float32))
+        assert table.dtype == np.float32
+        assert np.array_equal(table, emb.astype(np.float32))
 
     def test_deterministic_history(self):
         config, splits, _, emb = prepared_toy(epochs=3)
-        first = train(config, *splits[:2], emb)
-        second = train(config, *splits[:2], emb)
-        assert first.history == second.history
-        for (_, a), (_, b) in zip(first.model.param_blocks(), second.model.param_blocks()):
+        first, _, first_history = train(config, *splits[:2], emb)
+        second, _, second_history = train(config, *splits[:2], emb)
+        assert first_history == second_history
+        for (_, a), (_, b) in zip(first.param_blocks(), second.param_blocks()):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("task,dropout_rate", sorted(RECORDED_TOY_HISTORY))
     def test_history_matches_recorded_values(self, task, dropout_rate):
         config, splits, _, emb = prepared_toy(task=task, epochs=3, dropout_rate=dropout_rate)
-        history = train(config, *splits[:2], emb).history
+        _, _, history = train(config, *splits[:2], emb)
         got = [(h.train_loss, h.val_loss, h.val_acc) for h in history]
         want = RECORDED_TOY_HISTORY[task, dropout_rate]
         pinned = openblas_core() == RECORDED_HISTORY_CORE
@@ -236,6 +296,20 @@ class TestTrain:
         config, splits, _, emb = prepared_toy(epochs=1)
         with pytest.raises(InputError, match=r"gradient norm nan at epoch 1, batch 1; "
                                              r"lower learning_rate \(now 0.001\)"):
+            train(config, *splits[:2], emb)
+
+    def test_non_finite_training_loss_raises(self, monkeypatch):
+        """NaN probabilities stop training at the batch's loss, before its update."""
+        real_forward = reviewlab.training.forward
+
+        def poisoned(*args, **kwargs):
+            probs, cache = real_forward(*args, **kwargs)
+            return np.full_like(probs, np.nan), cache
+
+        monkeypatch.setattr(reviewlab.training, "forward", poisoned)
+        config, splits, _, emb = prepared_toy(epochs=1)
+        with pytest.raises(InputError, match=r"non-finite training loss nan at epoch 1, "
+                                             r"batch 1; lower learning_rate"):
             train(config, *splits[:2], emb)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
@@ -271,39 +345,39 @@ class TestTrain:
         for name, fn in [("forward", forward), ("backward", backward), ("adam_step", adam_step)]:
             monkeypatch.setattr(reviewlab.training, name, fn)
         config, splits, _, emb = prepared_toy(epochs=1, dropout_rate=0.5)
-        result = train(config, *splits[:2], emb)
+        model, table, _ = train(config, *splits[:2], emb)
         for key in ("cache", "grads", "adam"):
             assert {a.dtype for a in seen[key]} == {np.dtype(np.float32)}, key
         assert {p.dtype for p in seen["probs"]} == {np.dtype(np.float64)}
-        assert [a.dtype for a in (*result.model, result.embeddings)] == [np.float32] * 7
+        assert [a.dtype for a in (*model, table)] == [np.float32] * 7
 
     def test_caller_embeddings_untouched(self):
         """Training fine-tunes a copy of the embedding table."""
         config, splits, _, emb = prepared_toy(epochs=1)
         before = emb.copy()
-        result = train(config, *splits[:2], emb)
+        _, table, _ = train(config, *splits[:2], emb)
         assert np.array_equal(emb, before)
-        assert not np.array_equal(result.embeddings, before)
+        assert not np.array_equal(table, before)
 
     def test_toy_fixture_converges(self):
         """Separable keyword reviews reach 95% training accuracy in 30 epochs."""
         config, splits, _, emb = prepared_toy()
-        result = train(config, *splits[:2], emb)
-        report, _ = evaluate(result.model, result.embeddings, splits[0],
+        model, table, history = train(config, *splits[:2], emb)
+        report, _ = evaluate(model, table, splits[0],
                              config.batch_size, config.class_names)
         assert report["accuracy"] >= 0.95
-        first5 = [h.train_loss for h in result.history[:5]]
+        first5 = [h.train_loss for h in history[:5]]
         assert all(a > b for a, b in zip(first5, first5[1:]))
 
     def test_history_rows_numbered_from_one(self):
         config, splits, _, emb = prepared_toy(epochs=2)
-        result = train(config, *splits[:2], emb)
-        assert [h.epoch for h in result.history] == [1, 2]
+        _, _, history = train(config, *splits[:2], emb)
+        assert [h.epoch for h in history] == [1, 2]
 
     def test_padding_row_stays_zero(self):
         config, splits, _, emb = prepared_toy(epochs=2)
-        result = train(config, *splits[:2], emb)
-        assert np.all(result.embeddings[PAD_INDEX] == 0.0)
+        _, table, _ = train(config, *splits[:2], emb)
+        assert np.all(table[PAD_INDEX] == 0.0)
 
     def test_empty_training_split_rejected(self):
         config, splits, _, emb = prepared_toy()
@@ -335,8 +409,8 @@ class TestTrain:
 class TestEvaluate:
     def test_report_totals_match_split(self):
         config, splits, _, emb = prepared_toy(epochs=1)
-        result = train(config, *splits[:2], emb)
-        report, probs = evaluate(result.model, result.embeddings, splits[2],
+        model, table, _ = train(config, *splits[:2], emb)
+        report, probs = evaluate(model, table, splits[2],
                                  config.batch_size, config.class_names)
         assert report["total"] == len(splits[2][1]) == 8
         assert probs.shape == (8, 2)
@@ -346,15 +420,15 @@ class TestEvaluate:
         """Within 1e-12 in float64.  In float32, GEMMs of other shapes round
         differently, so within 1e-6, about 8 machine epsilons (1.2e-7)."""
         config, splits, _, emb = prepared_toy(epochs=1)
-        result = train(config, *splits[:2], emb)
+        model, table, _ = train(config, *splits[:2], emb)
         test_indices = splits[2][0]
-        for model, table, atol in [
-            (BiLstmClassifier(*(a.astype(np.float64) for a in result.model)),
-             result.embeddings.astype(np.float64), 1e-12),
-            (result.model, result.embeddings, 1e-6),
+        for net, weights, atol in [
+            (BiLstmClassifier(*(a.astype(np.float64) for a in model)),
+             table.astype(np.float64), 1e-12),
+            (model, table, 1e-6),
         ]:
-            one = class_probabilities(model, table, test_indices, batch_size=1)
-            many = class_probabilities(model, table, test_indices, batch_size=5)
+            one = class_probabilities(net, weights, test_indices, batch_size=1)
+            many = class_probabilities(net, weights, test_indices, batch_size=5)
             assert one.shape == (len(test_indices), 2)
             assert np.allclose(one, many, atol=atol, rtol=0.0)
 
@@ -374,23 +448,23 @@ class TestEvaluate:
 
     def test_empty_split_rejected(self):
         config, splits, _, emb = prepared_toy(epochs=0)
-        result = train(config, *splits[:2], emb)
+        model, table, _ = train(config, *splits[:2], emb)
         with pytest.raises(InputError, match="empty"):
-            evaluate(result.model, result.embeddings, empty_split(config.seq_len),
+            evaluate(model, table, empty_split(config.seq_len),
                      config.batch_size, config.class_names)
 
 
 class TestPredict:
     def bundle(self):
         config, splits, vocab, emb = prepared_toy(epochs=2)
-        result = train(config, *splits[:2], emb)
+        model, table, _ = train(config, *splits[:2], emb)
         bundle = ModelBundle(
             task=config.task,
             seq_len=config.seq_len,
             seed=config.seed,
             vocab=vocab,
-            model=result.model,
-            embeddings=result.embeddings,
+            model=model,
+            embeddings=table,
             data_sha256="",  # predict never reads the data fingerprint
         )
         return bundle
@@ -440,7 +514,7 @@ class TestHistoryCsv:
     def test_header_and_rows(self, tmp_path):
         """`cli train` writes one row per epoch holding the exact EpochStats values."""
         config, splits, _, emb = prepared_toy(epochs=2)
-        result = train(config, *splits[:2], emb)
+        _, _, history = train(config, *splits[:2], emb)
         data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
         write_csv(toy_reviews(), data)
         cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
@@ -451,5 +525,5 @@ class TestHistoryCsv:
         assert len(lines) == 3
         cells = lines[1].split(",")
         assert int(cells[0]) == 1
-        assert float(cells[1]) == result.history[0].train_loss
-        assert lines[1:] == [",".join(map(str, row)) for row in result.history]
+        assert float(cells[1]) == history[0].train_loss
+        assert lines[1:] == [",".join(map(str, row)) for row in history]

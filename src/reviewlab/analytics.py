@@ -18,25 +18,18 @@ import heapq
 import math
 import re
 from collections import Counter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
+from .dataset import REQUIRED_COLUMNS
 from .errors import InputError
 from .textprep import tokenize
 
-FEATURE_ACCESSORS = {
-    "Clothing ID": lambda r: r.clothing_id,
-    "Age": lambda r: r.age,
-    "Title": lambda r: r.title,
-    "Review Text": lambda r: r.review_text,
-    "Rating": lambda r: r.rating,
-    "Recommended IND": lambda r: int(r.recommended),
-    "Positive Feedback Count": lambda r: r.positive_feedback_count,
-    "Division Name": lambda r: r.division,
-    "Department Name": lambda r: r.department,
-    "Class Name": lambda r: r.class_name,
-}
+# ReviewRecord's fields are row_id, then REQUIRED_COLUMNS in order.
+FEATURE_ACCESSORS = {name: itemgetter(i) for i, name in enumerate(REQUIRED_COLUMNS, start=1)}
+FEATURE_ACCESSORS["Recommended IND"] = lambda r: int(r.recommended)
 
 NUMERIC_FEATURES = (
     "Clothing ID",

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import InputError
 from .nn import BiLstmClassifier, block_shapes
 from .sentiment import SENTIMENT_CLASSES
-from .textprep import PAD_INDEX, Vocab
+from .textprep import PAD_INDEX, vocab_index
 
 __all__ = ["MAGIC", "TASK_CLASSES", "ModelBundle", "load_checkpoint", "save_checkpoint"]
 
@@ -54,7 +54,7 @@ class ModelBundle:
     task: str
     seq_len: int
     seed: int
-    vocab: Vocab
+    vocab: dict  # token -> index, in index order (`textprep.vocab_index`)
     model: BiLstmClassifier
     embeddings: np.ndarray  # (len(vocab), D); the PAD_INDEX row is zero
     data_sha256: str
@@ -66,7 +66,7 @@ class ModelBundle:
 
 def save_checkpoint(bundle: ModelBundle, path) -> None:
     """Write the bundle to `path`; a word the vocabulary line cannot hold raises ValueError."""
-    words = bundle.vocab.tokens()[2:]
+    words = list(bundle.vocab)[2:]
     if bad := [w for w in words if w.split() != [w]]:
         raise ValueError(f"vocabulary word {bad[0]!r} is empty or holds whitespace")
     meta = {
@@ -138,7 +138,7 @@ def load_checkpoint(path) -> ModelBundle:
                     f"{what}, got {meta.get(field)!r:.60}"
                 )
         try:  # a line cut short leaves no payload, which the size check refuses
-            vocab = Vocab(fh.readline().decode("utf-8").split())
+            vocab = vocab_index(fh.readline().decode("utf-8").split())
         except ValueError as exc:  # UnicodeDecodeError included
             raise InputError(f"{path}: bad checkpoint vocabulary line: {exc}") from exc
 

@@ -33,6 +33,7 @@ import os
 import shutil
 import sys
 import traceback
+from collections import Counter
 from pathlib import Path
 
 from .analytics import Table, full_report
@@ -181,11 +182,12 @@ def _cmd_analyze(cfg: dict, provided: set, run_dir: Path) -> None:
 
 def _cmd_label(cfg: dict, provided: set, run_dir: Path) -> None:
     records = _parse_records(cfg, "label", run_dir)
-    labels, counts = auto_label_dataset(records, _load_lexicon(cfg))
+    labels = auto_label_dataset(records, _load_lexicon(cfg))
     write_csv(records, run_dir / "labeled.csv", sentiment=labels)
+    counts = Counter(zip((r.recommended for r in records), labels))
     _write_table_csv(run_dir / "sentiment_by_recommendation.csv", Table(
         ("recommended", *SENTIMENT_CLASSES),
-        tuple((int(state), *(counts.get((state, label), 0) for label in SENTIMENT_CLASSES))
+        tuple((int(state), *(counts[state, label] for label in SENTIMENT_CLASSES))
               for state in (False, True)),
     ))
     print(f"labeled {len(records)} rows into {run_dir}")

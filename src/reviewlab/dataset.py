@@ -3,7 +3,8 @@
 The input is an RFC-4180 CSV with a header row carrying the ten review
 columns (a leading unnamed index column is tolerated, as shipped in the
 public file).  Rows whose mandatory fields fail validation are collected
-as issues with their line numbers, never silently dropped or repaired.
+as issues, each the `line N: message` string `issues.txt` holds, never
+silently dropped or repaired.
 Optional text fields keep their exact contents so a parse -> write ->
 parse cycle reproduces every record bit-for-bit; empty strings are read
 back as absent values.
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import InputError, input_lines
@@ -48,6 +48,8 @@ _TEXT_COLUMNS = ("Title", "Review Text", "Division Name", "Department Name", "Cl
 
 
 class ReviewRecord(NamedTuple):
+    """One valid row: row_id, then one field per REQUIRED_COLUMNS entry, in that order."""
+
     row_id: int
     clothing_id: int
     age: int
@@ -61,23 +63,18 @@ class ReviewRecord(NamedTuple):
     class_name: str | None
 
 
-@dataclass(frozen=True)
-class RowIssue:
-    line: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"line {self.line}: {self.message}"
+_RECOMMENDED = ReviewRecord._fields.index("recommended")
 
 
 def parse_csv(path):
     """Read records and per-row issues from a review CSV.
 
-    Returns (records, issues).  A missing required header column raises
-    an InputError naming every absent column.
+    Returns (records, issues), each issue a `line N: message` string.  A
+    missing required header column raises an InputError naming every
+    absent column.
     """
     records: list[ReviewRecord] = []
-    issues: list[RowIssue] = []
+    issues: list[str] = []
     reader = csv.reader(input_lines(path, newline=""))
     try:
         header = next(reader)
@@ -96,9 +93,7 @@ def parse_csv(path):
     for ordinal, row in enumerate(reader):
         line = reader.line_num
         if len(row) != width:
-            issues.append(
-                RowIssue(line, f"expected {width} fields, got {len(row)}")
-            )
+            issues.append(f"line {line}: expected {width} fields, got {len(row)}")
             continue
 
         problems: list[str] = []
@@ -121,7 +116,7 @@ def parse_csv(path):
             values.append(value)
 
         if problems:
-            issues.append(RowIssue(line, "; ".join(problems)))
+            issues.append(f"line {line}: {'; '.join(problems)}")
             continue
 
         clothing_id, age, rating, recommended, feedback = values
@@ -138,10 +133,6 @@ def write_csv(records, path, sentiment=None) -> None:
     The leading unnamed index column carries row_id, matching the public
     file's shape, so written files re-parse to identical records.
     """
-    if sentiment is not None and len(sentiment) != len(records):
-        raise ValueError(
-            f"sentiment column length {len(sentiment)} does not match {len(records)} records"
-        )
     header = ["", *REQUIRED_COLUMNS]
     if sentiment is not None:
         header.append("Sentiment")
@@ -149,19 +140,8 @@ def write_csv(records, path, sentiment=None) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for pos, r in enumerate(records):
-            row = [
-                r.row_id,
-                r.clothing_id,
-                r.age,
-                r.title if r.title is not None else "",
-                r.review_text if r.review_text is not None else "",
-                r.rating,
-                int(r.recommended),
-                r.positive_feedback_count,
-                r.division if r.division is not None else "",
-                r.department if r.department is not None else "",
-                r.class_name if r.class_name is not None else "",
-            ]
+            row = ["" if v is None else v for v in r]
+            row[_RECOMMENDED] = int(r.recommended)  # a bool, which csv writes as True/False
             if sentiment is not None:
                 row.append(sentiment[pos])
             writer.writerow(row)

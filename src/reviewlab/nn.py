@@ -312,7 +312,8 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths: np.ndarray, *,
         mask = dropout_mask(features.shape[1], features.shape[0], dropout_rate, rng,
                             features.dtype).T
         dropped = features * mask
-    probs = softmax(dropped @ model.head_W.T + model.head_b)
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller judges non-finite probs
+        probs = softmax(dropped @ model.head_W.T + model.head_b)
     return probs, ClassifierCache(fwd=fwd, bwd=bwd, features=features, mask=mask,
                                   order=order, lengths=L)
 
@@ -361,7 +362,7 @@ def adam_step(params, grads, moments, t: int, lr: float) -> None:
 def clip_by_global_norm(grads, max_norm: float):
     """Scale all gradients down together if their joint norm exceeds max_norm."""
     norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if norm <= max_norm or norm == 0.0:
+    if norm <= max_norm:
         return list(grads), norm
     scale = max_norm / norm
     return [g * scale for g in grads], norm

@@ -6,7 +6,9 @@ by -0.74, and a booster immediately before the token shifts it further
 from zero (or toward zero for dampeners) in the direction of its
 post-negation sign.  The summed valence s is squashed to a compound score
 s / sqrt(s^2 + 15) in (-1, 1), and fixed thresholds at +/-0.05 cut the
-compound into negative / neutral / positive labels.
+compound into negative / neutral / positive labels.  `auto_label_dataset`
+returns one label per record and nothing else; the `label` command
+counts them per recommendation state where it writes that table.
 
 The constants (factor -0.74, window 3, alpha 15, thresholds 0.05) are
 reproduction constants for the analyzer family this mirrors; all are
@@ -151,21 +153,9 @@ def score_text(tokens, lexicon: dict) -> SentimentScore:
     return SentimentScore(compound=compound, label=label_from_compound(compound))
 
 
-def auto_label_dataset(records, lexicon: dict):
-    """Label each record's review text; count (recommended, label) pairs.
-
-    Records need `review_text` and `recommended` attributes.  Returns
-    (labels in record order, counts keyed by (recommended, label)).
-    """
-    labels = []
-    counts: dict = {}
-    for record in records:
-        text = record.review_text or ""
-        score = score_text(tokenize(text), lexicon)
-        labels.append(score.label)
-        key = (record.recommended, score.label)
-        counts[key] = counts.get(key, 0) + 1
-    return labels, counts
+def auto_label_dataset(records, lexicon: dict) -> list[str]:
+    """Each record's label, in record order; a record without review text scores as ""."""
+    return [score_text(tokenize(r.review_text or ""), lexicon).label for r in records]
 
 
 def load_lexicon(path) -> dict:

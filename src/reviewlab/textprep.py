@@ -6,9 +6,10 @@ and non-ASCII letters included, separates tokens.  Apostrophes are kept
 so contractions like "don't" reach the sentiment lexicon as single
 tokens.
 
-Index 0 of every vocabulary is the padding token and index 1 is the
-out-of-vocabulary token; a trained model's vocabulary is saved inside
-its checkpoint.  `encode` turns N token lists into one (N, seq_len)
+A vocabulary is a plain token -> index dict in index order: index 0 is
+the padding token, index 1 the out-of-vocabulary token, and a token
+the dict lacks maps to index 1; a trained model's vocabulary is saved
+inside its checkpoint.  `encode` turns N token lists into one (N, seq_len)
 int64 index matrix: each row holds its review's first seq_len tokens,
 post-padded with index 0.  No real token maps to index 0, so the model
 counts a row's non-pad indices as its length and steps over those
@@ -50,34 +51,20 @@ def tokenize(raw: str) -> list[str]:
     return raw.lower().encode("ascii", "replace").translate(_KEEP).decode("ascii").split()
 
 
-class Vocab:
-    """Immutable token -> index map with reserved padding and OOV slots.
+def vocab_index(words) -> dict:
+    """Token -> index dict: `<pad>` is PAD_INDEX, `<oov>` OOV_INDEX, then each word in order.
 
-    Built from its tokens in index order; the pad and oov tokens take
-    indices 0 and 1 and are not part of `words`.
+    A repeated word, or a word that is a reserved token, raises ValueError.
     """
-
-    __slots__ = ("_index", "_tokens")
-
-    def __init__(self, words=()):
-        self._tokens = (PAD_TOKEN, OOV_TOKEN, *words)
-        self._index = dict(zip(self._tokens, range(len(self._tokens))))
-        if len(self._index) != len(self._tokens):
-            repeat = next(t for i, t in enumerate(self._tokens) if self._index[t] != i)
-            raise ValueError(f"vocabulary tokens must be distinct, {repeat!r} repeats")
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def index_of(self, token: str) -> int:
-        """Index for a token; unknown tokens map to the OOV slot."""
-        return self._index.get(token, OOV_INDEX)
-
-    def tokens(self) -> list[str]:
-        return list(self._tokens)
+    tokens = (PAD_TOKEN, OOV_TOKEN, *words)
+    index = dict(zip(tokens, range(len(tokens))))
+    if len(index) != len(tokens):
+        repeat = next(t for i, t in enumerate(tokens) if index[t] != i)
+        raise ValueError(f"vocabulary tokens must be distinct, {repeat!r} repeats")
+    return index
 
 
-def build_vocab(corpus, min_freq: int, max_size: int) -> Vocab:
+def build_vocab(corpus, min_freq: int, max_size: int) -> dict:
     """Rank tokens by (frequency desc, token asc); keep at most max_size - 2.
 
     Tokens below min_freq are dropped.
@@ -85,15 +72,15 @@ def build_vocab(corpus, min_freq: int, max_size: int) -> Vocab:
     counts = Counter(chain.from_iterable(corpus))
     ranked = sorted(t for t, c in counts.items() if c >= min_freq)
     ranked.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay token-ascending
-    return Vocab(ranked[: max_size - 2])
+    return vocab_index(ranked[: max_size - 2])
 
 
-def encode(token_lists, vocab: Vocab, seq_len: int) -> np.ndarray:
+def encode(token_lists, vocab: dict, seq_len: int) -> np.ndarray:
     """(N, seq_len) int64 index matrix: each list's first seq_len tokens, post-padded."""
     lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
     np.minimum(lengths, seq_len, out=lengths)
     kept = chain.from_iterable(islice(tokens, seq_len) for tokens in token_lists)
-    ids = np.fromiter(map(vocab._index.get, kept, repeat(OOV_INDEX)), np.int64, lengths.sum())
+    ids = np.fromiter(map(vocab.get, kept, repeat(OOV_INDEX)), np.int64, lengths.sum())
     out = np.full((len(token_lists), seq_len), PAD_INDEX, dtype=np.int64)
     # A boolean mask fills row-major, so each row takes its own ids, left-aligned.
     out[np.arange(seq_len) < lengths[:, None]] = ids
@@ -107,7 +94,7 @@ def random_embeddings(vocab_size: int, dim: int, rng: SeededRng) -> np.ndarray:
     return base
 
 
-def load_glove(path, vocab: Vocab, rng: SeededRng) -> np.ndarray:
+def load_glove(path, vocab: dict, rng: SeededRng) -> np.ndarray:
     """Read a GloVe text file (one `token v1 ... vd` entry per line) as a (len(vocab), d) table.
 
     Rows for in-vocabulary tokens come from the file.  Tokens the file
@@ -138,7 +125,7 @@ def load_glove(path, vocab: Vocab, rng: SeededRng) -> np.ndarray:
             raise InputError(f"{path}: line {line_num}: non-numeric component") from None
         if not all(map(math.isfinite, vec)):
             raise InputError(f"{path}: line {line_num}: non-finite component")
-        idx = vocab.index_of(token)
+        idx = vocab.get(token, OOV_INDEX)
         if idx > OOV_INDEX:
             found[idx] = vec
     if dim is None:

@@ -50,7 +50,7 @@ from .nn import (
     forward,
 )
 from .rng import SeededRng
-from .sentiment import BUILTIN_LEXICON, score_text
+from .sentiment import score_text
 from .textprep import PAD_INDEX, embed_batch, encode, tokenize
 
 __all__ = [
@@ -119,7 +119,7 @@ class EpochStats(NamedTuple):
     val_acc: float
 
 
-def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.ndarray:
+def task_labels(records, token_lists, task: str, lexicon: dict) -> np.ndarray:
     """(N,) int64 class index per record: recommendation flag, or lexicon sentiment.
 
     The sentiment of record i is scored from token_lists[i], its tokenized
@@ -127,14 +127,12 @@ def task_labels(records, token_lists, task: str, lexicon=BUILTIN_LEXICON) -> np.
     """
     if task == "recommendation":
         labels = [int(r.recommended) for r in records]
-    elif task == "sentiment":
-        labels = [TASK_CLASSES[task].index(score_text(t, lexicon).label) for t in token_lists]
     else:
-        raise ValueError(f"unknown task {task!r}, expected one of {tuple(TASK_CLASSES)}")
+        labels = [TASK_CLASSES[task].index(score_text(t, lexicon).label) for t in token_lists]
     return np.asarray(labels, dtype=np.int64)
 
 
-def tokenized_splits(records, config: TrainConfig, lexicon=BUILTIN_LEXICON):
+def tokenized_splits(records, config: TrainConfig, lexicon: dict):
     """Filter, split 60/20/20 with config.seed, and tokenize and label each review once.
 
     Returns ((token_lists, labels) of train, validation and test, dropped,
@@ -179,8 +177,7 @@ def batch_gradients(model: BiLstmClassifier, table: np.ndarray, idx: np.ndarray,
                            dropout_rate=dropout_rate, rng=rng, training=True)
     grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, targets))
     dE = np.zeros_like(table)
-    np.add.at(dE, idx.T, dx)
-    dE[PAD_INDEX] = 0.0
+    np.add.at(dE, idx.T, dx)  # dx is zero at every pad, so the padding row stays zero
     return batch_cross_entropy(probs, targets), grads + [dE]
 
 

@@ -21,6 +21,7 @@ from reviewlab.dataset import filter_for_classification, parse_csv, split_60_20_
 from reviewlab.metrics import build_report, majority_baseline, roc_auc
 from reviewlab.nn import BiLstmClassifier, lstm_sequence_forward, softmax
 from reviewlab.rng import SeededRng, init_uniform
+from reviewlab.sentiment import BUILTIN_LEXICON
 from reviewlab.textprep import build_vocab, encode, random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import TrainConfig, evaluate, tokenized_splits, train
@@ -55,7 +56,7 @@ REFERENCE_THREE_CLASS_SUPPORTS = (289, 22, 4215)
 def _train_and_score(records, config, scored: int):
     """Train as `cli train` does, then evaluate on split `scored` (0 train, 1 validation,
     2 test); the records are tokenized once.  Returns (train's (model, table, history), metrics report)."""
-    splits, _, _ = tokenized_splits(records, config)
+    splits, _, _ = tokenized_splits(records, config, BUILTIN_LEXICON)
     vocab = build_vocab(splits[0][0], config.min_freq, config.vocab_size)
     encoded = [(encode(tokens, vocab, config.seq_len), labels) for tokens, labels in splits]
     emb = random_embeddings(len(vocab), config.embedding_dim, SeededRng(config.seed + 1))

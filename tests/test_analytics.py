@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reviewlab.analytics import (
+    FEATURE_ACCESSORS,
     STOP_WORDS,
     age_bin_positive_feedback,
     crosstab,
@@ -103,6 +104,13 @@ class TestUniqueCounts:
     def test_covers_all_ten_features(self):
         counts = unique_counts([rec()])
         assert len(counts) == 10
+        r = rec(row_id=9, clothing_id=11, age=22, title="t", review_text="x", rating=3,
+                positive_feedback_count=44, division="dv", department="dp", class_name="c")
+        assert [(f, FEATURE_ACCESSORS[f](r)) for f in counts] == [
+            ("Clothing ID", 11), ("Age", 22), ("Title", "t"), ("Review Text", "x"),
+            ("Rating", 3), ("Recommended IND", 1), ("Positive Feedback Count", 44),
+            ("Division Name", "dv"), ("Department Name", "dp"), ("Class Name", "c")]
+        assert type(FEATURE_ACCESSORS["Recommended IND"](r)) is int
 
 
 class TestFreqDist:

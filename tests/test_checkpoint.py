@@ -17,7 +17,7 @@ from reviewlab.cli import main
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import Vocab, build_vocab, random_embeddings
+from reviewlab.textprep import build_vocab, random_embeddings, vocab_index
 
 DATA_SHA256 = "5" * 64
 
@@ -86,7 +86,7 @@ class TestRoundTrip:
         assert loaded.class_names == bundle.class_names
         assert loaded.seq_len == bundle.seq_len
         assert loaded.seed == 3
-        assert loaded.vocab.tokens() == vocab.tokens()
+        assert list(loaded.vocab.items()) == list(vocab.items())
         for (name_a, a), (name_b, b) in zip(bundle.model.param_blocks(),
                                             loaded.model.param_blocks()):
             assert name_a == name_b
@@ -98,7 +98,7 @@ class TestRoundTrip:
             "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]
         assert sorted(read_metadata(path)) == METADATA_FIELDS
         assert read_metadata(path)["format"] == 7
-        assert vocab_line(path) == b" ".join(t.encode() for t in vocab.tokens()[2:])
+        assert vocab_line(path) == b" ".join(t.encode() for t in list(vocab)[2:])
 
     def test_four_bytes_per_value(self, tmp_path):
         """The payload is every value as one little-endian float32, in block order."""
@@ -358,12 +358,13 @@ class TestVocabularyLine:
     def test_empty_vocabulary_round_trip(self, tmp_path):
         """A vocabulary of only <pad> and <oov> is an empty line."""
         bundle, _ = small_bundle()
-        bundle = dataclasses.replace(bundle, vocab=Vocab(), embeddings=bundle.embeddings[:2])
+        bundle = dataclasses.replace(bundle, vocab=vocab_index([]),
+                                     embeddings=bundle.embeddings[:2])
         path = tmp_path / "empty.ckpt"
         save_checkpoint(bundle, path)
         assert vocab_line(path) == b""
         loaded = load_checkpoint(path)
-        assert loaded.vocab.tokens() == ["<pad>", "<oov>"]
+        assert loaded.vocab == {"<pad>": 0, "<oov>": 1}
         assert np.array_equal(loaded.embeddings, bundle.embeddings)
         assert predict_exit_code(tmp_path, path) == 0
 
@@ -377,7 +378,7 @@ class TestVocabularyLine:
     ], ids=["space", "empty", "tab", "newline", "unicode-separator", "not-utf8"])
     def test_save_refuses_word_the_line_cannot_hold(self, tmp_path, words, message):
         bundle, _ = small_bundle()
-        bundle = dataclasses.replace(bundle, vocab=Vocab(words),
+        bundle = dataclasses.replace(bundle, vocab=vocab_index(words),
                                      embeddings=bundle.embeddings[:2 + len(words)])
         with pytest.raises(ValueError, match=message):
             save_checkpoint(bundle, tmp_path / "model.ckpt")

@@ -102,7 +102,7 @@ class TestLabel:
         out = tmp_path / "runs"
         assert main(["label", "--data", str(data_csv), "--out", str(out)]) == 0
         text = (out / "label-0001" / "labeled.csv").read_text()
-        want, _ = auto_label_dataset(toy_reviews(), BUILTIN_LEXICON)
+        want = auto_label_dataset(toy_reviews(), BUILTIN_LEXICON)
         got = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
         assert got == want
 
@@ -112,6 +112,18 @@ class TestLabel:
         lines = (out / "label-0001" / "sentiment_by_recommendation.csv").read_text().splitlines()
         assert lines[0] == "recommended,negative,neutral,positive"
         assert len(lines) == 3
+
+    def test_counts_per_recommendation_state(self, tmp_path):
+        """Each (recommended, label) pair is counted once; a review without text is neutral."""
+        reviews = [("great dress", True), ("terrible fit", False),
+                   ("terrible quality", True), (None, False)]
+        data = tmp_path / "four.csv"
+        write_csv([r._replace(review_text=text, recommended=flag)
+                   for r, (text, flag) in zip(toy_reviews(), reviews)], data)
+        out = tmp_path / "runs"
+        assert main(["label", "--data", str(data), "--out", str(out)]) == 0
+        table = (out / "label-0001" / "sentiment_by_recommendation.csv").read_text()
+        assert table == "recommended,negative,neutral,positive\n0,1,1,0\n1,1,0,1\n"
 
     def test_relabeling_is_idempotent(self, tmp_path, data_csv):
         out = tmp_path / "runs"
@@ -321,7 +333,6 @@ class TestEvaluate:
         assert code == 2
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
 def test_overflowing_checkpoint_exits_two(tmp_path, data_csv, toy_cfg_file, capsys, command):
     """Finite weights whose logits overflow float32 are an input error, not NaN output."""

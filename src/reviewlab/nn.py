@@ -41,11 +41,11 @@ scatters to (T, B, D) with zeros at the pads.
 The two directions share no state until their final hidden states are
 joined, so forward() and backward() run them at the same time: the
 reverse direction on one module-level worker thread, started on first
-use, and the forward direction on the calling thread.  numpy releases
-the GIL in its GEMMs and ufuncs, so the two overlap on two cores while
-BLAS itself stays on one thread.  Each direction does exactly the
-arithmetic it would do alone, so results are bit-identical to running
-them one after the other.
+use and run under the caller's np.errstate, and the forward direction
+on the calling thread.  numpy releases the GIL in its GEMMs and ufuncs,
+so the two overlap on two cores while BLAS itself stays on one thread.
+Each direction does exactly the arithmetic it would do alone, so
+results are bit-identical to running them one after the other.
 
 The two final hidden states are joined into (B, 2H) features, passed
 through dropout (training only), and fed to the softmax head
@@ -244,8 +244,10 @@ _reverse_worker_lock = threading.Lock()
 def _both_directions(fn, fwd_args, bwd_args):
     """fn(*fwd_args) on this thread while fn(*bwd_args) runs on the reverse worker.
 
-    Returns both results.  If this thread's call raises, the worker's call
-    is waited for before the exception propagates.
+    Returns both results.  The worker's call runs under this thread's
+    np.geterr(), which a thread does not inherit.  If this thread's call
+    raises, the worker's call is waited for before the exception
+    propagates.
     """
     global _reverse_worker
     with _reverse_worker_lock:
@@ -254,7 +256,7 @@ def _both_directions(fn, fwd_args, bwd_args):
 
             worker = ThreadPoolExecutor(1, thread_name_prefix="reviewlab-reverse")
             _reverse_worker = (os.getpid(), worker)
-        reverse = _reverse_worker[1].submit(fn, *bwd_args)
+        reverse = _reverse_worker[1].submit(np.errstate(**np.geterr())(fn), *bwd_args)
     try:
         result = fn(*fwd_args)
     except BaseException:
@@ -312,8 +314,7 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths: np.ndarray, *,
         mask = dropout_mask(features.shape[1], features.shape[0], dropout_rate, rng,
                             features.dtype).T
         dropped = features * mask
-    with np.errstate(over="ignore", invalid="ignore"):  # the caller judges non-finite probs
-        probs = softmax(dropped @ model.head_W.T + model.head_b)
+    probs = softmax(dropped @ model.head_W.T + model.head_b)
     return probs, ClassifierCache(fwd=fwd, bwd=bwd, features=features, mask=mask,
                                   order=order, lengths=L)
 

@@ -5,8 +5,9 @@ ways: a negator among the three preceding tokens multiplies the valence
 by -0.74, and a booster immediately before the token shifts it further
 from zero (or toward zero for dampeners) in the direction of its
 post-negation sign.  The summed valence s is squashed to a compound score
-s / sqrt(s^2 + 15) in (-1, 1), and fixed thresholds at +/-0.05 cut the
-compound into negative / neutral / positive labels.  `auto_label_dataset`
+s / sqrt(s^2 + 15) in (-1, 1), which `score_text` returns, and fixed
+thresholds at +/-0.05 cut the compound into negative / neutral /
+positive labels (`label_from_compound`).  `auto_label_dataset`
 returns one label per record and nothing else; the `label` command
 counts them per recommendation state where it writes that table.
 
@@ -21,7 +22,6 @@ load a full lexicon file (`token<TAB>valence` per line).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError, input_lines
 from .textprep import tokenize
@@ -114,12 +114,6 @@ BUILTIN_LEXICON = {
 }
 
 
-@dataclass(frozen=True)
-class SentimentScore:
-    compound: float
-    label: str
-
-
 def label_from_compound(c: float) -> str:
     """positive iff c >= 0.05; negative iff c <= -0.05; else neutral."""
     if c >= POSITIVE_THRESHOLD:
@@ -134,8 +128,8 @@ def compound_from_sum(s: float) -> float:
     return s / math.sqrt(s * s + NORMALIZATION_ALPHA)
 
 
-def score_text(tokens, lexicon: dict) -> SentimentScore:
-    """Compound score and label for a tokenized text."""
+def score_text(tokens, lexicon: dict) -> float:
+    """The compound score of a tokenized text."""
     s = 0.0
     for pos, token in enumerate(tokens):
         valence = lexicon.get(token)
@@ -149,13 +143,13 @@ def score_text(tokens, lexicon: dict) -> SentimentScore:
             if increment is not None:
                 valence += increment if valence > 0 else -increment
         s += valence
-    compound = compound_from_sum(s)
-    return SentimentScore(compound=compound, label=label_from_compound(compound))
+    return compound_from_sum(s)
 
 
 def auto_label_dataset(records, lexicon: dict) -> list[str]:
     """Each record's label, in record order; a record without review text scores as ""."""
-    return [score_text(tokenize(r.review_text or ""), lexicon).label for r in records]
+    return [label_from_compound(score_text(tokenize(r.review_text or ""), lexicon))
+            for r in records]
 
 
 def load_lexicon(path) -> dict:

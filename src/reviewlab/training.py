@@ -5,7 +5,7 @@ lists and labels. A split that `train` or `evaluate` reads is a plain
 (indices, labels) pair: an (N, seq_len) int64 index matrix, post-padded
 with PAD_INDEX and built by `textprep.encode`, and an (N,) int64 label
 array. Every batch is cut to its longest review before it is embedded.
-The class count and class names come from TrainConfig.
+The class names come from TrainConfig.
 `evaluate` returns the `metrics.json` report dict and `predict` the
 `prediction.json` dict, which the CLI writes as they are.
 
@@ -22,7 +22,9 @@ receives no gradient and stays zero.
 
 `batch_gradients` is one batch's step: the mean loss and the seven
 gradients, the table's last.  `train` loops it over shuffled batches,
-stops on a non-finite loss or gradient norm, then clips and steps Adam.
+then clips and steps Adam.  Training, `evaluate` and `predict` compute
+under np.errstate(over="raise", invalid="raise"), so an overflow
+raises InputError there instead of yielding non-finite numbers.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .nn import (
     forward,
 )
 from .rng import SeededRng
-from .sentiment import score_text
+from .sentiment import label_from_compound, score_text
 from .textprep import PAD_INDEX, embed_batch, encode, tokenize
 
 __all__ = [
@@ -101,10 +103,6 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}, expected one of {tuple(TASK_CLASSES)}")
 
     @property
-    def n_classes(self) -> int:
-        return len(self.class_names)
-
-    @property
     def class_names(self) -> tuple:
         return TASK_CLASSES[self.task]
 
@@ -128,7 +126,8 @@ def task_labels(records, token_lists, task: str, lexicon: dict) -> np.ndarray:
     if task == "recommendation":
         labels = [int(r.recommended) for r in records]
     else:
-        labels = [TASK_CLASSES[task].index(score_text(t, lexicon).label) for t in token_lists]
+        labels = [TASK_CLASSES[task].index(label_from_compound(score_text(t, lexicon)))
+                  for t in token_lists]
     return np.asarray(labels, dtype=np.int64)
 
 
@@ -188,69 +187,60 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray):
     embeddings is a (vocab_size, config.embedding_dim) table.  The model
     and a copy of the table are trained in float32; losses and
     probabilities are float64.  Returns (the final-epoch model (no early
-    stopping), the trained table, one EpochStats row per epoch).  A
-    non-finite loss or gradient norm raises InputError naming the epoch,
-    the batch and learning_rate, rather than letting a diverged run
-    continue silently.
+    stopping), the trained table, one EpochStats row per epoch).  An
+    overflow or invalid value raises InputError naming numpy's message,
+    the epoch, the batch (or the validation pass after the epoch's last
+    batch) and learning_rate, rather than letting a diverged run continue
+    silently.
     """
     (idx_all, labels_all), (val_idx, val_labels) = train_split, validation
-    if len(labels_all) == 0:
-        raise InputError("training split is empty")
-    if len(val_labels) == 0:
-        raise InputError("validation split is empty")
 
     rng = SeededRng(config.seed)
     # The float64 draws are cast once; every buffer then follows the arrays' float32.
     model = BiLstmClassifier(*(a.astype(np.float32) for a in BiLstmClassifier.build(
-        config.cell_size, config.embedding_dim, config.n_classes, rng
+        config.cell_size, config.embedding_dim, len(config.class_names), rng
     )))
     table = embeddings.astype(np.float32)
     params = [p for _, p in model.param_blocks()] + [table]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     updates = count(1)
 
-    def diverged(what: str, value: float, where: str) -> InputError:
-        return InputError(f"training diverged: non-finite {what} {value!r} at {where}; "
-                          f"lower learning_rate (now {config.learning_rate!r})")
-
     n = len(labels_all)
     history = []
-    for epoch in range(1, config.epochs + 1):
-        order = list(range(n))
-        rng.shuffle(order)
-        epoch_loss = 0.0
-        for number, start in enumerate(range(0, n, config.batch_size), start=1):
-            batch = order[start:start + config.batch_size]
-            loss, grads = batch_gradients(model, table, idx_all[batch], labels_all[batch],
-                                          config.dropout_rate, rng)
-            if not math.isfinite(loss):
-                raise diverged("training loss", loss, f"epoch {epoch}, batch {number}")
-            clipped, norm = clip_by_global_norm(grads, config.grad_clip)
-            if not math.isfinite(norm):
-                raise diverged("gradient norm", norm, f"epoch {epoch}, batch {number}")
-            adam_step(params, clipped, moments, next(updates), config.learning_rate)
-            del grads, clipped  # freed before the next batch's forward pass allocates
-            epoch_loss += loss * len(batch)
-        val_probs = class_probabilities(model, table, val_idx, config.batch_size)
-        val_loss = batch_cross_entropy(val_probs, val_labels)
-        if not math.isfinite(val_loss):  # the epoch's last update overflowed
-            raise diverged("validation loss", val_loss, f"epoch {epoch}, after its last batch")
-        history.append(
-            EpochStats(
-                epoch=epoch,
-                train_loss=epoch_loss / n,
-                val_loss=val_loss,
-                val_acc=float(np.mean(val_probs.argmax(axis=1) == val_labels)),
-            )
-        )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(1, config.epochs + 1):
+                order = list(range(n))
+                rng.shuffle(order)
+                epoch_loss = 0.0
+                for number, start in enumerate(range(0, n, config.batch_size), start=1):
+                    where = f"batch {number}"
+                    batch = order[start:start + config.batch_size]
+                    loss, grads = batch_gradients(model, table, idx_all[batch],
+                                                  labels_all[batch], config.dropout_rate, rng)
+                    clipped, _ = clip_by_global_norm(grads, config.grad_clip)
+                    adam_step(params, clipped, moments, next(updates), config.learning_rate)
+                    del grads, clipped  # freed before the next batch's forward pass allocates
+                    epoch_loss += loss * len(batch)
+                where = "after its last batch"
+                val_probs = class_probabilities(model, table, val_idx, config.batch_size)
+                history.append(EpochStats(
+                    epoch=epoch, train_loss=epoch_loss / n,
+                    val_loss=batch_cross_entropy(val_probs, val_labels),
+                    val_acc=float(np.mean(val_probs.argmax(axis=1) == val_labels))))
+    except FloatingPointError as exc:
+        raise InputError(f"training diverged: {exc} at epoch {epoch}, {where}; "
+                         f"lower learning_rate (now {config.learning_rate!r})") from exc
     return model, table, tuple(history)
 
 
-def _finite(probs: np.ndarray) -> np.ndarray:
-    """probs, if every one is finite: a checkpoint's finite weights can still overflow."""
-    if not np.isfinite(probs).all():
-        raise InputError("the model's probabilities are not finite: its weights overflow")
-    return probs
+def _scored(model, table: np.ndarray, indices: np.ndarray, batch_size: int) -> np.ndarray:
+    """class_probabilities, refusing a model whose finite weights overflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return class_probabilities(model, table, indices, batch_size)
+    except FloatingPointError as exc:
+        raise InputError("the model's probabilities are not finite: its weights overflow") from exc
 
 
 def evaluate(model, embeddings: np.ndarray, split,
@@ -258,9 +248,7 @@ def evaluate(model, embeddings: np.ndarray, split,
     """Argmax predictions over an (indices, labels) split: (metrics report dict,
     probabilities (N, C))."""
     indices, labels = split
-    if len(labels) == 0:
-        raise InputError("evaluation split is empty")
-    probs = _finite(class_probabilities(model, embeddings, indices, batch_size))
+    probs = _scored(model, embeddings, indices, batch_size)
     confusion = confusion_matrix(labels, probs.argmax(axis=1), len(class_names))
     report = build_report(confusion, class_names, batch_cross_entropy(probs, labels))
     return report, probs
@@ -274,10 +262,8 @@ def predict(bundle: ModelBundle, text: str) -> dict:
     (an all-padding sequence) but flagged as empty input.
     """
     tokens = tokenize(text)[:bundle.seq_len]
-    probs = _finite(class_probabilities(
-        bundle.model, bundle.embeddings,
-        encode([tokens], bundle.vocab, max(1, len(tokens))), batch_size=1,
-    ))[0].tolist()
+    probs = _scored(bundle.model, bundle.embeddings,
+                    encode([tokens], bundle.vocab, max(1, len(tokens))), batch_size=1)[0].tolist()
     label_index = int(np.argmax(probs))
     return {
         "label": bundle.class_names[label_index],

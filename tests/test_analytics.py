@@ -60,7 +60,7 @@ class TestDescribe:
         d = describe(records, "Rating")
         assert d.mean == pytest.approx(3.0)
         assert abs(d.std - 1.581139) < 1e-6
-        assert d.minimum == 1 and d.maximum == 5
+        assert d.min == 1 and d.max == 5
         assert d.count == 5
 
     def test_constant_column_zero_std(self):
@@ -327,7 +327,7 @@ class TestAgeBins:
     def test_bin_arithmetic(self):
         records = [rec(age=35), rec(age=44)]
         bins = age_bin_positive_feedback(records)
-        assert [(b.lo, b.hi) for b in bins] == [(30, 40), (40, 50)]
+        assert [(b.age_lo, b.age_hi) for b in bins] == [(30, 40), (40, 50)]
 
     def test_empty_dataset(self):
         assert age_bin_positive_feedback([]) == []
@@ -343,7 +343,7 @@ class TestAgeBins:
 
     def test_boundary_lands_in_upper_bin(self):
         bins = age_bin_positive_feedback([rec(age=40)])
-        assert bins[0].lo == 40
+        assert bins[0].age_lo == 40
 
 
 class TestFullReport:

@@ -17,7 +17,6 @@ from reviewlab.analytics import full_report
 from reviewlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import parse_csv, write_csv
-from reviewlab.nn import BiLstmClassifier
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import TrainConfig
@@ -190,7 +189,6 @@ class TestTrain:
         assert code == 2
         assert f"{glove}: line 2: non-finite component" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_diverged_run_exits_two(self, tmp_path, data_csv, capsys):
         """A learning rate that overflows the weights is an input error, not a crash."""
         cfg = tmp_path / "diverge.cfg"
@@ -200,9 +198,23 @@ class TestTrain:
                      "--config", str(cfg)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: training diverged: non-finite ")
+        assert err.startswith("error: training diverged: overflow encountered in ")
         assert "at epoch " in err and "batch" in err
         assert "lower learning_rate (now 1e+308)" in err
+        assert not (tmp_path / "runs" / "train-0001").exists()
+
+    def test_saturating_run_exits_two(self, tmp_path, data_csv, capsys):
+        """Weights stepped to about 1e30 stay finite, but the next batch's arithmetic
+        overflows: that run diverged too, rather than saving a saturated model."""
+        cfg = tmp_path / "saturate.cfg"
+        settings = {**toy_config(epochs=3).as_dict(), "learning_rate": 1e30}
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        code = main(["train", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged: overflow encountered in ")
+        assert err.endswith(" at epoch 1, batch 2; lower learning_rate (now 1e+30)\n")
         assert not (tmp_path / "runs" / "train-0001").exists()
 
     def test_pretrained_embeddings_accepted(self, tmp_path, data_csv, toy_cfg_file):
@@ -335,24 +347,29 @@ class TestEvaluate:
 
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
 def test_overflowing_checkpoint_exits_two(tmp_path, data_csv, toy_cfg_file, capsys, command):
-    """Finite weights whose logits overflow float32 are an input error, not NaN output."""
-    ckpt = train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt"
-    bundle = load_checkpoint(ckpt)
+    """Finite weights whose arithmetic overflows float32, in the softmax head or
+    in both LSTM directions, are an input error, not NaN output."""
+    bundle = load_checkpoint(train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt")
     fwd_W, fwd_b, bwd_W, bwd_b, head_W, head_b = bundle.model
     H = bundle.model.cell_size
     # Saturated i, C~ and o gates (rows H:4H) make every feature of a row with
     # a token about tanh(1) > 0, so each logit sums 2H terms near 2.3e38.
     fwd_b, bwd_b = fwd_b.copy(), bwd_b.copy()
     fwd_b[H:] = bwd_b[H:] = 30.0
-    model = BiLstmClassifier(fwd_W, fwd_b, bwd_W, bwd_b,
-                             np.full_like(head_W, 3e38), np.full_like(head_b, 3e38))
-    save_checkpoint(replace(bundle, model=model), ckpt)
-    out = tmp_path / "overflow"
+    huge = {"head": bundle.model._replace(fwd_b=fwd_b, bwd_b=bwd_b,
+                                          head_W=np.full_like(head_W, 3e38),
+                                          head_b=np.full_like(head_b, 3e38)),
+            "lstm": bundle.model._replace(fwd_W=np.sign(fwd_W) * np.float32(3e38),
+                                          bwd_W=np.sign(bwd_W) * np.float32(3e38))}
     inputs = {"evaluate": ["--data", str(data_csv), "--config", str(toy_cfg_file)],
               "predict": ["--text", "love this dress"]}[command]
-    assert main([command, "--out", str(out), "--checkpoint", str(ckpt), *inputs]) == 2
-    assert "probabilities are not finite" in capsys.readouterr().err
-    assert not (out / f"{command}-0001").exists()
+    for where, model in huge.items():
+        ckpt = tmp_path / f"{where}.ckpt"
+        save_checkpoint(replace(bundle, model=model), ckpt)
+        out = tmp_path / where
+        assert main([command, "--out", str(out), "--checkpoint", str(ckpt), *inputs]) == 2, where
+        assert "probabilities are not finite" in capsys.readouterr().err
+        assert not (out / f"{command}-0001").exists()
 
 
 class TestOneTokenizationPerCommand:
@@ -779,3 +796,17 @@ class TestConfigResolution:
                      "--out", str(tmp_path / "runs"), "--config", str(cfg_file)])
         assert code == 2
         assert "dropout_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("analyze", ["out", "config", "data"]),
+    ("label", ["out", "config", "data", "lexicon"]),
+    ("train", ["out", "config", "data", "seed", "task", "lexicon", "embeddings"]),
+    ("evaluate", ["out", "config", "data", "seed", "task", "lexicon", "checkpoint"]),
+    ("predict", ["out", "config", "checkpoint", "text"]),
+])
+def test_subcommand_flags_in_order(capsys, command, flags):
+    """Each subcommand's usage line lists exactly its flags, in this order."""
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert re.findall(r"\[--(\w+)", usage) == flags

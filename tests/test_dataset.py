@@ -241,8 +241,9 @@ class TestSplit:
     @given(st.integers(5, 400), st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
     def test_partition_properties(self, n, seed):
-        """Splits are disjoint, exhaustive, and sized by the floor rule."""
+        """Splits are disjoint, exhaustive, non-empty, and sized by the floor rule."""
         train, val, test = split_60_20_20(list(range(n)), seed=seed)
+        assert train and val and test  # what train, evaluate and the metrics rely on
         assert len(train) == math.floor(6 * n / 10)
         assert len(val) == math.floor(2 * n / 10)
         assert len(test) == n - len(train) - len(val)

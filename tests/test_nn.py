@@ -574,6 +574,16 @@ class TestDirectionsOnTwoThreads:
         probs, _ = forward(model, xs, lengths)
         assert np.array_equal(probs, want)
 
+    def test_worker_runs_under_the_callers_errstate(self):
+        """An overflow in the reverse direction raises as the caller's errstate says."""
+        model = toy_classifier(seed=105, dtype=np.float32)
+        H = model.cell_size
+        W, b = model.bwd_W.copy(), np.full_like(model.bwd_b, 30.0)
+        W[:, :H] = 3e38  # saturated gates, then h . W_h sums H terms of 2.3e38
+        xs = random_xs(SeededRng(106), 3, 4, batch=2).astype(np.float32)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            forward(model._replace(bwd_W=W, bwd_b=b), xs, np.array([4, 2]))
+
     def test_caller_error_waits_for_worker(self, monkeypatch):
         """When the calling thread's direction raises, the reverse one has finished."""
         model = toy_classifier(seed=99)

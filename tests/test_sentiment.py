@@ -40,26 +40,26 @@ def compound_oracle(s):
 class TestCompoundAndThresholds:
     def test_empty_tokens_neutral(self):
         score = score_text([], BUILTIN_LEXICON)
-        assert score.compound == 0.0
-        assert score.label == NEUTRAL
+        assert score == 0.0
+        assert label_from_compound(score) == NEUTRAL
 
     def test_single_positive_hit(self):
         """good has valence 1.9; compound comes straight from the formula."""
         score = score_text(["good"], BUILTIN_LEXICON)
-        assert abs(score.compound - 0.44043) < 1e-5
-        assert score.label == POSITIVE
+        assert abs(score - 0.44043) < 1e-5
+        assert label_from_compound(score) == POSITIVE
 
     def test_negated_positive_hit(self):
         score = score_text(["not", "good"], BUILTIN_LEXICON)
-        assert abs(score.compound - (-0.34124)) < 1e-5
-        assert score.label == NEGATIVE
+        assert abs(score - (-0.34124)) < 1e-5
+        assert label_from_compound(score) == NEGATIVE
 
     def test_triple_positive_hit(self):
         """Three hits of 1.9 sum to 5.7; squashed by the formula oracle."""
         score = score_text(["good", "good", "good"], BUILTIN_LEXICON)
-        assert abs(score.compound - compound_oracle(5.7)) < 1e-12
-        assert abs(score.compound - 0.827128) < 1e-5
-        assert score.label == POSITIVE
+        assert abs(score - compound_oracle(5.7)) < 1e-12
+        assert abs(score - 0.827128) < 1e-5
+        assert label_from_compound(score) == POSITIVE
 
     def test_label_thresholds(self):
         assert label_from_compound(0.0) == NEUTRAL
@@ -93,37 +93,37 @@ class TestScoringRules:
         extended = score_text(
             ["great", "dress", "zzz", "qqq", "the"], BUILTIN_LEXICON
         )
-        assert extended.compound == base.compound
+        assert extended == base
 
     def test_negation_window_is_three(self):
         """A negator four tokens back no longer flips the hit."""
         within = score_text(["not", "a", "a", "good"], BUILTIN_LEXICON)
         outside = score_text(["not", "a", "a", "a", "good"], BUILTIN_LEXICON)
         plain = score_text(["good"], BUILTIN_LEXICON)
-        assert within.compound < 0
-        assert outside.compound == plain.compound
+        assert within < 0
+        assert outside == plain
 
     def test_booster_must_be_adjacent(self):
         boosted = score_text(["very", "good"], BUILTIN_LEXICON)
         gap = score_text(["very", "a", "good"], BUILTIN_LEXICON)
         plain = score_text(["good"], BUILTIN_LEXICON)
-        assert abs(boosted.compound - compound_oracle(1.9 + 0.293)) < 1e-12
-        assert gap.compound == plain.compound
+        assert abs(boosted - compound_oracle(1.9 + 0.293)) < 1e-12
+        assert gap == plain
 
     def test_booster_pushes_negative_further_down(self):
         boosted = score_text(["very", "bad"], BUILTIN_LEXICON)
-        assert abs(boosted.compound - compound_oracle(-2.5 - 0.293)) < 1e-12
+        assert abs(boosted - compound_oracle(-2.5 - 0.293)) < 1e-12
 
     def test_dampener_pulls_toward_zero(self):
         damped = score_text(["slightly", "bad"], BUILTIN_LEXICON)
-        assert abs(damped.compound - compound_oracle(-2.5 + 0.293)) < 1e-12
+        assert abs(damped - compound_oracle(-2.5 + 0.293)) < 1e-12
 
     def test_negation_applies_before_boost(self):
         """'not very good': negation flips 1.9, boost then follows the
         negative sign."""
         score = score_text(["not", "very", "good"], BUILTIN_LEXICON)
         want = compound_oracle(1.9 * NEGATION_FACTOR - 0.293)
-        assert abs(score.compound - want) < 1e-12
+        assert abs(score - want) < 1e-12
 
     def test_negating_any_builtin_positive_flips_label(self):
         """All built-in positive valences clear the threshold both ways."""
@@ -132,12 +132,12 @@ class TestScoringRules:
                 continue
             plain = score_text([token], BUILTIN_LEXICON)
             negated = score_text(["not", token], BUILTIN_LEXICON)
-            assert plain.label == POSITIVE, token
-            assert negated.label == NEGATIVE, token
+            assert label_from_compound(plain) == POSITIVE, token
+            assert label_from_compound(negated) == NEGATIVE, token
 
     def test_mixed_hits_sum(self):
         score = score_text(["good", "but", "itchy"], BUILTIN_LEXICON)
-        assert abs(score.compound - compound_oracle(1.9 - 1.4)) < 1e-12
+        assert abs(score - compound_oracle(1.9 - 1.4)) < 1e-12
 
 
 class TestLexiconValidation:

@@ -1,23 +1,23 @@
 """Deterministic model checkpoints: one file holds the whole model.
 
 A checkpoint is a single binary file: a magic line, one JSON metadata
-line, one vocabulary line, then the seven model arrays as raw
+line, the vocabulary block, then the seven model arrays as raw
 little-endian float32 bytes, the dtype `training.train` computes in.
-Format 7's metadata holds only what the arrays cannot: the task, seq_len,
-the seed of the 60/20/20 split the model was trained on, cell_size,
-embedding_dim and `data_sha256`, the fingerprint of the data the model
-was trained on (`training.tokenized_splits`); a `vocab` field, where
-format 6 kept the words, is refused. The vocabulary line joins
-its words (every token after `<pad>` and `<oov>`, in index order) with
-single spaces, in UTF-8, so no word may be empty or hold whitespace;
-`textprep.tokenize` makes none that is. The file stores no layout: the
-arrays are the (len(vocab), embedding_dim) embedding table and then the
+Format 8's metadata holds only what the payload cannot: the task,
+seq_len, the seed of the 60/20/20 split the model was trained on,
+cell_size, embedding_dim, `data_sha256`, the fingerprint of the data the
+model was trained on (`training.tokenized_splits`), and the block's
+`words` entries of `word_bytes` bytes each. An entry is a
+`textprep.tokenize` token ([a-z0-9']+), NUL-padded; the entries ascend
+strictly bytewise, so a load checks them with array comparisons and
+hashes none, and `word_bytes` is the longest word's length (1 for no
+words). The file stores no layout: the arrays are the (words + 2,
+embedding_dim) embedding table, entry i's row at i + 2, and then the
 model's six arrays in `BiLstmClassifier` field order, whose shapes
 `nn.block_shapes` derives from cell_size, embedding_dim and the task's
 class count; the loaded model is those six arrays, in float32.  Other
-formats, such as format 6 with its vocabulary in the metadata, are
-rejected; retrain to upgrade. Saving the same bundle twice produces
-byte-identical files.
+formats, such as format 7 with its vocabulary line, are rejected;
+retrain to upgrade. Saving the same bundle twice produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ import numpy as np
 from .errors import InputError
 from .nn import BiLstmClassifier, block_shapes
 from .sentiment import SENTIMENT_CLASSES
-from .textprep import PAD_INDEX, vocab_index
+from .textprep import PAD_INDEX, TOKEN_BYTES
 
 __all__ = ["MAGIC", "TASK_CLASSES", "ModelBundle", "load_checkpoint", "save_checkpoint"]
 
 # The container's magic line; the metadata's "format" versions its contents.
 MAGIC = b"reviewlab-checkpoint-v1\n"
-FORMAT = 7
+FORMAT = 8
 
 # Each task and the names of its classes, in label-index order.
 TASK_CLASSES = {
@@ -54,9 +54,9 @@ class ModelBundle:
     task: str
     seq_len: int
     seed: int
-    vocab: dict  # token -> index, in index order (`textprep.vocab_index`)
+    vocab: np.ndarray  # ascending S{word_bytes} words; entry i is embedding row i + 2
     model: BiLstmClassifier
-    embeddings: np.ndarray  # (len(vocab), D); the PAD_INDEX row is zero
+    embeddings: np.ndarray  # (len(vocab) + 2, D); the PAD_INDEX row is zero
     data_sha256: str
 
     @property
@@ -64,24 +64,36 @@ class ModelBundle:
         return TASK_CLASSES[self.task]
 
 
+def _words(block: bytes, width: int) -> np.ndarray:
+    """The vocabulary block as an S{width} array; a malformed one raises ValueError."""
+    words = np.frombuffer(block, f"S{width}")
+    lengths = np.char.str_len(words)  # each entry's length up to its last non-NUL byte
+    # Each entry is [a-z0-9']+ then NULs: no other byte, no empty entry, every NUL trailing.
+    if (block.translate(None, TOKEN_BYTES + b"\0") or not lengths.all()
+            or block.count(0) != len(block) - lengths.sum()):
+        i = next(i for i, word in enumerate(words.tolist())
+                 if not word or word.translate(None, TOKEN_BYTES))
+        raise ValueError(f"entry {i} {block[i * width:(i + 1) * width]!r} is not "
+                         f"a [a-z0-9']+ word padded with NULs")
+    if len(words) and lengths.max() != width:
+        raise ValueError(f"'word_bytes' {width} is longer than the longest word")
+    # Strictly ascending refuses a repeat, and '<pad>' or '<oov>' failed the alphabet above.
+    if not (ascending := words[1:] > words[:-1]).all():
+        i = ascending.argmin() + 1
+        raise ValueError(f"entry {i} {bytes(words[i])!r} does not sort after "
+                         f"{bytes(words[i - 1])!r}")
+    return words
+
+
 def save_checkpoint(bundle: ModelBundle, path) -> None:
-    """Write the bundle to `path`; a word the vocabulary line cannot hold raises ValueError."""
-    words = list(bundle.vocab)[2:]
-    if bad := [w for w in words if w.split() != [w]]:
-        raise ValueError(f"vocabulary word {bad[0]!r} is empty or holds whitespace")
-    meta = {
-        "format": FORMAT,
-        "task": bundle.task,
-        "seq_len": bundle.seq_len,
-        "seed": bundle.seed,
-        "cell_size": bundle.model.cell_size,
-        "embedding_dim": bundle.embeddings.shape[1],
-        "data_sha256": bundle.data_sha256,
-    }
-    # Encoded before the file is opened: a word UTF-8 cannot hold raises with no file left.
-    head = MAGIC + f"{json.dumps(meta, sort_keys=True)}\n{' '.join(words)}\n".encode("utf-8")
+    """Write the bundle to `path`; a vocabulary a load would refuse raises ValueError."""
+    block, width = bundle.vocab.tobytes(), bundle.vocab.dtype.itemsize
+    _words(block, width)
+    meta = {"format": FORMAT, "task": bundle.task, "seq_len": bundle.seq_len, "seed": bundle.seed,
+            "cell_size": bundle.model.cell_size, "embedding_dim": bundle.embeddings.shape[1],
+            "data_sha256": bundle.data_sha256, "words": len(bundle.vocab), "word_bytes": width}
     with open(path, "wb") as fh:
-        fh.write(head)
+        fh.write(MAGIC + f"{json.dumps(meta, sort_keys=True)}\n".encode() + block)
         for a in (bundle.embeddings, *(a for _, a in bundle.model.param_blocks())):
             fh.write(np.ascontiguousarray(a).astype("<f4", copy=False).tobytes())
 
@@ -99,6 +111,8 @@ _FIELDS = {
     "cell_size": (_is_size, "an integer >= 1"),
     "embedding_dim": (_is_size, "an integer >= 1"),
     "data_sha256": (lambda v: isinstance(v, str), "a string"),
+    "words": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "word_bytes": (_is_size, "an integer >= 1"),
 }
 
 
@@ -128,40 +142,34 @@ def load_checkpoint(path) -> ModelBundle:
         if meta.get("format") != FORMAT:
             raise InputError(f"{path}: unsupported checkpoint format {meta.get('format')!r}; "
                              f"retrain to upgrade to format {FORMAT}")
-        if "vocab" in meta:  # format 6's field: relabelling such a file does not upgrade it
-            raise InputError(f"{path}: inconsistent checkpoint contents: 'vocab' must be "
-                             f"absent; format {FORMAT} keeps the vocabulary on its own line")
         for field, (ok, what) in _FIELDS.items():
             if not ok(meta.get(field)):
                 raise InputError(
                     f"{path}: inconsistent checkpoint contents: {field!r} must be "
                     f"{what}, got {meta.get(field)!r:.60}"
                 )
-        try:  # a line cut short leaves no payload, which the size check refuses
-            vocab = vocab_index(fh.readline().decode("utf-8").split())
-        except ValueError as exc:  # UnicodeDecodeError included
-            raise InputError(f"{path}: bad checkpoint vocabulary line: {exc}") from exc
-
         task, H, D = meta["task"], meta["cell_size"], meta["embedding_dim"]
-        shapes = [(len(vocab), D), *block_shapes(H, D, len(TASK_CLASSES[task]))]
+        n_words, width = meta["words"], meta["word_bytes"]
+        shapes = [(n_words + 2, D), *block_shapes(H, D, len(TASK_CLASSES[task]))]
         sizes = [math.prod(shape) for shape in shapes]
-        need, left = 4 * sum(sizes), size - fh.tell()
+        need, left = n_words * width + 4 * sum(sizes), size - fh.tell()
         if need != left:
             raise InputError(
                 f"{path}: {'truncated' if left < need else 'trailing bytes in'} checkpoint "
-                f"payload: {left} bytes, where vocab, embedding_dim, cell_size and "
-                f"task give {need}"
+                f"payload: {left} bytes, where words, word_bytes, embedding_dim, cell_size "
+                f"and task give {need}"
             )
+        try:
+            vocab = _words(fh.read(n_words * width), width)
+        except ValueError as exc:
+            raise InputError(f"{path}: bad checkpoint vocabulary: {exc}") from exc
         flat = np.empty(sum(sizes), dtype="<f4")
-        if fh.readinto(flat) != need:
+        if fh.readinto(flat) != 4 * len(flat):
             raise InputError(f"{path}: truncated checkpoint payload")
 
-    arrays, start = [], 0
-    for shape, n in zip(shapes, sizes):
-        arrays.append(flat[start:start + n].reshape(shape))
-        start += n
-    table = arrays[0]
-    model = BiLstmClassifier(*arrays[1:])
+    table, *blocks = (a.reshape(shape)
+                      for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
+    model = BiLstmClassifier(*blocks)
     for name, a in [("embeddings", table), *model.param_blocks()]:
         if not np.isfinite(a).all():
             raise InputError(f"{path}: block {name!r} contains non-finite values")

@@ -45,7 +45,7 @@ from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
-from .textprep import build_vocab, encode, load_glove, random_embeddings
+from .textprep import build_vocab, encode, load_glove, random_embeddings, sorted_vocab, word_index
 from .training import EpochStats, TrainConfig, evaluate, predict, tokenized_splits, train
 
 __all__ = ["main"]
@@ -219,15 +219,9 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     train_split, validation = ((encode(tokens, vocab, config.seq_len), labels)
                                for tokens, labels in splits[:2])
     model, table, history = train(config, train_split, validation, embeddings)
-    bundle = ModelBundle(
-        task=config.task,
-        seq_len=config.seq_len,
-        seed=config.seed,
-        vocab=vocab,
-        model=model,
-        embeddings=table,
-        data_sha256=data_sha256,
-    )
+    words, table = sorted_vocab(vocab, table)
+    bundle = ModelBundle(task=config.task, seq_len=config.seq_len, seed=config.seed, vocab=words,
+                         model=model, embeddings=table, data_sha256=data_sha256)
     save_checkpoint(bundle, run_dir / "model.ckpt")
     _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, history))
     n_train, n_val, n_test = (len(labels) for _, labels in splits)
@@ -272,8 +266,8 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
             f"evaluate with the --data and --lexicon the model was trained with"
         )
     train_split, _, (tokens, labels) = splits
-    report, probs = evaluate(bundle.model, bundle.embeddings,
-                             (encode(tokens, bundle.vocab, bundle.seq_len), labels),
+    indices = encode(tokens, word_index(bundle.vocab, tokens), bundle.seq_len)
+    report, probs = evaluate(bundle.model, bundle.embeddings, (indices, labels),
                              config.batch_size, bundle.class_names)
     if bundle.task == "recommendation":
         try:

@@ -8,8 +8,10 @@ tokens.
 
 A vocabulary is a plain token -> index dict in index order: index 0 is
 the padding token, index 1 the out-of-vocabulary token, and a token
-the dict lacks maps to index 1; a trained model's vocabulary is saved
-inside its checkpoint.  `encode` turns N token lists into one (N, seq_len)
+the dict lacks maps to index 1.  A checkpoint keeps the words as the
+ascending byte-string array `sorted_vocab` makes, entry i at index i + 2,
+and `word_index` gives `encode` the dict for just the tokens looked up.
+`encode` turns N token lists into one (N, seq_len)
 int64 index matrix: each row holds its review's first seq_len tokens,
 post-padded with index 0.  No real token maps to index 0, so the model
 counts a row's non-pad indices as its length and steps over those
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 
 import numpy as np
 
@@ -35,9 +37,9 @@ PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 EMBEDDING_SCALE = 0.25  # half-width of the uniform draw for rows not read from a file
 
-# Byte table for `tokenize`: [a-z0-9'] map to themselves, every other byte to a space.
-_KEEP = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789'" else 0x20
-              for b in range(256))
+# Every token is a maximal run of these bytes; `tokenize` maps every other byte to a space.
+TOKEN_BYTES = b"abcdefghijklmnopqrstuvwxyz0123456789'"
+_KEEP = bytes(b if b in TOKEN_BYTES else 0x20 for b in range(256))
 
 
 def tokenize(raw: str) -> list[str]:
@@ -51,19 +53,6 @@ def tokenize(raw: str) -> list[str]:
     return raw.lower().encode("ascii", "replace").translate(_KEEP).decode("ascii").split()
 
 
-def vocab_index(words) -> dict:
-    """Token -> index dict: `<pad>` is PAD_INDEX, `<oov>` OOV_INDEX, then each word in order.
-
-    A repeated word, or a word that is a reserved token, raises ValueError.
-    """
-    tokens = (PAD_TOKEN, OOV_TOKEN, *words)
-    index = dict(zip(tokens, range(len(tokens))))
-    if len(index) != len(tokens):
-        repeat = next(t for i, t in enumerate(tokens) if index[t] != i)
-        raise ValueError(f"vocabulary tokens must be distinct, {repeat!r} repeats")
-    return index
-
-
 def build_vocab(corpus, min_freq: int, max_size: int) -> dict:
     """Rank tokens by (frequency desc, token asc); keep at most max_size - 2.
 
@@ -72,7 +61,25 @@ def build_vocab(corpus, min_freq: int, max_size: int) -> dict:
     counts = Counter(chain.from_iterable(corpus))
     ranked = sorted(t for t, c in counts.items() if c >= min_freq)
     ranked.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay token-ascending
-    return vocab_index(ranked[: max_size - 2])
+    return dict(zip((PAD_TOKEN, OOV_TOKEN, *ranked[: max_size - 2]), count()))
+
+
+def sorted_vocab(vocab: dict, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dict's words as an ascending byte-string array, entry i at the table's row i + 2."""
+    words = np.array(list(vocab)[2:], dtype="S")
+    order = np.argsort(words)
+    return words[order], np.concatenate([table[:2], table[2:][order]])
+
+
+def word_index(words: np.ndarray, token_lists) -> dict:
+    """Token -> index dict of the tokens in token_lists that `sorted_vocab`'s words hold."""
+    tokens = list(set(chain.from_iterable(token_lists)))
+    # Searched at the words' width (no copy of them), compared one byte wider (no truncation).
+    query = np.array(tokens, dtype=f"S{words.dtype.itemsize + 1}")
+    at = np.searchsorted(words, query.astype(words.dtype))
+    found = at < len(words)
+    found[found] = words[at[found]] == query[found]
+    return dict(zip(compress(tokens, found), (at[found] + 2).tolist()))
 
 
 def encode(token_lists, vocab: dict, seq_len: int) -> np.ndarray:

@@ -53,7 +53,7 @@ from .nn import (
 )
 from .rng import SeededRng
 from .sentiment import label_from_compound, score_text
-from .textprep import PAD_INDEX, embed_batch, encode, tokenize
+from .textprep import PAD_INDEX, embed_batch, encode, tokenize, word_index
 
 __all__ = [
     "EpochStats",
@@ -262,8 +262,8 @@ def predict(bundle: ModelBundle, text: str) -> dict:
     (an all-padding sequence) but flagged as empty input.
     """
     tokens = tokenize(text)[:bundle.seq_len]
-    probs = _scored(bundle.model, bundle.embeddings,
-                    encode([tokens], bundle.vocab, max(1, len(tokens))), batch_size=1)[0].tolist()
+    indices = encode([tokens], word_index(bundle.vocab, [tokens]), max(1, len(tokens)))
+    probs = _scored(bundle.model, bundle.embeddings, indices, batch_size=1)[0].tolist()
     label_index = int(np.argmax(probs))
     return {
         "label": bundle.class_names[label_index],

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import re
 import tempfile
 from itertools import accumulate
 from pathlib import Path
@@ -17,27 +18,34 @@ from reviewlab.cli import main
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import build_vocab, random_embeddings, vocab_index
+from reviewlab.textprep import build_vocab, random_embeddings, sorted_vocab
 
 DATA_SHA256 = "5" * 64
+# The small bundle's words as its vocabulary block holds them, ascending.
+WORDS = [f"tok{i}".encode() for i in range(10)]
 
 
 def small_bundle():
-    """A float32 bundle, as `training.train` returns its model and table."""
-    vocab = build_vocab([[f"tok{i}"] for i in range(10)], min_freq=1, max_size=20)
+    """A float32 bundle, as `cli train` builds it from `training.train`'s model and table.
+
+    Returns (bundle, the training-order vocabulary dict, the training-order
+    table). The counts rank tok9 first, so sorting the words reverses them.
+    """
+    vocab = build_vocab([[f"tok{i}"] * (i + 1) for i in range(10)], min_freq=1, max_size=20)
     model = BiLstmClassifier(*(a.astype(np.float32)
                                for a in BiLstmClassifier.build(4, 6, 2, SeededRng(1))))
-    emb = random_embeddings(len(vocab), 6, SeededRng(2)).astype(np.float32)
+    table = random_embeddings(len(vocab), 6, SeededRng(2)).astype(np.float32)
+    words, emb = sorted_vocab(vocab, table)
     bundle = ModelBundle(
         task="recommendation",
         seq_len=12,
         seed=3,
-        vocab=vocab,
+        vocab=words,
         model=model,
         embeddings=emb,
         data_sha256=DATA_SHA256,
     )
-    return bundle, vocab
+    return bundle, vocab, table
 
 
 class TestBundleValidation:
@@ -70,15 +78,16 @@ class TestBundleValidation:
             load_checkpoint(path)
 
     def test_vocab_size_must_match_embedding_rows(self, tmp_path):
+        """One entry fewer, with the table's rows unchanged, leaves bytes over."""
         path = saved_checkpoint(tmp_path)
-        edit_vocab_line(path, lambda line: line.rsplit(b" ", 1)[0])
-        with pytest.raises(InputError, match="trailing bytes in checkpoint payload: .*vocab"):
+        rewrite_block(path, WORDS[:-1])
+        with pytest.raises(InputError, match="trailing bytes in checkpoint payload: .*words"):
             load_checkpoint(path)
 
 
 class TestRoundTrip:
     def test_blocks_bit_exact(self, tmp_path):
-        bundle, vocab = small_bundle()
+        bundle, vocab, table = small_bundle()
         path = tmp_path / "model.ckpt"
         save_checkpoint(bundle, path)
         loaded = load_checkpoint(path)
@@ -86,7 +95,8 @@ class TestRoundTrip:
         assert loaded.class_names == bundle.class_names
         assert loaded.seq_len == bundle.seq_len
         assert loaded.seed == 3
-        assert list(loaded.vocab.items()) == list(vocab.items())
+        assert loaded.vocab.dtype == bundle.vocab.dtype == np.dtype("S4")
+        assert loaded.vocab.tolist() == bundle.vocab.tolist() == WORDS
         for (name_a, a), (name_b, b) in zip(bundle.model.param_blocks(),
                                             loaded.model.param_blocks()):
             assert name_a == name_b
@@ -94,15 +104,21 @@ class TestRoundTrip:
             assert np.array_equal(a, b)
         assert loaded.embeddings.dtype == np.float32
         assert np.array_equal(bundle.embeddings, loaded.embeddings)
+        # Each word keeps the row it trained with: entry i is row i + 2.
+        assert np.array_equal(loaded.embeddings[:2], table[:2])
+        for i, word in enumerate(WORDS):
+            assert np.array_equal(loaded.embeddings[i + 2], table[vocab[word.decode()]])
         assert [n for n, _ in loaded.model.param_blocks()] == [
             "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]
         assert sorted(read_metadata(path)) == METADATA_FIELDS
-        assert read_metadata(path)["format"] == 7
-        assert vocab_line(path) == b" ".join(t.encode() for t in list(vocab)[2:])
+        meta = read_metadata(path)
+        assert (meta["format"], meta["words"], meta["word_bytes"]) == (8, 10, 4)
+        assert block(path) == b"".join(WORDS)
 
     def test_four_bytes_per_value(self, tmp_path):
-        """The payload is every value as one little-endian float32, in block order."""
-        bundle, _ = small_bundle()
+        """The payload after the vocabulary block is every value as one little-endian
+        float32, in block order."""
+        bundle = small_bundle()[0]
         path = saved_checkpoint(tmp_path)
         blocks = [bundle.embeddings, *(a for _, a in bundle.model.param_blocks())]
         payload = path.read_bytes()[payload_start(path):]
@@ -110,15 +126,17 @@ class TestRoundTrip:
         assert payload == b"".join(a.astype("<f4").tobytes() for a in blocks)
 
     def test_save_twice_byte_identical(self, tmp_path):
-        bundle, _ = small_bundle()
+        bundle = small_bundle()[0]
         first = tmp_path / "a.ckpt"
         second = tmp_path / "b.ckpt"
         save_checkpoint(bundle, first)
         save_checkpoint(bundle, second)
         assert first.read_bytes() == second.read_bytes()
+        save_checkpoint(load_checkpoint(first), second)  # a loaded bundle saves the same bytes
+        assert first.read_bytes() == second.read_bytes()
 
 METADATA_FIELDS = ["cell_size", "data_sha256", "embedding_dim", "format",
-                   "seed", "seq_len", "task"]
+                   "seed", "seq_len", "task", "word_bytes", "words"]
 
 
 def read_metadata(path):
@@ -126,27 +144,43 @@ def read_metadata(path):
     return json.loads(raw[len(MAGIC):raw.find(b"\n", len(MAGIC))])
 
 
-def vocab_line_span(raw):
-    """(start, end) of the vocabulary line's words, between the metadata line and the payload."""
+def block_span(raw):
+    """(start, end) of the vocabulary block, between the metadata line and the float32s."""
     start = raw.find(b"\n", len(MAGIC)) + 1
-    return start, raw.find(b"\n", start)
+    meta = json.loads(raw[len(MAGIC):start - 1])
+    return start, start + meta["words"] * meta["word_bytes"]
 
 
-def vocab_line(path):
-    start, end = vocab_line_span(path.read_bytes())
-    return path.read_bytes()[start:end]
+def block(path):
+    raw = path.read_bytes()
+    return raw[slice(*block_span(raw))]
 
 
 def payload_start(path):
-    """Offset of the first float32 after the vocabulary line."""
-    return vocab_line_span(path.read_bytes())[1] + 1
+    """Offset of the first float32 after the vocabulary block."""
+    return block_span(path.read_bytes())[1]
 
 
-def edit_vocab_line(path, edit):
-    """Rewrite a checkpoint's vocabulary line (without its newline) in place with edit(line)."""
-    raw = path.read_bytes()
-    start, end = vocab_line_span(raw)
-    path.write_bytes(raw[:start] + edit(raw[start:end]) + raw[end:])
+def replace_block(raw, new_block, words, word_bytes):
+    """A checkpoint's bytes with its block replaced and `words`/`word_bytes` set as given."""
+    start, end = block_span(raw)
+    meta = json.loads(raw[len(MAGIC):start - 1])
+    meta.update(words=words, word_bytes=word_bytes)
+    return MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n" + new_block + raw[end:]
+
+
+def with_words(words, width=None):
+    """A corruption that rewrites the vocabulary block as `words`, each NUL-padded to
+    `width` (by default the longest word's length), and the metadata to match."""
+    def corrupt(raw):
+        width_ = width or max(map(len, words))
+        new_block = b"".join(word.ljust(width_, b"\0") for word in words)
+        return replace_block(raw, new_block, len(words), width_)
+    return corrupt
+
+
+def rewrite_block(path, words, width=None):
+    path.write_bytes(with_words(words, width)(path.read_bytes()))
 
 
 def edit_metadata(path, edit):
@@ -221,21 +255,21 @@ class TestRejections:
 
     def test_format_five_exits_two(self, tmp_path, capsys):
         """Format 5 had format 6's layout but stored float64 blocks; retrain to upgrade."""
-        bundle, _ = small_bundle()
+        bundle = small_bundle()[0]
         path = saved_checkpoint(tmp_path)
-        raw = path.read_bytes()
-        path.write_bytes(as_format_six(raw, *vocab_line_span(raw)))
+        path.write_bytes(as_format(6, path.read_bytes()))
         edit_metadata(path, lambda meta: meta.update(format=5))
         blocks = [bundle.embeddings, *(a for _, a in bundle.model.param_blocks())]
         raw = path.read_bytes()
         raw = raw[:raw.find(b"\n", len(MAGIC)) + 1]
         path.write_bytes(raw + b"".join(a.astype("<f8").tobytes() for a in blocks))
         assert predict_exit_code(tmp_path, path) == 2
-        assert ("unsupported checkpoint format 5; retrain to upgrade to format 7"
+        assert ("unsupported checkpoint format 5; retrain to upgrade to format 8"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("field, value", [("cell_size", 10**30), ("embedding_dim", 10**18)],
-                             ids=["cell_size", "embedding_dim"])
+    @pytest.mark.parametrize("field, value", [("cell_size", 10**30), ("embedding_dim", 10**18),
+                                              ("words", 10**30), ("word_bytes", 10**30)],
+                             ids=["cell_size", "embedding_dim", "words", "word_bytes"])
     def test_huge_size_exits_two_without_allocating(self, tmp_path, capsys, monkeypatch,
                                                     field, value):
         """The size check is made in Python ints, before the buffer is allocated."""
@@ -244,9 +278,9 @@ class TestRejections:
         monkeypatch.setattr(np, "empty", None)  # any allocation attempt would exit 1
         assert predict_exit_code(tmp_path, path) == 2
         err = capsys.readouterr().err
-        payload = path.stat().st_size - payload_start(path)
+        payload = path.stat().st_size - block_span(path.read_bytes())[0]  # block included
         assert f"truncated checkpoint payload: {payload} bytes" in err
-        assert "vocab, embedding_dim, cell_size and task give" in err
+        assert "words, word_bytes, embedding_dim, cell_size and task give" in err
 
     def test_non_zero_pad_row_exits_two(self, tmp_path, capsys):
         path = saved_checkpoint(tmp_path)
@@ -314,13 +348,12 @@ class TestMetadataFields:
         ("cell_size", 0),
         ("embedding_dim", True),
         ("data_sha256", None),
-        # Format 6's vocabulary field: format 7 keeps the words on their own line.
-        ("vocab", ["tok0", 5]),
-        ("vocab", ["tok0", None]),
-        ("vocab", ["tok0", True]),
-        ("vocab", [["tok0"]]),
-        ("vocab", "tok0 tok1"),
-        ("vocab", None),
+        ("words", -1),
+        ("words", 10.0),
+        ("words", None),
+        ("word_bytes", 0),
+        ("word_bytes", True),
+        ("word_bytes", "4"),
     ])
     def test_wrong_type_exits_two(self, tmp_path, capsys, field, value):
         path = saved_checkpoint(tmp_path)
@@ -338,66 +371,122 @@ class TestMetadataFields:
         assert capsys.readouterr().out == expected
 
     def test_reserved_token_in_vocab_exits_two(self, tmp_path, capsys):
-        """<pad> and <oov> are implied at indices 0 and 1; listing one again is a repeat."""
+        """<pad> and <oov> are implied at indices 0 and 1; no entry can be one."""
         path = saved_checkpoint(tmp_path)
-        edit_vocab_line(path, lambda line: b"<oov>" + line[line.find(b" "):])
+        rewrite_block(path, [b"<oov>", *WORDS[1:]])
         assert predict_exit_code(tmp_path, path) == 2
-        assert "'<oov>' repeats" in capsys.readouterr().err
+        assert ("bad checkpoint vocabulary: entry 0 b'<oov>' is not a [a-z0-9']+ word padded "
+                "with NULs") in capsys.readouterr().err
 
 
-def as_format_six(raw, start, end):
-    """A checkpoint's bytes as format 6 wrote them: its words as a JSON list in the metadata."""
+def as_format(number, raw):
+    """A checkpoint's bytes in the layout of format 6 (the words as a JSON list in the
+    metadata) or format 7 (the words on one space-joined line after the metadata)."""
+    start, end = block_span(raw)
     meta = json.loads(raw[len(MAGIC):start - 1])
-    meta.update(format=6, vocab=raw[start:end].decode().split())
-    return MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n" + raw[end + 1:]
+    width = meta.pop("word_bytes")
+    words = [raw[i:i + width].rstrip(b"\0") for i in range(start, meta.pop("words") * width
+                                                             + start, width)]
+    if number == 6:
+        meta.update(format=6, vocab=[w.decode() for w in words])
+        return MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n" + raw[end:]
+    meta.update(format=number)
+    return (MAGIC + json.dumps(meta, sort_keys=True).encode() + b"\n" + b" ".join(words)
+            + b"\n" + raw[end:])
+
+
+def relabelled(number):
+    """A corruption that rewrites a checkpoint in an older format's layout, labelled 8."""
+    return lambda raw: as_format(number, raw).replace(b'"format": %d' % number,
+                                                      b'"format": 8', 1)
+
+
+def with_metadata(**fields):
+    def corrupt(raw):
+        header_end = raw.find(b"\n", len(MAGIC))
+        meta = {**json.loads(raw[len(MAGIC):header_end]), **fields}
+        return MAGIC + json.dumps(meta, sort_keys=True).encode() + raw[header_end:]
+    return corrupt
 
 
 class TestVocabularyLine:
-    """The words after <pad> and <oov> are one line of UTF-8, joined by single spaces."""
+    """The vocabulary block, which replaced format 7's vocabulary line: the words after
+    <pad> and <oov>, ascending, each NUL-padded to word_bytes."""
 
     def test_empty_vocabulary_round_trip(self, tmp_path):
-        """A vocabulary of only <pad> and <oov> is an empty line."""
-        bundle, _ = small_bundle()
-        bundle = dataclasses.replace(bundle, vocab=vocab_index([]),
+        """A vocabulary of only <pad> and <oov> is an empty block of width 1."""
+        bundle = small_bundle()[0]
+        bundle = dataclasses.replace(bundle, vocab=np.array([], dtype="S"),
                                      embeddings=bundle.embeddings[:2])
         path = tmp_path / "empty.ckpt"
         save_checkpoint(bundle, path)
-        assert vocab_line(path) == b""
+        assert (read_metadata(path)["words"], read_metadata(path)["word_bytes"]) == (0, 1)
+        assert block(path) == b""
         loaded = load_checkpoint(path)
-        assert loaded.vocab == {"<pad>": 0, "<oov>": 1}
+        assert loaded.vocab.tolist() == []
         assert np.array_equal(loaded.embeddings, bundle.embeddings)
         assert predict_exit_code(tmp_path, path) == 0
 
     @pytest.mark.parametrize("words, message", [
-        (["tok0", "two words"], "is empty or holds whitespace"),
-        (["tok0", ""], "is empty or holds whitespace"),
-        (["tab\tword"], "is empty or holds whitespace"),
-        (["line\nbreak"], "is empty or holds whitespace"),
-        (["no\u2028break"], "is empty or holds whitespace"),
-        (["lone\ud800surrogate"], "surrogates not allowed"),
-    ], ids=["space", "empty", "tab", "newline", "unicode-separator", "not-utf8"])
+        ([b"tok0", b"two words"], "entry 1 b'two words' is not a [a-z0-9']+ word"),
+        ([b"", b"tok0"], "entry 0 b'\\x00\\x00\\x00\\x00' is not a [a-z0-9']+ word"),
+        ([b"tab\tword"], "entry 0 b'tab\\tword' is not"),
+        ([b"line\nbreak"], "entry 0 b'line\\nbreak' is not"),
+        (["no\u2028break".encode()], "entry 0 b'no\\xe2\\x80\\xa8break' is not"),
+        ([b"caf\xe9"], "entry 0 b'caf\\xe9' is not"),
+        ([b"Tok0"], "entry 0 b'Tok0' is not"),
+        ([b"<pad>"], "entry 0 b'<pad>' is not"),
+        ([b"to\0k"], "entry 0 b'to\\x00k' is not"),
+        ([b"tok1", b"tok0"], "entry 1 b'tok0' does not sort after b'tok1'"),
+        ([b"tok0", b"tok0"], "entry 1 b'tok0' does not sort after b'tok0'"),
+        (np.array([b"tok0"], dtype="S6"), "'word_bytes' 6 is longer than the longest word"),
+    ], ids=["space", "empty", "tab", "newline", "unicode-separator", "not-utf8", "uppercase",
+            "pad", "interior-nul", "out-of-order", "repeated", "wider-than-longest-word"])
     def test_save_refuses_word_the_line_cannot_hold(self, tmp_path, words, message):
-        bundle, _ = small_bundle()
-        bundle = dataclasses.replace(bundle, vocab=vocab_index(words),
+        """save_checkpoint refuses any word `tokenize` cannot make, and an unsorted block."""
+        bundle = small_bundle()[0]
+        bundle = dataclasses.replace(bundle, vocab=np.array(words),
                                      embeddings=bundle.embeddings[:2 + len(words)])
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             save_checkpoint(bundle, tmp_path / "model.ckpt")
         assert not (tmp_path / "model.ckpt").exists()
 
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda raw, start, end: raw[:end], "truncated checkpoint payload: 0 bytes"),
-        (lambda raw, start, end: raw[:end] + b"\xe9" + raw[end:],
-         "bad checkpoint vocabulary line: 'utf-8' codec can't decode byte 0xe9"),
-        (lambda raw, start, end: raw[:end - 4] + raw[start:start + 4] + raw[end:],
-         "vocabulary tokens must be distinct, 'tok0' repeats"),
-        (lambda raw, start, end: raw[:end - 4] + b"<pad>" + raw[end:],
-         "vocabulary tokens must be distinct, '<pad>' repeats"),
-        (as_format_six, "unsupported checkpoint format 6; retrain to upgrade to format 7"),
-    ], ids=["truncated", "not-utf8", "repeated-word", "pad", "format-6"])
+        (lambda raw: raw[:block_span(raw)[1] - 3],
+         "truncated checkpoint payload: "),
+        (with_words([b"tok\xe9", *WORDS[1:]]),
+         "bad checkpoint vocabulary: entry 0 b'tok\\xe9' is not a [a-z0-9']+ word padded"),
+        (with_words([WORDS[0], WORDS[0], *WORDS[2:]]),
+         "bad checkpoint vocabulary: entry 1 b'tok0' does not sort after b'tok0'"),
+        (with_words([*WORDS[:9], b"<pad>"]), "entry 9 b'<pad>' is not a [a-z0-9']+ word"),
+        (lambda raw: as_format(6, raw),
+         "unsupported checkpoint format 6; retrain to upgrade to format 8"),
+        (lambda raw: as_format(7, raw),
+         "unsupported checkpoint format 7; retrain to upgrade to format 8"),
+        (relabelled(7), "'words' must be an integer >= 0, got None"),
+        (relabelled(6), "'words' must be an integer >= 0, got None"),
+        (with_words([WORDS[1], WORDS[0], *WORDS[2:]]),
+         "entry 1 b'tok0' does not sort after b'tok1'"),
+        (with_words([*WORDS[:4], b"", *WORDS[5:]], width=4),
+         "entry 4 b'\\x00\\x00\\x00\\x00' is not a [a-z0-9']+ word"),
+        (with_words([*WORDS[:3], b"to\0k3", *WORDS[4:]]),
+         "entry 3 b'to\\x00k3' is not a [a-z0-9']+ word"),
+        (with_words([*WORDS[:5], b"Tok5", *WORDS[6:]]), "entry 5 b'Tok5' is not"),
+        (with_words([*WORDS[:5], "tok\u00e9".encode(), *WORDS[6:]]),
+         "entry 5 b'tok\\xc3\\xa9' is not"),
+        (with_words(WORDS, width=6), "'word_bytes' 6 is longer than the longest word"),
+        (with_metadata(words=11), "truncated checkpoint payload: 1808 bytes, where words, "
+                                  "word_bytes, embedding_dim, cell_size and task give 1836"),
+        (with_metadata(words=9), "trailing bytes in checkpoint payload: 1808 bytes, where "
+                                 "words, word_bytes, embedding_dim, cell_size and task give 1780"),
+    ], ids=["truncated", "not-utf8", "repeated-word", "pad", "format-6", "format-7",
+            "relabelled-format-7", "relabelled-format-6", "out-of-order", "empty-entry", "interior-nul", "uppercase",
+            "e-acute", "wider-than-longest-word", "more-words-than-the-file-holds",
+            "fewer-words-than-the-file-holds"])
     def test_malformed_line_exits_two(self, tmp_path, capsys, corrupt, message):
+        """Every malformed block exits 2, naming the entry at fault."""
         path = saved_checkpoint(tmp_path)
-        raw = path.read_bytes()
-        path.write_bytes(corrupt(raw, *vocab_line_span(raw)))
+        path.write_bytes(corrupt(path.read_bytes()))
         assert predict_exit_code(tmp_path, path) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "runs" / "predict-0001").exists()
@@ -437,12 +526,18 @@ class TestFuzz:
         content = MAGIC + json.dumps(meta).encode() + b"\n" + raw[header_end + 1:]
         assert predict_exit_code_for_bytes(content) in (0, 2)
 
-    @given(line=st.binary(max_size=120))
+    @given(width=st.integers(1, 8), data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_any_bytes_in_the_vocabulary_line(self, line):
-        raw = valid_checkpoint()
-        start, end = vocab_line_span(raw)
-        assert predict_exit_code_for_bytes(raw[:start] + line + raw[end:]) in (0, 2)
+    def test_any_bytes_in_the_vocabulary_line(self, width, data):
+        """Any bytes in a vocabulary block of the size its metadata gives (the block
+        replaced format 7's vocabulary line)."""
+        size = len(WORDS) * width
+        new_block = data.draw(st.binary(min_size=size, max_size=size)
+                              | st.lists(st.sampled_from(b"ab'\0<A\xe9"), min_size=size,
+                                         max_size=size).map(bytes))
+        content = replace_block(valid_checkpoint(), new_block, len(WORDS), width)
+        assert predict_exit_code_for_bytes(content) in (0, 2)
+
 
     @given(tail=st.binary(max_size=300))
     @settings(max_examples=200, deadline=None)

@@ -5,6 +5,8 @@ import json
 import os
 import pkgutil
 import re
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -52,12 +54,17 @@ def train_run(tmp_path, data_csv, toy_cfg_file):
 
 
 def replace_stored_vocab(ckpt, new_words):
-    """Swap the words on a checkpoint's vocabulary line for new_words(old); returns the old list."""
+    """Swap the words in a checkpoint's vocabulary block for new_words(old), NUL-padded to
+    the longest, and its metadata's words and word_bytes to match; returns the old list."""
     raw = ckpt.read_bytes()
     start = raw.find(b"\n", len(MAGIC)) + 1
-    end = raw.find(b"\n", start)
-    old = raw[start:end].decode().split(" ")
-    ckpt.write_bytes(raw[:start] + " ".join(new_words(old)).encode() + raw[end:])
+    meta = json.loads(raw[len(MAGIC):start])
+    width, end = meta["word_bytes"], start + meta["words"] * meta["word_bytes"]
+    old = [raw[i:i + width].rstrip(b"\0").decode() for i in range(start, end, width)]
+    new = [word.encode() for word in new_words(old)]
+    meta.update(words=len(new), word_bytes=max(map(len, new)))
+    block = b"".join(word.ljust(meta["word_bytes"], b"\0") for word in new)
+    ckpt.write_bytes(MAGIC + json.dumps(meta).encode() + b"\n" + block + raw[end:])
     return old
 
 
@@ -542,19 +549,20 @@ class TestPredict:
         assert code == 2
         err = capsys.readouterr().err
         raw = ckpt.read_bytes()
-        payload = len(raw) - raw.find(b"\n", raw.find(b"\n", len(MAGIC)) + 1) - 1
+        payload = len(raw) - raw.find(b"\n", len(MAGIC)) - 1  # the vocabulary block included
         short = payload - 4 * (rows - 3) * toy_config().embedding_dim  # 3 rows, not `rows`
-        assert (f"trailing bytes in checkpoint payload: {payload} bytes, where vocab, "
-                f"embedding_dim, cell_size and task give {short}") in err
+        assert (f"trailing bytes in checkpoint payload: {payload} bytes, where words, "
+                f"word_bytes, embedding_dim, cell_size and task give {short}") in err
 
     def test_repeated_vocab_token_exits_two(self, tmp_path, data_csv, toy_cfg_file, capsys):
         ckpt = train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt"
         # Same length, so only the repeat of the first word is wrong.
-        token = replace_stored_vocab(ckpt, lambda old: old[:-1] + old[:1])[0]
+        token = replace_stored_vocab(ckpt, lambda old: old[:1] + old[:-1])[0].encode()
         code = main(["predict", "--out", str(tmp_path / "runs"),
                      "--checkpoint", str(ckpt), "--text", "good dress"])
         assert code == 2
-        assert f"vocabulary tokens must be distinct, {token!r} repeats" in capsys.readouterr().err
+        assert (f"bad checkpoint vocabulary: entry 1 {token!r} does not sort after {token!r}"
+                in capsys.readouterr().err)
 
 
 def with_bad_byte(path, line):
@@ -810,3 +818,38 @@ def test_subcommand_flags_in_order(capsys, command, flags):
     assert main([command, "--help"]) == 0
     usage = capsys.readouterr().out.split("\n\n")[0]
     assert re.findall(r"\[--(\w+)", usage) == flags
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env(**values):
+    """This environment without the BLAS thread variables, plus `values`, importing this
+    reviewlab."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    src = str(Path(reviewlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return {**env, **values}
+
+
+class TestBlasThreadPin:
+    """Importing reviewlab pins BLAS to one thread unless the environment sets a count."""
+
+    def test_unset_variables_read_one_and_a_set_value_wins(self):
+        probe = "import os, reviewlab; print(*(os.environ[v] for v in %r))" % (BLAS_VARIABLES,)
+        for values, expected in (({}, "1 1 1"), ({"OMP_NUM_THREADS": "3"}, "1 3 1")):
+            out = subprocess.run([sys.executable, "-c", probe], env=blas_env(**values),
+                                 capture_output=True, text=True, check=True, timeout=120).stdout
+            assert out.split() == expected.split()
+
+    def test_unset_train_writes_the_one_thread_checkpoint(self, tmp_path, data_csv, toy_cfg_file):
+        """The toy `train` writes the same model.ckpt bytes with the variables unset as
+        with all three set to 1."""
+        checkpoints = []
+        for name, values in (("unset", {}), ("one", dict.fromkeys(BLAS_VARIABLES, "1"))):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-m", "reviewlab.cli", "train", "--data",
+                            str(data_csv), "--out", str(out), "--config", str(toy_cfg_file)],
+                           env=blas_env(**values), capture_output=True, check=True, timeout=300)
+            checkpoints.append((out / "train-0001" / "model.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]

@@ -21,8 +21,9 @@ from reviewlab.textprep import (
     encode,
     load_glove,
     random_embeddings,
+    sorted_vocab,
     tokenize,
-    vocab_index,
+    word_index,
 )
 from reviewlab.training import TrainConfig
 
@@ -108,7 +109,7 @@ class TestTokenize:
 
 class TestVocab:
     def test_reserved_slots(self):
-        assert vocab_index([]) == {"<pad>": PAD_INDEX, "<oov>": OOV_INDEX}
+        assert build_vocab([], min_freq=1, max_size=10) == {"<pad>": PAD_INDEX, "<oov>": OOV_INDEX}
 
     def test_build_simple_corpus(self):
         v = build_vocab([["a", "a", "b"]], min_freq=1, max_size=100)
@@ -129,14 +130,15 @@ class TestVocab:
         assert len(v) == 5
 
     def test_built_from_ordered_words(self):
-        v = vocab_index(["b", "a"])
-        assert list(v.items()) == [("<pad>", 0), ("<oov>", 1), ("b", 2), ("a", 3)]
-        with pytest.raises(ValueError, match="distinct, 'a' repeats"):
-            vocab_index(["a", "a"])
-        with pytest.raises(ValueError, match="distinct, '<pad>' repeats"):
-            vocab_index(["<pad>"])
-        with pytest.raises(ValueError, match="distinct, '<oov>' repeats"):
-            vocab_index(["b", "<oov>"])
+        """A checkpoint's words are the dict's in ascending order, each with its own row."""
+        v = build_vocab([["bb", "bb", "a"]], min_freq=1, max_size=10)
+        assert list(v.items()) == [("<pad>", 0), ("<oov>", 1), ("bb", 2), ("a", 3)]
+        table = np.arange(8.0).reshape(4, 2)
+        words, rows = sorted_vocab(v, table)
+        assert words.dtype == np.dtype("S2")
+        assert words.tolist() == [b"a", b"bb"]
+        assert np.array_equal(rows, table[[0, 1, 3, 2]])
+        assert word_index(words, [["bb", "c"], ["a", "bb"]]) == {"a": 2, "bb": 3}
 
     def test_deterministic_construction(self):
         corpus = [["x", "y", "x"], ["z", "y", "w"]]
@@ -330,35 +332,68 @@ class TestVocabRoundTrip:
 
     def save(self, tmp_path, vocab):
         path = tmp_path / "model.ckpt"
+        words, table = sorted_vocab(vocab, random_embeddings(len(vocab), 3, SeededRng(2)))
         save_checkpoint(ModelBundle(
-            task="recommendation", seq_len=4, seed=0, vocab=vocab,
+            task="recommendation", seq_len=4, seed=0, vocab=words,
             model=BiLstmClassifier.build(2, 3, 2, SeededRng(1)),
-            embeddings=random_embeddings(len(vocab), 3, SeededRng(2)), data_sha256="",
+            embeddings=table, data_sha256="",
         ), path)
         return path
 
-    def vocab_line(self, path):
-        """The checkpoint's bytes and the start and end of its vocabulary line."""
+    def block(self, path):
+        """The checkpoint's bytes and the start and end of its vocabulary block."""
         raw = path.read_bytes()
         start = raw.find(b"\n", len(MAGIC)) + 1
-        return raw, start, raw.find(b"\n", start)
+        meta = json.loads(raw[len(MAGIC):start])
+        return raw, start, start + meta["words"] * meta["word_bytes"]
 
     def test_save_load_round_trip(self, tmp_path):
         v = build_vocab([["b", "a", "b", "c"]], min_freq=1, max_size=10)
         loaded = load_checkpoint(self.save(tmp_path, v)).vocab
-        assert list(loaded.items()) == list(v.items())
+        assert loaded.tolist() == [b"a", b"b", b"c"]
 
     def test_export_format(self, tmp_path):
-        """The vocabulary line lists the words after <pad> and <oov>, in index order."""
-        v = build_vocab([["b", "a", "b"]], min_freq=1, max_size=10)
-        raw, start, end = self.vocab_line(self.save(tmp_path, v))
-        assert raw[start:end] == b"b a"
-        assert "vocab" not in json.loads(raw[len(MAGIC):start])
+        """The block lists the words after <pad> and <oov> ascending, each NUL-padded to
+        the longest word's length."""
+        v = build_vocab([["bb", "a", "bb"]], min_freq=1, max_size=10)
+        raw, start, end = self.block(self.save(tmp_path, v))
+        assert raw[start:end] == b"a\0bb"
+        meta = json.loads(raw[len(MAGIC):start])
+        assert (meta["words"], meta["word_bytes"]) == (2, 2)
+        assert "vocab" not in meta
 
     def test_load_rejects_malformed_line(self, tmp_path):
-        """A vocabulary line that is not UTF-8 is refused."""
+        """A block entry that is not a tokenizer token is refused."""
         path = self.save(tmp_path, build_vocab([["a", "b"]], min_freq=1, max_size=10))
-        raw, start, end = self.vocab_line(path)
-        path.write_bytes(raw[:start] + b"a \xff" + raw[end:])
-        with pytest.raises(InputError, match="bad checkpoint vocabulary line: 'utf-8' codec can't decode"):
+        raw, start, end = self.block(path)
+        path.write_bytes(raw[:start] + b"a\xff" + raw[end:])
+        with pytest.raises(InputError, match=re.escape(
+                "bad checkpoint vocabulary: entry 1 b'\\xff' is not a [a-z0-9']+ word")):
             load_checkpoint(path)
+
+
+class TestWordIndex:
+    """`word_index` maps tokens as the sorted words' own dict would."""
+
+    @given(st.lists(st.text("ab'z", min_size=1, max_size=4), max_size=12),
+           st.lists(st.lists(st.text("ab'z", min_size=1, max_size=6), max_size=6), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_dict_of_the_sorted_words(self, words, token_lists):
+        vocab = build_vocab([words], min_freq=1, max_size=100)
+        sorted_words, _ = sorted_vocab(vocab, np.zeros((len(vocab), 1)))
+        reference = {w.decode(): i + 2 for i, w in enumerate(sorted_words.tolist())}
+        index = word_index(sorted_words, token_lists)
+        assert index == {t: reference[t] for tokens in token_lists for t in tokens
+                         if t in reference}
+        assert np.array_equal(encode(token_lists, index, 5), encode(token_lists, reference, 5))
+
+    def test_longer_token_is_out_of_vocabulary(self):
+        """A token longer than every word cannot truncate into a match."""
+        words, _ = sorted_vocab(build_vocab([["abc", "ab"]], 1, 10), np.zeros((4, 1)))
+        assert words.dtype == np.dtype("S3")
+        assert word_index(words, [["abcd", "abcde", "abc", "ab", "a"]]) == {"ab": 2, "abc": 3}
+        assert encode([["abcd"]], word_index(words, [["abcd"]]), 1)[0, 0] == OOV_INDEX
+
+    def test_empty_vocabulary(self):
+        words, _ = sorted_vocab(build_vocab([], 1, 10), np.zeros((2, 1)))
+        assert word_index(words, [["a"], []]) == {}

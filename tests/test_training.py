@@ -10,14 +10,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reviewlab.training
-from reviewlab.checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint
+from reviewlab.checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import split_60_20_20, write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, softmax
 from reviewlab.rng import SeededRng
 from reviewlab.sentiment import BUILTIN_LEXICON
-from reviewlab.textprep import PAD_INDEX, build_vocab, encode, random_embeddings, tokenize
+from reviewlab.textprep import (
+    OOV_INDEX,
+    PAD_INDEX,
+    build_vocab,
+    encode,
+    random_embeddings,
+    sorted_vocab,
+    tokenize,
+    word_index,
+)
 from reviewlab.toydata import toy_config, toy_reviews
 
 from gradcheck import grad_check
@@ -169,7 +178,7 @@ class TestBuildTrainingData:
         train_tokens = set()
         for i in train_rows:
             train_tokens.update(tokenize(records[i].review_text))
-        assert set(vocab) == train_tokens | {"<pad>", "<oov>"}
+        assert {word.decode() for word in vocab.tolist()} == train_tokens
 
     def test_dropped_records_counted(self):
         records = toy_reviews()
@@ -443,16 +452,48 @@ class TestPredict:
     def bundle(self):
         config, splits, vocab, emb = prepared_toy(epochs=2)
         model, table, _ = train(config, *splits[:2], emb)
+        words, table = sorted_vocab(vocab, table)
         bundle = ModelBundle(
             task=config.task,
             seq_len=config.seq_len,
             seed=config.seed,
-            vocab=vocab,
+            vocab=words,
             model=model,
             embeddings=table,
             data_sha256="",  # predict never reads the data fingerprint
         )
         return bundle
+
+    def test_saved_model_scores_bit_identically(self, tmp_path):
+        """Through save -> load (sorted words, permuted rows) every text scores exactly as
+        with the training-order dict and table, out-of-vocabulary tokens included."""
+        config, splits, vocab, emb = prepared_toy(epochs=2)
+        model, table, _ = train(config, *splits[:2], emb)
+        words, sorted_table = sorted_vocab(vocab, table)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ModelBundle(task=config.task, seq_len=config.seq_len, seed=config.seed,
+                                    vocab=words, model=model, embeddings=sorted_table,
+                                    data_sha256=""), path)
+        loaded = load_checkpoint(path)
+        longest = max(vocab, key=len)
+        long_token = longest + "s"  # its first word_bytes bytes are a word
+        assert len(long_token) > loaded.vocab.dtype.itemsize
+        assert long_token not in vocab
+        texts = ["really good dress love it", "zebra quokka good", "bad skirt, returned it!",
+                 f"{long_token} {longest} good", long_token, "!!!"]
+        token_lists = [tokenize(text) for text in texts]
+        index = word_index(loaded.vocab, token_lists)
+        assert long_token not in index and "zebra" not in index
+        assert encode([[long_token]], index, 1)[0, 0] == OOV_INDEX
+        expected = class_probabilities(model, table,
+                                       encode(token_lists, vocab, config.seq_len), 4)
+        got = class_probabilities(loaded.model, loaded.embeddings,
+                                  encode(token_lists, index, config.seq_len), 4)
+        assert np.array_equal(got, expected)
+        for text, tokens in zip(texts, token_lists):
+            alone = class_probabilities(model, table,
+                                        encode([tokens], vocab, max(1, len(tokens))), 1)[0]
+            assert list(predict(loaded, text)["probabilities"].values()) == alone.tolist()
 
     def test_identical_text_identical_probabilities(self):
         bundle = self.bundle()

@@ -66,22 +66,20 @@ class ModelBundle:
 
 def _words(block: bytes, width: int) -> np.ndarray:
     """The vocabulary block as an S{width} array; a malformed one raises ValueError."""
-    words = np.frombuffer(block, f"S{width}")
+    # No words leave the width unchecked by the file size: it must then be 1.
+    words = np.frombuffer(block, f"S{width}") if block else np.empty(0, "S1")
     lengths = np.char.str_len(words)  # each entry's length up to its last non-NUL byte
+    if lengths.max(initial=1) != width:
+        raise ValueError(f"'word_bytes' {width} is not the longest word's length (1 for none)")
     # Each entry is [a-z0-9']+ then NULs: no other byte, no empty entry, every NUL trailing.
+    # Strictly ascending refuses a repeat, and '<pad>' or '<oov>' fail the alphabet.
     if (block.translate(None, TOKEN_BYTES + b"\0") or not lengths.all()
-            or block.count(0) != len(block) - lengths.sum()):
-        i = next(i for i, word in enumerate(words.tolist())
-                 if not word or word.translate(None, TOKEN_BYTES))
-        raise ValueError(f"entry {i} {block[i * width:(i + 1) * width]!r} is not "
-                         f"a [a-z0-9']+ word padded with NULs")
-    if len(words) and lengths.max() != width:
-        raise ValueError(f"'word_bytes' {width} is longer than the longest word")
-    # Strictly ascending refuses a repeat, and '<pad>' or '<oov>' failed the alphabet above.
-    if not (ascending := words[1:] > words[:-1]).all():
-        i = ascending.argmin() + 1
-        raise ValueError(f"entry {i} {bytes(words[i])!r} does not sort after "
-                         f"{bytes(words[i - 1])!r}")
+            or block.count(0) != len(block) - lengths.sum() or not (words[1:] > words[:-1]).all()):
+        listed = words.tolist()
+        i = next(i for i, (before, word) in enumerate(zip([b""] + listed, listed))
+                 if word <= before or word.translate(None, TOKEN_BYTES))
+        raise ValueError(f"entry {i} {block[i * width:(i + 1) * width]!r} is not a [a-z0-9']+ "
+                         f"word padded with NULs and sorting after the one before")
     return words
 
 
@@ -89,9 +87,17 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
     """Write the bundle to `path`; a vocabulary a load would refuse raises ValueError."""
     block, width = bundle.vocab.tobytes(), bundle.vocab.dtype.itemsize
     _words(block, width)
-    meta = {"format": FORMAT, "task": bundle.task, "seq_len": bundle.seq_len, "seed": bundle.seed,
-            "cell_size": bundle.model.cell_size, "embedding_dim": bundle.embeddings.shape[1],
-            "data_sha256": bundle.data_sha256, "words": len(bundle.vocab), "word_bytes": width}
+    meta = {
+        "format": FORMAT,
+        "task": bundle.task,
+        "seq_len": bundle.seq_len,
+        "seed": bundle.seed,
+        "cell_size": bundle.model.cell_size,
+        "embedding_dim": bundle.embeddings.shape[1],
+        "data_sha256": bundle.data_sha256,
+        "words": len(bundle.vocab),
+        "word_bytes": width,
+    }
     with open(path, "wb") as fh:
         fh.write(MAGIC + f"{json.dumps(meta, sort_keys=True)}\n".encode() + block)
         for a in (bundle.embeddings, *(a for _, a in bundle.model.param_blocks())):
@@ -167,9 +173,12 @@ def load_checkpoint(path) -> ModelBundle:
         if fh.readinto(flat) != 4 * len(flat):
             raise InputError(f"{path}: truncated checkpoint payload")
 
-    table, *blocks = (a.reshape(shape)
-                      for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes))
-    model = BiLstmClassifier(*blocks)
+    arrays, start = [], 0
+    for shape, n in zip(shapes, sizes):
+        arrays.append(flat[start:start + n].reshape(shape))
+        start += n
+    table = arrays[0]
+    model = BiLstmClassifier(*arrays[1:])
     for name, a in [("embeddings", table), *model.param_blocks()]:
         if not np.isfinite(a).all():
             raise InputError(f"{path}: block {name!r} contains non-finite values")

@@ -220,8 +220,15 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
                                for tokens, labels in splits[:2])
     model, table, history = train(config, train_split, validation, embeddings)
     words, table = sorted_vocab(vocab, table)
-    bundle = ModelBundle(task=config.task, seq_len=config.seq_len, seed=config.seed, vocab=words,
-                         model=model, embeddings=table, data_sha256=data_sha256)
+    bundle = ModelBundle(
+        task=config.task,
+        seq_len=config.seq_len,
+        seed=config.seed,
+        vocab=words,
+        model=model,
+        embeddings=table,
+        data_sha256=data_sha256,
+    )
     save_checkpoint(bundle, run_dir / "model.ckpt")
     _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, history))
     n_train, n_val, n_test = (len(labels) for _, labels in splits)

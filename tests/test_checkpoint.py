@@ -401,12 +401,27 @@ def relabelled(number):
                                                       b'"format": 8', 1)
 
 
+def without_words(word_bytes):
+    """A corruption that empties the vocabulary block, drops the words' embedding rows and
+    sets `word_bytes` as given."""
+    def corrupt(raw):
+        start, end = block_span(raw)
+        row = 4 * json.loads(raw[len(MAGIC):start - 1])["embedding_dim"]
+        return replace_block(raw[:end + 2 * row] + raw[end + (2 + len(WORDS)) * row:], b"",
+                             0, word_bytes)
+    return corrupt
+
+
 def with_metadata(**fields):
     def corrupt(raw):
         header_end = raw.find(b"\n", len(MAGIC))
         meta = {**json.loads(raw[len(MAGIC):header_end]), **fields}
         return MAGIC + json.dumps(meta, sort_keys=True).encode() + raw[header_end:]
     return corrupt
+
+
+# What a load or save says of an entry out of order or repeated.
+UNSORTED = "is not a [a-z0-9']+ word padded with NULs and sorting after the one before"
 
 
 class TestVocabularyLine:
@@ -426,6 +441,7 @@ class TestVocabularyLine:
         assert loaded.vocab.tolist() == []
         assert np.array_equal(loaded.embeddings, bundle.embeddings)
         assert predict_exit_code(tmp_path, path) == 0
+        assert without_words(1)(saved_checkpoint(tmp_path).read_bytes()) == path.read_bytes()
 
     @pytest.mark.parametrize("words, message", [
         ([b"tok0", b"two words"], "entry 1 b'two words' is not a [a-z0-9']+ word"),
@@ -437,11 +453,13 @@ class TestVocabularyLine:
         ([b"Tok0"], "entry 0 b'Tok0' is not"),
         ([b"<pad>"], "entry 0 b'<pad>' is not"),
         ([b"to\0k"], "entry 0 b'to\\x00k' is not"),
-        ([b"tok1", b"tok0"], "entry 1 b'tok0' does not sort after b'tok1'"),
-        ([b"tok0", b"tok0"], "entry 1 b'tok0' does not sort after b'tok0'"),
-        (np.array([b"tok0"], dtype="S6"), "'word_bytes' 6 is longer than the longest word"),
+        ([b"tok1", b"tok0"], "entry 1 b'tok0' " + UNSORTED),
+        ([b"tok0", b"tok0"], "entry 1 b'tok0' " + UNSORTED),
+        (np.array([b"tok0"], dtype="S6"), "'word_bytes' 6 is not the longest word's length"),
+        (np.array([], dtype="S5"), "'word_bytes' 5 is not the longest word's length (1 for none)"),
     ], ids=["space", "empty", "tab", "newline", "unicode-separator", "not-utf8", "uppercase",
-            "pad", "interior-nul", "out-of-order", "repeated", "wider-than-longest-word"])
+            "pad", "interior-nul", "out-of-order", "repeated", "wider-than-longest-word",
+            "no-words-five-bytes-wide"])
     def test_save_refuses_word_the_line_cannot_hold(self, tmp_path, words, message):
         """save_checkpoint refuses any word `tokenize` cannot make, and an unsorted block."""
         bundle = small_bundle()[0]
@@ -457,7 +475,7 @@ class TestVocabularyLine:
         (with_words([b"tok\xe9", *WORDS[1:]]),
          "bad checkpoint vocabulary: entry 0 b'tok\\xe9' is not a [a-z0-9']+ word padded"),
         (with_words([WORDS[0], WORDS[0], *WORDS[2:]]),
-         "bad checkpoint vocabulary: entry 1 b'tok0' does not sort after b'tok0'"),
+         "bad checkpoint vocabulary: entry 1 b'tok0' " + UNSORTED),
         (with_words([*WORDS[:9], b"<pad>"]), "entry 9 b'<pad>' is not a [a-z0-9']+ word"),
         (lambda raw: as_format(6, raw),
          "unsupported checkpoint format 6; retrain to upgrade to format 8"),
@@ -466,7 +484,7 @@ class TestVocabularyLine:
         (relabelled(7), "'words' must be an integer >= 0, got None"),
         (relabelled(6), "'words' must be an integer >= 0, got None"),
         (with_words([WORDS[1], WORDS[0], *WORDS[2:]]),
-         "entry 1 b'tok0' does not sort after b'tok1'"),
+         "entry 1 b'tok0' " + UNSORTED),
         (with_words([*WORDS[:4], b"", *WORDS[5:]], width=4),
          "entry 4 b'\\x00\\x00\\x00\\x00' is not a [a-z0-9']+ word"),
         (with_words([*WORDS[:3], b"to\0k3", *WORDS[4:]]),
@@ -474,15 +492,19 @@ class TestVocabularyLine:
         (with_words([*WORDS[:5], b"Tok5", *WORDS[6:]]), "entry 5 b'Tok5' is not"),
         (with_words([*WORDS[:5], "tok\u00e9".encode(), *WORDS[6:]]),
          "entry 5 b'tok\\xc3\\xa9' is not"),
-        (with_words(WORDS, width=6), "'word_bytes' 6 is longer than the longest word"),
+        (with_words(WORDS, width=6), "'word_bytes' 6 is not the longest word's length"),
         (with_metadata(words=11), "truncated checkpoint payload: 1808 bytes, where words, "
                                   "word_bytes, embedding_dim, cell_size and task give 1836"),
         (with_metadata(words=9), "trailing bytes in checkpoint payload: 1808 bytes, where "
                                  "words, word_bytes, embedding_dim, cell_size and task give 1780"),
+        (without_words(10**9), "'word_bytes' 1000000000 is not the longest word's length"),
+        (without_words(10**30), "'word_bytes' 1000000000000000000000000000000 is not the "
+                                "longest word's length"),
     ], ids=["truncated", "not-utf8", "repeated-word", "pad", "format-6", "format-7",
-            "relabelled-format-7", "relabelled-format-6", "out-of-order", "empty-entry", "interior-nul", "uppercase",
-            "e-acute", "wider-than-longest-word", "more-words-than-the-file-holds",
-            "fewer-words-than-the-file-holds"])
+            "relabelled-format-7", "relabelled-format-6", "out-of-order", "empty-entry",
+            "interior-nul", "uppercase", "e-acute", "wider-than-longest-word",
+            "more-words-than-the-file-holds", "fewer-words-than-the-file-holds",
+            "no-words-billion-bytes-wide", "no-words-1e30-bytes-wide"])
     def test_malformed_line_exits_two(self, tmp_path, capsys, corrupt, message):
         """Every malformed block exits 2, naming the entry at fault."""
         path = saved_checkpoint(tmp_path)

@@ -23,21 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import REQUIRED_COLUMNS
+from .dataset import COLUMNS
 from .errors import InputError
 from .textprep import tokenize
 
-# ReviewRecord's fields are row_id, then REQUIRED_COLUMNS in order.
-FEATURE_ACCESSORS = {name: itemgetter(i) for i, name in enumerate(REQUIRED_COLUMNS, start=1)}
+# ReviewRecord's fields are row_id, then COLUMNS in order.
+FEATURE_ACCESSORS = {name: itemgetter(i) for i, name in enumerate(COLUMNS, start=1)}
 FEATURE_ACCESSORS["Recommended IND"] = lambda r: int(r.recommended)
 
-NUMERIC_FEATURES = (
-    "Clothing ID",
-    "Age",
-    "Rating",
-    "Recommended IND",
-    "Positive Feedback Count",
-)
+NUMERIC_FEATURES = tuple(name for name, bounds in COLUMNS.items() if bounds)
 
 CATEGORICAL_FEATURES = (
     "Clothing ID",

@@ -1,10 +1,11 @@
 """CSV ingestion, validation, filtering, and the deterministic split.
 
 The input is an RFC-4180 CSV with a header row carrying the ten review
-columns (a leading unnamed index column is tolerated, as shipped in the
-public file).  Rows whose mandatory fields fail validation are collected
-as issues, each the `line N: message` string `issues.txt` holds, never
-silently dropped or repaired.
+columns in any order (a leading unnamed index column is tolerated, as
+shipped in the public file); `COLUMNS` is their one declaration.  Rows
+whose mandatory fields fail validation are collected as issues, each
+the `line N: message` string `issues.txt` holds, never silently dropped
+or repaired.
 Optional text fields keep their exact contents so a parse -> write ->
 parse cycle reproduces every record bit-for-bit; empty strings are read
 back as absent values.
@@ -19,36 +20,25 @@ from typing import NamedTuple
 from .errors import InputError, input_lines
 from .rng import SeededRng
 
-REQUIRED_COLUMNS = (
-    "Clothing ID",
-    "Age",
-    "Title",
-    "Review Text",
-    "Rating",
-    "Recommended IND",
-    "Positive Feedback Count",
-    "Division Name",
-    "Department Name",
-    "Class Name",
-)
+# The review columns in record order: inclusive integer bounds, or None for optional text.
+COLUMNS = {
+    "Clothing ID": (0, math.inf),
+    "Age": (0, math.inf),
+    "Title": None,
+    "Review Text": None,
+    "Rating": (1, 5),
+    "Recommended IND": (0, 1),
+    "Positive Feedback Count": (0, math.inf),
+    "Division Name": None,
+    "Department Name": None,
+    "Class Name": None,
+}
 
 MIN_SPLIT_RECORDS = 5
 
 
-# The integer columns in record order, with their inclusive bounds.
-_INT_COLUMNS = (
-    ("Clothing ID", 0, math.inf),
-    ("Age", 0, math.inf),
-    ("Rating", 1, 5),
-    ("Recommended IND", 0, 1),
-    ("Positive Feedback Count", 0, math.inf),
-)
-# The optional text columns in record order.
-_TEXT_COLUMNS = ("Title", "Review Text", "Division Name", "Department Name", "Class Name")
-
-
 class ReviewRecord(NamedTuple):
-    """One valid row: row_id, then one field per REQUIRED_COLUMNS entry, in that order."""
+    """One valid row: row_id, then one field per COLUMNS entry, in that order."""
 
     row_id: int
     clothing_id: int
@@ -82,13 +72,12 @@ def parse_csv(path):
         raise InputError(f"{path}: empty file, expected a header row") from None
     names = [h.strip() for h in header]
     positions = {name: i for i, name in enumerate(names)}
-    missing = [c for c in REQUIRED_COLUMNS if c not in positions]
+    missing = [c for c in COLUMNS if c not in positions]
     if missing:
         raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
     has_index_column = names[0] == ""
     width = len(header)
-    int_cells = [(name, positions[name], lo, hi) for name, lo, hi in _INT_COLUMNS]
-    text_cells = [positions[name] for name in _TEXT_COLUMNS]
+    cells = [(name, positions[name], bounds) for name, bounds in COLUMNS.items()]
 
     for ordinal, row in enumerate(reader):
         line = reader.line_num
@@ -103,15 +92,18 @@ def parse_csv(path):
                 row_id = int(row[0])
             except ValueError:
                 problems.append(f"index column not an integer: {row[0]!r}")
-        values = []
-        for name, pos, lo, hi in int_cells:
+        values = [row_id]
+        for name, pos, bounds in cells:
             raw = row[pos]
+            if bounds is None:
+                values.append(raw or None)  # An empty text cell is an absent value.
+                continue
             try:
                 value = int(raw)
             except ValueError:
                 problems.append(f"{name} not an integer: {raw!r}")
                 continue
-            if not lo <= value <= hi:
+            if not bounds[0] <= value <= bounds[1]:
                 problems.append(f"{name} out of range: {value}")
             values.append(value)
 
@@ -119,11 +111,8 @@ def parse_csv(path):
             issues.append(f"line {line}: {'; '.join(problems)}")
             continue
 
-        clothing_id, age, rating, recommended, feedback = values
-        # An empty text cell is an absent value.
-        title, review_text, division, department, class_name = [row[i] or None for i in text_cells]
-        records.append(ReviewRecord(row_id, clothing_id, age, title, review_text, rating,
-                                    bool(recommended), feedback, division, department, class_name))
+        values[_RECOMMENDED] = bool(values[_RECOMMENDED])
+        records.append(ReviewRecord(*values))
     return records, issues
 
 
@@ -133,7 +122,7 @@ def write_csv(records, path, sentiment=None) -> None:
     The leading unnamed index column carries row_id, matching the public
     file's shape, so written files re-parse to identical records.
     """
-    header = ["", *REQUIRED_COLUMNS]
+    header = ["", *COLUMNS]
     if sentiment is not None:
         header.append("Sentiment")
     with open(path, "w", encoding="utf-8", newline="") as fh:

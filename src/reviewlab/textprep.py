@@ -73,12 +73,14 @@ def sorted_vocab(vocab: dict, table: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def word_index(words: np.ndarray, token_lists) -> dict:
     """Token -> index dict of the tokens in token_lists that `sorted_vocab`'s words hold."""
-    tokens = list(set(chain.from_iterable(token_lists)))
-    # Searched at the words' width (no copy of them), compared one byte wider (no truncation).
-    query = np.array(tokens, dtype=f"S{words.dtype.itemsize + 1}")
-    at = np.searchsorted(words, query.astype(words.dtype))
+    tokens = [t for t in set(chain.from_iterable(token_lists)) if len(t) <= words.itemsize]
+    query = np.array(tokens, dtype="S")
+    # Words cut in place one byte past the longest token: still sorted, and no longer word matches.
+    cut = np.ndarray(len(words), f"S{min(query.itemsize + 1, words.itemsize)}", words,
+                     strides=words.strides)
+    at = np.searchsorted(cut, query)
     found = at < len(words)
-    found[found] = words[at[found]] == query[found]
+    found[found] = cut[at[found]] == query[found]
     return dict(zip(compress(tokens, found), (at[found] + 2).tolist()))
 
 

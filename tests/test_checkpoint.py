@@ -5,6 +5,7 @@ import functools
 import json
 import re
 import tempfile
+import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reviewlab.training
 from reviewlab.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import build_vocab, random_embeddings, sorted_vocab
+from reviewlab.textprep import build_vocab, random_embeddings, sorted_vocab, word_index
 
 DATA_SHA256 = "5" * 64
 # The small bundle's words as its vocabulary block holds them, ascending.
@@ -442,6 +444,33 @@ class TestVocabularyLine:
         assert np.array_equal(loaded.embeddings, bundle.embeddings)
         assert predict_exit_code(tmp_path, path) == 0
         assert without_words(1)(saved_checkpoint(tmp_path).read_bytes()) == path.read_bytes()
+
+    def test_long_word_sizes_no_lookup(self, tmp_path, monkeypatch):
+        """A token longer than every word matches none, and the words are searched cut to
+        the text's longest token: with a 1,000,000-byte word, a 200-token lookup stays under 1 MiB."""
+        long_word = b"a" * 10**6
+        bundle = small_bundle()[0]
+        bundle = dataclasses.replace(bundle, seq_len=200, vocab=np.array([long_word]),
+                                     embeddings=bundle.embeddings[:3])
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(bundle, path)
+        loaded = load_checkpoint(path)
+        assert word_index(loaded.vocab, [[long_word.decode(), "a"]]) == {long_word.decode(): 2}
+        peaks = []
+
+        def traced(words, token_lists):
+            tracemalloc.start()
+            try:
+                return word_index(words, token_lists)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(reviewlab.training, "word_index", traced)
+        text = " ".join(f"w{i}" for i in range(200))
+        assert main(["predict", "--out", str(tmp_path / "runs"), "--checkpoint", str(path),
+                     "--text", text]) == 0
+        assert len(peaks) == 1 and peaks[0] < 2**20
 
     @pytest.mark.parametrize("words, message", [
         ([b"tok0", b"two words"], "entry 1 b'two words' is not a [a-z0-9']+ word"),

@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, filtering, and the deterministic split."""
 
+import csv
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from reviewlab.dataset import (
     write_issues,
 )
 from reviewlab.errors import InputError
+from reviewlab.toydata import toy_reviews
 
 HEADER = (
     ',Clothing ID,Age,Title,Review Text,Rating,Recommended IND,'
@@ -155,6 +157,29 @@ class TestParseCsv:
         records, issues = parse_csv(plain)
         assert [r.row_id for r in records] == list(range(100, 106))
         assert parse_csv(with_bom) == (records, issues)
+
+    def test_column_order_does_not_matter(self, tmp_path):
+        """Header names, not positions, place a cell in its record: the toy CSV with its
+        review columns reversed and one extra column gives the same records and issues."""
+        original, shuffled = tmp_path / "toy.csv", tmp_path / "shuffled.csv"
+        write_csv(toy_reviews(), original)
+        with open(original, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][2] = "x"  # Age
+        rows[6][1], rows[6][5] = "x", "9"  # Clothing ID, Rating
+        with open(original, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        # The index column first, then the ten review columns reversed, an extra one among them.
+        with open(shuffled, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([row[0], *row[:5:-1], "extra", *row[5:0:-1]] for row in rows)
+        assert shuffled.read_text(encoding="utf-8").splitlines()[0] == (
+            ",Class Name,Department Name,Division Name,Positive Feedback Count,Recommended IND,"
+            "extra,Rating,Review Text,Title,Age,Clothing ID")
+        records, issues = parse_csv(original)
+        assert issues == ["line 4: Age not an integer: 'x'",
+                          "line 7: Clothing ID not an integer: 'x'; Rating out of range: 9"]
+        assert len(records) == 38
+        assert parse_csv(shuffled) == (records, issues)  # issues.txt holds one issue a line
 
 
 class TestRoundTrip:

@@ -447,6 +447,24 @@ class TestEvaluate:
             alone = class_probabilities(model, table, np.array([row[:seq_len] or [PAD_INDEX]]), 1)
             assert np.abs(got - alone[0]).max() <= 1e-12
 
+    def test_float32_rows_agree_up_to_blas_rounding(self):
+        """In float32 a batch (GEMM) and one row (GEMV) round differently, so a review's
+        probabilities move with its batch by a few 1e-9, and its label only at a near-tie."""
+        model = BiLstmClassifier(*(a.astype(np.float32)
+                                   for a in BiLstmClassifier.build(64, 16, 2, SeededRng(7))))
+        table = random_embeddings(50, 16, SeededRng(8)).astype(np.float32)
+        rng = np.random.default_rng(9)
+        lengths = rng.integers(0, 30, 60)
+        padded = np.where(np.arange(30) < lengths[:, None], rng.integers(1, 50, (60, 30)),
+                          PAD_INDEX)
+        alone = class_probabilities(model, table, padded, batch_size=1)
+        top_two = np.sort(alone, axis=1)[:, -2:]
+        near_tie = top_two[:, 1] - top_two[:, 0] <= 2e-6
+        for batch_size in (60, 16, 3):
+            probs = class_probabilities(model, table, padded, batch_size)
+            assert np.abs(probs - alone).max() <= 1e-6
+            assert ((probs.argmax(1) == alone.argmax(1)) | near_tie).all()
+
 
 class TestPredict:
     def bundle(self):

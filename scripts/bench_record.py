@@ -10,11 +10,15 @@ first seed, one run at a time.  The file holds the commit sha, each
 run's environment line, its printed metrics (gated or not, such as
 val_loss) and final JSON line, and the median, quartiles and
 interquartile range of every gated (end-to-end) metric per workload.
-With --against REV, each seed runs both on a temporary export of REV's
-files (`git archive`, so the repository's own .git is left as it is)
-and on the working tree, one right after the other, so both sides meet
-the same phases of a shared machine; which side runs first alternates
-from seed to seed.  The file then also holds REV's sha,
+The runs use a temporary export (`git archive`) of the working tree's
+tracked files, taken as the commit `git stash create` makes (it
+touches no ref or file), or HEAD when the tree is clean; "dirty" says
+which.  Untracked files are not exported.  With --against REV, each
+seed runs both on an export of REV made the same way and on the
+working tree's, one right after the other, so both sides start from
+equal trees (no .git, no __pycache__, no leftovers of earlier runs)
+and meet the same phases of a shared machine; which side runs first
+alternates from seed to seed.  The file then also holds REV's sha,
 runs and summary under "against".  It reads BENCHMARK.json and runs
 perfbench as they are and changes neither.
 """
@@ -38,7 +42,7 @@ def git(*args) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def bench(workload: str, seed: int, trace: int, tree: Path = ROOT) -> dict:
+def bench(workload: str, seed: int, trace: int, tree: Path) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(SECONDS), "--trace", str(trace)]
     print(f"$ ({tree}) " + " ".join(argv[1:]), file=sys.stderr, flush=True)
@@ -107,8 +111,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="output file, e.g. BENCH_2.json")
     parser.add_argument("--against", metavar="REV",
-                        help="also run REV, from a temporary export of its files, "
-                             "alternating with this tree")
+                        help="also run REV, from an export of its files made as this "
+                             "tree's is, alternating with this tree")
     args = parser.parse_args()
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -120,14 +124,17 @@ def main() -> int:
         "command": f"perfbench/run.py --seconds {SECONDS} --trace 0, seeds "
                    f"{SEEDS.start}-{SEEDS.stop - 1}, plus one --trace 1 run per workload",
     }
+    # `stash create` prints nothing when no tracked file differs from HEAD.
+    working = git("stash", "create") or record["commit"]
     if args.against is None:
-        (side,) = record_runs([ROOT], workloads, gated)
+        with exported(working) as tree:
+            (side,) = record_runs([tree], workloads, gated)
     else:
         commit = git("rev-parse", "--verify", f"{args.against}^{{commit}}")
         record["command"] += (f"; each seed run on {args.against} and on this tree, "
                               f"{args.against} first on even seeds")
-        with exported(commit) as tree:
-            against, side = record_runs([tree, ROOT], workloads, gated)
+        with exported(commit) as theirs, exported(working) as ours:
+            against, side = record_runs([theirs, ours], workloads, gated)
         record["against"] = {"commit": commit, **against}
     record.update(side)
     runs = side["runs"] + record.get("against", {}).get("runs", [])

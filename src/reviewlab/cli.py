@@ -22,6 +22,11 @@ Every table is written as CSV by `_write_table_csv` and every report or
 summary as JSON by `_write_json`; only the dataset files (`labeled.csv`,
 `issues.txt`) and the checkpoint have writers of their own.
 
+A command runs with Python's cyclic garbage collector paused: its
+records, token lists and arrays hold no reference cycles, so the
+collector's passes over them find nothing.  `main` turns it back on
+when it returns or raises, unless it was off already.
+
 Exit codes: 0 success, 1 internal error, 2 usage or input error.
 """
 
@@ -30,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import gc
 import json
 import os
 import shutil
@@ -211,14 +217,16 @@ def _build_embeddings(cfg: dict, vocab, config: TrainConfig):
 def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     config = _train_config(cfg)
     records = _parse_records(cfg, "train", run_dir)
-    splits, dropped, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg))
+    splits, dropped, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg),
+                                                    reads=(0, 1))
+    (train_tokens, train_labels), (val_tokens, val_labels), _ = splits
     # The vocabulary comes from the training split only, so validation and
     # test tokens unseen in training map to the out-of-vocabulary index.
-    vocab = build_vocab(splits[0][0], config.min_freq, config.vocab_size)
+    vocab, train_indices = build_vocab(train_tokens, config.min_freq, config.vocab_size,
+                                       config.seq_len)
     embeddings = _build_embeddings(cfg, vocab, config)
-    train_split, validation = ((encode(tokens, vocab, config.seq_len), labels)
-                               for tokens, labels in splits[:2])
-    model, table, history = train(config, train_split, validation, embeddings)
+    validation = (encode(val_tokens, vocab, config.seq_len), val_labels)
+    model, table, history = train(config, (train_indices, train_labels), validation, embeddings)
     words, table = sorted_vocab(vocab, table)
     bundle = ModelBundle(
         task=config.task,
@@ -266,7 +274,7 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     bundle = _load_bundle(cfg, provided, "evaluate")
     config = _train_config(cfg)
     records = _parse_records(cfg, "evaluate", run_dir)
-    splits, _, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg))
+    splits, _, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg), reads=(2,))
     if data_sha256 != bundle.data_sha256:
         raise InputError(
             f"data_sha256 {data_sha256} is not the checkpoint's {bundle.data_sha256}: "
@@ -345,6 +353,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     run_dir, code = None, 1
+    collecting = gc.isenabled()
+    gc.disable()  # a command's records, token lists and arrays hold no reference cycles
     try:
         cfg, provided = _resolve(args)
         run_dir = _new_run_dir(cfg["out"], args.command)
@@ -357,6 +367,8 @@ def main(argv=None) -> int:
     except Exception:
         traceback.print_exc()
     finally:  # also on KeyboardInterrupt, which then propagates
+        if collecting:
+            gc.enable()
         if code and run_dir is not None:
             shutil.rmtree(run_dir, ignore_errors=True)
     return code

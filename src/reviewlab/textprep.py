@@ -13,7 +13,10 @@ ascending byte-string array `sorted_vocab` makes, entry i at index i + 2,
 and `word_index` gives `encode` the dict for just the tokens looked up.
 `encode` turns N token lists into one (N, seq_len)
 int64 index matrix: each row holds its review's first seq_len tokens,
-post-padded with index 0.  No real token maps to index 0, so the model
+post-padded with index 0.  `build_vocab` returns the vocabulary with
+its own corpus already in that matrix form: it gives each distinct
+token a provisional id as it counts, so one pass over the tokens both
+counts and encodes them.  No real token maps to index 0, so the model
 counts a row's non-pad indices as its length and steps over those
 tokens only.  An embedding table is a plain (vocab_size, dim) array,
 built in float64 and trained and stored in float32; its padding row is
@@ -23,7 +26,7 @@ all-zero and kept out of gradient updates.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import defaultdict
 from itertools import chain, compress, count, islice, repeat
 
 import numpy as np
@@ -53,15 +56,29 @@ def tokenize(raw: str) -> list[str]:
     return raw.lower().encode("ascii", "replace").translate(_KEEP).decode("ascii").split()
 
 
-def build_vocab(corpus, min_freq: int, max_size: int) -> dict:
+def build_vocab(corpus, min_freq: int, max_size: int, seq_len: int) -> tuple[dict, np.ndarray]:
     """Rank tokens by (frequency desc, token asc); keep at most max_size - 2.
 
-    Tokens below min_freq are dropped.
+    Tokens below min_freq are dropped.  Returns the vocabulary and the
+    corpus encoded with it, the (N, seq_len) matrix `encode` would give,
+    from one pass over the tokens; tokens past seq_len still count.
     """
-    counts = Counter(chain.from_iterable(corpus))
-    ranked = sorted(t for t, c in counts.items() if c >= min_freq)
-    ranked.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay token-ascending
-    return dict(zip((PAD_TOKEN, OOV_TOKEN, *ranked[: max_size - 2]), count()))
+    lengths = np.fromiter(map(len, corpus), np.int64, len(corpus))
+    ids = defaultdict(count().__next__)  # provisional ids, in order of first appearance
+    flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(corpus)), np.int64,
+                       lengths.sum())
+    counts = np.bincount(flat, minlength=len(ids))
+    tokens = list(ids)
+    ranked = np.array(sorted(np.flatnonzero(counts >= min_freq).tolist(),
+                             key=tokens.__getitem__), np.int64)
+    # stable: ties stay token-ascending
+    ranked = ranked[np.argsort(-counts[ranked], kind="stable")][: max_size - 2]
+    vocab = dict(zip((PAD_TOKEN, OOV_TOKEN, *map(tokens.__getitem__, ranked.tolist())), count()))
+    lookup = np.full(len(tokens), OOV_INDEX, np.int64)
+    lookup[ranked] = np.arange(2, len(ranked) + 2)
+    # Each token's place in its own row.
+    position = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return vocab, _rows(lookup[flat[position < seq_len]], np.minimum(lengths, seq_len), seq_len)
 
 
 def sorted_vocab(vocab: dict, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +107,12 @@ def encode(token_lists, vocab: dict, seq_len: int) -> np.ndarray:
     np.minimum(lengths, seq_len, out=lengths)
     kept = chain.from_iterable(islice(tokens, seq_len) for tokens in token_lists)
     ids = np.fromiter(map(vocab.get, kept, repeat(OOV_INDEX)), np.int64, lengths.sum())
-    out = np.full((len(token_lists), seq_len), PAD_INDEX, dtype=np.int64)
+    return _rows(ids, lengths, seq_len)
+
+
+def _rows(ids: np.ndarray, lengths: np.ndarray, seq_len: int) -> np.ndarray:
+    """(N, seq_len) matrix whose row i takes the next lengths[i] of ids, post-padded."""
+    out = np.full((len(lengths), seq_len), PAD_INDEX, dtype=np.int64)
     # A boolean mask fills row-major, so each row takes its own ids, left-aligned.
     out[np.arange(seq_len) < lengths[:, None]] = ids
     return out

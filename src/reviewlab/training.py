@@ -1,11 +1,16 @@
 """Training loop, evaluation pass, and inference entry points.
 
 `tokenized_splits` gives each split of the 60/20/20 split as its token
-lists and labels. A split that `train` or `evaluate` reads is a plain
+lists and labels, tokenizing only the splits its caller reads (all of
+them for the sentiment task, whose labels are scored from the tokens):
+`train` reads the training and validation splits, `evaluate` the test
+split. A split that `train` or `evaluate` scores is a plain
 (indices, labels) pair: an (N, seq_len) int64 index matrix, post-padded
-with PAD_INDEX and built by `textprep.encode`, and an (N,) int64 label
-array. Every batch is cut to its longest review before it is embedded.
-The class names come from TrainConfig.
+with PAD_INDEX, built for the training split by `textprep.build_vocab`
+in the same pass that counts its tokens and for the others by
+`textprep.encode`, and an (N,) int64 label array. Every batch is cut
+to its longest review before it is embedded. The class names come
+from TrainConfig.
 `evaluate` returns the `metrics.json` report dict and `predict` the
 `prediction.json` dict, which the CLI writes as they are.
 
@@ -33,7 +38,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import count
+from itertools import chain, count
 from typing import NamedTuple
 
 import numpy as np
@@ -131,19 +136,28 @@ def task_labels(records, token_lists, task: str, lexicon: dict) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def tokenized_splits(records, config: TrainConfig, lexicon: dict):
-    """Filter, split 60/20/20 with config.seed, and tokenize and label each review once.
+def tokenized_splits(records, config: TrainConfig, lexicon: dict, reads):
+    """Filter, split 60/20/20 with config.seed, and label each review.
 
+    reads numbers the splits (0 train, 1 validation, 2 test) whose token
+    lists the caller reads; each of their reviews is tokenized once, and
+    the other splits carry None for their token lists.  Recommendation
+    labels need no tokens; sentiment labels tokenize every review.
     Returns ((token_lists, labels) of train, validation and test, dropped,
     data_sha256).
     """
     kept, dropped = filter_for_classification(records)
-    token_lists = [tokenize(r.review_text) for r in kept]
+    split_rows = split_60_20_20(kept, config.seed)
+    token_lists = [None] * len(kept)
+    tokenized = (range(len(kept)) if config.task == "sentiment"
+                 else chain.from_iterable(split_rows[i] for i in reads))
+    for i in tokenized:
+        token_lists[i] = tokenize(kept[i].review_text)
     labels = task_labels(kept, token_lists, config.task, lexicon)
     identity = [(r.row_id, r.review_text, y) for r, y in zip(kept, labels.tolist())]
     data_sha256 = hashlib.sha256(json.dumps(identity).encode("utf-8")).hexdigest()
-    splits = tuple(([token_lists[i] for i in rows], labels[list(rows)])
-                   for rows in split_60_20_20(kept, config.seed))
+    splits = tuple(([token_lists[i] for i in rows] if number in reads else None,
+                    labels[list(rows)]) for number, rows in enumerate(split_rows))
     return splits, dropped, data_sha256
 
 

@@ -56,9 +56,12 @@ REFERENCE_THREE_CLASS_SUPPORTS = (289, 22, 4215)
 def _train_and_score(records, config, scored: int):
     """Train as `cli train` does, then evaluate on split `scored` (0 train, 1 validation,
     2 test); the records are tokenized once.  Returns (train's (model, table, history), metrics report)."""
-    splits, _, _ = tokenized_splits(records, config, BUILTIN_LEXICON)
-    vocab = build_vocab(splits[0][0], config.min_freq, config.vocab_size)
-    encoded = [(encode(tokens, vocab, config.seq_len), labels) for tokens, labels in splits]
+    (train_tokens, train_labels), *rest = tokenized_splits(records, config, BUILTIN_LEXICON,
+                                                           (0, 1, 2))[0]
+    vocab, train_indices = build_vocab(train_tokens, config.min_freq, config.vocab_size,
+                                       config.seq_len)
+    encoded = [(train_indices, train_labels),
+               *((encode(tokens, vocab, config.seq_len), labels) for tokens, labels in rest)]
     emb = random_embeddings(len(vocab), config.embedding_dim, SeededRng(config.seed + 1))
     model, table, history = train(config, *encoded[:2], emb)
     report, _ = evaluate(model, table, encoded[scored],

@@ -33,7 +33,8 @@ def small_bundle():
     Returns (bundle, the training-order vocabulary dict, the training-order
     table). The counts rank tok9 first, so sorting the words reverses them.
     """
-    vocab = build_vocab([[f"tok{i}"] * (i + 1) for i in range(10)], min_freq=1, max_size=20)
+    vocab, _ = build_vocab([[f"tok{i}"] * (i + 1) for i in range(10)], min_freq=1, max_size=20,
+                           seq_len=1)
     model = BiLstmClassifier(*(a.astype(np.float32)
                                for a in BiLstmClassifier.build(4, 6, 2, SeededRng(1))))
     table = random_embeddings(len(vocab), 6, SeededRng(2)).astype(np.float32)

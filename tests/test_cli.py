@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import gc
 import importlib
 import json
 import os
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 import reviewlab
+import reviewlab.cli
 from reviewlab.analytics import full_report
 from reviewlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
-from reviewlab.dataset import parse_csv, write_csv
+from reviewlab.dataset import parse_csv, split_60_20_20, write_csv
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import TrainConfig
@@ -414,28 +416,139 @@ class TestOneTokenizationPerCommand:
         texts = [t for r in records for t in (r.title, r.review_text) if t is not None]
         assert Counter(tokenized) == Counter(texts)
 
-    def test_sentiment_train_and_evaluate(self, tmp_path, records, monkeypatch):
-        cfg = tmp_path / "sentiment.cfg"
+    @staticmethod
+    def train_then_evaluate(tmp_path, task):
+        """argv of the toy `train` at one epoch and of `evaluate` on its checkpoint."""
+        cfg = tmp_path / f"{task}.cfg"
         cfg.write_text("".join(
-            f"{k}={v}\n" for k, v in toy_config(epochs=1, task="sentiment").as_dict().items()
+            f"{k}={v}\n" for k, v in toy_config(epochs=1, task=task).as_dict().items()
         ))
         out = tmp_path / "runs"
         common = ["--data", str(tmp_path / "reviews.csv"), "--out", str(out), "--config", str(cfg)]
+        return (["train", *common],
+                ["evaluate", *common, "--checkpoint", str(out / "train-0001" / "model.ckpt")])
+
+    def test_sentiment_train_and_evaluate(self, tmp_path, records, monkeypatch):
+        train, evaluate = self.train_then_evaluate(tmp_path, "sentiment")
         kept = Counter(r.review_text for r in records if r.review_text is not None)
         tokenized = self.wrap_everywhere(monkeypatch, "tokenize")
+        counted = self.wrap_everywhere(monkeypatch, "build_vocab")
         encoded = self.wrap_everywhere(monkeypatch, "encode")
-        assert main(["train", *common]) == 0
+        assert main(train) == 0
         assert Counter(tokenized) == kept
-        sizes = json.loads((out / "train-0001" / "train_summary.json").read_text())["split_sizes"]
-        assert [len(rows) for rows in encoded] == [sizes["train"], sizes["validation"]]
+        sizes = json.loads((tmp_path / "runs" / "train-0001" / "train_summary.json")
+                           .read_text())["split_sizes"]
+        assert [len(rows) for rows in counted] == [sizes["train"]]
+        assert [len(rows) for rows in encoded] == [sizes["validation"]]
         assert sum(sizes.values()) == sum(kept.values())
 
         tokenized.clear()
+        counted.clear()
         encoded.clear()
-        assert main(["evaluate", *common,
-                     "--checkpoint", str(out / "train-0001" / "model.ckpt")]) == 0
+        assert main(evaluate) == 0
         assert Counter(tokenized) == kept
+        assert counted == []
         assert [len(rows) for rows in encoded] == [sizes["test"]]
+
+    def test_recommendation_train_and_evaluate(self, tmp_path, records, monkeypatch):
+        """Recommendation labels need no tokens: train tokenizes exactly its training and
+        validation texts, evaluate exactly its test texts."""
+        train, evaluate = self.train_then_evaluate(tmp_path, "recommendation")
+        kept = [r.review_text for r in records if r.review_text is not None]
+        train_rows, val_rows, test_rows = split_60_20_20(kept, toy_config().seed)
+        tokenized = self.wrap_everywhere(monkeypatch, "tokenize")
+        counted = self.wrap_everywhere(monkeypatch, "build_vocab")
+        encoded = self.wrap_everywhere(monkeypatch, "encode")
+        assert main(train) == 0
+        assert Counter(tokenized) == Counter(kept[i] for i in train_rows + val_rows)
+        assert [len(rows) for rows in counted] == [len(train_rows)]
+        assert [len(rows) for rows in encoded] == [len(val_rows)]
+
+        tokenized.clear()
+        counted.clear()
+        encoded.clear()
+        assert main(evaluate) == 0
+        assert Counter(tokenized) == Counter(kept[i] for i in test_rows)
+        assert counted == []
+        assert [len(rows) for rows in encoded] == [len(test_rows)]
+
+
+class TestCollectorPause:
+    """`main` pauses the cyclic garbage collector for a command and hands it back as it
+    found it, however the command ends."""
+
+    @pytest.fixture(autouse=True)
+    def collector_state(self, monkeypatch):
+        """Restores the collector after the test; returns the states `_resolve` saw."""
+        enabled = gc.isenabled()
+        seen = []
+        resolve = reviewlab.cli._resolve
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return resolve(args)
+
+        monkeypatch.setattr(reviewlab.cli, "_resolve", spy)
+        yield seen
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("ending, code", [("success", 0), ("missing-checkpoint", 2),
+                                              ("internal-error", 1)])
+    def test_enabled_collector_comes_back(self, tmp_path, data_csv, toy_cfg_file, monkeypatch,
+                                          capsys, collector_state, ending, code):
+        out = tmp_path / "out"
+        argv = ["analyze", "--data", str(data_csv), "--out", str(out)]
+        if ending == "missing-checkpoint":
+            argv = ["evaluate", "--data", str(data_csv), "--out", str(out),
+                    "--checkpoint", str(tmp_path / "absent.ckpt")]
+        elif ending == "internal-error":
+            def failing(*args):
+                raise RuntimeError("a fault inside the command")
+
+            monkeypatch.setattr("reviewlab.cli.full_report", failing)
+        gc.enable()
+        assert main(argv) == code
+        assert gc.isenabled()
+        assert collector_state == [False]
+        capsys.readouterr()
+
+    def test_enabled_collector_comes_back_after_interrupt(self, tmp_path, data_csv, toy_cfg_file,
+                                                         monkeypatch, collector_state):
+        """The KeyboardInterrupt still propagates, and its run directory is removed."""
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("reviewlab.cli.train", interrupted)
+        out = tmp_path / "out"
+        gc.enable()
+        with pytest.raises(KeyboardInterrupt):
+            main(["train", "--data", str(data_csv), "--out", str(out),
+                  "--config", str(toy_cfg_file)])
+        assert gc.isenabled()
+        assert collector_state == [False]
+        assert list(out.iterdir()) == []
+
+    def test_disabled_collector_stays_disabled(self, tmp_path, data_csv, collector_state):
+        gc.disable()
+        assert main(["analyze", "--data", str(data_csv), "--out", str(tmp_path / "out")]) == 0
+        assert not gc.isenabled()
+        assert collector_state == [False]
+
+    def test_longer_train_leaves_no_more_garbage(self, tmp_path, data_csv):
+        """What a paused command leaves for the collector does not grow with its length:
+        after a warm-up command, the toy train at 3 epochs leaves no more unreachable
+        objects than at 1."""
+        gc.enable()
+        unreachable = {}
+        for run, epochs in enumerate((1, 1, 3)):  # the first run warms up lazy imports
+            cfg = tmp_path / f"run{run}.cfg"
+            cfg.write_text("".join(f"{k}={v}\n"
+                                   for k, v in toy_config(epochs=epochs).as_dict().items()))
+            gc.collect()
+            assert main(["train", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+                         "--config", str(cfg)]) == 0
+            unreachable[epochs] = gc.collect()
+        assert unreachable[3] <= unreachable[1]
 
 
 class TestPredict:

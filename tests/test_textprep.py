@@ -3,6 +3,7 @@
 import json
 import re
 from collections import Counter
+from itertools import chain, count
 
 import numpy as np
 import pytest
@@ -26,6 +27,11 @@ from reviewlab.textprep import (
     word_index,
 )
 from reviewlab.training import TrainConfig
+
+
+def vocab_of(corpus, min_freq, max_size):
+    """`build_vocab`'s vocabulary alone."""
+    return build_vocab(corpus, min_freq, max_size, seq_len=1)[0]
 
 
 def regex_tokenize(raw: str) -> list[str]:
@@ -109,29 +115,29 @@ class TestTokenize:
 
 class TestVocab:
     def test_reserved_slots(self):
-        assert build_vocab([], min_freq=1, max_size=10) == {"<pad>": PAD_INDEX, "<oov>": OOV_INDEX}
+        assert vocab_of([], min_freq=1, max_size=10) == {"<pad>": PAD_INDEX, "<oov>": OOV_INDEX}
 
     def test_build_simple_corpus(self):
-        v = build_vocab([["a", "a", "b"]], min_freq=1, max_size=100)
+        v = vocab_of([["a", "a", "b"]], min_freq=1, max_size=100)
         assert v == {"<pad>": 0, "<oov>": 1, "a": 2, "b": 3}
 
     def test_min_freq_filters(self):
-        v = build_vocab([["a", "a", "b"]], min_freq=2, max_size=100)
+        v = vocab_of([["a", "a", "b"]], min_freq=2, max_size=100)
         assert v == {"<pad>": 0, "<oov>": 1, "a": 2}
 
     def test_tie_broken_lexicographically(self):
-        v = build_vocab([["delta", "alpha"], ["beta", "delta"]], min_freq=1, max_size=100)
+        v = vocab_of([["delta", "alpha"], ["beta", "delta"]], min_freq=1, max_size=100)
         # delta appears twice; alpha and beta once each, alpha first by name.
         assert list(v.items())[2:] == [("delta", 2), ("alpha", 3), ("beta", 4)]
 
     def test_max_size_caps_after_reserved(self):
         corpus = [[f"tok{i}" for i in range(10)]]
-        v = build_vocab(corpus, min_freq=1, max_size=5)
+        v = vocab_of(corpus, min_freq=1, max_size=5)
         assert len(v) == 5
 
     def test_built_from_ordered_words(self):
         """A checkpoint's words are the dict's in ascending order, each with its own row."""
-        v = build_vocab([["bb", "bb", "a"]], min_freq=1, max_size=10)
+        v = vocab_of([["bb", "bb", "a"]], min_freq=1, max_size=10)
         assert list(v.items()) == [("<pad>", 0), ("<oov>", 1), ("bb", 2), ("a", 3)]
         table = np.arange(8.0).reshape(4, 2)
         words, rows = sorted_vocab(v, table)
@@ -142,8 +148,8 @@ class TestVocab:
 
     def test_deterministic_construction(self):
         corpus = [["x", "y", "x"], ["z", "y", "w"]]
-        a = build_vocab(corpus, min_freq=1, max_size=50)
-        b = build_vocab(corpus, min_freq=1, max_size=50)
+        a = vocab_of(corpus, min_freq=1, max_size=50)
+        b = vocab_of(corpus, min_freq=1, max_size=50)
         assert list(a.items()) == list(b.items())
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "aa", "B"]),
@@ -154,8 +160,25 @@ class TestVocab:
         counts = Counter(t for tokens in corpus for t in tokens)
         ranked = sorted((t for t, c in counts.items() if c >= min_freq),
                         key=lambda t: (-counts[t], t))
-        vocab = build_vocab(corpus, min_freq=min_freq, max_size=max_size)
+        vocab = vocab_of(corpus, min_freq=min_freq, max_size=max_size)
         assert list(vocab)[2:] == ranked[:max_size - 2]
+
+    @given(st.lists(st.lists(st.text("abc'", min_size=1, max_size=3), max_size=12), max_size=10),
+           st.integers(1, 4), st.integers(2, 40), st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_counter_then_encode(self, corpus, min_freq, max_size, seq_len):
+        """The vocabulary ranks as Counter and the two sorts do, and the matrix is `encode`
+        of the corpus with it: frequency ties, min_freq and max_size cuts, rows longer than
+        seq_len, empty rows and the empty corpus alike."""
+        counts = Counter(chain.from_iterable(corpus))
+        ranked = sorted(t for t, c in counts.items() if c >= min_freq)
+        ranked.sort(key=counts.__getitem__, reverse=True)
+        reference = dict(zip(("<pad>", "<oov>", *ranked[:max_size - 2]), count()))
+        vocab, indices = build_vocab(corpus, min_freq, max_size, seq_len)
+        assert list(vocab.items()) == list(reference.items())
+        assert indices.dtype == np.int64
+        assert indices.shape == (len(corpus), seq_len)
+        assert np.array_equal(indices, encode(corpus, reference, seq_len))
 
     def test_invalid_arguments(self):
         """TrainConfig, where build_vocab's arguments come from, refuses these."""
@@ -169,7 +192,7 @@ class TestEncodePad:
     """encode: token lists -> one post-padded (N, L) int64 index matrix."""
 
     def make_vocab(self):
-        return build_vocab([["a", "b", "c"]], min_freq=1, max_size=10)
+        return vocab_of([["a", "b", "c"]], min_freq=1, max_size=10)
 
     def test_short_sequence_padded(self):
         enc = encode([["a"]], self.make_vocab(), 3)
@@ -236,7 +259,7 @@ class TestLoadGlove:
         return p
 
     def vocab_with(self, *tokens):
-        return build_vocab([list(tokens)], min_freq=1, max_size=100)
+        return vocab_of([list(tokens)], min_freq=1, max_size=100)
 
     def test_direct_parse(self, tmp_path):
         path = self.write(tmp_path, "the 0.1 0.2\n")
@@ -295,7 +318,7 @@ class TestLoadGlove:
 
 class TestEmbed:
     def setup_method(self):
-        self.vocab = build_vocab([["a", "b"]], min_freq=1, max_size=10)
+        self.vocab = vocab_of([["a", "b"]], min_freq=1, max_size=10)
         arr = np.zeros((4, 3))
         arr[1] = [0.1, 0.1, 0.1]
         arr[2] = [1.0, 2.0, 3.0]
@@ -348,14 +371,14 @@ class TestVocabRoundTrip:
         return raw, start, start + meta["words"] * meta["word_bytes"]
 
     def test_save_load_round_trip(self, tmp_path):
-        v = build_vocab([["b", "a", "b", "c"]], min_freq=1, max_size=10)
+        v = vocab_of([["b", "a", "b", "c"]], min_freq=1, max_size=10)
         loaded = load_checkpoint(self.save(tmp_path, v)).vocab
         assert loaded.tolist() == [b"a", b"b", b"c"]
 
     def test_export_format(self, tmp_path):
         """The block lists the words after <pad> and <oov> ascending, each NUL-padded to
         the longest word's length."""
-        v = build_vocab([["bb", "a", "bb"]], min_freq=1, max_size=10)
+        v = vocab_of([["bb", "a", "bb"]], min_freq=1, max_size=10)
         raw, start, end = self.block(self.save(tmp_path, v))
         assert raw[start:end] == b"a\0bb"
         meta = json.loads(raw[len(MAGIC):start])
@@ -364,7 +387,7 @@ class TestVocabRoundTrip:
 
     def test_load_rejects_malformed_line(self, tmp_path):
         """A block entry that is not a tokenizer token is refused."""
-        path = self.save(tmp_path, build_vocab([["a", "b"]], min_freq=1, max_size=10))
+        path = self.save(tmp_path, vocab_of([["a", "b"]], min_freq=1, max_size=10))
         raw, start, end = self.block(path)
         path.write_bytes(raw[:start] + b"a\xff" + raw[end:])
         with pytest.raises(InputError, match=re.escape(
@@ -379,7 +402,7 @@ class TestWordIndex:
            st.lists(st.lists(st.text("ab'z", min_size=1, max_size=6), max_size=6), max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_matches_the_dict_of_the_sorted_words(self, words, token_lists):
-        vocab = build_vocab([words], min_freq=1, max_size=100)
+        vocab = vocab_of([words], min_freq=1, max_size=100)
         sorted_words, _ = sorted_vocab(vocab, np.zeros((len(vocab), 1)))
         reference = {w.decode(): i + 2 for i, w in enumerate(sorted_words.tolist())}
         index = word_index(sorted_words, token_lists)
@@ -389,11 +412,11 @@ class TestWordIndex:
 
     def test_longer_token_is_out_of_vocabulary(self):
         """A token longer than every word cannot truncate into a match."""
-        words, _ = sorted_vocab(build_vocab([["abc", "ab"]], 1, 10), np.zeros((4, 1)))
+        words, _ = sorted_vocab(vocab_of([["abc", "ab"]], 1, 10), np.zeros((4, 1)))
         assert words.dtype == np.dtype("S3")
         assert word_index(words, [["abcd", "abcde", "abc", "ab", "a"]]) == {"ab": 2, "abc": 3}
         assert encode([["abcd"]], word_index(words, [["abcd"]]), 1)[0, 0] == OOV_INDEX
 
     def test_empty_vocabulary(self):
-        words, _ = sorted_vocab(build_vocab([], 1, 10), np.zeros((2, 1)))
+        words, _ = sorted_vocab(vocab_of([], 1, 10), np.zeros((2, 1)))
         assert word_index(words, [["a"], []]) == {}

@@ -93,9 +93,12 @@ def prepared_toy(task="recommendation", **overrides):
     config = toy_config(task=task)
     if overrides:
         config = TrainConfig(**{**config.as_dict(), **overrides})
-    splits, _, _ = tokenized_splits(toy_reviews(), config, BUILTIN_LEXICON)
-    vocab = build_vocab(splits[0][0], config.min_freq, config.vocab_size)
-    encoded = tuple((encode(tokens, vocab, config.seq_len), labels) for tokens, labels in splits)
+    (train_tokens, train_labels), *rest = tokenized_splits(toy_reviews(), config,
+                                                           BUILTIN_LEXICON, (0, 1, 2))[0]
+    vocab, train_indices = build_vocab(train_tokens, config.min_freq, config.vocab_size,
+                                       config.seq_len)
+    encoded = ((train_indices, train_labels),
+               *((encode(tokens, vocab, config.seq_len), labels) for tokens, labels in rest))
     emb = random_embeddings(len(vocab), config.embedding_dim, SeededRng(config.seed + 1))
     return config, encoded, vocab, emb
 
@@ -183,7 +186,7 @@ class TestBuildTrainingData:
     def test_dropped_records_counted(self):
         records = toy_reviews()
         records[0] = records[0]._replace(review_text=None)
-        splits, dropped, _ = tokenized_splits(records, toy_config(), BUILTIN_LEXICON)
+        splits, dropped, _ = tokenized_splits(records, toy_config(), BUILTIN_LEXICON, (0, 1, 2))
         assert dropped == 1
         assert sum(len(labels) for _, labels in splits) == 39
 

@@ -1,16 +1,12 @@
 """Training loop, evaluation pass, and inference entry points.
 
 `tokenized_splits` gives each split of the 60/20/20 split as its token
-lists and labels, tokenizing only the splits its caller reads (all of
-them for the sentiment task, whose labels are scored from the tokens):
-`train` reads the training and validation splits, `evaluate` the test
-split. A split that `train` or `evaluate` scores is a plain
-(indices, labels) pair: an (N, seq_len) int64 index matrix, post-padded
-with PAD_INDEX, built for the training split by `textprep.build_vocab`
-in the same pass that counts its tokens and for the others by
-`textprep.encode`, and an (N,) int64 label array. Every batch is cut
-to its longest review before it is embedded. The class names come
-from TrainConfig.
+lists and labels, tokenizing only the splits its caller reads. A split
+that `train` or `evaluate` reads is a plain (indices, labels) pair: an
+(N, seq_len) int64 index matrix, post-padded with PAD_INDEX and built
+by `textprep.build_vocab` (training) or `textprep.encode`, and an (N,)
+int64 label array. Every batch is cut to its longest review before it
+is embedded. The class names come from TrainConfig.
 `evaluate` returns the `metrics.json` report dict and `predict` the
 `prediction.json` dict, which the CLI writes as they are.
 

@@ -494,8 +494,8 @@ class TestCollectorPause:
 
     @pytest.mark.parametrize("ending, code", [("success", 0), ("missing-checkpoint", 2),
                                               ("internal-error", 1)])
-    def test_enabled_collector_comes_back(self, tmp_path, data_csv, toy_cfg_file, monkeypatch,
-                                          capsys, collector_state, ending, code):
+    def test_enabled_collector_comes_back(self, tmp_path, data_csv, monkeypatch, capsys,
+                                          collector_state, ending, code):
         out = tmp_path / "out"
         argv = ["analyze", "--data", str(data_csv), "--out", str(out)]
         if ending == "missing-checkpoint":

@@ -13,7 +13,11 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=40, help="number of reviews (even)")
     parser.add_argument("--seed", type=int, default=TOY_SEED, help="filler variation seed")
     args = parser.parse_args()
-    write_csv(toy_reviews(n=args.n, seed=args.seed), args.out)
+    try:
+        records = toy_reviews(n=args.n, seed=args.seed)
+    except ValueError as exc:  # an odd or too-small --n
+        parser.error(f"--n: {exc}")
+    write_csv(records, args.out)
     print(f"wrote {args.n} reviews to {args.out}")
 
 

@@ -11,12 +11,13 @@ materialized config reproduces every artifact byte for byte in
 single-threaded mode.
 
 A trained model is one file, `model.ckpt`, which carries its vocabulary
-and the seed of its 60/20/20 split. `evaluate` and `predict` take the
-task, seed, seq_len, cell_size and embedding_dim from it; any of them
-given explicitly with a different value is an input error, and
-`evaluate` refuses data whose fingerprint differs from the one the
-checkpoint stores, so evaluation always scores the test rows the model
-never trained on.
+and the seed of its 60/20/20 split. `train` gets its index rows from
+`build_vocab`, and `evaluate` and `predict` theirs from `encode` with
+the checkpoint's words. Those two take the task, seed, seq_len,
+cell_size and embedding_dim from it; any of them given explicitly with
+a different value is an input error, and `evaluate` refuses data whose
+fingerprint differs from the one the checkpoint stores, so evaluation
+always scores the test rows the model never trained on.
 
 Every table is written as CSV by `_write_table_csv` and every report or
 summary as JSON by `_write_json`; only the dataset files (`labeled.csv`,
@@ -51,7 +52,7 @@ from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
-from .textprep import build_vocab, encode, load_glove, random_embeddings, sorted_vocab, word_index
+from .textprep import build_vocab, encode, load_glove, random_embeddings, sorted_vocab
 from .training import EpochStats, TrainConfig, evaluate, predict, tokenized_splits, train
 
 __all__ = ["main"]
@@ -201,17 +202,17 @@ def _cmd_label(cfg: dict, provided: set, run_dir: Path) -> None:
     print(f"labeled {len(records)} rows into {run_dir}")
 
 
-def _build_embeddings(cfg: dict, vocab, config: TrainConfig):
+def _build_embeddings(cfg: dict, tokens: list, config: TrainConfig):
     rng = SeededRng(config.seed + 1)
     if cfg["embeddings"]:
-        emb = load_glove(cfg["embeddings"], vocab, rng)
+        emb = load_glove(cfg["embeddings"], tokens, rng)
         if emb.shape[1] != config.embedding_dim:
             raise InputError(
                 f"embedding file dimension {emb.shape[1]} does not match "
                 f"embedding_dim {config.embedding_dim}"
             )
         return emb
-    return random_embeddings(len(vocab), config.embedding_dim, rng)
+    return random_embeddings(len(tokens) + 2, config.embedding_dim, rng)
 
 
 def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
@@ -222,12 +223,11 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     (train_tokens, train_labels), (val_tokens, val_labels), _ = splits
     # The vocabulary comes from the training split only, so validation and
     # test tokens unseen in training map to the out-of-vocabulary index.
-    vocab, train_indices = build_vocab(train_tokens, config.min_freq, config.vocab_size,
-                                       config.seq_len)
-    embeddings = _build_embeddings(cfg, vocab, config)
-    validation = (encode(val_tokens, vocab, config.seq_len), val_labels)
-    model, table, history = train(config, (train_indices, train_labels), validation, embeddings)
-    words, table = sorted_vocab(vocab, table)
+    tokens, (train_indices, val_indices) = build_vocab(
+        (train_tokens, val_tokens), config.min_freq, config.vocab_size, config.seq_len)
+    model, table, history = train(config, (train_indices, train_labels),
+                                  (val_indices, val_labels), _build_embeddings(cfg, tokens, config))
+    words, table = sorted_vocab(tokens, table)
     bundle = ModelBundle(
         task=config.task,
         seq_len=config.seq_len,
@@ -244,7 +244,7 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
         "task": config.task,
         "dropped_records": dropped,
         "split_sizes": {"train": n_train, "validation": n_val, "test": n_test},
-        "vocab_size": len(vocab),
+        "vocab_size": len(tokens) + 2,
         "epochs_run": len(history),
     }
     if history:
@@ -281,8 +281,8 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
             f"evaluate with the --data and --lexicon the model was trained with"
         )
     train_split, _, (tokens, labels) = splits
-    indices = encode(tokens, word_index(bundle.vocab, tokens), bundle.seq_len)
-    report, probs = evaluate(bundle.model, bundle.embeddings, (indices, labels),
+    report, probs = evaluate(bundle.model, bundle.embeddings,
+                             (encode(tokens, bundle.vocab, bundle.seq_len), labels),
                              config.batch_size, bundle.class_names)
     if bundle.task == "recommendation":
         try:

@@ -6,28 +6,27 @@ and non-ASCII letters included, separates tokens.  Apostrophes are kept
 so contractions like "don't" reach the sentiment lexicon as single
 tokens.
 
-A vocabulary is a plain token -> index dict in index order: index 0 is
-the padding token, index 1 the out-of-vocabulary token, and a token
-the dict lacks maps to index 1.  A checkpoint keeps the words as the
-ascending byte-string array `sorted_vocab` makes, entry i at index i + 2,
-and `word_index` gives `encode` the dict for just the tokens looked up.
-`encode` turns N token lists into one (N, seq_len)
-int64 index matrix: each row holds its review's first seq_len tokens,
-post-padded with index 0.  `build_vocab` returns the vocabulary with
-its own corpus already in that matrix form: it gives each distinct
-token a provisional id as it counts, so one pass over the tokens both
-counts and encodes them.  No real token maps to index 0, so the model
-counts a row's non-pad indices as its length and steps over those
-tokens only.  An embedding table is a plain (vocab_size, dim) array,
-built in float64 and trained and stored in float32; its padding row is
-all-zero and kept out of gradient updates.
+A vocabulary is its ranked token list: index 0 is padding, index 1 is
+out-of-vocabulary, and ranked token i is index i + 2.  `build_vocab`
+ranks the training split's tokens, and returns every split it is given
+as an (N, seq_len) int64 index matrix: each row holds its review's
+first seq_len tokens, post-padded with index 0.  A checkpoint keeps the
+words as the ascending byte-string array `sorted_vocab` makes, entry i
+at index i + 2, and `encode` turns later token lists into the same
+matrix form against those words.  Both give each distinct token a
+provisional id in one pass over the tokens, then find each distinct
+token's index once, by rank or by binary search.  No real token maps
+to index 0, so the model counts a row's non-pad indices as its length
+and steps over those tokens only.  An embedding table is a plain
+(vocab_size, dim) array, built in float64 and trained and stored in
+float32; its padding row is all-zero and kept out of gradient updates.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, count
 
 import numpy as np
 
@@ -36,8 +35,6 @@ from .rng import SeededRng, init_uniform
 
 PAD_INDEX = 0
 OOV_INDEX = 1
-PAD_TOKEN = "<pad>"
-OOV_TOKEN = "<oov>"
 EMBEDDING_SCALE = 0.25  # half-width of the uniform draw for rows not read from a file
 
 # Every token is a maximal run of these bytes; `tokenize` maps every other byte to a space.
@@ -56,65 +53,63 @@ def tokenize(raw: str) -> list[str]:
     return raw.lower().encode("ascii", "replace").translate(_KEEP).decode("ascii").split()
 
 
-def build_vocab(corpus, min_freq: int, max_size: int, seq_len: int) -> tuple[dict, np.ndarray]:
-    """Rank tokens by (frequency desc, token asc); keep at most max_size - 2.
+def build_vocab(splits, min_freq: int, max_size: int, seq_len: int) -> tuple[list, list]:
+    """Rank the first split's tokens by (frequency desc, token asc); keep at most max_size - 2.
 
-    Tokens below min_freq are dropped.  Returns the vocabulary and the
-    corpus encoded with it, the (N, seq_len) matrix `encode` would give,
-    from one pass over the tokens; tokens past seq_len still count.
+    Returns the ranked tokens (min_freq or more uses; tokens past seq_len
+    count) and each split's (N, seq_len) matrix, from one pass over all
+    splits' tokens.  A token only later splits hold counts 0: it is OOV.
     """
-    lengths = np.fromiter(map(len, corpus), np.int64, len(corpus))
-    ids = defaultdict(count().__next__)  # provisional ids, in order of first appearance
-    flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(corpus)), np.int64,
-                       lengths.sum())
-    counts = np.bincount(flat, minlength=len(ids))
-    tokens = list(ids)
+    tokens, flat, lengths = _provisional(list(chain.from_iterable(splits)))
+    counts = np.bincount(flat[:lengths[:len(splits[0])].sum()], minlength=len(tokens))
     ranked = np.array(sorted(np.flatnonzero(counts >= min_freq).tolist(),
                              key=tokens.__getitem__), np.int64)
     # stable: ties stay token-ascending
     ranked = ranked[np.argsort(-counts[ranked], kind="stable")][: max_size - 2]
-    vocab = dict(zip((PAD_TOKEN, OOV_TOKEN, *map(tokens.__getitem__, ranked.tolist())), count()))
     lookup = np.full(len(tokens), OOV_INDEX, np.int64)
     lookup[ranked] = np.arange(2, len(ranked) + 2)
-    # Each token's place in its own row.
-    position = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return vocab, _rows(lookup[flat[position < seq_len]], np.minimum(lengths, seq_len), seq_len)
+    return (list(map(tokens.__getitem__, ranked.tolist())),
+            np.split(_rows(lookup, flat, lengths, seq_len), np.cumsum(list(map(len, splits[:-1])))))
 
 
-def sorted_vocab(vocab: dict, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The dict's words as an ascending byte-string array, entry i at the table's row i + 2."""
-    words = np.array(list(vocab)[2:], dtype="S")
+def sorted_vocab(tokens: list, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranked tokens as an ascending byte-string array, entry i at the table's row i + 2."""
+    words = np.array(tokens, dtype="S")
     order = np.argsort(words)
     return words[order], np.concatenate([table[:2], table[2:][order]])
 
 
-def word_index(words: np.ndarray, token_lists) -> dict:
-    """Token -> index dict of the tokens in token_lists that `sorted_vocab`'s words hold."""
-    tokens = [t for t in set(chain.from_iterable(token_lists)) if len(t) <= words.itemsize]
-    query = np.array(tokens, dtype="S")
+def encode(token_lists, words: np.ndarray, seq_len: int) -> np.ndarray:
+    """(N, seq_len) int64 index matrix of token_lists against `sorted_vocab`'s words:
+    each list's first seq_len tokens, post-padded; a token the words lack is OOV_INDEX."""
+    tokens, flat, lengths = _provisional(token_lists)
+    # A token longer than every word matches none; "" keeps its place without widening the query.
+    query = np.array([t if len(t) <= words.itemsize else "" for t in tokens], dtype="S")
     # Words cut in place one byte past the longest token: still sorted, and no longer word matches.
     cut = np.ndarray(len(words), f"S{min(query.itemsize + 1, words.itemsize)}", words,
                      strides=words.strides)
     at = np.searchsorted(cut, query)
     found = at < len(words)
     found[found] = cut[at[found]] == query[found]
-    return dict(zip(compress(tokens, found), (at[found] + 2).tolist()))
+    return _rows(np.where(found, at + 2, OOV_INDEX), flat, lengths, seq_len)
 
 
-def encode(token_lists, vocab: dict, seq_len: int) -> np.ndarray:
-    """(N, seq_len) int64 index matrix: each list's first seq_len tokens, post-padded."""
+def _provisional(token_lists) -> tuple[list, np.ndarray, np.ndarray]:
+    """(distinct tokens in order of first use, each token's id among them, list lengths)."""
     lengths = np.fromiter(map(len, token_lists), np.int64, len(token_lists))
-    np.minimum(lengths, seq_len, out=lengths)
-    kept = chain.from_iterable(islice(tokens, seq_len) for tokens in token_lists)
-    ids = np.fromiter(map(vocab.get, kept, repeat(OOV_INDEX)), np.int64, lengths.sum())
-    return _rows(ids, lengths, seq_len)
+    ids = defaultdict(count().__next__)
+    flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(token_lists)), np.int64,
+                       lengths.sum())
+    return list(ids), flat, lengths
 
 
-def _rows(ids: np.ndarray, lengths: np.ndarray, seq_len: int) -> np.ndarray:
-    """(N, seq_len) matrix whose row i takes the next lengths[i] of ids, post-padded."""
+def _rows(lookup: np.ndarray, flat: np.ndarray, lengths: np.ndarray, seq_len: int) -> np.ndarray:
+    """(N, seq_len) matrix: row i maps list i's first seq_len ids in flat through lookup."""
+    # Each token's place in its own list.
+    position = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     out = np.full((len(lengths), seq_len), PAD_INDEX, dtype=np.int64)
     # A boolean mask fills row-major, so each row takes its own ids, left-aligned.
-    out[np.arange(seq_len) < lengths[:, None]] = ids
+    out[np.arange(seq_len) < lengths[:, None]] = lookup[flat[position < seq_len]]
     return out
 
 
@@ -125,8 +120,9 @@ def random_embeddings(vocab_size: int, dim: int, rng: SeededRng) -> np.ndarray:
     return base
 
 
-def load_glove(path, vocab: dict, rng: SeededRng) -> np.ndarray:
-    """Read a GloVe text file (one `token v1 ... vd` entry per line) as a (len(vocab), d) table.
+def load_glove(path, tokens: list, rng: SeededRng) -> np.ndarray:
+    """Read a GloVe text file (one `token v1 ... vd` entry per line) as a (len(tokens) + 2, d)
+    table, row i + 2 for ranked token i.
 
     Rows for in-vocabulary tokens come from the file.  Tokens the file
     lacks, and the OOV row, are drawn uniform with scale EMBEDDING_SCALE
@@ -135,6 +131,7 @@ def load_glove(path, vocab: dict, rng: SeededRng) -> np.ndarray:
     duplicate tokens overwrite earlier ones.
     """
     dim = None
+    index = dict(zip(tokens, count(2)))
     found: dict[int, list[float]] = {}
     for line_num, line in enumerate(input_lines(path), start=1):
         stripped = line.rstrip("\n")
@@ -156,14 +153,13 @@ def load_glove(path, vocab: dict, rng: SeededRng) -> np.ndarray:
             raise InputError(f"{path}: line {line_num}: non-numeric component") from None
         if not all(map(math.isfinite, vec)):
             raise InputError(f"{path}: line {line_num}: non-finite component")
-        idx = vocab.get(token, OOV_INDEX)
-        if idx > OOV_INDEX:
-            found[idx] = vec
+        if token in index:
+            found[index[token]] = vec
     if dim is None:
         raise InputError(f"{path}: empty embeddings file")
     # One table-sized draw keeps the rows for absent tokens independent of
     # which tokens happen to be present in the file.
-    base = random_embeddings(len(vocab), dim, rng)
+    base = random_embeddings(len(tokens) + 2, dim, rng)
     for idx, vec in found.items():
         base[idx] = vec
     return base

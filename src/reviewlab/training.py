@@ -4,9 +4,9 @@
 lists and labels, tokenizing only the splits its caller reads. A split
 that `train` or `evaluate` reads is a plain (indices, labels) pair: an
 (N, seq_len) int64 index matrix, post-padded with PAD_INDEX and built
-by `textprep.build_vocab` (training) or `textprep.encode`, and an (N,)
-int64 label array. Every batch is cut to its longest review before it
-is embedded. The class names come from TrainConfig.
+by `textprep.build_vocab` (training, validation) or `textprep.encode`,
+and an (N,) int64 label array. Every batch is cut to its longest review
+before it is embedded. The class names come from TrainConfig.
 `evaluate` returns the `metrics.json` report dict and `predict` the
 `prediction.json` dict, which the CLI writes as they are.
 
@@ -54,7 +54,7 @@ from .nn import (
 )
 from .rng import SeededRng
 from .sentiment import label_from_compound, score_text
-from .textprep import PAD_INDEX, embed_batch, encode, tokenize, word_index
+from .textprep import PAD_INDEX, embed_batch, encode, tokenize
 
 __all__ = [
     "EpochStats",
@@ -272,7 +272,8 @@ def predict(bundle: ModelBundle, text: str) -> dict:
     (an all-padding sequence) but flagged as empty input.
     """
     tokens = tokenize(text)[:bundle.seq_len]
-    indices = encode([tokens], word_index(bundle.vocab, [tokens]), max(1, len(tokens)))
+    # As wide as the text, not seq_len, so a checkpoint's seq_len may be any size.
+    indices = encode([tokens], bundle.vocab, max(1, len(tokens)))
     probs = _scored(bundle.model, bundle.embeddings, indices, batch_size=1)[0].tolist()
     label_index = int(np.argmax(probs))
     return {

@@ -22,7 +22,7 @@ from reviewlab.metrics import build_report, majority_baseline, roc_auc
 from reviewlab.nn import BiLstmClassifier, lstm_sequence_forward, softmax
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.sentiment import BUILTIN_LEXICON
-from reviewlab.textprep import build_vocab, encode, random_embeddings
+from reviewlab.textprep import build_vocab, random_embeddings
 from reviewlab.toydata import toy_config, toy_reviews
 from reviewlab.training import TrainConfig, evaluate, tokenized_splits, train
 
@@ -56,13 +56,11 @@ REFERENCE_THREE_CLASS_SUPPORTS = (289, 22, 4215)
 def _train_and_score(records, config, scored: int):
     """Train as `cli train` does, then evaluate on split `scored` (0 train, 1 validation,
     2 test); the records are tokenized once.  Returns (train's (model, table, history), metrics report)."""
-    (train_tokens, train_labels), *rest = tokenized_splits(records, config, BUILTIN_LEXICON,
-                                                           (0, 1, 2))[0]
-    vocab, train_indices = build_vocab(train_tokens, config.min_freq, config.vocab_size,
-                                       config.seq_len)
-    encoded = [(train_indices, train_labels),
-               *((encode(tokens, vocab, config.seq_len), labels) for tokens, labels in rest)]
-    emb = random_embeddings(len(vocab), config.embedding_dim, SeededRng(config.seed + 1))
+    splits = tokenized_splits(records, config, BUILTIN_LEXICON, (0, 1, 2))[0]
+    vocab, matrices = build_vocab([tokens for tokens, _ in splits], config.min_freq,
+                                  config.vocab_size, config.seq_len)
+    encoded = list(zip(matrices, (labels for _, labels in splits)))
+    emb = random_embeddings(len(vocab) + 2, config.embedding_dim, SeededRng(config.seed + 1))
     model, table, history = train(config, *encoded[:2], emb)
     report, _ = evaluate(model, table, encoded[scored],
                          config.batch_size, config.class_names)

@@ -20,7 +20,7 @@ from reviewlab.cli import main
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
-from reviewlab.textprep import build_vocab, random_embeddings, sorted_vocab, word_index
+from reviewlab.textprep import build_vocab, encode, random_embeddings, sorted_vocab
 
 DATA_SHA256 = "5" * 64
 # The small bundle's words as its vocabulary block holds them, ascending.
@@ -30,14 +30,14 @@ WORDS = [f"tok{i}".encode() for i in range(10)]
 def small_bundle():
     """A float32 bundle, as `cli train` builds it from `training.train`'s model and table.
 
-    Returns (bundle, the training-order vocabulary dict, the training-order
-    table). The counts rank tok9 first, so sorting the words reverses them.
+    Returns (bundle, the ranked tokens, the training-order table). The
+    counts rank tok9 first, so sorting the words reverses them.
     """
-    vocab, _ = build_vocab([[f"tok{i}"] * (i + 1) for i in range(10)], min_freq=1, max_size=20,
-                           seq_len=1)
+    vocab, _ = build_vocab([[[f"tok{i}"] * (i + 1) for i in range(10)]], min_freq=1,
+                           max_size=20, seq_len=1)
     model = BiLstmClassifier(*(a.astype(np.float32)
                                for a in BiLstmClassifier.build(4, 6, 2, SeededRng(1))))
-    table = random_embeddings(len(vocab), 6, SeededRng(2)).astype(np.float32)
+    table = random_embeddings(len(vocab) + 2, 6, SeededRng(2)).astype(np.float32)
     words, emb = sorted_vocab(vocab, table)
     bundle = ModelBundle(
         task="recommendation",
@@ -110,7 +110,7 @@ class TestRoundTrip:
         # Each word keeps the row it trained with: entry i is row i + 2.
         assert np.array_equal(loaded.embeddings[:2], table[:2])
         for i, word in enumerate(WORDS):
-            assert np.array_equal(loaded.embeddings[i + 2], table[vocab[word.decode()]])
+            assert np.array_equal(loaded.embeddings[i + 2], table[vocab.index(word.decode()) + 2])
         assert [n for n, _ in loaded.model.param_blocks()] == [
             "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]
         assert sorted(read_metadata(path)) == METADATA_FIELDS
@@ -456,18 +456,18 @@ class TestVocabularyLine:
         path = tmp_path / "long.ckpt"
         save_checkpoint(bundle, path)
         loaded = load_checkpoint(path)
-        assert word_index(loaded.vocab, [[long_word.decode(), "a"]]) == {long_word.decode(): 2}
+        assert encode([[long_word.decode(), "a"]], loaded.vocab, 2).tolist() == [[2, 1]]
         peaks = []
 
-        def traced(words, token_lists):
+        def traced(token_lists, words, seq_len):
             tracemalloc.start()
             try:
-                return word_index(words, token_lists)
+                return encode(token_lists, words, seq_len)
             finally:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
 
-        monkeypatch.setattr(reviewlab.training, "word_index", traced)
+        monkeypatch.setattr(reviewlab.training, "encode", traced)
         text = " ".join(f"w{i}" for i in range(200))
         assert main(["predict", "--out", str(tmp_path / "runs"), "--checkpoint", str(path),
                      "--text", text]) == 0

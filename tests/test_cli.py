@@ -252,6 +252,22 @@ class TestEvaluate:
         assert (eval_dir / "roc.csv").exists()
         assert (eval_dir / "baseline.json").exists()
 
+    def test_single_class_test_split_has_no_roc(self, tmp_path, toy_cfg_file):
+        """With every review recommended, ROC AUC is undefined: evaluate still exits 0,
+        reports it as null and writes no roc.csv."""
+        data = tmp_path / "recommended.csv"
+        write_csv([r._replace(recommended=True) for r in toy_reviews()], data)
+        run_dir = train_run(tmp_path, data, toy_cfg_file)
+        out = tmp_path / "runs"
+        assert main(["evaluate", "--data", str(data), "--out", str(out),
+                     "--config", str(toy_cfg_file),
+                     "--checkpoint", str(run_dir / "model.ckpt")]) == 0
+        eval_dir = out / "evaluate-0001"
+        metrics = json.loads((eval_dir / "metrics.json").read_text())
+        assert "roc_auc" in metrics and metrics["roc_auc"] is None
+        assert not (eval_dir / "roc.csv").exists()
+        assert (eval_dir / "confusion.csv").exists()
+
     def test_rerun_byte_identical(self, tmp_path, data_csv, toy_cfg_file):
         run_dir = train_run(tmp_path, data_csv, toy_cfg_file)
         out = tmp_path / "runs"
@@ -383,7 +399,8 @@ def test_overflowing_checkpoint_exits_two(tmp_path, data_csv, toy_cfg_file, caps
 
 class TestOneTokenizationPerCommand:
     """Each command tokenizes a review text once; train encodes only its training and
-    validation rows, evaluate only its test rows."""
+    validation rows, in the one `build_vocab` call, and evaluate only its test rows, in one
+    `encode` call."""
 
     @pytest.fixture
     def records(self, tmp_path):
@@ -438,8 +455,9 @@ class TestOneTokenizationPerCommand:
         assert Counter(tokenized) == kept
         sizes = json.loads((tmp_path / "runs" / "train-0001" / "train_summary.json")
                            .read_text())["split_sizes"]
-        assert [len(rows) for rows in counted] == [sizes["train"]]
-        assert [len(rows) for rows in encoded] == [sizes["validation"]]
+        assert [list(map(len, splits)) for splits in counted] == [[sizes["train"],
+                                                                  sizes["validation"]]]
+        assert encoded == []
         assert sum(sizes.values()) == sum(kept.values())
 
         tokenized.clear()
@@ -461,8 +479,9 @@ class TestOneTokenizationPerCommand:
         encoded = self.wrap_everywhere(monkeypatch, "encode")
         assert main(train) == 0
         assert Counter(tokenized) == Counter(kept[i] for i in train_rows + val_rows)
-        assert [len(rows) for rows in counted] == [len(train_rows)]
-        assert [len(rows) for rows in encoded] == [len(val_rows)]
+        assert [list(map(len, splits)) for splits in counted] == [[len(train_rows),
+                                                                  len(val_rows)]]
+        assert encoded == []
 
         tokenized.clear()
         counted.clear()

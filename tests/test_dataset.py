@@ -2,6 +2,9 @@
 
 import csv
 import math
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -99,12 +102,14 @@ class TestParseCsv:
                 '0,1,old,,text,5,1,0,A,B,C',
                 '1,1,25,,text,5,maybe,0,A,B,C',
                 '2,1,25,,text,5,1,0,A,B,C',
+                'x,1,25,,text,5,1,0,A,B,C',
             ],
         )
         records, issues = parse_csv(path)
         assert len(records) == 1
         assert issues == ["line 2: Age not an integer: 'old'",
-                          "line 3: Recommended IND not an integer: 'maybe'"]
+                          "line 3: Recommended IND not an integer: 'maybe'",
+                          "line 5: index column not an integer: 'x'"]
 
     def test_multiple_problems_one_row_joined(self, tmp_path):
         path = make_csv(tmp_path, ['0,1,-4,,text,9,1,0,A,B,C'])
@@ -274,3 +279,29 @@ class TestSplit:
         assert len(test) == n - len(train) - len(val)
         combined = sorted(train + val + test)
         assert combined == list(range(n))
+
+
+class TestMakeToyData:
+    """scripts/make_toy_data.py writes the toy fixture; a bad --n is a usage error."""
+
+    SCRIPT = str(Path(__file__).resolve().parents[1] / "scripts" / "make_toy_data.py")
+
+    def run(self, monkeypatch, *argv):
+        monkeypatch.setattr(sys, "argv", ["make_toy_data.py", *argv])
+        runpy.run_path(self.SCRIPT, run_name="__main__")
+
+    @pytest.mark.parametrize("n", ["3", "0", "-2"])
+    def test_odd_or_too_small_n_is_usage_error(self, tmp_path, monkeypatch, capsys, n):
+        out = tmp_path / "toy.csv"
+        with pytest.raises(SystemExit) as exc:
+            self.run(monkeypatch, "--out", str(out), "--n", n)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: make_toy_data.py")
+        assert err.endswith(f"error: --n: n must be an even number >= 2, got {n}\n")
+        assert not out.exists()
+
+    def test_even_n_writes_fixture(self, tmp_path, monkeypatch):
+        out = tmp_path / "toy.csv"
+        self.run(monkeypatch, "--out", str(out), "--n", "4")
+        assert parse_csv(out) == (toy_reviews(n=4), [])

@@ -24,14 +24,33 @@ from reviewlab.textprep import (
     random_embeddings,
     sorted_vocab,
     tokenize,
-    word_index,
 )
 from reviewlab.training import TrainConfig
 
 
 def vocab_of(corpus, min_freq, max_size):
-    """`build_vocab`'s vocabulary alone."""
-    return build_vocab(corpus, min_freq, max_size, seq_len=1)[0]
+    """`build_vocab`'s ranked tokens alone, for one split."""
+    return build_vocab([corpus], min_freq, max_size, seq_len=1)[0]
+
+
+def words_of(corpus):
+    """`sorted_vocab`'s words for the ranked tokens of one split."""
+    tokens = vocab_of(corpus, min_freq=1, max_size=100)
+    return sorted_vocab(tokens, np.zeros((len(tokens) + 2, 1)))[0]
+
+
+def index_of(words):
+    """The sorted words' own token -> index dict: entry i is index i + 2."""
+    return {w.decode(): i + 2 for i, w in enumerate(words.tolist())}
+
+
+def dict_encode(token_lists, index, L):
+    """Reference encoder: each row's first L ids from the dict, then padding."""
+    rows = []
+    for tokens in token_lists:
+        ids = [index.get(t, OOV_INDEX) for t in tokens[:L]]
+        rows.append(ids + [PAD_INDEX] * (L - len(ids)))
+    return rows
 
 
 def regex_tokenize(raw: str) -> list[str]:
@@ -115,42 +134,45 @@ class TestTokenize:
 
 class TestVocab:
     def test_reserved_slots(self):
-        assert vocab_of([], min_freq=1, max_size=10) == {"<pad>": PAD_INDEX, "<oov>": OOV_INDEX}
+        """An empty corpus ranks no token: only padding 0 and OOV 1 remain."""
+        assert vocab_of([], min_freq=1, max_size=10) == []
+        assert (PAD_INDEX, OOV_INDEX) == (0, 1)
 
     def test_build_simple_corpus(self):
         v = vocab_of([["a", "a", "b"]], min_freq=1, max_size=100)
-        assert v == {"<pad>": 0, "<oov>": 1, "a": 2, "b": 3}
+        assert v == ["a", "b"]
 
     def test_min_freq_filters(self):
         v = vocab_of([["a", "a", "b"]], min_freq=2, max_size=100)
-        assert v == {"<pad>": 0, "<oov>": 1, "a": 2}
+        assert v == ["a"]
 
     def test_tie_broken_lexicographically(self):
         v = vocab_of([["delta", "alpha"], ["beta", "delta"]], min_freq=1, max_size=100)
         # delta appears twice; alpha and beta once each, alpha first by name.
-        assert list(v.items())[2:] == [("delta", 2), ("alpha", 3), ("beta", 4)]
+        assert v == ["delta", "alpha", "beta"]
 
     def test_max_size_caps_after_reserved(self):
         corpus = [[f"tok{i}" for i in range(10)]]
         v = vocab_of(corpus, min_freq=1, max_size=5)
-        assert len(v) == 5
+        assert len(v) + 2 == 5
 
     def test_built_from_ordered_words(self):
-        """A checkpoint's words are the dict's in ascending order, each with its own row."""
+        """A checkpoint's words are the ranked tokens in ascending order, each with its own
+        row."""
         v = vocab_of([["bb", "bb", "a"]], min_freq=1, max_size=10)
-        assert list(v.items()) == [("<pad>", 0), ("<oov>", 1), ("bb", 2), ("a", 3)]
+        assert v == ["bb", "a"]
         table = np.arange(8.0).reshape(4, 2)
         words, rows = sorted_vocab(v, table)
         assert words.dtype == np.dtype("S2")
         assert words.tolist() == [b"a", b"bb"]
         assert np.array_equal(rows, table[[0, 1, 3, 2]])
-        assert word_index(words, [["bb", "c"], ["a", "bb"]]) == {"a": 2, "bb": 3}
+        assert encode([["bb", "c"], ["a", "bb"]], words, 2).tolist() == [[3, 1], [2, 3]]
 
     def test_deterministic_construction(self):
         corpus = [["x", "y", "x"], ["z", "y", "w"]]
         a = vocab_of(corpus, min_freq=1, max_size=50)
         b = vocab_of(corpus, min_freq=1, max_size=50)
-        assert list(a.items()) == list(b.items())
+        assert a == b
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "aa", "B"]),
                              max_size=8), max_size=6),
@@ -161,24 +183,31 @@ class TestVocab:
         ranked = sorted((t for t, c in counts.items() if c >= min_freq),
                         key=lambda t: (-counts[t], t))
         vocab = vocab_of(corpus, min_freq=min_freq, max_size=max_size)
-        assert list(vocab)[2:] == ranked[:max_size - 2]
+        assert vocab == ranked[:max_size - 2]
 
     @given(st.lists(st.lists(st.text("abc'", min_size=1, max_size=3), max_size=12), max_size=10),
+           st.lists(st.lists(st.text("abcd", min_size=1, max_size=3), max_size=12), max_size=6),
            st.integers(1, 4), st.integers(2, 40), st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
-    def test_one_pass_matches_counter_then_encode(self, corpus, min_freq, max_size, seq_len):
-        """The vocabulary ranks as Counter and the two sorts do, and the matrix is `encode`
-        of the corpus with it: frequency ties, min_freq and max_size cuts, rows longer than
-        seq_len, empty rows and the empty corpus alike."""
+    def test_one_pass_matches_counter_then_encode(self, corpus, later, min_freq, max_size,
+                                                  seq_len):
+        """The first split ranks as Counter and the two sorts do, and each split's matrix is
+        a dict encoder's with that ranking: frequency ties, min_freq and max_size cuts, rows
+        longer than seq_len, empty rows and the empty corpus alike.  Tokens that only the
+        later split holds are never ranked and encode as OOV_INDEX."""
         counts = Counter(chain.from_iterable(corpus))
         ranked = sorted(t for t, c in counts.items() if c >= min_freq)
         ranked.sort(key=counts.__getitem__, reverse=True)
-        reference = dict(zip(("<pad>", "<oov>", *ranked[:max_size - 2]), count()))
-        vocab, indices = build_vocab(corpus, min_freq, max_size, seq_len)
-        assert list(vocab.items()) == list(reference.items())
-        assert indices.dtype == np.int64
-        assert indices.shape == (len(corpus), seq_len)
-        assert np.array_equal(indices, encode(corpus, reference, seq_len))
+        reference = dict(zip(ranked[:max_size - 2], count(2)))
+        tokens, matrices = build_vocab((corpus, later), min_freq, max_size, seq_len)
+        assert tokens == list(reference)
+        assert [m.shape for m in matrices] == [(len(corpus), seq_len), (len(later), seq_len)]
+        for indices, token_lists in zip(matrices, (corpus, later)):
+            assert indices.dtype == np.int64
+            assert indices.tolist() == dict_encode(token_lists, reference, seq_len)
+        unseen = [[t not in counts for t in row[:seq_len]] for row in later]
+        assert all(i == OOV_INDEX for row, mask in zip(matrices[1].tolist(), unseen)
+                   for i, new in zip(row, mask) if new)
 
     def test_invalid_arguments(self):
         """TrainConfig, where build_vocab's arguments come from, refuses these."""
@@ -192,7 +221,7 @@ class TestEncodePad:
     """encode: token lists -> one post-padded (N, L) int64 index matrix."""
 
     def make_vocab(self):
-        return vocab_of([["a", "b", "c"]], min_freq=1, max_size=10)
+        return words_of([["a", "b", "c"]])
 
     def test_short_sequence_padded(self):
         enc = encode([["a"]], self.make_vocab(), 3)
@@ -212,23 +241,14 @@ class TestEncodePad:
         with pytest.raises(ValueError, match="seq_len"):
             TrainConfig(seq_len=0)
 
-    @staticmethod
-    def row_by_row(token_lists, vocab, L):
-        """Reference: each row's first L ids, then padding."""
-        rows = []
-        for tokens in token_lists:
-            ids = [vocab.get(t, OOV_INDEX) for t in tokens[:L]]
-            rows.append(ids + [PAD_INDEX] * (L - len(ids)))
-        return rows
-
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "q"]), max_size=20), max_size=5),
            st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
     def test_output_length_exact(self, token_lists, L):
-        vocab = self.make_vocab()
-        enc = encode(token_lists, vocab, L)
+        words = self.make_vocab()
+        enc = encode(token_lists, words, L)
         assert enc.shape == (len(token_lists), L)
-        assert enc.tolist() == self.row_by_row(token_lists, vocab, L)
+        assert enc.tolist() == dict_encode(token_lists, index_of(words), L)
 
     @pytest.mark.parametrize("token_lists, L", [
         ([], 3),
@@ -238,10 +258,10 @@ class TestEncodePad:
         ([["q", "zz"], ["x"], []], 3),
     ], ids=["no-rows", "all-rows-empty", "rows-longer-than-L", "L-1", "only-oov"])
     def test_edge_cases_match_row_by_row(self, token_lists, L):
-        vocab = self.make_vocab()
-        enc = encode(token_lists, vocab, L)
+        words = self.make_vocab()
+        enc = encode(token_lists, words, L)
         assert enc.dtype == np.int64 and enc.shape == (len(token_lists), L)
-        assert enc.tolist() == self.row_by_row(token_lists, vocab, L)
+        assert enc.tolist() == dict_encode(token_lists, index_of(words), L)
 
 
 class TestRandomEmbeddings:
@@ -261,12 +281,17 @@ class TestLoadGlove:
     def vocab_with(self, *tokens):
         return vocab_of([list(tokens)], min_freq=1, max_size=100)
 
+    @staticmethod
+    def row(tokens, token):
+        """Ranked token i is row i + 2."""
+        return tokens.index(token) + 2
+
     def test_direct_parse(self, tmp_path):
         path = self.write(tmp_path, "the 0.1 0.2\n")
         vocab = self.vocab_with("the")
         emb = load_glove(path, vocab, SeededRng(0))
-        assert emb.shape == (len(vocab), 2)
-        assert np.allclose(emb[vocab["the"]], [0.1, 0.2])
+        assert emb.shape == (len(vocab) + 2, 2)
+        assert np.allclose(emb[self.row(vocab, "the")], [0.1, 0.2])
 
     def test_pad_row_zero_regardless(self, tmp_path):
         path = self.write(tmp_path, "the 0.1 0.2\n")
@@ -299,7 +324,7 @@ class TestLoadGlove:
         vocab = self.vocab_with("a", "b")
         e1 = load_glove(path, vocab, SeededRng(7))
         e2 = load_glove(path, vocab, SeededRng(7))
-        bi = vocab["b"]
+        bi = self.row(vocab, "b")
         assert np.array_equal(e1[bi], e2[bi])
         assert np.all(np.abs(e1[bi]) <= 0.25)
         assert np.any(e1[bi] != 0.0)
@@ -313,12 +338,12 @@ class TestLoadGlove:
         path = self.write(tmp_path, "a 0.1 0.1\na 0.9 0.9\n")
         vocab = self.vocab_with("a")
         emb = load_glove(path, vocab, SeededRng(0))
-        assert np.allclose(emb[vocab["a"]], [0.9, 0.9])
+        assert np.allclose(emb[self.row(vocab, "a")], [0.9, 0.9])
 
 
 class TestEmbed:
     def setup_method(self):
-        self.vocab = vocab_of([["a", "b"]], min_freq=1, max_size=10)
+        self.words = words_of([["a", "b"]])
         arr = np.zeros((4, 3))
         arr[1] = [0.1, 0.1, 0.1]
         arr[2] = [1.0, 2.0, 3.0]
@@ -327,7 +352,7 @@ class TestEmbed:
 
     def embed(self, tokens, L):
         """One review's vectors, (T, 1, dim)."""
-        return embed_batch(encode([tokens], self.vocab, L), self.table)
+        return embed_batch(encode([tokens], self.words, L), self.table)
 
     def test_all_pad_gives_zero_vectors(self):
         vectors = self.embed([], 3)
@@ -340,11 +365,11 @@ class TestEmbed:
 
     def test_round_trip_matches_row_lookup(self):
         vectors = self.embed(["b", "a"], 2)
-        for pos, idx in enumerate(encode([["b", "a"]], self.vocab, 2)[0]):
+        for pos, idx in enumerate(encode([["b", "a"]], self.words, 2)[0]):
             assert np.array_equal(vectors[pos, 0], self.table[idx])
 
     def test_embed_batch_matches_single(self):
-        batched = embed_batch(encode([["a", "b"], ["b"]], self.vocab, 2), self.table)
+        batched = embed_batch(encode([["a", "b"], ["b"]], self.words, 2), self.table)
         assert batched.shape == (2, 2, 3)
         assert np.array_equal(batched[:, :1], self.embed(["a", "b"], 2))
         assert np.array_equal(batched[:, 1:], self.embed(["b"], 2))
@@ -353,9 +378,9 @@ class TestEmbed:
 class TestVocabRoundTrip:
     """A trained model's vocabulary is saved and loaded inside its checkpoint."""
 
-    def save(self, tmp_path, vocab):
+    def save(self, tmp_path, tokens):
         path = tmp_path / "model.ckpt"
-        words, table = sorted_vocab(vocab, random_embeddings(len(vocab), 3, SeededRng(2)))
+        words, table = sorted_vocab(tokens, random_embeddings(len(tokens) + 2, 3, SeededRng(2)))
         save_checkpoint(ModelBundle(
             task="recommendation", seq_len=4, seed=0, vocab=words,
             model=BiLstmClassifier.build(2, 3, 2, SeededRng(1)),
@@ -395,28 +420,32 @@ class TestVocabRoundTrip:
             load_checkpoint(path)
 
 
-class TestWordIndex:
-    """`word_index` maps tokens as the sorted words' own dict would."""
+class TestEncode:
+    """`encode` maps tokens as the sorted words' own dict would."""
 
     @given(st.lists(st.text("ab'z", min_size=1, max_size=4), max_size=12),
-           st.lists(st.lists(st.text("ab'z", min_size=1, max_size=6), max_size=6), max_size=4))
+           st.lists(st.lists(st.text("ab'z", min_size=1, max_size=6), max_size=6), max_size=4),
+           st.integers(1, 6))
     @settings(max_examples=200, deadline=None)
-    def test_matches_the_dict_of_the_sorted_words(self, words, token_lists):
-        vocab = vocab_of([words], min_freq=1, max_size=100)
-        sorted_words, _ = sorted_vocab(vocab, np.zeros((len(vocab), 1)))
-        reference = {w.decode(): i + 2 for i, w in enumerate(sorted_words.tolist())}
-        index = word_index(sorted_words, token_lists)
-        assert index == {t: reference[t] for tokens in token_lists for t in tokens
-                         if t in reference}
-        assert np.array_equal(encode(token_lists, index, 5), encode(token_lists, reference, 5))
+    def test_matches_the_dict_of_the_sorted_words(self, words, token_lists, L):
+        sorted_words = words_of([words])
+        reference = index_of(sorted_words)
+        assert encode(token_lists, sorted_words, L).tolist() == dict_encode(token_lists,
+                                                                            reference, L)
+        # At a width that holds every token, each token's index is the dict's.
+        full = encode(token_lists, sorted_words, 6)
+        assert all(i == reference.get(t, OOV_INDEX) for row, tokens in zip(full, token_lists)
+                   for i, t in zip(row.tolist(), tokens))
 
     def test_longer_token_is_out_of_vocabulary(self):
         """A token longer than every word cannot truncate into a match."""
-        words, _ = sorted_vocab(vocab_of([["abc", "ab"]], 1, 10), np.zeros((4, 1)))
+        words = words_of([["abc", "ab"]])
         assert words.dtype == np.dtype("S3")
-        assert word_index(words, [["abcd", "abcde", "abc", "ab", "a"]]) == {"ab": 2, "abc": 3}
-        assert encode([["abcd"]], word_index(words, [["abcd"]]), 1)[0, 0] == OOV_INDEX
+        assert encode([["abcd", "abcde", "abc", "ab", "a"]], words, 5).tolist() == [
+            [OOV_INDEX, OOV_INDEX, 3, 2, OOV_INDEX]]
+        assert encode([["abcd"]], words, 1)[0, 0] == OOV_INDEX
 
     def test_empty_vocabulary(self):
-        words, _ = sorted_vocab(vocab_of([], 1, 10), np.zeros((2, 1)))
-        assert word_index(words, [["a"], []]) == {}
+        words = words_of([])
+        assert encode([["a"], []], words, 2).tolist() == [[OOV_INDEX, PAD_INDEX],
+                                                          [PAD_INDEX, PAD_INDEX]]

@@ -2,6 +2,7 @@
 
 import ctypes
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,6 @@ from reviewlab.textprep import (
     random_embeddings,
     sorted_vocab,
     tokenize,
-    word_index,
 )
 from reviewlab.toydata import toy_config, toy_reviews
 
@@ -89,17 +89,15 @@ def openblas_core():
 
 def prepared_toy(task="recommendation", **overrides):
     """(config, the encoded (indices, labels) train, validation and test splits, the
-    vocabulary, the embedding table) of the toy fixture, built as `cli train` builds them."""
+    ranked tokens, the embedding table) of the toy fixture, built as `cli train` builds them."""
     config = toy_config(task=task)
     if overrides:
         config = TrainConfig(**{**config.as_dict(), **overrides})
-    (train_tokens, train_labels), *rest = tokenized_splits(toy_reviews(), config,
-                                                           BUILTIN_LEXICON, (0, 1, 2))[0]
-    vocab, train_indices = build_vocab(train_tokens, config.min_freq, config.vocab_size,
-                                       config.seq_len)
-    encoded = ((train_indices, train_labels),
-               *((encode(tokens, vocab, config.seq_len), labels) for tokens, labels in rest))
-    emb = random_embeddings(len(vocab), config.embedding_dim, SeededRng(config.seed + 1))
+    splits = tokenized_splits(toy_reviews(), config, BUILTIN_LEXICON, (0, 1, 2))[0]
+    vocab, matrices = build_vocab([tokens for tokens, _ in splits], config.min_freq,
+                                  config.vocab_size, config.seq_len)
+    encoded = tuple(zip(matrices, (labels for _, labels in splits)))
+    emb = random_embeddings(len(vocab) + 2, config.embedding_dim, SeededRng(config.seed + 1))
     return config, encoded, vocab, emb
 
 
@@ -487,7 +485,8 @@ class TestPredict:
 
     def test_saved_model_scores_bit_identically(self, tmp_path):
         """Through save -> load (sorted words, permuted rows) every text scores exactly as
-        with the training-order dict and table, out-of-vocabulary tokens included."""
+        with a dict of the ranked tokens and the training-order table, out-of-vocabulary
+        tokens included."""
         config, splits, vocab, emb = prepared_toy(epochs=2)
         model, table, _ = train(config, *splits[:2], emb)
         words, sorted_table = sorted_vocab(vocab, table)
@@ -503,17 +502,21 @@ class TestPredict:
         texts = ["really good dress love it", "zebra quokka good", "bad skirt, returned it!",
                  f"{long_token} {longest} good", long_token, "!!!"]
         token_lists = [tokenize(text) for text in texts]
-        index = word_index(loaded.vocab, token_lists)
-        assert long_token not in index and "zebra" not in index
-        assert encode([[long_token]], index, 1)[0, 0] == OOV_INDEX
-        expected = class_probabilities(model, table,
-                                       encode(token_lists, vocab, config.seq_len), 4)
+        index = dict(zip(vocab, count(2)))  # ranked token i is row i + 2 of the training table
+        assert "zebra" not in index
+        assert encode([[long_token]], loaded.vocab, 1)[0, 0] == OOV_INDEX
+
+        def dict_encode(lists, width):
+            rows = [[index.get(t, OOV_INDEX) for t in tokens[:width]] for tokens in lists]
+            return np.array([row + [PAD_INDEX] * (width - len(row)) for row in rows], np.int64)
+
+        expected = class_probabilities(model, table, dict_encode(token_lists, config.seq_len), 4)
         got = class_probabilities(loaded.model, loaded.embeddings,
-                                  encode(token_lists, index, config.seq_len), 4)
+                                  encode(token_lists, loaded.vocab, config.seq_len), 4)
         assert np.array_equal(got, expected)
         for text, tokens in zip(texts, token_lists):
             alone = class_probabilities(model, table,
-                                        encode([tokens], vocab, max(1, len(tokens))), 1)[0]
+                                        dict_encode([tokens], max(1, len(tokens))), 1)[0]
             assert list(predict(loaded, text)["probabilities"].values()) == alone.tolist()
 
     def test_identical_text_identical_probabilities(self):

@@ -8,17 +8,17 @@ tokens.
 
 A vocabulary is its ranked token list: index 0 is padding, index 1 is
 out-of-vocabulary, and ranked token i is index i + 2.  `build_vocab`
-ranks the training split's tokens, and returns every split it is given
-as an (N, seq_len) int64 index matrix: each row holds its review's
-first seq_len tokens, post-padded with index 0.  A checkpoint keeps the
-words as the ascending byte-string array `sorted_vocab` makes, entry i
-at index i + 2, and `encode` turns later token lists into the same
-matrix form against those words.  Both give each distinct token a
-provisional id in one pass over the tokens, then find each distinct
-token's index once, by rank or by binary search.  No real token maps
-to index 0, so the model counts a row's non-pad indices as its length
-and steps over those tokens only.  An embedding table is a plain
-(vocab_size, dim) array, built in float64 and trained and stored in
+ranks the training split's tokens, and returns every split it is given as
+an (N, width) int64 index matrix: each row holds its review's first
+seq_len tokens, post-padded with index 0 to the longest row.  A
+checkpoint keeps the words as the ascending byte-string array
+`sorted_vocab` makes, entry i at index i + 2, and `encode` turns later
+token lists into the same matrix form against those words.  Both give
+each distinct token a provisional id in one pass over the tokens, then
+find each distinct token's index once, by rank or by binary search.  No
+real token maps to index 0, so the model counts a row's non-pad indices
+as its length and steps over those tokens only.  An embedding table is a
+plain (vocab_size, dim) array, built in float64 and trained and stored in
 float32; its padding row is all-zero and kept out of gradient updates.
 """
 
@@ -57,7 +57,7 @@ def build_vocab(splits, min_freq: int, max_size: int, seq_len: int) -> tuple[lis
     """Rank the first split's tokens by (frequency desc, token asc); keep at most max_size - 2.
 
     Returns the ranked tokens (min_freq or more uses; tokens past seq_len
-    count) and each split's (N, seq_len) matrix, from one pass over all
+    count) and each split's (N, width) matrix, from one pass over all
     splits' tokens.  A token only later splits hold counts 0: it is OOV.
     """
     tokens, flat, lengths = _provisional(list(chain.from_iterable(splits)))
@@ -80,7 +80,7 @@ def sorted_vocab(tokens: list, table: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def encode(token_lists, words: np.ndarray, seq_len: int) -> np.ndarray:
-    """(N, seq_len) int64 index matrix of token_lists against `sorted_vocab`'s words:
+    """(N, width) int64 index matrix of token_lists against `sorted_vocab`'s words:
     each list's first seq_len tokens, post-padded; a token the words lack is OOV_INDEX."""
     tokens, flat, lengths = _provisional(token_lists)
     # A token longer than every word matches none; "" keeps its place without widening the query.
@@ -104,12 +104,13 @@ def _provisional(token_lists) -> tuple[list, np.ndarray, np.ndarray]:
 
 
 def _rows(lookup: np.ndarray, flat: np.ndarray, lengths: np.ndarray, seq_len: int) -> np.ndarray:
-    """(N, seq_len) matrix: row i maps list i's first seq_len ids in flat through lookup."""
+    """Row i of the (N, width) matrix maps list i's first seq_len ids through lookup."""
     # Each token's place in its own list.
     position = np.arange(len(flat)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    out = np.full((len(lengths), seq_len), PAD_INDEX, dtype=np.int64)
+    width = max(1, min(seq_len, lengths.max(initial=0)))
+    out = np.full((len(lengths), width), PAD_INDEX, dtype=np.int64)
     # A boolean mask fills row-major, so each row takes its own ids, left-aligned.
-    out[np.arange(seq_len) < lengths[:, None]] = lookup[flat[position < seq_len]]
+    out[np.arange(width) < lengths[:, None]] = lookup[flat[position < seq_len]]
     return out
 
 

@@ -3,12 +3,12 @@
 `tokenized_splits` gives each split of the 60/20/20 split as its token
 lists and labels, tokenizing only the splits its caller reads. A split
 that `train` or `evaluate` reads is a plain (indices, labels) pair: an
-(N, seq_len) int64 index matrix, post-padded with PAD_INDEX and built
-by `textprep.build_vocab` (training, validation) or `textprep.encode`,
-and an (N,) int64 label array. Every batch is cut to its longest review
-before it is embedded. The class names come from TrainConfig.
-`evaluate` returns the `metrics.json` report dict and `predict` the
-`prediction.json` dict, which the CLI writes as they are.
+(N, width) int64 index matrix from `textprep.build_vocab` (training,
+validation) or `textprep.encode`, post-padded with PAD_INDEX to its
+longest row, and an (N,) int64 label array. Every batch is cut to its
+longest review before it is embedded. The class names come from
+TrainConfig. `evaluate` returns the `metrics.json` report dict and
+`predict` the `prediction.json` dict, which the CLI writes as they are.
 
 `tokenized_splits` also returns `data_sha256`, the sha256 of the kept
 records' (row_id, review_text, label) in file order; a checkpoint stores
@@ -271,9 +271,8 @@ def predict(bundle: ModelBundle, text: str) -> dict:
     per class name, and empty_input. Text with no tokens is still scored
     (an all-padding sequence) but flagged as empty input.
     """
-    tokens = tokenize(text)[:bundle.seq_len]
-    # As wide as the text, not seq_len, so a checkpoint's seq_len may be any size.
-    indices = encode([tokens], bundle.vocab, max(1, len(tokens)))
+    tokens = tokenize(text)
+    indices = encode([tokens], bundle.vocab, bundle.seq_len)
     probs = _scored(bundle.model, bundle.embeddings, indices, batch_size=1)[0].tolist()
     label_index = int(np.argmax(probs))
     return {

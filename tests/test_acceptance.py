@@ -23,7 +23,7 @@ from reviewlab.nn import BiLstmClassifier, lstm_sequence_forward, softmax
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.sentiment import BUILTIN_LEXICON
 from reviewlab.textprep import build_vocab, random_embeddings
-from reviewlab.toydata import toy_config, toy_reviews
+from toy import toy_config, toy_reviews
 from reviewlab.training import TrainConfig, evaluate, tokenized_splits, train
 
 from gradcheck import grad_check, packed

@@ -19,7 +19,7 @@ import numpy as np
 import reviewlab.training
 from reviewlab.cli import main
 from reviewlab.dataset import write_csv
-from reviewlab.toydata import toy_config, toy_reviews
+from toy import toy_config, toy_reviews
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracing import Tracer, layer_metrics  # noqa: E402

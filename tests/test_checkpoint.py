@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 import reviewlab.training
 from reviewlab.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
+from reviewlab.dataset import write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
 from reviewlab.textprep import build_vocab, encode, random_embeddings, sorted_vocab
+from toy import toy_config, toy_reviews
 
 DATA_SHA256 = "5" * 64
 # The small bundle's words as its vocabulary block holds them, ascending.
@@ -372,6 +374,35 @@ class TestMetadataFields:
         edit_metadata(path, lambda meta: meta.update(seq_len=10**12))
         assert predict_exit_code(tmp_path, path) == 0
         assert capsys.readouterr().out == expected
+
+    @staticmethod
+    def toy_run(tmp_path, seq_len):
+        """`train` of the toy fixture at one epoch and seq_len: (exit code, its run directory,
+        the data flags)."""
+        data, cfg = tmp_path / "reviews.csv", tmp_path / f"{seq_len}.cfg"
+        write_csv(toy_reviews(), data)
+        config = {**toy_config(epochs=1).as_dict(), "seq_len": seq_len}
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        out = tmp_path / f"runs-{seq_len}"
+        code = main(["train", "--data", str(data), "--out", str(out), "--config", str(cfg)])
+        return code, out / "train-0001", ["--data", str(data), "--out", str(out)]
+
+    def test_huge_seq_len_trains(self, tmp_path):
+        """Index matrices are only as wide as the longest review (6 toy tokens)."""
+        runs = [self.toy_run(tmp_path, seq_len) for seq_len in (8, 10**12)]
+        assert [code for code, _, _ in runs] == [0, 0]
+        assert len({(run / "history.csv").read_bytes() for _, run, _ in runs}) == 1
+
+    def test_huge_seq_len_evaluates(self, tmp_path):
+        code, run, flags = self.toy_run(tmp_path, 8)
+        assert code == 0
+        reports = []
+        for seq_len in (8, 10**12):
+            edit_metadata(run / "model.ckpt", lambda meta: meta.update(seq_len=seq_len))
+            assert main(["evaluate", *flags, "--checkpoint", str(run / "model.ckpt")]) == 0
+            reports.append((run.parent / f"evaluate-{len(reports) + 1:04d}" / "metrics.json")
+                           .read_bytes())
+        assert reports[0] == reports[1]
 
     def test_reserved_token_in_vocab_exits_two(self, tmp_path, capsys):
         """<pad> and <oov> are implied at indices 0 and 1; no entry can be one."""

@@ -22,7 +22,7 @@ from reviewlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import parse_csv, split_60_20_20, write_csv
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
-from reviewlab.toydata import toy_config, toy_reviews
+from toy import toy_config, toy_reviews
 from reviewlab.training import TrainConfig
 
 
@@ -974,3 +974,13 @@ class TestBlasThreadPin:
             out = subprocess.run([sys.executable, "-c", probe], env=blas_env(**values),
                                  capture_output=True, text=True, check=True, timeout=120).stdout
             assert out.split() == expected.split()
+
+
+def test_package_holds_only_modules_the_commands_import():
+    """A fresh `import reviewlab.cli` loads every module the package ships: no fixture or
+    helper that only tests read rides along in the installed package."""
+    probe = ("import pkgutil, sys, reviewlab.cli; print(*(m.name for m in "
+             "pkgutil.iter_modules(reviewlab.__path__) if 'reviewlab.' + m.name not in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=blas_env(), capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out == "\n"

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, filtering, and the deterministic split."""
 
 import csv
+import hashlib
 import math
 import runpy
 import sys
@@ -19,7 +20,7 @@ from reviewlab.dataset import (
     write_issues,
 )
 from reviewlab.errors import InputError
-from reviewlab.toydata import toy_reviews
+from toy import toy_reviews
 
 HEADER = (
     ',Clothing ID,Age,Title,Review Text,Rating,Recommended IND,'
@@ -301,7 +302,20 @@ class TestMakeToyData:
         assert err.endswith(f"error: --n: n must be an even number >= 2, got {n}\n")
         assert not out.exists()
 
+    # The CSV's sha256 per argument list: every recorded toy history and
+    # acceptances 4 and 8 read these bytes.
+    PINNED = {
+        (): "0bb548ccf99b1e61704f6269c473c56deecc4e259a0a0fcffd2d980e70428684",
+        ("--n", "4"): "885ac9959243040d73c3bd2b68f83183f17253cc557c81844a15fcc5975af092",
+        ("--seed", "8"): "749b1bfa663c958f21c2830a715d722bc836cae7493e7a405300991f2da9922a",
+        ("--n", "200", "--seed", "3"):
+            "4d5d46b54b0496811c555fb3e2aecc3745d7db223a58ebc034c3bb1683f60d78",
+    }
+
     def test_even_n_writes_fixture(self, tmp_path, monkeypatch):
         out = tmp_path / "toy.csv"
         self.run(monkeypatch, "--out", str(out), "--n", "4")
         assert parse_csv(out) == (toy_reviews(n=4), [])
+        for argv, digest in self.PINNED.items():
+            self.run(monkeypatch, "--out", str(out), *argv)
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv

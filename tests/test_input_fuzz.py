@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from reviewlab.cli import main
 from reviewlab.dataset import write_csv
-from reviewlab.toydata import toy_config, toy_reviews
+from toy import toy_config, toy_reviews
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])

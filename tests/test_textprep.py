@@ -44,12 +44,19 @@ def index_of(words):
     return {w.decode(): i + 2 for i, w in enumerate(words.tolist())}
 
 
-def dict_encode(token_lists, index, L):
-    """Reference encoder: each row's first L ids from the dict, then padding."""
+def width(token_lists, L):
+    """The matrix width `encode` gives: the longest row's first L tokens, at least 1."""
+    return max(1, min(L, max(map(len, token_lists), default=0)))
+
+
+def dict_encode(token_lists, index, L, T=None):
+    """Reference encoder: each row's first L ids from the dict, then padding to T columns
+    (by default, these rows' width)."""
+    T = width(token_lists, L) if T is None else T
     rows = []
     for tokens in token_lists:
         ids = [index.get(t, OOV_INDEX) for t in tokens[:L]]
-        rows.append(ids + [PAD_INDEX] * (L - len(ids)))
+        rows.append(ids + [PAD_INDEX] * (T - len(ids)))
     return rows
 
 
@@ -201,10 +208,11 @@ class TestVocab:
         reference = dict(zip(ranked[:max_size - 2], count(2)))
         tokens, matrices = build_vocab((corpus, later), min_freq, max_size, seq_len)
         assert tokens == list(reference)
-        assert [m.shape for m in matrices] == [(len(corpus), seq_len), (len(later), seq_len)]
+        T = width(corpus + later, seq_len)  # one matrix, split
+        assert [m.shape for m in matrices] == [(len(corpus), T), (len(later), T)]
         for indices, token_lists in zip(matrices, (corpus, later)):
             assert indices.dtype == np.int64
-            assert indices.tolist() == dict_encode(token_lists, reference, seq_len)
+            assert indices.tolist() == dict_encode(token_lists, reference, seq_len, T)
         unseen = [[t not in counts for t in row[:seq_len]] for row in later]
         assert all(i == OOV_INDEX for row, mask in zip(matrices[1].tolist(), unseen)
                    for i, new in zip(row, mask) if new)
@@ -218,19 +226,20 @@ class TestVocab:
 
 
 class TestEncodePad:
-    """encode: token lists -> one post-padded (N, L) int64 index matrix."""
+    """encode: token lists -> one (N, width) int64 index matrix, post-padded to the
+    longest row's first L tokens."""
 
     def make_vocab(self):
         return words_of([["a", "b", "c"]])
 
     def test_short_sequence_padded(self):
-        enc = encode([["a"]], self.make_vocab(), 3)
+        enc = encode([["a"], ["b", "c", "a"]], self.make_vocab(), 3)
         assert enc.dtype == np.int64
-        assert enc.tolist() == [[2, 0, 0]]
+        assert enc.tolist() == [[2, 0, 0], [3, 4, 2]]
 
     def test_unknown_token_maps_to_oov(self):
-        enc = encode([["zzz"]], self.make_vocab(), 2)
-        assert enc.tolist() == [[OOV_INDEX, PAD_INDEX]]
+        enc = encode([["zzz"], ["a", "b"]], self.make_vocab(), 2)
+        assert enc.tolist() == [[OOV_INDEX, PAD_INDEX], [2, 3]]
 
     def test_long_sequence_keeps_first(self):
         enc = encode([["a", "b", "c", "a", "b"], []], self.make_vocab(), 3)
@@ -247,7 +256,7 @@ class TestEncodePad:
     def test_output_length_exact(self, token_lists, L):
         words = self.make_vocab()
         enc = encode(token_lists, words, L)
-        assert enc.shape == (len(token_lists), L)
+        assert enc.shape == (len(token_lists), width(token_lists, L))
         assert enc.tolist() == dict_encode(token_lists, index_of(words), L)
 
     @pytest.mark.parametrize("token_lists, L", [
@@ -260,7 +269,7 @@ class TestEncodePad:
     def test_edge_cases_match_row_by_row(self, token_lists, L):
         words = self.make_vocab()
         enc = encode(token_lists, words, L)
-        assert enc.dtype == np.int64 and enc.shape == (len(token_lists), L)
+        assert enc.dtype == np.int64 and enc.shape == (len(token_lists), width(token_lists, L))
         assert enc.tolist() == dict_encode(token_lists, index_of(words), L)
 
 
@@ -356,7 +365,7 @@ class TestEmbed:
 
     def test_all_pad_gives_zero_vectors(self):
         vectors = self.embed([], 3)
-        assert vectors.shape == (3, 1, 3)
+        assert vectors.shape == (1, 1, 3)
         assert np.all(vectors == 0.0)
 
     def test_single_token_row_as_column(self):
@@ -372,7 +381,8 @@ class TestEmbed:
         batched = embed_batch(encode([["a", "b"], ["b"]], self.words, 2), self.table)
         assert batched.shape == (2, 2, 3)
         assert np.array_equal(batched[:, :1], self.embed(["a", "b"], 2))
-        assert np.array_equal(batched[:, 1:], self.embed(["b"], 2))
+        assert np.array_equal(batched[:1, 1:], self.embed(["b"], 2))
+        assert np.all(batched[1:, 1:] == 0.0)
 
 
 class TestVocabRoundTrip:
@@ -447,5 +457,5 @@ class TestEncode:
 
     def test_empty_vocabulary(self):
         words = words_of([])
-        assert encode([["a"], []], words, 2).tolist() == [[OOV_INDEX, PAD_INDEX],
-                                                          [PAD_INDEX, PAD_INDEX]]
+        assert encode([["a"], [], ["b", "a"]], words, 2).tolist() == [
+            [OOV_INDEX, PAD_INDEX], [PAD_INDEX, PAD_INDEX], [OOV_INDEX, OOV_INDEX]]

@@ -27,7 +27,7 @@ from reviewlab.textprep import (
     sorted_vocab,
     tokenize,
 )
-from reviewlab.toydata import toy_config, toy_reviews
+from toy import toy_config, toy_reviews
 
 from gradcheck import grad_check
 from reviewlab.training import (
@@ -189,11 +189,14 @@ class TestBuildTrainingData:
         assert sum(len(labels) for _, labels in splits) == 39
 
     def test_sequences_padded_to_config_length(self):
-        config, splits, _, _ = prepared_toy()
-        for indices, labels in splits:
-            assert indices.shape == (len(labels), config.seq_len)
-            assert indices.dtype == np.int64
-            assert labels.dtype == np.int64
+        """Every split pads to the longest review, cut to seq_len."""
+        longest = max(len(tokenize(r.review_text)) for r in toy_reviews())
+        for seq_len in (longest + 2, longest - 2):
+            _, splits, _, _ = prepared_toy(seq_len=seq_len)
+            for indices, labels in splits:
+                assert indices.shape == (len(labels), min(seq_len, longest))
+                assert indices.dtype == np.int64
+                assert labels.dtype == np.int64
 
 
 class TrainingStep:

@@ -42,7 +42,7 @@ def toy_reviews(n: int = 40, seed: int = TOY_SEED):
                 title=f"{keyword.capitalize()} {noun}",
                 review_text=f"{opener} {keyword} {noun} {tail}",
                 rating=5 if positive else 1,
-                recommended=positive,
+                recommended=int(positive),
                 positive_feedback_count=i % 4,
                 division=_DIVISIONS[i % 3],
                 department="Tops",

@@ -29,7 +29,6 @@ from .textprep import tokenize
 
 # ReviewRecord's fields are row_id, then COLUMNS in order.
 FEATURE_ACCESSORS = {name: itemgetter(i) for i, name in enumerate(COLUMNS, start=1)}
-FEATURE_ACCESSORS["Recommended IND"] = lambda r: int(r.recommended)
 
 NUMERIC_FEATURES = tuple(name for name, bounds in COLUMNS.items() if bounds)
 
@@ -178,9 +177,7 @@ def grouped_rating_corr(records) -> Table:
     ids = sorted(groups)
     mean_rating = [sum(g.rating for g in groups[i]) / len(groups[i]) for i in ids]
     review_count = [float(len(groups[i])) for i in ids]
-    mean_recommended = [
-        sum(int(g.recommended) for g in groups[i]) / len(groups[i]) for i in ids
-    ]
+    mean_recommended = [sum(g.recommended for g in groups[i]) / len(groups[i]) for i in ids]
     series = [mean_rating, review_count, mean_recommended]
     names = ("mean_rating", "review_count", "mean_recommended")
     rows = []

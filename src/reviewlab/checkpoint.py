@@ -130,7 +130,10 @@ def load_checkpoint(path) -> ModelBundle:
     straight into one float32 buffer and returned as views of it, with
     no copy of the whole file: a load makes one allocation of the
     model's size, so repeated loads in one process reuse the same memory
-    instead of faulting in fresh pages for each copy.
+    instead of faulting in fresh pages for each copy.  The buffer is
+    allocated before the vocabulary is read, so it takes the space the
+    last load freed, and the much smaller vocabulary is what moves once
+    long-lived small allocations have taken the front of that space.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -165,11 +168,11 @@ def load_checkpoint(path) -> ModelBundle:
                 f"payload: {left} bytes, where words, word_bytes, embedding_dim, cell_size "
                 f"and task give {need}"
             )
+        flat = np.empty(sum(sizes), dtype="<f4")  # before the vocabulary: see the docstring
         try:
             vocab = _words(fh.read(n_words * width), width)
         except ValueError as exc:
             raise InputError(f"{path}: bad checkpoint vocabulary: {exc}") from exc
-        flat = np.empty(sum(sizes), dtype="<f4")
         if fh.readinto(flat) != 4 * len(flat):
             raise InputError(f"{path}: truncated checkpoint payload")
 

@@ -137,7 +137,9 @@ def _write_materialized_config(run_dir: Path, command: str, cfg: dict) -> None:
     lines = [f"# command: {command}"]
     for key in sorted(cfg):
         value = cfg[key]
-        if key == "text" and value is not None:  # any text, line breaks included
+        # A JSON literal for text, and for any string the parser would not read back as is.
+        if isinstance(value, str) and (key == "text" or not value or value != value.strip()
+                                       or value.startswith('"') or not value.isprintable()):
             value = json.dumps(value)
         lines.append(f"{key}={'' if value is None else value}")
     (run_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -196,8 +198,7 @@ def _cmd_label(cfg: dict, provided: set, run_dir: Path) -> None:
     counts = Counter(zip((r.recommended for r in records), labels))
     _write_table_csv(run_dir / "sentiment_by_recommendation.csv", Table(
         ("recommended", *SENTIMENT_CLASSES),
-        tuple((int(state), *(counts[state, label] for label in SENTIMENT_CLASSES))
-              for state in (False, True)),
+        tuple((state, *(counts[state, label] for label in SENTIMENT_CLASSES)) for state in (0, 1)),
     ))
     print(f"labeled {len(records)} rows into {run_dir}")
 
@@ -361,7 +362,7 @@ def main(argv=None) -> int:
         _COMMANDS[args.command][0](cfg, provided, run_dir)
         _write_materialized_config(run_dir, args.command, cfg)  # with the checkpoint's settings
         code = 0
-    except (InputError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except Exception:

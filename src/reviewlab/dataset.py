@@ -5,7 +5,8 @@ columns in any order (a leading unnamed index column is tolerated, as
 shipped in the public file); `COLUMNS` is their one declaration.  Rows
 whose mandatory fields fail validation are collected as issues, each
 the `line N: message` string `issues.txt` holds, never silently dropped
-or repaired.
+or repaired.  Every integer column, Recommended IND included (0 or 1),
+is kept as the int the CSV holds.
 Optional text fields keep their exact contents so a parse -> write ->
 parse cycle reproduces every record bit-for-bit; empty strings are read
 back as absent values.
@@ -46,14 +47,11 @@ class ReviewRecord(NamedTuple):
     title: str | None
     review_text: str | None
     rating: int
-    recommended: bool
+    recommended: int  # Recommended IND, 0 or 1
     positive_feedback_count: int
     division: str | None
     department: str | None
     class_name: str | None
-
-
-_RECOMMENDED = ReviewRecord._fields.index("recommended")
 
 
 def parse_csv(path):
@@ -111,7 +109,6 @@ def parse_csv(path):
             issues.append(f"line {line}: {'; '.join(problems)}")
             continue
 
-        values[_RECOMMENDED] = bool(values[_RECOMMENDED])
         records.append(ReviewRecord(*values))
     return records, issues
 
@@ -130,7 +127,6 @@ def write_csv(records, path, sentiment=None) -> None:
         writer.writerow(header)
         for pos, r in enumerate(records):
             row = ["" if v is None else v for v in r]
-            row[_RECOMMENDED] = int(r.recommended)  # a bool, which csv writes as True/False
             if sentiment is not None:
                 row.append(sentiment[pos])
             writer.writerow(row)

@@ -22,16 +22,17 @@ stable-sorts the rows by descending length, so the rows still running at
 step t are a prefix [:n_t] (the batch_sizes layout of a packed sequence).
 A finished row keeps its final state, and an empty row the zero state.
 The reverse direction starts at each row's last real token (its step s
-reads x[L_r - 1 - s, r]) and is the same prefix recurrence.  Each
-direction gathers its real inputs straight from the caller's x, so no
-sorted or reversed copy of x is built.
+reads x[L_r - 1 - s, r]) and is the same prefix recurrence.  forward()
+builds this packed layout once per batch and keeps it for backward().
+Each direction gathers its real inputs straight from the caller's x
+through it, so no sorted or reversed copy of x is built.
 
 The N = sum L_r real inputs are projected with one GEMM, then each step
 adds one h[:n_t] . W_h^T GEMM (Appleyard, Kocisky & Blunsom,
 arXiv:1604.01946).  Each direction keeps a packed SequenceCache for BPTT:
 z (N, H + D) with the [h_{t-1}, x_t] each token read, the gate
-activations (N, 4H), the cell states (N, H), and the T + 1 offsets that
-give step t the rows offsets[t]:offsets[t + 1].  The backward sweep
+activations (N, 4H), the cell states (N, H), and the offsets that give
+step t the rows offsets[t]:offsets[t + 1].  The backward sweep
 injects each row's gradient at its own last step, updates only [:n_t] at
 step t, and writes the pre-activation gradients over the gate
 activations, so backward() consumes its cache.  One GEMM over the N rows
@@ -69,7 +70,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -101,18 +101,16 @@ def _prev_cells(c: np.ndarray, offsets, t: int, k: int):
     return c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0
 
 
-def lstm_sequence_forward(params, x: np.ndarray, lengths, index):
+def lstm_sequence_forward(params, x: np.ndarray, offsets, index):
     """Run one direction, params = (W, b), from a zero state on inputs from x (T, B, D).
 
-    Row j steps over lengths[j] inputs, non-increasing in j.  index =
-    (steps, cols), two arrays, lists the N = sum(lengths) real inputs in
-    packed (step-major) order: the k-th of them is x[steps[k], cols[k]].
+    Step t runs rows [:offsets[t + 1] - offsets[t]], a count non-increasing
+    in t.  index = (steps, cols), two arrays, lists the N = offsets[T] real
+    inputs in that packed order: the k-th of them is x[steps[k], cols[k]].
     Returns each row's final h (B, H) and the packed SequenceCache.
     """
     W, b = params
     (T, B, D), H = x.shape, len(W) // 4
-    active = np.arange(T)[:, None] < lengths
-    offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
     z = np.empty((offsets[-1], H + D), dtype=W.dtype)
     z[:, H:] = x[index]
     W_h, W_x = W[:, :H], W[:, H:]
@@ -265,27 +263,20 @@ def _both_directions(fn, fwd_args, bwd_args):
     return result, reverse.result()
 
 
-def _packed_index(T: int, L: np.ndarray, order: np.ndarray):
-    """Where each direction's packed inputs sit in the caller's x (T, B, D).
+class ClassifierCache(NamedTuple):
+    """Forward-pass record for backward(); sorted row j is caller row order[j].
 
-    Packed row k is step t of sorted row j.  The forward direction reads
-    x[t, order[j]] and the reverse one x[L_j - 1 - t, order[j]]; returns
-    the three arrays (t, L_j - 1 - t, order[j]), each of length N.
+    The batch's packed layout is fwd.offsets and index = (t, L_j - 1 - t,
+    order[j]): for packed row k, step t of sorted row j, the step of x each
+    direction read and the caller row.
     """
-    t, j = np.nonzero(np.arange(T)[:, None] < L)
-    return t, L[j] - 1 - t, order[j]
-
-
-@dataclass(frozen=True)
-class ClassifierCache:
-    """Forward-pass record for backward(); sorted row j is caller row order[j]."""
 
     fwd: SequenceCache
     bwd: SequenceCache
     features: np.ndarray
     mask: np.ndarray | None
     order: np.ndarray
-    lengths: np.ndarray
+    index: tuple
 
 
 def forward(model: BiLstmClassifier, x: np.ndarray, lengths: np.ndarray, *,
@@ -301,9 +292,12 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths: np.ndarray, *,
     T = len(x)
     order = np.argsort(-lengths, kind="stable")
     L = lengths[order]
-    t, t_rev, rows = _packed_index(T, L, order)
+    t, j = np.nonzero(np.arange(T)[:, None] < L)
+    offsets = np.searchsorted(t, np.arange(T + 1)).tolist()
+    t_rev, rows = L[j] - 1 - t, order[j]
     (h_fwd, fwd), (h_bwd, bwd) = _both_directions(
-        lstm_sequence_forward, (model[0:2], x, L, (t, rows)), (model[2:4], x, L, (t_rev, rows))
+        lstm_sequence_forward, (model[0:2], x, offsets, (t, rows)),
+        (model[2:4], x, offsets, (t_rev, rows))
     )
     features = np.hstack([h_fwd, h_bwd])[np.argsort(order)]  # caller row order
     mask = None
@@ -315,8 +309,7 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths: np.ndarray, *,
                             features.dtype).T
         dropped = features * mask
     probs = softmax(dropped @ model.head_W.T + model.head_b)
-    return probs, ClassifierCache(fwd=fwd, bwd=bwd, features=features, mask=mask,
-                                  order=order, lengths=L)
+    return probs, ClassifierCache(fwd, bwd, features, mask, order, (t, t_rev, rows))
 
 
 def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarray):
@@ -335,9 +328,9 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
         lstm_sequence_backward,
         (model[0:2], cache.fwd, dfeat[:, :H]), (model[2:4], cache.bwd, dfeat[:, H:])
     )
-    L, T = cache.lengths, len(cache.fwd.offsets) - 1
-    t, t_rev, rows = _packed_index(T, L, cache.order)
-    dx = np.zeros((T, len(L), dx_fwd.shape[1]), dtype=dx_fwd.dtype)
+    t, t_rev, rows = cache.index
+    dx = np.zeros((len(cache.fwd.offsets) - 1, len(cache.order), dx_fwd.shape[1]),
+                  dtype=dx_fwd.dtype)
     dx[t, rows] = dx_fwd
     dx[t_rev, rows] += dx_bwd
     grads = [dW_fwd, db_fwd, dW_bwd, db_bwd, dlogits.T @ dropped, dlogits.sum(axis=0)]

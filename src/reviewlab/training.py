@@ -125,7 +125,7 @@ def task_labels(records, token_lists, task: str, lexicon: dict) -> np.ndarray:
     review text.  Index i names TASK_CLASSES[task][i].
     """
     if task == "recommendation":
-        labels = [int(r.recommended) for r in records]
+        labels = [r.recommended for r in records]
     else:
         labels = [TASK_CLASSES[task].index(label_from_compound(score_text(t, lexicon)))
                   for t in token_lists]

@@ -5,9 +5,9 @@ Training needs only the analytic gradients of ``nn.forward`` and
 classifier or compares it against finite differences.  So the checker
 and the two loss functions it perturbs live here, next to the tests
 that use them, and ``src/reviewlab`` keeps only what the program runs.
-``packed`` builds the lengths and packed index that ``forward`` and
-``lstm_sequence_forward`` require, for the tests that run every row in
-order.
+``row_lengths`` gives the lengths ``forward`` takes, and ``packed`` the
+packed layout ``lstm_sequence_forward`` takes, for the tests that run
+the rows of x in order.
 """
 
 from dataclasses import dataclass
@@ -17,26 +17,31 @@ import numpy as np
 from reviewlab.nn import backward, batch_cross_entropy, batch_cross_entropy_grad, forward
 
 
-def packed(x, lengths=None):
-    """(lengths, index) that step row j of x (T, B, D) over x[0, j] ... x[lengths[j] - 1, j].
+def row_lengths(x, lengths=None):
+    """lengths as an array, by default all T steps for each row of x (T, B, D)."""
+    return np.full(x.shape[1], len(x)) if lengths is None else np.asarray(lengths)
 
-    lengths defaults to all T steps.  forward() takes the lengths and
-    lstm_sequence_forward() both, as their arguments after x.
+
+def packed(x, lengths=None):
+    """(offsets, index) that step row j of x (T, B, D) over x[0, j] ... x[lengths[j] - 1, j].
+
+    lengths, non-increasing, defaults to all T steps.  lstm_sequence_forward()
+    takes the pair as its arguments after x.
     """
-    lengths = np.full(x.shape[1], len(x)) if lengths is None else np.asarray(lengths)
-    return lengths, np.nonzero(np.arange(len(x))[:, None] < lengths)
+    t, j = np.nonzero(np.arange(len(x))[:, None] < row_lengths(x, lengths))
+    return np.searchsorted(t, np.arange(len(x) + 1)).tolist(), (t, j)
 
 
 def loss(model, instance) -> float:
     """Mean cross-entropy of a BiLstmClassifier; instance is (x, targets[, lengths])."""
     x, targets, *lengths = instance
-    return batch_cross_entropy(forward(model, x, packed(x, *lengths)[0])[0], targets)
+    return batch_cross_entropy(forward(model, x, row_lengths(x, *lengths))[0], targets)
 
 
 def loss_and_grads(model, instance):
     """The loss and its analytic gradients, in param_blocks() order."""
     x, targets, *lengths = instance
-    probs, cache = forward(model, x, packed(x, *lengths)[0])
+    probs, cache = forward(model, x, row_lengths(x, *lengths))
     grads, _ = backward(model, cache, batch_cross_entropy_grad(probs, targets))
     return batch_cross_entropy(probs, targets), grads
 

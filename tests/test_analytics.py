@@ -25,7 +25,7 @@ from reviewlab.errors import InputError
 
 
 def rec(row_id=0, clothing_id=1, age=30, title=None, review_text=None,
-        rating=5, recommended=True, positive_feedback_count=0,
+        rating=5, recommended=1, positive_feedback_count=0,
         division=None, department=None, class_name=None):
     return ReviewRecord(
         row_id=row_id, clothing_id=clothing_id, age=age, title=title,
@@ -74,7 +74,7 @@ class TestDescribe:
         assert d.count == 1
 
     def test_recommended_as_numeric(self):
-        records = [rec(recommended=True), rec(recommended=False)]
+        records = [rec(recommended=1), rec(recommended=0)]
         d = describe(records, "Recommended IND")
         assert d.mean == pytest.approx(0.5)
 
@@ -211,10 +211,10 @@ class TestGroupedCorr:
     def test_perfectly_aligned_groups(self):
         """Two groups whose rating and recommendation move together."""
         records = [
-            rec(clothing_id=1, rating=5, recommended=True),
-            rec(clothing_id=1, rating=5, recommended=True),
-            rec(clothing_id=2, rating=1, recommended=False),
-            rec(clothing_id=2, rating=1, recommended=False),
+            rec(clothing_id=1, rating=5, recommended=1),
+            rec(clothing_id=1, rating=5, recommended=1),
+            rec(clothing_id=2, rating=1, recommended=0),
+            rec(clothing_id=2, rating=1, recommended=0),
         ]
         corr = grouped_rating_corr(records)
         assert corr_entry(corr, "mean_rating", "mean_recommended") == pytest.approx(1.0, abs=1e-9)
@@ -228,7 +228,7 @@ class TestGroupedCorr:
 
     def test_symmetric(self):
         records = [
-            rec(clothing_id=i % 3, rating=1 + (i * 2) % 5, recommended=bool(i % 2))
+            rec(clothing_id=i % 3, rating=1 + (i * 2) % 5, recommended=i % 2)
             for i in range(12)
         ]
         corr = grouped_rating_corr(records)
@@ -241,8 +241,8 @@ class TestGroupedCorr:
     def test_constant_series_reported_missing(self):
         """Equal review counts leave that column undefined (""), not NaN."""
         records = [
-            rec(clothing_id=1, rating=5, recommended=True),
-            rec(clothing_id=2, rating=1, recommended=False),
+            rec(clothing_id=1, rating=5, recommended=1),
+            rec(clothing_id=2, rating=1, recommended=0),
         ]
         corr = grouped_rating_corr(records)
         assert corr_entry(corr, "mean_rating", "review_count") == ""
@@ -350,16 +350,16 @@ class TestFullReport:
     def records(self):
         return [
             rec(row_id=0, clothing_id=1, age=25, title="Nice top",
-                review_text="love this great top", rating=5, recommended=True,
+                review_text="love this great top", rating=5, recommended=1,
                 positive_feedback_count=2, division="General",
                 department="Tops", class_name="Blouses"),
             rec(row_id=1, clothing_id=1, age=31, title="Poor fit",
                 review_text="terrible fit returned it", rating=2,
-                recommended=False, positive_feedback_count=0,
+                recommended=0, positive_feedback_count=0,
                 division="General", department="Dresses", class_name="Dresses"),
             rec(row_id=2, clothing_id=2, age=47, title=None,
                 review_text="soft comfortable fabric", rating=4,
-                recommended=True, positive_feedback_count=1,
+                recommended=1, positive_feedback_count=1,
                 division="Petite", department="Tops", class_name="Knits"),
         ]
 

@@ -97,6 +97,16 @@ class TestAnalyze:
         assert main(["analyze", "--out", str(tmp_path / "runs")]) == 2
         assert "--data" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["existing-file", "under-a-file"])
+    def test_out_through_a_file_exits_two(self, tmp_path, data_csv, capsys, below):
+        """FileExistsError and NotADirectoryError are input errors, like every OSError."""
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["analyze", "--data", str(data_csv), "--out", str(taken / below)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert taken.read_text() == "kept\n"
+
 
 class TestLabel:
     def test_row_count_preserved(self, tmp_path, data_csv):
@@ -123,8 +133,8 @@ class TestLabel:
 
     def test_counts_per_recommendation_state(self, tmp_path):
         """Each (recommended, label) pair is counted once; a review without text is neutral."""
-        reviews = [("great dress", True), ("terrible fit", False),
-                   ("terrible quality", True), (None, False)]
+        reviews = [("great dress", 1), ("terrible fit", 0),
+                   ("terrible quality", 1), (None, 0)]
         data = tmp_path / "four.csv"
         write_csv([r._replace(review_text=text, recommended=flag)
                    for r, (text, flag) in zip(toy_reviews(), reviews)], data)
@@ -256,7 +266,7 @@ class TestEvaluate:
         """With every review recommended, ROC AUC is undefined: evaluate still exits 0,
         reports it as null and writes no roc.csv."""
         data = tmp_path / "recommended.csv"
-        write_csv([r._replace(recommended=True) for r in toy_reviews()], data)
+        write_csv([r._replace(recommended=1) for r in toy_reviews()], data)
         run_dir = train_run(tmp_path, data, toy_cfg_file)
         out = tmp_path / "runs"
         assert main(["evaluate", "--data", str(data), "--out", str(out),
@@ -652,6 +662,24 @@ class TestPredict:
         second = out / "predict-0002"
         assert (second / "prediction.json").read_bytes() == (first / "prediction.json").read_bytes()
         assert snapshot(second) == snapshot(first)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("data", " toy.csv"), ("data", "toy.csv "), ("data", '"toy".csv'),
+        ("data", "toy\n.csv"), ("data", "toy\udcff.csv"), ("out", ""),
+    ], ids=["leading-space", "trailing-space", "leading-quote", "line-break",
+            "undecodable-byte", "empty"])
+    def test_rerun_from_materialized_config_keeps_strings(self, tmp_path, data_csv,
+                                                          monkeypatch, flag, value):
+        """config.txt writes a string the parser would not read back as is as a JSON
+        literal, so a rerun from it reads the same paths."""
+        monkeypatch.chdir(tmp_path)
+        paths = {"data": "toy.csv", "out": "runs", flag: value}
+        Path(paths["data"]).write_bytes(data_csv.read_bytes())
+        assert main(["analyze", "--data", paths["data"], "--out", paths["out"]]) == 0
+        first = Path(paths["out"], "analyze-0001")
+        assert f"\n{flag}={json.dumps(value)}\n" in (first / "config.txt").read_text()
+        assert main(["analyze", "--config", str(first / "config.txt")]) == 0
+        assert snapshot(Path(paths["out"], "analyze-0002")) == snapshot(first)
 
     def test_cached_parser_serves_every_call(self, tmp_path, data_csv, toy_cfg_file, capsys):
         """One parser per process: a refused parse leaves nothing behind for later calls."""

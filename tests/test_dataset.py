@@ -59,7 +59,7 @@ class TestParseCsv:
         assert first.title is None
         assert first.review_text == "Absolutely wonderful - silky and comfortable"
         assert first.rating == 4
-        assert first.recommended is True
+        assert first.recommended == 1 and type(first.recommended) is int
         assert first.positive_feedback_count == 0
         assert first.division == "Initmates"
         assert first.department == "Intimate"
@@ -224,7 +224,7 @@ class TestFilter:
         def rec(i, text):
             return ReviewRecord(
                 row_id=i, clothing_id=1, age=30, title=None, review_text=text,
-                rating=5, recommended=True, positive_feedback_count=0,
+                rating=5, recommended=1, positive_feedback_count=0,
                 division=None, department=None, class_name=None,
             )
 

@@ -29,7 +29,7 @@ from reviewlab.nn import (
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.training import TrainConfig
 
-from gradcheck import grad_check, loss, packed
+from gradcheck import grad_check, loss, packed, row_lengths
 
 
 def zero_params(cell, inp):
@@ -204,13 +204,13 @@ class TestBiLstmForward:
         model = BiLstmClassifier(*p, *p, *zero_head(3))
         a, b = [0.4, -0.2], [1.0, 0.5]
         xs = np.array([[a], [b], [a]])
-        _, cache = forward(model, xs, packed(xs)[0])
+        _, cache = forward(model, xs, row_lengths(xs))
         assert np.array_equal(cache.features[:, :3], cache.features[:, 3:])
 
     def test_zero_params_zero_vector(self):
         model = BiLstmClassifier(*zero_params(2, 2), *zero_params(2, 2), *zero_head(2))
         xs = random_xs(SeededRng(9), 2, 5)
-        _, cache = forward(model, xs, packed(xs)[0])
+        _, cache = forward(model, xs, row_lengths(xs))
         assert cache.features.shape == (1, 4)
         assert np.allclose(cache.features, 0.0)
 
@@ -220,7 +220,7 @@ class TestBiLstmForward:
         model = BiLstmClassifier.build(3, 2, 3, rng)._replace(head_W=np.zeros((3, 6)),
                                                              head_b=np.zeros(3))
         xs = random_xs(SeededRng(11), 2, 4)
-        _, cache = forward(model, xs, packed(xs)[0])
+        _, cache = forward(model, xs, row_lengths(xs))
         fwd, _ = lstm_sequence_forward(model[0:2], xs, *packed(xs))
         reversed_xs = xs[::-1].copy()
         bwd, _ = lstm_sequence_forward(model[2:4], reversed_xs, *packed(reversed_xs))
@@ -234,7 +234,7 @@ class TestDenseSoftmax:
     def test_zero_parameters_uniform_probs(self):
         model = toy_classifier(seed=12)._replace(head_W=np.zeros((3, 8)), head_b=np.zeros(3))
         xs = random_xs(SeededRng(12), 3, 4)
-        probs, cache = forward(model, xs, packed(xs)[0])
+        probs, cache = forward(model, xs, row_lengths(xs))
         assert np.any(cache.features != 0.0)
         assert np.allclose(probs, 1 / 3, atol=1e-12)
 
@@ -242,13 +242,13 @@ class TestDenseSoftmax:
         model = toy_classifier(seed=12, n_classes=2)._replace(
             head_W=np.zeros((2, 8)), head_b=np.array([10.0, 0.0]))
         xs = random_xs(SeededRng(12), 3, 4)
-        probs, _ = forward(model, xs, packed(xs)[0])
+        probs, _ = forward(model, xs, row_lengths(xs))
         assert probs[0, 0] >= 0.9999
 
     def test_matches_matmul_softmax_composition(self):
         model = toy_classifier(seed=12)
         xs = random_xs(SeededRng(13), 3, 4)
-        probs, cache = forward(model, xs, packed(xs)[0])
+        probs, cache = forward(model, xs, row_lengths(xs))
         logits = model.head_W @ cache.features[0] + model.head_b
         want = np.exp(logits) / np.exp(logits).sum()
         assert np.allclose(probs[0], want, atol=1e-12)
@@ -257,7 +257,7 @@ class TestDenseSoftmax:
         """Each example's class probabilities sum to one."""
         model = toy_classifier(seed=13)
         xs = random_xs(SeededRng(14), 3, 4, batch=5)
-        probs, cache = forward(model, xs, packed(xs)[0])
+        probs, cache = forward(model, xs, row_lengths(xs))
         assert cache.features.shape == (5, 8)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
@@ -316,15 +316,15 @@ class TestDropout:
         assert np.array_equal(dropout_mask(3, 4, 0.0, SeededRng(1), np.float64), np.ones((3, 4)))
         model = toy_classifier()
         xs = random_xs(SeededRng(1), 3, 2)
-        _, cache = forward(model, xs, packed(xs)[0], dropout_rate=0.0, rng=SeededRng(1),
+        _, cache = forward(model, xs, row_lengths(xs), dropout_rate=0.0, rng=SeededRng(1),
                            training=True)
         assert cache.mask is None
 
     def test_inference_identity(self):
         model = toy_classifier()
         xs = random_xs(SeededRng(1), 3, 2)
-        plain, _ = forward(model, xs, packed(xs)[0])
-        out, cache = forward(model, xs, packed(xs)[0], dropout_rate=0.5, rng=SeededRng(1),
+        plain, _ = forward(model, xs, row_lengths(xs))
+        out, cache = forward(model, xs, row_lengths(xs), dropout_rate=0.5, rng=SeededRng(1),
                              training=False)
         assert cache.mask is None
         assert np.array_equal(out, plain)
@@ -362,7 +362,7 @@ class TestBackward:
     def test_zero_loss_gradient_gives_zero_grads(self):
         model = toy_classifier()
         xs = random_xs(SeededRng(20), 3, 5)
-        _, cache = forward(model, xs, packed(xs)[0])
+        _, cache = forward(model, xs, row_lengths(xs))
         grads, dx = backward(model, cache, np.zeros((1, 3)))
         for g in grads:
             assert np.allclose(g, 0.0)
@@ -383,7 +383,7 @@ class TestBackward:
         model = BiLstmClassifier(*p, *p, np.hstack([half, half]), np.array([0.1, -0.2, 0.3]))
         a, b = [0.9, -0.4], [0.2, 0.6]
         xs = np.array([[a], [b], [a]])
-        probs, cache = forward(model, xs, packed(xs)[0])
+        probs, cache = forward(model, xs, row_lengths(xs))
         grads, _ = backward(model, cache, batch_cross_entropy_grad(probs, [1]))
         for gf, gb in zip(grads[0:2], grads[2:4]):
             assert np.allclose(gf, gb, atol=1e-12)
@@ -393,7 +393,7 @@ class TestBackward:
         model = toy_classifier(seed=5)
         xs = random_xs(SeededRng(23), 3, 4)
         target = 0
-        probs, cache = forward(model, xs, packed(xs)[0])
+        probs, cache = forward(model, xs, row_lengths(xs))
         _, dx = backward(model, cache, batch_cross_entropy_grad(probs, [target]))
         eps = 1e-6
         for t in (0, 3):
@@ -413,13 +413,13 @@ class TestBackward:
 
         def loss_with_mask():
             probs, _ = forward(
-                model, xs, packed(xs)[0], dropout_rate=0.5, rng=SeededRng(mask_seed),
+                model, xs, row_lengths(xs), dropout_rate=0.5, rng=SeededRng(mask_seed),
                 training=True,
             )
             return batch_cross_entropy(probs, [target])
 
         probs, cache = forward(
-            model, xs, packed(xs)[0], dropout_rate=0.5, rng=SeededRng(mask_seed),
+            model, xs, row_lengths(xs), dropout_rate=0.5, rng=SeededRng(mask_seed),
             training=True,
         )
         assert cache.mask is not None
@@ -459,7 +459,7 @@ class TestRaggedBatch:
         _, cache = forward(model, xs, self.LENGTHS)
         for r, length in enumerate(self.LENGTHS):
             row = xs[:length, r:r + 1]
-            want = forward(model, row, packed(row)[0])[1].features[0] if length else 0.0
+            want = forward(model, row, row_lengths(row))[1].features[0] if length else 0.0
             assert np.abs(cache.features[r] - want).max() <= 1e-12
 
     def test_gradients_match_rows_run_alone(self):
@@ -475,7 +475,7 @@ class TestRaggedBatch:
                 want[-1] += dlogits[r]  # zero features: only the head bias moves
                 continue
             row = xs[:length, r:r + 1]
-            _, alone = forward(model, row, packed(row)[0])
+            _, alone = forward(model, row, row_lengths(row))
             row_grads, row_dx = backward(model, alone, dlogits[r:r + 1])
             for w, g in zip(want, row_grads):
                 w += g
@@ -599,7 +599,7 @@ class TestDirectionsOnTwoThreads:
 
         monkeypatch.setattr(nn, "lstm_sequence_forward", slow_reverse)
         with pytest.raises(RuntimeError, match="forward direction failed"):
-            forward(model, xs, packed(xs)[0])
+            forward(model, xs, row_lengths(xs))
         assert finished.is_set()
 
     def test_concurrent_callers_share_the_worker(self):
@@ -634,13 +634,13 @@ class TestDirectionsOnTwoThreads:
         """A child forked after the worker started does not wait on the parent's thread."""
         model = toy_classifier(seed=101)
         xs = random_xs(SeededRng(102), 3, 4, batch=2)
-        want, _ = forward(model, xs, packed(xs)[0])
+        want, _ = forward(model, xs, row_lengths(xs))
         pid = os.fork()
         if pid == 0:
             code = 2
             try:
                 signal.alarm(10)
-                code = 0 if np.array_equal(forward(model, xs, packed(xs)[0])[0], want) else 1
+                code = 0 if np.array_equal(forward(model, xs, row_lengths(xs))[0], want) else 1
             finally:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
@@ -809,7 +809,7 @@ class TestClassifierForward:
     def test_probabilities_sum_to_one(self):
         model = toy_classifier(seed=50)
         xs = random_xs(SeededRng(51), 3, 6)
-        probs, _ = forward(model, xs, packed(xs)[0])
+        probs, _ = forward(model, xs, row_lengths(xs))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
@@ -818,7 +818,7 @@ class TestClassifierForward:
         for _ in range(2):
             model = toy_classifier(seed=60)
             xs = random_xs(SeededRng(61), 3, 5)
-            probs, _ = forward(model, xs, packed(xs)[0])
+            probs, _ = forward(model, xs, row_lengths(xs))
             losses.append(batch_cross_entropy(probs, [1]))
         assert losses[0] == losses[1]
 
@@ -828,15 +828,15 @@ class TestClassifierForward:
         xs_a = random_xs(SeededRng(71), 3, 4)
         xs_b = random_xs(SeededRng(72), 3, 4)
         xs_both = np.concatenate([xs_a, xs_b], axis=1)
-        pa, _ = forward(model, xs_a, packed(xs_a)[0])
-        pb, _ = forward(model, xs_b, packed(xs_b)[0])
-        pboth, _ = forward(model, xs_both, packed(xs_both)[0])
+        pa, _ = forward(model, xs_a, row_lengths(xs_a))
+        pb, _ = forward(model, xs_b, row_lengths(xs_b))
+        pboth, _ = forward(model, xs_both, row_lengths(xs_both))
         assert np.allclose(pboth[:1], pa, atol=1e-12)
         assert np.allclose(pboth[1:], pb, atol=1e-12)
 
     def test_first_half_of_features_is_forward_direction(self):
         model = toy_classifier(seed=80)
         xs = random_xs(SeededRng(81), 3, 5)
-        _, cache = forward(model, xs, packed(xs)[0])
+        _, cache = forward(model, xs, row_lengths(xs))
         fwd, _ = lstm_sequence_forward(model[0:2], xs, *packed(xs))
         assert np.array_equal(cache.features[:, :4], fwd)

@@ -25,7 +25,7 @@ from reviewlab.nn import (
 )
 from reviewlab.rng import SeededRng, init_uniform
 
-from gradcheck import packed
+from gradcheck import packed, row_lengths
 
 
 def matmul_oracle(a, b):
@@ -165,7 +165,7 @@ class TestTensorBasics:
         for _, p in model.param_blocks():
             p.setflags(write=False)
         x.setflags(write=False)
-        probs, cache = forward(model, x, packed(x)[0])
+        probs, cache = forward(model, x, row_lengths(x))
         grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1]))
         assert dx.shape == x.shape
 
@@ -174,8 +174,8 @@ class TestTensorBasics:
         do not change the gradients."""
         model = toy_model(seed=2)
         x = random_x(2, 3, 1, 2)
-        probs, cache = forward(model, x, packed(x)[0])
-        _, cache2 = forward(model, x, packed(x)[0])
+        probs, cache = forward(model, x, row_lengths(x))
+        _, cache2 = forward(model, x, row_lengths(x))
         dlogits = batch_cross_entropy_grad(probs, [1])
         want, _ = backward(model, cache2, dlogits)
         x[:] = 99.0
@@ -217,8 +217,8 @@ class TestTensorBasics:
         model = toy_model(seed=3)
         before = [p.copy() for _, p in model.param_blocks()]
         x = random_x(3, 4, 2, 2)
-        a, _ = forward(model, x, packed(x)[0])
-        b, _ = forward(model, x, packed(x)[0])
+        a, _ = forward(model, x, row_lengths(x))
+        b, _ = forward(model, x, row_lengths(x))
         assert a is not b
         assert np.array_equal(a, b)
         for (_, p), q in zip(model.param_blocks(), before):
@@ -355,7 +355,7 @@ class TestConcatAndReduce:
         """Features put the two directions' final states side by side."""
         model = toy_model(seed=4)
         x = random_x(4, 5, 2, 2)
-        _, cache = forward(model, x, packed(x)[0])
+        _, cache = forward(model, x, row_lengths(x))
         h_fwd, _ = lstm_sequence_forward(model[0:2], x, *packed(x))
         h_bwd, _ = lstm_sequence_forward(model[2:4], x[::-1], *packed(x[::-1]))
         assert cache.features.shape == (2, 6)

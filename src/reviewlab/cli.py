@@ -90,6 +90,8 @@ def _parse_config_file(path) -> dict:
         try:
             if value.startswith('"'):
                 value = json.loads(value)
+            if "\0" in value:  # no path or argument can hold one
+                raise ValueError("a value cannot hold a NUL character")
             entries[key] = value if default is None else type(default)(value)
         except ValueError as exc:
             raise InputError(f"{path}: line {line_num}: {exc}") from exc

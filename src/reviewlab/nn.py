@@ -29,15 +29,17 @@ through it, so no sorted or reversed copy of x is built.
 
 The N = sum L_r real inputs are projected with one GEMM, then each step
 adds one h[:n_t] . W_h^T GEMM (Appleyard, Kocisky & Blunsom,
-arXiv:1604.01946).  Each direction keeps a packed SequenceCache for BPTT:
-z (N, H + D) with the [h_{t-1}, x_t] each token read, the gate
-activations (N, 4H), the cell states (N, H), and the offsets that give
-step t the rows offsets[t]:offsets[t + 1].  The backward sweep
-injects each row's gradient at its own last step, updates only [:n_t] at
-step t, and writes the pre-activation gradients over the gate
-activations, so backward() consumes its cache.  One GEMM over the N rows
-then gives dW and one the packed input gradients, which backward()
-scatters to (T, B, D) with zeros at the pads.
+arXiv:1604.01946).  Each direction keeps a packed SequenceCache for BPTT,
+5H + D floats per real token: z (N, H + D) holding [C_t, x_t], the gate
+activations (N, 4H), and the offsets that give step t the rows
+offsets[t]:offsets[t + 1].  The backward sweep injects each row's
+gradient at its own last step, updates only [:n_t] at step t, and writes
+the pre-activation gradients over the gate activations.  Once step t has
+read C_t, it writes over the spent C_{t+1} the h_t = o_t * tanh(C_t) that
+step t + 1 read (recomputation for memory, Chen et al., arXiv:1604.06174),
+so z ends as [h_{t-1}, x_t] and backward() consumes its cache.  One GEMM
+over the N rows then gives dW and one the packed input gradients, which
+backward() scatters to (T, B, D) with zeros at the pads.
 
 The two directions share no state until their final hidden states are
 joined, so forward() and backward() run them at the same time: the
@@ -88,17 +90,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 class SequenceCache(NamedTuple):
-    """What BPTT needs from one direction's forward pass (shapes in the module doc)."""
+    """One direction's BPTT record (module doc); z is [C_t, x_t] until backward runs."""
 
     z: np.ndarray
     acts: np.ndarray
-    c: np.ndarray
     offsets: list
-
-
-def _prev_cells(c: np.ndarray, offsets, t: int, k: int):
-    """C_{t-1} of the first k rows: packed rows of step t - 1, or 0 at t = 0."""
-    return c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0
 
 
 def lstm_sequence_forward(params, x: np.ndarray, offsets, index):
@@ -116,15 +112,14 @@ def lstm_sequence_forward(params, x: np.ndarray, offsets, index):
     W_h, W_x = W[:, :H], W[:, H:]
     acts = z[:, H:] @ W_x.T
     acts += b
-    c = np.empty((offsets[-1], H), dtype=W.dtype)
     h = np.zeros((B, H), dtype=W.dtype)
+    c = np.zeros((B, H), dtype=W.dtype)
     cell = np.empty((B, H), dtype=W.dtype)
     scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=W.dtype), H)  # f, i, C, o
     shift = 1.0 - scale
     for t in range(T):
         lo, hi = offsets[t], offsets[t + 1]
         k = hi - lo
-        z[lo:hi, :H] = h[:k]
         a = acts[lo:hi]
         a += h[:k] @ W_h.T
         a *= scale
@@ -132,40 +127,46 @@ def lstm_sequence_forward(params, x: np.ndarray, offsets, index):
         a *= scale
         a += shift
         f, i, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-        np.multiply(f, _prev_cells(c, offsets, t, k), out=c[lo:hi])
-        c[lo:hi] += np.multiply(i, g, out=cell[:k])
-        np.multiply(o, np.tanh(c[lo:hi], out=cell[:k]), out=h[:k])
-    return h, SequenceCache(z, acts, c, offsets)
+        c[:k] *= f
+        c[:k] += np.multiply(i, g, out=cell[:k])
+        z[lo:hi, :H] = c[:k]
+        np.multiply(o, np.tanh(c[:k], out=cell[:k]), out=h[:k])
+    return h, SequenceCache(z, acts, offsets)
 
 
 def lstm_sequence_backward(params, cache: SequenceCache, dh_last: np.ndarray):
     """Backpropagation through time for one direction, params = (W, b).
 
     Given d(loss)/d(h) (B, H) of each row's final h, walks the steps in
-    reverse, overwriting cache.acts with the gate pre-activation gradients.
+    reverse, overwriting cache.acts with the gate pre-activation gradients
+    and the C_t in cache.z with h_{t-1}, the [h_{t-1}, x_t] that dW needs.
     Returns (dW (4H, H + D), db (4H,), dx (N, D)), dx packed like the cache.
     """
-    z, acts, c, offsets = cache
+    z, acts, offsets = cache
     W = params[0]
-    H = len(W) // 4
-    W_h = W[:, :H]
+    T, H = len(offsets) - 1, len(W) // 4
+    W_h, c = W[:, :H], z[:, :H]
     dh = np.array(dh_last, dtype=W.dtype)
     dC = np.zeros_like(dh)
-    for t in reversed(range(len(offsets) - 1)):
+    for t in reversed(range(T)):
         lo, hi = offsets[t], offsets[t + 1]
         k = hi - lo
         a = acts[lo:hi]
         f, i, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         dh_t, dC_t = dh[:k], dC[:k]
         tC = np.tanh(c[lo:hi])
+        n = offsets[min(t + 2, T)] - hi  # step t + 1 is done with C_{t+1}: put h_t there
+        np.multiply(o[:n], tC[:n], out=c[hi:hi + n])
         dC_t += dh_t * o * (1.0 - tC * tC)
         da_o = dh_t * tC * o * (1.0 - o)
-        da_f = dC_t * _prev_cells(c, offsets, t, k) * f * (1.0 - f)
+        c_prev = c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0
+        da_f = dC_t * c_prev * f * (1.0 - f)
         da_i = dC_t * g * i * (1.0 - i)
         da_g = dC_t * i * (1.0 - g * g)
         dC_t *= f
         f[...], i[...], g[...], o[...] = da_f, da_i, da_g, da_o
         dh[:k] = a @ W_h
+    c[:offsets[min(1, T)]] = 0.0  # h_{-1}
     # (z^T dA)^T rather than dA^T z: the same product, about 25% faster in OpenBLAS.
     dW = (z.T @ acts).T
     return dW, acts.sum(axis=0), acts @ W[:, H:]

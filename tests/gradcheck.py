@@ -32,6 +32,11 @@ def packed(x, lengths=None):
     return np.searchsorted(t, np.arange(len(x) + 1)).tolist(), (t, j)
 
 
+def cell_states(cache):
+    """The packed cell states C_t, which z's first H columns hold from forward until backward."""
+    return cache.z[:, :cache.acts.shape[1] // 4]
+
+
 def loss(model, instance) -> float:
     """Mean cross-entropy of a BiLstmClassifier; instance is (x, targets[, lengths])."""
     x, targets, *lengths = instance

@@ -817,6 +817,19 @@ class TestConfigResolution:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        'data = "toy\\u0000.csv"', 'out = "r\\u0000s"', "data = toy\0.csv",
+    ], ids=["data-literal", "out-literal", "raw-data"])
+    def test_nul_in_a_value_exits_two(self, tmp_path, data_csv, capsys, monkeypatch, line):
+        """A NUL, which no path can hold, is refused at its config line."""
+        monkeypatch.chdir(tmp_path)
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(f"seed=3\n{line}\n")
+        flag = ["--out", "runs"] if line.startswith("data") else ["--data", str(data_csv)]
+        assert main(["analyze", "--config", str(cfg_file), *flag]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg_file}: line 2: ")
+        assert set(os.listdir(tmp_path)) == {data_csv.name, "s.cfg"}  # no run directory
+
     def test_empty_value_means_default(self, tmp_path, data_csv, monkeypatch):
         """`key=` with no value leaves that setting at its default."""
         monkeypatch.chdir(tmp_path)  # the default out is ./runs

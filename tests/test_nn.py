@@ -29,7 +29,7 @@ from reviewlab.nn import (
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.training import TrainConfig
 
-from gradcheck import grad_check, loss, packed, row_lengths
+from gradcheck import cell_states, grad_check, loss, packed, row_lengths
 
 
 def zero_params(cell, inp):
@@ -63,7 +63,7 @@ def one_step(params, x):
     """
     x = np.asarray(x, dtype=float)[None]
     h, cache = lstm_sequence_forward(params, x, *packed(x))
-    return h, cache.c, np.split(cache.acts, 4, axis=1)
+    return h, cell_states(cache), np.split(cache.acts, 4, axis=1)
 
 
 def sig(v):
@@ -116,8 +116,9 @@ class TestLstmCellForward:
         x = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
         _, cache = lstm_sequence_forward(p, x, *packed(x))
         # One example: packed row t is step t.
-        assert np.allclose(cache.c[0], [0.7, -0.3], atol=1e-9)
-        assert np.allclose(cache.c[2], cache.c[0], atol=1e-9)
+        c = cell_states(cache)
+        assert np.allclose(c[0], [0.7, -0.3], atol=1e-9)
+        assert np.allclose(c[2], c[0], atol=1e-9)
 
     def test_memory_carry_over_fifty_steps(self):
         p = params_with(1, 1, b_f=[1e3], b_i=[-1e3], W_i=[[0.0, 2e3]],
@@ -125,7 +126,7 @@ class TestLstmCellForward:
         x = np.zeros((61, 1, 1))
         x[0] = 1.0
         _, cache = lstm_sequence_forward(p, x, *packed(x))
-        assert abs(cache.c[-1, 0] - 0.42) < 1e-9
+        assert abs(cell_states(cache)[-1, 0] - 0.42) < 1e-9
 
     def test_gate_ranges_on_random_inputs(self):
         rng = SeededRng(0)
@@ -161,7 +162,7 @@ class TestLstmSequenceForward:
         h, cache = lstm_sequence_forward(p, x, *packed(x))
         want_h, want_c = manual_steps(p, x)
         assert np.allclose(h, want_h, atol=1e-15)
-        assert np.allclose(cache.c, want_c, atol=1e-15)
+        assert np.allclose(cell_states(cache), want_c, atol=1e-15)
         assert cache.acts.shape == (1, 8)
 
     def test_zero_params_zero_final_state(self):
@@ -177,7 +178,7 @@ class TestLstmSequenceForward:
         h, cache = lstm_sequence_forward(p, xs, *packed(xs))
         want_h, want_c = manual_steps(p, xs)
         assert np.allclose(h, want_h, atol=1e-15)
-        assert np.allclose(cache.c[-1], want_c, atol=1e-15)
+        assert np.allclose(cell_states(cache)[-1], want_c, atol=1e-15)
         assert cache.acts.shape[0] == 3
 
     def test_caches_record_cell_states_in_order(self):
@@ -187,14 +188,25 @@ class TestLstmSequenceForward:
         xs = random_xs(SeededRng(7), 2, 4, batch=3)
         h, cache = lstm_sequence_forward(p, xs, *packed(xs, [4, 3, 1]))
         assert cache.offsets == [0, 3, 5, 7, 8]
-        prev_c, last_h = np.zeros((3, 2)), np.zeros((3, 2))
+        c, prev_c, last_h = cell_states(cache), np.zeros((3, 2)), np.zeros((3, 2))
         for t, k in enumerate(np.diff(cache.offsets)):
             rows = slice(cache.offsets[t], cache.offsets[t + 1])
             f, i, g, o = np.split(cache.acts[rows], 4, axis=1)
-            assert np.array_equal(cache.c[rows], f * prev_c[:k] + i * g)
-            prev_c[:k] = cache.c[rows]
-            last_h[:k] = o * np.tanh(cache.c[rows])
+            assert np.array_equal(c[rows], f * prev_c[:k] + i * g)
+            prev_c[:k] = c[rows]
+            last_h[:k] = o * np.tanh(c[rows])
         assert np.array_equal(h, last_h)
+
+    def test_cache_holds_five_h_plus_d_floats_per_real_token(self):
+        """Each direction caches z (N, H + D) and the gate block (N, 4H), nothing more."""
+        model = toy_classifier(seed=12, cell=4, inp=3, dtype=np.float32)
+        lengths = np.array([2, 6, 0, 5])
+        xs = random_xs(SeededRng(13), 3, 6, batch=4).astype(np.float32)
+        _, cache = forward(model, xs, lengths)
+        N, H, D = lengths.sum(), 4, 3
+        for direction in (cache.fwd, cache.bwd):
+            arrays = [a for a in direction if isinstance(a, np.ndarray)]
+            assert sum(a.nbytes for a in arrays) == N * (5 * H + D) * 4
 
 
 class TestBiLstmForward:
@@ -661,7 +673,7 @@ class TestComputeDtype:
         probs, cache = forward(model, xs, np.array([5, 2, 0]), dropout_rate=0.5,
                                rng=SeededRng(112), training=True)
         assert probs.dtype == np.float64
-        made = [*cache.fwd[:3], *cache.bwd[:3], cache.features, cache.mask]
+        made = [*cache.fwd[:2], *cache.bwd[:2], cache.features, cache.mask]
         grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1, 2]))
         clipped, _ = clip_by_global_norm([*grads, dx], 1e-3)
         params = [p for _, p in model.param_blocks()] + [xs]

@@ -25,7 +25,7 @@ from reviewlab.nn import (
 )
 from reviewlab.rng import SeededRng, init_uniform
 
-from gradcheck import packed, row_lengths
+from gradcheck import cell_states, packed, row_lengths
 
 
 def matmul_oracle(a, b):
@@ -201,8 +201,8 @@ class TestTensorBasics:
         g = 0.6
         c1 = i * g
         c2 = f * c1 + i * g
-        assert cache.c[0, 0] == pytest.approx(c1, abs=1e-15)
-        assert cache.c[1, 0] == pytest.approx(c2, abs=1e-15)
+        assert cell_states(cache)[0, 0] == pytest.approx(c1, abs=1e-15)
+        assert cell_states(cache)[1, 0] == pytest.approx(c2, abs=1e-15)
         assert h[0, 0] == pytest.approx(o * math.tanh(c2), abs=1e-15)
 
     def test_column_broadcast_for_bias(self):
@@ -268,7 +268,7 @@ class TestMatmul:
         for k, length in enumerate(lengths):
             want_h, want_c = lstm_oracle(W.tolist(), b.tolist(), x[:length, k].tolist())
             # A row's last cell state is packed at row k of its last step.
-            got_c = cache.c[cache.offsets[length - 1] + k] if length else np.zeros(cell)
+            got_c = cell_states(cache)[cache.offsets[length - 1] + k] if length else np.zeros(cell)
             assert np.allclose(h[k], want_h, rtol=1e-12, atol=1e-12)
             assert np.allclose(got_c, want_c, rtol=1e-12, atol=1e-12)
 
@@ -320,7 +320,7 @@ class TestActivations:
         lengths = np.array([7, 4, 4, 2, 0])
         h, cache = lstm_sequence_forward((W, b), x, *packed(x, lengths))
         want_h, want_acts, want_c = separate_gates_oracle((W, b), x, lengths)
-        for got, want in [(h, want_h), (cache.acts, want_acts), (cache.c, want_c)]:
+        for got, want in [(h, want_h), (cache.acts, want_acts), (cell_states(cache), want_c)]:
             assert got.dtype == dtype
             assert np.array_equal(got, want)
 
@@ -362,15 +362,21 @@ class TestConcatAndReduce:
         assert np.array_equal(cache.features, np.hstack([h_fwd, h_bwd]))
 
     def test_concat_rows_joins_state_and_input(self):
-        """Step t of the cache holds [h_{t-1}, x_t], the columns W acts on."""
+        """Step t of the cache holds [C_t, x_t] after forward, and [h_{t-1}, x_t],
+        the columns W acts on, once the backward sweep has run."""
         p = lstm_params(2, 3, SeededRng(6))
         x = random_x(6, 3, 2, 3)
-        h, cache = lstm_sequence_forward(p, x, *packed(x))
+        _, cache = lstm_sequence_forward(p, x, *packed(x))
         z = cache.z.reshape(3, 2, 5)  # full-length rows: the packing is step-major
-        assert np.array_equal(z[0, :, :2], np.zeros((2, 2)))
+        prefixes = [lstm_sequence_forward(p, x[:t], *packed(x[:t])) for t in (1, 2, 3)]
+        for t, (_, run) in enumerate(prefixes):
+            assert np.array_equal(z[t, :, :2], cell_states(run)[-2:])
         assert np.array_equal(z[:, :, 2:], x)
-        h1, _ = lstm_sequence_forward(p, x[:1], *packed(x[:1]))
-        assert np.array_equal(z[1, :, :2], h1)
+        lstm_sequence_backward(p, cache, np.ones((2, 2)))
+        assert np.array_equal(z[0, :, :2], np.zeros((2, 2)))
+        for t, (h, _) in enumerate(prefixes[:2]):
+            assert np.array_equal(z[t + 1, :, :2], h)
+        assert np.array_equal(z[:, :, 2:], x)
 
     def test_sum_cols(self):
         """db is the sum over all T*B rows of the gate-gradient buffer."""

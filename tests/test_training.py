@@ -340,7 +340,7 @@ class TestTrain:
             probs, cache = real["forward"](*args, **kwargs)
             seen["probs"].append(probs)
             if kwargs.get("training"):
-                seen["cache"] = [*cache.fwd[:3], *cache.bwd[:3], cache.features, cache.mask]
+                seen["cache"] = [*cache.fwd[:2], *cache.bwd[:2], cache.features, cache.mask]
             return probs, cache
 
         def backward(*args):

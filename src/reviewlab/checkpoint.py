@@ -104,6 +104,9 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
             fh.write(np.ascontiguousarray(a).astype("<f4", copy=False).tobytes())
 
 
+_latest_buffer = None  # the latest load's float buffer, freed by the next load
+
+
 def _is_size(value) -> bool:
     return type(value) is int and value >= 1
 
@@ -130,11 +133,14 @@ def load_checkpoint(path) -> ModelBundle:
     straight into one float32 buffer and returned as views of it, with
     no copy of the whole file: a load makes one allocation of the
     model's size, so repeated loads in one process reuse the same memory
-    instead of faulting in fresh pages for each copy.  The buffer is
-    allocated before the vocabulary is read, so it takes the space the
-    last load freed, and the much smaller vocabulary is what moves once
-    long-lived small allocations have taken the front of that space.
+    instead of faulting in fresh pages for each copy.  For that, a load
+    frees the previous load's buffer (unless a bundle still holds it)
+    right before allocating its own, which takes the freed space.  Freed
+    with its bundle, the space was open to other allocations until the
+    next load, and once one took its front, glibc's heap grew by about
+    the model's size.  So one buffer stays held after the last load.
     """
+    global _latest_buffer
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
@@ -168,7 +174,8 @@ def load_checkpoint(path) -> ModelBundle:
                 f"payload: {left} bytes, where words, word_bytes, embedding_dim, cell_size "
                 f"and task give {need}"
             )
-        flat = np.empty(sum(sizes), dtype="<f4")  # before the vocabulary: see the docstring
+        _latest_buffer = None  # see the docstring; the vocabulary is read after the buffer
+        flat = _latest_buffer = np.empty(sum(sizes), dtype="<f4")
         try:
             vocab = _words(fh.read(n_words * width), width)
         except ValueError as exc:

@@ -1,12 +1,12 @@
 """CSV ingestion, validation, filtering, and the deterministic split.
 
-The input is an RFC-4180 CSV with a header row carrying the ten review
-columns in any order (a leading unnamed index column is tolerated, as
-shipped in the public file); `COLUMNS` is their one declaration.  Rows
+The input is an RFC-4180 CSV with a header row naming each of the ten
+review columns once, in any order (a leading unnamed index column is
+tolerated, as shipped in the public file); `COLUMNS` declares them.  Rows
 whose mandatory fields fail validation are collected as issues, each
 the `line N: message` string `issues.txt` holds, never silently dropped
-or repaired.  Every integer column, Recommended IND included (0 or 1),
-is kept as the int the CSV holds.
+or repaired.  An integer cell is an optional '-' then ASCII digits;
+every integer column, Recommended IND (0 or 1) included, keeps that int.
 Optional text fields keep their exact contents so a parse -> write ->
 parse cycle reproduces every record bit-for-bit; empty strings are read
 back as absent values.
@@ -54,12 +54,19 @@ class ReviewRecord(NamedTuple):
     class_name: str | None
 
 
+def _int(raw: str) -> int:
+    """int(raw) for an optional '-' then ASCII digits; any other cell raises ValueError."""
+    if raw.isascii() and raw.removeprefix("-").isdigit():
+        return int(raw)
+    raise ValueError(raw)
+
+
 def parse_csv(path):
     """Read records and per-row issues from a review CSV.
 
     Returns (records, issues), each issue a `line N: message` string.  A
-    missing required header column raises an InputError naming every
-    absent column.
+    header missing a review column, or naming one more than once, raises
+    an InputError naming every such column.
     """
     records: list[ReviewRecord] = []
     issues: list[str] = []
@@ -73,9 +80,12 @@ def parse_csv(path):
     missing = [c for c in COLUMNS if c not in positions]
     if missing:
         raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
-    has_index_column = names[0] == ""
+    repeated = [c for c in COLUMNS if names.count(c) > 1]
+    if repeated:
+        raise InputError(f"{path}: columns named more than once: {', '.join(repeated)}")
     width = len(header)
-    cells = [(name, positions[name], bounds) for name, bounds in COLUMNS.items()]
+    index = [("index column", 0, (-math.inf, math.inf))] if names[0] == "" else []
+    cells = index + [(name, positions[name], bounds) for name, bounds in COLUMNS.items()]
 
     for ordinal, row in enumerate(reader):
         line = reader.line_num
@@ -84,20 +94,14 @@ def parse_csv(path):
             continue
 
         problems: list[str] = []
-        row_id = ordinal
-        if has_index_column:
-            try:
-                row_id = int(row[0])
-            except ValueError:
-                problems.append(f"index column not an integer: {row[0]!r}")
-        values = [row_id]
+        values = [] if index else [ordinal]  # row_id: the index cell, else the ordinal
         for name, pos, bounds in cells:
             raw = row[pos]
             if bounds is None:
                 values.append(raw or None)  # An empty text cell is an absent value.
                 continue
             try:
-                value = int(raw)
+                value = _int(raw)
             except ValueError:
                 problems.append(f"{name} not an integer: {raw!r}")
                 continue

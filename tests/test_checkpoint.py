@@ -6,6 +6,7 @@ import json
 import re
 import tempfile
 import tracemalloc
+import weakref
 from itertools import accumulate
 from pathlib import Path
 
@@ -139,6 +140,23 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
         save_checkpoint(load_checkpoint(first), second)  # a loaded bundle saves the same bytes
         assert first.read_bytes() == second.read_bytes()
+
+    def test_latest_buffer_lives_until_the_next_load(self, tmp_path):
+        """A load's float buffer outlives its bundle until the next load frees it;
+        a bundle still in use keeps its own buffer and values."""
+        path = saved_checkpoint(tmp_path)
+        first = load_checkpoint(path)
+        buffer = weakref.ref(first.embeddings.base)
+        assert first.model.head_b.base is buffer()
+        want = first.model.fwd_W.copy()
+        del first
+        assert buffer() is not None
+        second = load_checkpoint(path)
+        assert buffer() is None
+        third = load_checkpoint(path)
+        assert not np.shares_memory(second.embeddings.base, third.embeddings.base)
+        assert np.array_equal(second.model.fwd_W, want)
+        assert np.array_equal(third.model.fwd_W, want)
 
 METADATA_FIELDS = ["cell_size", "data_sha256", "embedding_dim", "format",
                    "seed", "seq_len", "task", "word_bytes", "words"]

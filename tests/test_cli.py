@@ -20,7 +20,7 @@ import reviewlab.cli
 from reviewlab.analytics import full_report
 from reviewlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
-from reviewlab.dataset import parse_csv, split_60_20_20, write_csv
+from reviewlab.dataset import COLUMNS, parse_csv, split_60_20_20, write_csv
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
 from toy import toy_config, toy_reviews
 from reviewlab.training import TrainConfig
@@ -106,6 +106,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert taken.read_text() == "kept\n"
+
+    def test_repeated_column_exits_two(self, tmp_path, capsys):
+        """A header naming Rating twice exits 2 instead of reading the second Rating."""
+        bad = tmp_path / "repeated.csv"
+        bad.write_text(",".join(["", *COLUMNS, "Rating"]) + "\n0,1,25,,text,5,1,0,A,B,C,1\n",
+                       encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "named more than once: Rating" in err
+        assert not (out / "analyze-0001").exists()
 
 
 class TestLabel:

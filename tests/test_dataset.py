@@ -112,6 +112,23 @@ class TestParseCsv:
                           "line 3: Recommended IND not an integer: 'maybe'",
                           "line 5: index column not an integer: 'x'"]
 
+    @pytest.mark.parametrize("cell",
+                             ["1_0", "3_5", "\uff15", " 7 ", "+5", "\u0663", "-", "--4", "4-"])
+    def test_integer_cell_is_a_minus_and_ascii_digits(self, tmp_path, cell):
+        """int() would read each of these cells; the parser reports them instead."""
+        path = make_csv(tmp_path, [f'{cell},1,{cell},,text,5,1,0,A,B,C'])
+        records, issues = parse_csv(path)
+        assert records == []
+        assert issues == [f"line 2: index column not an integer: {cell!r}; "
+                          f"Age not an integer: {cell!r}"]
+
+    def test_repeated_columns_named(self, tmp_path):
+        """A header naming a review column twice is refused before any row is read."""
+        header = HEADER + ",Rating,Title,Sentiment,Sentiment"
+        path = make_csv(tmp_path, ['0,1,25,,text,5,1,0,A,B,C,1,,x,y', 'short'], header=header)
+        with pytest.raises(InputError, match=r"named more than once: Title, Rating$"):
+            parse_csv(path)
+
     def test_multiple_problems_one_row_joined(self, tmp_path):
         path = make_csv(tmp_path, ['0,1,-4,,text,9,1,0,A,B,C'])
         _, issues = parse_csv(path)

@@ -3,11 +3,12 @@
 A checkpoint is a single binary file: a magic line, one JSON metadata
 line, the vocabulary block, then the seven model arrays as raw
 little-endian float32 bytes, the dtype `training.train` computes in.
-Format 8's metadata holds only what the payload cannot: the task,
-seq_len, the seed of the 60/20/20 split the model was trained on,
-cell_size, embedding_dim, `data_sha256`, the fingerprint of the data the
-model was trained on (`training.tokenized_splits`), and the block's
-`words` entries of `word_bytes` bytes each. An entry is a
+The metadata line ends in the spaces that start the float payload at a
+multiple of 64 bytes.  Format 9's metadata holds only what the payload
+cannot: the task, seq_len, the seed of the 60/20/20 split the model was
+trained on, cell_size, embedding_dim, `data_sha256`, the fingerprint of
+the data the model was trained on (`training.tokenized_splits`), and
+the block's `words` entries of `word_bytes` bytes each. An entry is a
 `textprep.tokenize` token ([a-z0-9']+), NUL-padded; the entries ascend
 strictly bytewise, so a load checks them with array comparisons and
 hashes none, and `word_bytes` is the longest word's length (1 for no
@@ -16,7 +17,7 @@ embedding_dim) embedding table, entry i's row at i + 2, and then the
 model's six arrays in `BiLstmClassifier` field order, whose shapes
 `nn.block_shapes` derives from cell_size, embedding_dim and the task's
 class count; the loaded model is those six arrays, in float32.  Other
-formats, such as format 7 with its vocabulary line, are rejected;
+formats, such as format 8 with its unpadded metadata line, are rejected;
 retrain to upgrade. Saving the same bundle twice produces byte-identical files.
 """
 
@@ -38,7 +39,7 @@ __all__ = ["MAGIC", "TASK_CLASSES", "ModelBundle", "load_checkpoint", "save_chec
 
 # The container's magic line; the metadata's "format" versions its contents.
 MAGIC = b"reviewlab-checkpoint-v1\n"
-FORMAT = 8
+FORMAT = 9
 
 # Each task and the names of its classes, in label-index order.
 TASK_CLASSES = {
@@ -84,7 +85,11 @@ def _words(block: bytes, width: int) -> np.ndarray:
 
 
 def save_checkpoint(bundle: ModelBundle, path) -> None:
-    """Write the bundle to `path`; a vocabulary a load would refuse raises ValueError."""
+    """Write the bundle to `path`; a vocabulary a load would refuse raises ValueError.
+
+    The file is written beside `path` and then renamed over it, so a
+    bundle loaded from `path` keeps its mapping when saved back there.
+    """
     block, width = bundle.vocab.tobytes(), bundle.vocab.dtype.itemsize
     _words(block, width)
     meta = {
@@ -98,13 +103,18 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
         "words": len(bundle.vocab),
         "word_bytes": width,
     }
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + f"{json.dumps(meta, sort_keys=True)}\n".encode() + block)
-        for a in (bundle.embeddings, *(a for _, a in bundle.model.param_blocks())):
-            fh.write(np.ascontiguousarray(a).astype("<f4", copy=False).tobytes())
-
-
-_latest_buffer = None  # the latest load's float buffer, freed by the next load
+    head = MAGIC + json.dumps(meta, sort_keys=True).encode()
+    head += b" " * (-(len(head) + 1 + len(block)) % 64) + b"\n" + block
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            for a in (bundle.embeddings, *(a for _, a in bundle.model.param_blocks())):
+                fh.write(np.ascontiguousarray(a).astype("<f4", copy=False).tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _is_size(value) -> bool:
@@ -129,18 +139,16 @@ def load_checkpoint(path) -> ModelBundle:
     """Read a checkpoint, validating its metadata and its arrays.
 
     Every field is checked before anything is allocated, and the file
-    size against the shapes the fields give. The arrays are then read
-    straight into one float32 buffer and returned as views of it, with
-    no copy of the whole file: a load makes one allocation of the
-    model's size, so repeated loads in one process reuse the same memory
-    instead of faulting in fresh pages for each copy.  For that, a load
-    frees the previous load's buffer (unless a bundle still holds it)
-    right before allocating its own, which takes the freed space.  Freed
-    with its bundle, the space was open to other allocations until the
-    next load, and once one took its front, glibc's heap grew by about
-    the model's size.  So one buffer stays held after the last load.
+    size against the shapes the fields give, so a malformed file is
+    refused before it is mapped. The float payload is then mapped
+    read-only, and the seven arrays are read-only views of the mapping:
+    a load copies no weights, and a bundle holds the mapping (and the
+    duplicate descriptor Python's mmap keeps) until it is freed.  The
+    one limit: if another process truncates the file while a bundle maps
+    it, the next touch of a page past the new end raises SIGBUS.
+    `save_checkpoint` renames a new file over the old one, and so never
+    truncates a mapped file.
     """
-    global _latest_buffer
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
@@ -174,21 +182,15 @@ def load_checkpoint(path) -> ModelBundle:
                 f"payload: {left} bytes, where words, word_bytes, embedding_dim, cell_size "
                 f"and task give {need}"
             )
-        _latest_buffer = None  # see the docstring; the vocabulary is read after the buffer
-        flat = _latest_buffer = np.empty(sum(sizes), dtype="<f4")
         try:
             vocab = _words(fh.read(n_words * width), width)
         except ValueError as exc:
             raise InputError(f"{path}: bad checkpoint vocabulary: {exc}") from exc
-        if fh.readinto(flat) != 4 * len(flat):
-            raise InputError(f"{path}: truncated checkpoint payload")
+        # A plain ndarray view: the memmap subclass runs Python code for every view of it.
+        flat = np.asarray(np.memmap(fh, "<f4", mode="r", offset=fh.tell(), shape=sum(sizes)))
 
-    arrays, start = [], 0
-    for shape, n in zip(shapes, sizes):
-        arrays.append(flat[start:start + n].reshape(shape))
-        start += n
-    table = arrays[0]
-    model = BiLstmClassifier(*arrays[1:])
+    table, *blocks = map(np.reshape, np.split(flat, np.cumsum(sizes[:-1])), shapes)
+    model = BiLstmClassifier(*blocks)
     for name, a in [("embeddings", table), *model.param_blocks()]:
         if not np.isfinite(a).all():
             raise InputError(f"{path}: block {name!r} contains non-finite values")

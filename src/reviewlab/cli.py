@@ -4,7 +4,8 @@ Each command is declared once, in `_COMMANDS`: its handler, its help
 line and its flags.  Every invocation creates a fresh numbered run
 directory under --out (never overwriting a prior run) and, once the
 command has succeeded, writes the fully materialized configuration
-into it; a command that fails or is interrupted removes it again.
+into it; a command that fails or is interrupted removes it again, with
+every directory of --out that it created.
 Settings resolve as flags over config file over defaults, and an empty
 config value means the default; rerunning a command from a
 materialized config reproduces every artifact byte for byte in
@@ -118,8 +119,10 @@ def _resolve(args) -> tuple[dict, set]:
     return cfg, provided
 
 
-def _new_run_dir(out, command: str) -> Path:
+def _new_run_dir(out, command: str) -> tuple[Path, Path]:
+    """Make the next run directory under `out`; return it and the outermost directory made."""
     base = Path(out)
+    missing = [p for p in (base, *base.parents) if not p.exists()]
     base.mkdir(parents=True, exist_ok=True)
     prefix = f"{command}-"
     start = len(prefix)
@@ -130,7 +133,7 @@ def _new_run_dir(out, command: str) -> Path:
     while True:
         try:
             (run_dir := base / f"{command}-{number:04d}").mkdir()
-            return run_dir
+            return run_dir, missing[-1] if missing else run_dir
         except FileExistsError:  # a concurrent run took this number first
             number += 1
 
@@ -355,12 +358,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    run_dir, code = None, 1
+    made, code = None, 1
     collecting = gc.isenabled()
     gc.disable()  # a command's records, token lists and arrays hold no reference cycles
     try:
         cfg, provided = _resolve(args)
-        run_dir = _new_run_dir(cfg["out"], args.command)
+        run_dir, made = _new_run_dir(cfg["out"], args.command)
         _COMMANDS[args.command][0](cfg, provided, run_dir)
         _write_materialized_config(run_dir, args.command, cfg)  # with the checkpoint's settings
         code = 0
@@ -372,8 +375,8 @@ def main(argv=None) -> int:
     finally:  # also on KeyboardInterrupt, which then propagates
         if collecting:
             gc.enable()
-        if code and run_dir is not None:
-            shutil.rmtree(run_dir, ignore_errors=True)
+        if code and made is not None:
+            shutil.rmtree(made, ignore_errors=True)
     return code
 
 

@@ -6,7 +6,6 @@ import json
 import re
 import tempfile
 import tracemalloc
-import weakref
 from itertools import accumulate
 from pathlib import Path
 
@@ -26,6 +25,8 @@ from reviewlab.textprep import build_vocab, encode, random_embeddings, sorted_vo
 from toy import toy_config, toy_reviews
 
 DATA_SHA256 = "5" * 64
+# The bytes of `tokenize`'s tokens, ascending.
+ALPHABET = "'0123456789abcdefghijklmnopqrstuvwxyz"
 # The small bundle's words as its vocabulary block holds them, ascending.
 WORDS = [f"tok{i}".encode() for i in range(10)]
 
@@ -118,7 +119,7 @@ class TestRoundTrip:
             "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]
         assert sorted(read_metadata(path)) == METADATA_FIELDS
         meta = read_metadata(path)
-        assert (meta["format"], meta["words"], meta["word_bytes"]) == (8, 10, 4)
+        assert (meta["format"], meta["words"], meta["word_bytes"]) == (9, 10, 4)
         assert block(path) == b"".join(WORDS)
 
     def test_four_bytes_per_value(self, tmp_path):
@@ -141,22 +142,60 @@ class TestRoundTrip:
         save_checkpoint(load_checkpoint(first), second)  # a loaded bundle saves the same bytes
         assert first.read_bytes() == second.read_bytes()
 
-    def test_latest_buffer_lives_until_the_next_load(self, tmp_path):
-        """A load's float buffer outlives its bundle until the next load frees it;
-        a bundle still in use keeps its own buffer and values."""
+    def test_loads_are_read_only_and_independent(self, tmp_path):
+        """Every loaded block is a read-only view; live loads share no memory, and each
+        keeps its values through a later load."""
         path = saved_checkpoint(tmp_path)
-        first = load_checkpoint(path)
-        buffer = weakref.ref(first.embeddings.base)
-        assert first.model.head_b.base is buffer()
-        want = first.model.fwd_W.copy()
-        del first
-        assert buffer() is not None
-        second = load_checkpoint(path)
-        assert buffer() is None
+        first, second = load_checkpoint(path), load_checkpoint(path)
+        for bundle in (first, second):
+            for name, a in [("embeddings", bundle.embeddings), *bundle.model.param_blocks()]:
+                assert not a.flags.writeable, name
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = 0.0
+        assert not np.shares_memory(first.embeddings, second.embeddings)
+        want = small_bundle()[0]
         third = load_checkpoint(path)
-        assert not np.shares_memory(second.embeddings.base, third.embeddings.base)
-        assert np.array_equal(second.model.fwd_W, want)
-        assert np.array_equal(third.model.fwd_W, want)
+        for bundle in (first, second, third):
+            for (_, a), (_, b) in zip(bundle.model.param_blocks(), want.model.param_blocks()):
+                assert np.array_equal(a, b)
+            assert np.array_equal(bundle.embeddings, want.embeddings)
+
+    def test_save_over_the_mapped_file(self, tmp_path):
+        """Saving a loaded bundle over its own file leaves the bytes as they were and the
+        bundle readable: the save renames a new file over the old one, where writing the
+        mapped file in place would truncate it under the mapping (SIGBUS)."""
+        path = saved_checkpoint(tmp_path)
+        raw = path.read_bytes()
+        bundle = load_checkpoint(path)
+        save_checkpoint(bundle, path)
+        assert path.read_bytes() == raw
+        assert sorted(tmp_path.iterdir()) == [path]
+        blocks = [bundle.embeddings, *(a for _, a in bundle.model.param_blocks())]
+        assert b"".join(a.tobytes() for a in blocks) == raw[payload_start(path):]
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        """A save whose rename fails removes the file it wrote beside `path`."""
+        (tmp_path / "model.ckpt").mkdir()
+        with pytest.raises(OSError):
+            save_checkpoint(small_bundle()[0], tmp_path / "model.ckpt")
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    @pytest.mark.parametrize("n_words, word_bytes", [
+        (0, 1), *((n, width) for n in (1, len(ALPHABET)) for width in range(1, 18))])
+    def test_payload_starts_at_a_multiple_of_64(self, tmp_path, n_words, word_bytes):
+        """The metadata line's trailing spaces align the float payload, whatever the
+        vocabulary block's size."""
+        words = [c * word_bytes for c in ALPHABET[:n_words]]
+        bundle = small_bundle()[0]
+        bundle = dataclasses.replace(bundle, vocab=np.array(words, dtype=f"S{word_bytes}"),
+                                     embeddings=np.zeros((n_words + 2, 6), np.float32))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(bundle, path)
+        assert payload_start(path) % 64 == 0
+        assert read_metadata(path)["words"] == n_words
+        loaded = load_checkpoint(path)
+        assert loaded.vocab.tolist() == [w.encode() for w in words]
+        assert loaded.embeddings.ctypes.data % 64 == 0
 
 METADATA_FIELDS = ["cell_size", "data_sha256", "embedding_dim", "format",
                    "seed", "seq_len", "task", "word_bytes", "words"]
@@ -182,6 +221,12 @@ def block(path):
 def payload_start(path):
     """Offset of the first float32 after the vocabulary block."""
     return block_span(path.read_bytes())[1]
+
+
+def unpadded(raw):
+    """A checkpoint's bytes without the spaces that end its metadata line."""
+    header_end = raw.find(b"\n", len(MAGIC))
+    return raw[:header_end].rstrip(b" ") + raw[header_end:]
 
 
 def replace_block(raw, new_block, words, word_bytes):
@@ -287,7 +332,7 @@ class TestRejections:
         raw = raw[:raw.find(b"\n", len(MAGIC)) + 1]
         path.write_bytes(raw + b"".join(a.astype("<f8").tobytes() for a in blocks))
         assert predict_exit_code(tmp_path, path) == 2
-        assert ("unsupported checkpoint format 5; retrain to upgrade to format 8"
+        assert ("unsupported checkpoint format 5; retrain to upgrade to format 9"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("field, value", [("cell_size", 10**30), ("embedding_dim", 10**18),
@@ -448,9 +493,9 @@ def as_format(number, raw):
 
 
 def relabelled(number):
-    """A corruption that rewrites a checkpoint in an older format's layout, labelled 8."""
+    """A corruption that rewrites a checkpoint in an older format's layout, labelled 9."""
     return lambda raw: as_format(number, raw).replace(b'"format": %d' % number,
-                                                      b'"format": 8', 1)
+                                                      b'"format": 9', 1)
 
 
 def without_words(word_bytes):
@@ -493,7 +538,8 @@ class TestVocabularyLine:
         assert loaded.vocab.tolist() == []
         assert np.array_equal(loaded.embeddings, bundle.embeddings)
         assert predict_exit_code(tmp_path, path) == 0
-        assert without_words(1)(saved_checkpoint(tmp_path).read_bytes()) == path.read_bytes()
+        assert (unpadded(without_words(1)(saved_checkpoint(tmp_path).read_bytes()))
+                == unpadded(path.read_bytes()))
 
     def test_long_word_sizes_no_lookup(self, tmp_path, monkeypatch):
         """A token longer than every word matches none, and the words are searched cut to
@@ -557,9 +603,11 @@ class TestVocabularyLine:
          "bad checkpoint vocabulary: entry 1 b'tok0' " + UNSORTED),
         (with_words([*WORDS[:9], b"<pad>"]), "entry 9 b'<pad>' is not a [a-z0-9']+ word"),
         (lambda raw: as_format(6, raw),
-         "unsupported checkpoint format 6; retrain to upgrade to format 8"),
+         "unsupported checkpoint format 6; retrain to upgrade to format 9"),
         (lambda raw: as_format(7, raw),
-         "unsupported checkpoint format 7; retrain to upgrade to format 8"),
+         "unsupported checkpoint format 7; retrain to upgrade to format 9"),
+        (with_metadata(format=8),
+         "unsupported checkpoint format 8; retrain to upgrade to format 9"),
         (relabelled(7), "'words' must be an integer >= 0, got None"),
         (relabelled(6), "'words' must be an integer >= 0, got None"),
         (with_words([WORDS[1], WORDS[0], *WORDS[2:]]),
@@ -579,7 +627,7 @@ class TestVocabularyLine:
         (without_words(10**9), "'word_bytes' 1000000000 is not the longest word's length"),
         (without_words(10**30), "'word_bytes' 1000000000000000000000000000000 is not the "
                                 "longest word's length"),
-    ], ids=["truncated", "not-utf8", "repeated-word", "pad", "format-6", "format-7",
+    ], ids=["truncated", "not-utf8", "repeated-word", "pad", "format-6", "format-7", "format-8",
             "relabelled-format-7", "relabelled-format-6", "out-of-order", "empty-entry",
             "interior-nul", "uppercase", "e-acute", "wider-than-longest-word",
             "more-words-than-the-file-holds", "fewer-words-than-the-file-holds",

@@ -119,6 +119,22 @@ class TestAnalyze:
         assert "named more than once: Rating" in err
         assert not (out / "analyze-0001").exists()
 
+    @pytest.mark.parametrize("existing, new", [("", "new/deeper"), ("runs", ""),
+                                               ("runs", "new/deeper")],
+                             ids=["nested-new", "existing", "new-below-existing"])
+    def test_refused_command_removes_the_out_directories_it_made(self, tmp_path, capsys,
+                                                                 existing, new):
+        """A refused command removes the part of --out it created, and keeps the part
+        that was there before."""
+        bad = tmp_path / "repeated.csv"
+        bad.write_text(",".join(["", *COLUMNS, "Rating"]) + "\n0,1,25,,text,5,1,0,A,B,C,1\n",
+                       encoding="utf-8")
+        (tmp_path / existing).mkdir(exist_ok=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / existing / new)]) == 2
+        capsys.readouterr()
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestLabel:
     def test_row_count_preserved(self, tmp_path, data_csv):
@@ -567,7 +583,7 @@ class TestCollectorPause:
                   "--config", str(toy_cfg_file)])
         assert gc.isenabled()
         assert collector_state == [False]
-        assert list(out.iterdir()) == []
+        assert not out.exists()  # the run directory, and the --out made for it
 
     def test_disabled_collector_stays_disabled(self, tmp_path, data_csv, collector_state):
         gc.disable()
@@ -909,8 +925,10 @@ class TestConfigResolution:
     ], ids=["evaluate-other-csv", "predict-without-text", "analyze-missing-csv"])
     def test_failed_command_leaves_no_run_directory(self, tmp_path, data_csv, toy_cfg_file,
                                                     capsys, command, refused, accepted):
-        """A refused command removes its run directory, so the next run is -0001."""
+        """A refused command removes its run directory, so the next run is -0001; an --out
+        that was there before stays."""
         out = tmp_path / "out"
+        out.mkdir()
         common = [command, "--out", str(out)]
         if command != "analyze":
             ckpt = train_run(tmp_path, data_csv, toy_cfg_file) / "model.ckpt"
@@ -932,6 +950,7 @@ class TestConfigResolution:
 
         monkeypatch.setattr("reviewlab.cli.train", interrupted)
         out = tmp_path / "out"
+        out.mkdir()
         with pytest.raises(KeyboardInterrupt):
             main(["train", "--data", str(data_csv), "--out", str(out),
                   "--config", str(toy_cfg_file)])

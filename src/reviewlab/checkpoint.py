@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -186,8 +187,8 @@ def load_checkpoint(path) -> ModelBundle:
             vocab = _words(fh.read(n_words * width), width)
         except ValueError as exc:
             raise InputError(f"{path}: bad checkpoint vocabulary: {exc}") from exc
-        # A plain ndarray view: the memmap subclass runs Python code for every view of it.
-        flat = np.asarray(np.memmap(fh, "<f4", mode="r", offset=fh.tell(), shape=sum(sizes)))
+        flat = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ), "<f4",
+                             sum(sizes), fh.tell())
 
     table, *blocks = map(np.reshape, np.split(flat, np.cumsum(sizes[:-1])), shapes)
     model = BiLstmClassifier(*blocks)

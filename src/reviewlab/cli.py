@@ -4,8 +4,8 @@ Each command is declared once, in `_COMMANDS`: its handler, its help
 line and its flags.  Every invocation creates a fresh numbered run
 directory under --out (never overwriting a prior run) and, once the
 command has succeeded, writes the fully materialized configuration
-into it; a command that fails or is interrupted removes it again, with
-every directory of --out that it created.
+into it; a command that fails or is interrupted removes it again, and
+then each directory of --out that it created and that is still empty.
 Settings resolve as flags over config file over defaults, and an empty
 config value means the default; rerunning a command from a
 materialized config reproduces every artifact byte for byte in
@@ -119,8 +119,9 @@ def _resolve(args) -> tuple[dict, set]:
     return cfg, provided
 
 
-def _new_run_dir(out, command: str) -> tuple[Path, Path]:
-    """Make the next run directory under `out`; return it and the outermost directory made."""
+def _new_run_dir(out, command: str) -> tuple[Path, list[Path]]:
+    """Make the next run directory under `out`; return it and the directories of `out`
+    made for it, innermost first."""
     base = Path(out)
     missing = [p for p in (base, *base.parents) if not p.exists()]
     base.mkdir(parents=True, exist_ok=True)
@@ -133,7 +134,7 @@ def _new_run_dir(out, command: str) -> tuple[Path, Path]:
     while True:
         try:
             (run_dir := base / f"{command}-{number:04d}").mkdir()
-            return run_dir, missing[-1] if missing else run_dir
+            return run_dir, missing
         except FileExistsError:  # a concurrent run took this number first
             number += 1
 
@@ -358,7 +359,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    made, code = None, 1
+    run_dir, made, code = None, [], 1
     collecting = gc.isenabled()
     gc.disable()  # a command's records, token lists and arrays hold no reference cycles
     try:
@@ -375,8 +376,13 @@ def main(argv=None) -> int:
     finally:  # also on KeyboardInterrupt, which then propagates
         if collecting:
             gc.enable()
-        if code and made is not None:
-            shutil.rmtree(made, ignore_errors=True)
+        if code and run_dir is not None:
+            shutil.rmtree(run_dir, ignore_errors=True)
+            for directory in made:  # stop at the first one another run has written into
+                try:
+                    directory.rmdir()
+                except OSError:
+                    break
     return code
 
 

@@ -21,6 +21,7 @@ from reviewlab.analytics import full_report
 from reviewlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import COLUMNS, parse_csv, split_60_20_20, write_csv
+from reviewlab.errors import InputError
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
 from toy import toy_config, toy_reviews
 from reviewlab.training import TrainConfig
@@ -955,6 +956,30 @@ class TestConfigResolution:
             main(["train", "--data", str(data_csv), "--out", str(out),
                   "--config", str(toy_cfg_file)])
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("failure", [InputError("refused"), KeyboardInterrupt()],
+                             ids=["refused", "interrupted"])
+    def test_failed_command_keeps_a_concurrent_run_in_the_out_it_made(
+            self, tmp_path, data_csv, monkeypatch, capsys, failure):
+        """A run that another process wrote under a new --out while this command ran
+        survives this command's failure, and so do the directories that hold it."""
+        out = tmp_path / "new" / "deeper"
+
+        def concurrent_run_then_fail(records):
+            (out / "analyze-0002").mkdir()
+            (out / "analyze-0002" / "config.txt").write_text("# command: analyze\n")
+            raise failure
+
+        monkeypatch.setattr("reviewlab.cli.full_report", concurrent_run_then_fail)
+        argv = ["analyze", "--data", str(data_csv), "--out", str(out)]
+        if isinstance(failure, KeyboardInterrupt):
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == 2
+        capsys.readouterr()
+        assert [p.name for p in out.iterdir()] == ["analyze-0002"]
+        assert (out / "analyze-0002" / "config.txt").exists()
 
     def test_missing_subcommand_exits_two(self, capsys):
         assert main([]) == 2

@@ -9,7 +9,8 @@ then each directory of --out that it created and that is still empty.
 Settings resolve as flags over config file over defaults, and an empty
 config value means the default; rerunning a command from a
 materialized config reproduces every artifact byte for byte in
-single-threaded mode.
+single-threaded mode.  The resolved settings are one mapping whose
+first layer holds what was given explicitly, over the defaults.
 
 A trained model is one file, `model.ckpt`, which carries its vocabulary
 and the seed of its 60/20/20 split. `train` gets its index rows from
@@ -43,7 +44,7 @@ import os
 import shutil
 import sys
 import traceback
-from collections import Counter
+from collections import ChainMap, Counter
 from pathlib import Path
 
 from .analytics import Table, full_report
@@ -91,7 +92,7 @@ def _parse_config_file(path) -> dict:
         try:
             if value.startswith('"'):
                 value = json.loads(value)
-            if "\0" in value:  # no path or argument can hold one
+            if b"\0" in os.fsencode(value):  # no path or argument holds a NUL or lone surrogate
                 raise ValueError("a value cannot hold a NUL character")
             entries[key] = value if default is None else type(default)(value)
         except ValueError as exc:
@@ -99,24 +100,19 @@ def _parse_config_file(path) -> dict:
     return entries
 
 
-def _resolve(args) -> tuple[dict, set]:
-    """Merge defaults, config file, and flags; track explicitly set keys."""
-    cfg = dict(_DEFAULTS)
-    provided = set()
-    if getattr(args, "config", None):
-        file_entries = _parse_config_file(args.config)
-        cfg.update(file_entries)
-        provided.update(file_entries)
+def _resolve(args) -> ChainMap:
+    """Flags over config file over defaults; `maps[0]` holds what was given explicitly."""
+    given = _parse_config_file(args.config) if args.config else {}
     for key in _DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = value
-            provided.add(key)
+            given[key] = value
+    cfg = ChainMap(given, _DEFAULTS)
     if cfg["task"] not in TASK_CLASSES:
         raise InputError(
             f"unknown task {cfg['task']!r}, expected {' or '.join(TASK_CLASSES)}"
         )
-    return cfg, provided
+    return cfg
 
 
 def _new_run_dir(out, command: str) -> tuple[Path, list[Path]]:
@@ -139,7 +135,7 @@ def _new_run_dir(out, command: str) -> tuple[Path, list[Path]]:
             number += 1
 
 
-def _write_materialized_config(run_dir: Path, command: str, cfg: dict) -> None:
+def _write_materialized_config(run_dir: Path, command: str, cfg: ChainMap) -> None:
     lines = [f"# command: {command}"]
     for key in sorted(cfg):
         value = cfg[key]
@@ -164,31 +160,31 @@ def _write_table_csv(path, table: Table) -> None:
         writer.writerows(table.rows)
 
 
-def _require(cfg: dict, key: str, command: str):
+def _require(cfg: ChainMap, key: str, command: str):
     if cfg[key] is None:
         raise InputError(f"{command} requires --{key}")
     return cfg[key]
 
 
-def _load_lexicon(cfg: dict):
+def _load_lexicon(cfg: ChainMap):
     return load_lexicon(cfg["lexicon"]) if cfg["lexicon"] else BUILTIN_LEXICON
 
 
-def _train_config(cfg: dict) -> TrainConfig:
+def _train_config(cfg: ChainMap) -> TrainConfig:
     try:
         return TrainConfig(**{key: cfg[key] for key in _TRAIN_DEFAULTS})
     except ValueError as exc:
         raise InputError(f"invalid configuration: {exc}") from exc
 
 
-def _parse_records(cfg: dict, command: str, run_dir: Path):
+def _parse_records(cfg: ChainMap, command: str, run_dir: Path):
     records, issues = parse_csv(_require(cfg, "data", command))
     if issues:
         write_issues(issues, run_dir / "issues.txt")
     return records
 
 
-def _cmd_analyze(cfg: dict, provided: set, run_dir: Path) -> None:
+def _cmd_analyze(cfg: ChainMap, run_dir: Path) -> None:
     records = _parse_records(cfg, "analyze", run_dir)
     report = full_report(records)
     for name, table in report.items():
@@ -197,7 +193,7 @@ def _cmd_analyze(cfg: dict, provided: set, run_dir: Path) -> None:
     print(f"wrote {len(report)} tables to {run_dir}")
 
 
-def _cmd_label(cfg: dict, provided: set, run_dir: Path) -> None:
+def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
     records = _parse_records(cfg, "label", run_dir)
     labels = auto_label_dataset(records, _load_lexicon(cfg))
     write_csv(records, run_dir / "labeled.csv", sentiment=labels)
@@ -209,7 +205,7 @@ def _cmd_label(cfg: dict, provided: set, run_dir: Path) -> None:
     print(f"labeled {len(records)} rows into {run_dir}")
 
 
-def _build_embeddings(cfg: dict, tokens: list, config: TrainConfig):
+def _build_embeddings(cfg: ChainMap, tokens: list, config: TrainConfig):
     rng = SeededRng(config.seed + 1)
     if cfg["embeddings"]:
         emb = load_glove(cfg["embeddings"], tokens, rng)
@@ -222,7 +218,7 @@ def _build_embeddings(cfg: dict, tokens: list, config: TrainConfig):
     return random_embeddings(len(tokens) + 2, config.embedding_dim, rng)
 
 
-def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
+def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
     config = _train_config(cfg)
     records = _parse_records(cfg, "train", run_dir)
     splits, dropped, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg),
@@ -265,20 +261,20 @@ def _cmd_train(cfg: dict, provided: set, run_dir: Path) -> None:
     print(f"trained {config.task} model into {run_dir}")
 
 
-def _load_bundle(cfg: dict, provided: set, command: str) -> ModelBundle:
+def _load_bundle(cfg: ChainMap, command: str) -> ModelBundle:
     """Load the checkpoint; cfg takes every setting it fixes."""
     bundle = load_checkpoint(_require(cfg, "checkpoint", command))
     fixed = {"task": bundle.task, "seed": bundle.seed, "seq_len": bundle.seq_len,
              "cell_size": bundle.model.cell_size, "embedding_dim": bundle.embeddings.shape[1]}
     for key, value in fixed.items():
-        if key in provided and cfg[key] != value:
+        if key in cfg.maps[0] and cfg[key] != value:
             raise InputError(f"checkpoint was trained with {key} {value!r}, not {cfg[key]!r}")
         cfg[key] = value
     return bundle
 
 
-def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
-    bundle = _load_bundle(cfg, provided, "evaluate")
+def _cmd_evaluate(cfg: ChainMap, run_dir: Path) -> None:
+    bundle = _load_bundle(cfg, "evaluate")
     config = _train_config(cfg)
     records = _parse_records(cfg, "evaluate", run_dir)
     splits, _, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg), reads=(2,))
@@ -309,8 +305,8 @@ def _cmd_evaluate(cfg: dict, provided: set, run_dir: Path) -> None:
     print(f"test accuracy {report['accuracy']:.6f} (metrics in {run_dir})")
 
 
-def _cmd_predict(cfg: dict, provided: set, run_dir: Path) -> None:
-    bundle = _load_bundle(cfg, provided, "predict")
+def _cmd_predict(cfg: ChainMap, run_dir: Path) -> None:
+    bundle = _load_bundle(cfg, "predict")
     text = _require(cfg, "text", "predict")
     line = json.dumps(predict(bundle, text), sort_keys=True)
     (run_dir / "prediction.json").write_text(line + "\n", encoding="utf-8")
@@ -363,9 +359,9 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # a command's records, token lists and arrays hold no reference cycles
     try:
-        cfg, provided = _resolve(args)
+        cfg = _resolve(args)
         run_dir, made = _new_run_dir(cfg["out"], args.command)
-        _COMMANDS[args.command][0](cfg, provided, run_dir)
+        _COMMANDS[args.command][0](cfg, run_dir)
         _write_materialized_config(run_dir, args.command, cfg)  # with the checkpoint's settings
         code = 0
     except (InputError, OSError) as exc:

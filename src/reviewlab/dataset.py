@@ -66,54 +66,59 @@ def parse_csv(path):
 
     Returns (records, issues), each issue a `line N: message` string.  A
     header missing a review column, or naming one more than once, raises
-    an InputError naming every such column.
+    an InputError naming every such column; a record csv refuses (one
+    field over csv.field_size_limit(), say) raises one naming its first line.
     """
     records: list[ReviewRecord] = []
     issues: list[str] = []
     reader = csv.reader(input_lines(path, newline=""))
+    line = 0  # the last line read; a record csv refuses starts on the next
     try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"{path}: empty file, expected a header row") from None
-    names = [h.strip() for h in header]
-    positions = {name: i for i, name in enumerate(names)}
-    missing = [c for c in COLUMNS if c not in positions]
-    if missing:
-        raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
-    repeated = [c for c in COLUMNS if names.count(c) > 1]
-    if repeated:
-        raise InputError(f"{path}: columns named more than once: {', '.join(repeated)}")
-    width = len(header)
-    index = [("index column", 0, (-math.inf, math.inf))] if names[0] == "" else []
-    cells = index + [(name, positions[name], bounds) for name, bounds in COLUMNS.items()]
-
-    for ordinal, row in enumerate(reader):
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path}: empty file, expected a header row")
         line = reader.line_num
-        if len(row) != width:
-            issues.append(f"line {line}: expected {width} fields, got {len(row)}")
-            continue
+        names = [h.strip() for h in header]
+        positions = {name: i for i, name in enumerate(names)}
+        missing = [c for c in COLUMNS if c not in positions]
+        if missing:
+            raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
+        repeated = [c for c in COLUMNS if names.count(c) > 1]
+        if repeated:
+            raise InputError(f"{path}: columns named more than once: {', '.join(repeated)}")
+        width = len(header)
+        index = [("index column", 0, (-math.inf, math.inf))] if names[0] == "" else []
+        cells = index + [(name, positions[name], bounds) for name, bounds in COLUMNS.items()]
 
-        problems: list[str] = []
-        values = [] if index else [ordinal]  # row_id: the index cell, else the ordinal
-        for name, pos, bounds in cells:
-            raw = row[pos]
-            if bounds is None:
-                values.append(raw or None)  # An empty text cell is an absent value.
+        for ordinal, row in enumerate(reader):
+            line = reader.line_num
+            if len(row) != width:
+                issues.append(f"line {line}: expected {width} fields, got {len(row)}")
                 continue
-            try:
-                value = _int(raw)
-            except ValueError:
-                problems.append(f"{name} not an integer: {raw!r}")
+
+            problems: list[str] = []
+            values = [] if index else [ordinal]  # row_id: the index cell, else the ordinal
+            for name, pos, bounds in cells:
+                raw = row[pos]
+                if bounds is None:
+                    values.append(raw or None)  # An empty text cell is an absent value.
+                    continue
+                try:
+                    value = _int(raw)
+                except ValueError:
+                    problems.append(f"{name} not an integer: {raw!r}")
+                    continue
+                if not bounds[0] <= value <= bounds[1]:
+                    problems.append(f"{name} out of range: {value}")
+                values.append(value)
+
+            if problems:
+                issues.append(f"line {line}: {'; '.join(problems)}")
                 continue
-            if not bounds[0] <= value <= bounds[1]:
-                problems.append(f"{name} out of range: {value}")
-            values.append(value)
 
-        if problems:
-            issues.append(f"line {line}: {'; '.join(problems)}")
-            continue
-
-        records.append(ReviewRecord(*values))
+            records.append(ReviewRecord(*values))
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {line + 1}: {exc}") from exc
     return records, issues
 
 

@@ -120,6 +120,17 @@ class TestAnalyze:
         assert "named more than once: Rating" in err
         assert not (out / "analyze-0001").exists()
 
+    def test_field_over_the_limit_exits_two(self, tmp_path, capsys):
+        """A quote that opens on line 2 and swallows more than csv's field limit exits 2
+        at that line, and leaves no run directory and no --out behind."""
+        bad = tmp_path / "unclosed.csv"
+        bad.write_text(",".join(["", *COLUMNS]) + '\n0,1,25,,"never closed,5,1,0,A,B,C\n'
+                       + "x" * 140_000 + "\n", encoding="utf-8")
+        assert main(["analyze", "--data", str(bad), "--out", str(tmp_path / "new" / "runs")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 2: field larger than field limit (131072)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["unclosed.csv"]
+
     @pytest.mark.parametrize("existing, new", [("", "new/deeper"), ("runs", ""),
                                                ("runs", "new/deeper")],
                              ids=["nested-new", "existing", "new-below-existing"])
@@ -848,9 +859,12 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("line", [
         'data = "toy\\u0000.csv"', 'out = "r\\u0000s"', "data = toy\0.csv",
-    ], ids=["data-literal", "out-literal", "raw-data"])
+        'data = "\\ud800.csv"', 'out = "r\\ud800s"', 'text = "a\\ud800b"',
+    ], ids=["data-literal", "out-literal", "raw-data",
+            "data-surrogate", "out-surrogate", "text-surrogate"])
     def test_nul_in_a_value_exits_two(self, tmp_path, data_csv, capsys, monkeypatch, line):
-        """A NUL, which no path can hold, is refused at its config line."""
+        """A NUL or a lone surrogate, which no path or argument can hold, is refused at
+        its config line."""
         monkeypatch.chdir(tmp_path)
         cfg_file = tmp_path / "s.cfg"
         cfg_file.write_text(f"seed=3\n{line}\n")

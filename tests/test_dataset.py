@@ -171,6 +171,19 @@ class TestParseCsv:
         _, issues = parse_csv(path)
         assert issues == ["line 4: Rating out of range: 9"]
 
+    @pytest.mark.parametrize("rows, line", [
+        (['0,1,25,,"never closed,5,1,0,A,B,C', *['1,1,25,,text,5,1,0,A,B,C'] * 6000], 2),
+        (['0,1,25,,' + "x" * 150_000 + ',5,1,0,A,B,C', '1,1,25,,text,5,1,0,A,B,C'], 2),
+        (['0,1,25,,"a\nb",5,1,0,A,B,C', '1,1,25,,' + "x" * 150_000 + ',5,1,0,A,B,C'], 4),
+    ], ids=["unclosed-quote", "long-review", "after-an-embedded-newline"])
+    def test_record_over_the_field_limit_names_its_first_line(self, tmp_path, rows, line):
+        """A record csv refuses raises InputError at the line the record starts on."""
+        path = make_csv(tmp_path, rows)
+        with pytest.raises(InputError) as refused:
+            parse_csv(path)
+        assert str(refused.value) == f"{path}: line {line}: field larger than field limit (131072)"
+        assert csv.field_size_limit() == 131072
+
 
     def test_byte_order_mark_keeps_index_column(self, tmp_path):
         rows = [f"{100 + i}{row[row.index(','):]}" for i, row in enumerate(sample_rows())]

@@ -1,12 +1,13 @@
 """Fuzz the text inputs through `cli.main`: whatever a file holds, exit 0 or 2, never 1.
 
-Covers the review CSV, the lexicon, the embeddings file and the float
-hyper-parameters of the config file; the checkpoint has its own fuzz
+Covers the review CSV, the lexicon, the embeddings file, and the float
+hyper-parameters and path values of the config file; the checkpoint has its own fuzz
 suite in test_checkpoint.py. Each input is small and every run is a toy
 one (at most one epoch on the 40-review fixture), so no example can start
 a long run or a large allocation.
 """
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -85,6 +86,12 @@ EMBEDDING_LINES = st.lists(
     max_size=6,
 ).map(lambda lines: "\n".join(lines) + "\n")
 
+# Every code point. Drawn from the whole range, a lone surrogate is rare, so the
+# surrogate block gets as many draws as the rest.
+CODE_POINT = st.characters(exclude_categories=()) | st.characters(categories=("Cs",))
+# A path relative to a fresh directory that does not leave it.
+PATH_TEXT = st.text(CODE_POINT, max_size=12).filter(lambda v: ".." not in v.split("/"))
+
 FLOAT_LITERALS = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "1e-400",
                                   "1e400", "-0.0", "0", "0.5", "1e300"])
 
@@ -136,3 +143,16 @@ class TestFloatHyperParameters:
         code = exit_code(tmp_path, "toy.cfg", content, lambda path, out: [
             "train", "--data", str(toy_csv), "--out", str(out), "--config", str(path)])
         assert code in (0, 2)
+
+
+class TestConfigPaths:
+    @given(data=PATH_TEXT | st.just("reviews.csv"), out=PATH_TEXT)
+    @FUZZ
+    def test_analyze(self, tmp_path, data, out):
+        """Each path key of analyze as a JSON string literal."""
+        with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+            write_csv(toy_reviews(), Path(tmp) / "reviews.csv")
+            cfg = Path(tmp) / "paths.cfg"
+            cfg.write_text(f"data = {json.dumps(f'{tmp}/{data}')}\n"
+                           f"out = {json.dumps(f'{tmp}/{out}')}\n", encoding="utf-8")
+            assert main(["analyze", "--config", str(cfg)]) in (0, 2)

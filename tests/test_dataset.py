@@ -184,7 +184,6 @@ class TestParseCsv:
         assert str(refused.value) == f"{path}: line {line}: field larger than field limit (131072)"
         assert csv.field_size_limit() == 131072
 
-
     def test_byte_order_mark_keeps_index_column(self, tmp_path):
         rows = [f"{100 + i}{row[row.index(','):]}" for i, row in enumerate(sample_rows())]
         plain = make_csv(tmp_path, rows)

@@ -1,10 +1,10 @@
 """Fuzz the text inputs through `cli.main`: whatever a file holds, exit 0 or 2, never 1.
 
 Covers the review CSV, the lexicon, the embeddings file, and the float
-hyper-parameters and path values of the config file; the checkpoint has its own fuzz
-suite in test_checkpoint.py. Each input is small and every run is a toy
-one (at most one epoch on the 40-review fixture), so no example can start
-a long run or a large allocation.
+hyper-parameters and path values of the config file; the checkpoint has
+its own fuzz suite in test_checkpoint.py. Each input is small and every
+run is a toy one (at most one epoch on the 40-review fixture), so no
+example can start a long run or a large allocation.
 """
 
 import json

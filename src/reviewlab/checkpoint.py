@@ -193,7 +193,8 @@ def load_checkpoint(path) -> ModelBundle:
     table, *blocks = map(np.reshape, np.split(flat, np.cumsum(sizes[:-1])), shapes)
     model = BiLstmClassifier(*blocks)
     for name, a in [("embeddings", table), *model.param_blocks()]:
-        if not np.isfinite(a).all():
+        a = a.reshape(-1)  # checked in slices: no block-sized boolean array
+        if not all(np.isfinite(a[i:i + 65536]).all() for i in range(0, a.size, 65536)):
             raise InputError(f"{path}: block {name!r} contains non-finite values")
     if np.any(table[PAD_INDEX] != 0.0):
         raise InputError(f"{path}: the padding row of block 'embeddings' must be zero")

@@ -64,10 +64,10 @@ def _int(raw: str) -> int:
 def parse_csv(path):
     """Read records and per-row issues from a review CSV.
 
-    Returns (records, issues), each issue a `line N: message` string.  A
-    header missing a review column, or naming one more than once, raises
-    an InputError naming every such column; a record csv refuses (one
-    field over csv.field_size_limit(), say) raises one naming its first line.
+    Returns (records, issues), each issue a `line N: message` string, N the
+    first line of its record.  A header missing a review column, or naming
+    one more than once, raises an InputError naming every such column; a
+    record csv refuses (a field over the size limit, say) names its first line.
     """
     records: list[ReviewRecord] = []
     issues: list[str] = []
@@ -91,9 +91,9 @@ def parse_csv(path):
         cells = index + [(name, positions[name], bounds) for name, bounds in COLUMNS.items()]
 
         for ordinal, row in enumerate(reader):
-            line = reader.line_num
+            first, line = line + 1, reader.line_num  # the record's first and last lines
             if len(row) != width:
-                issues.append(f"line {line}: expected {width} fields, got {len(row)}")
+                issues.append(f"line {first}: expected {width} fields, got {len(row)}")
                 continue
 
             problems: list[str] = []
@@ -113,7 +113,7 @@ def parse_csv(path):
                 values.append(value)
 
             if problems:
-                issues.append(f"line {line}: {'; '.join(problems)}")
+                issues.append(f"line {first}: {'; '.join(problems)}")
                 continue
 
             records.append(ReviewRecord(*values))

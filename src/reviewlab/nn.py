@@ -29,26 +29,29 @@ through it, so no sorted or reversed copy of x is built.
 
 The N = sum L_r real inputs are projected with one GEMM, then each step
 adds one h[:n_t] . W_h^T GEMM (Appleyard, Kocisky & Blunsom,
-arXiv:1604.01946).  Each direction keeps a packed SequenceCache for BPTT,
-5H + D floats per real token: z (N, H + D) holding [C_t, x_t], the gate
-activations (N, 4H), and the offsets that give step t the rows
-offsets[t]:offsets[t + 1].  The backward sweep injects each row's
-gradient at its own last step, updates only [:n_t] at step t, and writes
-the pre-activation gradients over the gate activations.  Once step t has
-read C_t, it writes over the spent C_{t+1} the h_t = o_t * tanh(C_t) that
-step t + 1 read (recomputation for memory, Chen et al., arXiv:1604.06174),
-so z ends as [h_{t-1}, x_t] and backward() consumes its cache.  One GEMM
-over the N rows then gives dW and one the packed input gradients, which
-backward() scatters to (T, B, D) with zeros at the pads.
+arXiv:1604.01946).  In training each direction keeps a packed
+SequenceCache for BPTT, 5H + D floats per real token: z (N, H + D)
+holding [C_t, x_t], the gate activations (N, 4H), and the offsets that
+give step t the rows offsets[t]:offsets[t + 1].  Inference keeps no
+cache and projects 16 steps at a time into one buffer.  The backward sweep
+injects each row's gradient at its own last step, updates only [:n_t] at
+step t, and writes the pre-activation gradients over the gate
+activations.  Once step t has read C_t, it writes over the spent C_{t+1}
+the h_t = o_t * tanh(C_t) that step t + 1 read (recomputation for
+memory, Chen et al., arXiv:1604.06174), so z ends as [h_{t-1}, x_t] and
+backward() consumes its cache.  One GEMM over the N rows then gives dW
+and one the packed input gradients, which backward() scatters to
+(T, B, D) with zeros at the pads.
 
 The two directions share no state until their final hidden states are
-joined, so forward() and backward() run them at the same time: the
-reverse direction on one module-level worker thread, started on first
-use and run under the caller's np.errstate, and the forward direction
-on the calling thread.  numpy releases the GIL in its GEMMs and ufuncs,
-so the two overlap on two cores while BLAS itself stays on one thread.
-Each direction does exactly the arithmetic it would do alone, so
-results are bit-identical to running them one after the other.
+joined, so forward() and backward() run a batch of two or more rows on
+two threads: the reverse direction on one module-level worker, started
+on first use and run under the caller's np.errstate, and the forward
+direction on the calling thread.  numpy releases the GIL in its GEMMs
+and ufuncs, so the two overlap on two cores with BLAS on one thread.  A
+one-row batch runs both on the calling thread, forward first: its numpy
+calls are too short to overlap.  Each direction does exactly the
+arithmetic it would do alone, so results are bit-identical either way.
 
 The two final hidden states are joined into (B, 2H) features, passed
 through dropout (training only), and fed to the softmax head
@@ -97,21 +100,23 @@ class SequenceCache(NamedTuple):
     offsets: list
 
 
-def lstm_sequence_forward(params, x: np.ndarray, offsets, index):
+def lstm_sequence_forward(params, x: np.ndarray, offsets, index, keep=True):
     """Run one direction, params = (W, b), from a zero state on inputs from x (T, B, D).
 
     Step t runs rows [:offsets[t + 1] - offsets[t]], a count non-increasing
     in t.  index = (steps, cols), two arrays, lists the N = offsets[T] real
     inputs in that packed order: the k-th of them is x[steps[k], cols[k]].
-    Returns each row's final h (B, H) and the packed SequenceCache.
+    Returns each row's final h (B, H) and its SequenceCache, None unless keep.
     """
     W, b = params
     (T, B, D), H = x.shape, len(W) // 4
-    z = np.empty((offsets[-1], H + D), dtype=W.dtype)
-    z[:, H:] = x[index]
     W_h, W_x = W[:, :H], W[:, H:]
-    acts = z[:, H:] @ W_x.T
-    acts += b
+    span, z = 16, None  # steps projected per GEMM, into one reused acts buffer
+    if keep:  # z holds [C_t, x_t] for backward, and all steps are projected at once
+        span, z = T, np.empty((offsets[-1], H + D), dtype=W.dtype)
+        z[:, H:] = x[index]
+    xs = z[:, H:] if keep else x[index]
+    acts = np.empty((offsets[min(span, T)], 4 * H), dtype=W.dtype)
     h = np.zeros((B, H), dtype=W.dtype)
     c = np.zeros((B, H), dtype=W.dtype)
     cell = np.empty((B, H), dtype=W.dtype)
@@ -120,7 +125,13 @@ def lstm_sequence_forward(params, x: np.ndarray, offsets, index):
     for t in range(T):
         lo, hi = offsets[t], offsets[t + 1]
         k = hi - lo
-        a = acts[lo:hi]
+        if t % span == 0:
+            base, end = lo, offsets[min(t + span, T)]  # acts[0] is packed row base
+            if end - base == 1 and base:  # numpy's one-row product rounds unlike a GEMM row
+                base -= 1
+            np.matmul(xs[base:end], W_x.T, out=acts[:end - base])
+            acts[:end - base] += b
+        a = acts[lo - base:hi - base]
         a += h[:k] @ W_h.T
         a *= scale
         np.tanh(a, out=a)
@@ -129,9 +140,10 @@ def lstm_sequence_forward(params, x: np.ndarray, offsets, index):
         f, i, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         c[:k] *= f
         c[:k] += np.multiply(i, g, out=cell[:k])
-        z[lo:hi, :H] = c[:k]
+        if keep:
+            z[lo:hi, :H] = c[:k]
         np.multiply(o, np.tanh(c[:k], out=cell[:k]), out=h[:k])
-    return h, SequenceCache(z, acts, offsets)
+    return h, SequenceCache(z, acts, offsets) if keep else None
 
 
 def lstm_sequence_backward(params, cache: SequenceCache, dh_last: np.ndarray):
@@ -240,14 +252,16 @@ _reverse_worker = (None, None)
 _reverse_worker_lock = threading.Lock()
 
 
-def _both_directions(fn, fwd_args, bwd_args):
+def _both_directions(fn, fwd_args, bwd_args, rows):
     """fn(*fwd_args) on this thread while fn(*bwd_args) runs on the reverse worker.
 
     Returns both results.  The worker's call runs under this thread's
     np.geterr(), which a thread does not inherit.  If this thread's call
     raises, the worker's call is waited for before the exception
-    propagates.
+    propagates.  Under two rows, both run here, forward first, without the worker.
     """
+    if rows < 2:
+        return fn(*fwd_args), fn(*bwd_args)
     global _reverse_worker
     with _reverse_worker_lock:
         if _reverse_worker[0] != os.getpid():
@@ -272,8 +286,8 @@ class ClassifierCache(NamedTuple):
     direction read and the caller row.
     """
 
-    fwd: SequenceCache
-    bwd: SequenceCache
+    fwd: SequenceCache | None  # None unless training
+    bwd: SequenceCache | None
     features: np.ndarray
     mask: np.ndarray | None
     order: np.ndarray
@@ -297,8 +311,8 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths: np.ndarray, *,
     offsets = np.searchsorted(t, np.arange(T + 1)).tolist()
     t_rev, rows = L[j] - 1 - t, order[j]
     (h_fwd, fwd), (h_bwd, bwd) = _both_directions(
-        lstm_sequence_forward, (model[0:2], x, offsets, (t, rows)),
-        (model[2:4], x, offsets, (t_rev, rows))
+        lstm_sequence_forward, (model[0:2], x, offsets, (t, rows), training),
+        (model[2:4], x, offsets, (t_rev, rows), training), len(L)
     )
     features = np.hstack([h_fwd, h_bwd])[np.argsort(order)]  # caller row order
     mask = None
@@ -327,7 +341,7 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
     H = model.cell_size
     (dW_fwd, db_fwd, dx_fwd), (dW_bwd, db_bwd, dx_bwd) = _both_directions(
         lstm_sequence_backward,
-        (model[0:2], cache.fwd, dfeat[:, :H]), (model[2:4], cache.bwd, dfeat[:, H:])
+        (model[0:2], cache.fwd, dfeat[:, :H]), (model[2:4], cache.bwd, dfeat[:, H:]), len(dfeat)
     )
     t, t_rev, rows = cache.index
     dx = np.zeros((len(cache.fwd.offsets) - 1, len(cache.order), dx_fwd.shape[1]),

@@ -46,7 +46,7 @@ def loss(model, instance) -> float:
 def loss_and_grads(model, instance):
     """The loss and its analytic gradients, in param_blocks() order."""
     x, targets, *lengths = instance
-    probs, cache = forward(model, x, row_lengths(x, *lengths))
+    probs, cache = forward(model, x, row_lengths(x, *lengths), training=True)
     grads, _ = backward(model, cache, batch_cross_entropy_grad(probs, targets))
     return batch_cross_entropy(probs, targets), grads
 

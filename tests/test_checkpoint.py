@@ -31,17 +31,18 @@ ALPHABET = "'0123456789abcdefghijklmnopqrstuvwxyz"
 WORDS = [f"tok{i}".encode() for i in range(10)]
 
 
-def small_bundle():
+def small_bundle(dim=6):
     """A float32 bundle, as `cli train` builds it from `training.train`'s model and table.
 
     Returns (bundle, the ranked tokens, the training-order table). The
-    counts rank tok9 first, so sorting the words reverses them.
+    counts rank tok9 first, so sorting the words reverses them.  dim is
+    the embedding width.
     """
     vocab, _ = build_vocab([[[f"tok{i}"] * (i + 1) for i in range(10)]], min_freq=1,
                            max_size=20, seq_len=1)
     model = BiLstmClassifier(*(a.astype(np.float32)
-                               for a in BiLstmClassifier.build(4, 6, 2, SeededRng(1))))
-    table = random_embeddings(len(vocab) + 2, 6, SeededRng(2)).astype(np.float32)
+                               for a in BiLstmClassifier.build(4, dim, 2, SeededRng(1))))
+    table = random_embeddings(len(vocab) + 2, dim, SeededRng(2)).astype(np.float32)
     words, emb = sorted_vocab(vocab, table)
     bundle = ModelBundle(
         task="recommendation",
@@ -261,9 +262,9 @@ def edit_metadata(path, edit):
                      + raw[header_end + 1:])
 
 
-def saved_checkpoint(tmp_path):
+def saved_checkpoint(tmp_path, dim=6):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(small_bundle()[0], path)
+    save_checkpoint(small_bundle(dim)[0], path)
     return path
 
 
@@ -379,19 +380,40 @@ class TestRejections:
         assert predict_exit_code(tmp_path, path) == 2
         assert "unreadable checkpoint metadata" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("block", ["embeddings", "fwd.W", "fwd.b", "bwd.W", "bwd.b",
-                                       "head.W", "head.b"])
-    def test_non_finite_weights_exit_two(self, tmp_path, capsys, block):
-        path = saved_checkpoint(tmp_path)
-        bundle = small_bundle()[0]
+    # A load checks finiteness in 65,536-element slices; at dim 8192 the table's
+    # 98,304 elements span two, and element 65,536 starts the second.
+    @pytest.mark.parametrize("block, element, value, dim", [
+        *(pytest.param(block, -1, np.nan, 6, id=block)
+          for block in ["embeddings", "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]),
+        pytest.param("embeddings", 65536, np.inf, 8192, id="embeddings-slice-start"),
+        pytest.param("embeddings", -1, np.nan, 8192, id="embeddings-past-a-slice"),
+        pytest.param("head.b", -1, -np.inf, 8192, id="head.b-past-a-slice"),
+    ])
+    def test_non_finite_weights_exit_two(self, tmp_path, capsys, block, element, value, dim):
+        path = saved_checkpoint(tmp_path, dim)
+        bundle = small_bundle(dim)[0]
         blocks = [("embeddings", bundle.embeddings), *bundle.model.param_blocks()]
         ends = dict(zip([name for name, _ in blocks], accumulate(a.size for _, a in blocks)))
-        offset = payload_start(path) + 4 * (ends[block] - 1)  # the block's last value
+        sizes = {name: a.size for name, a in blocks}
+        offset = payload_start(path) + 4 * (ends[block] - sizes[block] + element % sizes[block])
         raw = bytearray(path.read_bytes())
-        raw[offset:offset + 4] = np.array([np.nan], dtype="<f4").tobytes()
+        raw[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))
         assert predict_exit_code(tmp_path, path) == 2
         assert f"block {block!r} contains non-finite values" in capsys.readouterr().err
+
+    def test_finiteness_check_allocates_no_block_sized_array(self, tmp_path):
+        """A load checks each block in slices, so its traced peak stays far below the
+        boolean array a whole-block check of the 524,352-element fwd.W would take."""
+        path = saved_checkpoint(tmp_path, 2**15)
+        tracemalloc.start()
+        try:
+            bundle = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bundle.model.fwd_W.size == 524_352
+        assert peak < 2**18, peak
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

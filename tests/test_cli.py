@@ -639,6 +639,17 @@ class TestPredict:
         prediction_file = (tmp_path / "runs" / "predict-0001" / "prediction.json")
         assert prediction_file.read_text().strip() == lines[-1]
 
+    def test_predict_starts_no_reverse_worker(self, tmp_path, data_csv, toy_cfg_file):
+        """A fresh process that predicts one text runs its one row on the calling thread."""
+        argv = self.predict_argv(tmp_path, data_csv, toy_cfg_file, "really good dress")
+        probe = ("import sys, threading; from reviewlab.cli import main; code = main(sys.argv[1:]); "
+                 "print(code, *(t.name for t in threading.enumerate()))")
+        out = subprocess.run([sys.executable, "-c", probe, *argv], env=blas_env(),
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        code, *threads = out.splitlines()[-1].split()
+        assert code == "0" and "MainThread" in threads
+        assert not [name for name in threads if name.startswith("reviewlab-reverse")]
+
     def test_empty_text_flagged(self, tmp_path, data_csv, toy_cfg_file, capsys):
         argv = self.predict_argv(tmp_path, data_csv, toy_cfg_file, "???")
         assert main(argv) == 0

@@ -171,6 +171,18 @@ class TestParseCsv:
         _, issues = parse_csv(path)
         assert issues == ["line 4: Rating out of range: 9"]
 
+    def test_row_issues_name_the_records_first_line(self, tmp_path):
+        """A row issue names the line its record starts on, as a refused record does."""
+        path = make_csv(tmp_path, [
+            '0,1,25,,"a\nb\nc",9,1,0,A,B,C',  # lines 2-4
+            '1,1,25,,"d\ne",5,1,0,A',  # lines 5-6
+            '2,1,25,,text,5,1,0,A,B,C',
+            '3,1,25,,"f\ng",5,x,0,A,B,C',  # lines 8-9
+        ])
+        _, issues = parse_csv(path)
+        assert issues == ["line 2: Rating out of range: 9", "line 5: expected 11 fields, got 9",
+                          "line 8: Recommended IND not an integer: 'x'"]
+
     @pytest.mark.parametrize("rows, line", [
         (['0,1,25,,"never closed,5,1,0,A,B,C', *['1,1,25,,text,5,1,0,A,B,C'] * 6000], 2),
         (['0,1,25,,' + "x" * 150_000 + ',5,1,0,A,B,C', '1,1,25,,text,5,1,0,A,B,C'], 2),

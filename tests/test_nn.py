@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,11 +203,51 @@ class TestLstmSequenceForward:
         model = toy_classifier(seed=12, cell=4, inp=3, dtype=np.float32)
         lengths = np.array([2, 6, 0, 5])
         xs = random_xs(SeededRng(13), 3, 6, batch=4).astype(np.float32)
-        _, cache = forward(model, xs, lengths)
+        _, cache = forward(model, xs, lengths, training=True)
         N, H, D = lengths.sum(), 4, 3
         for direction in (cache.fwd, cache.bwd):
             arrays = [a for a in direction if isinstance(a, np.ndarray)]
             assert sum(a.nbytes for a in arrays) == N * (5 * H + D) * 4
+
+
+class TestInferenceKeepsNoCache:
+    """Without keep, a direction stores no BPTT cache and projects its inputs 16 steps
+    at a time; an eval forward() passes keep=False."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("lengths", [
+        [40, 33, 17, 16, 15, 1, 0],  # rows ending on, beside and between 16-step chunks
+        [33], [17], [1],  # a last chunk of one row, and one single-token row
+    ])
+    def test_same_final_state_across_chunk_boundaries(self, dtype, lengths):
+        p = tuple(a.astype(dtype) for a in lstm_params(32, 8, SeededRng(130)))
+        xs = random_xs(SeededRng(131), 8, max(lengths), batch=len(lengths)).astype(dtype)
+        want, cache = lstm_sequence_forward(p, xs, *packed(xs, lengths))
+        got, none = lstm_sequence_forward(p, xs, *packed(xs, lengths), False)
+        assert none is None and cache is not None
+        assert got.dtype == dtype
+        assert np.array_equal(got, want)
+
+    def test_eval_forward_at_the_reference_batch_traces_half_the_memory(self):
+        """B=256, H=256, D=50 and gamma lengths up to 120: an eval forward keeps no direction
+        cache, gives the training pass's probabilities and peaks at most half as high."""
+        rng = np.random.default_rng(132)
+        lengths = np.minimum(1 + rng.gamma(3.2, 18.6, 256).astype(int), 120)
+        x = rng.standard_normal((lengths.max(), 256, 50), dtype=np.float32)
+        model = toy_classifier(seed=133, cell=256, inp=50, dtype=np.float32)
+        runs = {}
+        for training in (False, True):
+            tracemalloc.start()
+            try:
+                probs, cache = forward(model, x, lengths, training=training)
+                runs[training] = probs, cache, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (probs, cache, peak), (want, kept, train_peak) = runs[False], runs[True]
+        assert cache.fwd is None and cache.bwd is None
+        assert kept.fwd is not None and kept.bwd is not None
+        assert np.array_equal(probs, want)
+        assert peak <= train_peak / 2, (peak, train_peak)
 
 
 class TestBiLstmForward:
@@ -374,7 +415,7 @@ class TestBackward:
     def test_zero_loss_gradient_gives_zero_grads(self):
         model = toy_classifier()
         xs = random_xs(SeededRng(20), 3, 5)
-        _, cache = forward(model, xs, row_lengths(xs))
+        _, cache = forward(model, xs, row_lengths(xs), training=True)
         grads, dx = backward(model, cache, np.zeros((1, 3)))
         for g in grads:
             assert np.allclose(g, 0.0)
@@ -395,7 +436,7 @@ class TestBackward:
         model = BiLstmClassifier(*p, *p, np.hstack([half, half]), np.array([0.1, -0.2, 0.3]))
         a, b = [0.9, -0.4], [0.2, 0.6]
         xs = np.array([[a], [b], [a]])
-        probs, cache = forward(model, xs, row_lengths(xs))
+        probs, cache = forward(model, xs, row_lengths(xs), training=True)
         grads, _ = backward(model, cache, batch_cross_entropy_grad(probs, [1]))
         for gf, gb in zip(grads[0:2], grads[2:4]):
             assert np.allclose(gf, gb, atol=1e-12)
@@ -405,7 +446,7 @@ class TestBackward:
         model = toy_classifier(seed=5)
         xs = random_xs(SeededRng(23), 3, 4)
         target = 0
-        probs, cache = forward(model, xs, row_lengths(xs))
+        probs, cache = forward(model, xs, row_lengths(xs), training=True)
         _, dx = backward(model, cache, batch_cross_entropy_grad(probs, [target]))
         eps = 1e-6
         for t in (0, 3):
@@ -477,7 +518,7 @@ class TestRaggedBatch:
     def test_gradients_match_rows_run_alone(self):
         """The batch gradients are the sum of the per-row gradients."""
         model, xs = self.instance()
-        probs, cache = forward(model, xs, self.LENGTHS)
+        probs, cache = forward(model, xs, self.LENGTHS, training=True)
         dlogits = batch_cross_entropy_grad(probs, self.TARGETS)
         grads, dx = backward(model, cache, dlogits)
         want = [np.zeros_like(p) for _, p in model.param_blocks()]
@@ -487,7 +528,7 @@ class TestRaggedBatch:
                 want[-1] += dlogits[r]  # zero features: only the head bias moves
                 continue
             row = xs[:length, r:r + 1]
-            _, alone = forward(model, row, row_lengths(row))
+            _, alone = forward(model, row, row_lengths(row), training=True)
             row_grads, row_dx = backward(model, alone, dlogits[r:r + 1])
             for w, g in zip(want, row_grads):
                 w += g
@@ -533,7 +574,8 @@ def sequential_pass(model, xs, lengths, targets, dropout_rate):
 
 
 class TestDirectionsOnTwoThreads:
-    """forward() and backward() run the reverse direction on a worker thread."""
+    """forward() and backward() run the reverse direction on a worker thread from two rows
+    up, and a one-row batch on the calling thread; the results are the same."""
 
     CASES = pytest.mark.parametrize("lengths, dropout_rate", [
         ([3, 0, 5, 1], 0.5),  # ragged, unsorted, with an empty row
@@ -599,7 +641,7 @@ class TestDirectionsOnTwoThreads:
     def test_caller_error_waits_for_worker(self, monkeypatch):
         """When the calling thread's direction raises, the reverse one has finished."""
         model = toy_classifier(seed=99)
-        xs = random_xs(SeededRng(100), 3, 4)
+        xs = random_xs(SeededRng(100), 3, 4, batch=2)
         finished = threading.Event()
 
         def slow_reverse(params, *args):
@@ -613,6 +655,28 @@ class TestDirectionsOnTwoThreads:
         with pytest.raises(RuntimeError, match="forward direction failed"):
             forward(model, xs, row_lengths(xs))
         assert finished.is_set()
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_one_row_runs_on_the_calling_thread(self, monkeypatch, training):
+        """A one-row batch runs both directions here, forward first, in both passes."""
+        model = toy_classifier(seed=107)
+        xs = random_xs(SeededRng(108), 3, 4)
+        calls = []
+
+        def spy(fn):
+            def record(params, *args):
+                calls.append((fn.__name__, params[0] is model.fwd_W, threading.current_thread()))
+                return fn(params, *args)
+            return record
+
+        for fn in (lstm_sequence_forward, lstm_sequence_backward):
+            monkeypatch.setattr(nn, fn.__name__, spy(fn))
+        probs, cache = forward(model, xs, row_lengths(xs), training=training)
+        if training:
+            backward(model, cache, batch_cross_entropy_grad(probs, [1]))
+        names = ["lstm_sequence_forward", "lstm_sequence_backward"][:1 + training]
+        here = threading.current_thread()
+        assert calls == [(name, fwd, here) for name in names for fwd in (True, False)]
 
     def test_concurrent_callers_share_the_worker(self):
         """Callers on several threads at once each get their own sequential result."""

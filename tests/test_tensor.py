@@ -165,7 +165,8 @@ class TestTensorBasics:
         for _, p in model.param_blocks():
             p.setflags(write=False)
         x.setflags(write=False)
-        probs, cache = forward(model, x, row_lengths(x))
+        forward(model, x, row_lengths(x))
+        probs, cache = forward(model, x, row_lengths(x), training=True)
         grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1]))
         assert dx.shape == x.shape
 
@@ -174,8 +175,8 @@ class TestTensorBasics:
         do not change the gradients."""
         model = toy_model(seed=2)
         x = random_x(2, 3, 1, 2)
-        probs, cache = forward(model, x, row_lengths(x))
-        _, cache2 = forward(model, x, row_lengths(x))
+        probs, cache = forward(model, x, row_lengths(x), training=True)
+        _, cache2 = forward(model, x, row_lengths(x), training=True)
         dlogits = batch_cross_entropy_grad(probs, [1])
         want, _ = backward(model, cache2, dlogits)
         x[:] = 99.0

@@ -7,10 +7,12 @@ command has succeeded, writes the fully materialized configuration
 into it; a command that fails or is interrupted removes it again, and
 then each directory of --out that it created and that is still empty.
 Settings resolve as flags over config file over defaults, and an empty
-config value means the default; rerunning a command from a
-materialized config reproduces every artifact byte for byte in
-single-threaded mode.  The resolved settings are one mapping whose
-first layer holds what was given explicitly, over the defaults.
+config value means the default; a config file's hyper-parameter is
+checked as TrainConfig checks it, at its line, so every command refuses
+what `train` would.  Rerunning a command from a materialized config
+reproduces every artifact byte for byte in single-threaded mode.  The
+resolved settings are one mapping whose first layer holds what was
+given explicitly, over the defaults.
 
 A trained model is one file, `model.ckpt`, which carries its vocabulary
 and the seed of its 60/20/20 split. `train` gets its index rows from
@@ -30,7 +32,7 @@ records, token lists and arrays hold no reference cycles, so the
 collector's passes over them find nothing.  `main` turns it back on
 when it returns or raises, unless it was off already.
 
-Exit codes: 0 success, 1 internal error, 2 usage or input error.
+Exit codes: 0 success, 1 internal error, 2 usage or input error or out of memory.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import csv
 import functools
 import gc
 import json
+import math
 import os
 import shutil
 import sys
@@ -52,6 +55,7 @@ from .checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpo
 from .dataset import parse_csv, write_csv, write_issues
 from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc
+from .nn import block_shapes
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
 from .textprep import build_vocab, encode, load_glove, random_embeddings, sorted_vocab
@@ -72,7 +76,8 @@ def _parse_config_file(path) -> dict:
     """Read `key = value` lines; blank lines, # comments and empty values are skipped.
 
     A value that starts with `"` is a JSON string literal, so it can be
-    empty, blank or hold a line break.
+    empty, blank or hold a line break.  A value that TrainConfig would
+    refuse is refused at its line.
     """
     entries = {}
     for line_num, line in enumerate(input_lines(path), start=1):
@@ -95,8 +100,10 @@ def _parse_config_file(path) -> dict:
             if b"\0" in os.fsencode(value):  # no path or argument holds a NUL or lone surrogate
                 raise ValueError("a value cannot hold a NUL character")
             entries[key] = value if default is None else type(default)(value)
+            if key in _TRAIN_DEFAULTS:  # TrainConfig's check of this one key
+                TrainConfig(**{key: entries[key]})
         except ValueError as exc:
-            raise InputError(f"{path}: line {line_num}: {exc}") from exc
+            raise InputError(f"{path}: line {line_num}: invalid configuration: {exc}") from exc
     return entries
 
 
@@ -107,12 +114,7 @@ def _resolve(args) -> ChainMap:
         value = getattr(args, key, None)
         if value is not None:
             given[key] = value
-    cfg = ChainMap(given, _DEFAULTS)
-    if cfg["task"] not in TASK_CLASSES:
-        raise InputError(
-            f"unknown task {cfg['task']!r}, expected {' or '.join(TASK_CLASSES)}"
-        )
-    return cfg
+    return ChainMap(given, _DEFAULTS)
 
 
 def _new_run_dir(out, command: str) -> tuple[Path, list[Path]]:
@@ -170,13 +172,6 @@ def _load_lexicon(cfg: ChainMap):
     return load_lexicon(cfg["lexicon"]) if cfg["lexicon"] else BUILTIN_LEXICON
 
 
-def _train_config(cfg: ChainMap) -> TrainConfig:
-    try:
-        return TrainConfig(**{key: cfg[key] for key in _TRAIN_DEFAULTS})
-    except ValueError as exc:
-        raise InputError(f"invalid configuration: {exc}") from exc
-
-
 def _parse_records(cfg: ChainMap, command: str, run_dir: Path):
     records, issues = parse_csv(_require(cfg, "data", command))
     if issues:
@@ -208,18 +203,30 @@ def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
 def _build_embeddings(cfg: ChainMap, tokens: list, config: TrainConfig):
     rng = SeededRng(config.seed + 1)
     if cfg["embeddings"]:
-        emb = load_glove(cfg["embeddings"], tokens, rng)
-        if emb.shape[1] != config.embedding_dim:
-            raise InputError(
-                f"embedding file dimension {emb.shape[1]} does not match "
-                f"embedding_dim {config.embedding_dim}"
-            )
-        return emb
+        return load_glove(cfg["embeddings"], tokens, config.embedding_dim, rng)
     return random_embeddings(len(tokens) + 2, config.embedding_dim, rng)
 
 
+def _check_memory(config: TrainConfig) -> None:
+    """Refuse settings whose arrays exceed physical memory, counted in Python ints: the
+    float64 draws of the model's blocks, the float32 model and its two Adam moments, and
+    the float32 table at vocab_size rows and its two moments."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return
+    weights = sum(map(math.prod, block_shapes(config.cell_size, config.embedding_dim,
+                                              len(config.class_names))))
+    need = (8 + 3 * 4) * weights + 3 * 4 * config.vocab_size * config.embedding_dim
+    if 0 < physical < need:  # sysconf reads -1 for a value it cannot tell
+        raise InputError(f"cell_size {config.cell_size}, embedding_dim {config.embedding_dim} "
+                         f"and vocab_size {config.vocab_size} need {need} bytes, more than "
+                         f"the {physical} bytes of physical memory")
+
+
 def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
-    config = _train_config(cfg)
+    config = TrainConfig(**{key: cfg[key] for key in _TRAIN_DEFAULTS})
+    _check_memory(config)
     records = _parse_records(cfg, "train", run_dir)
     splits, dropped, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg),
                                                     reads=(0, 1))
@@ -275,7 +282,7 @@ def _load_bundle(cfg: ChainMap, command: str) -> ModelBundle:
 
 def _cmd_evaluate(cfg: ChainMap, run_dir: Path) -> None:
     bundle = _load_bundle(cfg, "evaluate")
-    config = _train_config(cfg)
+    config = TrainConfig(**{key: cfg[key] for key in _TRAIN_DEFAULTS})
     records = _parse_records(cfg, "evaluate", run_dir)
     splits, _, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg), reads=(2,))
     if data_sha256 != bundle.data_sha256:
@@ -366,6 +373,9 @@ def main(argv=None) -> int:
         code = 0
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         code = 2
     except Exception:
         traceback.print_exc()

@@ -121,17 +121,16 @@ def random_embeddings(vocab_size: int, dim: int, rng: SeededRng) -> np.ndarray:
     return base
 
 
-def load_glove(path, tokens: list, rng: SeededRng) -> np.ndarray:
-    """Read a GloVe text file (one `token v1 ... vd` entry per line) as a (len(tokens) + 2, d)
-    table, row i + 2 for ranked token i.
+def load_glove(path, tokens: list, dim: int, rng: SeededRng) -> np.ndarray:
+    """Read a GloVe text file (one `token v1 ... vd` entry per line, d = dim) as a
+    (len(tokens) + 2, dim) table, row i + 2 for ranked token i.
 
     Rows for in-vocabulary tokens come from the file.  Tokens the file
     lacks, and the OOV row, are drawn uniform with scale EMBEDDING_SCALE
-    from rng; the padding row is zero.  The dimensionality is inferred
-    from the first line and enforced on every later line.  Later
-    duplicate tokens overwrite earlier ones.
+    from rng; the padding row is zero.  A line of any other width is
+    refused at that line.  Later duplicate tokens overwrite earlier ones.
     """
-    dim = None
+    line_num = 0
     index = dict(zip(tokens, count(2)))
     found: dict[int, list[float]] = {}
     for line_num, line in enumerate(input_lines(path), start=1):
@@ -140,14 +139,9 @@ def load_glove(path, tokens: list, rng: SeededRng) -> np.ndarray:
             raise InputError(f"{path}: line {line_num}: empty line")
         parts = stripped.split(" ")
         token, raw_vals = parts[0], parts[1:]
-        if dim is None:
-            if not raw_vals:
-                raise InputError(f"{path}: line 1: no vector components")
-            dim = len(raw_vals)
         if len(raw_vals) != dim:
-            raise InputError(
-                f"{path}: line {line_num}: expected {dim} components, got {len(raw_vals)}"
-            )
+            raise InputError(f"{path}: line {line_num}: dimension {len(raw_vals)} "
+                             f"does not match embedding_dim {dim}")
         try:
             vec = [float(v) for v in raw_vals]
         except ValueError:
@@ -156,7 +150,7 @@ def load_glove(path, tokens: list, rng: SeededRng) -> np.ndarray:
             raise InputError(f"{path}: line {line_num}: non-finite component")
         if token in index:
             found[index[token]] = vec
-    if dim is None:
+    if not line_num:
         raise InputError(f"{path}: empty embeddings file")
     # One table-sized draw keeps the rows for absent tokens independent of
     # which tokens happen to be present in the file.

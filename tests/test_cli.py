@@ -3,6 +3,7 @@
 import gc
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -22,6 +23,7 @@ from reviewlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import COLUMNS, parse_csv, split_60_20_20, write_csv
 from reviewlab.errors import InputError
+from reviewlab.nn import BiLstmClassifier, block_shapes
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
 from toy import toy_config, toy_reviews
 from reviewlab.training import TrainConfig
@@ -236,6 +238,22 @@ class TestTrain:
                      "--config", str(toy_cfg_file), "--embeddings", str(glove)])
         assert code == 2
         assert "dimension" in capsys.readouterr().err
+
+    def test_embeddings_of_another_width_refused_at_their_first_line(
+            self, tmp_path, data_csv, toy_cfg_file, capsys, monkeypatch):
+        """A line whose width is not embedding_dim is refused there, before any table is
+        drawn."""
+        def drawn(*args):
+            raise AssertionError("a table was drawn")
+
+        monkeypatch.setattr("reviewlab.textprep.random_embeddings", drawn)
+        glove = tmp_path / "vectors.txt"
+        glove.write_text("good 0.1 0.2 0.3\n")
+        code = main(["train", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+                     "--config", str(toy_cfg_file), "--embeddings", str(glove)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {glove}: line 1: dimension 3 does not match embedding_dim 16\n")
 
     @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_embedding_component_exits_two(self, tmp_path, data_csv, toy_cfg_file,
@@ -1059,6 +1077,114 @@ class TestConfigResolution:
                      "--out", str(tmp_path / "runs"), "--config", str(cfg_file)])
         assert code == 2
         assert "dropout_rate" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    """A toy model trained once, on the reviews `data_csv` writes, for tests that only
+    read it."""
+    tmp = tmp_path_factory.mktemp("toy-model")
+    write_csv(toy_reviews(), tmp / "reviews.csv")
+    cfg_file = tmp / "toy.cfg"
+    settings = toy_config(epochs=1).as_dict()
+    cfg_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+    assert main(["train", "--data", str(tmp / "reviews.csv"), "--out", str(tmp / "runs"),
+                 "--config", str(cfg_file)]) == 0
+    return tmp / "runs" / "train-0001" / "model.ckpt"
+
+
+def command_argv(command, data_csv, checkpoint):
+    """The command and the flags it needs on the toy data and checkpoint."""
+    return [command, *{
+        "analyze": ["--data", str(data_csv)],
+        "label": ["--data", str(data_csv)],
+        "train": ["--data", str(data_csv)],
+        "evaluate": ["--data", str(data_csv), "--checkpoint", str(checkpoint)],
+        "predict": ["--checkpoint", str(checkpoint), "--text", "good dress"],
+    }[command]]
+
+
+COMMANDS = ("analyze", "label", "train", "evaluate", "predict")
+
+
+class TestSettingsCheckedAtTheirLine:
+    """Every command checks each config value as `train` would, at the line that holds it."""
+
+    @pytest.mark.parametrize("line", ["cell_size=0", "task=foo", "epochs=-1"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_of_range_value_exits_two(self, tmp_path, data_csv, toy_checkpoint, capsys,
+                                          command, line):
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text(f"# one value out of range\nseed=4\n{line}\n")
+        out = tmp_path / "runs"
+        argv = [*command_argv(command, data_csv, toy_checkpoint),
+                "--out", str(out), "--config", str(cfg_file)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_file}: line 3: invalid configuration: ")
+        assert line.partition("=")[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["", "cell_size=0", "epochs=-1"],
+                             ids=["toy", "cell_size=0", "epochs=-1"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_written_config_passes_the_checks(self, tmp_path, data_csv, toy_checkpoint,
+                                              capsys, command, line):
+        """Whatever a command accepts, the config.txt it writes reads back through the
+        parser's checks into settings that `train` accepts."""
+        settings = toy_config(epochs=1).as_dict()
+        cfg_file = tmp_path / "s.cfg"
+        cfg_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items()) + f"{line}\n")
+        out = tmp_path / "runs"
+        code = main([*command_argv(command, data_csv, toy_checkpoint),
+                     "--out", str(out), "--config", str(cfg_file)])
+        capsys.readouterr()
+        assert code == (2 if line else 0)
+        if code == 0:
+            written = reviewlab.cli._parse_config_file(out / f"{command}-0001" / "config.txt")
+            assert TrainConfig(**{k: written[k] for k in settings}).as_dict() == settings
+
+
+class TestSettingsBeyondMemory:
+    def test_huge_cell_size_exits_two_without_allocating(self, tmp_path, data_csv,
+                                                         toy_cfg_file, capsys, monkeypatch):
+        """The bytes are counted in Python ints before the CSV is read or a weight drawn."""
+        def called(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(reviewlab.cli, "parse_csv", called)
+        monkeypatch.setattr(BiLstmClassifier, "build", called)
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(toy_cfg_file.read_text() + "cell_size=1000000\n")
+        out = tmp_path / "runs"
+        assert main(["train", "--data", str(data_csv), "--out", str(out),
+                     "--config", str(cfg_file)]) == 2
+        weights = sum(map(math.prod, block_shapes(1_000_000, 16, 2)))
+        need = 8 * weights + 3 * 4 * (weights + 100 * 16)
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert capsys.readouterr().err == (
+            f"error: cell_size 1000000, embedding_dim 16 and vocab_size 100 need {need} bytes, "
+            f"more than the {physical} bytes of physical memory\n")
+        assert not out.exists()
+
+    def test_no_sysconf_skips_the_check(self, tmp_path, data_csv, monkeypatch):
+        monkeypatch.delattr(os, "sysconf")
+        cfg_file = tmp_path / "s.cfg"
+        settings = toy_config(epochs=1).as_dict()
+        cfg_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        assert main(["train", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg_file)]) == 0
+
+    def test_memory_error_exits_two(self, tmp_path, data_csv, capsys, monkeypatch):
+        """A MemoryError in any command exits 2, and its run directory is removed."""
+        def exhausted(records):
+            raise MemoryError
+
+        monkeypatch.setattr(reviewlab.cli, "full_report", exhausted)
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flags", [

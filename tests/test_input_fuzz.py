@@ -1,6 +1,6 @@
 """Fuzz the text inputs through `cli.main`: whatever a file holds, exit 0 or 2, never 1.
 
-Covers the review CSV, the lexicon, the embeddings file, and the float
+Covers the review CSV, the lexicon, the embeddings file, and the
 hyper-parameters and path values of the config file; the checkpoint has
 its own fuzz suite in test_checkpoint.py. Each input is small and every
 run is a toy one (at most one epoch on the 40-review fixture), so no
@@ -8,6 +8,7 @@ example can start a long run or a large allocation.
 """
 
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from reviewlab.cli import main
 from reviewlab.dataset import write_csv
+from reviewlab.training import TrainConfig
 from toy import toy_config, toy_reviews
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -143,6 +145,19 @@ class TestFloatHyperParameters:
         code = exit_code(tmp_path, "toy.cfg", content, lambda path, out: [
             "train", "--data", str(toy_csv), "--out", str(out), "--config", str(path)])
         assert code in (0, 2)
+
+
+class TestHyperParameterNumbers:
+    @given(key=st.sampled_from(list(TrainConfig().as_dict())),
+           value=st.integers() | st.floats())
+    @FUZZ
+    def test_analyze(self, tmp_path, toy_csv, capsys, key, value):
+        """Any number for any hyper-parameter: analyze runs, or refuses it at its line."""
+        code = exit_code(tmp_path, "s.cfg", f"{key}={value!r}\n", lambda path, out: [
+            "analyze", "--data", str(toy_csv), "--out", str(out), "--config", str(path)])
+        assert code in (0, 2)
+        if code == 2:
+            assert re.match(r"error: .*s\.cfg: line 1: ", capsys.readouterr().err)
 
 
 class TestConfigPaths:

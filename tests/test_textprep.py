@@ -298,41 +298,46 @@ class TestLoadGlove:
     def test_direct_parse(self, tmp_path):
         path = self.write(tmp_path, "the 0.1 0.2\n")
         vocab = self.vocab_with("the")
-        emb = load_glove(path, vocab, SeededRng(0))
+        emb = load_glove(path, vocab, 2, SeededRng(0))
         assert emb.shape == (len(vocab) + 2, 2)
         assert np.allclose(emb[self.row(vocab, "the")], [0.1, 0.2])
 
     def test_pad_row_zero_regardless(self, tmp_path):
         path = self.write(tmp_path, "the 0.1 0.2\n")
-        emb = load_glove(path, self.vocab_with("the"), SeededRng(0))
+        emb = load_glove(path, self.vocab_with("the"), 2, SeededRng(0))
         assert np.all(emb[PAD_INDEX] == 0.0)
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = self.write(tmp_path, "a 0.1 0.2\nb 0.1 0.2 0.3\n")
         with pytest.raises(InputError, match="line 2"):
-            load_glove(path, self.vocab_with("a", "b"), SeededRng(0))
+            load_glove(path, self.vocab_with("a", "b"), 2, SeededRng(0))
+
+    def test_first_line_of_another_width_refused(self, tmp_path):
+        path = self.write(tmp_path, "a 0.1 0.2 0.3\nb 0.1 0.2\n")
+        with pytest.raises(InputError, match="line 1: dimension 3 does not match embedding_dim 2"):
+            load_glove(path, self.vocab_with("a", "b"), 2, SeededRng(0))
 
     def test_non_numeric_names_line(self, tmp_path):
         path = self.write(tmp_path, "a 0.1 0.2\nb 0.1 oops\n")
         with pytest.raises(InputError, match="line 2"):
-            load_glove(path, self.vocab_with("a", "b"), SeededRng(0))
+            load_glove(path, self.vocab_with("a", "b"), 2, SeededRng(0))
 
     def test_empty_file_rejected(self, tmp_path):
         path = self.write(tmp_path, "")
         with pytest.raises(InputError, match="empty"):
-            load_glove(path, self.vocab_with("a"), SeededRng(0))
+            load_glove(path, self.vocab_with("a"), 2, SeededRng(0))
 
     def test_missing_file_raises_io_error(self, tmp_path):
         vocab = self.vocab_with("a")
         with pytest.raises(OSError):
-            load_glove(tmp_path / "absent.txt", vocab, SeededRng(0))
+            load_glove(tmp_path / "absent.txt", vocab, 2, SeededRng(0))
 
     def test_missing_tokens_seeded_uniform(self, tmp_path):
         """Rows absent from the file depend only on the seed."""
         path = self.write(tmp_path, "a 0.5 0.5\n")
         vocab = self.vocab_with("a", "b")
-        e1 = load_glove(path, vocab, SeededRng(7))
-        e2 = load_glove(path, vocab, SeededRng(7))
+        e1 = load_glove(path, vocab, 2, SeededRng(7))
+        e2 = load_glove(path, vocab, 2, SeededRng(7))
         bi = self.row(vocab, "b")
         assert np.array_equal(e1[bi], e2[bi])
         assert np.all(np.abs(e1[bi]) <= 0.25)
@@ -340,13 +345,13 @@ class TestLoadGlove:
 
     def test_oov_row_initialized(self, tmp_path):
         path = self.write(tmp_path, "a 0.5 0.5\n")
-        emb = load_glove(path, self.vocab_with("a"), SeededRng(3))
+        emb = load_glove(path, self.vocab_with("a"), 2, SeededRng(3))
         assert np.any(emb[OOV_INDEX] != 0.0)
 
     def test_later_duplicates_overwrite(self, tmp_path):
         path = self.write(tmp_path, "a 0.1 0.1\na 0.9 0.9\n")
         vocab = self.vocab_with("a")
-        emb = load_glove(path, vocab, SeededRng(0))
+        emb = load_glove(path, vocab, 2, SeededRng(0))
         assert np.allclose(emb[self.row(vocab, "a")], [0.9, 0.9])
 
 

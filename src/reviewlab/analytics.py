@@ -3,13 +3,14 @@
 Every operation is a pure function of the record list: descriptive
 statistics (sample standard deviation, divisor n-1), distinct-value
 counts, ranked frequency distributions, cross-tabulations with their
-row-normalized form, a Pearson correlation matrix over per-clothing-id
-aggregates, segmented word-frequency rankings with a fixed stop-word
-list, and decade age bins with positive-feedback sums.
+row-normalized form, Pearson correlation matrices over numeric features
+and per-clothing-id aggregates, segmented word-frequency rankings with a
+fixed stop-word list, and decade age bins with positive-feedback sums.
 
 Each analysis returns the rows it emits; ``full_report`` bundles the
 standard battery of tables under stable names so the command-line layer
-only has to write them.
+only has to write them.  A statistic the records cannot define is None
+(or "" in a correlation matrix), never an error.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import COLUMNS
-from .errors import InputError
 from .textprep import tokenize
 
 # ReviewRecord's fields are row_id, then COLUMNS in order.
 FEATURE_ACCESSORS = {name: itemgetter(i) for i, name in enumerate(COLUMNS, start=1)}
 
 NUMERIC_FEATURES = tuple(name for name, bounds in COLUMNS.items() if bounds)
+
+# The record-level features correlated with one another; Clothing ID is a label, not a measure.
+CORRELATED_FEATURES = ("Age", "Rating", "Recommended IND", "Positive Feedback Count")
 
 CATEGORICAL_FEATURES = (
     "Clothing ID",
@@ -76,10 +79,10 @@ def _values(records, feature):
 
 class DescriptiveStats(NamedTuple):
     feature: str
-    mean: float
-    std: float
-    min: float
-    max: float
+    mean: float | None
+    std: float | None
+    min: float | None
+    max: float | None
     count: int
 
 
@@ -87,10 +90,11 @@ def describe(records, feature: str) -> DescriptiveStats:
     """Mean, sample (n-1) std, min, max over non-missing numeric values.
 
     A single value has no sample variance; its std is reported as 0.
+    With no values the count is 0 and the four statistics are None.
     """
     values = _values(records, feature)
     if not values:
-        raise InputError(f"no values present for feature {feature!r}")
+        return DescriptiveStats(feature, None, None, None, None, 0)
     arr = np.asarray(values, dtype=np.float64)
     std = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     return DescriptiveStats(
@@ -160,31 +164,35 @@ def pearson(xs, ys) -> float | None:
     return max(-1.0, min(1.0, r))
 
 
-def grouped_rating_corr(records) -> Table:
-    """Correlations among per-clothing-id aggregates.
+def correlations(names, series) -> Table:
+    """The symmetric Pearson matrix of equal-length series, one row (variable, *r) each.
 
-    Groups records by clothing id, takes each group's mean rating, review
-    count, and mean recommendation rate, and correlates the three series.
-    The table is symmetric, one row (variable, *correlations) per series.
-    A degenerate (zero-variance) entry is missing and written as "".  The
-    diagonal is 1 by definition, even for a zero-variance series.
+    An entry pearson cannot define is ""; the diagonal is 1 even for a constant series.
     """
-    groups: dict = {}
-    for r in records:
-        groups.setdefault(r.clothing_id, []).append(r)
-    if len(groups) < 2:
-        raise InputError(f"need at least 2 clothing-id groups, got {len(groups)}")
-    ids = sorted(groups)
-    mean_rating = [sum(g.rating for g in groups[i]) / len(groups[i]) for i in ids]
-    review_count = [float(len(groups[i])) for i in ids]
-    mean_recommended = [sum(g.recommended for g in groups[i]) / len(groups[i]) for i in ids]
-    series = [mean_rating, review_count, mean_recommended]
-    names = ("mean_rating", "review_count", "mean_recommended")
     rows = []
     for i, name in enumerate(names):
         row = [1.0 if i == j else pearson(series[i], series[j]) for j in range(len(names))]
         rows.append((name, *("" if r is None else r for r in row)))
     return Table(("variable", *names), tuple(rows))
+
+
+def grouped_rating_corr(records) -> Table:
+    """Correlations among per-clothing-id aggregates.
+
+    Groups records by clothing id, takes each group's mean rating, review
+    count, and mean recommendation rate, and correlates the three series
+    with `correlations`.  Under two groups every entry off the diagonal
+    is "".
+    """
+    groups: dict = {}
+    for r in records:
+        groups.setdefault(r.clothing_id, []).append(r)
+    ids = sorted(groups)
+    mean_rating = [sum(g.rating for g in groups[i]) / len(groups[i]) for i in ids]
+    review_count = [float(len(groups[i])) for i in ids]
+    mean_recommended = [sum(g.recommended for g in groups[i]) / len(groups[i]) for i in ids]
+    return correlations(("mean_rating", "review_count", "mean_recommended"),
+                        (mean_rating, review_count, mean_recommended))
 
 
 def word_freq_by_segment(records, top_n: int) -> dict:
@@ -268,10 +276,13 @@ def full_report(records) -> dict:
         ("Division Name", "Department Name"),
         ("Department Name", "Class Name"),
         ("Division Name", "Class Name"),
+        ("Rating", "Recommended IND"),
     ):
         name = f"crosstab__{slug(row_f)}__{slug(col_f)}"
         tables[name], tables[f"{name}__normalized"] = crosstab(records, row_f, col_f)
     tables["grouped_corr__by_clothing_id"] = grouped_rating_corr(records)
+    tables["corr__numeric"] = correlations(
+        CORRELATED_FEATURES, [_values(records, feature) for feature in CORRELATED_FEATURES])
     for segment, ranked in word_freq_by_segment(records, TOP_N).items():
         tables[f"word_freq__{slug(segment)}"] = Table(("token", "count"), tuple(ranked))
     tables[f"age_bins__width_{AGE_BIN_WIDTH}"] = Table(

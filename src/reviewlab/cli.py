@@ -295,11 +295,8 @@ def _cmd_evaluate(cfg: ChainMap, run_dir: Path) -> None:
                              (encode(tokens, bundle.vocab, bundle.seq_len), labels),
                              config.batch_size, bundle.class_names)
     if bundle.task == "recommendation":
-        try:
-            points, report["roc_auc"] = roc_auc(labels, probs[:, 1])
-        except InputError:
-            report["roc_auc"] = None
-        else:
+        points, report["roc_auc"] = roc_auc(labels, probs[:, 1])
+        if points:
             _write_table_csv(run_dir / "roc.csv", Table(
                 ("false_positive_rate", "true_positive_rate"), points))
     _write_json(run_dir / "metrics.json", report)

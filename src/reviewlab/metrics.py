@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from .errors import InputError
 from .nn import PROB_FLOOR
 
 __all__ = ["build_report", "confusion_matrix", "majority_baseline", "roc_auc"]
@@ -72,16 +71,14 @@ def roc_auc(labels, scores):
     each an (N,) array or any array-like.  Equal scores are grouped into a
     single threshold step, which makes the trapezoidal area equal the
     pairwise-ordering statistic with ties counted one half.  The points
-    are ordered (false-positive-rate, true-positive-rate) pairs.
+    are ordered (false-positive-rate, true-positive-rate) pairs.  Labels
+    of one class (or none) define no curve: that gives ``((), None)``.
     """
     labels, scores = np.asarray(labels), np.asarray(scores, dtype=np.float64)
     n_pos = int(np.count_nonzero(labels))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise InputError(
-            "ROC needs at least one positive and one negative example, "
-            f"got {n_pos} positive and {n_neg} negative"
-        )
+        return (), None
     order = np.argsort(-scores, kind="stable")
     ranked = scores[order]
     tp = np.cumsum(labels[order] == 1)

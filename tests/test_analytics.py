@@ -21,7 +21,7 @@ from reviewlab.analytics import (
     word_freq_by_segment,
 )
 from reviewlab.dataset import ReviewRecord
-from reviewlab.errors import InputError
+from toy import toy_reviews
 
 
 def rec(row_id=0, clothing_id=1, age=30, title=None, review_text=None,
@@ -78,9 +78,9 @@ class TestDescribe:
         d = describe(records, "Recommended IND")
         assert d.mean == pytest.approx(0.5)
 
-    def test_empty_records_rejected(self):
-        with pytest.raises(InputError, match="no values"):
-            describe([], "Rating")
+    def test_empty_records_give_count_zero(self):
+        """No values define no statistic: count 0 and None for the other four."""
+        assert describe([], "Rating") == ("Rating", None, None, None, None, 0)
 
 
 class TestUniqueCounts:
@@ -249,9 +249,15 @@ class TestGroupedCorr:
         assert corr_entry(corr, "review_count", "review_count") == 1.0
         assert isinstance(corr_entry(corr, "mean_rating", "mean_recommended"), float)
 
-    def test_fewer_than_two_groups_rejected(self):
-        with pytest.raises(InputError, match="groups"):
-            grouped_rating_corr([rec(clothing_id=7), rec(clothing_id=7)])
+    @pytest.mark.parametrize("records", [[rec(clothing_id=7), rec(clothing_id=7)], []],
+                             ids=["one-group", "no-records"])
+    def test_fewer_than_two_groups_leave_off_diagonal_empty(self, records):
+        """Under two points no correlation is defined: 1.0 on the diagonal, "" elsewhere."""
+        assert grouped_rating_corr(records).rows == (
+            ("mean_rating", 1.0, "", ""),
+            ("review_count", "", 1.0, ""),
+            ("mean_recommended", "", "", 1.0),
+        )
 
 
 class TestWordFreq:
@@ -392,3 +398,47 @@ class TestFullReport:
     def test_slug_examples(self):
         assert slug("Division Name") == "division_name"
         assert slug("division:General") == "division_general"
+
+    def test_toy_record_level_tables(self):
+        """The toy's Rating x Recommended IND crosstab, and its correlations of the
+        four record-level numeric features."""
+        report = full_report(toy_reviews())
+        assert report["crosstab__rating__recommended_ind"] == (
+            ("Rating", 0, 1), ((1, 20, 0), (5, 0, 20)))
+        assert report["crosstab__rating__recommended_ind__normalized"] == (
+            ("Rating", 0, 1), ((1, 1.0, 0.0), (5, 0.0, 1.0)))
+        corr = report["corr__numeric"]
+        names = ("Age", "Rating", "Recommended IND", "Positive Feedback Count")
+        assert corr.header == ("variable", *names)
+        assert [row[0] for row in corr.rows] == list(names)
+        want = [
+            [1.0, -0.04331480818242099, -0.04331480818242099, 0.019370971105651492],
+            [-0.04331480818242099, 1.0, 0.9999999999999998, -0.4472135954999579],
+            [-0.04331480818242099, 0.9999999999999998, 1.0, -0.4472135954999579],
+            [0.019370971105651492, -0.4472135954999579, -0.4472135954999579, 1.0],
+        ]
+        assert [list(row[1:]) for row in corr.rows] == [pytest.approx(w, abs=1e-12) for w in want]
+
+    def test_constant_feature_correlation_is_empty(self):
+        """A zero-variance feature correlates with nothing: "" off the diagonal."""
+        records = [rec(age=30, rating=r, positive_feedback_count=r) for r in (1, 5)]
+        corr = full_report(records)["corr__numeric"]
+        assert corr_entry(corr, "Age", "Rating") == ""
+        assert corr_entry(corr, "Age", "Age") == 1.0
+        assert corr_entry(corr, "Rating", "Positive Feedback Count") == pytest.approx(1.0)
+
+    @given(st.lists(st.booleans(), min_size=40, max_size=40),
+           st.none() | st.integers(0, 1_000_000))
+    @settings(max_examples=60, deadline=None)
+    def test_any_subset_has_a_report(self, keep, clothing_id):
+        """Any sublist of the toy records, the empty one included, and optionally with a
+        single Clothing ID, has a full report whose every cell is a str, an int, a
+        finite float or None."""
+        records = [r for r, k in zip(toy_reviews(), keep) if k]
+        if clothing_id is not None:
+            records = [r._replace(clothing_id=clothing_id) for r in records]
+        for name, table in full_report(records).items():
+            for row in (table.header, *table.rows):
+                for cell in row:
+                    assert cell is None or type(cell) in (str, int) or (
+                        type(cell) is float and math.isfinite(cell)), (name, cell)

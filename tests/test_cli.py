@@ -90,6 +90,33 @@ class TestAnalyze:
         assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
         assert snapshot(out / "analyze-0001") == snapshot(out / "analyze-0002")
 
+    def test_one_product_has_an_empty_grouped_correlation(self, tmp_path):
+        """One Clothing ID is one group: the aggregates correlate with nothing."""
+        data = tmp_path / "one-product.csv"
+        write_csv([r._replace(clothing_id=7) for r in toy_reviews()], data)
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
+        assert (out / "analyze-0001" / "grouped_corr__by_clothing_id.csv").read_text() == (
+            "variable,mean_rating,review_count,mean_recommended\n"
+            "mean_rating,1.0,,\n"
+            "review_count,,1.0,\n"
+            "mean_recommended,,,1.0\n"
+        )
+
+    def test_all_rows_malformed_still_report(self, tmp_path):
+        """With every row an issue, the issues are written and every statistic is empty."""
+        data = tmp_path / "all-malformed.csv"
+        write_csv([r._replace(rating=9) for r in toy_reviews()], data)
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
+        run_dir = out / "analyze-0001"
+        issues = (run_dir / "issues.txt").read_text().splitlines()
+        assert len(issues) == 40 and all("Rating out of range: 9" in i for i in issues)
+        rows = (run_dir / "describe__numeric.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",,,,,0") for row in rows)
+        described = json.loads((run_dir / "analysis.json").read_text())["describe__numeric"]
+        assert [row[1:] for row in described["rows"]] == [[None] * 4 + [0]] * len(rows)
+
     def test_missing_dataset_exits_two(self, tmp_path, capsys):
         code = main(["analyze", "--data", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "runs")])

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reviewlab.errors import InputError
 from reviewlab.metrics import (
     build_report,
     confusion_matrix,
@@ -207,9 +206,10 @@ class TestRocAuc:
         _, auc = roc_auc(labels, scores)
         assert 0.47 <= auc <= 0.53
 
-    def test_single_class_rejected(self):
-        with pytest.raises(InputError, match="positive"):
-            roc_auc([1, 1, 1], [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_has_no_curve(self, label):
+        """Labels of one class define no ROC curve: no points and a None AUC."""
+        assert roc_auc([label] * 3, [0.1, 0.5, 0.9]) == ((), None)
 
     @given(
         st.lists(

@@ -8,11 +8,12 @@ into it; a command that fails or is interrupted removes it again, and
 then each directory of --out that it created and that is still empty.
 Settings resolve as flags over config file over defaults, and an empty
 config value means the default; a config file's hyper-parameter is
-checked as TrainConfig checks it, at its line, so every command refuses
-what `train` would.  Rerunning a command from a materialized config
-reproduces every artifact byte for byte in single-threaded mode.  The
-resolved settings are one mapping whose first layer holds what was
-given explicitly, over the defaults.
+checked as TrainConfig checks it, at its line, and so are sizes whose
+arrays exceed physical memory: every command refuses what `train`
+would, before it makes a run directory.  Rerunning a command from a
+materialized config reproduces every artifact byte for byte in
+single-threaded mode.  The resolved settings are one mapping whose first
+layer holds what was given explicitly, over the defaults.
 
 A trained model is one file, `model.ckpt`, which carries its vocabulary
 and the seed of its 60/20/20 split. `train` gets its index rows from
@@ -50,15 +51,15 @@ import traceback
 from collections import ChainMap, Counter
 from pathlib import Path
 
-from .analytics import Table, full_report
+from .analytics import FEATURE_ACCESSORS, Table, full_report, pearson
 from .checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpoint
-from .dataset import parse_csv, write_csv, write_issues
+from .dataset import COLUMNS, parse_csv, write_csv, write_issues
 from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc
 from .nn import block_shapes
 from .sentiment import BUILTIN_LEXICON, SENTIMENT_CLASSES, auto_label_dataset, load_lexicon
 from .rng import SeededRng
-from .textprep import build_vocab, encode, load_glove, random_embeddings, sorted_vocab
+from .textprep import build_vocab, encode, load_glove, random_embeddings, sorted_vocab, tokenize
 from .training import EpochStats, TrainConfig, evaluate, predict, tokenized_splits, train
 
 __all__ = ["main"]
@@ -72,14 +73,32 @@ _DEFAULTS = {
 }
 
 
+def _check_memory(config: TrainConfig) -> None:
+    """Refuse settings whose arrays exceed physical memory, counted in Python ints: the
+    float64 draws of the model's blocks, the float32 model and its two Adam moments, and
+    the float32 table at vocab_size rows and its two moments."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return
+    weights = sum(map(math.prod, block_shapes(config.cell_size, config.embedding_dim,
+                                              len(config.class_names))))
+    need = (8 + 3 * 4) * weights + 3 * 4 * config.vocab_size * config.embedding_dim
+    if 0 < physical < need:  # sysconf reads -1 for a value it cannot tell
+        raise ValueError(f"cell_size {config.cell_size}, embedding_dim {config.embedding_dim} "
+                         f"and vocab_size {config.vocab_size} need {need} bytes, more than "
+                         f"the {physical} bytes of physical memory")
+
+
 def _parse_config_file(path) -> dict:
     """Read `key = value` lines; blank lines, # comments and empty values are skipped.
 
     A value that starts with `"` is a JSON string literal, so it can be
     empty, blank or hold a line break.  A value that TrainConfig would
-    refuse is refused at its line.
+    refuse is refused at its line.  Settings that `_check_memory` refuses
+    are refused at the last line that sets one of the sizes it counts.
     """
-    entries = {}
+    entries, sized = {}, 0
     for line_num, line in enumerate(input_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -102,8 +121,15 @@ def _parse_config_file(path) -> dict:
             entries[key] = value if default is None else type(default)(value)
             if key in _TRAIN_DEFAULTS:  # TrainConfig's check of this one key
                 TrainConfig(**{key: entries[key]})
+            if key in ("cell_size", "embedding_dim", "vocab_size", "task"):
+                sized = line_num
         except ValueError as exc:
             raise InputError(f"{path}: line {line_num}: invalid configuration: {exc}") from exc
+    try:
+        if sized:
+            _check_memory(TrainConfig(**{k: entries[k] for k in entries if k in _TRAIN_DEFAULTS}))
+    except ValueError as exc:
+        raise InputError(f"{path}: line {sized}: invalid configuration: {exc}") from exc
     return entries
 
 
@@ -188,15 +214,31 @@ def _cmd_analyze(cfg: ChainMap, run_dir: Path) -> None:
     print(f"wrote {len(report)} tables to {run_dir}")
 
 
+def _sentiment_tables(column: str, header: str, values, labels) -> tuple[Table, Table]:
+    """Label counts per value of a bounded column, a row for every value and a column for
+    every class even at zero, and each row divided by its sum ("" in a row of zeros)."""
+    counts = Counter(zip(values, labels))
+    low, high = COLUMNS[column]
+    rows = [(v, *(counts[v, label] for label in SENTIMENT_CLASSES)) for v in range(low, high + 1)]
+    shares = [(v, *(n / sum(cells) if sum(cells) else "" for n in cells)) for v, *cells in rows]
+    columns = (header, *SENTIMENT_CLASSES)
+    return Table(columns, tuple(rows)), Table(columns, tuple(shares))
+
+
 def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
     records = _parse_records(cfg, "label", run_dir)
-    labels = auto_label_dataset(records, _load_lexicon(cfg))
+    labels, compounds = auto_label_dataset([tokenize(r.review_text or "") for r in records],
+                                           _load_lexicon(cfg))
     write_csv(records, run_dir / "labeled.csv", sentiment=labels)
-    counts = Counter(zip((r.recommended for r in records), labels))
-    _write_table_csv(run_dir / "sentiment_by_recommendation.csv", Table(
-        ("recommended", *SENTIMENT_CLASSES),
-        tuple((state, *(counts[state, label] for label in SENTIMENT_CLASSES)) for state in (0, 1)),
-    ))
+    summary = {"records": len(records)}
+    for name, column, header in (("recommendation", "Recommended IND", "recommended"),
+                                 ("rating", "Rating", "rating")):
+        values = list(map(FEATURE_ACCESSORS[column], records))
+        counts, shares = _sentiment_tables(column, header, values, labels)
+        _write_table_csv(run_dir / f"sentiment_by_{name}.csv", counts)
+        _write_table_csv(run_dir / f"sentiment_by_{name}__normalized.csv", shares)
+        summary[f"pearson_compound_{header}"] = pearson(compounds, values)
+    _write_json(run_dir / "label_summary.json", summary)
     print(f"labeled {len(records)} rows into {run_dir}")
 
 
@@ -207,26 +249,8 @@ def _build_embeddings(cfg: ChainMap, tokens: list, config: TrainConfig):
     return random_embeddings(len(tokens) + 2, config.embedding_dim, rng)
 
 
-def _check_memory(config: TrainConfig) -> None:
-    """Refuse settings whose arrays exceed physical memory, counted in Python ints: the
-    float64 draws of the model's blocks, the float32 model and its two Adam moments, and
-    the float32 table at vocab_size rows and its two moments."""
-    try:
-        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
-        return
-    weights = sum(map(math.prod, block_shapes(config.cell_size, config.embedding_dim,
-                                              len(config.class_names))))
-    need = (8 + 3 * 4) * weights + 3 * 4 * config.vocab_size * config.embedding_dim
-    if 0 < physical < need:  # sysconf reads -1 for a value it cannot tell
-        raise InputError(f"cell_size {config.cell_size}, embedding_dim {config.embedding_dim} "
-                         f"and vocab_size {config.vocab_size} need {need} bytes, more than "
-                         f"the {physical} bytes of physical memory")
-
-
 def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
     config = TrainConfig(**{key: cfg[key] for key in _TRAIN_DEFAULTS})
-    _check_memory(config)
     records = _parse_records(cfg, "train", run_dir)
     splits, dropped, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg),
                                                     reads=(0, 1))

@@ -6,7 +6,8 @@ tolerated, as shipped in the public file); `COLUMNS` declares them.  Rows
 whose mandatory fields fail validation are collected as issues, each
 the `line N: message` string `issues.txt` holds, never silently dropped
 or repaired.  An integer cell is an optional '-' then ASCII digits;
-every integer column, Recommended IND (0 or 1) included, keeps that int.
+every integer column, Recommended IND (0 or 1) included, keeps that int,
+and none holds more than 2**53 (the index column is not bounded).
 Optional text fields keep their exact contents so a parse -> write ->
 parse cycle reproduces every record bit-for-bit; empty strings are read
 back as absent values.
@@ -21,15 +22,18 @@ from typing import NamedTuple
 from .errors import InputError, input_lines
 from .rng import SeededRng
 
+# Every integer up to this is exact in float64, in which every statistic computes.
+MAX_INTEGER = 2**53
+
 # The review columns in record order: inclusive integer bounds, or None for optional text.
 COLUMNS = {
-    "Clothing ID": (0, math.inf),
-    "Age": (0, math.inf),
+    "Clothing ID": (0, MAX_INTEGER),
+    "Age": (0, MAX_INTEGER),
     "Title": None,
     "Review Text": None,
     "Rating": (1, 5),
     "Recommended IND": (0, 1),
-    "Positive Feedback Count": (0, math.inf),
+    "Positive Feedback Count": (0, MAX_INTEGER),
     "Division Name": None,
     "Department Name": None,
     "Class Name": None,

@@ -7,9 +7,9 @@ from zero (or toward zero for dampeners) in the direction of its
 post-negation sign.  The summed valence s is squashed to a compound score
 s / sqrt(s^2 + 15) in (-1, 1), which `score_text` returns, and fixed
 thresholds at +/-0.05 cut the compound into negative / neutral /
-positive labels (`label_from_compound`).  `auto_label_dataset`
-returns one label per record and nothing else; the `label` command
-counts them per recommendation state where it writes that table.
+positive labels (`label_from_compound`).  `auto_label_dataset` is the
+one place a text becomes a label: it takes token lists, tokenized by
+its caller, and returns each one's label and compound score.
 
 The constants (factor -0.74, window 3, alpha 15, thresholds 0.05) are
 reproduction constants for the analyzer family this mirrors; all are
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 
 from .errors import InputError, input_lines
-from .textprep import tokenize
 
 NEGATION_FACTOR = -0.74
 NEGATION_WINDOW = 3
@@ -146,10 +145,10 @@ def score_text(tokens, lexicon: dict) -> float:
     return compound_from_sum(s)
 
 
-def auto_label_dataset(records, lexicon: dict) -> list[str]:
-    """Each record's label, in record order; a record without review text scores as ""."""
-    return [label_from_compound(score_text(tokenize(r.review_text or ""), lexicon))
-            for r in records]
+def auto_label_dataset(token_lists, lexicon: dict) -> tuple[list[str], list[float]]:
+    """(labels, compound scores) of the token lists, in their order."""
+    compounds = [score_text(tokens, lexicon) for tokens in token_lists]
+    return [label_from_compound(c) for c in compounds], compounds
 
 
 def load_lexicon(path) -> dict:

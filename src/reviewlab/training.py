@@ -53,7 +53,7 @@ from .nn import (
     forward,
 )
 from .rng import SeededRng
-from .sentiment import label_from_compound, score_text
+from .sentiment import auto_label_dataset
 from .textprep import PAD_INDEX, embed_batch, encode, tokenize
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "class_probabilities",
     "evaluate",
     "predict",
-    "task_labels",
     "tokenized_splits",
     "train",
 ]
@@ -118,29 +117,15 @@ class EpochStats(NamedTuple):
     val_acc: float
 
 
-def task_labels(records, token_lists, task: str, lexicon: dict) -> np.ndarray:
-    """(N,) int64 class index per record: recommendation flag, or lexicon sentiment.
-
-    The sentiment of record i is scored from token_lists[i], its tokenized
-    review text.  Index i names TASK_CLASSES[task][i].
-    """
-    if task == "recommendation":
-        labels = [r.recommended for r in records]
-    else:
-        labels = [TASK_CLASSES[task].index(label_from_compound(score_text(t, lexicon)))
-                  for t in token_lists]
-    return np.asarray(labels, dtype=np.int64)
-
-
 def tokenized_splits(records, config: TrainConfig, lexicon: dict, reads):
     """Filter, split 60/20/20 with config.seed, and label each review.
 
     reads numbers the splits (0 train, 1 validation, 2 test) whose token
     lists the caller reads; each of their reviews is tokenized once, and
     the other splits carry None for their token lists.  Recommendation
-    labels need no tokens; sentiment labels tokenize every review.
-    Returns ((token_lists, labels) of train, validation and test, dropped,
-    data_sha256).
+    labels need no tokens; sentiment labels tokenize every review and are
+    each `auto_label_dataset` label's index in config.class_names.
+    Returns ((token_lists, labels) of train, validation and test, dropped, data_sha256).
     """
     kept, dropped = filter_for_classification(records)
     split_rows = split_60_20_20(kept, config.seed)
@@ -149,9 +134,11 @@ def tokenized_splits(records, config: TrainConfig, lexicon: dict, reads):
                  else chain.from_iterable(split_rows[i] for i in reads))
     for i in tokenized:
         token_lists[i] = tokenize(kept[i].review_text)
-    labels = task_labels(kept, token_lists, config.task, lexicon)
-    identity = [(r.row_id, r.review_text, y) for r, y in zip(kept, labels.tolist())]
+    labels = ([config.class_names.index(y) for y in auto_label_dataset(token_lists, lexicon)[0]]
+              if config.task == "sentiment" else [r.recommended for r in kept])
+    identity = [(r.row_id, r.review_text, y) for r, y in zip(kept, labels)]
     data_sha256 = hashlib.sha256(json.dumps(identity).encode("utf-8")).hexdigest()
+    labels = np.asarray(labels, dtype=np.int64)
     splits = tuple(([token_lists[i] for i in rows] if number in reads else None,
                     labels[list(rows)]) for number, rows in enumerate(split_rows))
     return splits, dropped, data_sha256

@@ -25,8 +25,9 @@ from reviewlab.dataset import COLUMNS, parse_csv, split_60_20_20, write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, block_shapes
 from reviewlab.sentiment import BUILTIN_LEXICON, auto_label_dataset
+from reviewlab.textprep import tokenize
 from toy import toy_config, toy_reviews
-from reviewlab.training import TrainConfig
+from reviewlab.training import TrainConfig, tokenized_splits
 
 
 @pytest.fixture
@@ -117,6 +118,41 @@ class TestAnalyze:
         described = json.loads((run_dir / "analysis.json").read_text())["describe__numeric"]
         assert [row[1:] for row in described["rows"]] == [[None] * 4 + [0]] * len(rows)
 
+    @staticmethod
+    def strict_json(path):
+        """The JSON in path; Infinity and NaN, which JSON does not define, fail."""
+        def refuse(constant):
+            raise AssertionError(f"{path} holds {constant}")
+
+        return json.loads(path.read_text(), parse_constant=refuse)
+
+    def test_count_of_400_digits_is_an_issue(self, tmp_path):
+        """float64 cannot hold it; its row is out of range, not a traceback."""
+        records = toy_reviews()
+        records[0] = records[0]._replace(positive_feedback_count=10**399)
+        data = tmp_path / "huge.csv"
+        write_csv(records, data)
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
+        assert (out / "analyze-0001" / "issues.txt").read_text() == (
+            f"line 2: Positive Feedback Count out of range: {10**399}\n")
+        self.strict_json(out / "analyze-0001" / "analysis.json")
+
+    def test_counts_past_two_to_the_53_leave_every_statistic_finite(self, tmp_path):
+        """Two counts of 10**200 would square to infinity in the std; their rows are issues."""
+        records = toy_reviews()
+        for i in (0, 1):
+            records[i] = records[i]._replace(positive_feedback_count=10**200)
+        data = tmp_path / "huge.csv"
+        write_csv(records, data)
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
+        issues = (out / "analyze-0001" / "issues.txt").read_text().splitlines()
+        assert [issue.split(":")[0] for issue in issues] == ["line 2", "line 3"]
+        analysis = self.strict_json(out / "analyze-0001" / "analysis.json")
+        described = {row[0]: row for row in analysis["describe__numeric"]["rows"]}
+        assert described["Positive Feedback Count"][-1] == 38
+
     def test_missing_dataset_exits_two(self, tmp_path, capsys):
         code = main(["analyze", "--data", str(tmp_path / "absent.csv"),
                      "--out", str(tmp_path / "runs")])
@@ -189,9 +225,42 @@ class TestLabel:
         out = tmp_path / "runs"
         assert main(["label", "--data", str(data_csv), "--out", str(out)]) == 0
         text = (out / "label-0001" / "labeled.csv").read_text()
-        want = auto_label_dataset(toy_reviews(), BUILTIN_LEXICON)
+        want, _ = auto_label_dataset([tokenize(r.review_text) for r in toy_reviews()],
+                                     BUILTIN_LEXICON)
         got = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
         assert got == want
+
+    def test_empty_review_is_neutral(self, tmp_path):
+        """A record without review text scores as an empty text: neutral."""
+        records = toy_reviews()
+        records[0] = records[0]._replace(review_text=None)
+        data = tmp_path / "empty-review.csv"
+        write_csv(records, data)
+        out = tmp_path / "runs"
+        assert main(["label", "--data", str(data), "--out", str(out)]) == 0
+        text = (out / "label-0001" / "labeled.csv").read_text()
+        got = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+        assert got[0] == "neutral"
+        assert got[1:] == [["positive", "negative"][i % 2] for i in range(1, 40)]
+
+    def test_labels_agree_with_sentiment_training(self, tmp_path):
+        """Each kept record's Sentiment in labeled.csv names its `tokenized_splits` label."""
+        records = toy_reviews()
+        records[3] = records[3]._replace(review_text=None)
+        data = tmp_path / "empty-review.csv"
+        write_csv(records, data)
+        out = tmp_path / "runs"
+        assert main(["label", "--data", str(data), "--out", str(out)]) == 0
+        lines = (out / "label-0001" / "labeled.csv").read_text().splitlines()[1:]
+        labeled = {int(line.split(",", 1)[0]): line.rsplit(",", 1)[1] for line in lines}
+        config = toy_config(task="sentiment")
+        kept = [r for r in records if r.review_text is not None]
+        splits = tokenized_splits(records, config, BUILTIN_LEXICON, (0, 1, 2))[0]
+        trained = {}
+        for rows, (_, labels) in zip(split_60_20_20(kept, config.seed), splits):
+            trained.update((kept[i].row_id, config.class_names[y]) for i, y in zip(rows, labels))
+        assert len(trained) == 39
+        assert trained == {row_id: labeled[row_id] for row_id in trained}
 
     def test_count_table_header(self, tmp_path, data_csv):
         out = tmp_path / "runs"
@@ -211,6 +280,37 @@ class TestLabel:
         assert main(["label", "--data", str(data), "--out", str(out)]) == 0
         table = (out / "label-0001" / "sentiment_by_recommendation.csv").read_text()
         assert table == "recommended,negative,neutral,positive\n0,1,1,0\n1,1,0,1\n"
+
+    def test_toy_rating_tables_and_summary(self, tmp_path, data_csv):
+        """Every rating and every class has its cell even at zero; a row of zeros is empty
+        once normalized."""
+        out = tmp_path / "runs"
+        assert main(["label", "--data", str(data_csv), "--out", str(out)]) == 0
+        run_dir = out / "label-0001"
+        header = "{},negative,neutral,positive\n"
+        assert (run_dir / "sentiment_by_rating.csv").read_text() == (
+            header.format("rating") + "1,20,0,0\n2,0,0,0\n3,0,0,0\n4,0,0,0\n5,0,0,20\n")
+        assert (run_dir / "sentiment_by_rating__normalized.csv").read_text() == (
+            header.format("rating") + "1,1.0,0.0,0.0\n2,,,\n3,,,\n4,,,\n5,0.0,0.0,1.0\n")
+        assert (run_dir / "sentiment_by_recommendation__normalized.csv").read_text() == (
+            header.format("recommended") + "0,1.0,0.0,0.0\n1,0.0,0.0,1.0\n")
+        summary = json.loads((run_dir / "label_summary.json").read_text())
+        assert summary == {"records": 40,
+                           "pearson_compound_rating": pytest.approx(0.9844984534040693, abs=1e-12),
+                           "pearson_compound_recommended": pytest.approx(0.9844984534040693,
+                                                                         abs=1e-12)}
+
+    def test_constant_rating_has_no_correlation(self, tmp_path):
+        """With one rating and one recommendation state, neither correlation is defined."""
+        data = tmp_path / "all-five.csv"
+        write_csv([r._replace(rating=5, recommended=1) for r in toy_reviews()], data)
+        out = tmp_path / "runs"
+        assert main(["label", "--data", str(data), "--out", str(out)]) == 0
+        summary = json.loads((out / "label-0001" / "label_summary.json").read_text())
+        assert summary == {"records": 40, "pearson_compound_rating": None,
+                           "pearson_compound_recommended": None}
+        assert (out / "label-0001" / "sentiment_by_recommendation__normalized.csv").read_text() \
+            == "recommended,negative,neutral,positive\n0,,,\n1,0.5,0.0,0.5\n"
 
     def test_relabeling_is_idempotent(self, tmp_path, data_csv):
         out = tmp_path / "runs"
@@ -527,6 +627,13 @@ class TestOneTokenizationPerCommand:
                      "--out", str(tmp_path / "runs")]) == 0
         texts = [t for r in records for t in (r.title, r.review_text) if t is not None]
         assert Counter(tokenized) == Counter(texts)
+
+    def test_label_tokenizes_each_review_once(self, tmp_path, records, monkeypatch):
+        """A record without review text is tokenized as the empty text."""
+        tokenized = self.wrap_everywhere(monkeypatch, "tokenize")
+        assert main(["label", "--data", str(tmp_path / "reviews.csv"),
+                     "--out", str(tmp_path / "runs")]) == 0
+        assert Counter(tokenized) == Counter(r.review_text or "" for r in records)
 
     @staticmethod
     def train_then_evaluate(tmp_path, task):
@@ -1189,9 +1296,28 @@ class TestSettingsBeyondMemory:
         weights = sum(map(math.prod, block_shapes(1_000_000, 16, 2)))
         need = 8 * weights + 3 * 4 * (weights + 100 * 16)
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        line = len(cfg_file.read_text().splitlines())
         assert capsys.readouterr().err == (
-            f"error: cell_size 1000000, embedding_dim 16 and vocab_size 100 need {need} bytes, "
+            f"error: {cfg_file}: line {line}: invalid configuration: cell_size 1000000, "
+            f"embedding_dim 16 and vocab_size 100 need {need} bytes, "
             f"more than the {physical} bytes of physical memory\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_refuses_what_train_refuses(self, tmp_path, data_csv, toy_checkpoint,
+                                                      capsys, command):
+        """The sizes are refused at their config line, before any command reads its input
+        or makes a run directory."""
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text("vocab_size=100000000000\n")
+        out = tmp_path / "runs"
+        assert main([*command_argv(command, data_csv, toy_checkpoint),
+                     "--out", str(out), "--config", str(cfg_file)]) == 2
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: line 1: invalid configuration: cell_size 256, embedding_dim 50 "
+            "and vocab_size 100000000000 need 60000012595240 bytes, more than the "
+            f"{physical} bytes of physical memory\n")
         assert not out.exists()
 
     def test_no_sysconf_skips_the_check(self, tmp_path, data_csv, monkeypatch):

@@ -78,6 +78,21 @@ class TestParseCsv:
         assert records == []
         assert issues == ["line 2: Rating out of range: 6"]
 
+    def test_integers_past_two_to_the_53_are_out_of_range(self, tmp_path):
+        """Clothing ID, Age and Positive Feedback Count hold at most 2**53, every integer
+        float64 holds exactly; the index column is not bounded."""
+        top, past = 2**53, 2**53 + 1
+        path = make_csv(tmp_path, [f"{10**400},{top},{top},,text,5,1,{top},A,B,C",
+                                   f"1,{past},25,,text,5,1,0,A,B,C",
+                                   f"2,1,{past},,text,5,1,0,A,B,C",
+                                   f"3,1,25,,text,5,1,{10**399},A,B,C"])
+        records, issues = parse_csv(path)
+        assert [(r.row_id, r.clothing_id, r.age, r.positive_feedback_count)
+                for r in records] == [(10**400, top, top, top)]
+        assert issues == [f"line 3: Clothing ID out of range: {past}",
+                          f"line 4: Age out of range: {past}",
+                          f"line 5: Positive Feedback Count out of range: {10**399}"]
+
     def test_empty_text_is_absent(self, tmp_path):
         path = make_csv(tmp_path, ['0,1,25,,,5,1,0,A,B,C'])
         records, _ = parse_csv(path)

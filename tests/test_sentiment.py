@@ -1,7 +1,6 @@
 """Tests for lexicon scoring, labeling thresholds, and auto-labeling."""
 
 import math
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +22,7 @@ from reviewlab.sentiment import (
     load_lexicon,
     score_text,
 )
+from reviewlab.textprep import tokenize
 
 
 def save_lexicon(lexicon, path):
@@ -154,29 +154,24 @@ class TestLexiconValidation:
         assert BUILTIN_LEXICON["good"] == 1.9
 
 
-@dataclass
-class FakeRecord:
-    review_text: str | None
-
-
 class TestAutoLabel:
     def test_empty_texts_all_neutral(self):
-        records = [FakeRecord(""), FakeRecord(None)]
-        assert auto_label_dataset(records, BUILTIN_LEXICON) == [NEUTRAL, NEUTRAL]
+        labels, compounds = auto_label_dataset([tokenize(""), []], BUILTIN_LEXICON)
+        assert labels == [NEUTRAL, NEUTRAL]
+        assert compounds == [0.0, 0.0]
 
     def test_strongly_positive_text(self):
-        records = [FakeRecord("good good good")]
-        assert auto_label_dataset(records, BUILTIN_LEXICON) == [POSITIVE]
+        assert auto_label_dataset([tokenize("good good good")], BUILTIN_LEXICON)[0] == [POSITIVE]
 
     def test_uses_cleaning_pipeline(self):
         """Punctuation and case are stripped before lookup."""
-        records = [FakeRecord("GREAT!!! Really LOVE it.")]
-        assert auto_label_dataset(records, BUILTIN_LEXICON) == [POSITIVE]
+        token_lists = [tokenize("GREAT!!! Really LOVE it.")]
+        assert auto_label_dataset(token_lists, BUILTIN_LEXICON)[0] == [POSITIVE]
 
     def test_deterministic_second_pass(self):
-        records = [FakeRecord("love this soft comfortable top")] * 3
-        first = auto_label_dataset(records, BUILTIN_LEXICON)
-        second = auto_label_dataset(records, BUILTIN_LEXICON)
+        token_lists = [tokenize("love this soft comfortable top")] * 3
+        first = auto_label_dataset(token_lists, BUILTIN_LEXICON)
+        second = auto_label_dataset(token_lists, BUILTIN_LEXICON)
         assert first == second
 
 

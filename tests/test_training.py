@@ -36,7 +36,6 @@ from reviewlab.training import (
     class_probabilities,
     evaluate,
     predict,
-    task_labels,
     tokenized_splits,
     train,
 )
@@ -143,19 +142,26 @@ class TestSplitTypes:
 
 
 class TestTaskLabels:
+    """The labels `tokenized_splits` gives each record, read back in record order."""
+
+    @staticmethod
+    def labels_in_record_order(task):
+        records, config = toy_reviews(n=6), toy_config(task=task)
+        splits = tokenized_splits(records, config, BUILTIN_LEXICON, (0, 1, 2))[0]
+        labels = [None] * len(records)
+        for rows, (_, split_labels) in zip(split_60_20_20(records, config.seed), splits):
+            for i, label in zip(rows, split_labels.tolist()):
+                labels[i] = label
+        return labels, config.class_names
+
     def test_recommendation_uses_flag(self):
-        records = toy_reviews(n=6)
-        labels = task_labels(records, [], "recommendation", BUILTIN_LEXICON)
-        assert labels.tolist() == [1, 0, 1, 0, 1, 0]
-        names = TrainConfig(task="recommendation").class_names
+        labels, names = self.labels_in_record_order("recommendation")
+        assert labels == [1, 0, 1, 0, 1, 0]
         assert [names[i] for i in labels[:2]] == ["recommended", "not_recommended"]
 
     def test_sentiment_uses_lexicon(self):
-        records = toy_reviews(n=6)
-        tokens = [tokenize(r.review_text) for r in records]
-        labels = task_labels(records, tokens, "sentiment", BUILTIN_LEXICON)
-        assert labels.tolist() == [2, 0, 2, 0, 2, 0]
-        names = TrainConfig(task="sentiment").class_names
+        labels, names = self.labels_in_record_order("sentiment")
+        assert labels == [2, 0, 2, 0, 2, 0]
         assert [names[i] for i in labels[:2]] == ["positive", "negative"]
 
 

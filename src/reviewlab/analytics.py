@@ -1,11 +1,13 @@
 """Descriptive statistics and tabulations over parsed review records.
 
-Every operation is a pure function of the record list: descriptive
+Every operation is a pure function of its input: descriptive
 statistics (sample standard deviation, divisor n-1), distinct-value
-counts, ranked frequency distributions, cross-tabulations with their
-row-normalized form, Pearson correlation matrices over numeric features
-and per-clothing-id aggregates, segmented word-frequency rankings with a
-fixed stop-word list, and decade age bins with positive-feedback sums.
+counts, frequency distributions ranked by count then string order,
+cross-tabulations of pairs on given axes, analyze's and label's, with
+their row-normalized form, Pearson correlation matrices over numeric
+features and per-clothing-id aggregates, segmented word-frequency
+rankings (the same order) with a fixed stop-word list, and decade age
+bins with positive-feedback sums.
 
 Each analysis returns the rows it emits; ``full_report`` bundles the
 standard battery of tables under stable names so the command-line layer
@@ -115,36 +117,33 @@ def unique_counts(records) -> dict:
     }
 
 
+def _ranked(counts, top_n: int) -> list:
+    """The top_n (key, count) pairs of a Counter, count descending, ties by string order."""
+    top = heapq.nlargest(top_n, counts.values())
+    # Only the entries whose count reaches the top_n-th largest can place.
+    contenders = [kv for kv in counts.items() if kv[1] >= top[-1]] if top else []
+    return sorted(contenders, key=lambda kv: (-kv[1], str(kv[0])))[:top_n]
+
+
 def freq_dist(records, feature: str, top_n: int):
     """The top_n (value, count) pairs, count descending, ties by string order."""
-    counts = Counter(_values(records, feature))
-    return sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[:top_n]
+    return _ranked(Counter(_values(records, feature)), top_n)
 
 
-def crosstab(records, row_feature: str, col_feature: str) -> tuple[Table, Table]:
-    """Co-occurrence counts of two categorical features, and their row-normalized form.
+def crosstab(pairs, row_labels, col_labels, row_name: str) -> tuple[Table, Table]:
+    """Counts of (row, column) pairs on the given axes, and their row-normalized form.
 
-    Both tables have the header (row_feature, *column labels) and one
-    row (row label, *cells) per row label.  Records missing either
-    feature are left out.  Each normalized row divides a row of counts
-    by its sum.
+    Both tables have the header (row_name, *col_labels) and one row
+    (row label, *cells) per row label, in the order given, with a cell
+    for every label even at zero.  Each normalized row divides a row of
+    counts by its sum, or is "" in a row of zeros.
     """
-    row_acc, col_acc = FEATURE_ACCESSORS[row_feature], FEATURE_ACCESSORS[col_feature]
-    pairs = []
-    for r in records:
-        rv, cv = row_acc(r), col_acc(r)
-        if rv is not None and cv is not None:
-            pairs.append((rv, cv))
-    col_labels = sorted({cv for _, cv in pairs}, key=str)
     counter = Counter(pairs)
-    counts, normalized = [], []
-    for rv in sorted({rv for rv, _ in pairs}, key=str):
-        cells = [counter[rv, cv] for cv in col_labels]
-        total = sum(cells)
-        counts.append((rv, *cells))
-        normalized.append((rv, *(c / total for c in cells)))
-    header = (row_feature, *col_labels)
-    return Table(header, tuple(counts)), Table(header, tuple(normalized))
+    counts = tuple((rv, *(counter[rv, cv] for cv in col_labels)) for rv in row_labels)
+    normalized = tuple((rv, *(n / sum(cells) if sum(cells) else "" for n in cells))
+                       for rv, *cells in counts)
+    header = (row_name, *col_labels)
+    return Table(header, counts), Table(header, normalized)
 
 
 def pearson(xs, ys) -> float | None:
@@ -220,13 +219,7 @@ def word_freq_by_segment(records, top_n: int) -> dict:
         if r.division is not None:
             counts[f"division:{r.division}"].update(tokens)
 
-    def ranked(c):
-        top = heapq.nlargest(top_n, c.values())
-        # Only the entries whose count reaches the top_n-th largest can place.
-        contenders = [kv for kv in c.items() if kv[1] >= top[-1]] if top else []
-        return sorted(contenders, key=lambda kv: (-kv[1], kv[0]))[:top_n]
-
-    return {segment: ranked(c) for segment, c in counts.items()}
+    return {segment: _ranked(c, top_n) for segment, c in counts.items()}
 
 
 class AgeBin(NamedTuple):
@@ -278,8 +271,12 @@ def full_report(records) -> dict:
         ("Division Name", "Class Name"),
         ("Rating", "Recommended IND"),
     ):
+        pairs = [p for p in zip(map(FEATURE_ACCESSORS[row_f], records),
+                                map(FEATURE_ACCESSORS[col_f], records)) if None not in p]
         name = f"crosstab__{slug(row_f)}__{slug(col_f)}"
-        tables[name], tables[f"{name}__normalized"] = crosstab(records, row_f, col_f)
+        tables[name], tables[f"{name}__normalized"] = crosstab(
+            pairs, sorted({rv for rv, _ in pairs}, key=str),
+            sorted({cv for _, cv in pairs}, key=str), row_f)
     tables["grouped_corr__by_clothing_id"] = grouped_rating_corr(records)
     tables["corr__numeric"] = correlations(
         CORRELATED_FEATURES, [_values(records, feature) for feature in CORRELATED_FEATURES])

@@ -48,10 +48,10 @@ import os
 import shutil
 import sys
 import traceback
-from collections import ChainMap, Counter
+from collections import ChainMap
 from pathlib import Path
 
-from .analytics import FEATURE_ACCESSORS, Table, full_report, pearson
+from .analytics import FEATURE_ACCESSORS, Table, crosstab, full_report, pearson
 from .checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpoint
 from .dataset import COLUMNS, parse_csv, write_csv, write_issues
 from .errors import InputError, input_lines
@@ -214,17 +214,6 @@ def _cmd_analyze(cfg: ChainMap, run_dir: Path) -> None:
     print(f"wrote {len(report)} tables to {run_dir}")
 
 
-def _sentiment_tables(column: str, header: str, values, labels) -> tuple[Table, Table]:
-    """Label counts per value of a bounded column, a row for every value and a column for
-    every class even at zero, and each row divided by its sum ("" in a row of zeros)."""
-    counts = Counter(zip(values, labels))
-    low, high = COLUMNS[column]
-    rows = [(v, *(counts[v, label] for label in SENTIMENT_CLASSES)) for v in range(low, high + 1)]
-    shares = [(v, *(n / sum(cells) if sum(cells) else "" for n in cells)) for v, *cells in rows]
-    columns = (header, *SENTIMENT_CLASSES)
-    return Table(columns, tuple(rows)), Table(columns, tuple(shares))
-
-
 def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
     records = _parse_records(cfg, "label", run_dir)
     labels, compounds = auto_label_dataset([tokenize(r.review_text or "") for r in records],
@@ -234,7 +223,9 @@ def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
     for name, column, header in (("recommendation", "Recommended IND", "recommended"),
                                  ("rating", "Rating", "rating")):
         values = list(map(FEATURE_ACCESSORS[column], records))
-        counts, shares = _sentiment_tables(column, header, values, labels)
+        low, high = COLUMNS[column]
+        counts, shares = crosstab(zip(values, labels), range(low, high + 1), SENTIMENT_CLASSES,
+                                  header)
         _write_table_csv(run_dir / f"sentiment_by_{name}.csv", counts)
         _write_table_csv(run_dir / f"sentiment_by_{name}__normalized.csv", shares)
         summary[f"pearson_compound_{header}"] = pearson(compounds, values)

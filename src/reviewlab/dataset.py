@@ -7,7 +7,9 @@ whose mandatory fields fail validation are collected as issues, each
 the `line N: message` string `issues.txt` holds, never silently dropped
 or repaired.  An integer cell is an optional '-' then ASCII digits;
 every integer column, Recommended IND (0 or 1) included, keeps that int,
-and none holds more than 2**53 (the index column is not bounded).
+and none holds more than 2**53 (the index column is not bounded); one
+with more digits than int() converts is out of range in every column.
+An issue shows at most 60 characters of a cell or value, then its length.
 Optional text fields keep their exact contents so a parse -> write ->
 parse cycle reproduces every record bit-for-bit; empty strings are read
 back as absent values.
@@ -58,11 +60,11 @@ class ReviewRecord(NamedTuple):
     class_name: str | None
 
 
-def _int(raw: str) -> int:
-    """int(raw) for an optional '-' then ASCII digits; any other cell raises ValueError."""
-    if raw.isascii() and raw.removeprefix("-").isdigit():
-        return int(raw)
-    raise ValueError(raw)
+def _shown(text: str, show=str) -> str:
+    """show(text), or show() of its first 60 characters, then its length."""
+    if len(text) <= 60:
+        return show(text)
+    return f"{show(text[:60])}... ({len(text)} characters)"
 
 
 def parse_csv(path):
@@ -107,13 +109,16 @@ def parse_csv(path):
                 if bounds is None:
                     values.append(raw or None)  # An empty text cell is an absent value.
                     continue
+                if not (raw.isascii() and raw.removeprefix("-").isdigit()):
+                    problems.append(f"{name} not an integer: {_shown(raw, repr)}")
+                    continue
                 try:
-                    value = _int(raw)
-                except ValueError:
-                    problems.append(f"{name} not an integer: {raw!r}")
+                    value = int(raw)
+                except ValueError:  # more digits than int() converts, past every bound
+                    problems.append(f"{name} out of range: {_shown(raw)}")
                     continue
                 if not bounds[0] <= value <= bounds[1]:
-                    problems.append(f"{name} out of range: {value}")
+                    problems.append(f"{name} out of range: {_shown(str(value))}")
                 values.append(value)
 
             if problems:

@@ -133,6 +133,13 @@ class TestFreqDist:
         assert values == [1, 3, 5]
 
 
+    def test_clothing_id_ties_by_string(self):
+        """Clothing IDs 9 and 10 tie; 10 ranks first, by string order, also at top_n=1."""
+        records = [rec(clothing_id=c) for c in (9, 10)]
+        assert freq_dist(records, "Clothing ID", top_n=10) == [(10, 1), (9, 1)]
+        assert freq_dist(records, "Clothing ID", top_n=1) == [(10, 1)]
+
+
 class TestCrossTab:
     def records(self):
         return [
@@ -143,20 +150,28 @@ class TestCrossTab:
             rec(division=None, department="Tops"),
         ]
 
+    def tables(self, records):
+        """The Division x Department crosstab of the records that have both, on the
+        axes full_report gives it."""
+        pairs = [(r.division, r.department) for r in records
+                 if r.division is not None and r.department is not None]
+        return crosstab(pairs, sorted({d for d, _ in pairs}), sorted({d for _, d in pairs}),
+                        "Division Name")
+
     def test_hand_counts(self):
-        counts, normalized = crosstab(self.records(), "Division Name", "Department Name")
+        counts, normalized = self.tables(self.records())
         assert counts.header == normalized.header == ("Division Name", "Dresses", "Tops")
         assert counts.rows == (("G", 2, 1), ("P", 0, 1))
         assert normalized.rows == (("G", 2 / 3, 1 / 3), ("P", 0.0, 1.0))
 
     def test_missing_rows_excluded_and_reported(self):
         """The one record without a division is in no cell and no row label."""
-        counts, _ = crosstab(self.records(), "Division Name", "Department Name")
+        counts = full_report(self.records())["crosstab__division_name__department_name"]
         assert sum(sum(cells) for _, *cells in counts.rows) == 4
         assert None not in [row[0] for row in counts.rows]
 
     def test_normalized_rows_sum_to_one(self):
-        _, normalized = crosstab(self.records(), "Division Name", "Department Name")
+        _, normalized = self.tables(self.records())
         for _, *cells in normalized.rows:
             assert abs(sum(cells) - 1.0) < 1e-9
 
@@ -164,10 +179,19 @@ class TestCrossTab:
         """Row sums equal the frequency distribution on the same subset."""
         records = self.records()
         both = [r for r in records if r.division is not None and r.department is not None]
-        counts, _ = crosstab(records, "Division Name", "Department Name")
+        counts, _ = self.tables(records)
         fd = dict(freq_dist(both, "Division Name", top_n=10))
         for label, *cells in counts.rows:
             assert sum(cells) == fd[label]
+
+    def test_given_axes_keep_zero_cells_and_a_zero_row_is_empty(self):
+        """A column label no pair has keeps its zero cells, in the order given; a row
+        label no pair has is a row of zeros, normalized to ""."""
+        counts, normalized = crosstab([("G", "Tops"), ("G", "Tops"), ("G", "Dresses")],
+                                      ("P", "G"), ("Tops", "Knits", "Dresses"), "division")
+        assert counts.header == normalized.header == ("division", "Tops", "Knits", "Dresses")
+        assert counts.rows == (("P", 0, 0, 0), ("G", 2, 0, 1))
+        assert normalized.rows == (("P", "", "", ""), ("G", 2 / 3, 0.0, 1 / 3))
 
 
 class TestPearson:

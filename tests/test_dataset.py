@@ -91,7 +91,31 @@ class TestParseCsv:
                 for r in records] == [(10**400, top, top, top)]
         assert issues == [f"line 3: Clothing ID out of range: {past}",
                           f"line 4: Age out of range: {past}",
-                          f"line 5: Positive Feedback Count out of range: {10**399}"]
+                          "line 5: Positive Feedback Count out of range: "
+                          f"{'1' + '0' * 59}... (400 characters)"]
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_integer_too_long_for_int_is_out_of_range(self, tmp_path, sign):
+        """A cell of 5,000 digits, which int() refuses for its length on Python 3.11 and
+        later, is out of range in every integer column, the index column included."""
+        cell = sign + "9" * 5000
+        shown = f"{cell[:60]}... ({len(cell)} characters)"
+        path = make_csv(tmp_path, [f"{cell},{cell},{cell},,text,{cell},{cell},{cell},A,B,C"])
+        records, issues = parse_csv(path)
+        assert records == []
+        assert issues == ["line 2: " + "; ".join(
+            f"{name} out of range: {shown}" for name in (
+                "index column", "Clothing ID", "Age", "Rating", "Recommended IND",
+                "Positive Feedback Count"))]
+
+    def test_long_cell_is_shown_as_its_first_60_characters(self, tmp_path):
+        """A 3,000-character cell shows its first 60 characters and its length; a
+        60-character one shows whole."""
+        path = make_csv(tmp_path, [f"0,1,{'x' * 3000},,text,5,1,0,A,B,C",
+                                   f"1,1,{'y' * 60},,text,5,1,0,A,B,C"])
+        _, issues = parse_csv(path)
+        assert issues == [f"line 2: Age not an integer: {'x' * 60!r}... (3000 characters)",
+                          f"line 3: Age not an integer: {'y' * 60!r}"]
 
     def test_empty_text_is_absent(self, tmp_path):
         path = make_csv(tmp_path, ['0,1,25,,,5,1,0,A,B,C'])

@@ -249,7 +249,8 @@ def slug(text: str) -> str:
 def full_report(records) -> dict:
     """The full battery of analytics tables keyed by stable names.
 
-    Names follow `<operation>__<params>` with slugged parameters; the
+    Names follow `<operation>__<params>` with slugged parameters; a name
+    already taken gets the first free suffix `_2`, `_3`, ...  The
     command-line layer writes each as a CSV plus one combined JSON.
     """
     tables = {
@@ -281,7 +282,12 @@ def full_report(records) -> dict:
     tables["corr__numeric"] = correlations(
         CORRELATED_FEATURES, [_values(records, feature) for feature in CORRELATED_FEATURES])
     for segment, ranked in word_freq_by_segment(records, TOP_N).items():
-        tables[f"word_freq__{slug(segment)}"] = Table(("token", "count"), tuple(ranked))
+        name = base = f"word_freq__{slug(segment)}"
+        suffix = 1
+        while name in tables:
+            suffix += 1
+            name = f"{base}_{suffix}"
+        tables[name] = Table(("token", "count"), tuple(ranked))
     tables[f"age_bins__width_{AGE_BIN_WIDTH}"] = Table(
         AgeBin._fields, tuple(age_bin_positive_feedback(records)))
     return tables

@@ -7,10 +7,10 @@ command has succeeded, writes the fully materialized configuration
 into it; a command that fails or is interrupted removes it again, and
 then each directory of --out that it created and that is still empty.
 Settings resolve as flags over config file over defaults, and an empty
-config value means the default; a config file's hyper-parameter is
-checked as TrainConfig checks it, at its line, and so are sizes whose
-arrays exceed physical memory: every command refuses what `train`
-would, before it makes a run directory.  Rerunning a command from a
+config value means the default; each hyper-parameter line of a config
+file is checked with those before it, as TrainConfig and the memory
+check would in `train`, so every command refuses it at that line,
+before it makes a run directory.  Rerunning a command from a
 materialized config reproduces every artifact byte for byte in
 single-threaded mode.  The resolved settings are one mapping whose first
 layer holds what was given explicitly, over the defaults.
@@ -26,7 +26,8 @@ always scores the test rows the model never trained on.
 
 Every table is written as CSV by `_write_table_csv` and every report or
 summary as JSON by `_write_json`; only the dataset files (`labeled.csv`,
-`issues.txt`) and the checkpoint have writers of their own.
+`issues.txt`), the checkpoint and `predict`'s one-line `prediction.json`
+have writers of their own.
 
 A command runs with Python's cyclic garbage collector paused: its
 records, token lists and arrays hold no reference cycles, so the
@@ -94,11 +95,11 @@ def _parse_config_file(path) -> dict:
     """Read `key = value` lines; blank lines, # comments and empty values are skipped.
 
     A value that starts with `"` is a JSON string literal, so it can be
-    empty, blank or hold a line break.  A value that TrainConfig would
-    refuse is refused at its line.  Settings that `_check_memory` refuses
-    are refused at the last line that sets one of the sizes it counts.
+    empty, blank or hold a line break.  Each hyper-parameter line is
+    checked with every hyper-parameter read so far, over the defaults, as
+    TrainConfig and `_check_memory` check them, and a refusal names it.
     """
-    entries, sized = {}, 0
+    entries = {}
     for line_num, line in enumerate(input_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -119,17 +120,11 @@ def _parse_config_file(path) -> dict:
             if b"\0" in os.fsencode(value):  # no path or argument holds a NUL or lone surrogate
                 raise ValueError("a value cannot hold a NUL character")
             entries[key] = value if default is None else type(default)(value)
-            if key in _TRAIN_DEFAULTS:  # TrainConfig's check of this one key
-                TrainConfig(**{key: entries[key]})
-            if key in ("cell_size", "embedding_dim", "vocab_size", "task"):
-                sized = line_num
+            if key in _TRAIN_DEFAULTS:
+                _check_memory(TrainConfig(**{k: v for k, v in entries.items()
+                                             if k in _TRAIN_DEFAULTS}))
         except ValueError as exc:
             raise InputError(f"{path}: line {line_num}: invalid configuration: {exc}") from exc
-    try:
-        if sized:
-            _check_memory(TrainConfig(**{k: entries[k] for k in entries if k in _TRAIN_DEFAULTS}))
-    except ValueError as exc:
-        raise InputError(f"{path}: line {sized}: invalid configuration: {exc}") from exc
     return entries
 
 
@@ -151,9 +146,11 @@ def _new_run_dir(out, command: str) -> tuple[Path, list[Path]]:
     base.mkdir(parents=True, exist_ok=True)
     prefix = f"{command}-"
     start = len(prefix)
-    # Taken numbers: entries named prefix + four decimal digits (the set `\d` matches).
-    taken = [int(name[start:]) for name in os.listdir(base)
-             if len(name) == start + 4 and name.startswith(prefix) and name[start:].isdecimal()]
+    # Taken numbers: entries named prefix + a number as `{number:04d}` writes it, in decimal
+    # digits (the set `\d` matches): four digits, or more with no leading zero.
+    taken = [int(digits) for name in os.listdir(base) if name.startswith(prefix)
+             and (digits := name[start:]).isdecimal()
+             and (len(digits) == 4 or len(digits) > 4 and int(digits[0]))]
     number = max(taken, default=0) + 1
     while True:
         try:
@@ -173,6 +170,14 @@ def _write_materialized_config(run_dir: Path, command: str, cfg: ChainMap) -> No
             value = json.dumps(value)
         lines.append(f"{key}={'' if value is None else value}")
     (run_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _print_status(line: str) -> None:
+    """Print a status line; a character stdout cannot encode becomes a backslash escape."""
+    try:
+        print(line)
+    except UnicodeEncodeError as exc:  # the encoder failed before anything was written
+        print(line.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
 
 
 def _write_json(path, payload) -> None:
@@ -211,7 +216,7 @@ def _cmd_analyze(cfg: ChainMap, run_dir: Path) -> None:
     for name, table in report.items():
         _write_table_csv(run_dir / f"{name}.csv", table)
     _write_json(run_dir / "analysis.json", {name: t._asdict() for name, t in report.items()})
-    print(f"wrote {len(report)} tables to {run_dir}")
+    _print_status(f"wrote {len(report)} tables to {run_dir}")
 
 
 def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
@@ -230,7 +235,7 @@ def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
         _write_table_csv(run_dir / f"sentiment_by_{name}__normalized.csv", shares)
         summary[f"pearson_compound_{header}"] = pearson(compounds, values)
     _write_json(run_dir / "label_summary.json", summary)
-    print(f"labeled {len(records)} rows into {run_dir}")
+    _print_status(f"labeled {len(records)} rows into {run_dir}")
 
 
 def _build_embeddings(cfg: ChainMap, tokens: list, config: TrainConfig):
@@ -280,7 +285,7 @@ def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
             "val_acc": last.val_acc,
         }
     _write_json(run_dir / "train_summary.json", summary)
-    print(f"trained {config.task} model into {run_dir}")
+    _print_status(f"trained {config.task} model into {run_dir}")
 
 
 def _load_bundle(cfg: ChainMap, command: str) -> ModelBundle:
@@ -321,7 +326,7 @@ def _cmd_evaluate(cfg: ChainMap, run_dir: Path) -> None:
     ))
     baseline = majority_baseline(train_split[1], labels, bundle.class_names)
     _write_json(run_dir / "baseline.json", baseline)
-    print(f"test accuracy {report['accuracy']:.6f} (metrics in {run_dir})")
+    _print_status(f"test accuracy {report['accuracy']:.6f} (metrics in {run_dir})")
 
 
 def _cmd_predict(cfg: ChainMap, run_dir: Path) -> None:
@@ -329,7 +334,7 @@ def _cmd_predict(cfg: ChainMap, run_dir: Path) -> None:
     text = _require(cfg, "text", "predict")
     line = json.dumps(predict(bundle, text), sort_keys=True)
     (run_dir / "prediction.json").write_text(line + "\n", encoding="utf-8")
-    print(line)
+    _print_status(line)
 
 
 # Each flag's argparse keywords; every subcommand takes --out and --config first.

@@ -138,6 +138,39 @@ class TestAnalyze:
             f"line 2: Positive Feedback Count out of range: {'1' + '0' * 59}... (400 characters)\n")
         self.strict_json(out / "analyze-0001" / "analysis.json")
 
+    def test_divisions_that_slug_alike_keep_a_word_table_each(self, tmp_path):
+        """`General Petite` and `General-Petite` both slug to `general_petite`; the second,
+        in sorted order, takes the suffix `_2`."""
+        records = toy_reviews()
+        records[0] = records[0]._replace(division="General-Petite", review_text="velvet velvet hem")
+        data = tmp_path / "alike.csv"
+        write_csv(records, data)
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
+        run_dir = out / "analyze-0001"
+        own = full_report(toy_reviews())["word_freq__division_general_petite"]
+        assert own.rows and all(token != "velvet" for token, _ in own.rows)
+        written = json.loads((run_dir / "analysis.json").read_text())
+        for name, rows in (("word_freq__division_general_petite", own.rows),
+                           ("word_freq__division_general_petite_2", (("velvet", 2), ("hem", 1)))):
+            assert (run_dir / f"{name}.csv").read_text() == "".join(
+                f"{token},{n}\n" for token, n in (("token", "count"), *rows))
+            assert written[name]["rows"] == [list(row) for row in rows]
+        assert len(written) == len(full_report(toy_reviews())) + 1
+
+    def test_out_with_an_undecodable_byte_prints_an_escape(self, tmp_path, data_csv):
+        """A stdout that cannot encode the byte's lone surrogate prints it as `\\udcfc`: the
+        finished run exits 0 and stays."""
+        out = os.fsencode(tmp_path) + b"/runs\xfc"
+        result = subprocess.run(
+            [sys.executable, "-m", "reviewlab.cli", "analyze", "--data", str(data_csv),
+             "--out", out], env=blas_env(PYTHONIOENCODING="utf-8:strict"),
+            capture_output=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == (f"wrote {len(full_report(toy_reviews()))} tables to "
+                                 f"{tmp_path}/runs\\udcfc/analyze-0001\n").encode()
+        assert (Path(os.fsdecode(out)) / "analyze-0001" / "analysis.json").exists()
+
     def test_counts_past_two_to_the_53_leave_every_statistic_finite(self, tmp_path):
         """Two counts of 10**200 would square to infinity in the std; their rows are issues."""
         records = toy_reviews()
@@ -1078,6 +1111,15 @@ class TestConfigResolution:
         assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
         assert (out / f"analyze-{max(taken, default=0) + 1:04d}" / "analysis.json").exists()
 
+    def test_run_numbers_past_9999_are_taken(self, tmp_path, data_csv):
+        """A number of five digits counts too, so numbering never goes back below it."""
+        out = tmp_path / "runs"
+        for name in ("analyze-9999", "analyze-10003"):
+            (out / name).mkdir(parents=True)
+        assert main(["analyze", "--data", str(data_csv), "--out", str(out)]) == 0
+        assert (out / "analyze-10004" / "analysis.json").exists()
+        assert not (out / "analyze-10000").exists()
+
     def test_run_directory_taken_concurrently(self, tmp_path, data_csv, monkeypatch):
         """A number another run takes between the scan and the mkdir is skipped."""
         out = tmp_path / "runs"
@@ -1318,6 +1360,28 @@ class TestSettingsBeyondMemory:
             f"error: {cfg_file}: line 1: invalid configuration: cell_size 256, embedding_dim 50 "
             "and vocab_size 100000000000 need 60000012595240 bytes, more than the "
             f"{physical} bytes of physical memory\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, cell_size, vocab_size", [
+        (("cell_size=1000000", "vocab_size=10"), 1_000_000, 20_000),
+        (("vocab_size=100000000000", "vocab_size=100"), 256, 100_000_000_000),
+    ], ids=["lowered-by-a-later-line", "size-set-again"])
+    def test_refused_at_the_line_that_asks_for_too_much(self, tmp_path, data_csv, capsys,
+                                                        lines, cell_size, vocab_size):
+        """Each line is counted with the settings read before it, over the defaults; a
+        later line that lowers the need does not make it acceptable."""
+        cfg_file = tmp_path / "two.cfg"
+        cfg_file.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "runs"
+        assert main(["analyze", "--data", str(data_csv), "--out", str(out),
+                     "--config", str(cfg_file)]) == 2
+        weights = sum(map(math.prod, block_shapes(cell_size, 50, 2)))
+        need = 8 * weights + 3 * 4 * (weights + vocab_size * 50)
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert capsys.readouterr().err == (
+            f"error: {cfg_file}: line 1: invalid configuration: cell_size {cell_size}, "
+            f"embedding_dim 50 and vocab_size {vocab_size} need {need} bytes, "
+            f"more than the {physical} bytes of physical memory\n")
         assert not out.exists()
 
     def test_no_sysconf_skips_the_check(self, tmp_path, data_csv, monkeypatch):

@@ -10,11 +10,12 @@ import sys
 from pathlib import Path
 
 from reviewlab.checkpoint import TASK_CLASSES
-from reviewlab.cli import main as cli
+from reviewlab.cli import _print_status, main as cli
 
 
 def run(argv) -> None:
-    print(f"$ reviewlab {' '.join(argv)}", flush=True)
+    _print_status(f"$ reviewlab {' '.join(argv)}")
+    sys.stdout.flush()  # before the stage's own output, also when stdout is a pipe
     code = cli(argv)
     if code != 0:
         sys.exit(code)

@@ -48,6 +48,7 @@ import math
 import os
 import shutil
 import sys
+import time
 import traceback
 from collections import ChainMap
 from pathlib import Path
@@ -250,13 +251,28 @@ def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
     records = _parse_records(cfg, "train", run_dir)
     splits, dropped, data_sha256 = tokenized_splits(records, config, _load_lexicon(cfg),
                                                     reads=(0, 1))
+    n_train, n_val, n_test = (len(labels) for _, labels in splits)
     (train_tokens, train_labels), (val_tokens, val_labels), _ = splits
     # The vocabulary comes from the training split only, so validation and
     # test tokens unseen in training map to the out-of-vocabulary index.
     tokens, (train_indices, val_indices) = build_vocab(
         (train_tokens, val_tokens), config.min_freq, config.vocab_size, config.seq_len)
-    model, table, history = train(config, (train_indices, train_labels),
-                                  (val_indices, val_labels), _build_embeddings(cfg, tokens, config))
+    del records, splits, train_tokens, val_tokens  # freed here, not held through training
+    embeddings = _build_embeddings(cfg, tokens, config)
+    history = []
+
+    def on_epoch(stats: EpochStats) -> None:
+        history.append(stats)
+        elapsed = time.perf_counter() - start
+        print(f"epoch {stats.epoch}/{config.epochs}: train_loss {stats.train_loss:.4f} "
+              f"val_loss {stats.val_loss:.4f} val_acc {stats.val_acc:.4f}, "
+              f"{stats.epoch * n_train / elapsed:.0f} examples/s, "
+              f"ETA {elapsed / stats.epoch * (config.epochs - stats.epoch):.1f} s",
+              file=sys.stderr)
+
+    start = time.perf_counter()
+    model, table = train(config, (train_indices, train_labels), (val_indices, val_labels),
+                         embeddings, on_epoch)
     words, table = sorted_vocab(tokens, table)
     bundle = ModelBundle(
         task=config.task,
@@ -269,7 +285,6 @@ def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
     )
     save_checkpoint(bundle, run_dir / "model.ckpt")
     _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, history))
-    n_train, n_val, n_test = (len(labels) for _, labels in splits)
     summary = {
         "task": config.task,
         "dropped_records": dropped,
@@ -278,12 +293,7 @@ def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
         "epochs_run": len(history),
     }
     if history:
-        last = history[-1]
-        summary["final_epoch"] = {
-            "train_loss": last.train_loss,
-            "val_loss": last.val_loss,
-            "val_acc": last.val_acc,
-        }
+        summary["final_epoch"] = dict(zip(EpochStats._fields[1:], history[-1][1:]))
     _write_json(run_dir / "train_summary.json", summary)
     _print_status(f"trained {config.task} model into {run_dir}")
 

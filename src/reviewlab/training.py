@@ -23,7 +23,7 @@ receives no gradient and stays zero.
 
 `batch_gradients` is one batch's step: the mean loss and the seven
 gradients, the table's last.  `train` loops it over shuffled batches,
-then clips and steps Adam.  Training, `evaluate` and `predict` compute
+then clips and steps Adam.  Its epochs, `evaluate` and `predict` compute
 under np.errstate(over="raise", invalid="raise"), so an overflow
 raises InputError there instead of yielding non-finite numbers.
 """
@@ -177,18 +177,18 @@ def batch_gradients(model: BiLstmClassifier, table: np.ndarray, idx: np.ndarray,
     return batch_cross_entropy(probs, targets), grads + [dE]
 
 
-def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray):
+def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray, on_epoch):
     """Mini-batch training with Adam and global-norm gradient clipping.
 
     train_split and validation are (indices, labels) pairs, and
     embeddings is a (vocab_size, config.embedding_dim) table.  The model
     and a copy of the table are trained in float32; losses and
-    probabilities are float64.  Returns (the final-epoch model (no early
-    stopping), the trained table, one EpochStats row per epoch).  An
-    overflow or invalid value raises InputError naming numpy's message,
-    the epoch, the batch (or the validation pass after the epoch's last
-    batch) and learning_rate, rather than letting a diverged run continue
-    silently.
+    probabilities are float64.  Each epoch's EpochStats row goes to
+    on_epoch, outside the epoch's np.errstate.  Returns the final-epoch
+    model (no early stopping) and the trained table.  An overflow or
+    invalid value raises InputError naming numpy's message, the epoch,
+    the batch (or the validation pass after the epoch's last batch) and
+    learning_rate, rather than letting a diverged run continue silently.
     """
     (idx_all, labels_all), (val_idx, val_labels) = train_split, validation
 
@@ -203,10 +203,9 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray):
     updates = count(1)
 
     n = len(labels_all)
-    history = []
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for epoch in range(1, config.epochs + 1):
+    for epoch in range(1, config.epochs + 1):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
                 order = list(range(n))
                 rng.shuffle(order)
                 epoch_loss = 0.0
@@ -221,14 +220,15 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray):
                     epoch_loss += loss * len(batch)
                 where = "after its last batch"
                 val_probs = class_probabilities(model, table, val_idx, config.batch_size)
-                history.append(EpochStats(
+                stats = EpochStats(
                     epoch=epoch, train_loss=epoch_loss / n,
                     val_loss=batch_cross_entropy(val_probs, val_labels),
-                    val_acc=float(np.mean(val_probs.argmax(axis=1) == val_labels))))
-    except FloatingPointError as exc:
-        raise InputError(f"training diverged: {exc} at epoch {epoch}, {where}; "
-                         f"lower learning_rate (now {config.learning_rate!r})") from exc
-    return model, table, tuple(history)
+                    val_acc=float(np.mean(val_probs.argmax(axis=1) == val_labels)))
+        except FloatingPointError as exc:
+            raise InputError(f"training diverged: {exc} at epoch {epoch}, {where}; "
+                             f"lower learning_rate (now {config.learning_rate!r})") from exc
+        on_epoch(stats)
+    return model, table
 
 
 def _scored(model, table: np.ndarray, indices: np.ndarray, batch_size: int) -> np.ndarray:

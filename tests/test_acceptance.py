@@ -61,7 +61,8 @@ def _train_and_score(records, config, scored: int):
                                   config.vocab_size, config.seq_len)
     encoded = list(zip(matrices, (labels for _, labels in splits)))
     emb = random_embeddings(len(vocab) + 2, config.embedding_dim, SeededRng(config.seed + 1))
-    model, table, history = train(config, *encoded[:2], emb)
+    history = []
+    model, table = train(config, *encoded[:2], emb, history.append)
     report, _ = evaluate(model, table, encoded[scored],
                          config.batch_size, config.class_names)
     return (model, table, history), report

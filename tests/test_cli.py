@@ -462,6 +462,50 @@ class TestTrain:
                      "--config", str(toy_cfg_file), "--embeddings", str(glove)])
         assert code == 0
 
+    @pytest.mark.parametrize("epochs", [3, 0])
+    def test_one_progress_line_per_epoch_on_stderr(self, tmp_path, data_csv, capsys, epochs):
+        """Each epoch prints `epoch E/N: ...` with its train_loss to stderr, and stdout
+        gets only the status line."""
+        cfg = tmp_path / "toy.cfg"
+        settings = toy_config(epochs=epochs).as_dict()
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        run_dir = train_run(tmp_path, data_csv, cfg)
+        out, err = capsys.readouterr()
+        assert out == f"trained recommendation model into {run_dir}\n"
+        lines = err.splitlines()
+        assert len(lines) == epochs
+        for epoch, line in enumerate(lines, start=1):
+            assert re.fullmatch(rf"epoch {epoch}/{epochs}: train_loss \d\.\d{{4}} "
+                                rf"val_loss \d\.\d{{4}} val_acc \d\.\d{{4}}, "
+                                rf"\d+ examples/s, ETA \d+\.\d s", line), line
+        if epochs:
+            assert lines[-1].endswith(", ETA 0.0 s")
+            history = (run_dir / "history.csv").read_text().splitlines()[1:]
+            assert [line.split(" ")[3] for line in lines] == [
+                f"{float(row.split(',')[1]):.4f}" for row in history]
+
+
+class TestFullPipelineScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_full_pipeline.py"
+
+    def test_out_with_an_undecodable_byte_runs_every_stage(self, tmp_path, data_csv):
+        """A stdout that cannot encode the byte's lone surrogate prints it as `\\udcfc` in
+        every stage's argv and status line, and the script exits 0."""
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in toy_config(epochs=1).as_dict().items()))
+        out = os.fsencode(tmp_path) + b"/rfp\xfc"
+        result = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--data", str(data_csv), "--out", out,
+             "--config", str(cfg)], env=blas_env(PYTHONIOENCODING="utf-8:strict"),
+            capture_output=True, timeout=300)
+        assert result.returncode == 0, result.stderr.decode()
+        lines = result.stdout.decode().splitlines()
+        assert [line.split(" ")[2] for line in lines if line.startswith("$ ")] == [
+            "analyze", "label", "train", "evaluate", "predict"]
+        assert all(f"{tmp_path}/rfp\\udcfc" in line for line in lines[:-1])  # not the prediction
+        assert re.fullmatch(r"epoch 1/1: [^\n]*\n", result.stderr.decode())
+        assert (Path(os.fsdecode(out)) / "predict-0001" / "prediction.json").exists()
+
 
 class TestEvaluate:
     def test_metrics_files_written(self, tmp_path, data_csv, toy_cfg_file):

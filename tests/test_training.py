@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reviewlab.cli
 import reviewlab.training
 from reviewlab.checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
@@ -100,6 +101,13 @@ def prepared_toy(task="recommendation", **overrides):
     return config, encoded, vocab, emb
 
 
+def trained(config, train_split, validation, emb):
+    """`train`'s (model, table) and the EpochStats rows its on_epoch got, in call order."""
+    rows = []
+    model, table = train(config, train_split, validation, emb, rows.append)
+    return model, table, tuple(rows)
+
+
 class TestTrainConfig:
     def test_reference_defaults(self):
         config = TrainConfig()
@@ -138,7 +146,7 @@ class TestSplitTypes:
         labels = labels.copy()
         labels[0] = 2
         with pytest.raises(IndexError, match="out of bounds"):
-            train(config, (indices, labels), validation, emb)
+            trained(config, (indices, labels), validation, emb)
 
 
 class TestTaskLabels:
@@ -258,14 +266,14 @@ class TestBatchGradients:
 
         monkeypatch.setattr(reviewlab.training, "clip_by_global_norm", clip_by_global_norm)
         config, splits, _, emb = prepared_toy(epochs=1)
-        train(config, *splits[:2], emb)
+        trained(config, *splits[:2], emb)
         assert sizes == [7, 7, 7]  # 24 rows in batches of 8
 
 
 class TestTrain:
     def test_zero_epochs_returns_initialization(self):
         config, splits, _, emb = prepared_toy(epochs=0)
-        model, table, history = train(config, *splits[:2], emb)
+        model, table, history = trained(config, *splits[:2], emb)
         assert history == ()
         init = BiLstmClassifier.build(
             config.cell_size, config.embedding_dim, len(config.class_names),
@@ -279,8 +287,8 @@ class TestTrain:
 
     def test_deterministic_history(self):
         config, splits, _, emb = prepared_toy(epochs=3)
-        first, _, first_history = train(config, *splits[:2], emb)
-        second, _, second_history = train(config, *splits[:2], emb)
+        first, _, first_history = trained(config, *splits[:2], emb)
+        second, _, second_history = trained(config, *splits[:2], emb)
         assert first_history == second_history
         for (_, a), (_, b) in zip(first.param_blocks(), second.param_blocks()):
             assert np.array_equal(a, b)
@@ -288,7 +296,7 @@ class TestTrain:
     @pytest.mark.parametrize("task,dropout_rate", sorted(RECORDED_TOY_HISTORY))
     def test_history_matches_recorded_values(self, task, dropout_rate):
         config, splits, _, emb = prepared_toy(task=task, epochs=3, dropout_rate=dropout_rate)
-        _, _, history = train(config, *splits[:2], emb)
+        _, _, history = trained(config, *splits[:2], emb)
         got = [(h.train_loss, h.val_loss, h.val_acc) for h in history]
         want = RECORDED_TOY_HISTORY[task, dropout_rate]
         pinned = openblas_core() == RECORDED_HISTORY_CORE
@@ -310,7 +318,7 @@ class TestTrain:
         with pytest.raises(InputError, match=r"^training diverged: overflow encountered in "
                                              r"multiply at epoch 1, batch 1; "
                                              r"lower learning_rate \(now 0.001\)$"):
-            train(config, *splits[:2], emb)
+            trained(config, *splits[:2], emb)
 
     def test_non_finite_training_loss_raises(self, monkeypatch):
         """A reverse direction that overflows, on the worker thread, stops training
@@ -326,7 +334,7 @@ class TestTrain:
         config, splits, _, emb = prepared_toy(epochs=1)
         with pytest.raises(InputError, match=r"^training diverged: overflow encountered in "
                                              r"matmul at epoch 1, batch 1; lower learning_rate"):
-            train(config, *splits[:2], emb)
+            trained(config, *splits[:2], emb)
 
     def test_overflow_in_the_last_update_raises(self):
         """One batch per epoch: only the validation pass sees the overflowed weights."""
@@ -334,7 +342,7 @@ class TestTrain:
         with pytest.raises(InputError, match=r"^training diverged: overflow encountered in "
                                              r"\w+ at epoch 1, after its last batch; "
                                              r"lower learning_rate \(now 1e\+30\)$"):
-            train(config, *splits[:2], emb)
+            trained(config, *splits[:2], emb)
 
     def test_every_training_array_is_float32(self, monkeypatch):
         """Caches, gradients, dx, Adam moments and the result are float32."""
@@ -361,7 +369,7 @@ class TestTrain:
         for name, fn in [("forward", forward), ("backward", backward), ("adam_step", adam_step)]:
             monkeypatch.setattr(reviewlab.training, name, fn)
         config, splits, _, emb = prepared_toy(epochs=1, dropout_rate=0.5)
-        model, table, _ = train(config, *splits[:2], emb)
+        model, table, _ = trained(config, *splits[:2], emb)
         for key in ("cache", "grads", "adam"):
             assert {a.dtype for a in seen[key]} == {np.dtype(np.float32)}, key
         assert {p.dtype for p in seen["probs"]} == {np.dtype(np.float64)}
@@ -371,14 +379,14 @@ class TestTrain:
         """Training fine-tunes a copy of the embedding table."""
         config, splits, _, emb = prepared_toy(epochs=1)
         before = emb.copy()
-        _, table, _ = train(config, *splits[:2], emb)
+        _, table, _ = trained(config, *splits[:2], emb)
         assert np.array_equal(emb, before)
         assert not np.array_equal(table, before)
 
     def test_toy_fixture_converges(self):
         """Separable keyword reviews reach 95% training accuracy in 30 epochs."""
         config, splits, _, emb = prepared_toy()
-        model, table, history = train(config, *splits[:2], emb)
+        model, table, history = trained(config, *splits[:2], emb)
         report, _ = evaluate(model, table, splits[0],
                              config.batch_size, config.class_names)
         assert report["accuracy"] >= 0.95
@@ -387,12 +395,12 @@ class TestTrain:
 
     def test_history_rows_numbered_from_one(self):
         config, splits, _, emb = prepared_toy(epochs=2)
-        _, _, history = train(config, *splits[:2], emb)
+        _, _, history = trained(config, *splits[:2], emb)
         assert [h.epoch for h in history] == [1, 2]
 
     def test_padding_row_stays_zero(self):
         config, splits, _, emb = prepared_toy(epochs=2)
-        _, table, _ = train(config, *splits[:2], emb)
+        _, table, _ = trained(config, *splits[:2], emb)
         assert np.all(table[PAD_INDEX] == 0.0)
 
     def test_class_count_mismatch_rejected(self):
@@ -400,7 +408,7 @@ class TestTrain:
         config, _, _, emb = prepared_toy()
         _, sentiment, _, _ = prepared_toy(task="sentiment")
         with pytest.raises(IndexError, match="out of bounds for axis 1 with size 2"):
-            train(config, *sentiment[:2], emb)
+            trained(config, *sentiment[:2], emb)
 
     def test_adam_update_numbers_run_across_epochs(self, monkeypatch):
         """Adam's bias correction counts updates from 1 over the whole run, not per epoch."""
@@ -413,14 +421,14 @@ class TestTrain:
 
         monkeypatch.setattr(reviewlab.training, "adam_step", adam_step)
         config, splits, _, emb = prepared_toy(epochs=3)
-        train(config, *splits[:2], emb)
+        trained(config, *splits[:2], emb)
         assert numbers == list(range(1, 3 * 3 + 1))  # 24 rows in batches of 8
 
 
 class TestEvaluate:
     def test_report_totals_match_split(self):
         config, splits, _, emb = prepared_toy(epochs=1)
-        model, table, _ = train(config, *splits[:2], emb)
+        model, table, _ = trained(config, *splits[:2], emb)
         report, probs = evaluate(model, table, splits[2],
                                  config.batch_size, config.class_names)
         assert report["total"] == len(splits[2][1]) == 8
@@ -431,7 +439,7 @@ class TestEvaluate:
         """Within 1e-12 in float64.  In float32, GEMMs of other shapes round
         differently, so within 1e-6, about 8 machine epsilons (1.2e-7)."""
         config, splits, _, emb = prepared_toy(epochs=1)
-        model, table, _ = train(config, *splits[:2], emb)
+        model, table, _ = trained(config, *splits[:2], emb)
         test_indices = splits[2][0]
         for net, weights, atol in [
             (BiLstmClassifier(*(a.astype(np.float64) for a in model)),
@@ -479,7 +487,7 @@ class TestEvaluate:
 class TestPredict:
     def bundle(self):
         config, splits, vocab, emb = prepared_toy(epochs=2)
-        model, table, _ = train(config, *splits[:2], emb)
+        model, table, _ = trained(config, *splits[:2], emb)
         words, table = sorted_vocab(vocab, table)
         bundle = ModelBundle(
             task=config.task,
@@ -497,7 +505,7 @@ class TestPredict:
         with a dict of the ranked tokens and the training-order table, out-of-vocabulary
         tokens included."""
         config, splits, vocab, emb = prepared_toy(epochs=2)
-        model, table, _ = train(config, *splits[:2], emb)
+        model, table, _ = trained(config, *splits[:2], emb)
         words, sorted_table = sorted_vocab(vocab, table)
         path = tmp_path / "model.ckpt"
         save_checkpoint(ModelBundle(task=config.task, seq_len=config.seq_len, seed=config.seed,
@@ -573,7 +581,7 @@ class TestHistoryCsv:
     def test_header_and_rows(self, tmp_path):
         """`cli train` writes one row per epoch holding the exact EpochStats values."""
         config, splits, _, emb = prepared_toy(epochs=2)
-        _, _, history = train(config, *splits[:2], emb)
+        _, _, history = trained(config, *splits[:2], emb)
         data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
         write_csv(toy_reviews(), data)
         cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
@@ -586,3 +594,50 @@ class TestHistoryCsv:
         assert int(cells[0]) == 1
         assert float(cells[1]) == history[0].train_loss
         assert lines[1:] == [",".join(map(str, row)) for row in history]
+
+
+class TestOnEpoch:
+    def test_called_once_per_epoch_with_the_rows_history_csv_gets(self, tmp_path, monkeypatch):
+        """`cli train` writes history.csv from exactly the rows its on_epoch is handed."""
+        calls = []
+        real = reviewlab.cli.train
+
+        def recorded(config, train_split, validation, emb, on_epoch):
+            def record(stats):
+                calls.append(stats)
+                on_epoch(stats)
+            return real(config, train_split, validation, emb, record)
+
+        monkeypatch.setattr(reviewlab.cli, "train", recorded)
+        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        write_csv(toy_reviews(), data)
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in toy_config(epochs=3).as_dict().items()))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg)]) == 0
+        lines = (tmp_path / "runs" / "train-0001" / "history.csv").read_text().splitlines()
+        assert [stats.epoch for stats in calls] == [1, 2, 3]
+        assert lines[1:] == [",".join(map(str, stats)) for stats in calls]
+
+    def test_callback_sees_the_callers_float_settings(self):
+        """The epoch's np.errstate(over="raise", invalid="raise") is left before on_epoch."""
+        config, splits, _, emb = prepared_toy(epochs=2)
+        seen = []
+        with np.errstate(all="ignore"):
+            outer = np.geterr()
+            train(config, *splits[:2], emb, lambda stats: seen.append(np.geterr()))
+        assert seen == [outer, outer]
+
+    def test_callbacks_float_error_is_not_a_diverged_run(self):
+        """A FloatingPointError of on_epoch's own propagates as itself, after one epoch."""
+        config, splits, _, emb = prepared_toy(epochs=3)
+        calls = []
+
+        def on_epoch(stats):
+            calls.append(stats)
+            with np.errstate(over="raise"):
+                np.float32(3e38) * np.float32(10)
+
+        with pytest.raises(FloatingPointError, match="overflow") as raised:
+            train(config, *splits[:2], emb, on_epoch)
+        assert type(raised.value) is FloatingPointError
+        assert [stats.epoch for stats in calls] == [1]

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from reviewlab.checkpoint import TASK_CLASSES
-from reviewlab.cli import _print_status, main as cli
+from reviewlab.cli import _last_run_number, _print_status, main as cli
 
 
 def run(argv) -> None:
@@ -40,7 +40,7 @@ def main() -> None:
     run(["analyze", *base])
     run(["label", *base])
     run(["train", *base, *cfg, *emb, "--task", args.task])
-    checkpoint = sorted(Path(args.out).glob("train-*"))[-1] / "model.ckpt"
+    checkpoint = Path(args.out) / f"train-{_last_run_number(args.out, 'train'):04d}" / "model.ckpt"
     run(["evaluate", *base, *cfg, "--task", args.task, "--checkpoint", str(checkpoint)])
     run(["predict", "--out", args.out, "--checkpoint", str(checkpoint),
          "--text", args.text])

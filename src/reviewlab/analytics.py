@@ -4,10 +4,10 @@ Every operation is a pure function of its input: descriptive
 statistics (sample standard deviation, divisor n-1), distinct-value
 counts, frequency distributions ranked by count then string order,
 cross-tabulations of pairs on given axes, analyze's and label's, with
-their row-normalized form, Pearson correlation matrices over numeric
-features and per-clothing-id aggregates, segmented word-frequency
-rankings (the same order) with a fixed stop-word list, and decade age
-bins with positive-feedback sums.
+their row-normalized form and Cramér's V, Pearson correlation matrices
+over numeric features and per-clothing-id aggregates, segmented
+word-frequency rankings (the same order) with a fixed stop-word list,
+and decade age bins with positive-feedback sums.
 
 Each analysis returns the rows it emits; ``full_report`` bundles the
 standard battery of tables under stable names so the command-line layer
@@ -161,6 +161,18 @@ def pearson(xs, ys) -> float | None:
     # Two roots, not sqrt(sx * sy): that product underflows to 0 for tiny spreads.
     r = float((xc @ yc) / (math.sqrt(sx) * math.sqrt(sy)))
     return max(-1.0, min(1.0, r))
+
+
+def cramers_v(counts: Table) -> float | None:
+    """Cramér's V of a crosstab's counts; None under two non-empty rows or columns."""
+    n = np.array([cells for _, *cells in counts.rows], dtype=np.float64)
+    rows, cols = n.sum(axis=1), n.sum(axis=0)
+    n, rows, cols = n[rows > 0][:, cols > 0], rows[rows > 0], cols[cols > 0]
+    if min(n.shape) < 2:
+        return None
+    expected = np.outer(rows, cols) / n.sum()
+    chi2 = float(((n - expected) ** 2 / expected).sum())
+    return min(1.0, math.sqrt(chi2 / (n.sum() * (min(n.shape) - 1))))
 
 
 def correlations(names, series) -> Table:

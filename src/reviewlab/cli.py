@@ -53,7 +53,7 @@ import traceback
 from collections import ChainMap
 from pathlib import Path
 
-from .analytics import FEATURE_ACCESSORS, Table, crosstab, full_report, pearson
+from .analytics import FEATURE_ACCESSORS, Table, cramers_v, crosstab, full_report, pearson
 from .checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpoint
 from .dataset import COLUMNS, parse_csv, write_csv, write_issues
 from .errors import InputError, input_lines
@@ -139,20 +139,24 @@ def _resolve(args) -> ChainMap:
     return ChainMap(given, _DEFAULTS)
 
 
+def _last_run_number(out, command: str) -> int:
+    """The highest number of a `command` run under `out`, 0 if none."""
+    prefix = f"{command}-"
+    # Taken numbers: entries named prefix + a number as `{number:04d}` writes it, in decimal
+    # digits (the set `\d` matches): four digits, or more with no leading zero.
+    taken = [int(digits) for name in os.listdir(out) if name.startswith(prefix)
+             and (digits := name[len(prefix):]).isdecimal()
+             and (len(digits) == 4 or len(digits) > 4 and int(digits[0]))]
+    return max(taken, default=0)
+
+
 def _new_run_dir(out, command: str) -> tuple[Path, list[Path]]:
     """Make the next run directory under `out`; return it and the directories of `out`
     made for it, innermost first."""
     base = Path(out)
     missing = [p for p in (base, *base.parents) if not p.exists()]
     base.mkdir(parents=True, exist_ok=True)
-    prefix = f"{command}-"
-    start = len(prefix)
-    # Taken numbers: entries named prefix + a number as `{number:04d}` writes it, in decimal
-    # digits (the set `\d` matches): four digits, or more with no leading zero.
-    taken = [int(digits) for name in os.listdir(base) if name.startswith(prefix)
-             and (digits := name[start:]).isdecimal()
-             and (len(digits) == 4 or len(digits) > 4 and int(digits[0]))]
-    number = max(taken, default=0) + 1
+    number = _last_run_number(base, command) + 1
     while True:
         try:
             (run_dir := base / f"{command}-{number:04d}").mkdir()
@@ -230,11 +234,17 @@ def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
                                  ("rating", "Rating", "rating")):
         values = list(map(FEATURE_ACCESSORS[column], records))
         low, high = COLUMNS[column]
-        counts, shares = crosstab(zip(values, labels), range(low, high + 1), SENTIMENT_CLASSES,
-                                  header)
-        _write_table_csv(run_dir / f"sentiment_by_{name}.csv", counts)
-        _write_table_csv(run_dir / f"sentiment_by_{name}__normalized.csv", shares)
+        axis = range(low, high + 1)
+        tables = {f"sentiment_by_{name}": crosstab(zip(values, labels), axis, SENTIMENT_CLASSES,
+                                                   header)}
+        if name == "recommendation":  # the abstract's "and vice-versa": P(recommended | sentiment)
+            tables[f"{name}_by_sentiment"] = crosstab(zip(labels, values), SENTIMENT_CLASSES,
+                                                      axis, "sentiment")
+        for stem, (counts, shares) in tables.items():
+            _write_table_csv(run_dir / f"{stem}.csv", counts)
+            _write_table_csv(run_dir / f"{stem}__normalized.csv", shares)
         summary[f"pearson_compound_{header}"] = pearson(compounds, values)
+        summary[f"cramers_v_{header}"] = cramers_v(tables[f"sentiment_by_{name}"][0])
     _write_json(run_dir / "label_summary.json", summary)
     _print_status(f"labeled {len(records)} rows into {run_dir}")
 

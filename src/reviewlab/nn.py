@@ -45,7 +45,7 @@ and one the packed input gradients, which backward() scatters to
 
 The two directions share no state until their final hidden states are
 joined, so forward() and backward() run a batch of two or more rows on
-two threads: the reverse direction on one module-level worker, started
+two threads: the reverse direction on the process's one worker, started
 on first use and run under the caller's np.errstate, and the forward
 direction on the calling thread.  numpy releases the GIL in its GEMMs
 and ufuncs, so the two overlap on two cores with BLAS on one thread.  A
@@ -72,9 +72,9 @@ to float64 precision and the losses are float64.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -246,10 +246,11 @@ class BiLstmClassifier(NamedTuple):
         ))
 
 
-# (pid, one-thread executor); a forked child, which has no copy of the
-# thread, starts its own.
-_reverse_worker = (None, None)
-_reverse_worker_lock = threading.Lock()
+@functools.cache
+def _reverse_worker(pid: int):
+    """Process pid's worker (a forked child gets its own); racing first calls may build one each."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(1, thread_name_prefix="reviewlab-reverse")
 
 
 def _both_directions(fn, fwd_args, bwd_args, rows):
@@ -262,14 +263,7 @@ def _both_directions(fn, fwd_args, bwd_args, rows):
     """
     if rows < 2:
         return fn(*fwd_args), fn(*bwd_args)
-    global _reverse_worker
-    with _reverse_worker_lock:
-        if _reverse_worker[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
-
-            worker = ThreadPoolExecutor(1, thread_name_prefix="reviewlab-reverse")
-            _reverse_worker = (os.getpid(), worker)
-        reverse = _reverse_worker[1].submit(np.errstate(**np.geterr())(fn), *bwd_args)
+    reverse = _reverse_worker(os.getpid()).submit(np.errstate(**np.geterr())(fn), *bwd_args)
     try:
         result = fn(*fwd_args)
     except BaseException:

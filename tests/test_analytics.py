@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from reviewlab.analytics import (
     FEATURE_ACCESSORS,
     STOP_WORDS,
+    Table,
     age_bin_positive_feedback,
+    cramers_v,
     crosstab,
     describe,
     freq_dist,
@@ -229,6 +231,44 @@ class TestPearson:
         else:
             want = max(-1.0, min(1.0, want))
             assert got == pytest.approx(want, abs=1e-12)
+
+
+def count_table(rows):
+    return Table(("row", *range(len(rows[0]))), tuple((i, *cells) for i, cells in enumerate(rows)))
+
+
+class TestCramersV:
+    def test_perfect_association(self):
+        assert cramers_v(count_table([[5, 0, 0], [0, 3, 0], [0, 0, 7]])) == 1.0
+
+    def test_independence(self):
+        assert cramers_v(count_table([[2, 4], [3, 6]])) == pytest.approx(0.0, abs=1e-15)
+
+    def test_hand_computed_three_by_two(self):
+        """[[10, 0], [5, 5], [0, 10]]: expected counts 5 everywhere, chi2 = 20, V = sqrt(20/30)."""
+        assert cramers_v(count_table([[10, 0], [5, 5], [0, 10]])) == pytest.approx(
+            math.sqrt(20 / 30), abs=1e-15)
+
+    def test_under_two_non_empty_rows_or_columns_is_none(self):
+        assert cramers_v(count_table([[0, 0], [3, 4]])) is None
+        assert cramers_v(count_table([[0, 2], [0, 4]])) is None
+        assert cramers_v(count_table([[0, 0], [0, 0]])) is None
+
+    @given(st.lists(st.integers(0, 50), min_size=4, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_two_by_two_is_abs_phi(self, cells):
+        """On a 2x2 table V is |phi| = |ad - bc| / sqrt of the four margins' product, and
+        rows or columns of zeros around it change nothing."""
+        a, b, c, d = cells
+        margins = (a + b) * (c + d) * (a + c) * (b + d)
+        got = cramers_v(count_table([[a, b], [c, d]]))
+        padded = cramers_v(count_table([[a, 0, b], [0, 0, 0], [c, 0, d]]))
+        if margins == 0:
+            assert got is None and padded is None
+        else:
+            want = abs(a * d - b * c) / math.sqrt(margins)
+            assert got == pytest.approx(want, abs=1e-12)
+            assert padded == pytest.approx(want, abs=1e-12)
 
 
 class TestGroupedCorr:

@@ -331,7 +331,19 @@ class TestLabel:
         assert summary == {"records": 40,
                            "pearson_compound_rating": pytest.approx(0.9844984534040693, abs=1e-12),
                            "pearson_compound_recommended": pytest.approx(0.9844984534040693,
-                                                                         abs=1e-12)}
+                                                                         abs=1e-12),
+                           "cramers_v_rating": 1.0, "cramers_v_recommended": 1.0}
+
+    def test_toy_recommendation_by_sentiment(self, tmp_path, data_csv):
+        """The abstract's "and vice-versa": the recommendation table with sentiment as rows,
+        normalized to P(recommended | sentiment); the toy has no neutral review."""
+        out = tmp_path / "runs"
+        assert main(["label", "--data", str(data_csv), "--out", str(out)]) == 0
+        run_dir = out / "label-0001"
+        assert (run_dir / "recommendation_by_sentiment.csv").read_text() == (
+            "sentiment,0,1\nnegative,20,0\nneutral,0,0\npositive,0,20\n")
+        assert (run_dir / "recommendation_by_sentiment__normalized.csv").read_text() == (
+            "sentiment,0,1\nnegative,1.0,0.0\nneutral,,\npositive,0.0,1.0\n")
 
     def test_constant_rating_has_no_correlation(self, tmp_path):
         """With one rating and one recommendation state, neither correlation is defined."""
@@ -341,7 +353,8 @@ class TestLabel:
         assert main(["label", "--data", str(data), "--out", str(out)]) == 0
         summary = json.loads((out / "label-0001" / "label_summary.json").read_text())
         assert summary == {"records": 40, "pearson_compound_rating": None,
-                           "pearson_compound_recommended": None}
+                           "pearson_compound_recommended": None,
+                           "cramers_v_rating": None, "cramers_v_recommended": None}
         assert (out / "label-0001" / "sentiment_by_recommendation__normalized.csv").read_text() \
             == "recommended,negative,neutral,positive\n0,,,\n1,0.5,0.0,0.5\n"
 
@@ -505,6 +518,21 @@ class TestFullPipelineScript:
         assert all(f"{tmp_path}/rfp\\udcfc" in line for line in lines[:-1])  # not the prediction
         assert re.fullmatch(r"epoch 1/1: [^\n]*\n", result.stderr.decode())
         assert (Path(os.fsdecode(out)) / "predict-0001" / "prediction.json").exists()
+
+    def test_evaluates_the_run_it_trained_past_9999(self, tmp_path, data_csv, toy_cfg_file):
+        """With train-9999 already under --out, training makes train-10000, which sorts
+        before it as a string; the script evaluates and predicts with train-10000."""
+        out = tmp_path / "runs"
+        (out / "train-9999").mkdir(parents=True)
+        result = subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--data", str(data_csv), "--out", str(out),
+             "--config", str(toy_cfg_file)], env=blas_env(), capture_output=True, text=True,
+            timeout=300)
+        assert result.returncode == 0, result.stderr
+        checkpoint = str(out / "train-10000" / "model.ckpt")
+        stages = [line.split() for line in result.stdout.splitlines() if line.startswith("$ ")]
+        assert [argv[argv.index("--checkpoint") + 1] for argv in stages[3:]] == [checkpoint] * 2
+        assert (out / "evaluate-0001" / "metrics.json").exists()
 
 
 class TestEvaluate:

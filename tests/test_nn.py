@@ -3,6 +3,7 @@
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -721,6 +722,29 @@ class TestDirectionsOnTwoThreads:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_repeated_passes_keep_one_worker(self):
+        """Twenty two-row training passes in a fresh process leave one reverse worker alive."""
+        probe = (
+            "import threading\n"
+            "import numpy as np\n"
+            "from reviewlab.nn import BiLstmClassifier, backward, batch_cross_entropy_grad, forward\n"
+            "from reviewlab.rng import SeededRng\n"
+            "model = BiLstmClassifier.build(4, 3, 2, SeededRng(1))\n"
+            "x, lengths = np.ones((5, 2, 3)), np.array([5, 3])\n"
+            "for _ in range(20):\n"
+            "    probs, cache = forward(model, x, lengths, training=True)\n"
+            "    backward(model, cache, batch_cross_entropy_grad(probs, [0, 1]))\n"
+            "print(*(t.name for t in threading.enumerate()))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(nn.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        threads = out.split()
+        assert "MainThread" in threads
+        assert len([name for name in threads if name.startswith("reviewlab-reverse")]) == 1
 
 
 class TestComputeDtype:

@@ -21,7 +21,7 @@ import heapq
 import math
 import re
 from collections import Counter
-from operator import itemgetter
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -29,10 +29,9 @@ import numpy as np
 from .dataset import COLUMNS
 from .textprep import tokenize
 
-# ReviewRecord's fields are row_id, then COLUMNS in order.
-FEATURE_ACCESSORS = {name: itemgetter(i) for i, name in enumerate(COLUMNS, start=1)}
+FEATURE_ACCESSORS = {name: attrgetter(field) for name, (field, _) in COLUMNS.items()}
 
-NUMERIC_FEATURES = tuple(name for name, bounds in COLUMNS.items() if bounds)
+NUMERIC_FEATURES = tuple(name for name, (_, bounds) in COLUMNS.items() if bounds)
 
 # The record-level features correlated with one another; Clothing ID is a label, not a measure.
 CORRELATED_FEATURES = ("Age", "Rating", "Recommended IND", "Positive Feedback Count")

@@ -93,17 +93,7 @@ def save_checkpoint(bundle: ModelBundle, path) -> None:
     """
     block, width = bundle.vocab.tobytes(), bundle.vocab.dtype.itemsize
     _words(block, width)
-    meta = {
-        "format": FORMAT,
-        "task": bundle.task,
-        "seq_len": bundle.seq_len,
-        "seed": bundle.seed,
-        "cell_size": bundle.model.cell_size,
-        "embedding_dim": bundle.embeddings.shape[1],
-        "data_sha256": bundle.data_sha256,
-        "words": len(bundle.vocab),
-        "word_bytes": width,
-    }
+    meta = {"format": FORMAT, **{field: value(bundle) for field, (value, _, _) in _FIELDS.items()}}
     head = MAGIC + json.dumps(meta, sort_keys=True).encode()
     head += b" " * (-(len(head) + 1 + len(block)) % 64) + b"\n" + block
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -122,17 +112,17 @@ def _is_size(value) -> bool:
     return type(value) is int and value >= 1
 
 
-# Metadata field -> (check, what the field must be).
+# Metadata field -> (its value in a bundle, check, what the field must be).
 _FIELDS = {
-    "task": (lambda v: isinstance(v, str) and v in TASK_CLASSES,
+    "task": (lambda b: b.task, lambda v: isinstance(v, str) and v in TASK_CLASSES,
              f"one of {', '.join(TASK_CLASSES)}"),
-    "seq_len": (_is_size, "an integer >= 1"),
-    "seed": (lambda v: type(v) is int, "an integer"),
-    "cell_size": (_is_size, "an integer >= 1"),
-    "embedding_dim": (_is_size, "an integer >= 1"),
-    "data_sha256": (lambda v: isinstance(v, str), "a string"),
-    "words": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    "word_bytes": (_is_size, "an integer >= 1"),
+    "seq_len": (lambda b: b.seq_len, _is_size, "an integer >= 1"),
+    "seed": (lambda b: b.seed, lambda v: type(v) is int, "an integer"),
+    "cell_size": (lambda b: b.model.cell_size, _is_size, "an integer >= 1"),
+    "embedding_dim": (lambda b: b.embeddings.shape[1], _is_size, "an integer >= 1"),
+    "data_sha256": (lambda b: b.data_sha256, lambda v: isinstance(v, str), "a string"),
+    "words": (lambda b: len(b.vocab), lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "word_bytes": (lambda b: b.vocab.dtype.itemsize, _is_size, "an integer >= 1"),
 }
 
 
@@ -166,7 +156,7 @@ def load_checkpoint(path) -> ModelBundle:
         if meta.get("format") != FORMAT:
             raise InputError(f"{path}: unsupported checkpoint format {meta.get('format')!r}; "
                              f"retrain to upgrade to format {FORMAT}")
-        for field, (ok, what) in _FIELDS.items():
+        for field, (_, ok, what) in _FIELDS.items():
             if not ok(meta.get(field)):
                 raise InputError(
                     f"{path}: inconsistent checkpoint contents: {field!r} must be "

@@ -233,7 +233,7 @@ def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
     for name, column, header in (("recommendation", "Recommended IND", "recommended"),
                                  ("rating", "Rating", "rating")):
         values = list(map(FEATURE_ACCESSORS[column], records))
-        low, high = COLUMNS[column]
+        low, high = COLUMNS[column][1]
         axis = range(low, high + 1)
         tables = {f"sentiment_by_{name}": crosstab(zip(values, labels), axis, SENTIMENT_CLASSES,
                                                    header)}

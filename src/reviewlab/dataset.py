@@ -27,37 +27,26 @@ from .rng import SeededRng
 # Every integer up to this is exact in float64, in which every statistic computes.
 MAX_INTEGER = 2**53
 
-# The review columns in record order: inclusive integer bounds, or None for optional text.
+# The review columns in record order: each one's ReviewRecord field and its inclusive
+# integer bounds, or None for optional text.
 COLUMNS = {
-    "Clothing ID": (0, MAX_INTEGER),
-    "Age": (0, MAX_INTEGER),
-    "Title": None,
-    "Review Text": None,
-    "Rating": (1, 5),
-    "Recommended IND": (0, 1),
-    "Positive Feedback Count": (0, MAX_INTEGER),
-    "Division Name": None,
-    "Department Name": None,
-    "Class Name": None,
+    "Clothing ID": ("clothing_id", (0, MAX_INTEGER)),
+    "Age": ("age", (0, MAX_INTEGER)),
+    "Title": ("title", None),
+    "Review Text": ("review_text", None),
+    "Rating": ("rating", (1, 5)),
+    "Recommended IND": ("recommended", (0, 1)),
+    "Positive Feedback Count": ("positive_feedback_count", (0, MAX_INTEGER)),
+    "Division Name": ("division", None),
+    "Department Name": ("department", None),
+    "Class Name": ("class_name", None),
 }
 
 MIN_SPLIT_RECORDS = 5
 
-
-class ReviewRecord(NamedTuple):
-    """One valid row: row_id, then one field per COLUMNS entry, in that order."""
-
-    row_id: int
-    clothing_id: int
-    age: int
-    title: str | None
-    review_text: str | None
-    rating: int
-    recommended: int  # Recommended IND, 0 or 1
-    positive_feedback_count: int
-    division: str | None
-    department: str | None
-    class_name: str | None
+# One valid row: row_id, then each COLUMNS field in order, an int if bounded, else text.
+ReviewRecord = NamedTuple("ReviewRecord", [("row_id", int), *(
+    (field, int if bounds else str | None) for field, bounds in COLUMNS.values())])
 
 
 def _shown(text: str, show=str) -> str:
@@ -94,7 +83,7 @@ def parse_csv(path):
             raise InputError(f"{path}: columns named more than once: {', '.join(repeated)}")
         width = len(header)
         index = [("index column", 0, (-math.inf, math.inf))] if names[0] == "" else []
-        cells = index + [(name, positions[name], bounds) for name, bounds in COLUMNS.items()]
+        cells = index + [(name, positions[name], bounds) for name, (_, bounds) in COLUMNS.items()]
 
         for ordinal, row in enumerate(reader):
             first, line = line + 1, reader.line_num  # the record's first and last lines

@@ -172,8 +172,11 @@ def batch_gradients(model: BiLstmClassifier, table: np.ndarray, idx: np.ndarray,
     probs, cache = forward(model, embed_batch(idx, table), lengths,
                            dropout_rate=dropout_rate, rng=rng, training=True)
     grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, targets))
+    del cache  # the forward activations, freed before the table-sized dE allocates
     dE = np.zeros_like(table)
-    np.add.at(dE, idx.T, dx)  # dx is zero at every pad, so the padding row stays zero
+    words = idx.T.ravel()
+    real = np.flatnonzero(words != PAD_INDEX)  # a pad's dx is zero: its row stays zero
+    np.add.at(dE, words[real], dx.reshape(len(words), -1)[real])
     return batch_cross_entropy(probs, targets), grads + [dE]
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import re
 import tempfile
@@ -29,6 +30,8 @@ DATA_SHA256 = "5" * 64
 ALPHABET = "'0123456789abcdefghijklmnopqrstuvwxyz"
 # The small bundle's words as its vocabulary block holds them, ascending.
 WORDS = [f"tok{i}".encode() for i in range(10)]
+# The sha256 of test_format_9_bytes_pinned's checkpoint file.
+FORMAT_9_SHA256 = "d9ed148046bb8789cb09c7a0222351cf50ecdb8e3688d381b3febe31e17f5f7f"
 
 
 def small_bundle(dim=6):
@@ -180,6 +183,21 @@ class TestRoundTrip:
         with pytest.raises(OSError):
             save_checkpoint(small_bundle()[0], tmp_path / "model.ckpt")
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_format_9_bytes_pinned(self, tmp_path):
+        """A fixed 3-word, H=1, D=2 bundle saves to the same bytes as ever."""
+        ramp = np.arange(-16, 16, dtype=np.float32) / 8  # exact in float32
+        model = BiLstmClassifier(ramp[:12].reshape(4, 3), ramp[12:16], ramp[16:28].reshape(4, 3),
+                                 ramp[28:32], np.float32([[0.5, -1], [2, 0.25]]),
+                                 np.float32([-0.75, 3]))
+        embeddings = np.float32([[0, 0], [0.5, -0.5], [1, 2], [-1.5, 0.25], [3, -4]])
+        bundle = ModelBundle(task="recommendation", seq_len=7, seed=5,
+                             vocab=np.array([b"a", b"it's", b"z9"], "S4"), model=model,
+                             embeddings=embeddings, data_sha256=DATA_SHA256)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(bundle, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FORMAT_9_SHA256
+        assert load_checkpoint(path).vocab.tolist() == [b"a", b"it's", b"z9"]
 
     @pytest.mark.parametrize("n_words, word_bytes", [
         (0, 1), *((n, width) for n in (1, len(ALPHABET)) for width in range(1, 18))])

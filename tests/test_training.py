@@ -256,6 +256,27 @@ class TestBatchGradients:
         assert [g.shape for g in grads] == [p.shape for _, p in step.param_blocks()]
         assert np.all(grads[-1][PAD_INDEX] == 0.0)
 
+    def test_table_gradient_is_the_every_position_scatter(self, monkeypatch):
+        """Scattering only the real tokens' dx gives the bits np.add.at over every position
+        of the ragged batch gives, in float32 as train computes."""
+        spent = []
+        real = reviewlab.training.backward
+
+        def backward(*args):
+            grads, dx = real(*args)
+            spent.append(dx)
+            return grads, dx
+
+        monkeypatch.setattr(reviewlab.training, "backward", backward)
+        model = BiLstmClassifier(*(a.astype(np.float32)
+                                   for a in BiLstmClassifier.build(3, 4, 3, SeededRng(11))))
+        table = random_embeddings(7, 4, SeededRng(12)).astype(np.float32)
+        _, grads = batch_gradients(model, table, self.IDX, self.TARGETS, 0.5, SeededRng(7))
+        (dx,) = spent
+        full = np.zeros_like(table)
+        np.add.at(full, self.IDX[:, :len(dx)].T, dx)
+        assert grads[-1].tobytes() == full.tobytes()
+
     def test_clip_sees_all_seven_blocks(self, monkeypatch):
         sizes = []
         real = reviewlab.training.clip_by_global_norm
@@ -423,6 +444,35 @@ class TestTrain:
         config, splits, _, emb = prepared_toy(epochs=3)
         trained(config, *splits[:2], emb)
         assert numbers == list(range(1, 3 * 3 + 1))  # 24 rows in batches of 8
+
+
+class TestEpochPrefix:
+    @pytest.mark.parametrize("task", sorted(TASK_CLASSES))
+    def test_a_shorter_run_is_the_prefix_of_a_longer_one(self, task, monkeypatch):
+        """A 3-epoch run's rows, model and table are those of a 5-epoch run at epoch 3,
+        dropout included: the epoch count draws nothing from the rng."""
+        config, splits, _, emb = prepared_toy(task=task, epochs=3, dropout_rate=0.3)
+        model, table, rows = trained(config, *splits[:2], emb)
+        live, at_epoch_3, longer = [], [], []
+        real = reviewlab.training.adam_step
+
+        def adam_step(params, *args):
+            live[:] = params  # train's own arrays, which each step updates in place
+            real(params, *args)
+
+        def on_epoch(stats):
+            longer.append(stats)
+            if stats.epoch == 3:
+                at_epoch_3.extend(a.copy() for a in live)
+
+        monkeypatch.setattr(reviewlab.training, "adam_step", adam_step)
+        train(replace(config, epochs=5), *splits[:2], emb, on_epoch)
+        assert len(longer) == 5
+        assert tuple(longer[:3]) == rows
+        arrays = [a for _, a in model.param_blocks()] + [table]
+        assert len(at_epoch_3) == len(arrays) == 7
+        for got, want in zip(at_epoch_3, arrays):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestEvaluate:

@@ -24,10 +24,10 @@ a different value is an input error, and `evaluate` refuses data whose
 fingerprint differs from the one the checkpoint stores, so evaluation
 always scores the test rows the model never trained on.
 
-Every table is written as CSV by `_write_table_csv` and every report or
-summary as JSON by `_write_json`; only the dataset files (`labeled.csv`,
-`issues.txt`), the checkpoint and `predict`'s one-line `prediction.json`
-have writers of their own.
+Every CSV, a table or `labeled.csv`, is written by `dataset.write_table`
+and every report or summary as JSON by `_write_json`; only `issues.txt`,
+the checkpoint and `predict`'s one-line `prediction.json` have writers
+of their own.
 
 A command runs with Python's cyclic garbage collector paused: its
 records, token lists and arrays hold no reference cycles, so the
@@ -40,7 +40,6 @@ Exit codes: 0 success, 1 internal error, 2 usage or input error or out of memory
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import gc
 import json
@@ -53,9 +52,9 @@ import traceback
 from collections import ChainMap
 from pathlib import Path
 
-from .analytics import FEATURE_ACCESSORS, Table, cramers_v, crosstab, full_report, pearson
+from .analytics import FEATURE_ACCESSORS, cramers_v, crosstab, full_report, pearson
 from .checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpoint
-from .dataset import COLUMNS, parse_csv, write_csv, write_issues
+from .dataset import COLUMNS, parse_csv, write_csv, write_issues, write_table
 from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc
 from .nn import block_shapes
@@ -191,13 +190,6 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _write_table_csv(path, table: Table) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(table.header)
-        writer.writerows(table.rows)
-
-
 def _require(cfg: ChainMap, key: str, command: str):
     if cfg[key] is None:
         raise InputError(f"{command} requires --{key}")
@@ -219,7 +211,7 @@ def _cmd_analyze(cfg: ChainMap, run_dir: Path) -> None:
     records = _parse_records(cfg, "analyze", run_dir)
     report = full_report(records)
     for name, table in report.items():
-        _write_table_csv(run_dir / f"{name}.csv", table)
+        write_table(run_dir / f"{name}.csv", *table)
     _write_json(run_dir / "analysis.json", {name: t._asdict() for name, t in report.items()})
     _print_status(f"wrote {len(report)} tables to {run_dir}")
 
@@ -241,8 +233,8 @@ def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
             tables[f"{name}_by_sentiment"] = crosstab(zip(labels, values), SENTIMENT_CLASSES,
                                                       axis, "sentiment")
         for stem, (counts, shares) in tables.items():
-            _write_table_csv(run_dir / f"{stem}.csv", counts)
-            _write_table_csv(run_dir / f"{stem}__normalized.csv", shares)
+            write_table(run_dir / f"{stem}.csv", *counts)
+            write_table(run_dir / f"{stem}__normalized.csv", *shares)
         summary[f"pearson_compound_{header}"] = pearson(compounds, values)
         summary[f"cramers_v_{header}"] = cramers_v(tables[f"sentiment_by_{name}"][0])
     _write_json(run_dir / "label_summary.json", summary)
@@ -294,7 +286,7 @@ def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
         data_sha256=data_sha256,
     )
     save_checkpoint(bundle, run_dir / "model.ckpt")
-    _write_table_csv(run_dir / "history.csv", Table(EpochStats._fields, history))
+    write_table(run_dir / "history.csv", EpochStats._fields, history)
     summary = {
         "task": config.task,
         "dropped_records": dropped,
@@ -337,13 +329,11 @@ def _cmd_evaluate(cfg: ChainMap, run_dir: Path) -> None:
     if bundle.task == "recommendation":
         points, report["roc_auc"] = roc_auc(labels, probs[:, 1])
         if points:
-            _write_table_csv(run_dir / "roc.csv", Table(
-                ("false_positive_rate", "true_positive_rate"), points))
+            write_table(run_dir / "roc.csv", ("false_positive_rate", "true_positive_rate"),
+                        points)
     _write_json(run_dir / "metrics.json", report)
-    _write_table_csv(run_dir / "confusion.csv", Table(
-        ("true\\predicted", *bundle.class_names),
-        tuple((name, *row) for name, row in zip(bundle.class_names, report["confusion"])),
-    ))
+    write_table(run_dir / "confusion.csv", ("true\\predicted", *bundle.class_names),
+                ((name, *row) for name, row in zip(bundle.class_names, report["confusion"])))
     baseline = majority_baseline(train_split[1], labels, bundle.class_names)
     _write_json(run_dir / "baseline.json", baseline)
     _print_status(f"test accuracy {report['accuracy']:.6f} (metrics in {run_dir})")

@@ -1,4 +1,4 @@
-"""CSV ingestion, validation, filtering, and the deterministic split.
+"""CSV ingestion and writing, validation, filtering, and the deterministic split.
 
 The input is an RFC-4180 CSV with a header row naming each of the ten
 review columns once, in any order (a leading unnamed index column is
@@ -12,7 +12,8 @@ with more digits than int() converts is out of range in every column.
 An issue shows at most 60 characters of a cell or value, then its length.
 Optional text fields keep their exact contents so a parse -> write ->
 parse cycle reproduces every record bit-for-bit; empty strings are read
-back as absent values.
+back as absent values.  `write_table` writes every CSV the program
+writes, `labeled.csv` and each table alike.
 """
 
 from __future__ import annotations
@@ -120,23 +121,25 @@ def parse_csv(path):
     return records, issues
 
 
+def write_table(path, header, rows) -> None:
+    """Write the header, then each row, as UTF-8 CSV with LF line ends; None is an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_csv(records, path, sentiment=None) -> None:
     """Write records in the input layout; optionally append a Sentiment column.
 
     The leading unnamed index column carries row_id, matching the public
     file's shape, so written files re-parse to identical records.
     """
-    header = ["", *COLUMNS]
+    header, rows = ["", *COLUMNS], records
     if sentiment is not None:
         header.append("Sentiment")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for pos, r in enumerate(records):
-            row = ["" if v is None else v for v in r]
-            if sentiment is not None:
-                row.append(sentiment[pos])
-            writer.writerow(row)
+        rows = ((*r, label) for r, label in zip(records, sentiment, strict=True))
+    write_table(path, header, rows)
 
 
 def write_issues(issues, path) -> None:

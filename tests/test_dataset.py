@@ -1,4 +1,4 @@
-"""Tests for CSV ingestion, filtering, and the deterministic split."""
+"""Tests for CSV ingestion and writing, filtering, and the deterministic split."""
 
 import csv
 import hashlib
@@ -18,6 +18,7 @@ from reviewlab.dataset import (
     split_60_20_20,
     write_csv,
     write_issues,
+    write_table,
 )
 from reviewlab.errors import InputError
 from toy import toy_reviews
@@ -297,6 +298,25 @@ class TestRoundTrip:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("line 2:")
+
+
+class TestWriteTable:
+    def test_header_first_utf8_lf_lines_none_empty_and_quoted_cells(self, tmp_path):
+        """The header comes first, each line ends in a bare LF, text is UTF-8, None is an
+        empty cell, and a cell holding a comma, a quote and a line break is quoted, so
+        csv.reader reads every row back."""
+        path = tmp_path / "table.csv"
+        tricky = 'a, "b"\nc'
+        write_table(path, ("name", "value"), [("café", 1.5), (None, 2), (tricky, None)])
+        assert path.read_bytes() == 'name,value\ncafé,1.5\n,2\n"a, ""b""\nc",\n'.encode()
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert list(csv.reader(fh)) == [["name", "value"], ["café", "1.5"], ["", "2"],
+                                            [tricky, ""]]
+
+    def test_sentiment_column_must_match_the_records(self, tmp_path):
+        records = toy_reviews()[:3]
+        with pytest.raises(ValueError):
+            write_csv(records, tmp_path / "labeled.csv", sentiment=["positive"] * 2)
 
 
 class TestFilter:

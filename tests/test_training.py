@@ -1,6 +1,7 @@
 """Tests for the training loop, evaluation pass, and prediction."""
 
 import ctypes
+import tracemalloc
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
@@ -277,6 +278,27 @@ class TestBatchGradients:
         np.add.at(full, self.IDX[:, :len(dx)].T, dx)
         assert grads[-1].tobytes() == full.tobytes()
 
+    def test_reference_batch_traces_little_beyond_the_two_caches(self):
+        """B=256, H=256, D=50, the gamma lengths of the eval-forward memory test in
+        test_nn.py, float32 and dropout 0.5: one step's traced peak is at most 1.25x the two
+        directions' BPTT caches, 2 N (5H + D) float32s for N real tokens (it traces about
+        1.13x), so one more (N, 4H) buffer fails it."""
+        rng = np.random.default_rng(132)
+        lengths = np.minimum(1 + rng.gamma(3.2, 18.6, 256).astype(int), 120)
+        idx = np.where(np.arange(lengths.max()) < lengths[:, None],
+                       rng.integers(2, 20_000, (256, lengths.max())), PAD_INDEX)
+        model = BiLstmClassifier(*(a.astype(np.float32)
+                                   for a in BiLstmClassifier.build(256, 50, 2, SeededRng(133))))
+        table = rng.standard_normal((20_000, 50), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            batch_gradients(model, table, idx, rng.integers(0, 2, 256), 0.5, SeededRng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        caches = 2 * int(lengths.sum()) * (5 * 256 + 50) * 4
+        assert peak <= 1.25 * caches, (peak, caches)
+
     def test_clip_sees_all_seven_blocks(self, monkeypatch):
         sizes = []
         real = reviewlab.training.clip_by_global_norm
@@ -446,6 +468,27 @@ class TestTrain:
         assert numbers == list(range(1, 3 * 3 + 1))  # 24 rows in batches of 8
 
 
+def at_epoch(monkeypatch, config, train_split, validation, emb, epoch):
+    """A `train` run's EpochStats rows, and its seven arrays (the model's blocks, then the
+    table) as they stood after `epoch`, copied from the arrays `adam_step` updates in place."""
+    live, arrays, rows = [], [], []
+    real = reviewlab.training.adam_step
+
+    def adam_step(params, *args):
+        live[:] = params  # train's own arrays, which each step updates in place
+        real(params, *args)
+
+    def on_epoch(stats):
+        rows.append(stats)
+        if stats.epoch == epoch:
+            arrays.extend(a.copy() for a in live)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(reviewlab.training, "adam_step", adam_step)
+        train(config, train_split, validation, emb, on_epoch)
+    return tuple(rows), arrays
+
+
 class TestEpochPrefix:
     @pytest.mark.parametrize("task", sorted(TASK_CLASSES))
     def test_a_shorter_run_is_the_prefix_of_a_longer_one(self, task, monkeypatch):
@@ -453,26 +496,34 @@ class TestEpochPrefix:
         dropout included: the epoch count draws nothing from the rng."""
         config, splits, _, emb = prepared_toy(task=task, epochs=3, dropout_rate=0.3)
         model, table, rows = trained(config, *splits[:2], emb)
-        live, at_epoch_3, longer = [], [], []
-        real = reviewlab.training.adam_step
-
-        def adam_step(params, *args):
-            live[:] = params  # train's own arrays, which each step updates in place
-            real(params, *args)
-
-        def on_epoch(stats):
-            longer.append(stats)
-            if stats.epoch == 3:
-                at_epoch_3.extend(a.copy() for a in live)
-
-        monkeypatch.setattr(reviewlab.training, "adam_step", adam_step)
-        train(replace(config, epochs=5), *splits[:2], emb, on_epoch)
+        longer, at_epoch_3 = at_epoch(monkeypatch, replace(config, epochs=5), *splits[:2], emb, 3)
         assert len(longer) == 5
-        assert tuple(longer[:3]) == rows
+        assert longer[:3] == rows
         arrays = [a for _, a in model.param_blocks()] + [table]
         assert len(at_epoch_3) == len(arrays) == 7
         for got, want in zip(at_epoch_3, arrays):
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("task", sorted(TASK_CLASSES))
+    def test_a_checkpoint_taken_at_epoch_3_is_a_3_epoch_runs(self, task, tmp_path, monkeypatch):
+        """The arrays of a 5-epoch run at epoch 3, saved with the run's ranked tokens and
+        data fingerprint, are byte for byte the model.ckpt `cli train` writes at epochs=3:
+        an epoch picked within one run needs no retraining to be checkpointed."""
+        config, splits, tokens, emb = prepared_toy(task=task, epochs=3, dropout_rate=0.3)
+        _, arrays = at_epoch(monkeypatch, replace(config, epochs=5), *splits[:2], emb, 3)
+        words, table = sorted_vocab(tokens, arrays[-1])
+        data_sha256 = tokenized_splits(toy_reviews(), config, BUILTIN_LEXICON, ())[2]
+        save_checkpoint(ModelBundle(task=task, seq_len=config.seq_len, seed=config.seed,
+                                    vocab=words, model=BiLstmClassifier(*arrays[:-1]),
+                                    embeddings=table, data_sha256=data_sha256),
+                        tmp_path / "at_epoch_3.ckpt")
+        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        write_csv(toy_reviews(), data)
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg)]) == 0
+        assert ((tmp_path / "at_epoch_3.ckpt").read_bytes()
+                == (tmp_path / "runs" / "train-0001" / "model.ckpt").read_bytes())
 
 
 class TestEvaluate:

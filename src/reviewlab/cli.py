@@ -24,10 +24,10 @@ a different value is an input error, and `evaluate` refuses data whose
 fingerprint differs from the one the checkpoint stores, so evaluation
 always scores the test rows the model never trained on.
 
-Every CSV, a table or `labeled.csv`, is written by `dataset.write_table`
-and every report or summary as JSON by `_write_json`; only `issues.txt`,
-the checkpoint and `predict`'s one-line `prediction.json` have writers
-of their own.
+Every CSV, a table or `labeled.csv`, is written by `dataset.write_table`,
+the checkpoint by `save_checkpoint`, and every other text artifact, UTF-8
+with LF line ends on every platform, by `_write_lines`: `config.txt`,
+`issues.txt`, `prediction.json` and each JSON report via `_write_json`.
 
 A command runs with Python's cyclic garbage collector paused: its
 records, token lists and arrays hold no reference cycles, so the
@@ -54,7 +54,7 @@ from pathlib import Path
 
 from .analytics import FEATURE_ACCESSORS, cramers_v, crosstab, full_report, pearson
 from .checkpoint import TASK_CLASSES, ModelBundle, load_checkpoint, save_checkpoint
-from .dataset import COLUMNS, parse_csv, write_csv, write_issues, write_table
+from .dataset import COLUMNS, parse_csv, write_csv, write_table
 from .errors import InputError, input_lines
 from .metrics import majority_baseline, roc_auc
 from .nn import block_shapes
@@ -173,7 +173,7 @@ def _write_materialized_config(run_dir: Path, command: str, cfg: ChainMap) -> No
                                        or value.startswith('"') or not value.isprintable()):
             value = json.dumps(value)
         lines.append(f"{key}={'' if value is None else value}")
-    (run_dir / "config.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(run_dir / "config.txt", lines)
 
 
 def _print_status(line: str) -> None:
@@ -184,10 +184,14 @@ def _print_status(line: str) -> None:
         print(line.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
 
 
-def _write_json(path, payload) -> None:
+def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        for line in lines:
+            fh.write(f"{line}\n")
+
+
+def _write_json(path, payload) -> None:
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _require(cfg: ChainMap, key: str, command: str):
@@ -203,7 +207,7 @@ def _load_lexicon(cfg: ChainMap):
 def _parse_records(cfg: ChainMap, command: str, run_dir: Path):
     records, issues = parse_csv(_require(cfg, "data", command))
     if issues:
-        write_issues(issues, run_dir / "issues.txt")
+        _write_lines(run_dir / "issues.txt", issues)
     return records
 
 
@@ -241,13 +245,6 @@ def _cmd_label(cfg: ChainMap, run_dir: Path) -> None:
     _print_status(f"labeled {len(records)} rows into {run_dir}")
 
 
-def _build_embeddings(cfg: ChainMap, tokens: list, config: TrainConfig):
-    rng = SeededRng(config.seed + 1)
-    if cfg["embeddings"]:
-        return load_glove(cfg["embeddings"], tokens, config.embedding_dim, rng)
-    return random_embeddings(len(tokens) + 2, config.embedding_dim, rng)
-
-
 def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
     config = TrainConfig(**{key: cfg[key] for key in _TRAIN_DEFAULTS})
     records = _parse_records(cfg, "train", run_dir)
@@ -260,7 +257,10 @@ def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
     tokens, (train_indices, val_indices) = build_vocab(
         (train_tokens, val_tokens), config.min_freq, config.vocab_size, config.seq_len)
     del records, splits, train_tokens, val_tokens  # freed here, not held through training
-    embeddings = _build_embeddings(cfg, tokens, config)
+    rng, glove = SeededRng(config.seed + 1), cfg["embeddings"]
+    # train's call pops the one float64 table, so once train has cast it nothing holds it.
+    tables = [load_glove(glove, tokens, config.embedding_dim, rng) if glove
+              else random_embeddings(len(tokens) + 2, config.embedding_dim, rng)]
     history = []
 
     def on_epoch(stats: EpochStats) -> None:
@@ -274,7 +274,7 @@ def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
 
     start = time.perf_counter()
     model, table = train(config, (train_indices, train_labels), (val_indices, val_labels),
-                         embeddings, on_epoch)
+                         tables.pop(), on_epoch)
     words, table = sorted_vocab(tokens, table)
     bundle = ModelBundle(
         task=config.task,
@@ -343,7 +343,7 @@ def _cmd_predict(cfg: ChainMap, run_dir: Path) -> None:
     bundle = _load_bundle(cfg, "predict")
     text = _require(cfg, "text", "predict")
     line = json.dumps(predict(bundle, text), sort_keys=True)
-    (run_dir / "prediction.json").write_text(line + "\n", encoding="utf-8")
+    _write_lines(run_dir / "prediction.json", [line])
     _print_status(line)
 
 

@@ -13,7 +13,7 @@ An issue shows at most 60 characters of a cell or value, then its length.
 Optional text fields keep their exact contents so a parse -> write ->
 parse cycle reproduces every record bit-for-bit; empty strings are read
 back as absent values.  `write_table` writes every CSV the program
-writes, `labeled.csv` and each table alike.
+writes, `labeled.csv` and each table alike, and this module nothing else.
 """
 
 from __future__ import annotations
@@ -140,13 +140,6 @@ def write_csv(records, path, sentiment=None) -> None:
         header.append("Sentiment")
         rows = ((*r, label) for r, label in zip(records, sentiment, strict=True))
     write_table(path, header, rows)
-
-
-def write_issues(issues, path) -> None:
-    """One issue per line, in input order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for issue in issues:
-            fh.write(f"{issue}\n")
 
 
 def filter_for_classification(records):

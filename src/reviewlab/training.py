@@ -185,10 +185,12 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray, 
 
     train_split and validation are (indices, labels) pairs, and
     embeddings is a (vocab_size, config.embedding_dim) table.  The model
-    and a copy of the table are trained in float32; losses and
-    probabilities are float64.  Each epoch's EpochStats row goes to
-    on_epoch, outside the epoch's np.errstate.  Returns the final-epoch
-    model (no early stopping) and the trained table.  An overflow or
+    and a float32 copy of the table are trained; losses and probabilities
+    are float64.  embeddings is released once cast, before the Adam
+    moments allocate, so a caller that holds no other reference to it
+    frees it for the run.  Each epoch's EpochStats row goes to on_epoch,
+    outside the epoch's np.errstate.  Returns the final-epoch model (no
+    early stopping) and the trained table.  An overflow or
     invalid value raises InputError naming numpy's message, the epoch,
     the batch (or the validation pass after the epoch's last batch) and
     learning_rate, rather than letting a diverged run continue silently.
@@ -201,6 +203,7 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray, 
         config.cell_size, config.embedding_dim, len(config.class_names), rng
     )))
     table = embeddings.astype(np.float32)
+    del embeddings  # freed here unless the caller holds it: not counted by _check_memory
     params = [p for _, p in model.param_blocks()] + [table]
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     updates = count(1)

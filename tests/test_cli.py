@@ -19,8 +19,8 @@ import pytest
 import reviewlab
 import reviewlab.cli
 from reviewlab.analytics import full_report
-from reviewlab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
-from reviewlab.cli import main
+from reviewlab.checkpoint import MAGIC, TASK_CLASSES, load_checkpoint, save_checkpoint
+from reviewlab.cli import _write_lines, main
 from reviewlab.dataset import COLUMNS, parse_csv, split_60_20_20, write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier, block_shapes
@@ -498,8 +498,50 @@ class TestTrain:
                 f"{float(row.split(',')[1]):.4f}" for row in history]
 
 
+class TestWriteLines:
+    def test_one_lf_ended_utf8_line_per_item_in_order(self, tmp_path):
+        """Each item is one line, in order, ended by a bare LF, in UTF-8: parse_csv's issues
+        one a line, a non-ASCII line and an empty one."""
+        records = toy_reviews()[:3]
+        records[1] = records[1]._replace(rating=6)
+        data = tmp_path / "reviews.csv"
+        write_csv(records, data)
+        _, issues = parse_csv(data)
+        path = tmp_path / "issues.txt"
+        _write_lines(path, [*issues, "café ☕", ""])
+        assert path.read_bytes() == (
+            b"line 3: Rating out of range: 6\ncaf\xc3\xa9 \xe2\x98\x95\n\n")
+
+
 class TestFullPipelineScript:
     SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_full_pipeline.py"
+
+    def test_every_text_artifact_is_utf8_with_lf_line_ends(self, tmp_path, data_csv):
+        """The toy pipeline for both tasks, with a non-ASCII text, and an analyze whose CSV
+        has a malformed row: every file under --out but model.ckpt decodes as UTF-8, ends
+        in a LF and holds no CR."""
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in toy_config(epochs=1).as_dict().items()))
+        out = tmp_path / "runs"
+        for task in sorted(TASK_CLASSES):
+            result = subprocess.run(
+                [sys.executable, str(self.SCRIPT), "--data", str(data_csv), "--out", str(out),
+                 "--config", str(cfg), "--task", task, "--text", "café ☕ fits"],
+                env=blas_env(PYTHONIOENCODING="utf-8"), capture_output=True, timeout=300)
+            assert result.returncode == 0, result.stderr.decode()
+        records = toy_reviews()
+        records[0] = records[0]._replace(rating="né")
+        bad = tmp_path / "bad.csv"
+        write_csv(records, bad)
+        assert main(["analyze", "--data", str(bad), "--out", str(out)]) == 0
+        assert (out / "analyze-0003" / "issues.txt").read_bytes() == (
+            b"line 2: Rating not an integer: 'n\xc3\xa9'\n")
+        files = [p for p in sorted(out.rglob("*")) if p.is_file() and p.name != "model.ckpt"]
+        assert len(files) > 40 and "config.txt" in {p.name for p in files}
+        for path in files:
+            raw = path.read_bytes()
+            raw.decode("utf-8")
+            assert raw.endswith(b"\n") and b"\r" not in raw, path
 
     def test_out_with_an_undecodable_byte_runs_every_stage(self, tmp_path, data_csv):
         """A stdout that cannot encode the byte's lone surrogate prints it as `\\udcfc` in

@@ -17,7 +17,6 @@ from reviewlab.dataset import (
     parse_csv,
     split_60_20_20,
     write_csv,
-    write_issues,
     write_table,
 )
 from reviewlab.errors import InputError
@@ -289,15 +288,6 @@ class TestRoundTrip:
         assert text.splitlines()[1].endswith(",positive")
         records2, _ = parse_csv(out)
         assert records2 == records
-
-    def test_issues_file_line_per_issue(self, tmp_path):
-        path = make_csv(tmp_path, ['0,1,25,,text,6,1,0,A,B,C'])
-        _, issues = parse_csv(path)
-        out = tmp_path / "issues.txt"
-        write_issues(issues, out)
-        lines = out.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("line 2:")
 
 
 class TestWriteTable:

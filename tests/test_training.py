@@ -1,7 +1,9 @@
 """Tests for the training loop, evaluation pass, and prediction."""
 
 import ctypes
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
@@ -742,3 +744,43 @@ class TestOnEpoch:
             train(config, *splits[:2], emb, on_epoch)
         assert type(raised.value) is FloatingPointError
         assert [stats.epoch for stats in calls] == [1]
+
+
+# CPython 3.10 keeps a call's arguments on the caller's stack until the call returns.
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="a 3.10 call holds its arguments")
+class TestFloat64TableFreed:
+    def test_dead_at_every_on_epoch(self):
+        """A table the caller hands over, keeping only a weakref, is freed once train has
+        cast it: the reference is dead at every on_epoch."""
+        config, splits, vocab, _ = prepared_toy(epochs=3)
+        tables = [random_embeddings(len(vocab) + 2, config.embedding_dim, SeededRng(5))]
+        table = weakref.ref(tables[0])
+        alive = []
+        # No *args: a call through an argument tuple holds the table until it returns.
+        train(config, splits[0], splits[1], tables.pop(),
+              lambda stats: alive.append(table() is not None))
+        assert alive == [False] * 3
+
+    def test_cli_train_holds_no_name_to_it(self, tmp_path, monkeypatch):
+        """`cli train` keeps no name bound to its float64 table: at every Adam step the
+        table `random_embeddings` drew is dead."""
+        drawn, alive = [], []
+        real_draw, real_step = reviewlab.cli.random_embeddings, reviewlab.training.adam_step
+
+        def draw(*args):
+            table = real_draw(*args)
+            drawn.append(weakref.ref(table))
+            return table
+
+        def adam_step(*args):
+            alive.append(drawn[0]() is not None)
+            real_step(*args)
+
+        monkeypatch.setattr(reviewlab.cli, "random_embeddings", draw)
+        monkeypatch.setattr(reviewlab.training, "adam_step", adam_step)
+        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        write_csv(toy_reviews(), data)
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in toy_config(epochs=2).as_dict().items()))
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
+                     "--config", str(cfg)]) == 0
+        assert len(drawn) == 1 and alive and not any(alive)

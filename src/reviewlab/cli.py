@@ -263,7 +263,7 @@ def _cmd_train(cfg: ChainMap, run_dir: Path) -> None:
               else random_embeddings(len(tokens) + 2, config.embedding_dim, rng)]
     history = []
 
-    def on_epoch(stats: EpochStats) -> None:
+    def on_epoch(stats: EpochStats, *_) -> None:
         history.append(stats)
         elapsed = time.perf_counter() - start
         print(f"epoch {stats.epoch}/{config.epochs}: train_loss {stats.train_loss:.4f} "

@@ -21,11 +21,11 @@ data, and seed therefore reproduce losses bit-for-bit. The embedding
 table is fine-tuned alongside the recurrent weights; its padding row
 receives no gradient and stays zero.
 
-`batch_gradients` is one batch's step: the mean loss and the seven
-gradients, the table's last.  `train` loops it over shuffled batches,
-then clips and steps Adam.  Its epochs, `evaluate` and `predict` compute
-under np.errstate(over="raise", invalid="raise"), so an overflow
-raises InputError there instead of yielding non-finite numbers.
+`batch_gradients` is one batch's step: the mean loss and the seven gradients, the
+table's last.  `train` loops it over shuffled batches, then clips and steps Adam, and
+hands on_epoch the live model and table, which the next epoch updates in place (copy
+them to keep them).  Its epochs, `evaluate` and `predict` compute under
+np.errstate(over="raise", invalid="raise"), so an overflow raises InputError there.
 """
 
 from __future__ import annotations
@@ -183,17 +183,17 @@ def batch_gradients(model: BiLstmClassifier, table: np.ndarray, idx: np.ndarray,
 def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray, on_epoch):
     """Mini-batch training with Adam and global-norm gradient clipping.
 
-    train_split and validation are (indices, labels) pairs, and
-    embeddings is a (vocab_size, config.embedding_dim) table.  The model
-    and a float32 copy of the table are trained; losses and probabilities
-    are float64.  embeddings is released once cast, before the Adam
-    moments allocate, so a caller that holds no other reference to it
-    frees it for the run.  Each epoch's EpochStats row goes to on_epoch,
-    outside the epoch's np.errstate.  Returns the final-epoch model (no
-    early stopping) and the trained table.  An overflow or
-    invalid value raises InputError naming numpy's message, the epoch,
-    the batch (or the validation pass after the epoch's last batch) and
-    learning_rate, rather than letting a diverged run continue silently.
+    train_split and validation are (indices, labels) pairs, and embeddings is a
+    (vocab_size, config.embedding_dim) table.  The model and a float32 copy of the table
+    are trained; losses and probabilities are float64.  embeddings is released once cast,
+    before the Adam moments allocate, so a caller that holds no other reference to it
+    frees it for the run.  After each epoch, outside its np.errstate, train calls
+    on_epoch(stats, model, table) with the EpochStats row and the live arrays it returns,
+    not copies: the next epoch updates them in place, so a caller that keeps them copies
+    them.  Returns the final-epoch model (no early stopping) and the trained table.  An
+    overflow or invalid value raises InputError naming numpy's message, the epoch, the
+    batch (or the validation pass after the epoch's last batch) and learning_rate,
+    rather than letting a diverged run continue silently.
     """
     (idx_all, labels_all), (val_idx, val_labels) = train_split, validation
 
@@ -233,7 +233,7 @@ def train(config: TrainConfig, train_split, validation, embeddings: np.ndarray, 
         except FloatingPointError as exc:
             raise InputError(f"training diverged: {exc} at epoch {epoch}, {where}; "
                              f"lower learning_rate (now {config.learning_rate!r})") from exc
-        on_epoch(stats)
+        on_epoch(stats, model, table)
     return model, table
 
 

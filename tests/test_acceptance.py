@@ -62,7 +62,7 @@ def _train_and_score(records, config, scored: int):
     encoded = list(zip(matrices, (labels for _, labels in splits)))
     emb = random_embeddings(len(vocab) + 2, config.embedding_dim, SeededRng(config.seed + 1))
     history = []
-    model, table = train(config, *encoded[:2], emb, history.append)
+    model, table = train(config, *encoded[:2], emb, lambda stats, *_: history.append(stats))
     report, _ = evaluate(model, table, encoded[scored],
                          config.batch_size, config.class_names)
     return (model, table, history), report

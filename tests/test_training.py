@@ -105,9 +105,11 @@ def prepared_toy(task="recommendation", **overrides):
 
 
 def trained(config, train_split, validation, emb):
-    """`train`'s (model, table) and the EpochStats rows its on_epoch got, in call order."""
+    """`train`'s (model, table) and the EpochStats rows its on_epoch got, in call order;
+    the live arrays on_epoch is also handed are ignored."""
     rows = []
-    model, table = train(config, train_split, validation, emb, rows.append)
+    model, table = train(config, train_split, validation, emb,
+                         lambda stats, *_: rows.append(stats))
     return model, table, tuple(rows)
 
 
@@ -470,49 +472,45 @@ class TestTrain:
         assert numbers == list(range(1, 3 * 3 + 1))  # 24 rows in batches of 8
 
 
-def at_epoch(monkeypatch, config, train_split, validation, emb, epoch):
+def at_epoch(config, train_split, validation, emb, epoch):
     """A `train` run's EpochStats rows, and its seven arrays (the model's blocks, then the
-    table) as they stood after `epoch`, copied from the arrays `adam_step` updates in place."""
-    live, arrays, rows = [], [], []
-    real = reviewlab.training.adam_step
+    table) as they stood after `epoch`, copied from the live arrays on_epoch is handed,
+    which the next epoch updates in place."""
+    arrays, rows = [], []
 
-    def adam_step(params, *args):
-        live[:] = params  # train's own arrays, which each step updates in place
-        real(params, *args)
-
-    def on_epoch(stats):
+    def on_epoch(stats, model, table):
         rows.append(stats)
         if stats.epoch == epoch:
-            arrays.extend(a.copy() for a in live)
+            arrays.extend(a.copy() for a in (*model, table))
 
-    with monkeypatch.context() as patched:
-        patched.setattr(reviewlab.training, "adam_step", adam_step)
-        train(config, train_split, validation, emb, on_epoch)
+    train(config, train_split, validation, emb, on_epoch)
     return tuple(rows), arrays
 
 
 class TestEpochPrefix:
+    @pytest.mark.parametrize("epoch", [1, 3])
     @pytest.mark.parametrize("task", sorted(TASK_CLASSES))
-    def test_a_shorter_run_is_the_prefix_of_a_longer_one(self, task, monkeypatch):
-        """A 3-epoch run's rows, model and table are those of a 5-epoch run at epoch 3,
-        dropout included: the epoch count draws nothing from the rng."""
-        config, splits, _, emb = prepared_toy(task=task, epochs=3, dropout_rate=0.3)
+    def test_a_shorter_run_is_the_prefix_of_a_longer_one(self, task, epoch):
+        """An `epoch`-epoch run's rows, model and table are those of a 5-epoch run at that
+        epoch, dropout included: the epoch count draws nothing from the rng.  Epoch 1 holds
+        Adam's first bias-corrected steps."""
+        config, splits, _, emb = prepared_toy(task=task, epochs=epoch, dropout_rate=0.3)
         model, table, rows = trained(config, *splits[:2], emb)
-        longer, at_epoch_3 = at_epoch(monkeypatch, replace(config, epochs=5), *splits[:2], emb, 3)
+        longer, copied = at_epoch(replace(config, epochs=5), *splits[:2], emb, epoch)
         assert len(longer) == 5
-        assert longer[:3] == rows
+        assert longer[:epoch] == rows
         arrays = [a for _, a in model.param_blocks()] + [table]
-        assert len(at_epoch_3) == len(arrays) == 7
-        for got, want in zip(at_epoch_3, arrays):
+        assert len(copied) == len(arrays) == 7
+        for got, want in zip(copied, arrays):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("task", sorted(TASK_CLASSES))
-    def test_a_checkpoint_taken_at_epoch_3_is_a_3_epoch_runs(self, task, tmp_path, monkeypatch):
+    def test_a_checkpoint_taken_at_epoch_3_is_a_3_epoch_runs(self, task, tmp_path):
         """The arrays of a 5-epoch run at epoch 3, saved with the run's ranked tokens and
         data fingerprint, are byte for byte the model.ckpt `cli train` writes at epochs=3:
         an epoch picked within one run needs no retraining to be checkpointed."""
         config, splits, tokens, emb = prepared_toy(task=task, epochs=3, dropout_rate=0.3)
-        _, arrays = at_epoch(monkeypatch, replace(config, epochs=5), *splits[:2], emb, 3)
+        _, arrays = at_epoch(replace(config, epochs=5), *splits[:2], emb, 3)
         words, table = sorted_vocab(tokens, arrays[-1])
         data_sha256 = tokenized_splits(toy_reviews(), config, BUILTIN_LEXICON, ())[2]
         save_checkpoint(ModelBundle(task=task, seq_len=config.seq_len, seed=config.seed,
@@ -706,9 +704,9 @@ class TestOnEpoch:
         real = reviewlab.cli.train
 
         def recorded(config, train_split, validation, emb, on_epoch):
-            def record(stats):
+            def record(stats, *arrays):
                 calls.append(stats)
-                on_epoch(stats)
+                on_epoch(stats, *arrays)
             return real(config, train_split, validation, emb, record)
 
         monkeypatch.setattr(reviewlab.cli, "train", recorded)
@@ -721,13 +719,25 @@ class TestOnEpoch:
         assert [stats.epoch for stats in calls] == [1, 2, 3]
         assert lines[1:] == [",".join(map(str, stats)) for stats in calls]
 
+    @pytest.mark.parametrize("task", sorted(TASK_CLASSES))
+    def test_handed_the_live_arrays_train_returns(self, task):
+        """Each call gets the very model and table `train` returns, not copies: the hook
+        copies nothing, and a caller that keeps them must copy them."""
+        config, splits, _, emb = prepared_toy(task=task, epochs=3)
+        handed = []
+        model, table = train(config, *splits[:2], emb,
+                             lambda stats, model, table: handed.append((model, table)))
+        assert len(handed) == 3
+        for got_model, got_table in handed:
+            assert got_model is model and got_table is table
+
     def test_callback_sees_the_callers_float_settings(self):
         """The epoch's np.errstate(over="raise", invalid="raise") is left before on_epoch."""
         config, splits, _, emb = prepared_toy(epochs=2)
         seen = []
         with np.errstate(all="ignore"):
             outer = np.geterr()
-            train(config, *splits[:2], emb, lambda stats: seen.append(np.geterr()))
+            train(config, *splits[:2], emb, lambda stats, *_: seen.append(np.geterr()))
         assert seen == [outer, outer]
 
     def test_callbacks_float_error_is_not_a_diverged_run(self):
@@ -735,7 +745,7 @@ class TestOnEpoch:
         config, splits, _, emb = prepared_toy(epochs=3)
         calls = []
 
-        def on_epoch(stats):
+        def on_epoch(stats, *_):
             calls.append(stats)
             with np.errstate(over="raise"):
                 np.float32(3e38) * np.float32(10)
@@ -758,7 +768,7 @@ class TestFloat64TableFreed:
         alive = []
         # No *args: a call through an argument tuple holds the table until it returns.
         train(config, splits[0], splits[1], tables.pop(),
-              lambda stats: alive.append(table() is not None))
+              lambda stats, *_: alive.append(table() is not None))
         assert alive == [False] * 3
 
     def test_cli_train_holds_no_name_to_it(self, tmp_path, monkeypatch):

@@ -40,8 +40,8 @@ activations.  Once step t has read C_t, it writes over the spent C_{t+1}
 the h_t = o_t * tanh(C_t) that step t + 1 read (recomputation for
 memory, Chen et al., arXiv:1604.06174), so z ends as [h_{t-1}, x_t] and
 backward() consumes its cache.  One GEMM over the N rows then gives dW
-and one the packed input gradients, which backward() scatters to
-(T, B, D) with zeros at the pads.
+and one the packed input gradients, which backward() returns as one
+row per real token, step-major with rows in caller order.
 
 The two directions share no state until their final hidden states are
 joined, so forward() and backward() run a batch of two or more rows on
@@ -324,7 +324,7 @@ def forward(model: BiLstmClassifier, x: np.ndarray, lengths: np.ndarray, *,
 def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarray):
     """Analytic gradients given d(loss)/d(logits) (B, C); consumes the cache.
 
-    Returns (gradients in param_blocks() order, input gradients dx (T, B, D), 0 at pads).
+    Returns (gradients in param_blocks() order, dx (N, D): one row per real token, step-major).
     """
     dropped = cache.features if cache.mask is None else cache.features * cache.mask
     dlogits = dlogits.astype(model.head_W.dtype, copy=False)  # softmax's float64 gradient
@@ -338,10 +338,9 @@ def backward(model: BiLstmClassifier, cache: ClassifierCache, dlogits: np.ndarra
         (model[0:2], cache.fwd, dfeat[:, :H]), (model[2:4], cache.bwd, dfeat[:, H:]), len(dfeat)
     )
     t, t_rev, rows = cache.index
-    dx = np.zeros((len(cache.fwd.offsets) - 1, len(cache.order), dx_fwd.shape[1]),
-                  dtype=dx_fwd.dtype)
-    dx[t, rows] = dx_fwd
-    dx[t_rev, rows] += dx_bwd
+    B = len(cache.order)  # step * B + row differs from token to token: one sorted order
+    dx = dx_fwd[np.argsort(t * B + rows)]
+    dx += dx_bwd[np.argsort(t_rev * B + rows)]
     grads = [dW_fwd, db_fwd, dW_bwd, db_bwd, dlogits.T @ dropped, dlogits.sum(axis=0)]
     return grads, dx
 

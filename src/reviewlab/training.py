@@ -174,9 +174,8 @@ def batch_gradients(model: BiLstmClassifier, table: np.ndarray, idx: np.ndarray,
     grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, targets))
     del cache  # the forward activations, freed before the table-sized dE allocates
     dE = np.zeros_like(table)
-    words = idx.T.ravel()
-    real = np.flatnonzero(words != PAD_INDEX)  # a pad's dx is zero: its row stays zero
-    np.add.at(dE, words[real], dx.reshape(len(words), -1)[real])
+    words = idx.T.ravel()  # step-major, as backward orders dx; PAD_INDEX's row stays zero
+    np.add.at(dE, words[words != PAD_INDEX], dx)
     return batch_cross_entropy(probs, targets), grads + [dE]
 
 

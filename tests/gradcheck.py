@@ -7,7 +7,8 @@ and the two loss functions it perturbs live here, next to the tests
 that use them, and ``src/reviewlab`` keeps only what the program runs.
 ``row_lengths`` gives the lengths ``forward`` takes, and ``packed`` the
 packed layout ``lstm_sequence_forward`` takes, for the tests that run
-the rows of x in order.
+the rows of x in order.  ``padded`` lays ``backward``'s input gradients
+out like x, for the tests that compare them position by position.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,13 @@ def packed(x, lengths=None):
     """
     t, j = np.nonzero(np.arange(len(x))[:, None] < row_lengths(x, lengths))
     return np.searchsorted(t, np.arange(len(x) + 1)).tolist(), (t, j)
+
+
+def padded(dx, lengths, T):
+    """backward()'s dx, one row per real token, step-major, as (T, B, D) with zeros at the pads."""
+    out = np.zeros((T, len(lengths), dx.shape[1]), dtype=dx.dtype)
+    out[np.nonzero(np.arange(T)[:, None] < np.asarray(lengths))] = dx
+    return out
 
 
 def cell_states(cache):

@@ -31,7 +31,7 @@ from reviewlab.nn import (
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.training import TrainConfig
 
-from gradcheck import cell_states, grad_check, loss, packed, row_lengths
+from gradcheck import cell_states, grad_check, loss, packed, padded, row_lengths
 
 
 def zero_params(cell, inp):
@@ -449,6 +449,7 @@ class TestBackward:
         target = 0
         probs, cache = forward(model, xs, row_lengths(xs), training=True)
         _, dx = backward(model, cache, batch_cross_entropy_grad(probs, [target]))
+        dx = padded(dx, row_lengths(xs), len(xs))
         eps = 1e-6
         for t in (0, 3):
             for r in range(3):
@@ -533,10 +534,10 @@ class TestRaggedBatch:
             row_grads, row_dx = backward(model, alone, dlogits[r:r + 1])
             for w, g in zip(want, row_grads):
                 w += g
-            want_dx[:length, r] = row_dx[:, 0]
+            want_dx[:length, r] = row_dx
         for g, w in zip(grads, want):
             assert np.abs(g - w).max() <= 1e-12
-        assert np.abs(dx - want_dx).max() <= 1e-12
+        assert np.abs(padded(dx, self.LENGTHS, len(xs)) - want_dx).max() <= 1e-12
 
     def test_grad_check_passes(self):
         model, xs = self.instance()
@@ -609,7 +610,8 @@ class TestDirectionsOnTwoThreads:
         for g, w in zip(grads, want_grads):
             assert g.dtype == dtype
             assert np.array_equal(g, w)
-        assert np.array_equal(dx, want_dx)
+        assert len(dx) == sum(lengths)
+        assert np.array_equal(padded(dx, lengths, len(xs)), want_dx)
 
     def test_worker_error_reaches_caller(self, monkeypatch):
         model = toy_classifier(seed=97)
@@ -758,12 +760,13 @@ class TestComputeDtype:
     def test_training_step_keeps_the_model_dtype(self, dtype):
         model = toy_classifier(seed=110, dtype=dtype)
         xs = random_xs(SeededRng(111), 3, 5, batch=3).astype(dtype)
-        probs, cache = forward(model, xs, np.array([5, 2, 0]), dropout_rate=0.5,
+        lengths = np.array([5, 2, 0])
+        probs, cache = forward(model, xs, lengths, dropout_rate=0.5,
                                rng=SeededRng(112), training=True)
         assert probs.dtype == np.float64
         made = [*cache.fwd[:2], *cache.bwd[:2], cache.features, cache.mask]
         grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1, 2]))
-        clipped, _ = clip_by_global_norm([*grads, dx], 1e-3)
+        clipped, _ = clip_by_global_norm([*grads, padded(dx, lengths, len(xs))], 1e-3)
         params = [p for _, p in model.param_blocks()] + [xs]
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
         adam_step(params, clipped, moments, 1, lr=1e-3)

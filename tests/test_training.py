@@ -33,7 +33,7 @@ from reviewlab.textprep import (
 )
 from toy import toy_config, toy_reviews
 
-from gradcheck import grad_check
+from gradcheck import grad_check, padded
 from reviewlab.training import (
     TrainConfig,
     batch_gradients,
@@ -278,6 +278,8 @@ class TestBatchGradients:
         table = random_embeddings(7, 4, SeededRng(12)).astype(np.float32)
         _, grads = batch_gradients(model, table, self.IDX, self.TARGETS, 0.5, SeededRng(7))
         (dx,) = spent
+        lengths = (self.IDX != PAD_INDEX).sum(axis=1)
+        dx = padded(dx, lengths, lengths.max())
         full = np.zeros_like(table)
         np.add.at(full, self.IDX[:, :len(dx)].T, dx)
         assert grads[-1].tobytes() == full.tobytes()

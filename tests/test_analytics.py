@@ -483,6 +483,25 @@ class TestFullReport:
         ]
         assert [list(row[1:]) for row in corr.rows] == [pytest.approx(w, abs=1e-12) for w in want]
 
+    def test_crosstab_axes_sorted_by_str(self):
+        """Each crosstab's row labels and column headers are the values present in its
+        pairs, sorted by str, not in the order of the records or of a set."""
+        names = ["Zip", "Yoke", "Wrap", "Vest", "Tunic", "Slip", "Robe", "Pant", "Knit"]
+        records = [rec(rating=1 + i % 5, recommended=i % 2, division=names[i % 9],
+                       department=names[(i + 3) % 9], class_name=names[(2 * i) % 9])
+                   for i in range(18)] + [rec(rating=3, division="Alpha")]
+        report = full_report(records)
+        features = {slug(feature): feature for feature in FEATURE_ACCESSORS}
+        crosstabs = [name for name in report if name.startswith("crosstab__")]
+        assert len(crosstabs) == 8
+        for name in crosstabs:
+            row_f, col_f = (features[part] for part in name.split("__")[1:3])
+            pairs = [p for p in zip(map(FEATURE_ACCESSORS[row_f], records),
+                                    map(FEATURE_ACCESSORS[col_f], records)) if None not in p]
+            table = report[name]
+            assert [row[0] for row in table.rows] == sorted({r for r, _ in pairs}, key=str), name
+            assert list(table.header[1:]) == sorted({c for _, c in pairs}, key=str), name
+
     def test_constant_feature_correlation_is_empty(self):
         """A zero-variance feature correlates with nothing: "" off the diagonal."""
         records = [rec(age=30, rating=r, positive_feedback_count=r) for r in (1, 5)]

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reviewlab.training
-from reviewlab.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
+from reviewlab.checkpoint import FORMAT, MAGIC, ModelBundle, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import write_csv
 from reviewlab.errors import InputError
@@ -319,11 +319,14 @@ class TestRejections:
             load_checkpoint(path)
 
     def test_unsupported_format_version(self, tmp_path, capsys):
-        """Format-3 files (the vocabulary kept in a separate file) are rejected by version."""
+        """Format-3 files (the vocabulary kept in a separate file) and files of the format
+        before this one are rejected by version, and leave no run directory."""
         path = saved_checkpoint(tmp_path)
-        edit_metadata(path, lambda meta: meta.update(format=3))
-        assert predict_exit_code(tmp_path, path) == 2
-        assert "unsupported checkpoint format 3" in capsys.readouterr().err
+        for version in (3, FORMAT - 1):
+            edit_metadata(path, lambda meta, version=version: meta.update(format=version))
+            assert predict_exit_code(tmp_path, path) == 2
+            assert f"unsupported checkpoint format {version}" in capsys.readouterr().err
+            assert not (tmp_path / "runs").exists()
 
     def test_format_four_exits_two(self, tmp_path, capsys):
         """Format 4 stored its own block layout and class names; retrain to upgrade."""

@@ -576,6 +576,49 @@ class TestFullPipelineScript:
         assert [argv[argv.index("--checkpoint") + 1] for argv in stages[3:]] == [checkpoint] * 2
         assert (out / "evaluate-0001" / "metrics.json").exists()
 
+    def test_config_reaches_every_stage_that_reads_it(self, tmp_path, data_csv):
+        """The config's lexicon, which scores "good" negative, labels the label stage's
+        rows, and its task is the one trained unless --task overrides it."""
+        lexicon = tmp_path / "flipped.tsv"
+        lexicon.write_text("good\t-2.0\nbad\t2.0\n", encoding="utf-8")
+        cfg = tmp_path / "sentiment.cfg"
+        settings = {**toy_config(epochs=1, task="sentiment").as_dict(), "lexicon": lexicon}
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        out = tmp_path / "runs"
+        for task in ([], ["--task", "recommendation"]):
+            result = subprocess.run(
+                [sys.executable, str(self.SCRIPT), "--data", str(data_csv), "--out", str(out),
+                 "--config", str(cfg), *task], env=blas_env(), capture_output=True, text=True,
+                timeout=300)
+            assert result.returncode == 0, result.stderr
+        labeled = (out / "label-0001" / "labeled.csv").read_text().splitlines()
+        assert labeled[0].endswith(",Sentiment") and labeled[1].endswith(",negative")
+        assert [json.loads((out / f"train-000{n}" / "train_summary.json").read_text())["task"]
+                for n in (1, 2)] == ["sentiment", "recommendation"]
+        assert (out / "predict-0002" / "prediction.json").exists()
+
+    def test_artifacts_do_not_depend_on_the_string_hash_seed(self, tmp_path, data_csv):
+        """Each task's pipeline under PYTHONHASHSEED=1 and under =2 writes the same files
+        with the same bytes, but config.txt, which records each run's own --out.
+        Acceptance 8 reruns each command in one process, where every string hashes alike;
+        two processes catch an artifact that follows set order."""
+        cfg = tmp_path / "toy.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in toy_config(epochs=3).as_dict().items()))
+        roots = [tmp_path / f"hash-seed-{seed}" for seed in (1, 2)]
+        for seed, root in enumerate(roots, start=1):
+            for task in sorted(TASK_CLASSES):
+                result = subprocess.run(
+                    [sys.executable, str(self.SCRIPT), "--data", str(data_csv),
+                     "--out", str(root / task), "--config", str(cfg), "--task", task],
+                    env=blas_env(PYTHONHASHSEED=str(seed), PYTHONWARNINGS="error::RuntimeWarning"),
+                    capture_output=True, timeout=300)
+                assert result.returncode == 0, result.stderr.decode()
+        first, second = ({p.relative_to(root): p for p in sorted(root.rglob("*")) if p.is_file()}
+                         for root in roots)
+        assert len(first) > 80 and list(first) == list(second)
+        assert [path for path in first if path.name != "config.txt"
+                and first[path].read_bytes() != second[path].read_bytes()] == []
+
 
 class TestEvaluate:
     def test_metrics_files_written(self, tmp_path, data_csv, toy_cfg_file):
@@ -688,6 +731,7 @@ class TestEvaluate:
                      "--checkpoint", str(run_dir / "model.ckpt")])
         assert code == 2
         assert "is not the checkpoint's" in capsys.readouterr().err
+        assert not (tmp_path / "runs" / "evaluate-0001").exists()
 
     def test_sentiment_lexicon_must_match_training(self, tmp_path, data_csv, capsys):
         """Sentiment labels come from the lexicon, so evaluation needs the training one."""
@@ -963,6 +1007,8 @@ class TestPredict:
         assert main(argv) == 0
         second = capsys.readouterr().out.splitlines()[-1]
         assert first == second
+        assert snapshot(tmp_path / "runs" / "predict-0002") == snapshot(
+            tmp_path / "runs" / "predict-0001")
 
     def test_config_written_once_per_command(self, tmp_path, data_csv, toy_cfg_file,
                                              monkeypatch):

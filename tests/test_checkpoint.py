@@ -25,6 +25,8 @@ from reviewlab.rng import SeededRng
 from reviewlab.textprep import build_vocab, encode, random_embeddings, sorted_vocab
 from toy import toy_config, toy_reviews
 
+from gradcheck import toy_classifier
+
 DATA_SHA256 = "5" * 64
 # The bytes of `tokenize`'s tokens, ascending.
 ALPHABET = "'0123456789abcdefghijklmnopqrstuvwxyz"
@@ -43,8 +45,7 @@ def small_bundle(dim=6):
     """
     vocab, _ = build_vocab([[[f"tok{i}"] * (i + 1) for i in range(10)]], min_freq=1,
                            max_size=20, seq_len=1)
-    model = BiLstmClassifier(*(a.astype(np.float32)
-                               for a in BiLstmClassifier.build(4, dim, 2, SeededRng(1))))
+    model = toy_classifier(1, cell=4, inp=dim, n_classes=2, dtype=np.float32)
     table = random_embeddings(len(vocab) + 2, dim, SeededRng(2)).astype(np.float32)
     words, emb = sorted_vocab(vocab, table)
     bundle = ModelBundle(

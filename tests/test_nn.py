@@ -1,4 +1,8 @@
-"""Tests for the LSTM recurrence, bidirectional classifier, losses, and optimizers."""
+"""Tests for nn.py: the LSTM cell's gates and their activations, the packed recurrence and
+its cache, the bidirectional classifier, its softmax head and backward pass, ragged
+batches, the reverse-direction worker thread, the compute dtype, the losses, dropout,
+Adam and clipping.  The LSTM equations are checked against gradcheck.lstm_oracle and the
+gradients against central differences (gradcheck.grad_check)."""
 
 import math
 import os
@@ -8,6 +12,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -29,33 +34,20 @@ from reviewlab.nn import (
     softmax,
 )
 from reviewlab.rng import SeededRng, init_uniform
-from reviewlab.training import TrainConfig
 
-from gradcheck import cell_states, grad_check, loss, packed, padded, row_lengths
-
-
-def zero_params(cell, inp):
-    return np.zeros((4 * cell, cell + inp)), np.zeros(4 * cell)
-
-
-def lstm_params(cell, inp, rng):
-    """One direction's (W, b), drawn as build() draws the forward direction."""
-    return BiLstmClassifier.build(cell, inp, 1, rng)[:2]
-
-
-def params_with(cell, inp, **overrides):
-    """Zero parameters with per-gate blocks overridden, e.g. b_C=[...] or W_i=[[...]]."""
-    W, b = zero_params(cell, inp)
-    for name, value in overrides.items():
-        kind, gate = name.split("_")
-        rows = slice("fiCo".index(gate) * cell, ("fiCo".index(gate) + 1) * cell)
-        (W if kind == "W" else b)[rows] = value
-    return W, b
-
-
-def random_xs(rng, input_size, length, batch=1, scale=1.0):
-    """(length, batch, input_size) inputs, drawn step by step."""
-    return np.stack([init_uniform(input_size, batch, rng, scale).T for _ in range(length)])
+from gradcheck import (
+    cell_states,
+    grad_check,
+    loss,
+    lstm_oracle,
+    lstm_params,
+    packed,
+    padded,
+    random_xs,
+    row_lengths,
+    toy_classifier,
+    zero_params,
+)
 
 
 def one_step(params, x):
@@ -68,26 +60,58 @@ def one_step(params, x):
     return h, cell_states(cache), np.split(cache.acts, 4, axis=1)
 
 
-def sig(v):
-    return 1.0 / (1.0 + np.exp(-v))
+def sigmoid_reference(x):
+    """0.5 * (1 + tanh(x / 2)) in the order the step loop used before it fused its gates."""
+    return (np.tanh(x * 0.5) + 1.0) * 0.5
 
 
-def manual_steps(params, x):
-    """The gate equations applied step by step in plain numpy."""
+def gate_activations(xs):
+    """(f, i, C~, o), each (len(xs), 1): one step of cell 1 whose four gates all read x."""
+    W = np.tile([[0.0, 1.0]], (4, 1))  # columns [h; x]; the zero state adds nothing
+    return one_step((W, np.zeros(4)), np.asarray(xs, dtype=float)[:, None])[2]
+
+
+def separate_gate_calls(params, x, lengths):
+    """The step loop as it ran before its gates shared one tanh, with one sigmoid or tanh
+    call per gate slice; returns (h, acts, c) like lstm_sequence_forward.
+
+    The reference for the fused activation's bits, which lstm_oracle's rounding cannot be.
+    """
     W, b = params
-    H = len(b) // 4
-    h = np.zeros((x.shape[1], H))
-    c = np.zeros_like(h)
-    for x_t in x:
-        a = np.hstack([h, x_t]) @ W.T + b
-        f, i, g, o = sig(a[:, :H]), sig(a[:, H:2 * H]), np.tanh(a[:, 2 * H:3 * H]), sig(a[:, 3 * H:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-    return h, c
+    T, B, H = len(x), x.shape[1], len(W) // 4
+
+    def sigmoid(a):
+        a *= 0.5
+        np.tanh(a, out=a)
+        a += 1.0
+        a *= 0.5
+
+    active = np.arange(T)[:, None] < lengths
+    offsets = np.concatenate([[0], np.cumsum(active.sum(axis=1))]).tolist()
+    acts = x[np.nonzero(active)] @ W[:, H:].T
+    acts += b
+    c = np.empty((offsets[-1], H), dtype=W.dtype)
+    h = np.zeros((B, H), dtype=W.dtype)
+    for t in range(T):
+        lo, hi = offsets[t], offsets[t + 1]
+        k = hi - lo
+        a = acts[lo:hi]
+        a += h[:k] @ W[:, :H].T
+        sigmoid(a[:, :2 * H])
+        np.tanh(a[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
+        sigmoid(a[:, 3 * H:])
+        f, i, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        np.multiply(f, c[offsets[t - 1]:offsets[t - 1] + k] if t else 0.0, out=c[lo:hi])
+        c[lo:hi] += i * g
+        h[:k] = o * np.tanh(c[lo:hi])
+    return h, acts, c
 
 
 def zero_head(cell, n_classes=3):
     return np.zeros((n_classes, 2 * cell)), np.zeros(n_classes)
+
+
+small_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
 class TestLstmCellForward:
@@ -103,16 +127,26 @@ class TestLstmCellForward:
 
     def test_hand_evaluated_candidate_bias(self):
         """b_C = atanh(0.5) with zero weights gives h = 0.5 tanh(0.25)."""
-        p = params_with(1, 1, b_C=[math.atanh(0.5)])
+        p = zero_params(1, 1, b_C=[math.atanh(0.5)])
         h, c, (_, _, g, _) = one_step(p, [[123.0]])
         assert abs(g[0, 0] - 0.5) < 1e-12
         assert abs(c[0, 0] - 0.25) < 1e-12
         assert abs(h[0, 0] - 0.122460) < 1e-6
 
+    def test_hand_evaluated_gate_preactivations(self):
+        """Each gate's row of W.[h; x] + b, rows f, i, C, o, evaluated by hand."""
+        W = [[0.0, 1.0, 2.0], [0.0, 3.0, 4.0], [0.0, 5.0, 6.0], [0.0, 7.0, 8.0]]
+        p = np.array(W), np.array([0.5, -0.5, -17.0, 0.0])
+        _, _, (f, i, g, o) = one_step(p, [[1.0, 2.0]])
+        assert f[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-5.5)), abs=1e-15)
+        assert i[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-10.5)), abs=1e-15)
+        assert g[0, 0] == pytest.approx(math.tanh(0.0), abs=1e-15)
+        assert o[0, 0] == pytest.approx(1.0 / (1.0 + math.exp(-23.0)), abs=1e-15)
+
     def test_saturated_gates_carry_cell_state(self):
         """f pushed to 1 and i to 0 make the cell a pure memory line."""
         # x = 1 opens the input gate once to write C~ = [0.7, -0.3]; x = 0 closes it.
-        p = params_with(2, 1, b_f=[1e3, 1e3], b_i=[-1e3, -1e3],
+        p = zero_params(2, 1, b_f=[1e3, 1e3], b_i=[-1e3, -1e3],
                         W_i=[[0.0, 0.0, 2e3], [0.0, 0.0, 2e3]],
                         b_C=[math.atanh(0.7), math.atanh(-0.3)])
         x = np.array([1.0, 0.0, 0.0]).reshape(3, 1, 1)
@@ -123,7 +157,7 @@ class TestLstmCellForward:
         assert np.allclose(c[2], c[0], atol=1e-9)
 
     def test_memory_carry_over_fifty_steps(self):
-        p = params_with(1, 1, b_f=[1e3], b_i=[-1e3], W_i=[[0.0, 2e3]],
+        p = zero_params(1, 1, b_f=[1e3], b_i=[-1e3], W_i=[[0.0, 2e3]],
                         b_C=[math.atanh(0.42)])
         x = np.zeros((61, 1, 1))
         x[0] = 1.0
@@ -155,6 +189,33 @@ class TestLstmCellForward:
         assert np.allclose(hboth[:1], ha, atol=1e-15)
         assert np.allclose(hboth[1:], hb, atol=1e-15)
 
+    def test_sigmoid_frozen_values(self):
+        """The f, i and o gates are sigmoids, bit for bit 0.5 * (1 + tanh(x / 2))."""
+        xs = np.array([0.0, 0.5, -1.75])
+        f, i, _, o = gate_activations(xs)
+        for out in (f[:, 0], i[:, 0], o[:, 0]):
+            assert out[0] == 0.5
+            assert abs(out[1] - 0.6224593312018546) < 1e-12
+            assert abs(out[2] - 0.14804719803168948) < 1e-12
+            assert np.array_equal(out, sigmoid_reference(xs))
+
+    def test_sigmoid_saturates_without_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning would fail the test
+            f, i, g, o = gate_activations([-1e4, 1e4])
+        for out in (f, i, o):
+            assert out[0, 0] == 0.0
+            assert out[1, 0] == 1.0
+        assert g[:, 0].tolist() == [-1.0, 1.0]
+
+    @given(st.lists(small_floats, min_size=1, max_size=8))
+    @settings(max_examples=30, deadline=None)
+    def test_sigmoid_range_and_symmetry(self, xs):
+        out, neg = gate_activations(xs)[0][:, 0], gate_activations(-np.array(xs))[3][:, 0]
+        assert np.all(out >= 0.0) and np.all(out <= 1.0)
+        assert np.allclose(out + neg, 1.0, atol=1e-12)
+        assert np.array_equal(out, sigmoid_reference(np.array(xs)))
+
 
 class TestLstmSequenceForward:
     def test_length_one_equals_single_cell(self):
@@ -162,7 +223,7 @@ class TestLstmSequenceForward:
         p = lstm_params(2, 2, rng)
         x = np.array([[[0.5, -1.0]]])
         h, cache = lstm_sequence_forward(p, x, *packed(x))
-        want_h, want_c = manual_steps(p, x)
+        want_h, want_c = lstm_oracle(p[0].tolist(), p[1].tolist(), x[:, 0].tolist())
         assert np.allclose(h, want_h, atol=1e-15)
         assert np.allclose(cell_states(cache), want_c, atol=1e-15)
         assert cache.acts.shape == (1, 8)
@@ -178,10 +239,59 @@ class TestLstmSequenceForward:
         p = lstm_params(3, 2, rng)
         xs = random_xs(SeededRng(4), 2, 3)
         h, cache = lstm_sequence_forward(p, xs, *packed(xs))
-        want_h, want_c = manual_steps(p, xs)
+        want_h, want_c = lstm_oracle(p[0].tolist(), p[1].tolist(), xs[:, 0].tolist())
         assert np.allclose(h, want_h, atol=1e-15)
         assert np.allclose(cell_states(cache)[-1], want_c, atol=1e-15)
         assert cache.acts.shape[0] == 3
+
+    def test_two_steps_hand_evaluated(self):
+        """C = f*C_prev + i*C~ and h = o*tanh(C), by hand over two steps with constant gates."""
+        bias = [0.3, -0.4, math.atanh(0.6), 1.2]
+        x = np.zeros((2, 1, 1))
+        h, cache = lstm_sequence_forward((np.zeros((4, 2)), np.array(bias)), x, *packed(x))
+        f, i, o = (1.0 / (1.0 + math.exp(-v)) for v in (bias[0], bias[1], bias[3]))
+        g = 0.6
+        c1 = i * g
+        c2 = f * c1 + i * g
+        assert cell_states(cache)[0, 0] == pytest.approx(c1, abs=1e-15)
+        assert cell_states(cache)[1, 0] == pytest.approx(c2, abs=1e-15)
+        assert h[0, 0] == pytest.approx(o * math.tanh(c2), abs=1e-15)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_triple_loop_oracle(self, cell, inp, steps, batch, seed):
+        """Every example's final state agrees with the list-based oracle run
+        over that example's own (ragged, non-increasing) length."""
+        rng = np.random.default_rng(seed)
+        W = rng.uniform(-2.0, 2.0, (4 * cell, cell + inp))
+        b = rng.uniform(-2.0, 2.0, 4 * cell)
+        x = rng.uniform(-2.0, 2.0, (steps, batch, inp))
+        lengths = np.sort(rng.integers(0, steps + 1, batch))[::-1]
+        h, cache = lstm_sequence_forward((W, b), x, *packed(x, lengths))
+        for k, length in enumerate(lengths):
+            want_h, want_c = lstm_oracle(W.tolist(), b.tolist(), x[:length, k].tolist())
+            # A row's last cell state is packed at row k of its last step.
+            got_c = cell_states(cache)[cache.offsets[length - 1] + k] if length else np.zeros(cell)
+            assert np.allclose(h[k], want_h, rtol=1e-12, atol=1e-12)
+            assert np.allclose(got_c, want_c, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_tanh_matches_separate_gate_calls(self, dtype):
+        """h, the gate activations and the cells are bit-identical to the loop with
+        separate sigmoid and tanh calls, on a ragged batch with an empty row and
+        a tail of steps where only one row is still running."""
+        rng = np.random.default_rng(11)
+        H, D, T = 5, 3, 7
+        W = rng.uniform(-1.5, 1.5, (4 * H, H + D)).astype(dtype)
+        b = rng.uniform(-1.5, 1.5, 4 * H).astype(dtype)
+        x = rng.uniform(-2.0, 2.0, (T, 5, D)).astype(dtype)
+        lengths = np.array([7, 4, 4, 2, 0])
+        h, cache = lstm_sequence_forward((W, b), x, *packed(x, lengths))
+        want_h, want_acts, want_c = separate_gate_calls((W, b), x, lengths)
+        for got, want in [(h, want_h), (cache.acts, want_acts), (cell_states(cache), want_c)]:
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
     def test_caches_record_cell_states_in_order(self):
         """Step t packs the rows still running, a prefix; each row carries its own state."""
@@ -209,6 +319,23 @@ class TestLstmSequenceForward:
         for direction in (cache.fwd, cache.bwd):
             arrays = [a for a in direction if isinstance(a, np.ndarray)]
             assert sum(a.nbytes for a in arrays) == N * (5 * H + D) * 4
+
+    def test_cache_z_holds_state_then_previous_h(self):
+        """Step t of the cache holds [C_t, x_t] after forward, and [h_{t-1}, x_t],
+        the columns W acts on, once the backward sweep has run."""
+        p = lstm_params(2, 3, SeededRng(6))
+        x = random_xs(SeededRng(6), 3, 3, batch=2)
+        _, cache = lstm_sequence_forward(p, x, *packed(x))
+        z = cache.z.reshape(3, 2, 5)  # full-length rows: the packing is step-major
+        prefixes = [lstm_sequence_forward(p, x[:t], *packed(x[:t])) for t in (1, 2, 3)]
+        for t, (_, run) in enumerate(prefixes):
+            assert np.array_equal(z[t, :, :2], cell_states(run)[-2:])
+        assert np.array_equal(z[:, :, 2:], x)
+        lstm_sequence_backward(p, cache, np.ones((2, 2)))
+        assert np.array_equal(z[0, :, :2], np.zeros((2, 2)))
+        for t, (h, _) in enumerate(prefixes[:2]):
+            assert np.array_equal(z[t + 1, :, :2], h)
+        assert np.array_equal(z[:, :, 2:], x)
 
 
 class TestInferenceKeepsNoCache:
@@ -252,6 +379,12 @@ class TestInferenceKeepsNoCache:
 
 
 class TestBiLstmForward:
+    def test_build_block_shapes(self):
+        model = BiLstmClassifier.build(3, 2, 4, SeededRng(0))
+        assert [p.shape for _, p in model.param_blocks()] == [
+            (12, 5), (12,), (12, 5), (12,), (4, 6), (4,)]
+        assert (model.cell_size, model.n_classes) == (3, 4)
+
     def test_palindrome_with_shared_params_gives_equal_halves(self):
         rng = SeededRng(8)
         p = lstm_params(3, 2, rng)
@@ -314,6 +447,18 @@ class TestDenseSoftmax:
         probs, cache = forward(model, xs, row_lengths(xs))
         assert cache.features.shape == (5, 8)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_shift_invariant_at_large_logits(self):
+        a = softmax(np.array([[1.0, 2.0, 3.0]]))
+        b = softmax(np.array([[1001.0, 1002.0, 1003.0]]))
+        assert np.allclose(a, b, atol=1e-12)
+
+    def test_rows_normalized_independently(self):
+        """Classes are the columns: each row is normalized on its own."""
+        a = softmax(np.array([[1.0, 5.0, 2.0], [3.0, 3.0, 3.0]]))
+        b = softmax(np.array([[1.0, 5.0, 2.0], [-40.0, 9.0, 0.5]]))
+        assert np.array_equal(a[0], b[0])
+        assert np.allclose(a[1], [1 / 3, 1 / 3, 1 / 3])
 
 
 class TestCrossEntropy:
@@ -393,17 +538,6 @@ class TestDropout:
         vals = set(np.round(mask, 12).reshape(-1))
         assert vals <= {0.0, round(1 / 0.75, 12)}
 
-    def test_invalid_rate_rejected(self):
-        """TrainConfig refuses the rate before any mask is drawn."""
-        for rate in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError, match="dropout_rate"):
-                TrainConfig(dropout_rate=rate)
-
-
-def toy_classifier(seed=0, cell=4, inp=3, n_classes=3, dtype=np.float64):
-    model = BiLstmClassifier.build(cell, inp, n_classes, SeededRng(seed))
-    return BiLstmClassifier(*(a.astype(dtype, copy=False) for a in model))
-
 
 def bump(param, k, delta):
     """A copy of param with entry k moved by delta."""
@@ -422,12 +556,51 @@ class TestBackward:
             assert np.allclose(g, 0.0)
         assert np.allclose(dx, 0.0)
 
-    def test_master_gradient_check(self):
-        """Analytic BPTT matches central differences on the toy instance."""
-        model = toy_classifier(seed=0)
-        xs = random_xs(SeededRng(100), 3, 5)
-        report = grad_check(model, (xs, 2), epsilon=1e-5, tolerance=1e-4)
-        assert report.passed, report.per_block
+    def test_never_writes_parameters_or_inputs(self):
+        """Forward and backward run on read-only parameters and inputs, and repeated
+        forward passes return fresh, equal arrays."""
+        model = toy_classifier(seed=1, cell=3, inp=2, n_classes=2)
+        x = random_xs(SeededRng(1), 2, 4, batch=2)
+        for _, p in model.param_blocks():
+            p.setflags(write=False)
+        x.setflags(write=False)
+        first, _ = forward(model, x, row_lengths(x))
+        again, _ = forward(model, x, row_lengths(x))
+        assert first is not again
+        assert np.array_equal(first, again)
+        probs, cache = forward(model, x, row_lengths(x), training=True)
+        _, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1]))
+        assert dx.shape == (row_lengths(x).sum(), x.shape[2])
+
+    def test_cache_holds_its_own_copy_of_x(self):
+        """Writes to x after forward do not change the gradients."""
+        model = toy_classifier(seed=2, cell=3, inp=2, n_classes=2)
+        x = random_xs(SeededRng(2), 2, 3)
+        probs, cache = forward(model, x, row_lengths(x), training=True)
+        _, cache2 = forward(model, x, row_lengths(x), training=True)
+        dlogits = batch_cross_entropy_grad(probs, [1])
+        want, _ = backward(model, cache2, dlogits)
+        x[:] = 99.0
+        got, _ = backward(model, cache, dlogits)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_db_sums_the_gate_gradient_rows(self):
+        """db is the sum over all T*B rows of the gate-gradient buffer."""
+        p = lstm_params(3, 2, SeededRng(7))
+        x = random_xs(SeededRng(7), 2, 4, batch=2)
+        _, cache = lstm_sequence_forward(p, x, *packed(x))
+        _, db, _ = lstm_sequence_backward(p, cache, np.ones((2, 3)))
+        assert np.allclose(db, cache.acts.reshape(-1, 12).sum(axis=0), atol=1e-15)
+
+    def test_dx_is_the_x_columns_of_the_gate_gradient(self):
+        """dx is the x-column block of dA.W; the h block feeds the recurrence."""
+        p = lstm_params(3, 2, SeededRng(8))
+        x = random_xs(SeededRng(8), 2, 4, batch=2)
+        _, cache = lstm_sequence_forward(p, x, *packed(x))
+        _, _, dx = lstm_sequence_backward(p, cache, np.ones((2, 3)))
+        want = (cache.acts @ p[0])[:, 3:]
+        assert np.allclose(dx, want, atol=1e-15)
 
     def test_duplicated_direction_grads_identical(self):
         """Cloned directions on a palindrome receive identical gradients."""
@@ -768,7 +941,7 @@ class TestComputeDtype:
         grads, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1, 2]))
         clipped, _ = clip_by_global_norm([*grads, padded(dx, lengths, len(xs))], 1e-3)
         params = [p for _, p in model.param_blocks()] + [xs]
-        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+        moments = zero_moments(params)
         adam_step(params, clipped, moments, 1, lr=1e-3)
         made += [*grads, dx, *clipped, *(a for pair in moments for a in pair), *params]
         assert [a.dtype for a in made] == [np.dtype(dtype)] * len(made)
@@ -845,15 +1018,6 @@ class TestGradCheck:
         with pytest.raises(ValueError, match="epsilon"):
             grad_check(model, (xs, 0), epsilon=0.0)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=5, deadline=None)
-    def test_random_instances_pass(self, seed):
-        """Sampled seeds behave like the fixed ones."""
-        model = toy_classifier(seed=seed)
-        xs = random_xs(SeededRng(seed + 1), 3, 4)
-        report = grad_check(model, (xs, seed % 3), epsilon=1e-5)
-        assert report.passed, report.per_block
-
 
 def zero_moments(params):
     return [(np.zeros_like(p), np.zeros_like(p)) for p in params]
@@ -909,12 +1073,6 @@ class TestClipByGlobalNorm:
 
 
 class TestClassifierForward:
-    def test_probabilities_sum_to_one(self):
-        model = toy_classifier(seed=50)
-        xs = random_xs(SeededRng(51), 3, 6)
-        probs, _ = forward(model, xs, row_lengths(xs))
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-
     def test_deterministic_for_fixed_seed(self):
         """Identical seed and inputs give bit-identical losses."""
         losses = []
@@ -936,10 +1094,3 @@ class TestClassifierForward:
         pboth, _ = forward(model, xs_both, row_lengths(xs_both))
         assert np.allclose(pboth[:1], pa, atol=1e-12)
         assert np.allclose(pboth[1:], pb, atol=1e-12)
-
-    def test_first_half_of_features_is_forward_direction(self):
-        model = toy_classifier(seed=80)
-        xs = random_xs(SeededRng(81), 3, 5)
-        _, cache = forward(model, xs, row_lengths(xs))
-        fwd, _ = lstm_sequence_forward(model[0:2], xs, *packed(xs))
-        assert np.array_equal(cache.features[:, :4], fwd)

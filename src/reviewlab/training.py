@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, count
 from typing import NamedTuple
 
@@ -105,9 +105,6 @@ class TrainConfig:
     @property
     def class_names(self) -> tuple:
         return TASK_CLASSES[self.task]
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 class EpochStats(NamedTuple):

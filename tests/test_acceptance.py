@@ -25,7 +25,7 @@ from reviewlab.nn import BiLstmClassifier, lstm_sequence_forward, softmax
 from reviewlab.rng import SeededRng, init_uniform
 from reviewlab.sentiment import BUILTIN_LEXICON
 from reviewlab.textprep import build_vocab, random_embeddings
-from toy import toy_config, toy_reviews
+from toy import snapshot, toy_config, toy_config_file, toy_reviews
 from reviewlab.training import TrainConfig, evaluate, tokenized_splits, train
 
 from gradcheck import grad_check, lstm_oracle, packed
@@ -271,36 +271,26 @@ class TestAcceptance:
         """Rerunning each command with the same config is byte-identical."""
         data = tmp_path / "reviews.csv"
         write_csv(toy_reviews(), data)
-        cfg_file = tmp_path / "toy.cfg"
-        cfg_file.write_text(
-            "\n".join(f"{k}={v}" for k, v in toy_config(epochs=3).as_dict().items()) + "\n"
-        )
+        cfg_file = toy_config_file(tmp_path / "toy.cfg", epochs=3)
         out = tmp_path / "runs"
-
-        def snap(run_dir):
-            return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())
-                    if p.is_file()}
-
+        ckpt = out / "train-0001" / "model.ckpt"
         identical = []
         for command, extra in (
-            ("analyze", []),
-            ("label", []),
-            ("train", ["--config", str(cfg_file)]),
+            ("analyze", ["--data", str(data)]),
+            ("label", ["--data", str(data)]),
+            ("train", ["--data", str(data), "--config", str(cfg_file)]),
+            ("evaluate", ["--data", str(data), "--config", str(cfg_file),
+                          "--checkpoint", str(ckpt)]),
+            ("predict", ["--checkpoint", str(ckpt), "--text", "bad skirt poor quality"]),
         ):
-            argv = [command, "--data", str(data), "--out", str(out), *extra]
+            argv = [command, "--out", str(out), *extra]
             assert main(argv) == 0
             assert main(argv) == 0
             identical.append(
-                snap(out / f"{command}-0001") == snap(out / f"{command}-0002")
+                snapshot(out / f"{command}-0001") == snapshot(out / f"{command}-0002")
             )
-        ckpt = out / "train-0001" / "model.ckpt"
-        eval_argv = ["evaluate", "--data", str(data), "--out", str(out),
-                     "--config", str(cfg_file), "--checkpoint", str(ckpt)]
-        assert main(eval_argv) == 0
-        assert main(eval_argv) == 0
-        identical.append(snap(out / "evaluate-0001") == snap(out / "evaluate-0002"))
 
         ok = all(identical)
         _report(8, "PASS" if ok else "FAIL",
-                f"analyze/label/train/evaluate reruns identical: {identical}", capsys)
+                f"analyze/label/train/evaluate/predict reruns identical: {identical}", capsys)
         assert ok

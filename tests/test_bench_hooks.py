@@ -19,7 +19,7 @@ import numpy as np
 import reviewlab.training
 from reviewlab.cli import main
 from reviewlab.dataset import write_csv
-from toy import toy_config, toy_reviews
+from toy import toy_config, toy_config_file, toy_reviews
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from tracing import Tracer, layer_metrics  # noqa: E402
@@ -38,8 +38,7 @@ def test_traced_train_and_evaluate_report_every_layer(tmp_path, monkeypatch):
     data = tmp_path / "reviews.csv"
     write_csv(toy_reviews(), data)
     config = toy_config(epochs=2)
-    cfg = tmp_path / "toy.cfg"
-    cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
+    cfg = toy_config_file(tmp_path / "toy.cfg", epochs=config.epochs)
     out = tmp_path / "runs"
     common = ["--data", str(data), "--out", str(out), "--config", str(cfg)]
 

@@ -16,14 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reviewlab.training
-from reviewlab.checkpoint import FORMAT, MAGIC, ModelBundle, load_checkpoint, save_checkpoint
+from reviewlab.checkpoint import MAGIC, ModelBundle, load_checkpoint, save_checkpoint
 from reviewlab.cli import main
 from reviewlab.dataset import write_csv
 from reviewlab.errors import InputError
 from reviewlab.nn import BiLstmClassifier
 from reviewlab.rng import SeededRng
 from reviewlab.textprep import build_vocab, encode, random_embeddings, sorted_vocab
-from toy import toy_config, toy_reviews
+from toy import toy_config_file, toy_reviews
 
 from gradcheck import toy_classifier
 
@@ -296,21 +296,21 @@ class TestRejections:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all\n")
-        with pytest.raises(InputError, match="magic"):
+        with pytest.raises(InputError, match=r"not a checkpoint file \(bad magic\)"):
             load_checkpoint(path)
 
     def test_truncated_blocks(self, tmp_path):
         path = saved_checkpoint(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
-        with pytest.raises(InputError, match="truncated"):
+        with pytest.raises(InputError, match="truncated checkpoint payload"):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, tmp_path):
         path = saved_checkpoint(tmp_path)
         with open(path, "ab") as fh:
             fh.write(b"\x00" * 8)
-        with pytest.raises(InputError, match="trailing"):
+        with pytest.raises(InputError, match="trailing bytes in checkpoint payload"):
             load_checkpoint(path)
 
     def test_tampered_metadata(self, tmp_path):
@@ -318,16 +318,6 @@ class TestRejections:
         edit_metadata(path, lambda meta: meta.update(cell_size=99))
         with pytest.raises(InputError, match="cell_size"):
             load_checkpoint(path)
-
-    def test_unsupported_format_version(self, tmp_path, capsys):
-        """Format-3 files (the vocabulary kept in a separate file) and files of the format
-        before this one are rejected by version, and leave no run directory."""
-        path = saved_checkpoint(tmp_path)
-        for version in (3, FORMAT - 1):
-            edit_metadata(path, lambda meta, version=version: meta.update(format=version))
-            assert predict_exit_code(tmp_path, path) == 2
-            assert f"unsupported checkpoint format {version}" in capsys.readouterr().err
-            assert not (tmp_path / "runs").exists()
 
     def test_format_four_exits_two(self, tmp_path, capsys):
         """Format 4 stored its own block layout and class names; retrain to upgrade."""
@@ -382,12 +372,6 @@ class TestRejections:
         assert predict_exit_code(tmp_path, path) == 2
         assert "padding row of block 'embeddings' must be zero" in capsys.readouterr().err
 
-    def test_non_integer_seq_len_rejected(self, tmp_path):
-        path = saved_checkpoint(tmp_path)
-        edit_metadata(path, lambda meta: meta.update(seq_len="twelve"))
-        with pytest.raises(InputError, match="inconsistent"):
-            load_checkpoint(path)
-
     def test_non_object_metadata_exits_two(self, tmp_path, capsys):
         path = saved_checkpoint(tmp_path)
         raw = path.read_bytes()
@@ -403,10 +387,11 @@ class TestRejections:
         assert "unreadable checkpoint metadata" in capsys.readouterr().err
 
     # A load checks finiteness in 65,536-element slices; at dim 8192 the table's
-    # 98,304 elements span two, and element 65,536 starts the second.
+    # 98,304 elements span two: element 65,535 ends the first, and 65,536 starts the second.
     @pytest.mark.parametrize("block, element, value, dim", [
         *(pytest.param(block, -1, np.nan, 6, id=block)
           for block in ["embeddings", "fwd.W", "fwd.b", "bwd.W", "bwd.b", "head.W", "head.b"]),
+        pytest.param("embeddings", 65535, np.inf, 8192, id="embeddings-slice-end"),
         pytest.param("embeddings", 65536, np.inf, 8192, id="embeddings-slice-start"),
         pytest.param("embeddings", -1, np.nan, 8192, id="embeddings-past-a-slice"),
         pytest.param("head.b", -1, -np.inf, 8192, id="head.b-past-a-slice"),
@@ -466,6 +451,7 @@ class TestMetadataFields:
         ("word_bytes", 0),
         ("word_bytes", True),
         ("word_bytes", "4"),
+        ("seq_len", "twelve"),
     ])
     def test_wrong_type_exits_two(self, tmp_path, capsys, field, value):
         path = saved_checkpoint(tmp_path)
@@ -486,10 +472,9 @@ class TestMetadataFields:
     def toy_run(tmp_path, seq_len):
         """`train` of the toy fixture at one epoch and seq_len: (exit code, its run directory,
         the data flags)."""
-        data, cfg = tmp_path / "reviews.csv", tmp_path / f"{seq_len}.cfg"
+        data = tmp_path / "reviews.csv"
         write_csv(toy_reviews(), data)
-        config = {**toy_config(epochs=1).as_dict(), "seq_len": seq_len}
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        cfg = toy_config_file(tmp_path / f"{seq_len}.cfg", epochs=1, seq_len=seq_len)
         out = tmp_path / f"runs-{seq_len}"
         code = main(["train", "--data", str(data), "--out", str(out), "--config", str(cfg)])
         return code, out / "train-0001", ["--data", str(data), "--out", str(out)]
@@ -510,14 +495,6 @@ class TestMetadataFields:
             reports.append((run.parent / f"evaluate-{len(reports) + 1:04d}" / "metrics.json")
                            .read_bytes())
         assert reports[0] == reports[1]
-
-    def test_reserved_token_in_vocab_exits_two(self, tmp_path, capsys):
-        """<pad> and <oov> are implied at indices 0 and 1; no entry can be one."""
-        path = saved_checkpoint(tmp_path)
-        rewrite_block(path, [b"<oov>", *WORDS[1:]])
-        assert predict_exit_code(tmp_path, path) == 2
-        assert ("bad checkpoint vocabulary: entry 0 b'<oov>' is not a [a-z0-9']+ word padded "
-                "with NULs") in capsys.readouterr().err
 
 
 def as_format(number, raw):

@@ -31,7 +31,7 @@ from reviewlab.textprep import (
     sorted_vocab,
     tokenize,
 )
-from toy import toy_config, toy_reviews
+from toy import toy_config, toy_config_file, toy_reviews
 
 from gradcheck import grad_check, padded, toy_classifier
 from reviewlab.training import (
@@ -93,9 +93,7 @@ def openblas_core():
 def prepared_toy(task="recommendation", **overrides):
     """(config, the encoded (indices, labels) train, validation and test splits, the
     ranked tokens, the embedding table) of the toy fixture, built as `cli train` builds them."""
-    config = toy_config(task=task)
-    if overrides:
-        config = TrainConfig(**{**config.as_dict(), **overrides})
+    config = replace(toy_config(task=task), **overrides)
     splits = tokenized_splits(toy_reviews(), config, BUILTIN_LEXICON, (0, 1, 2))[0]
     vocab, matrices = build_vocab([tokens for tokens, _ in splits], config.min_freq,
                                   config.vocab_size, config.seq_len)
@@ -136,10 +134,6 @@ class TestTrainConfig:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError, match="task"):
             TrainConfig(task="regression")
-
-    def test_as_dict_round_trips(self):
-        config = TrainConfig(seed=11, task="sentiment")
-        assert TrainConfig(**config.as_dict()) == config
 
 
 class TestSplitTypes:
@@ -186,9 +180,8 @@ class TestBuildTrainingData:
     def test_vocab_from_training_split_only(self, tmp_path):
         """Tokens confined to validation/test rows never enter the checkpoint's vocabulary."""
         config, records = toy_config(epochs=0), toy_reviews()
-        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        data, cfg = tmp_path / "reviews.csv", toy_config_file(tmp_path / "toy.cfg", epochs=0)
         write_csv(records, data)
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
                      "--config", str(cfg)]) == 0
         vocab = load_checkpoint(tmp_path / "runs" / "train-0001" / "model.ckpt").vocab
@@ -515,9 +508,9 @@ class TestEpochPrefix:
                                     vocab=words, model=BiLstmClassifier(*arrays[:-1]),
                                     embeddings=table, data_sha256=data_sha256),
                         tmp_path / "at_epoch_3.ckpt")
-        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        data = tmp_path / "reviews.csv"
         write_csv(toy_reviews(), data)
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
+        cfg = toy_config_file(tmp_path / "toy.cfg", task=task, epochs=3, dropout_rate=0.3)
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
                      "--config", str(cfg)]) == 0
         assert ((tmp_path / "at_epoch_3.ckpt").read_bytes()
@@ -680,9 +673,8 @@ class TestHistoryCsv:
         """`cli train` writes one row per epoch holding the exact EpochStats values."""
         config, splits, _, emb = prepared_toy(epochs=2)
         _, _, history = trained(config, *splits[:2], emb)
-        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        data, cfg = tmp_path / "reviews.csv", toy_config_file(tmp_path / "toy.cfg", epochs=2)
         write_csv(toy_reviews(), data)
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.as_dict().items()))
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
                      "--config", str(cfg)]) == 0
         lines = (tmp_path / "runs" / "train-0001" / "history.csv").read_text().splitlines()
@@ -707,9 +699,8 @@ class TestOnEpoch:
             return real(config, train_split, validation, emb, record)
 
         monkeypatch.setattr(reviewlab.cli, "train", recorded)
-        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        data, cfg = tmp_path / "reviews.csv", toy_config_file(tmp_path / "toy.cfg", epochs=3)
         write_csv(toy_reviews(), data)
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in toy_config(epochs=3).as_dict().items()))
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
                      "--config", str(cfg)]) == 0
         lines = (tmp_path / "runs" / "train-0001" / "history.csv").read_text().splitlines()
@@ -785,9 +776,8 @@ class TestFloat64TableFreed:
 
         monkeypatch.setattr(reviewlab.cli, "random_embeddings", draw)
         monkeypatch.setattr(reviewlab.training, "adam_step", adam_step)
-        data, cfg = tmp_path / "reviews.csv", tmp_path / "toy.cfg"
+        data, cfg = tmp_path / "reviews.csv", toy_config_file(tmp_path / "toy.cfg", epochs=2)
         write_csv(toy_reviews(), data)
-        cfg.write_text("".join(f"{k}={v}\n" for k, v in toy_config(epochs=2).as_dict().items()))
         assert main(["train", "--data", str(data), "--out", str(tmp_path / "runs"),
                      "--config", str(cfg)]) == 0
         assert len(drawn) == 1 and alive and not any(alive)

@@ -1,7 +1,9 @@
 """The toy fixture for the tests: the reviews scripts/make_toy_data.py writes, imported
-from the script by path, and desk-scale hyper-parameters that converge on them."""
+from the script by path, desk-scale hyper-parameters that converge on them, a writer of
+those settings as a config file, and a reader of a run directory's files."""
 
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from reviewlab.training import TrainConfig
@@ -9,7 +11,7 @@ from reviewlab.training import TrainConfig
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from make_toy_data import toy_reviews  # noqa: E402
 
-__all__ = ["toy_config", "toy_reviews"]
+__all__ = ["snapshot", "toy_config", "toy_config_file", "toy_reviews"]
 
 
 def toy_config(task: str = "recommendation", epochs: int = 30, seed: int = 4) -> TrainConfig:
@@ -27,3 +29,17 @@ def toy_config(task: str = "recommendation", epochs: int = 30, seed: int = 4) ->
         seed=seed,
         task=task,
     )
+
+
+def toy_config_file(path: Path, **settings) -> Path:
+    """Write `toy_config()`'s fields, with `settings` over them and any other key after
+    them, to `path` as `key=value` lines; return `path`.  An empty value means the
+    default."""
+    lines = {**asdict(toy_config()), **settings}
+    path.write_text("".join(f"{k}={v}\n" for k, v in lines.items()), encoding="utf-8")
+    return path
+
+
+def snapshot(run_dir: Path) -> dict:
+    """Each file of a run directory, by name, to its bytes."""
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir()) if p.is_file()}

@@ -373,6 +373,21 @@ class TestTrain:
         summary = json.loads((run_dir / "train_summary.json").read_text())
         assert summary["split_sizes"] == {"train": 24, "validation": 8, "test": 8}
 
+    def test_embeddings_of_another_width_refused_at_their_first_line(
+            self, tmp_path, data_csv, toy_cfg_file, capsys, monkeypatch):
+        """train reports load_glove's width refusal on stderr with exit 2, before any
+        table is drawn."""
+        def drawn(*args):
+            raise AssertionError("a table was drawn")
+
+        monkeypatch.setattr("reviewlab.textprep.random_embeddings", drawn)
+        glove = tmp_path / "vectors.txt"
+        glove.write_text("good 0.1 0.2 0.3\n")
+        code = main(["train", "--data", str(data_csv), "--out", str(tmp_path / "runs"),
+                     "--config", str(toy_cfg_file), "--embeddings", str(glove)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: {glove}: line 1: dimension 3 does not match embedding_dim 16\n")
+
     @pytest.mark.parametrize("component, message", [
         *((value, "non-finite component") for value in ("nan", "inf", "-inf", "1e400")),
         ("1e39", "component outside float32's range"),  # finite in float64, not in float32
@@ -908,6 +923,15 @@ class TestPredict:
         code, *threads = out.splitlines()[-1].split()
         assert code == "0" and "MainThread" in threads
         assert not [name for name in threads if name.startswith("reviewlab-reverse")]
+
+    def test_repeat_prediction_identical(self, tmp_path, data_csv, toy_cfg_file, capsys):
+        """Predicting the same text twice prints the same stdout line; acceptance 8 owns
+        the byte equality of the two run directories."""
+        argv = self.predict_argv(tmp_path, data_csv, toy_cfg_file, "bad skirt poor quality")
+        assert main(argv) == 0
+        first = capsys.readouterr().out.splitlines()[-1]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == first
 
     def test_config_written_once_per_command(self, tmp_path, data_csv, toy_cfg_file,
                                              monkeypatch):
